@@ -2,21 +2,20 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race verify-oracle fuzz-smoke fabric-smoke bench bench-ci bench-race bench-parallel repro figures trace sweep latency area ablate tune serve worker clean
+.PHONY: all check build vet test test-race verify-oracle fuzz-smoke fabric-smoke bench bench-ci bench-race repro figures trace sweep latency area ablate tune serve worker clean
 
 # BENCH_JSON tracks the perf trajectory across PRs: bump the suffix when
 # a PR materially changes the benchmark surface and commit the new file.
 #
 # BENCH_BASELINE is the stable snapshot bench-ci gates against. The gate
-# (spamer-benchjson -gate) fails the step when the sequential SpecRun
-# benchmark regresses more than GATE_PCT percent in ns/op, when any
-# benchmark present in both runs gains allocs/op (exact — alloc counts
-# don't jitter), when any MillionMessage lane-count variant allocates
-# at all, or when a parallel SpecRun allocates more per op than its
-# sequential twin SpecRunSeqHalo. It also fails hard when BENCH_BASELINE itself is
-# missing or unparsable, so a renamed/uncommitted baseline can never
-# silently reduce the gate to the allocation checks. Move BENCH_BASELINE
-# forward deliberately, in the PR that establishes the new floor.
+# (spamer-benchjson -gate) fails the step when the SpecRun benchmark
+# regresses more than GATE_PCT percent in ns/op, when any benchmark
+# present in both runs gains allocs/op (exact — alloc counts don't
+# jitter), or when MillionMessage allocates at all. It also fails hard
+# when BENCH_BASELINE itself is missing or unparsable, so a
+# renamed/uncommitted baseline can never silently reduce the gate to
+# the allocation checks. Move BENCH_BASELINE forward deliberately, in
+# the PR that establishes the new floor.
 #
 # GATE_PCT is the SpecRun ns/op tolerance (spamer-benchjson -gate-pct):
 # wide by default because wall time on shared runners jitters; the
@@ -32,7 +31,7 @@ GATE_PCT ?= 25
 all: check
 
 # Everything CI runs: compile, vet, unit tests, and the race detector
-# pass over the parallel harness.
+# pass over the harness, service, and fabric worker pools.
 check: build vet test test-race
 
 build:
@@ -68,7 +67,6 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPredictors -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=NONE -fuzz=FuzzReadSpecs -fuzztime=$(FUZZTIME) ./internal/experiments
 	$(GO) test -run=NONE -fuzz=FuzzSpamerVsVL -fuzztime=$(FUZZTIME) ./internal/oracle
-	$(GO) test -run=NONE -fuzz=FuzzDifferentialKernels -fuzztime=$(FUZZTIME) ./internal/oracle
 	$(GO) test -run=NONE -fuzz=FuzzDAGSpec -fuzztime=$(FUZZTIME) ./internal/workloads/dag
 
 # Full benchmark pass: every table/figure as a testing.B target. The
@@ -81,8 +79,7 @@ bench:
 
 # Quick variant for CI: the kernel and experiment-layer benchmarks plus
 # the MillionMessage hot path, gated (-gate: >25% SpecRun regression,
-# any allocs/op increase, or a MillionMessage sequential alloc fails
-# the step). Iteration counts are per-package: the ns-scale sim
+# any allocs/op increase, or a MillionMessage alloc fails the step). Iteration counts are per-package: the ns-scale sim
 # microbenchmarks need 10000x so one-time setup allocations amortize
 # below one per op (at 10x they read as false allocs/op regressions);
 # SpecRun and HarnessMatrix are 0.2-1 s/op end-to-end sweeps, so 10x
@@ -94,32 +91,12 @@ bench-ci:
 	  $(GO) test -run=NONE -bench=MillionMessage -benchmem -benchtime=200000x . ) \
 	| $(GO) run ./cmd/spamer-benchjson -out bench-ci.json -baseline $(BENCH_BASELINE) -gate -gate-pct $(GATE_PCT)
 
-# Parallel-kernel perf gate: the MillionMessage domains sweep plus the
-# SpecRun parallel variants and their like-for-like sequential twin
-# (SpecRunSeqHalo), piped through the -gate checks. GOMAXPROCS is
-# pinned in both stages so lane counts mean the same thing run to run:
-# the SpecRun parity stage at 1, where allocs/op is exact (multi-P runs
-# pick up the scheduler's own sudog/thread allocations — noise that
-# measures the runtime, not the simulator), and the MillionMessage
-# sweep at BENCH_GOMAXPROCS for the wall-clock comparison. The gate
-# holds every MillionMessage lane count to zero allocs/op and every
-# parallel SpecRun to allocs/op parity with SpecRunSeqHalo; on runners
-# with at least four CPUs it additionally requires MillionMessage
-# domains=4 to beat the sequential wall-clock (skipped on smaller
-# runners, where lanes cannot actually run concurrently). Blocking in
-# CI.
-BENCH_GOMAXPROCS ?= 4
-bench-parallel:
-	( GOMAXPROCS=1 $(GO) test -run=NONE -bench='SpecRunSeqHalo|SpecRunParallel' -benchmem -benchtime=10x ./internal/experiments && \
-	  GOMAXPROCS=$(BENCH_GOMAXPROCS) $(GO) test -run=NONE -bench=MillionMessage -benchmem -benchtime=200000x . ) \
-	| $(GO) run ./cmd/spamer-benchjson -out bench-parallel.json -baseline $(BENCH_BASELINE) -gate -gate-pct $(GATE_PCT)
-
-# Race-detector pass over the MillionMessage benchmark, including its
-# parallel-domain variants: the open-loop engine drives the same
-# per-domain arenas and padded cross-domain lanes the optimized layout
-# relies on, so every PR runs it once under -race. Iterations are cut
-# well below MM_ITERS — the race runtime is ~10x slower and the goal is
-# coverage of the hand-off protocol, not timing.
+# Race-detector pass over the MillionMessage benchmark: the open-loop
+# engine drives the kernel's process hand-off (one goroutine per
+# simulated thread, exactly one running at a time) millions of times,
+# so every PR runs it once under -race. Iterations are cut well below
+# MM_ITERS — the race runtime is ~10x slower and the goal is coverage
+# of the hand-off protocol, not timing.
 MM_RACE_ITERS ?= 20000x
 bench-race:
 	$(GO) test -race -run=NONE -bench=MillionMessage -benchmem -benchtime=$(MM_RACE_ITERS) .

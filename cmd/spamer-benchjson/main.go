@@ -19,20 +19,11 @@
 // CI can surface regressions without gating merges on noisy timings.
 //
 // -gate turns the comparison into a check: the exit status becomes
-// nonzero when the sequential SpecRun benchmark regresses more than
-// -gate-pct in ns/op against the baseline, when any benchmark present
-// in both runs allocates more per op than it used to, when any
-// MillionMessage lane-count variant allocates at all, or when a
-// parallel SpecRun allocates more per op than its like-for-like
-// sequential run (SpecRunSeqHalo — same workload, sequential kernel).
-// The parity check applies only to benchmarks that ran at GOMAXPROCS=1,
-// where alloc counts carry no scheduler noise (see parallelViolations).
-// On runners with at least four CPUs the gate additionally requires
-// MillionMessage domains=4 (when run at GOMAXPROCS >= 4) to beat the
-// sequential wall-clock; on smaller runners that check is skipped
-// (lanes cannot run concurrently there, so the comparison would
-// measure the host, not the code). The
-// bench-ci step is blocking, so the timing bar is deliberately narrow
+// nonzero when the SpecRun benchmark regresses more than -gate-pct in
+// ns/op against the baseline, when any benchmark present in both runs
+// allocates more per op than it used to, or when the MillionMessage
+// hot path allocates at all. The bench-ci step is blocking, so the
+// timing bar is deliberately narrow
 // in scope and wide in tolerance (-gate-pct defaults to 25); the
 // allocs/op checks are exact — counts don't jitter — and are the
 // gate's primary teeth. -gate requires a readable -baseline: a missing
@@ -63,8 +54,7 @@ import (
 
 // Entry is one benchmark's parsed result. GoMaxProcs is the -N suffix
 // Go appends to the benchmark name (stripped from the key so keys stay
-// stable across machines, but kept here: the parallel parity gate only
-// applies to single-P runs, where alloc counts are deterministic).
+// stable across machines, but kept here as a record of the run).
 type Entry struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
@@ -96,7 +86,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-(\d+))?\s+(\d+)\s+(.*)$`
 func main() {
 	out := flag.String("out", "BENCH.json", "output JSON path")
 	baseline := flag.String("baseline", "", "prior BENCH_<n>.json to diff against (delta table on stderr; never fails the run)")
-	gate := flag.Bool("gate", false, "exit nonzero on SpecRun ns/op regression past -gate-pct vs -baseline, any allocs/op increase, a MillionMessage alloc at any lane count, or a parallel SpecRun allocating above its SpecRunSeqHalo twin")
+	gate := flag.Bool("gate", false, "exit nonzero on SpecRun ns/op regression past -gate-pct vs -baseline, any allocs/op increase, or a MillionMessage alloc")
 	gatePct := flag.Float64("gate-pct", 25, "ns/op regression percentage -gate tolerates on SpecRun benchmarks")
 	flag.Parse()
 
@@ -196,12 +186,9 @@ func main() {
 
 // gateViolations applies the perf gate: SpecRun ns/op may not regress
 // more than pct percent against the baseline, no benchmark may gain
-// allocs/op, every MillionMessage lane-count variant must stay
-// allocation-free (checked even without a baseline entry — the
-// benchmarks are newer than some baselines), parallel SpecRun may not
-// allocate more per op than its like-for-like sequential run, and on
-// multi-core runners MillionMessage domains=4 must beat the sequential
-// wall-clock.
+// allocs/op, and MillionMessage must stay allocation-free (checked even
+// without a baseline entry — the benchmark is newer than some
+// baselines).
 func gateViolations(old, entries map[string]Entry, pct float64) []string {
 	var bad []string
 	names := make([]string, 0, len(entries))
@@ -209,74 +196,20 @@ func gateViolations(old, entries map[string]Entry, pct float64) []string {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	bad = append(bad, parallelViolations(entries)...)
 	for _, name := range names {
 		e := entries[name]
 		if strings.Contains(name, "MillionMessage/") && e.AllocsPerOp > 0 {
-			bad = append(bad, fmt.Sprintf("%s allocates %.0f/op; the message hot path must be allocation-free at every lane count", name, e.AllocsPerOp))
+			bad = append(bad, fmt.Sprintf("%s allocates %.0f/op; the message hot path must be allocation-free", name, e.AllocsPerOp))
 		}
 		o, ok := old[name]
 		if !ok {
 			continue
 		}
-		// Timing is gated on the sequential SpecRun only: the parallel
-		// variants' wall time is a function of core contention on the
-		// runner, not of the code, and swings far past any usable bar.
-		// They are still held to the exact allocs/op check below.
-		if strings.Contains(name, "SpecRun") && !strings.Contains(name, "Parallel") &&
-			o.NsPerOp > 0 && e.NsPerOp > o.NsPerOp*(1+pct/100) {
+		if strings.Contains(name, "SpecRun") && o.NsPerOp > 0 && e.NsPerOp > o.NsPerOp*(1+pct/100) {
 			bad = append(bad, fmt.Sprintf("%s regressed %.1f%% ns/op (%.0f -> %.0f)", name, (e.NsPerOp-o.NsPerOp)/o.NsPerOp*100, o.NsPerOp, e.NsPerOp))
 		}
 		if e.AllocsPerOp > o.AllocsPerOp {
 			bad = append(bad, fmt.Sprintf("%s allocs/op rose %.0f -> %.0f", name, o.AllocsPerOp, e.AllocsPerOp))
-		}
-	}
-	return bad
-}
-
-// parallelViolations applies the gates that compare entries within the
-// current run (no baseline involved): a parallel SpecRun variant may
-// not allocate more per op than its like-for-like sequential run
-// (SpecRunSeqHalo — same workload and scale, sequential kernel), and
-// on runners with at least four CPUs MillionMessage domains=4 must not
-// be slower than MillionMessage sequential. Both checks pair entries
-// by package prefix, so per-package benchmark sets gate independently.
-//
-// The alloc-parity check only fires on benchmarks that ran at
-// GOMAXPROCS=1. With more Ps the Go runtime itself allocates in
-// proportion to real scheduler contention (sudogs, thread spin-up) —
-// tens of allocs per SpecRun that measure the scheduler, not the
-// simulator, and never amortize away. Single-P runs have none of that,
-// so their counts are exact and lane-count-invariant; make
-// bench-parallel pins the parity stage accordingly.
-func parallelViolations(entries map[string]Entry) []string {
-	var bad []string
-	names := make([]string, 0, len(entries))
-	for name := range entries {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		e := entries[name]
-		i := strings.LastIndex(name, "/Benchmark")
-		if i < 0 {
-			continue
-		}
-		pkg := name[:i]
-		if strings.Contains(name, "SpecRunParallelDomains") && e.GoMaxProcs == 1 {
-			base, ok := entries[pkg+"/BenchmarkSpecRunSeqHalo"]
-			if !ok {
-				continue // parity needs the sequential twin in the same run
-			}
-			if e.AllocsPerOp > base.AllocsPerOp {
-				bad = append(bad, fmt.Sprintf("%s allocates %.0f/op, above its sequential like-for-like SpecRunSeqHalo at %.0f/op", name, e.AllocsPerOp, base.AllocsPerOp))
-			}
-		}
-		if strings.HasSuffix(name, "MillionMessage/domains=4") && runtime.NumCPU() >= 4 && e.GoMaxProcs >= 4 {
-			seq, ok := entries[pkg+"/BenchmarkMillionMessage/sequential"]
-			if ok && seq.NsPerOp > 0 && e.NsPerOp > seq.NsPerOp {
-				bad = append(bad, fmt.Sprintf("%s is slower than sequential on a %d-CPU runner (%.0f vs %.0f ns/op)", name, runtime.NumCPU(), e.NsPerOp, seq.NsPerOp))
-			}
 		}
 	}
 	return bad

@@ -15,10 +15,10 @@
 //	echo '{"benchmark":"FIR","algorithms":["vl","0delay"]}' | spamer-run
 //
 // Spec fields: benchmark, algorithms, scale, hop_latency, bus_channels,
-// devices, no_inline, srd_entries, domains (multi-domain kernel worker
-// lanes; 0 = sequential), tuned{zeta,tau,delta,alpha,beta},
+// devices, no_inline, srd_entries, tuned{zeta,tau,delta,alpha,beta},
 // repeat (determinism check), label,
-// extensions{allow_extended_workloads}.
+// extensions{allow_extended_workloads}. A non-zero domains field (the
+// removed parallel kernel) is an error.
 //
 // Instead of a named benchmark, a spec may carry an anonymous
 // synthetic workload: shape{stages|producers/consumers, messages,
@@ -27,8 +27,7 @@
 // arrival{process: poisson|mmpp|pareto, seed, mean_gap, users,
 // bursty_gap, mean_dwell, alpha, max_gap, storm_every, storm_burst,
 // ramp_period, ramp_peak} — see EXPERIMENTS.md, "Open-loop workloads".
-// Open-loop chains are parallel-safe (domains > 0 allowed); arrival
-// timelines are deterministic in (seed, endpoint).
+// Arrival timelines are deterministic in (seed, endpoint).
 //
 // A shape may instead carry a workload DAG: shape{dag: {...}} with
 // named stages, replica counts, compute distributions, edge policies,
@@ -38,9 +37,6 @@
 // runs, so the content hash always covers the resolved trace. After a
 // batch completes, a per-scenario SPAMeR-vs-VL speedup table is
 // printed to stderr.
-//
-// -domains N overrides the domains field of every spec in the batch
-// (parallel-safe benchmarks only; the spec validator rejects the rest).
 package main
 
 import (
@@ -60,7 +56,6 @@ import (
 func main() {
 	specPath := flag.String("spec", "-", "spec file path, or - for stdin")
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS)")
-	domains := flag.Int("domains", -1, "override every spec's domains field (-1 = leave specs as written)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
@@ -89,11 +84,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *domains >= 0 {
-		for i := range specs {
-			specs[i].Domains = *domains
-		}
-	}
 
 	results := experiments.RunSpecsParallel(context.Background(), specs, harness.Options{
 		Workers: *parallel,
@@ -107,22 +97,6 @@ func main() {
 			failed = true
 		}
 		all = append(all, res.Outcomes...)
-	}
-	for _, o := range all {
-		if p := o.Parallel; p != nil {
-			// One-line parallel-efficiency summary per multi-domain run:
-			// how many sync windows ran, how many domain-windows the
-			// horizon tracking skipped, and the cross-domain traffic they
-			// carried. Deterministic across lane counts, so it is safe to
-			// diff between runs.
-			perQ := 0.0
-			if p.Quanta > 0 {
-				perQ = float64(p.WindowsSkipped) / float64(p.Quanta)
-			}
-			fmt.Fprintf(os.Stderr,
-				"parallel %s/%s: %d quanta, %d domain-windows skipped (%.1f/quantum), %d cross messages, %d undelivered high-water\n",
-				o.Benchmark, o.Algorithm, p.Quanta, p.WindowsSkipped, perQ, p.CrossMessages, p.UndeliveredHW)
-		}
 	}
 	printSpeedups(os.Stderr, all)
 	if err := experiments.WriteOutcomes(os.Stdout, all); err != nil {

@@ -4,8 +4,7 @@
 // full invariant battery — message conservation, per-link FIFO,
 // payload integrity, structural checks of the device link table /
 // speculation buffer, counter balance, SPAMeR-vs-VL differential
-// delivery, determinism, and cross-kernel trace equivalence (see
-// docs/TESTING.md).
+// delivery, and determinism (see docs/TESTING.md).
 //
 // With -workers N every case additionally runs through a fabric
 // worker pool of that size, and the distributed per-spec outcomes must
@@ -26,8 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"spamer/internal/oracle"
 	"spamer/internal/oracle/gen"
@@ -37,7 +34,6 @@ func main() {
 	n := flag.Int("n", 50, "number of random cases to check")
 	seed := flag.Uint64("seed", 1, "campaign base seed")
 	out := flag.String("out", ".", "directory for minimized repro JSON files")
-	domainsFlag := flag.String("domains", "1,2,4,8,16", "comma-separated lane counts for cross-kernel checks (empty disables)")
 	repro := flag.String("repro", "", "replay a single repro/case JSON file instead of running a campaign")
 	workers := flag.Int("workers", 0, "fabric worker pool size for the distributed-vs-local differential (0 disables)")
 	flag.Parse()
@@ -46,15 +42,9 @@ func main() {
 		os.Exit(replay(*repro))
 	}
 
-	domains, err := parseDomains(*domainsFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	res, err := oracle.Campaign(oracle.CampaignOptions{
 		Seed:     *seed,
 		N:        *n,
-		Domains:  domains,
 		ReproDir: *out,
 		Workers:  *workers,
 		Log:      os.Stderr,
@@ -102,20 +92,4 @@ func readReproCase(path string) (gen.Case, error) {
 		return fail.Case, nil
 	}
 	return gen.ReadCaseFile(path)
-}
-
-func parseDomains(s string) ([]int, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		d, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || d < 1 {
-			return nil, fmt.Errorf("spamer-verify: bad -domains entry %q", part)
-		}
-		out = append(out, d)
-	}
-	return out, nil
 }

@@ -29,42 +29,3 @@ func BenchmarkSpecRun(b *testing.B) {
 		}
 	}
 }
-
-// benchParallelDomains measures one experiment on the multi-domain
-// kernel at a fixed worker-lane count. The workload is halo — 16
-// threads, one per simulated core, so all 17 logical domains (16 cores
-// + 1 hub) carry work and the lanes have parallelism to harvest. The
-// simulated result is bit-identical across lane counts (see
-// TestGoldenParallelTrace); only the wall-clock time may differ, which
-// is exactly what the Domains1 vs Domains4 comparison isolates.
-func benchParallelDomains(b *testing.B, domains int) {
-	spec := Spec{
-		Benchmark:  "halo",
-		Algorithms: []string{spamer.AlgTuned},
-		Scale:      4,
-		Domains:    domains,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		outs, err := spec.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(outs) != 1 {
-			b.Fatalf("outcomes = %d, want 1", len(outs))
-		}
-	}
-}
-
-// BenchmarkSpecRunSeqHalo runs the identical halo experiment on the
-// sequential kernel (Domains: 0). It is the like-for-like baseline for
-// the parallel kernel's parity gates: same workload, same scale, only
-// the kernel differs — so parallel-vs-SeqHalo deltas measure the
-// parallel machinery itself, not workload differences.
-func BenchmarkSpecRunSeqHalo(b *testing.B) { benchParallelDomains(b, 0) }
-
-func BenchmarkSpecRunParallelDomains1(b *testing.B) { benchParallelDomains(b, 1) }
-func BenchmarkSpecRunParallelDomains2(b *testing.B) { benchParallelDomains(b, 2) }
-func BenchmarkSpecRunParallelDomains4(b *testing.B) { benchParallelDomains(b, 4) }
-func BenchmarkSpecRunParallelDomains8(b *testing.B) { benchParallelDomains(b, 8) }

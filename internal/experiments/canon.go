@@ -71,14 +71,6 @@ func (s Spec) Canonical() Spec {
 		// Repeat 0 and 1 both mean "run once, no determinism check".
 		c.Repeat = 1
 	}
-	if c.Domains > 1 {
-		// Every Domains >= 1 dispatches the identical event trace — the
-		// worker-lane count is an execution detail, proven by
-		// TestGoldenParallelTrace — so all of them share one cache entry.
-		// Domains 0 stays distinct: the sequential kernel is a different
-		// timing model (see docs/SIMULATOR.md, "Parallel kernel").
-		c.Domains = 1
-	}
 	if c.Fault != nil {
 		if !c.Fault.armed() {
 			c.Fault = nil

@@ -121,20 +121,3 @@ func TestHashSpecsOrderMatters(t *testing.T) {
 		t.Fatal("permuted spec list hashed identically")
 	}
 }
-
-// TestHashDomainsCollapse: every positive domains value hashes alike
-// (worker-lane count is an execution detail, proven trace-invariant by
-// TestGoldenParallelTrace), while 0 — the sequential kernel, a
-// different timing model — hashes differently.
-func TestHashDomainsCollapse(t *testing.T) {
-	base := Spec{Benchmark: "FIR", Algorithms: []string{"vl"}}
-	d1, d4 := base, base
-	d1.Domains = 1
-	d4.Domains = 4
-	if d1.Hash() != d4.Hash() {
-		t.Error("domains=1 and domains=4 hash differently")
-	}
-	if base.Hash() == d1.Hash() {
-		t.Error("domains=0 (sequential) hashes like domains=1 (parallel model)")
-	}
-}

@@ -13,13 +13,12 @@ const openLoopSpecJSON = `{
     "stages": 3, "messages": 300, "lines": 4, "window": 8,
     "arrival": {"process": "mmpp", "seed": 17, "mean_gap": 90, "users": 4}
   },
-  "algorithms": ["vl", "tuned"],
-  "domains": 4
+  "algorithms": ["vl", "tuned"]
 }`
 
 // TestShapeSpecJSON pins the spec-JSON wiring of open-loop shapes: a
-// shape spec parses, validates, runs on the parallel kernel, and reports
-// the shape's diagnostic name.
+// shape spec parses, validates, runs, and reports the shape's diagnostic
+// name.
 func TestShapeSpecJSON(t *testing.T) {
 	specs, err := ReadSpecs(strings.NewReader(openLoopSpecJSON))
 	if err != nil {
@@ -60,10 +59,6 @@ func TestShapeSpecValidate(t *testing.T) {
 	clash := Spec{Benchmark: "FIR", Shape: sh}
 	if err := clash.Validate(); err == nil {
 		t.Fatal("shape + core benchmark name should not validate")
-	}
-	fan := Spec{Shape: &workloads.Shape{Producers: 2, Messages: 10}, Domains: 2}
-	if err := fan.Validate(); err == nil {
-		t.Fatal("fan shape with domains > 0 should not validate (not parallel-safe)")
 	}
 	badArr := Spec{Shape: &workloads.Shape{Stages: 2, Messages: 10,
 		Arrival: &traffic.Spec{Process: "nope", MeanGap: 1}}}

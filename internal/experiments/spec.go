@@ -32,7 +32,6 @@ type Spec struct {
 	Devices    int              `json:"devices,omitempty"`
 	NoInline   bool             `json:"no_inline,omitempty"`
 	SRDEntries int              `json:"srd_entries,omitempty"`
-	Domains    int              `json:"domains,omitempty"` // >0: multi-domain kernel with this many worker lanes
 	Tuned      *TunedSpec       `json:"tuned,omitempty"`
 	Repeat     int              `json:"repeat,omitempty"` // determinism check
 	Label      string           `json:"label,omitempty"`
@@ -90,21 +89,6 @@ type Outcome struct {
 	PushesIssued   uint64  `json:"pushes_issued"`
 	Fetches        uint64  `json:"fetches"`
 	Deterministic  *bool   `json:"deterministic,omitempty"` // set when Repeat > 1
-
-	// Parallel carries the multi-domain kernel's telemetry on runs with
-	// Domains > 0; sequential runs omit it. Every field is a pure
-	// function of the model and lookahead — never of lane count or
-	// scheduling timing — so outcome JSON stays byte-identical across
-	// Domains settings (the repeat/determinism checks rely on that).
-	Parallel *ParallelOutcome `json:"parallel,omitempty"`
-}
-
-// ParallelOutcome is the JSON form of sim.ParallelStats.
-type ParallelOutcome struct {
-	Quanta         uint64 `json:"quanta"`
-	WindowsSkipped uint64 `json:"windows_skipped"`
-	CrossMessages  uint64 `json:"cross_messages"`
-	UndeliveredHW  uint64 `json:"undelivered_hw"`
 }
 
 // Validate checks a spec before running.
@@ -142,18 +126,6 @@ func (s *Spec) Validate() error {
 	}
 	if s.Scale < 0 || s.Repeat < 0 {
 		return fmt.Errorf("experiments: negative scale/repeat")
-	}
-	if s.Domains < 0 {
-		return fmt.Errorf("experiments: negative domains")
-	}
-	if s.Domains > 0 {
-		w, _ := s.workload()
-		if !w.ParallelSafe {
-			return fmt.Errorf("experiments: benchmark %q is not parallel-safe (domains must be 0)", w.Name)
-		}
-		if s.Fault.armed() {
-			return fmt.Errorf("experiments: fault injection requires the sequential kernel (domains must be 0)")
-		}
 	}
 	return nil
 }
@@ -195,7 +167,6 @@ func (s *Spec) systemConfig(alg string) spamer.Config {
 		BusChannels: s.Channels,
 		Devices:     s.Devices,
 		NoInline:    s.NoInline,
-		Domains:     s.Domains,
 		Deadline:    1 << 40,
 	}
 	if s.Fault != nil {
@@ -212,13 +183,6 @@ func (s *Spec) systemConfig(alg string) spamer.Config {
 		}
 	}
 	return cfg
-}
-
-// EffectiveDomains reports the worker-lane count runs of this spec will
-// use: the Domains field as the simulator resolves it (0 = the
-// sequential reference kernel).
-func (s *Spec) EffectiveDomains() int {
-	return s.systemConfig(spamer.AlgBaseline).EffectiveDomains()
 }
 
 // Run executes the spec, returning one Outcome per algorithm.
@@ -272,14 +236,6 @@ func (s *Spec) runAlg(w *workloads.Workload, alg string, scale int) (Outcome, sp
 		PushesIssued:   res.Device.TotalPushes(),
 		Fetches:        res.Device.Fetches,
 	}
-	if s.systemConfig(alg).EffectiveDomains() > 0 {
-		o.Parallel = &ParallelOutcome{
-			Quanta:         res.Parallel.Quanta,
-			WindowsSkipped: res.Parallel.WindowsSkipped,
-			CrossMessages:  res.Parallel.CrossMessages,
-			UndeliveredHW:  res.Parallel.UndeliveredHW,
-		}
-	}
 	if s.Repeat > 1 {
 		det := true
 		for i := 1; i < s.Repeat; i++ {
@@ -294,21 +250,40 @@ func (s *Spec) runAlg(w *workloads.Workload, alg string, scale int) (Outcome, sp
 	return o, res
 }
 
-// ReadSpecs decodes one spec or an array of specs from JSON.
+// wireSpec is the JSON form ReadSpecs decodes: a Spec plus the retired
+// "domains" field, read only so that a spec asking for the removed
+// multi-domain kernel is refused instead of silently run on the
+// sequential one (whose ticks differ).
+type wireSpec struct {
+	Spec
+	Domains int `json:"domains"`
+}
+
+// ReadSpecs decodes one spec or an array of specs from JSON. A non-zero
+// "domains" field is an error: the parallel kernel it selected was
+// removed. "domains": 0 and a missing field both mean the sequential
+// kernel, the only one there is.
 func ReadSpecs(r io.Reader) ([]Spec, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	var many []Spec
-	if err := json.Unmarshal(data, &many); err == nil {
-		return many, nil
+	var many []wireSpec
+	if err := json.Unmarshal(data, &many); err != nil {
+		var one wireSpec
+		if err := json.Unmarshal(data, &one); err != nil {
+			return nil, fmt.Errorf("experiments: spec JSON: %w", err)
+		}
+		many = []wireSpec{one}
 	}
-	var one Spec
-	if err := json.Unmarshal(data, &one); err != nil {
-		return nil, fmt.Errorf("experiments: spec JSON: %w", err)
+	specs := make([]Spec, len(many))
+	for i, w := range many {
+		if w.Domains != 0 {
+			return nil, fmt.Errorf("experiments: spec %d: domains %d: the parallel simulation kernel was removed; omit the field or set it to 0", i, w.Domains)
+		}
+		specs[i] = w.Spec
 	}
-	return []Spec{one}, nil
+	return specs, nil
 }
 
 // WriteOutcomes encodes outcomes as indented JSON.

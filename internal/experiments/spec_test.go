@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -43,10 +44,6 @@ func TestSpecValidateErrors(t *testing.T) {
 		{"unknown algorithm", Spec{Benchmark: "FIR", Algorithms: []string{"bogus"}}, `unknown algorithm "bogus"`},
 		{"negative scale", Spec{Benchmark: "FIR", Scale: -1}, "negative scale/repeat"},
 		{"negative repeat", Spec{Benchmark: "FIR", Repeat: -2}, "negative scale/repeat"},
-		{"negative domains", Spec{Benchmark: "FIR", Domains: -1}, "negative domains"},
-		{"domains on unsafe benchmark", Spec{Benchmark: "incast", Domains: 2}, "not parallel-safe"},
-		{"fault on parallel kernel", Spec{Benchmark: "FIR", Domains: 2, Fault: &FaultSpec{DropStash: 1}},
-			"fault injection requires the sequential kernel"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()
@@ -54,11 +51,33 @@ func TestSpecValidateErrors(t *testing.T) {
 			t.Errorf("%s: Validate() = %v, want mention of %q", c.name, err, c.want)
 		}
 	}
-	// The sequential-kernel restriction only binds an armed fault: a
-	// zero-drop FaultSpec is inert and must not invalidate domains.
-	ok := Spec{Benchmark: "FIR", Domains: 2, Fault: &FaultSpec{}}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("inert fault rejected: %v", err)
+}
+
+// TestReadSpecsRetiredDomains: a spec asking for the removed parallel
+// kernel ("domains" > 0, alone or inside a batch) is refused with an
+// error that says so, while "domains": 0 and an absent field both read
+// as the plain sequential spec.
+func TestReadSpecsRetiredDomains(t *testing.T) {
+	for _, js := range []string{
+		`{"benchmark":"FIR","domains":2}`,
+		`[{"benchmark":"FIR"},{"benchmark":"halo","domains":1}]`,
+		`{"benchmark":"FIR","domains":-1}`,
+	} {
+		_, err := ReadSpecs(strings.NewReader(js))
+		if err == nil || !strings.Contains(err.Error(), "parallel simulation kernel was removed") {
+			t.Errorf("%s: ReadSpecs error = %v, want the removed-kernel error", js, err)
+		}
+	}
+	zero, err := ReadSpecs(strings.NewReader(`{"benchmark":"FIR","domains":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	absent, err := ReadSpecs(strings.NewReader(`{"benchmark":"FIR"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(zero, absent) {
+		t.Fatalf("domains 0 read as %+v, absent field as %+v", zero, absent)
 	}
 }
 

@@ -18,7 +18,7 @@ func chaosSpecs(t *testing.T, seed uint64, n int) []experiments.Spec {
 	t.Helper()
 	var specs []experiments.Spec
 	for i := 0; len(specs) < n && i < 4*n; i++ {
-		cs := gen.New(seed + uint64(i)*0x9e3779b97f4a7c15).ChainCase(nil)
+		cs := gen.New(seed + uint64(i)*0x9e3779b97f4a7c15).FanCase()
 		sp := cs.Spec
 		sp.Shape = cs.Shape
 		if err := sp.Validate(); err != nil {

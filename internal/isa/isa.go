@@ -36,44 +36,10 @@ const retryBits = 20
 // retryMask extracts the attempt count from a packed event argument.
 const retryMask = MaxRetries - 1
 
-// Port is one endpoint's ordered device-write channel: the store-buffer
-// abstraction behind Sender (same-domain) and RemoteSender (cross-domain).
-// Ops implementations only accept ports they created.
-type Port interface {
-	// Pending reports queued-but-unaccepted writes.
-	Pending() int
-}
-
-// Ops is the instruction-set surface the queue library issues against: a
-// local ISA when the calling core shares the routing device's simulation
-// domain, or a RemoteISA that carries the same operations across a
-// conservative domain boundary. Timing differs (a remote push learns its
-// acceptance a response trip later); the operation semantics do not.
-type Ops interface {
-	Select(p *sim.Proc)
-	NewPushPort() Port
-	NewFetchPort() Port
-	Push(p *sim.Proc, port Port, sqi vl.SQI, msg mem.Message, accepted func())
-	Fetch(p *sim.Proc, port Port, sqi vl.SQI, target mem.Addr)
-	Register(p *sim.Proc, sqi vl.SQI, base mem.Addr, n int)
-	Stats() Stats
-
-	// Continuation-passing forms. The blocking forms above charge the
-	// op's core-side cycles with p.Sleep, splitting each op across a
-	// goroutine handoff; the vlq endpoint state machines instead charge
-	// the same cycles with their own AfterFunc events and call these
-	// halves directly from the kernel goroutine. NoteX runs at the op's
-	// issue tick (the counter bump the blocking form does before its
-	// Sleep); EnqueueX runs when the charged cycles have elapsed (the
-	// device write the blocking form does after its Sleep returns). The
-	// split leaves the event schedule — and therefore the dispatch
-	// trace — bit-identical to the blocking forms.
-	NoteSelect()
-	NotePush()
-	NoteFetch()
-	EnqueuePush(port Port, sqi vl.SQI, msg mem.Message, accepted func())
-	EnqueueFetch(port Port, sqi vl.SQI, target mem.Addr)
-}
+// senderArenaBlock sizes the sender arena: a system opens a few endpoints
+// per queue (one producer and one consumer side), so one block covers
+// typical workloads and heavy ones amortize.
+const senderArenaBlock = 16
 
 // ISA issues the VL/SPAMeR operations against one routing device.
 type ISA struct {
@@ -162,12 +128,6 @@ func (i *ISA) NewPushSender() *Sender { return newSender(i, noc.PktPush) }
 // endpoint.
 func (i *ISA) NewFetchSender() *Sender { return newSender(i, noc.PktFetchReq) }
 
-// NewPushPort implements Ops.
-func (i *ISA) NewPushPort() Port { return i.NewPushSender() }
-
-// NewFetchPort implements Ops.
-func (i *ISA) NewFetchPort() Port { return i.NewFetchSender() }
-
 func newSender(i *ISA, kind noc.PacketKind) *Sender {
 	if len(i.arena) == cap(i.arena) {
 		// A fresh block: existing senders keep pointing into old blocks.
@@ -247,8 +207,7 @@ func (s *Sender) Pending() int { return len(s.q) - s.head }
 // line's coherence state. The calling process is charged the issue cost;
 // delivery and NACK replay proceed asynchronously. accepted runs (at the
 // acceptance tick) once the device takes ownership; it may be nil.
-func (i *ISA) Push(p *sim.Proc, port Port, sqi vl.SQI, msg mem.Message, accepted func()) {
-	snd := port.(*Sender)
+func (i *ISA) Push(p *sim.Proc, snd *Sender, sqi vl.SQI, msg mem.Message, accepted func()) {
 	i.stats.Pushes++
 	p.Sleep(config.VLPushCycles)
 	snd.enqueue(senderOp{sqi: sqi, msg: msg, accepted: accepted, push: true})
@@ -257,12 +216,21 @@ func (i *ISA) Push(p *sim.Proc, port Port, sqi vl.SQI, msg mem.Message, accepted
 // Fetch models vl_fetch through the endpoint's ordered sender: write the
 // selected consumer-line physical address to the device-memory range of
 // consBuf. Posted; NACKs replay in order.
-func (i *ISA) Fetch(p *sim.Proc, port Port, sqi vl.SQI, target mem.Addr) {
-	snd := port.(*Sender)
+func (i *ISA) Fetch(p *sim.Proc, snd *Sender, sqi vl.SQI, target mem.Addr) {
 	i.stats.Fetches++
 	p.Sleep(config.VLFetchCycles)
 	snd.enqueue(senderOp{sqi: sqi, target: target})
 }
+
+// Continuation-passing forms. The blocking forms above charge the op's
+// core-side cycles with p.Sleep, splitting each op across a goroutine
+// handoff; the vlq endpoint state machines instead charge the same cycles
+// with their own AfterFunc events and call these halves directly from the
+// kernel goroutine. NoteX runs at the op's issue tick (the counter bump
+// the blocking form does before its Sleep); EnqueueX runs when the
+// charged cycles have elapsed (the device write the blocking form does
+// after its Sleep returns). The split leaves the event schedule — and
+// therefore the dispatch trace — bit-identical to the blocking forms.
 
 // NoteSelect is the continuation-passing half of Select: issue
 // bookkeeping only, cycles charged by the caller's own event.
@@ -276,13 +244,13 @@ func (i *ISA) NoteFetch() { i.stats.Fetches++ }
 
 // EnqueuePush is the continuation-passing completion half of Push: the
 // device write, issued once the caller's charged cycles have elapsed.
-func (i *ISA) EnqueuePush(port Port, sqi vl.SQI, msg mem.Message, accepted func()) {
-	port.(*Sender).enqueue(senderOp{sqi: sqi, msg: msg, accepted: accepted, push: true})
+func (i *ISA) EnqueuePush(snd *Sender, sqi vl.SQI, msg mem.Message, accepted func()) {
+	snd.enqueue(senderOp{sqi: sqi, msg: msg, accepted: accepted, push: true})
 }
 
 // EnqueueFetch is the continuation-passing completion half of Fetch.
-func (i *ISA) EnqueueFetch(port Port, sqi vl.SQI, target mem.Addr) {
-	port.(*Sender).enqueue(senderOp{sqi: sqi, target: target})
+func (i *ISA) EnqueueFetch(snd *Sender, sqi vl.SQI, target mem.Addr) {
+	snd.enqueue(senderOp{sqi: sqi, target: target})
 }
 
 // Register models spamer_register: "a vl_fetch instruction writing to
@@ -298,5 +266,3 @@ func (i *ISA) Register(p *sim.Proc, sqi vl.SQI, base mem.Addr, n int) {
 		}
 	})
 }
-
-var _ Ops = (*ISA)(nil)

@@ -3,7 +3,6 @@ package mem
 import (
 	"testing"
 
-	"spamer/internal/config"
 	"spamer/internal/sim"
 )
 
@@ -54,8 +53,4 @@ func BenchmarkLineSlab(b *testing.B) {
 			b.Fatal("allocation count off")
 		}
 	})
-
-	if as.Base() != 0 || config.LineBytes == 0 {
-		b.Fatal("unexpected arena config")
-	}
 }

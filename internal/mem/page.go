@@ -27,8 +27,8 @@ const linesPerChunk = 256
 // couple of allocations per address space. Blocks are never grown in
 // place — a full block is replaced by a fresh one — so &pages[i] and the
 // carved Lines slices stay valid forever. The first block of each kind
-// is embedded in the AddressSpace itself, so a typical domain space (a
-// handful of endpoints) allocates nothing for its page bookkeeping.
+// is embedded in the AddressSpace itself, so a typical space (a handful
+// of endpoints) allocates nothing for its page bookkeeping.
 const (
 	pageArenaBlock = 16
 	ptrSlabBlock   = 128
@@ -47,17 +47,14 @@ type chunk struct {
 // cache-line addresses, and resolves addresses back to lines (the routing
 // device needs this to deliver stashes).
 //
-// The space is the per-domain line arena: lines are stored by value in
+// The space is the system's line arena: lines are stored by value in
 // fixed-size chunks and indexed by the allocation order implied by the
 // address, so Lookup is two shifts and two loads — no map hashing, no
 // per-line heap object — and neighbouring lines of a page share cache
 // lines of the host. Each line's cold accounting half trails the hot
-// array inside its chunk (see Line), and because every simulation
-// domain owns a distinct AddressSpace, the arena is written by exactly
-// one worker lane: domains never false-share line state.
+// array inside its chunk (see Line).
 type AddressSpace struct {
 	k      *sim.Kernel
-	base   Addr
 	next   Addr
 	n      int // allocated lines; the arena's high-water mark (lines are never freed)
 	chunks []*chunk
@@ -65,49 +62,25 @@ type AddressSpace struct {
 	pages []Page  // block arena behind the *Page headers NewPage hands out
 	ptrs  []*Line // slab carved into the Lines arrays of those pages
 
-	// Embedded first blocks: Init points pages/ptrs (and the chunks
-	// index) here, so a space only hits the heap once its demand
+	// Embedded first blocks: NewAddressSpace points pages/ptrs (and the
+	// chunks index) here, so a space only hits the heap once its demand
 	// outgrows them. &pages0[i] and the carved ptrs0 sub-slices are
-	// handed out, so an AddressSpace must not move after Init — both
-	// constructors and the parallel fabric's arena honour that.
+	// handed out, so an AddressSpace must not move after construction.
 	chunks0 [4]*chunk
 	pages0  [pageArenaBlock]Page
 	ptrs0   [ptrSlabBlock]*Line
 }
 
-// NewAddressSpace returns an empty address space starting at a non-zero
-// base (address 0 is reserved as the nil/NULL target of the mapping
-// pipeline, Figure 4).
+// NewAddressSpace returns an empty address space whose allocations start
+// one line above address 0 (address 0 is reserved as the nil/NULL target
+// of the mapping pipeline, Figure 4).
 func NewAddressSpace(k *sim.Kernel) *AddressSpace {
-	return NewAddressSpaceAt(k, 0)
-}
-
-// NewAddressSpaceAt returns an empty address space whose allocations
-// start one line above base. A multi-domain system gives each domain its
-// own space at a distinct base so an address identifies its owning
-// domain; base itself is never allocated, preserving the reserved-NULL
-// convention of NewAddressSpace at every base.
-func NewAddressSpaceAt(k *sim.Kernel, base Addr) *AddressSpace {
-	as := new(AddressSpace)
-	as.Init(k, base)
-	return as
-}
-
-// Init initializes as in place (batch construction for the multi-domain
-// fabric's per-domain spaces; NewAddressSpaceAt wraps it).
-func (as *AddressSpace) Init(k *sim.Kernel, base Addr) {
-	if base%Addr(config.LineBytes) != 0 {
-		panic(fmt.Sprintf("mem: address-space base %#x not line-aligned", uint64(base)))
-	}
-	*as = AddressSpace{k: k, base: base, next: base + Addr(config.LineBytes)}
+	as := &AddressSpace{k: k, next: Addr(config.LineBytes)}
 	as.chunks = as.chunks0[:0]
 	as.pages = as.pages0[:0]
 	as.ptrs = as.ptrs0[:0]
+	return as
 }
-
-// Base reports the base address of the space (the reserved line below the
-// first allocation).
-func (as *AddressSpace) Base() Addr { return as.base }
 
 // NewPage allocates a page of n lines.
 func (as *AddressSpace) NewPage(n int) *Page {
@@ -159,7 +132,7 @@ func (as *AddressSpace) CheckStructure() error {
 	if as.n > have || have-as.n >= linesPerChunk {
 		return fmt.Errorf("mem: %d lines allocated but slabs hold %d slots", as.n, have)
 	}
-	if want := as.base + Addr((as.n+1)*config.LineBytes); as.next != want {
+	if want := Addr((as.n + 1) * config.LineBytes); as.next != want {
 		return fmt.Errorf("mem: address cursor %#x, want %#x for %d lines", uint64(as.next), uint64(want), as.n)
 	}
 	for i := 0; i < as.n; i++ {
@@ -175,8 +148,8 @@ func (as *AddressSpace) CheckStructure() error {
 // Lookup resolves a line address. It panics on unknown addresses: the
 // routing device only ever holds addresses that endpoints registered.
 func (as *AddressSpace) Lookup(a Addr) *Line {
-	if a > as.base && a < as.next && a%Addr(config.LineBytes) == 0 {
-		idx := int((a-as.base)/Addr(config.LineBytes)) - 1
+	if a > 0 && a < as.next && a%Addr(config.LineBytes) == 0 {
+		idx := int(a/Addr(config.LineBytes)) - 1
 		return &as.chunks[idx/linesPerChunk].hot[idx%linesPerChunk]
 	}
 	panic(fmt.Sprintf("mem: unknown line address %#x", uint64(a)))

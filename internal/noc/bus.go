@@ -68,20 +68,6 @@ func occupancy(k PacketKind) uint64 {
 	}
 }
 
-// MinOccupancy returns the smallest serialization cost any packet kind
-// pays — the floor on time-on-wire that, together with the hop latency,
-// bounds how soon a packet sent now can arrive anywhere else. The
-// parallel kernel's conservative quantum is derived from it.
-func MinOccupancy() uint64 {
-	min := occupancy(PacketKind(0))
-	for k := PacketKind(1); k < numPacketKinds; k++ {
-		if o := occupancy(k); o < min {
-			min = o
-		}
-	}
-	return min
-}
-
 // Stats aggregates bus accounting for one run.
 type Stats struct {
 	Packets    [numPacketKinds]uint64
@@ -137,29 +123,19 @@ func NewWithHopLatency(k *sim.Kernel, hop uint64) *Bus {
 // NewWithOptions returns a bus with explicit hop latency and channel
 // count (channels <= 0 selects DefaultChannels).
 func NewWithOptions(k *sim.Kernel, hop uint64, channels int) *Bus {
-	b := new(Bus)
-	b.Init(k, hop, channels)
-	return b
-}
-
-// Init initializes b in place with explicit hop latency and channel
-// count (channels <= 0 selects DefaultChannels). Batch construction —
-// the multi-domain fabric carves its per-domain bus slices from one
-// block — uses it directly; NewWithOptions wraps it.
-func (b *Bus) Init(k *sim.Kernel, hop uint64, channels int) {
 	if channels <= 0 {
 		channels = DefaultChannels
 	}
-	*b = Bus{k: k, hopLat: hop, stats: Stats{startTick: k.Now()}}
-	// Channel state lives in the embedded array when it fits (the common
-	// configs — single-channel core slices and DefaultChannels hubs — both
-	// do); only oversized custom topologies pay a heap block. Safe because
-	// a Bus never moves after Init (heap object or fabric arena slot).
+	b := &Bus{k: k, hopLat: hop, stats: Stats{startTick: k.Now()}}
+	// Channel state lives in the embedded array when it fits (every config
+	// up to DefaultChannels does); only oversized custom topologies pay a
+	// second heap block. Safe because a Bus never moves after construction.
 	if channels <= len(b.freeAt0) {
 		b.freeAt = b.freeAt0[:channels]
 	} else {
 		b.freeAt = make([]uint64, channels)
 	}
+	return b
 }
 
 // Channels reports the number of transfer channels.
@@ -183,21 +159,6 @@ func (b *Bus) SendFunc(kind PacketKind, deliver func(uint64), arg uint64) {
 	arrival := b.occupy(kind)
 	b.k.AtFunc(arrival, deliver, arg)
 }
-
-// Occupy books a packet of the given kind on the earliest-free channel
-// and returns its arrival tick without scheduling a delivery event. The
-// cross-domain send path uses it: the sending domain accounts for its
-// bus slice locally, then posts the delivery into the destination
-// domain's kernel at the returned tick. The arrival is always at least
-// hop + serialization past now, which is what makes the parallel
-// kernel's lookahead sound.
-func (b *Bus) Occupy(kind PacketKind) uint64 { return b.occupy(kind) }
-
-// Lookahead reports the minimum delay between submitting any packet on
-// this bus and its arrival: one hop plus the smallest serialization
-// cost. The conservative quantum of a multi-domain run is derived from
-// this (computed from config, never hardcoded).
-func (b *Bus) Lookahead() uint64 { return b.hopLat + MinOccupancy() }
 
 // occupy books a packet of the given kind on the earliest-free channel,
 // updates the accounting, and returns the arrival tick.
@@ -237,25 +198,17 @@ func (b *Bus) Stats() Stats { return b.stats }
 // the ratio is exact and never exceeds 1; it is not clamped, so any
 // future overcounting bug fails tests instead of being masked.
 func (b *Bus) Utilization() float64 {
-	elapsed := b.WindowCycles()
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(b.stats.BusyCycles) / float64(elapsed)
-}
-
-// WindowCycles reports the elapsed channel-cycles of the accounting
-// window — Utilization's denominator. A multi-domain system aggregates
-// utilization over its per-domain bus slices as
-// sum(BusyCycles) / sum(WindowCycles).
-func (b *Bus) WindowCycles() uint64 {
 	end := b.k.Now()
 	for _, f := range b.freeAt {
 		if f > end {
 			end = f
 		}
 	}
-	return (end - b.stats.startTick) * uint64(len(b.freeAt))
+	elapsed := (end - b.stats.startTick) * uint64(len(b.freeAt))
+	if elapsed == 0 {
+		return 0
+	}
+	return float64(b.stats.BusyCycles) / float64(elapsed)
 }
 
 // ResetStats zeroes the counters and restarts the utilization window.

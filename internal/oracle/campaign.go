@@ -28,9 +28,6 @@ type CampaignOptions struct {
 	Seed uint64
 	// N is the number of random cases to check.
 	N int
-	// Domains is the lane-count list for cross-kernel checks on
-	// parallel-safe cases (default 1, 2, 4, 8, 16).
-	Domains []int
 	// ReproDir is where minimized failing cases are written as JSON
 	// ("" = current directory).
 	ReproDir string
@@ -74,10 +71,6 @@ func Campaign(opts CampaignOptions) (CampaignResult, error) {
 	if opts.N <= 0 {
 		opts.N = 50
 	}
-	domains := opts.Domains
-	if domains == nil {
-		domains = []int{1, 2, 4, 8, 16}
-	}
 	logf := func(format string, args ...any) {
 		if opts.Log != nil {
 			fmt.Fprintf(opts.Log, format+"\n", args...)
@@ -95,7 +88,7 @@ func Campaign(opts CampaignOptions) (CampaignResult, error) {
 	var res CampaignResult
 	for i := 0; i < opts.N; i++ {
 		seed := caseSeed(opts.Seed, i)
-		cs := gen.New(seed).Case(domains)
+		cs := gen.New(seed).Case()
 		cs.Seed = seed
 		rep := CheckCase(cs)
 		res.Cases++
@@ -277,11 +270,6 @@ func shrinkSteps(cs gen.Case) []gen.Case {
 	if cs.EvictEvery > 0 {
 		add(func(c *gen.Case) { c.EvictEvery = 0 })
 	}
-	if len(cs.Domains) > 2 {
-		add(func(c *gen.Case) { c.Domains = []int{c.Domains[0], c.Domains[len(c.Domains)-1]} })
-	} else if len(cs.Domains) > 0 {
-		add(func(c *gen.Case) { c.Domains = nil })
-	}
 	if cs.Spec.SRDEntries > 0 {
 		// Resetting to the default table size is only a valid shrink
 		// when the workload's queue footprint still fits (DAGs can
@@ -448,6 +436,5 @@ func cloneCase(cs gen.Case) gen.Case {
 		c.Spec.Fault = &f
 	}
 	c.Spec.Algorithms = append([]string(nil), cs.Spec.Algorithms...)
-	c.Domains = append([]int(nil), cs.Domains...)
 	return c
 }

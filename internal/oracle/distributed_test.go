@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"spamer"
 	"spamer/internal/experiments"
 	"spamer/internal/oracle/gen"
+	"spamer/internal/workloads"
 )
 
 // TestDistributedCheckerAgreesOnSeededCases: the distributed-vs-local
@@ -21,7 +23,7 @@ func TestDistributedCheckerAgreesOnSeededCases(t *testing.T) {
 	checked := 0
 	for i := 0; i < 8; i++ {
 		seed := caseSeed(0xD15C0, i)
-		cs := gen.New(seed).Case(nil)
+		cs := gen.New(seed).Case()
 		cs.Seed = seed
 		vs, runs := dc.Check(cs)
 		if runs == 0 {
@@ -47,12 +49,14 @@ func TestDistributedCheckerAgreesOnFaultedCase(t *testing.T) {
 	}
 	defer dc.Close()
 
-	cs := gen.New(7).ChainCase(nil)
-	fault := cs.Spec.Fault
-	if fault != nil {
-		t.Fatal("generator unexpectedly set a fault; test needs to inject its own")
+	cs := gen.Case{
+		Spec: experiments.Spec{
+			Benchmark:  "synthetic",
+			Algorithms: []string{spamer.AlgBaseline, spamer.AlgTuned},
+			Fault:      &experiments.FaultSpec{DropStash: 1},
+		},
+		Shape: &workloads.Shape{Stages: 3, Messages: 40},
 	}
-	cs.Spec.Fault = &experiments.FaultSpec{DropStash: 1}
 	vs, runs := dc.Check(cs)
 	if runs == 0 {
 		t.Fatal("faulted case was skipped as invalid")
@@ -70,7 +74,6 @@ func TestCampaignWithWorkers(t *testing.T) {
 	res, err := Campaign(CampaignOptions{
 		Seed:     3,
 		N:        4,
-		Domains:  []int{1, 2},
 		ReproDir: t.TempDir(),
 		Workers:  2,
 		Log:      &log,

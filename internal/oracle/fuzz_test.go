@@ -27,18 +27,3 @@ func FuzzSpamerVsVL(f *testing.F) {
 		}
 	})
 }
-
-// FuzzDifferentialKernels checks cross-kernel equivalence on
-// parallel-safe chain shapes: domains 1 and 2 must dispatch bit-identical
-// traces, results, and deliveries.
-func FuzzDifferentialKernels(f *testing.F) {
-	f.Add([]byte("kernel"))
-	f.Add([]byte{1, 2})
-	f.Add([]byte{0xca, 0xfe})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		cs := gen.New(gen.SeedFromBytes(data)).ChainCase([]int{1, 2})
-		if rep := CheckCase(cs); rep.Failed() {
-			t.Fatalf("case seed %#x: %d violations, first: %s", cs.Seed, len(rep.Violations), &rep.Violations[0])
-		}
-	})
-}

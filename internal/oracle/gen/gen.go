@@ -31,14 +31,8 @@ type Case struct {
 	Spec  experiments.Spec `json:"spec"`
 	Shape *workloads.Shape `json:"shape,omitempty"`
 
-	// Domains lists the parallel worker-lane counts the cross-kernel
-	// equivalence check compares (each must dispatch a bit-identical
-	// trace). Empty skips the check; it only applies to parallel-safe
-	// workloads.
-	Domains []int `json:"domains,omitempty"`
-
 	// EvictEvery arms line-eviction pressure (spamer.Config.EvictEvery)
-	// on the sequential invariant runs.
+	// on the invariant runs.
 	EvictEvery uint64 `json:"evict_every,omitempty"`
 }
 
@@ -65,11 +59,6 @@ func (c *Case) Validate() error {
 	for _, a := range c.Spec.Algorithms {
 		if _, ok := algConfig(a); !ok {
 			return fmt.Errorf("gen: unknown algorithm %q", a)
-		}
-	}
-	for _, d := range c.Domains {
-		if d < 1 {
-			return fmt.Errorf("gen: cross-kernel domain count %d < 1", d)
 		}
 	}
 	return nil
@@ -131,22 +120,16 @@ func New(seed uint64) *Gen {
 	return &Gen{seed: seed, rng: rand.New(rand.NewSource(int64(seed)))}
 }
 
-// Case draws one random verification case. domains is the lane-count
-// list attached to parallel-safe cases (nil skips cross-kernel checks).
-// The mix leans heavily on synthetic shapes — they run in milliseconds —
-// with an occasional named Table 2 benchmark for realism.
-func (g *Gen) Case(domains []int) Case {
+// Case draws one random verification case. The mix leans heavily on
+// synthetic shapes — they run in milliseconds — with an occasional named
+// Table 2 benchmark for realism.
+func (g *Gen) Case() Case {
 	c := Case{Seed: g.seed}
 	switch r := g.rng.Intn(16); {
 	case r < 6:
 		c.Shape = g.chain()
-		c.Domains = append([]int(nil), domains...)
 	case r < 10:
-		d := g.dag()
-		c.Shape = &workloads.Shape{DAG: d}
-		if d.ParallelSafe() {
-			c.Domains = append([]int(nil), domains...)
-		}
+		c.Shape = &workloads.Shape{DAG: g.dag()}
 	case r < 14:
 		c.Shape = g.fan()
 	default:
@@ -157,24 +140,9 @@ func (g *Gen) Case(domains []int) Case {
 }
 
 // DAGCase always draws a workload-DAG case — the entry point of DAG-
-// focused fuzzing and tests. Parallel-safe topologies (no dynamic
-// shared drains) carry the domains list so the cross-kernel
-// differential covers shard exchanges and diamond merges too.
-func (g *Gen) DAGCase(domains []int) Case {
-	d := g.dag()
-	c := Case{Seed: g.seed, Shape: &workloads.Shape{DAG: d}}
-	if d.ParallelSafe() {
-		c.Domains = append([]int(nil), domains...)
-	}
-	g.knobs(&c)
-	return c
-}
-
-// ChainCase always draws a parallel-safe chain-shape case — the entry
-// point of FuzzDifferentialKernels, which needs every input to exercise
-// the cross-kernel comparison rather than an occasional benchmark.
-func (g *Gen) ChainCase(domains []int) Case {
-	c := Case{Seed: g.seed, Shape: g.chain(), Domains: append([]int(nil), domains...)}
+// focused fuzzing and tests.
+func (g *Gen) DAGCase() Case {
+	c := Case{Seed: g.seed, Shape: &workloads.Shape{DAG: g.dag()}}
 	g.knobs(&c)
 	return c
 }
@@ -188,10 +156,9 @@ func (g *Gen) FanCase() Case {
 	return c
 }
 
-// chain draws a parallel-safe 1:1 pipeline shape. One in three chains is
-// open-loop: a seeded arrival process replaces the closed-loop push
-// cadence, so the cross-kernel differential check covers the traffic
-// engine at every domain count for free.
+// chain draws a 1:1 pipeline shape. One in three chains is open-loop: a
+// seeded arrival process replaces the closed-loop push cadence, so the
+// invariant battery covers the traffic engine too.
 func (g *Gen) chain() *workloads.Shape {
 	sh := &workloads.Shape{
 		Stages:   2 + g.rng.Intn(4),      // 2..5 threads
@@ -210,7 +177,7 @@ func (g *Gen) chain() *workloads.Shape {
 	return sh
 }
 
-// fan draws an M:N fan shape (sequential-only). Open-loop fans model
+// fan draws an M:N fan shape. Open-loop fans model
 // incast: several producers on independent arrival schedules converging
 // on one queue.
 func (g *Gen) fan() *workloads.Shape {
@@ -238,8 +205,7 @@ func (g *Gen) fan() *workloads.Shape {
 // counts line up, shard exchanges, M:1 shared fan-ins, or the
 // auto-resolved default). Sources split between closed-loop counts,
 // open-loop arrival schedules, and short recorded-trace replays; one in
-// four graphs grows a dynamic shared drain (those are not
-// parallel-safe, so DAGCase attaches no domains to them). The generator
+// four graphs grows a dynamic shared drain. The generator
 // is correct by construction — an invalid result is a generator bug and
 // panics so fuzzing surfaces it loudly.
 func (g *Gen) dag() *dag.Spec {
@@ -466,11 +432,9 @@ func (g *Gen) knobs(c *Case) {
 			Beta:  uint64(1 + g.rng.Intn(4)),
 		}
 	}
-	// Eviction pressure on the sequential invariant runs: every message
-	// must still arrive exactly once while lines keep losing residency.
-	// Skipped for cross-kernel cases (eviction forces the sequential
-	// kernel, which would silently void the domain comparison).
-	if len(c.Domains) == 0 && g.rng.Intn(4) == 0 {
+	// Eviction pressure: every message must still arrive exactly once
+	// while lines keep losing residency.
+	if g.rng.Intn(4) == 0 {
 		c.EvictEvery = uint64(300 + g.rng.Intn(2700))
 	}
 	if c.Shape != nil {

@@ -5,11 +5,9 @@
 // duplicates, reorders, or corrupts a message, that the device tables
 // stay structurally sound, and that the end-of-run counters balance.
 //
-// On top of the per-run checker sit the differential checks: a SPAMeR
+// On top of the per-run checker sits the differential check: a SPAMeR
 // run must deliver the same per-link message sequences as the baseline
-// VL run of the same workload (speculative-push safety, §3/Fig. 5), and
-// every parallel worker-lane count must dispatch the identical event
-// trace (cross-kernel equivalence, generalizing the pinned goldens).
+// VL run of the same workload (speculative-push safety, §3/Fig. 5).
 // See docs/TESTING.md for the invariant catalogue and the determinism
 // contract they enforce.
 package oracle
@@ -17,7 +15,6 @@ package oracle
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"spamer"
 	"spamer/internal/mem"
@@ -31,9 +28,9 @@ import (
 // writes the pair to disk as a repro.
 type Violation struct {
 	// Invariant names the broken invariant ("message-loss",
-	// "fifo-order", "cross-kernel-divergence", ...).
+	// "fifo-order", "differential-delivery", ...).
 	Invariant string `json:"invariant"`
-	// Context locates the run ("alg=vl domains=2"); filled by the
+	// Context locates the run ("alg=vl"); filled by the
 	// case-level drivers.
 	Context string `json:"context,omitempty"`
 	// Queue names the queue involved, when one is.
@@ -59,19 +56,14 @@ func (v Violation) String() string {
 const maxViolations = 32
 
 // structCheckEvery is the online structural-check cadence: every N-th
-// observed pop the checker walks the device and specBuf tables. Online
-// checks run only on the sequential kernel (on a multi-domain system the
-// probe fires on core lanes while the hub owns the tables).
+// observed pop the checker walks the device and specBuf tables.
 const structCheckEvery = 16
 
 // Checker observes one System's complete message traffic and checks the
 // per-run invariants. It implements vlq.Probe; install with Attach
 // before the workload builds its queues.
 type Checker struct {
-	mu  sync.Mutex
 	sys *spamer.System
-
-	online bool // sequential kernel: structural checks may run inline
 
 	qs         map[*vlq.Queue]*queueState
 	order      []*vlq.Queue
@@ -107,9 +99,8 @@ type srcState struct {
 // NewSystem and before the workload creates queues.
 func Attach(sys *spamer.System) *Checker {
 	c := &Checker{
-		sys:    sys,
-		online: sys.EffectiveDomains() == 0,
-		qs:     make(map[*vlq.Queue]*queueState),
+		sys: sys,
+		qs:  make(map[*vlq.Queue]*queueState),
 	}
 	sys.SetQueueProbe(c)
 	return c
@@ -147,8 +138,6 @@ func (c *Checker) report(v Violation) {
 // Push implements vlq.Probe: record the submitted message under its
 // (queue, src, seq) link tag.
 func (c *Checker) Push(q *vlq.Queue, producer int, tick uint64, msg mem.Message) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := c.state(q)
 	s := st.src(msg.Src)
 	if msg.Seq != uint64(len(s.payload)) {
@@ -164,8 +153,6 @@ func (c *Checker) Push(q *vlq.Queue, producer int, tick uint64, msg mem.Message)
 // recorded push stream — exactly-once, payload-intact, and in per-link
 // order — and periodically walk the device structures.
 func (c *Checker) Pop(q *vlq.Queue, consumer int, tick uint64, msg mem.Message) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := c.state(q)
 	s := st.src(msg.Src)
 	switch {
@@ -197,14 +184,14 @@ func (c *Checker) Pop(q *vlq.Queue, consumer int, tick uint64, msg mem.Message) 
 		last[msg.Src] = msg.Seq + 1
 	}
 	c.pops++
-	if c.online && c.pops%structCheckEvery == 0 {
-		c.checkStructuresLocked("online")
+	if c.pops%structCheckEvery == 0 {
+		c.checkStructures("online")
 	}
 }
 
-// checkStructuresLocked walks every device table, specBuf table, and
+// checkStructures walks every device table, specBuf table, and the
 // line-arena slab.
-func (c *Checker) checkStructuresLocked(when string) {
+func (c *Checker) checkStructures(when string) {
 	for i, d := range c.sys.Devices() {
 		if err := d.CheckStructure(); err != nil {
 			c.report(Violation{Invariant: "device-structure",
@@ -219,12 +206,9 @@ func (c *Checker) checkStructuresLocked(when string) {
 			return
 		}
 	}
-	for i, as := range c.sys.AddressSpaces() {
-		if err := as.CheckStructure(); err != nil {
-			c.report(Violation{Invariant: "arena-structure",
-				Detail: fmt.Sprintf("%s, arena %d: %v", when, i, err)})
-			return
-		}
+	if err := c.sys.AddressSpace().CheckStructure(); err != nil {
+		c.report(Violation{Invariant: "arena-structure",
+			Detail: fmt.Sprintf("%s, arena: %v", when, err)})
 	}
 }
 
@@ -233,8 +217,6 @@ func (c *Checker) checkStructuresLocked(when string) {
 // Run panicked (conservation and structural checks still apply; the
 // counter-balance checks need the Result and are skipped).
 func (c *Checker) Finish(res *spamer.Result) []Violation {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.finished {
 		return c.violations
 	}
@@ -281,9 +263,8 @@ func (c *Checker) Finish(res *spamer.Result) []Violation {
 		}
 	}
 
-	// Structural invariants at drain (safe on both kernels: the run is
-	// over, no domain is executing).
-	c.checkStructuresLocked("at drain")
+	// Structural invariants at drain.
+	c.checkStructures("at drain")
 	for i, d := range c.sys.Devices() {
 		if !d.Quiescent() {
 			c.report(Violation{Invariant: "device-not-quiescent",
@@ -309,14 +290,14 @@ func (c *Checker) Finish(res *spamer.Result) []Violation {
 	}
 
 	if res != nil {
-		c.checkCountersLocked(res, pushedTotal, poppedTotal)
+		c.checkCounters(res, pushedTotal, poppedTotal)
 	}
 	return c.violations
 }
 
-// checkCountersLocked verifies the end-of-run counter balance equations
+// checkCounters verifies the end-of-run counter balance equations
 // (stash balance and bus-occupancy conservation).
-func (c *Checker) checkCountersLocked(res *spamer.Result, pushed, popped uint64) {
+func (c *Checker) checkCounters(res *spamer.Result, pushed, popped uint64) {
 	d := res.Device
 	type eq struct {
 		name string
@@ -356,7 +337,7 @@ func sortedSrcs(st *queueState) []int {
 // Delivery is the canonical delivered-message record of one run: per
 // queue, per producer link, the delivered count and an order-sensitive
 // checksum over the payload sequence. Two runs of the same workload
-// under different algorithms (or kernels) must produce equal
+// under different algorithms must produce equal
 // Deliveries — the speculative-push safety contract.
 type Delivery struct {
 	Queues []QueueDelivery `json:"queues"`
@@ -376,13 +357,10 @@ type SrcDelivery struct {
 }
 
 // Delivery snapshots the checker's observed traffic. Call after the
-// run. Queues are listed in name order, not first-observation order:
-// the sequential and parallel kernels first touch a DAG's queues in
-// different (both deterministic) interleavings, and the cross-kernel
-// comparison must not read that as a divergence.
+// run. Queues are listed in name order, not first-observation order, so
+// runs that first touch a DAG's queues in different interleavings still
+// compare equal when they deliver the same sequences.
 func (c *Checker) Delivery() Delivery {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	order := append([]*vlq.Queue(nil), c.order...)
 	sort.SliceStable(order, func(i, j int) bool {
 		return c.qs[order[i]].name < c.qs[order[j]].name

@@ -147,45 +147,44 @@ func TestFaultCorruptCaughtOnDAG(t *testing.T) {
 }
 
 // TestDAGCaseGen pins the DAG case family's generator contract: seeded
-// determinism, validity of every drawn case, and the parallel-safety
-// gate on the attached domains list (a dynamic shared drain must never
-// reach the cross-kernel comparison).
+// determinism, validity of every drawn case, and coverage of both static
+// graphs and graphs with a dynamic shared drain, with eviction pressure
+// armed on some of them.
 func TestDAGCaseGen(t *testing.T) {
-	domains := []int{1, 2}
-	a := gen.New(9).DAGCase(domains)
-	b := gen.New(9).DAGCase(domains)
+	a := gen.New(9).DAGCase()
+	b := gen.New(9).DAGCase()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different DAG cases:\n%+v\n%+v", a, b)
 	}
-	sawSafe, sawUnsafe := false, false
+	var drains, static, evicted int
 	for seed := uint64(0); seed < 40; seed++ {
-		cs := gen.New(seed).DAGCase(domains)
+		cs := gen.New(seed).DAGCase()
 		if err := cs.Validate(); err != nil {
 			t.Fatalf("seed %d: generated invalid case: %v", seed, err)
 		}
 		if cs.Shape == nil || cs.Shape.DAG == nil {
 			t.Fatalf("seed %d: DAGCase without a DAG", seed)
 		}
-		safe := cs.Shape.DAG.ParallelSafe()
-		if len(cs.Domains) > 0 && !safe {
-			t.Fatalf("seed %d: domains attached to a non-parallel-safe DAG", seed)
-		}
-		if safe {
-			sawSafe = true
+		st := cs.Shape.DAG.Stages
+		if st[len(st)-1].Name == "drain" {
+			drains++
 		} else {
-			sawUnsafe = true
+			static++
+		}
+		if cs.EvictEvery > 0 {
+			evicted++
 		}
 	}
-	if !sawSafe || !sawUnsafe {
-		t.Fatalf("generator does not cover both safety classes (safe=%v unsafe=%v)", sawSafe, sawUnsafe)
+	if drains == 0 || static == 0 || evicted == 0 {
+		t.Fatalf("generator mix too narrow: %d drain, %d static, %d evicted DAG cases", drains, static, evicted)
 	}
 }
 
 // TestCampaignClean pins the healthy-simulator contract: a randomized
-// campaign over shapes, benchmarks, knobs, and kernels yields zero
-// violations (the make verify-oracle gate, in miniature).
+// campaign over shapes, benchmarks, and knobs yields zero violations
+// (the make verify-oracle gate, in miniature).
 func TestCampaignClean(t *testing.T) {
-	res, err := Campaign(CampaignOptions{Seed: 0xa5a5, N: 12, Domains: []int{1, 2}, ReproDir: t.TempDir()})
+	res, err := Campaign(CampaignOptions{Seed: 0xa5a5, N: 12, ReproDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,15 +221,14 @@ func TestEvictionDuringPopRegression(t *testing.T) {
 // TestGenDeterminism: identical seeds must yield identical cases (the
 // whole repro story depends on it), and the stream must actually vary.
 func TestGenDeterminism(t *testing.T) {
-	domains := []int{1, 2, 4}
-	a := gen.New(123).Case(domains)
-	b := gen.New(123).Case(domains)
+	a := gen.New(123).Case()
+	b := gen.New(123).Case()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different cases:\n%+v\n%+v", a, b)
 	}
 	distinct := false
 	for seed := uint64(1); seed < 6; seed++ {
-		if !reflect.DeepEqual(gen.New(seed).Case(domains), a) {
+		if !reflect.DeepEqual(gen.New(seed).Case(), a) {
 			distinct = true
 		}
 	}
@@ -264,7 +262,7 @@ func TestCompareDeliveries(t *testing.T) {
 // TestReplayRoundTripsBareCase: spamer-verify -repro accepts a bare
 // case file too, so hand-written cases are replayable.
 func TestReplayRoundTripsBareCase(t *testing.T) {
-	cs := gen.New(77).ChainCase([]int{1, 2})
+	cs := gen.New(77).DAGCase()
 	path := filepath.Join(t.TempDir(), "case.json")
 	if err := cs.WriteFile(path); err != nil {
 		t.Fatal(err)

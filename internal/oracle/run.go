@@ -44,11 +44,7 @@ func RunChecked(w *workloads.Workload, cfg spamer.Config, scale int, trace bool)
 				rep.Panic = fmt.Sprint(r)
 				// Release parked thread goroutines so a failing
 				// campaign does not leak one goroutine per thread.
-				if pk := sys.ParallelKernel(); pk != nil {
-					pk.Drain()
-				} else {
-					sys.Kernel().Drain()
-				}
+				sys.Kernel().Drain()
 			}
 		}()
 		w.Build(sys, scale)
@@ -80,17 +76,11 @@ func (r *CaseReport) Failed() bool { return len(r.Violations) > 0 }
 
 // CheckCase runs one case under the full invariant battery:
 //
-//  1. every algorithm runs on the sequential kernel with the per-run
-//     invariants (conservation, FIFO, payload integrity, structural,
-//     counter balance) — twice for synthetic shapes, to pin determinism
-//     via the dispatch-trace hash;
+//  1. every algorithm runs with the per-run invariants (conservation,
+//     FIFO, payload integrity, structural, counter balance) — twice for
+//     synthetic shapes, to pin determinism via the dispatch-trace hash;
 //  2. each SPAMeR algorithm's delivery record is compared against the
-//     baseline VL run (speculative-push safety);
-//  3. for parallel-safe workloads with a Domains list, the dispatch
-//     trace, Result, and delivery of every lane count must be identical
-//     (cross-kernel equivalence), and the parallel delivery must match
-//     the sequential kernel's (the timing models differ; the delivered
-//     per-link sequences may not).
+//     baseline VL run (speculative-push safety).
 func CheckCase(cs gen.Case) CaseReport {
 	rep := CaseReport{Case: cs}
 	if err := cs.Validate(); err != nil {
@@ -115,10 +105,8 @@ func CheckCase(cs gen.Case) CaseReport {
 	}
 
 	var baseline *Delivery
-	seqDelivery := make(map[string]Delivery)
 	for _, alg := range algs {
 		cfg := cs.Spec.SystemConfig(alg)
-		cfg.Domains = 0
 		cfg.EvictEvery = cs.EvictEvery
 		ctx := "alg=" + alg
 		r := RunChecked(w, cfg, scale, true)
@@ -137,9 +125,6 @@ func CheckCase(cs gen.Case) CaseReport {
 					Detail: fmt.Sprintf("repeat run dispatch trace %#x != %#x", again.TraceHash, r.TraceHash)}})
 			}
 		}
-		if r.Panic == "" {
-			seqDelivery[alg] = r.Delivery
-		}
 		switch {
 		case alg == spamer.AlgBaseline:
 			d := r.Delivery
@@ -150,56 +135,6 @@ func CheckCase(cs gen.Case) CaseReport {
 			for _, diff := range CompareDeliveries(*baseline, r.Delivery) {
 				collect(ctx, []Violation{{Invariant: "differential-delivery",
 					Detail: "vs vl baseline: " + diff}})
-			}
-		}
-	}
-
-	if len(cs.Domains) > 1 && w.ParallelSafe && cs.EvictEvery == 0 && faultFree(cs) {
-		// Cross-kernel equivalence, at most two algorithms (vl + the
-		// first SPAMeR one) to bound run count.
-		kalgs := algs
-		if len(kalgs) > 2 {
-			kalgs = kalgs[:2]
-		}
-		for _, alg := range kalgs {
-			var ref *RunReport
-			for _, dom := range cs.Domains {
-				cfg := cs.Spec.SystemConfig(alg)
-				cfg.Domains = dom
-				ctx := fmt.Sprintf("alg=%s domains=%d", alg, dom)
-				r := RunChecked(w, cfg, scale, true)
-				rep.Runs++
-				collect(ctx, r.Violations)
-				if r.Panic != "" {
-					continue
-				}
-				if ref == nil {
-					ref = &r
-					// The sequential kernel is a distinct timing model, so
-					// its trace and stats legitimately differ — but on the
-					// 1:1 queues parallel-safe workloads are restricted to,
-					// per-source delivery is FIFO, so the delivered
-					// sequences must match the sequential run exactly.
-					if seq, ok := seqDelivery[alg]; ok {
-						for _, diff := range CompareDeliveries(seq, r.Delivery) {
-							collect(ctx, []Violation{{Invariant: "cross-kernel-divergence",
-								Detail: "delivery differs from sequential kernel: " + diff}})
-						}
-					}
-					continue
-				}
-				if r.TraceHash != ref.TraceHash {
-					collect(ctx, []Violation{{Invariant: "cross-kernel-divergence",
-						Detail: fmt.Sprintf("dispatch trace %#x != %#x at domains=%d", r.TraceHash, ref.TraceHash, cs.Domains[0])}})
-				}
-				if r.Result != ref.Result {
-					collect(ctx, []Violation{{Invariant: "cross-kernel-divergence",
-						Detail: fmt.Sprintf("result differs from domains=%d: %+v vs %+v", cs.Domains[0], r.Result, ref.Result)}})
-				}
-				for _, diff := range CompareDeliveries(ref.Delivery, r.Delivery) {
-					collect(ctx, []Violation{{Invariant: "cross-kernel-divergence",
-						Detail: fmt.Sprintf("delivery differs from domains=%d: %s", cs.Domains[0], diff)}})
-				}
 			}
 		}
 	}
@@ -217,8 +152,4 @@ func withBaselineFirst(algs []string) []string {
 		}
 	}
 	return out
-}
-
-func faultFree(cs gen.Case) bool {
-	return cs.Spec.Fault == nil || (cs.Spec.Fault.DropStash == 0 && cs.Spec.Fault.CorruptStash == 0)
 }

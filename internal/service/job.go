@@ -41,7 +41,6 @@ type Status struct {
 	Started  *time.Time            `json:"started,omitempty"`
 	Finished *time.Time            `json:"finished,omitempty"`
 	Runs     RunProgress           `json:"runs"`
-	Domains  []int                 `json:"domains"` // effective worker lanes per spec (0 = sequential kernel)
 	Outcomes []experiments.Outcome `json:"outcomes,omitempty"`
 	Errors   []string              `json:"errors,omitempty"`
 }
@@ -206,10 +205,6 @@ func (j *job) terminal() bool {
 func (j *job) status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	domains := make([]int, len(j.specs))
-	for i := range j.specs {
-		domains[i] = j.specs[i].EffectiveDomains()
-	}
 	st := Status{
 		ID:       j.id,
 		SpecHash: j.hash,
@@ -217,7 +212,6 @@ func (j *job) status() Status {
 		Cached:   j.cached,
 		Created:  j.created,
 		Runs:     RunProgress{Done: j.done, Total: j.total, Failed: j.fails},
-		Domains:  domains,
 		Outcomes: j.outcomes,
 		Errors:   j.errs,
 	}

@@ -364,50 +364,37 @@ func TestMultiSpecJobKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestDomainsReportedAndCacheCollapse: a multi-domain job reports its
-// effective worker-lane count in status, and two jobs differing only in
-// a positive domains value share one cache entry — the worker-lane
-// count is an execution detail, proven trace-invariant by the golden
-// tests, so it must not fragment the result cache. A sequential
-// (domains absent) job of the same spec stays a distinct entry: the
-// sequential kernel is a different timing model.
-func TestDomainsReportedAndCacheCollapse(t *testing.T) {
+// fastSpecHash is fastSpec's canonical hash, recorded before the
+// parallel kernel and its "domains" field were removed: the retired
+// field never entered a sequential spec's canonical JSON, so the cache
+// key of every sequential spec must not move.
+const fastSpecHash = "8f214ba20fef133419875efdba548688796470d8295c253a24f36998cb59d1de"
+
+// TestRejectRetiredDomains: a job asking for the removed multi-domain
+// kernel gets a 400 that names the removal instead of silently running
+// on the sequential kernel (whose ticks differ), while an explicit
+// "domains": 0 is the plain sequential spec under its unchanged hash.
+func TestRejectRetiredDomains(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	code, st := submit(t, ts, `{"benchmark":"ping-pong","algorithms":["vl"],"label":"t","domains":2}`)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"benchmark":"ping-pong","algorithms":["vl"],"label":"t","domains":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "parallel simulation kernel was removed") {
+		t.Fatalf("domains=2 submit = %d %s, want 400 naming the removed kernel", resp.StatusCode, body)
+	}
+
+	code, st := submit(t, ts, `{"benchmark":"ping-pong","algorithms":["vl"],"label":"t","domains":0}`)
 	if code != http.StatusAccepted {
-		t.Fatalf("submit = %d, want 202", code)
+		t.Fatalf("domains=0 submit = %d, want 202", code)
 	}
-	final := waitState(t, ts, st.ID, StateDone)
-	if len(final.Domains) != 1 || final.Domains[0] != 2 {
-		t.Fatalf("status domains = %v, want [2]", final.Domains)
+	if st.SpecHash != fastSpecHash {
+		t.Fatalf("sequential spec hash = %s, want %s", st.SpecHash, fastSpecHash)
 	}
-
-	code, st2 := submit(t, ts, `{"benchmark":"ping-pong","algorithms":["vl"],"label":"t","domains":4}`)
-	if code != http.StatusOK {
-		t.Fatalf("domains=4 resubmit = %d, want 200 (cache hit)", code)
-	}
-	if st2.SpecHash != st.SpecHash || !st2.Cached {
-		t.Fatalf("domains=4 status: %+v (hash %q vs %q)", st2, st2.SpecHash, st.SpecHash)
-	}
-
-	code, st3 := submit(t, ts, fastSpec)
-	if code != http.StatusAccepted {
-		t.Fatalf("sequential submit = %d, want 202 (distinct model, no cache hit)", code)
-	}
-	if st3.SpecHash == st.SpecHash {
-		t.Fatalf("sequential spec hashed like domains=2: %q", st3.SpecHash)
-	}
-	waitState(t, ts, st3.ID, StateDone)
-}
-
-// TestRejectDomainsOnUnsafeBenchmark: benchmarks outside the
-// parallel-safe set are rejected at admission when domains > 0.
-func TestRejectDomainsOnUnsafeBenchmark(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	code, _ := submit(t, ts, `{"benchmark":"incast","domains":2}`)
-	if code != http.StatusBadRequest {
-		t.Fatalf("incast domains=2 submit = %d, want 400", code)
-	}
+	waitState(t, ts, st.ID, StateDone)
 }
 
 // TestOpenLoopShapeSpecServed: an anonymous open-loop shape spec runs

@@ -19,28 +19,25 @@ import "fmt"
 // Kernel is a discrete-event simulator instance. The zero value is not
 // usable; construct with New.
 type Kernel struct {
-	now      uint64
-	seq      uint64
-	events   eventQueue
-	procs    []*Proc
-	live     int // procs spawned and not yet finished
+	now    uint64
+	seq    uint64
+	events eventQueue
+	procs  []*Proc
+	live   int // procs spawned and not yet finished
 
 	// Proc spawning support: block storage behind the *Proc pointers and
 	// the shared start/dispatch trampoline Go binds on first use (proc.go).
 	// The first arena block and index array are embedded, so a kernel
-	// spawning a handful of processes (every core domain of a parallel
-	// fabric) allocates nothing for them; &procArena0[i] is handed out,
-	// which is safe because kernels never move (heap object or a slot of
-	// the fabric's kernel arena).
+	// spawning a handful of processes allocates nothing for them;
+	// &procArena0[i] is handed out, which is safe because kernels never
+	// move (New returns a heap object).
 	procArena  []Proc
 	procFn     func(uint64)
 	procArena0 [procArenaBlock]Proc
 	procs0     [procArenaBlock]*Proc
-	dom      int  // domain index within a parallel fabric; 0 for a solo kernel
-	stopped  bool
-	maxTick  uint64 // watchdog: Run panics past this tick (0 = unlimited)
-	executed uint64 // total events dispatched, for diagnostics
-	lastTick uint64 // tick of the last dispatched event (not moved by RunUntil)
+	stopped    bool
+	maxTick    uint64 // watchdog: Run panics past this tick (0 = unlimited)
+	executed   uint64 // total events dispatched, for diagnostics
 
 	// obs, when set, observes every dispatched event's (tick, seq) pair
 	// before its callback runs. Golden-trace tests use it to prove two
@@ -62,25 +59,8 @@ func New() *Kernel {
 // Now reports the current simulated tick.
 func (k *Kernel) Now() uint64 { return k.now }
 
-// DomainIndex reports the kernel's logical domain within its parallel
-// fabric (set by NewParallel), or 0 for a standalone kernel. Model code
-// uses it for reverse lookup — mapping a process's kernel back to its
-// per-domain state without a map.
-func (k *Kernel) DomainIndex() int { return k.dom }
-
 // Executed reports how many events have been dispatched so far.
 func (k *Kernel) Executed() uint64 { return k.executed }
-
-// LastEventTick reports the tick of the most recently dispatched event.
-// Unlike Now it is not moved forward by RunUntil's clock advance, so it
-// reports when the kernel last did real work — the parallel coordinator
-// uses the maximum over domains as the run's end-to-end execution time.
-func (k *Kernel) LastEventTick() uint64 { return k.lastTick }
-
-// NextTick reports the earliest pending event's tick; ok is false when
-// the queue is empty. The parallel coordinator uses it to find the global
-// quantum start and to skip idle domains.
-func (k *Kernel) NextTick() (uint64, bool) { return k.events.nextTick() }
 
 // SetDeadline arms a watchdog: if simulated time passes t while events are
 // still pending, Run panics. Use it in tests to convert deadlock or
@@ -142,7 +122,6 @@ func (k *Kernel) dispatchNext() {
 			k.maxTick, k.now, k.live))
 	}
 	k.executed++
-	k.lastTick = e.tick
 	if k.obs != nil {
 		k.obs(e.tick, e.seq)
 	}
@@ -165,7 +144,6 @@ func (k *Kernel) dispatchTick(b *bucket) {
 		panic(fmt.Sprintf("sim: watchdog deadline %d exceeded at tick %d (%d live procs)",
 			k.maxTick, t, k.live))
 	}
-	k.lastTick = t
 	for b.head < len(b.ev) && !k.stopped {
 		e := b.ev[b.head]
 		b.ev[b.head] = event{} // release closure references for GC

@@ -130,9 +130,6 @@ func (p *Proc) abort() {
 // Name reports the process name given to Go.
 func (p *Proc) Name() string { return p.name }
 
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now reports the current simulated tick.
 func (p *Proc) Now() uint64 { return p.k.now }
 

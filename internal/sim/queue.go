@@ -19,14 +19,11 @@ import "math/bits"
 //
 //   - occ is a 64-bit occupancy bitmap, bit i set exactly when bucket i
 //     holds undispatched events. Finding the earliest pending tick is a
-//     rotate + trailing-zeros instead of a worst-case 64-bucket scan,
-//     which matters to the parallel coordinator (it probes NextTick on
-//     every domain every quantum) as much as to the run loops.
+//     rotate + trailing-zeros instead of a worst-case 64-bucket scan.
 //   - Fresh buckets draw their initial backing array from a slab carved
 //     in bucketChunk-event pieces, so a newly built kernel costs a
 //     couple of slab allocations instead of one append-growth chain per
-//     touched bucket. With 17 domain kernels per parallel run, bucket
-//     growth was the single largest allocation site in the profile.
+//     touched bucket.
 //
 // Ordering contract (identical to the seed container/heap queue): events
 // dispatch in strictly nondecreasing tick order, same-tick events in
@@ -57,9 +54,7 @@ const (
 	// slab allocation so an idle kernel pays nothing and a busy one pays
 	// ~one allocation total: sized to the whole wheel, a kernel that
 	// eventually touches every bucket (any long-running model does) takes
-	// a single ~100KB slab instead of a per-bucket growth chain — with 17
-	// domain kernels per parallel fabric, slab grabs were the largest
-	// remaining allocation site.
+	// a single ~100KB slab instead of a per-bucket growth chain.
 	bucketChunk = 32
 	slabBuckets = wheelSize
 
@@ -121,7 +116,7 @@ func (q *eventQueue) grab() []event {
 		n = 0
 	}
 	q.slab = q.slab[:n+bucketChunk]
-	return q.slab[n:n:n+bucketChunk]
+	return q.slab[n : n : n+bucketChunk]
 }
 
 // push inserts an event. e.tick must be >= q.now (the kernel checks).
@@ -164,17 +159,6 @@ func (q *eventQueue) advanceTo(t uint64) {
 // replaces the bucket scan. Callers must ensure occ != 0.
 func (q *eventQueue) wheelNext() uint64 {
 	return uint64(bits.TrailingZeros64(bits.RotateLeft64(q.occ, -int(q.now&wheelMask))))
-}
-
-// nextTick reports the earliest pending tick without popping.
-func (q *eventQueue) nextTick() (uint64, bool) {
-	if q.occ != 0 {
-		return q.now + q.wheelNext(), true
-	}
-	if len(q.far) > 0 {
-		return q.far[0].tick, true
-	}
-	return 0, false
 }
 
 // startTick advances the window to the earliest pending tick and returns

@@ -6,99 +6,6 @@ import (
 	"testing"
 )
 
-// TestInboxShrinksAfterStorm is the regression test for the cross-
-// message high-water-mark leak: one incast storm used to grow the
-// destination-side staging (formerly the inbox slot pool; now the pend,
-// inj, and spill slices behind the pair rings) to the burst size
-// forever. After the storm drains and the run goes idle, every staging
-// slice must have been trimmed back at a quantum boundary.
-func TestInboxShrinksAfterStorm(t *testing.T) {
-	const (
-		la    = 10
-		storm = 8192
-		slow  = 50
-	)
-	pk := NewParallel(2, la, 2)
-	var got uint64
-	sig := NewSignal("storm.got")
-	deliver := func(a0, a1, a2, a3 uint64) {
-		got++
-		sig.Fire()
-	}
-	pk.Domain(0).Go("storm/src", func(p *Proc) {
-		// Incast storm: the whole burst is posted within one quantum, so
-		// every message needs its own inbox slot at the merge barrier.
-		for i := 0; i < storm; i++ {
-			pk.Post(0, 1, p.Now()+la, deliver, uint64(i), 0, 0, 0)
-		}
-		// Then a long idle phase with sparse traffic: many barriers with
-		// near-zero occupancy, which is where the pool must shrink.
-		for i := 0; i < slow; i++ {
-			p.Sleep(200)
-			pk.Post(0, 1, p.Now()+la, deliver, uint64(i), 1, 0, 0)
-		}
-	})
-	pk.Domain(1).Go("storm/sink", func(p *Proc) {
-		WaitUntil(p, sig, func() bool { return got == storm+slow })
-	})
-	pk.SetDeadline(1 << 30)
-	pk.Run()
-	if got != storm+slow {
-		t.Fatalf("delivered %d, want %d", got, storm+slow)
-	}
-	if sp := pk.Spilled(); sp == 0 {
-		t.Fatalf("storm of %d messages never overflowed the %d-slot pair ring; storm too small to test the spill path", storm, ringCap)
-	}
-	if n := pk.CrossCapacity(); n > 4*crossShrinkFloor {
-		t.Fatalf("cross staging holds capacity %d after burst-then-idle run; want <= %d (high-water leak)",
-			n, 4*crossShrinkFloor)
-	}
-}
-
-// TestInboxShrinkKeepsOccupiedSlots drives repeated storms with the pool
-// shrinking between them and checks no delivery is lost or corrupted —
-// the trim must never move or drop an occupied slot.
-func TestInboxShrinkKeepsOccupiedSlots(t *testing.T) {
-	const la = 5
-	pk := NewParallel(2, la, 1)
-	var got, sum uint64
-	sig := NewSignal("waves.got")
-	deliver := func(a0, a1, a2, a3 uint64) {
-		got++
-		sum += a0
-		sig.Fire()
-	}
-	const waves, per = 8, 500
-	var want uint64
-	pk.Domain(0).Go("waves/src", func(p *Proc) {
-		for w := 0; w < waves; w++ {
-			for i := 0; i < per; i++ {
-				// Spread delivery ticks so slots stay occupied across
-				// several quanta while others free — the mixed-occupancy
-				// state the tail trim must respect.
-				pk.Post(0, 1, p.Now()+la+uint64(i%37), deliver, uint64(w*per+i), 0, 0, 0)
-			}
-			want += per
-			p.Sleep(1000) // idle gap: shrink barriers
-		}
-	})
-	pk.Domain(1).Go("waves/sink", func(p *Proc) {
-		WaitUntil(p, sig, func() bool { return got == waves*per })
-	})
-	pk.SetDeadline(1 << 30)
-	pk.Run()
-	if got != waves*per {
-		t.Fatalf("delivered %d, want %d", got, waves*per)
-	}
-	var expect uint64
-	for i := uint64(0); i < waves*per; i++ {
-		expect += i
-	}
-	if sum != expect {
-		t.Fatalf("payload checksum %d, want %d (slot moved or reused while occupied)", sum, expect)
-	}
-}
-
 // TestFarHorizonFIFO is the property test for far-heap scheduling: a
 // random mix of near-wheel, far-heap, and end-of-time ticks — including
 // same-tick clusters — must dispatch in exact (tick, seq) order, with no
@@ -187,27 +94,5 @@ func TestFarHorizonInsertDuringRun(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("got order %v, want %v", order, want)
 		}
-	}
-}
-
-// TestParallelFarFutureTermination pins that the quantum loop terminates
-// when pending events sit at the very top of the tick range: the window
-// end start+lookahead used to wrap to a tiny value, marking no lane
-// runnable while events stayed pending — a barrier livelock.
-func TestParallelFarFutureTermination(t *testing.T) {
-	pk := NewParallel(3, 7, 2)
-	var fired int
-	max := ^uint64(0)
-	for d := 0; d < 3; d++ {
-		pk.Domain(d).At(100+uint64(d), func() { fired++ })
-		pk.Domain(d).At(max-uint64(d), func() { fired++ })
-		pk.Domain(d).At(max, func() { fired++ })
-	}
-	pk.Run()
-	if fired != 9 {
-		t.Fatalf("fired %d events, want 9", fired)
-	}
-	if pk.LastEventTick() != max {
-		t.Fatalf("last event tick %d, want %d", pk.LastEventTick(), max)
 	}
 }

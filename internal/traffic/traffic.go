@@ -9,16 +9,16 @@
 // not react to queue backpressure. A producer that falls behind its
 // schedule pushes immediately and catches up; the schedule itself never
 // slips. This is the load model under which saturation behaviour
-// (Retry-After shedding, window stalls, cross-domain incast) is
+// (Retry-After shedding, window stalls, many-producer incast) is
 // meaningful, in contrast to the closed-loop Table 2 kernels where each
 // message's issue time depends on the previous one's completion.
 //
 // Determinism contract: a Source is driven by a splitmix64 PRNG seeded
 // from (Spec.Seed, endpoint id) and pure-Go float math, so the same spec
-// and endpoint produce the bit-identical arrival sequence on every run,
-// platform, and domain count. The oracle's cross-kernel differential
-// check relies on this: an open-loop shape run at Domains 1/2/4/8 sees
-// the same arrivals and must deliver the same messages.
+// and endpoint produce the bit-identical arrival sequence on every run
+// and platform. The oracle's SPAMeR-vs-VL differential relies on this:
+// every algorithm's run of an open-loop shape sees the same arrivals and
+// must deliver the same messages.
 package traffic
 
 import (

@@ -6,17 +6,14 @@ import "fmt"
 // (1-based, counted across the run) acknowledges a hit without filling
 // the target line — the device frees the prodBuf entry believing the
 // message arrived, and the message is lost. Intended for internal/oracle
-// tests proving the conservation invariant catches real loss; only the
-// same-domain delivery path honours it, so fault injection forces the
-// sequential kernel (spamer.Config.EffectiveDomains).
+// tests proving the conservation invariant catches real loss.
 func (d *Device) FaultDropStash(n uint64) { d.faultDropNth = n }
 
 // FaultCorruptStash arms a verification fault: the n-th stash delivery
 // (1-based, counted across the run) fills its target line with a
 // payload whose bits were flipped in flight — metadata intact, content
 // wrong. Unlike FaultDropStash the run completes normally; only the
-// oracle's payload-integrity check can catch it. Same-domain delivery
-// path only, so it forces the sequential kernel like the drop fault.
+// oracle's payload-integrity check can catch it.
 func (d *Device) FaultCorruptStash(n uint64) { d.faultCorruptNth = n }
 
 // CheckStructure walks the device tables and verifies their structural

@@ -74,14 +74,6 @@ type Device struct {
 	handleResponseFn  func(uint64) // arg: prodBuf index << 1 | hit
 	sendIssueDoneFn   func(uint64)
 
-	// stashRouter, when set, carries stash packets to lines owned by
-	// other simulation domains instead of delivering on the local bus.
-	// The router is responsible for the fill attempt and for feeding the
-	// hit/miss outcome back through StashResponse; the entry stays
-	// entryInFlight (target and msg frozen) until that response arrives,
-	// exactly as on the same-domain path.
-	stashRouter func(idx uint64, target mem.Addr, msg mem.Message)
-
 	// Fault injection (verification only): when faultDropNth is non-zero
 	// the faultDropNth-th stash delivery acknowledges a hit without
 	// filling the line; when faultCorruptNth is non-zero the
@@ -147,26 +139,6 @@ func New(k *sim.Kernel, bus *noc.Bus, as *mem.AddressSpace, cfg Config) *Device 
 // SetSpecExtension installs the SPAMeR extension. Must be called before
 // any traffic reaches the device.
 func (d *Device) SetSpecExtension(s SpecExtension) { d.spec = s }
-
-// SetStashRouter installs the cross-domain stash carrier. Must be called
-// before any traffic reaches the device. See the stashRouter field.
-func (d *Device) SetStashRouter(fn func(idx uint64, target mem.Addr, msg mem.Message)) {
-	d.stashRouter = fn
-}
-
-// StashResponse feeds the hit/miss outcome of a routed stash back into
-// the device state machine — the Figure 5 response signal, arriving from
-// another domain.
-func (d *Device) StashResponse(idx int, hit bool) { d.handleResponse(idx, hit) }
-
-// Kernel returns the owning simulation kernel.
-func (d *Device) Kernel() *sim.Kernel { return d.k }
-
-// Bus returns the attached coherence-network bus.
-func (d *Device) Bus() *noc.Bus { return d.bus }
-
-// AddressSpace returns the address space stash targets resolve in.
-func (d *Device) AddressSpace() *mem.AddressSpace { return d.as }
 
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats { return d.stats }
@@ -475,11 +447,7 @@ func (d *Device) ensureSending() {
 	} else {
 		d.stats.DemandPushes++
 	}
-	if d.stashRouter != nil {
-		d.stashRouter(uint64(idx), e.target, e.msg)
-	} else {
-		d.bus.SendFunc(noc.PktStash, d.deliverStashFn, uint64(idx))
-	}
+	d.bus.SendFunc(noc.PktStash, d.deliverStashFn, uint64(idx))
 	d.k.AfterFunc(config.SendIssueCycles, d.sendIssueDoneFn, 0)
 }
 

@@ -24,7 +24,6 @@ package vlq
 
 import (
 	"fmt"
-	"sync"
 
 	"spamer/internal/config"
 	"spamer/internal/isa"
@@ -53,7 +52,7 @@ type Lib struct {
 	k   *sim.Kernel
 	as  *mem.AddressSpace
 	dev *vl.Device
-	isa isa.Ops
+	isa *isa.ISA
 
 	// Inlined selects macro-inlined queue functions (§3.4). The harness
 	// enables it for both VL and SPAMeR runs "to show the benefits
@@ -64,33 +63,14 @@ type Lib struct {
 	// are unlimited.
 	Limits Limits
 
-	// Binder, when set, resolves the library instance local to the
-	// calling process's simulation domain. Queues of a multi-domain
-	// system are created on a hub-side home library; their endpoints
-	// lazily bind to the per-domain library of the thread that uses them
-	// (a producer on first Push, a consumer at creation), so every
-	// endpoint's pages, senders, and clock live in the domain that
-	// executes it. A set Binder also restricts queues to one producer
-	// and one consumer — the shapes whose endpoint state is provably
-	// domain-confined.
-	Binder func(p *sim.Proc) *Lib
-
-	// mu guards endpoint registration: under a Binder, threads of
-	// different domains may subscribe endpoints to the same queue
-	// concurrently. Steady-state queue operations never take it.
-	mu sync.Mutex
-
 	specLines int
 	queues    []*Queue
 
 	// Block arenas behind the Queue/Producer/Consumer pointers this
 	// library hands out: endpoint setup is the dominant allocation phase
-	// of a run (a multi-domain system opens ~100 endpoints across 17
-	// kernels), so batching the struct storage turns one heap object per
-	// endpoint into one per block. Queues are created single-threaded at
-	// setup; endpoint arenas are guarded by mu like the registration they
-	// serve. Blocks are replaced, never grown in place, so earlier
-	// pointers stay valid.
+	// of a run, so batching the struct storage turns one heap object per
+	// endpoint into one per block. Blocks are replaced, never grown in
+	// place, so earlier pointers stay valid.
 	queueArena []Queue
 	prodArena  []Producer
 	consArena  []Consumer
@@ -100,17 +80,8 @@ type Lib struct {
 const arenaBlock = 16
 
 // New returns a library instance over the given device.
-func New(k *sim.Kernel, as *mem.AddressSpace, dev *vl.Device, i isa.Ops) *Lib {
-	l := new(Lib)
-	l.Init(k, as, dev, i)
-	return l
-}
-
-// Init initializes l in place (batch construction for the multi-domain
-// fabric's per-domain libraries; New wraps it). Must not be called on a
-// Lib that is already in use — it resets all state, including the mutex.
-func (l *Lib) Init(k *sim.Kernel, as *mem.AddressSpace, dev *vl.Device, i isa.Ops) {
-	*l = Lib{k: k, as: as, dev: dev, isa: i}
+func New(k *sim.Kernel, as *mem.AddressSpace, dev *vl.Device, i *isa.ISA) *Lib {
+	return &Lib{k: k, as: as, dev: dev, isa: i}
 }
 
 func (l *Lib) overhead() uint64 {
@@ -125,19 +96,18 @@ func (l *Lib) overhead() uint64 {
 // consumer takes out of a line. The verification layer (internal/oracle)
 // implements it to check conservation, ordering, and payload integrity.
 //
-// Probe calls run synchronously inside the endpoint operation, on the
-// endpoint's simulation domain. Implementations must not schedule events
-// or touch simulation state — a probe is a pure observer, and installing
-// one must leave the dispatch trace bit-identical. On a multi-domain
-// system callbacks arrive concurrently from different worker lanes;
-// implementations synchronize internally.
+// Probe calls run synchronously inside the endpoint operation; the kernel
+// runs one event or process at a time, so calls never overlap.
+// Implementations must not schedule events or touch simulation state — a
+// probe is a pure observer, and installing one must leave the dispatch
+// trace bit-identical.
 type Probe interface {
 	// Push observes msg entering the queue through producer endpoint
-	// producer at the given domain-local tick. The message already
-	// carries its (Src, Seq) link tag.
+	// producer at the given tick. The message already carries its
+	// (Src, Seq) link tag.
 	Push(q *Queue, producer int, tick uint64, msg mem.Message)
 	// Pop observes msg leaving the queue through consumer endpoint
-	// consumer at the given domain-local tick.
+	// consumer at the given tick.
 	Pop(q *Queue, consumer int, tick uint64, msg mem.Message)
 }
 
@@ -202,10 +172,8 @@ func (q *Queue) SQI() vl.SQI { return q.sqi }
 // Name returns the queue's diagnostic name.
 func (q *Queue) Name() string { return q.name }
 
-// Pushed reports messages submitted by producers so far. The count is
-// summed over endpoints — each endpoint counts in its own domain — so it
-// is exact whenever the simulation is quiescent (setup, collection, or
-// any point of a sequential run).
+// Pushed reports messages submitted by producers so far (summed over
+// endpoints).
 func (q *Queue) Pushed() uint64 {
 	var n uint64
 	for _, pr := range q.producers {
@@ -267,13 +235,10 @@ const DefaultWindow = 4
 // Push runs as a continuation-passing state machine on the kernel
 // goroutine (see pushStep): the calling process parks once for the whole
 // operation instead of once per charged delay, which is where the bulk
-// of a simulated push's host-side cost used to go. Hot mutable counters
-// are grouped together and padded below so two endpoints adjacent in the
-// heap never share a cache line of the host when their domains run on
-// different worker lanes.
+// of a simulated push's host-side cost used to go.
 type Producer struct {
 	q      *Queue
-	lib    *Lib // bound on first Push (the pushing thread's domain)
+	lib    *Lib
 	id     int
 	window int
 	probe  Probe // cached from the queue: probe-free fast path
@@ -282,14 +247,12 @@ type Producer struct {
 	acceptFn func()   // bound once; the push hot path allocates no closure
 	stepFn   func(uint64)
 	afterFn  func(uint64) // bound on first PushAfter
-	snd      isa.Port
+	snd      *isa.Sender
 
 	// OnAccept, if non-nil, observes every vl_push of this endpoint the
 	// routing device accepts (tick, message sequence). Used by the
 	// Figure 7 tracer as the "data arrive" event.
 	OnAccept func(tick uint64, seq uint64)
-
-	_ [64]byte // hot counters below never false-share with the fields above
 
 	outstanding int
 	seq         uint64
@@ -303,8 +266,6 @@ type Producer struct {
 	pushPayload uint64
 	pushMsg     mem.Message
 	cell        sim.WaitCell
-
-	_ [64]byte
 }
 
 // Push state-machine steps (the uint64 event argument of stepFn).
@@ -321,11 +282,6 @@ func (q *Queue) NewProducer(window int) *Producer {
 		window = DefaultWindow
 	}
 	lib := q.lib
-	lib.mu.Lock()
-	defer lib.mu.Unlock()
-	if lib.Binder != nil && len(q.producers) > 0 {
-		panic(fmt.Sprintf("vlq: second producer on %s — domain-partitioned systems support 1:1 queues only", q.name))
-	}
 	if len(lib.prodArena) == cap(lib.prodArena) {
 		lib.prodArena = make([]Producer, 0, arenaBlock)
 	}
@@ -333,11 +289,15 @@ func (q *Queue) NewProducer(window int) *Producer {
 	p := &lib.prodArena[len(lib.prodArena)-1]
 	*p = Producer{
 		q:      q,
+		lib:    lib,
 		id:     len(q.producers),
 		window: window,
 		probe:  q.probe,
+		snd:    lib.isa.NewPushSender(),
 	}
 	p.acceptFn = p.accepted
+	p.stepFn = p.pushStep
+	p.cell.Init(lib.k, p.stepFn)
 	q.producers = append(q.producers, p)
 	return p
 }
@@ -354,24 +314,6 @@ func (pr *Producer) accepted() {
 	if pr.OnAccept != nil {
 		pr.OnAccept(pr.lib.k.Now(), seq)
 	}
-}
-
-// bind resolves the endpoint's domain-local library on first use and
-// creates its ordered sender there. Sequential systems (no Binder) bind
-// to the queue's own library; the deferral is free either way because
-// sender creation schedules nothing.
-func (pr *Producer) bind(p *sim.Proc) *Lib {
-	if pr.lib == nil {
-		lib := pr.q.lib
-		if lib.Binder != nil {
-			lib = lib.Binder(p)
-		}
-		pr.lib = lib
-		pr.snd = lib.isa.NewPushPort()
-		pr.stepFn = pr.pushStep
-		pr.cell.Init(lib.k, pr.stepFn)
-	}
-	return pr.lib
 }
 
 // ID returns the endpoint's index within its queue.
@@ -393,7 +335,7 @@ func (pr *Producer) Push(p *sim.Proc, payload uint64) {
 	if pr.q.closed {
 		panic("vlq: Push on closed queue " + pr.q.name)
 	}
-	lib := pr.bind(p)
+	lib := pr.lib
 	pr.pushP = p
 	pr.pushPayload = payload
 	lib.k.AfterFunc(lib.overhead(), pr.stepFn, prPushCredit)
@@ -414,7 +356,7 @@ func (pr *Producer) PushAfter(p *sim.Proc, d uint64, payload uint64) {
 	if pr.q.closed {
 		panic("vlq: Push on closed queue " + pr.q.name)
 	}
-	lib := pr.bind(p)
+	lib := pr.lib
 	if pr.afterFn == nil {
 		pr.afterFn = pr.pushAfterStep
 	}
@@ -473,25 +415,21 @@ func (pr *Producer) pushStep(state uint64) {
 // an endpoint in a round-robin fashion", §3.5).
 //
 // Pop runs as a continuation-passing state machine on the kernel
-// goroutine (see popStep); the calling process parks once per Pop. As
-// with Producer, hot mutable counters are grouped and padded so
-// endpoints of different domains never false-share host cache lines.
+// goroutine (see popStep); the calling process parks once per Pop.
 type Consumer struct {
 	q     *Queue
-	lib   *Lib // bound at creation (the creating thread's domain)
+	lib   *Lib
 	id    int
 	probe Probe // cached from the queue: probe-free fast path
 	page  *mem.Page
 	spec  bool
-	snd   isa.Port
+	snd   *isa.Sender
 
 	stepFn func(uint64)
 
 	// OnFetch, if non-nil, observes every vl_fetch issued by this
 	// endpoint (tick, target line index). Used by the Figure 7 tracer.
 	OnFetch func(tick uint64, lineIdx int)
-
-	_ [64]byte // hot counters below never false-share with the fields above
 
 	next   int
 	polls  uint64
@@ -515,8 +453,6 @@ type Consumer struct {
 	popLine *mem.Line
 	popMsg  mem.Message
 	cell    sim.WaitCell
-
-	_ [64]byte
 }
 
 // Pop state-machine steps (the uint64 event argument of stepFn).
@@ -541,21 +477,12 @@ func (q *Queue) NewConsumer(p *sim.Proc, nlines int, spec bool) *Consumer {
 	if nlines <= 0 {
 		nlines = 1
 	}
-	home := q.lib
-	lib := home
-	if home.Binder != nil {
-		lib = home.Binder(p)
+	lib := q.lib
+	if len(lib.consArena) == cap(lib.consArena) {
+		lib.consArena = make([]Consumer, 0, arenaBlock)
 	}
-	home.mu.Lock()
-	if home.Binder != nil && len(q.consumers) > 0 {
-		home.mu.Unlock()
-		panic(fmt.Sprintf("vlq: second consumer on %s — domain-partitioned systems support 1:1 queues only", q.name))
-	}
-	if len(home.consArena) == cap(home.consArena) {
-		home.consArena = make([]Consumer, 0, arenaBlock)
-	}
-	home.consArena = home.consArena[:len(home.consArena)+1]
-	c := &home.consArena[len(home.consArena)-1]
+	lib.consArena = lib.consArena[:len(lib.consArena)+1]
+	c := &lib.consArena[len(lib.consArena)-1]
 	*c = Consumer{
 		q:     q,
 		lib:   lib,
@@ -563,12 +490,11 @@ func (q *Queue) NewConsumer(p *sim.Proc, nlines int, spec bool) *Consumer {
 		probe: q.probe,
 		page:  lib.as.NewPage(nlines),
 		spec:  spec,
-		snd:   lib.isa.NewFetchPort(),
+		snd:   lib.isa.NewFetchSender(),
 	}
 	c.stepFn = c.popStep
 	c.cell.Init(lib.k, c.stepFn)
 	q.consumers = append(q.consumers, c)
-	home.mu.Unlock()
 	if spec {
 		if lib.Limits.MaxSpecLines > 0 && lib.specLines+nlines > lib.Limits.MaxSpecLines {
 			// §3.6 resource cap: the endpoint degrades to demand-driven

@@ -170,7 +170,7 @@ func edgeLines(e *Edge) int {
 }
 
 // Build realizes the DAG on sys: queues in edge-declaration order,
-// threads in stage-declaration order (replica-major), so domain
+// threads in stage-declaration order (replica-major), so core
 // placement and the dispatch trace are pure functions of the spec. The
 // spec must have passed Validate; Build panics otherwise.
 func (s *Spec) Build(sys *spamer.System, scale int) {

@@ -4,7 +4,7 @@
 // optional recorded-trace replay mode. A Spec compiles into a runnable
 // workload (see build.go) whose structure is entirely data, so DAG
 // scenarios flow unchanged through experiment specs, the service
-// cache, the open-loop traffic engine, and both kernels.
+// cache, the open-loop traffic engine, and the verification oracle.
 //
 // # Model
 //
@@ -27,23 +27,19 @@
 //	        so per-queue counts stay static and balanced.
 //	shared  one M:N queue; when the consumer stage has more than one
 //	        replica the per-replica share is dynamic and the stage
-//	        drains through a WorkCounter (not parallel-safe).
+//	        drains through a WorkCounter.
 //
 // An empty policy resolves to pair on 1:1 edges and shared otherwise.
-// Because pair and shard realize strictly-1:1 queues, a DAG whose
-// edges all resolve to 1:1 queues is parallel-safe and may run on the
-// multi-domain fabric; replicas spread round-robin across domains in
-// spawn (stage-major) order.
+// Replicas are pinned round-robin to cores in spawn (stage-major) order.
 //
 // # Determinism
 //
 // Everything is a pure function of (Spec, scale): stage and edge order
-// are significant (they fix spawn order, and with it domain placement
+// are significant (they fix spawn order, and with it core placement
 // and queue creation order), compute draws come from a splitmix64
 // stream seeded by (Seed, stage, replica), and arrival schedules
 // follow internal/traffic's platform-stable contract. Two runs of the
-// same canonical spec dispatch bit-identical event traces on every
-// kernel and at every domain count.
+// same canonical spec dispatch bit-identical event traces.
 package dag
 
 import (
@@ -387,7 +383,7 @@ func (s *Spec) Validate() error {
 // distributions dropped, arrival specs canonicalized, resolved replay
 // files cleared, and a dead seed zeroed. Stage and edge order are
 // preserved — they are semantically significant (spawn order fixes
-// domain placement). Two specs that build identical workloads hash
+// core placement). Two specs that build identical workloads hash
 // identically through it.
 func (s Spec) Canonical() Spec {
 	c := s
@@ -476,29 +472,6 @@ func (s *Spec) Clone() *Spec {
 	}
 	c.Edges = append([]Edge(nil), s.Edges...)
 	return &c
-}
-
-// ParallelSafe reports whether every edge realizes strictly-1:1 queues
-// (no WorkCounter drains), so the workload may run on the multi-domain
-// fabric.
-func (s *Spec) ParallelSafe() bool {
-	idx, err := s.stageIndex()
-	if err != nil {
-		return false
-	}
-	for i := range s.Edges {
-		e := &s.Edges[i]
-		fi, fok := idx[e.From]
-		ti, tok := idx[e.To]
-		if !fok || !tok {
-			return false
-		}
-		from, to := &s.Stages[fi], &s.Stages[ti]
-		if resolvePolicy(e, from, to) == PolicyShared && (from.Replicas > 1 || to.Replicas > 1) {
-			return false
-		}
-	}
-	return true
 }
 
 // Queues is the number of link-layer queues Build creates — the

@@ -12,8 +12,8 @@ import (
 
 // FuzzDAGSpec hardens the DAG DSL against arbitrary JSON. Any input
 // must either fail Validate with an error or yield a spec whose
-// canonical form validates, canonicalizes idempotently, and preserves
-// parallel safety; small valid graphs additionally run end to end
+// canonical form validates and canonicalizes idempotently; small
+// valid graphs additionally run end to end
 // under the VL baseline and must conserve every message. Seeds include
 // the three checked-in reference scenarios (scenarios/*.json, replay
 // traces resolved), so mutations start from real topologies.
@@ -43,9 +43,6 @@ func FuzzDAGSpec(f *testing.F) {
 		jb, _ := json.Marshal(again)
 		if string(ja) != string(jb) {
 			t.Fatalf("canonicalization not idempotent:\n%s\n%s", ja, jb)
-		}
-		if c.ParallelSafe() != s.ParallelSafe() {
-			t.Fatal("canonicalization changed parallel safety")
 		}
 		if !runnable(&s) {
 			return

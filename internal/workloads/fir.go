@@ -37,12 +37,11 @@ const (
 
 func init() {
 	register(&Workload{
-		Name:         "FIR",
-		Desc:         "data streams through 10-stage FIR filter",
-		QueueSpec:    "(1:1)x9",
-		Threads:      firStages,
-		Build:        buildFIR,
-		ParallelSafe: true,
+		Name:      "FIR",
+		Desc:      "data streams through 10-stage FIR filter",
+		QueueSpec: "(1:1)x9",
+		Threads:   firStages,
+		Build:     buildFIR,
 	})
 }
 

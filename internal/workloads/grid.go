@@ -63,20 +63,18 @@ func buildGridLinks(sys *spamer.System) *gridLinks {
 
 func init() {
 	register(&Workload{
-		Name:         "halo",
-		Desc:         "exchange data with neighboring threads",
-		QueueSpec:    "(1:1)x48",
-		Threads:      gridW * gridH,
-		Build:        buildHalo,
-		ParallelSafe: true,
+		Name:      "halo",
+		Desc:      "exchange data with neighboring threads",
+		QueueSpec: "(1:1)x48",
+		Threads:   gridW * gridH,
+		Build:     buildHalo,
 	})
 	register(&Workload{
-		Name:         "sweep",
-		Desc:         "data sweeps through a grid of threads corner to corner",
-		QueueSpec:    "(1:1)x48",
-		Threads:      gridW * gridH,
-		Build:        buildSweep,
-		ParallelSafe: true,
+		Name:      "sweep",
+		Desc:      "data sweeps through a grid of threads corner to corner",
+		QueueSpec: "(1:1)x48",
+		Threads:   gridW * gridH,
+		Build:     buildSweep,
 	})
 }
 

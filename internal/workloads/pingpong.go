@@ -18,12 +18,11 @@ const (
 
 func init() {
 	register(&Workload{
-		Name:         "ping-pong",
-		Desc:         "data back and forth between two threads",
-		QueueSpec:    "(1:1)x2",
-		Threads:      2,
-		Build:        buildPingPong,
-		ParallelSafe: true,
+		Name:      "ping-pong",
+		Desc:      "data back and forth between two threads",
+		QueueSpec: "(1:1)x2",
+		Threads:   2,
+		Build:     buildPingPong,
 	})
 }
 

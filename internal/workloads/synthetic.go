@@ -20,10 +20,9 @@ import (
 // Two sub-families exist:
 //
 //   - Stages >= 2: a 1:1 pipeline chain of Stages threads connected by
-//     Stages-1 queues (the FIR idiom). Strictly 1:1, so ParallelSafe.
+//     Stages-1 queues (the FIR idiom).
 //   - Stages == 0: a (Producers:Consumers)x1 fan over one shared queue,
-//     drained through a WorkCounter when Consumers > 1. Not
-//     parallel-safe (the multi-domain fabric is restricted to 1:1).
+//     drained through a WorkCounter when Consumers > 1.
 type Shape struct {
 	// Stages selects the chain family when >= 2 (0 selects the fan).
 	Stages int `json:"stages,omitempty"`
@@ -133,15 +132,6 @@ func (sh Shape) Canonical() Shape {
 	return c
 }
 
-// ParallelSafe reports whether the shape builds a strictly-1:1 workload
-// that may run on the multi-domain fabric.
-func (sh *Shape) ParallelSafe() bool {
-	if sh.DAG != nil {
-		return sh.DAG.ParallelSafe()
-	}
-	return sh.Stages >= 2
-}
-
 // Name returns a compact diagnostic name encoding the shape.
 func (sh *Shape) Name() string {
 	if sh.DAG != nil {
@@ -190,12 +180,11 @@ func (sh *Shape) burstGap() uint64 {
 func (sh *Shape) Workload() *Workload {
 	if sh.DAG != nil {
 		return &Workload{
-			Name:         sh.Name(),
-			Desc:         "generated DAG scenario",
-			QueueSpec:    "dag",
-			Threads:      sh.DAG.Threads(),
-			Build:        sh.DAG.Build,
-			ParallelSafe: sh.DAG.ParallelSafe(),
+			Name:      sh.Name(),
+			Desc:      "generated DAG scenario",
+			QueueSpec: "dag",
+			Threads:   sh.DAG.Threads(),
+			Build:     sh.DAG.Build,
 		}
 	}
 	threads := sh.Stages
@@ -206,12 +195,11 @@ func (sh *Shape) Workload() *Workload {
 		build = sh.buildFan
 	}
 	return &Workload{
-		Name:         sh.Name(),
-		Desc:         "generated verification shape",
-		QueueSpec:    "synthetic",
-		Threads:      threads,
-		Build:        build,
-		ParallelSafe: sh.ParallelSafe(),
+		Name:      sh.Name(),
+		Desc:      "generated verification shape",
+		QueueSpec: "synthetic",
+		Threads:   threads,
+		Build:     build,
 	}
 }
 

@@ -37,11 +37,6 @@ type Workload struct {
 	// Build creates the queues and spawns the threads on sys. scale
 	// multiplies message counts (1 = harness default; tests use less).
 	Build func(sys *spamer.System, scale int)
-	// ParallelSafe marks workloads whose queue usage fits the
-	// multi-domain fabric: every queue is strictly 1:1 and threads use
-	// only Push/Pop/Compute/Prefetch (no PopOrDone polling races, no
-	// shared counters). Only these may run with Config.Domains > 0.
-	ParallelSafe bool
 }
 
 // Run builds the workload on a fresh system and drives it to completion.

@@ -110,34 +110,18 @@ type Config struct {
 	// devices. All devices share the interconnect.
 	Devices int
 
-	// Domains selects the simulation kernel. 0 (the default) is the
-	// sequential kernel — the reference model whose dispatch traces the
-	// PR 3 golden tests pin. Any value >= 1 builds the multi-domain
-	// parallel fabric (one conservative domain per simulated core plus a
-	// hub domain per routing device) and uses Domains worker lanes to
-	// execute it; because the domain partitioning is fixed by the model
-	// and lanes only execute it, every Domains >= 1 dispatches the exact
-	// same event trace. The parallel fabric is a distinct deterministic
-	// model variant (per-domain bus slices; acceptance learned a response
-	// trip later), so its results differ from Domains=0 — compare within
-	// a kernel, not across. Failure injection (EvictEvery) forces the
-	// sequential kernel; see Config.EffectiveDomains.
-	Domains int
-
 	// FaultDropStash arms a message-drop fault for verification runs: the
 	// n-th stash delivery of the primary routing device (1-based, counted
 	// across the run) acknowledges a hit without filling the target line —
 	// the classic lost-message bug the oracle's conservation invariant
-	// exists to catch. 0 disables. Fault injection forces the sequential
-	// kernel (see Config.EffectiveDomains); it exists so tests can prove
-	// the verification layer detects real loss, never for measurement.
+	// exists to catch. 0 disables. It exists so tests can prove the
+	// verification layer detects real loss, never for measurement.
 	FaultDropStash uint64
 
 	// FaultCorruptStash arms a payload-corruption fault: the n-th stash
 	// delivery fills its line with flipped payload bits (metadata
 	// intact), so the run completes and only the oracle's
-	// payload-integrity invariant can flag it. 0 disables; forces the
-	// sequential kernel like FaultDropStash.
+	// payload-integrity invariant can flag it. 0 disables.
 	FaultCorruptStash uint64
 
 	// EvictEvery enables failure injection: every EvictEvery cycles one
@@ -187,9 +171,7 @@ type System struct {
 
 	nextDev int
 
-	// fab is non-nil on multi-domain systems (Config.Domains >= 1).
-	fab    *fabric
-	seqRec *sim.TraceRecorder
+	traceRec *sim.TraceRecorder
 
 	threads []*Thread
 	queues  []*Queue
@@ -217,9 +199,6 @@ func NewSystem(cfg Config) *System {
 	ndev := cfg.Devices
 	if ndev <= 0 {
 		ndev = 1
-	}
-	if cfg.EffectiveDomains() > 0 {
-		return newParallelSystem(cfg, hop, ndev)
 	}
 	k := sim.New()
 	k.SetDeadline(cfg.Deadline)
@@ -299,20 +278,10 @@ func (s *System) SpecBuf() *core.SpecBuf {
 // SpecBufs exposes every device's specBuf (empty on the VL baseline).
 func (s *System) SpecBufs() []*core.SpecBuf { return s.specs }
 
-// AddressSpaces exposes every line arena: the single shared space of a
-// sequential system, or one per domain on the parallel fabric. The
-// verification oracle walks their slab bookkeeping alongside the device
-// and specBuf tables.
-func (s *System) AddressSpaces() []*mem.AddressSpace {
-	if s.fab != nil {
-		out := make([]*mem.AddressSpace, len(s.fab.doms))
-		for d := range s.fab.doms {
-			out[d] = s.fab.space(d)
-		}
-		return out
-	}
-	return []*mem.AddressSpace{s.as}
-}
+// AddressSpace exposes the line arena every endpoint page lives in. The
+// verification oracle walks its slab bookkeeping alongside the device and
+// specBuf tables.
+func (s *System) AddressSpace() *mem.AddressSpace { return s.as }
 
 // SetQueueProbe installs p on every queue subsequently created with
 // NewQueue. Must be called before the workload builds its queues; the
@@ -330,12 +299,7 @@ func (s *System) Spawn(name string, body func(t *Thread)) *Thread {
 	}
 	t := &Thread{Core: len(s.threads) % config.NumCores}
 	s.threads = append(s.threads, t)
-	k := s.kernel
-	if s.fab != nil {
-		// Each thread runs inside its core's simulation domain.
-		k = s.fab.pk.Domain(t.Core)
-	}
-	t.Proc = k.Go(name, func(p *sim.Proc) { body(t) })
+	t.Proc = s.kernel.Go(name, func(p *sim.Proc) { body(t) })
 	return t
 }
 
@@ -360,16 +324,12 @@ func (s *System) Run() Result {
 		panic("spamer: Run called twice")
 	}
 	s.ran = true
-	if s.fab != nil {
-		s.result = s.runParallel()
-		return s.result
-	}
 	if s.cfg.EvictEvery > 0 {
 		s.startEvictionInjector(s.cfg.EvictEvery)
 	}
 	s.kernel.Run()
 	if live := s.kernel.LiveProcs(); live != 0 {
-		panic(panicDeadlock(live))
+		panic(fmt.Sprintf("spamer: deadlock — %d threads still parked with no pending events", live))
 	}
 	for _, fn := range s.onDrain {
 		fn()
@@ -378,8 +338,20 @@ func (s *System) Run() Result {
 	return s.result
 }
 
-func panicDeadlock(live int) string {
-	return fmt.Sprintf("spamer: deadlock — %d threads still parked with no pending events", live)
+// EnableDispatchTrace arms dispatch-trace hashing for golden tests. Must
+// be called before Run; read the hash with DispatchTraceHash after Run.
+func (s *System) EnableDispatchTrace() {
+	s.traceRec = sim.NewTraceRecorder()
+	s.traceRec.Attach(s.kernel)
+}
+
+// DispatchTraceHash reports the FNV-1a hash of the kernel's (tick, seq)
+// dispatch stream.
+func (s *System) DispatchTraceHash() uint64 {
+	if s.traceRec == nil {
+		panic("spamer: DispatchTraceHash without EnableDispatchTrace")
+	}
+	return s.traceRec.Sum()
 }
 
 func (s *System) collect() Result {
@@ -398,16 +370,6 @@ func (s *System) collect() Result {
 		}
 	}
 	r.MS = config.TicksToMS(r.Ticks)
-	s.collectQueues(&r)
-	return r
-}
-
-// collectQueues folds per-queue message counts and consumer-line
-// occupancy into the result (shared by the sequential and parallel
-// collectors; after a parallel run every domain clock has been
-// normalized to the last event tick, so the occupancy integrals of
-// different domains cover the same window).
-func (s *System) collectQueues(r *Result) {
 	for _, q := range s.queues {
 		r.Pushed += q.inner.Pushed()
 		r.Popped += q.inner.Popped()
@@ -422,6 +384,7 @@ func (s *System) collectQueues(r *Result) {
 		r.AvgEmptyTicks = float64(r.EmptyTicks) / float64(r.ConsumerLines)
 		r.AvgNonEmptyTicks = float64(r.NonEmptyTicks) / float64(r.ConsumerLines)
 	}
+	return r
 }
 
 // startEvictionInjector arms the failure injector: a recurring event
@@ -496,12 +459,6 @@ type Result struct {
 	ConsumerLines             int
 	AvgEmptyTicks             float64
 	AvgNonEmptyTicks          float64
-
-	// Parallel holds the multi-domain kernel's telemetry (zero on a
-	// sequential run). Every counter is deterministic — a function of the
-	// model partitioning, never of the worker-lane count — so Result
-	// equality across Domains settings still holds.
-	Parallel sim.ParallelStats
 }
 
 // FailureRate is the Figure 10a metric: failed pushes out of all pushes.
