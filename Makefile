@@ -8,7 +8,7 @@ GO ?= go
 # a PR materially changes the benchmark surface and commit the new file.
 #
 # BENCH_BASELINE is the stable snapshot bench-ci gates against. The gate
-# (spamer-benchjson -gate) fails the step when the SpecRun benchmark
+# (spamer benchjson -gate) fails the step when the SpecRun benchmark
 # regresses more than GATE_PCT percent in ns/op, when any benchmark
 # present in both runs gains allocs/op (exact — alloc counts don't
 # jitter), or when MillionMessage allocates at all. It also fails hard
@@ -17,7 +17,7 @@ GO ?= go
 # the allocation checks. Move BENCH_BASELINE forward deliberately, in
 # the PR that establishes the new floor.
 #
-# GATE_PCT is the SpecRun ns/op tolerance (spamer-benchjson -gate-pct):
+# GATE_PCT is the SpecRun ns/op tolerance (spamer benchjson -gate-pct):
 # wide by default because wall time on shared runners jitters; the
 # allocs/op checks are the gate's primary teeth.
 BENCH_JSON ?= BENCH_10.json
@@ -51,13 +51,13 @@ test-race:
 # a WORKERS-sized fabric pool whose outcomes must be byte-identical to
 # local (docs/FABRIC.md; WORKERS=0 disables). Failing cases are
 # minimized and written as JSON repros under ORACLE_OUT; replay one with
-#   go run ./cmd/spamer-verify -repro <file>
+#   go run ./cmd/spamer verify -repro <file>
 N ?= 50
 ORACLE_SEED ?= 1
 ORACLE_OUT ?= .
 WORKERS ?= 2
 verify-oracle:
-	$(GO) run ./cmd/spamer-verify -n $(N) -seed $(ORACLE_SEED) -out $(ORACLE_OUT) -workers $(WORKERS)
+	$(GO) run ./cmd/spamer verify -n $(N) -seed $(ORACLE_SEED) -out $(ORACLE_OUT) -workers $(WORKERS)
 
 # Short native-fuzz pass over every Fuzz target (seed corpora live in
 # testdata/fuzz). Go allows one fuzz target per -fuzz run, hence the
@@ -70,12 +70,12 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDAGSpec -fuzztime=$(FUZZTIME) ./internal/workloads/dag
 
 # Full benchmark pass: every table/figure as a testing.B target. The
-# stream also feeds spamer-benchjson, which records name -> ns/op and
+# stream also feeds spamer benchjson, which records name -> ns/op and
 # allocs/op into $(BENCH_JSON) so perf is diffable across PRs.
 bench:
 	( $(GO) test -run=NONE -bench=. -benchmem ./... && \
 	  $(GO) test -run=NONE -bench=MillionMessage -benchmem -benchtime=$(MM_ITERS) . ) \
-	| $(GO) run ./cmd/spamer-benchjson -out $(BENCH_JSON)
+	| $(GO) run ./cmd/spamer benchjson -out $(BENCH_JSON)
 
 # Quick variant for CI: the kernel and experiment-layer benchmarks plus
 # the MillionMessage hot path, gated (-gate: >25% SpecRun regression,
@@ -89,7 +89,7 @@ bench-ci:
 	( $(GO) test -run=NONE -bench=. -benchmem -benchtime=10000x ./internal/sim && \
 	  $(GO) test -run=NONE -bench=. -benchmem -benchtime=10x ./internal/experiments && \
 	  $(GO) test -run=NONE -bench=MillionMessage -benchmem -benchtime=200000x . ) \
-	| $(GO) run ./cmd/spamer-benchjson -out bench-ci.json -baseline $(BENCH_BASELINE) -gate -gate-pct $(GATE_PCT)
+	| $(GO) run ./cmd/spamer benchjson -out bench-ci.json -baseline $(BENCH_BASELINE) -gate -gate-pct $(GATE_PCT)
 
 # Race-detector pass over the MillionMessage benchmark: the open-loop
 # engine drives the kernel's process hand-off (one goroutine per
@@ -105,41 +105,41 @@ bench-race:
 repro: figures trace sweep latency area
 
 figures:
-	$(GO) run ./cmd/spamer-bench
+	$(GO) run ./cmd/spamer bench
 
 trace:
-	$(GO) run ./cmd/spamer-trace
+	$(GO) run ./cmd/spamer trace
 
 sweep:
-	$(GO) run ./cmd/spamer-sweep
+	$(GO) run ./cmd/spamer sweep
 
 latency:
-	$(GO) run ./cmd/spamer-latency
+	$(GO) run ./cmd/spamer latency
 
 area:
-	$(GO) run ./cmd/spamer-area
+	$(GO) run ./cmd/spamer area
 
 ablate:
-	$(GO) run ./cmd/spamer-ablate
+	$(GO) run ./cmd/spamer ablate
 
 tune:
-	$(GO) run ./cmd/spamer-tune
+	$(GO) run ./cmd/spamer tune
 
 # End-to-end fabric exercise with real processes (docs/FABRIC.md):
 # coordinator + two workers, a golden batch byte-compared against a
 # local run, then a SIGKILLed worker whose leases must re-dispatch to
 # the survivor. Blocking in CI.
 fabric-smoke:
-	$(GO) run ./cmd/spamer-fabric-smoke
+	$(GO) run ./cmd/spamer fabric-smoke
 
 # Long-lived simulation-as-a-service daemon (docs/SERVICE.md). With the
 # fabric on (default), attach workers via `make worker COORDINATOR=...`.
 serve:
-	$(GO) run ./cmd/spamer-serve
+	$(GO) run ./cmd/spamer serve
 
 COORDINATOR ?= http://127.0.0.1:8080
 worker:
-	$(GO) run ./cmd/spamer-worker -coordinator $(COORDINATOR)
+	$(GO) run ./cmd/spamer worker -coordinator $(COORDINATOR)
 
 clean:
 	$(GO) clean ./...

@@ -21,11 +21,13 @@
 package spamer_test
 
 import (
+	"context"
 	"testing"
 
 	"spamer"
 	"spamer/internal/energy"
 	"spamer/internal/experiments"
+	"spamer/internal/harness"
 	"spamer/internal/traffic"
 	"spamer/internal/tuner"
 	"spamer/internal/workloads"
@@ -75,10 +77,19 @@ func BenchmarkFigure7Trace(b *testing.B) {
 	b.ReportMetric(saving, "saving-cycles")
 }
 
+// matrix runs the Figure 8-10 benchmark matrix at scale 1.
+func matrix(b *testing.B) *experiments.Matrix {
+	m, err := experiments.RunMatrixParallel(context.Background(), 1, harness.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
 func BenchmarkFigure8Speedup(b *testing.B) {
 	var m *experiments.Matrix
 	for i := 0; i < b.N; i++ {
-		m = experiments.RunMatrix(1)
+		m = matrix(b)
 	}
 	b.ReportMetric(m.Geomean(spamer.AlgZeroDelay), "geomean-0delay")
 	b.ReportMetric(m.Geomean(spamer.AlgAdaptive), "geomean-adapt")
@@ -88,7 +99,7 @@ func BenchmarkFigure8Speedup(b *testing.B) {
 func BenchmarkFigure9Breakdown(b *testing.B) {
 	var empty float64
 	for i := 0; i < b.N; i++ {
-		m := experiments.RunMatrix(1)
+		m := matrix(b)
 		cells := experiments.Figure9(m)
 		empty = cells["FIR"][spamer.AlgBaseline].EmptyM
 	}
@@ -98,7 +109,7 @@ func BenchmarkFigure9Breakdown(b *testing.B) {
 func BenchmarkFigure10Failure(b *testing.B) {
 	var zd float64
 	for i := 0; i < b.N; i++ {
-		m := experiments.RunMatrix(1)
+		m := matrix(b)
 		cells := experiments.Figure10(m)
 		zd = cells["incast"][spamer.AlgZeroDelay].FailureRate
 	}
@@ -108,7 +119,7 @@ func BenchmarkFigure10Failure(b *testing.B) {
 func BenchmarkFigure10Bus(b *testing.B) {
 	var util float64
 	for i := 0; i < b.N; i++ {
-		m := experiments.RunMatrix(1)
+		m := matrix(b)
 		cells := experiments.Figure10(m)
 		util = cells["pipeline"][spamer.AlgAdaptive].BusUtilization
 	}
@@ -118,7 +129,7 @@ func BenchmarkFigure10Bus(b *testing.B) {
 func BenchmarkFigure11Sensitivity(b *testing.B) {
 	var best float64
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Figure11("FIR", 1)
+		points, err := experiments.Figure11Parallel(context.Background(), "FIR", 1, harness.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,7 +141,10 @@ func BenchmarkFigure11Sensitivity(b *testing.B) {
 func BenchmarkInlineOpt(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		rows := experiments.InlineStudy(1)
+		rows, err := experiments.InlineStudyParallel(context.Background(), 1, harness.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		sum := 0.0
 		for _, r := range rows {
 			sum += r.Speedup
@@ -158,7 +172,10 @@ func BenchmarkArea(b *testing.B) {
 func BenchmarkAblationPredictors(b *testing.B) {
 	var firBest float64
 	for i := 0; i < b.N; i++ {
-		rows := experiments.PredictorStudy(1)
+		rows, err := experiments.PredictorStudyParallel(context.Background(), 1, harness.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, r := range rows {
 			if r.Benchmark == "FIR" {
 				firBest = r.Speedups["0delay"]
@@ -173,7 +190,7 @@ func BenchmarkAblationPredictors(b *testing.B) {
 func BenchmarkAblationTopology(b *testing.B) {
 	var peak float64
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.HopLatencySweep("FIR", []uint64{6, 12, 24, 48}, 1)
+		pts, err := experiments.HopLatencySweepParallel(context.Background(), "FIR", []uint64{6, 12, 24, 48}, 1, harness.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -183,7 +200,7 @@ func BenchmarkAblationTopology(b *testing.B) {
 				peak = p.Speedup
 			}
 		}
-		if _, err := experiments.BusChannelsSweep("halo", []int{1, 2, 4, 8}, 1); err != nil {
+		if _, err := experiments.BusChannelsSweepParallel(context.Background(), "halo", []int{1, 2, 4, 8}, 1, harness.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,12 +16,12 @@ W1_ADDR="${W1_ADDR:-127.0.0.1:8094}"
 W2_ADDR="${W2_ADDR:-127.0.0.1:8095}"
 cd "$(dirname "$0")/../.."
 
-echo "==> building spamer-serve (coordinator) and spamer-worker"
-go build -o /tmp/spamer-serve ./cmd/spamer-serve
-go build -o /tmp/spamer-worker ./cmd/spamer-worker
+echo "==> building spamer (spamer serve is the coordinator, spamer worker the agent)"
+SPAMER="${TMPDIR:-/tmp}/spamer"
+go build -o "$SPAMER" ./cmd/spamer
 
 echo "==> starting the coordinator on $ADDR (fabric is on by default)"
-/tmp/spamer-serve -addr "$ADDR" -fabric-heartbeat 500ms &
+"$SPAMER" serve -addr "$ADDR" -fabric-heartbeat 500ms &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" $W1_PID $W2_PID 2>/dev/null || true' EXIT INT TERM
 for _ in $(seq 1 50); do
@@ -30,10 +30,10 @@ for _ in $(seq 1 50); do
 done
 
 echo "==> starting two workers"
-/tmp/spamer-worker -coordinator "$BASE" -addr "$W1_ADDR" \
+"$SPAMER" worker -coordinator "$BASE" -addr "$W1_ADDR" \
     -advertise "http://$W1_ADDR" -id w1 &
 W1_PID=$!
-/tmp/spamer-worker -coordinator "$BASE" -addr "$W2_ADDR" \
+"$SPAMER" worker -coordinator "$BASE" -addr "$W2_ADDR" \
     -advertise "http://$W2_ADDR" -id w2 &
 W2_PID=$!
 

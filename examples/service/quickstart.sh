@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Quickstart for the spamer-serve daemon: start it, submit a job, poll
+# Quickstart for the `spamer serve` daemon: start it, submit a job, poll
 # it, watch the SSE progress stream, prove the content-addressed cache
 # hit, read the metrics, and drain with SIGTERM.
 #
@@ -12,9 +12,10 @@ ADDR="${ADDR:-127.0.0.1:8091}"
 BASE="http://$ADDR"
 cd "$(dirname "$0")/../.."
 
-echo "==> building and starting spamer-serve on $ADDR"
-go build -o /tmp/spamer-serve ./cmd/spamer-serve
-/tmp/spamer-serve -addr "$ADDR" &
+echo "==> building spamer and starting spamer serve on $ADDR"
+SPAMER="${TMPDIR:-/tmp}/spamer"
+go build -o "$SPAMER" ./cmd/spamer
+"$SPAMER" serve -addr "$ADDR" &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT INT TERM
 
@@ -25,7 +26,7 @@ done
 curl -fsS "$BASE/healthz"; echo
 
 echo
-echo "==> submitting a job (the same JSON spamer-run reads)"
+echo "==> submitting a job (the same JSON spamer run reads)"
 SPEC='{"benchmark":"FIR","algorithms":["vl","0delay","tuned"],"label":"quickstart"}'
 SUBMIT=$(curl -fsS -X POST "$BASE/v1/jobs" -d "$SPEC")
 echo "$SUBMIT"

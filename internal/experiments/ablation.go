@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"context"
-
-	"spamer/internal/core"
-	"spamer/internal/harness"
-)
+import "spamer/internal/core"
 
 // Ablation studies for the design choices DESIGN.md calls out, beyond
 // the paper's own figures: the wider predictor space §3.5 sketches, the
@@ -20,17 +15,7 @@ type PredictorRow struct {
 	Speedups  map[string]float64 // algorithm name -> speedup over VL
 }
 
-// PredictorStudy runs every extended algorithm on every benchmark,
-// fanned across the harness pool.
-func PredictorStudy(scale int) []PredictorRow {
-	rows, err := PredictorStudyParallel(context.Background(), scale, harness.Options{})
-	if err != nil {
-		panic(err)
-	}
-	return rows
-}
-
-// PredictorNames returns the column order for PredictorStudy output.
+// PredictorNames returns the column order of PredictorStudyParallel rows.
 func PredictorNames() []string {
 	var out []string
 	for _, a := range core.ExtendedAlgorithms() {
@@ -46,33 +31,6 @@ type SweepPoint struct {
 	Speedup float64 // over the VL baseline at the same x
 }
 
-// SRDEntriesSweep varies the routing-device structure sizes on a
-// benchmark, with the tuned algorithm (firewall by default exercises
-// backpressure at small sizes; halo needs >= 48 linkTab rows).
-func SRDEntriesSweep(bench string, sizes []int, scale int) ([]SweepPoint, error) {
-	return SRDEntriesSweepParallel(context.Background(), bench, sizes, scale, harness.Options{})
-}
-
-// HopLatencySweep varies the one-way core<->device hop latency — the
-// topology dimension the paper defers ("the impact of topology ... are
-// not the focus of this paper").
-func HopLatencySweep(bench string, hops []uint64, scale int) ([]SweepPoint, error) {
-	return HopLatencySweepParallel(context.Background(), bench, hops, scale, harness.Options{})
-}
-
-// BusChannelsSweep varies the interconnect parallelism.
-func BusChannelsSweep(bench string, channels []int, scale int) ([]SweepPoint, error) {
-	return BusChannelsSweepParallel(context.Background(), bench, channels, scale, harness.Options{})
-}
-
-// DevicesSweep varies the number of routing devices — the multi-router
-// arrangement §3.1 mentions but does not evaluate. Queues distribute
-// round-robin, relieving per-device mapping-pipeline and send-port
-// contention on many-queue workloads.
-func DevicesSweep(bench string, devices []int, scale int) ([]SweepPoint, error) {
-	return DevicesSweepParallel(context.Background(), bench, devices, scale, harness.Options{})
-}
-
 // ObfuscationRow compares a benchmark's tuned run with and without the
 // §3.6 timing-obfuscation wrapper at a given jitter bound.
 type ObfuscationRow struct {
@@ -81,21 +39,4 @@ type ObfuscationRow struct {
 	Plain     uint64  // ticks without obfuscation
 	Obf       uint64  // ticks with obfuscation
 	Overhead  float64 // Obf/Plain - 1
-}
-
-// ObfuscationStudy measures the performance cost of the side-channel
-// mitigation across benchmarks, fanned across the harness pool.
-func ObfuscationStudy(jitter uint64, scale int) []ObfuscationRow {
-	rows, err := ObfuscationStudyParallel(context.Background(), jitter, scale, harness.Options{})
-	if err != nil {
-		panic(err)
-	}
-	return rows
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

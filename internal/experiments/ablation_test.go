@@ -1,9 +1,17 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+
+	"spamer/internal/harness"
+)
 
 func TestPredictorStudySanity(t *testing.T) {
-	rows := PredictorStudy(1)
+	rows, err := PredictorStudyParallel(context.Background(), 1, harness.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -27,10 +35,11 @@ func TestPredictorStudySanity(t *testing.T) {
 }
 
 func TestSweepsRunAndValidate(t *testing.T) {
-	if _, err := SRDEntriesSweep("nope", []int{8}, 1); err == nil {
+	ctx, opts := context.Background(), harness.Options{}
+	if _, err := SRDEntriesSweepParallel(ctx, "nope", []int{8}, 1, opts); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
-	pts, err := SRDEntriesSweep("firewall", []int{8, 64}, 1)
+	pts, err := SRDEntriesSweepParallel(ctx, "firewall", []int{8, 64}, 1, opts)
 	if err != nil || len(pts) != 2 {
 		t.Fatalf("srd sweep: %v %v", pts, err)
 	}
@@ -39,7 +48,7 @@ func TestSweepsRunAndValidate(t *testing.T) {
 			t.Fatalf("bad point %+v", p)
 		}
 	}
-	hp, err := HopLatencySweep("ping-pong", []uint64{6, 24}, 1)
+	hp, err := HopLatencySweepParallel(ctx, "ping-pong", []uint64{6, 24}, 1, opts)
 	if err != nil || len(hp) != 2 {
 		t.Fatalf("hop sweep: %v %v", hp, err)
 	}
@@ -47,21 +56,24 @@ func TestSweepsRunAndValidate(t *testing.T) {
 	if hp[1].Ticks <= hp[0].Ticks {
 		t.Errorf("hop 24 not slower than hop 6: %d vs %d", hp[1].Ticks, hp[0].Ticks)
 	}
-	ch, err := BusChannelsSweep("halo", []int{1, 4}, 1)
+	ch, err := BusChannelsSweepParallel(ctx, "halo", []int{1, 4}, 1, opts)
 	if err != nil || len(ch) != 2 {
 		t.Fatalf("channels sweep: %v %v", ch, err)
 	}
 	if ch[0].Ticks <= ch[1].Ticks {
 		t.Errorf("1-channel halo not slower than 4-channel: %d vs %d", ch[0].Ticks, ch[1].Ticks)
 	}
-	dv, err := DevicesSweep("firewall", []int{1, 2}, 1)
+	dv, err := DevicesSweepParallel(ctx, "firewall", []int{1, 2}, 1, opts)
 	if err != nil || len(dv) != 2 {
 		t.Fatalf("devices sweep: %v %v", dv, err)
 	}
 }
 
 func TestObfuscationStudyBounded(t *testing.T) {
-	rows := ObfuscationStudy(32, 1)
+	rows, err := ObfuscationStudyParallel(context.Background(), 32, 1, harness.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -79,7 +91,10 @@ func TestObfuscationStudyBounded(t *testing.T) {
 // Figure 1 ordering — coherent software queues slowest, then VL, then
 // SPAMeR fastest or tied.
 func TestSoftwareQueueStudy(t *testing.T) {
-	rows := SoftwareQueueStudy()
+	rows, err := SoftwareQueueStudyParallel(context.Background(), harness.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -8,7 +8,7 @@ import (
 
 // BenchmarkSpecRun measures an end-to-end experiment through the spec
 // layer — the unit of work every sweep, ablation, tuner pass, and
-// spamer-serve job bottoms out in. It runs the golden FIR configuration
+// `spamer serve` job bottoms out in. It runs the golden FIR configuration
 // under the VL baseline and the tuned algorithm, so kernel hot-path
 // changes show up here as whole-experiment throughput.
 func BenchmarkSpecRun(b *testing.B) {

@@ -120,8 +120,8 @@ func (s Spec) Hash() string {
 	return HashSpecs([]Spec{s})
 }
 
-// HashSpecs content-addresses an ordered spec list (the unit cmd/
-// spamer-run and the service execute). Order matters: outcomes are
+// HashSpecs content-addresses an ordered spec list (the unit
+// `spamer run` and the service execute). Order matters: outcomes are
 // emitted in spec order, so a permuted list is a different job.
 func HashSpecs(specs []Spec) string {
 	canon := make([]Spec, len(specs))

@@ -32,7 +32,7 @@ var goldenDAGScenarios = []struct {
 }
 
 // loadScenario reads one checked-in scenario spec and resolves its
-// replay traces, exactly as cmd/spamer-run would.
+// replay traces, exactly as `spamer run` would.
 func loadScenario(t testing.TB, file string) Spec {
 	t.Helper()
 	dir := filepath.Join("..", "..", "scenarios")

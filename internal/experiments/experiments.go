@@ -1,20 +1,19 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section from the simulator. Each experiment returns plain
-// data; cmd/* renders it with internal/report, and the root bench suite
-// wraps each in a testing.B benchmark.
+// data; cmd/spamer renders it with internal/report, and the root bench
+// suite wraps each in a testing.B benchmark. A study that runs
+// simulations has one entry point, a *Parallel function taking a
+// context and the harness.Options of its worker pool.
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
 
 	"spamer"
 	"spamer/internal/config"
-	"spamer/internal/core"
 	"spamer/internal/energy"
-	"spamer/internal/harness"
 	"spamer/internal/swqueue"
 	"spamer/internal/trace"
 	"spamer/internal/workloads"
@@ -26,18 +25,6 @@ type Matrix struct {
 	Benchmarks []string
 	Configs    []string
 	Results    map[string]map[string]spamer.Result
-}
-
-// RunMatrix executes every benchmark under every configuration. It
-// fans the independent cells across the harness pool; results are
-// identical to a sequential loop (each cell is a deterministic,
-// single-threaded system).
-func RunMatrix(scale int) *Matrix {
-	m, err := RunMatrixParallel(context.Background(), scale, harness.Options{})
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // Speedup returns benchmark b's speedup of alg over the VL baseline.
@@ -230,33 +217,15 @@ func Figure11Grid() []config.TunedParams {
 	return grid
 }
 
-// Figure11 sweeps one benchmark: baseline, the three named algorithms,
-// and the tuned-parameter grid, returning normalized (delay, energy)
-// points. The baseline is the (1, 1) reference. Runs fan across the
-// harness pool.
-func Figure11(benchName string, scale int) ([]Figure11Point, error) {
-	return Figure11Parallel(context.Background(), benchName, scale, harness.Options{})
-}
-
 // ---------------------------------------------------------------------
 // §4.3 inlining study and §4.5 area/power.
 // ---------------------------------------------------------------------
 
-// InlineStudy measures the library-inlining speedup per benchmark
-// (paper: 1.02x average) on the VL baseline.
+// InlineStudyRow is one benchmark's library-inlining speedup on the VL
+// baseline (paper: 1.02x average).
 type InlineStudyRow struct {
 	Benchmark string
 	Speedup   float64
-}
-
-// InlineStudy runs every benchmark with and without inlined queue
-// functions, fanned across the harness pool.
-func InlineStudy(scale int) []InlineStudyRow {
-	rows, err := InlineStudyParallel(context.Background(), scale, harness.Options{})
-	if err != nil {
-		panic(err)
-	}
-	return rows
 }
 
 // AreaPower bundles the §4.5 estimates for a measured matrix: the area
@@ -280,13 +249,4 @@ func Section45(m *Matrix) AreaPower {
 		ap.PowerByAlg[alg] = energy.Power(worst)
 	}
 	return ap
-}
-
-// AlgorithmsLegend names the delay algorithms for display.
-func AlgorithmsLegend() []string {
-	out := []string{}
-	for _, a := range core.Algorithms() {
-		out = append(out, a.Name())
-	}
-	return out
 }

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"spamer"
 	"spamer/internal/config"
+	"spamer/internal/harness"
 )
 
 func TestTableRows(t *testing.T) {
@@ -42,7 +44,7 @@ func TestFigure11GridShape(t *testing.T) {
 }
 
 func TestFigure11UnknownBenchmark(t *testing.T) {
-	if _, err := Figure11("nope", 1); err == nil {
+	if _, err := Figure11Parallel(context.Background(), "nope", 1, harness.Options{}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -50,7 +52,10 @@ func TestFigure11UnknownBenchmark(t *testing.T) {
 // TestMatrixDerivations runs a reduced matrix and checks the derived
 // figures are internally consistent.
 func TestMatrixDerivations(t *testing.T) {
-	m := RunMatrix(1)
+	m, err := RunMatrixParallel(context.Background(), 1, harness.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(m.Benchmarks) != 8 {
 		t.Fatalf("benchmarks = %d", len(m.Benchmarks))
 	}
@@ -101,7 +106,10 @@ func TestMatrixDerivations(t *testing.T) {
 // TestInlineStudyPositive: inlining helps at least slightly on every
 // benchmark (the §4.3 1.02x result).
 func TestInlineStudyPositive(t *testing.T) {
-	rows := InlineStudy(1)
+	rows, err := InlineStudyParallel(context.Background(), 1, harness.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -123,11 +131,5 @@ func TestFigure7BothModes(t *testing.T) {
 	_, sumSp, _ := Figure7(spamer.AlgTuned)
 	if sumSp.Speculative == 0 {
 		t.Fatalf("tuned: %+v", sumSp)
-	}
-}
-
-func TestAlgorithmsLegend(t *testing.T) {
-	if got := AlgorithmsLegend(); len(got) != 3 || got[0] != "0delay" {
-		t.Fatalf("legend = %v", got)
 	}
 }

@@ -13,12 +13,11 @@ import (
 	"spamer/internal/workloads"
 )
 
-// This file fans the evaluation entry points across the bounded worker
-// pool of internal/harness. Every simulator run is an independent,
-// deterministic spamer.System, so parallel execution with ordered
-// result assembly is observably identical to the sequential loops the
-// *Parallel variants replace — the sequential names now delegate here
-// with a single worker's semantics preserved at any worker count.
+// This file holds the entry points that run simulations, each fanned
+// across the bounded worker pool of internal/harness. Every simulator
+// run is an independent, deterministic spamer.System, so parallel
+// execution with ordered result assembly is observably identical to a
+// sequential loop at any worker count.
 
 // runTask wraps one workload run as a harness task. The simulator is
 // CPU-bound and single-threaded per system; cancellation is honoured at
@@ -35,8 +34,7 @@ func runTask(w *workloads.Workload, cfg spamer.Config, scale int, label string) 
 }
 
 // RunMatrixParallel executes every benchmark under every configuration
-// on the harness pool, preserving the exact per-cell results of the
-// sequential RunMatrix.
+// on the harness pool: the common input of Figures 8, 9 and 10.
 func RunMatrixParallel(ctx context.Context, scale int, opts harness.Options) (*Matrix, error) {
 	m := &Matrix{
 		Benchmarks: workloads.Names(),
@@ -69,7 +67,8 @@ func RunMatrixParallel(ctx context.Context, scale int, opts harness.Options) (*M
 
 // Figure11Parallel sweeps one benchmark's Figure 11 points on the pool:
 // the baseline, the three named algorithms, and the tuned-parameter
-// grid all run concurrently; normalization happens after assembly.
+// grid all run concurrently. Points are normalized (delay, energy)
+// pairs with the baseline as the (1, 1) reference.
 func Figure11Parallel(ctx context.Context, benchName string, scale int, opts harness.Options) ([]Figure11Point, error) {
 	w, ok := workloads.ByName(benchName)
 	if !ok {
@@ -124,7 +123,8 @@ func Figure11Parallel(ctx context.Context, benchName string, scale int, opts har
 	return points, nil
 }
 
-// InlineStudyParallel runs the §4.3 inlining comparison with both
+// InlineStudyParallel measures the §4.3 library-inlining speedup per
+// benchmark on the VL baseline, with the inlined and function-call
 // variants of every benchmark in flight at once.
 func InlineStudyParallel(ctx context.Context, scale int, opts harness.Options) ([]InlineStudyRow, error) {
 	all := workloads.All()
@@ -147,8 +147,8 @@ func InlineStudyParallel(ctx context.Context, scale int, opts harness.Options) (
 	return rows, nil
 }
 
-// PredictorStudyParallel runs every extended delay algorithm on every
-// benchmark concurrently.
+// PredictorStudyParallel runs every extended delay algorithm (paper
+// trio + extensions) on every benchmark concurrently.
 func PredictorStudyParallel(ctx context.Context, scale int, opts harness.Options) ([]PredictorRow, error) {
 	all := workloads.All()
 	algs := core.ExtendedAlgorithms()
@@ -206,16 +206,20 @@ func sweepParallel(ctx context.Context, bench string, xs []int,
 	return harness.Values(outs)
 }
 
-// SRDEntriesSweepParallel is SRDEntriesSweep on the harness pool.
+// SRDEntriesSweepParallel varies the routing-device structure sizes on
+// a benchmark, with the tuned algorithm (firewall exercises
+// backpressure at small sizes; halo needs >= 48 linkTab rows).
 func SRDEntriesSweepParallel(ctx context.Context, bench string, sizes []int, scale int, opts harness.Options) ([]SweepPoint, error) {
 	return sweepParallel(ctx, bench, sizes, func(n int) (spamer.Config, spamer.Config) {
-		cfg := vl.Config{ProdEntries: n, ConsEntries: n, LinkEntries: maxInt(n, 64)}
+		cfg := vl.Config{ProdEntries: n, ConsEntries: n, LinkEntries: max(n, 64)}
 		return spamer.Config{Algorithm: spamer.AlgBaseline, SRD: cfg, Deadline: 1 << 40},
 			spamer.Config{Algorithm: spamer.AlgTuned, SRD: cfg, Deadline: 1 << 40}
 	}, scale, opts)
 }
 
-// HopLatencySweepParallel is HopLatencySweep on the harness pool.
+// HopLatencySweepParallel varies the one-way core<->device hop latency
+// — the topology dimension the paper defers ("the impact of topology
+// ... are not the focus of this paper").
 func HopLatencySweepParallel(ctx context.Context, bench string, hops []uint64, scale int, opts harness.Options) ([]SweepPoint, error) {
 	xs := make([]int, len(hops))
 	for i, h := range hops {
@@ -227,7 +231,7 @@ func HopLatencySweepParallel(ctx context.Context, bench string, hops []uint64, s
 	}, scale, opts)
 }
 
-// BusChannelsSweepParallel is BusChannelsSweep on the harness pool.
+// BusChannelsSweepParallel varies the interconnect parallelism.
 func BusChannelsSweepParallel(ctx context.Context, bench string, channels []int, scale int, opts harness.Options) ([]SweepPoint, error) {
 	return sweepParallel(ctx, bench, channels, func(c int) (spamer.Config, spamer.Config) {
 		return spamer.Config{Algorithm: spamer.AlgBaseline, BusChannels: c, Deadline: 1 << 40},
@@ -235,7 +239,10 @@ func BusChannelsSweepParallel(ctx context.Context, bench string, channels []int,
 	}, scale, opts)
 }
 
-// DevicesSweepParallel is DevicesSweep on the harness pool.
+// DevicesSweepParallel varies the number of routing devices — the
+// multi-router arrangement §3.1 mentions but does not evaluate. Queues
+// distribute round-robin, relieving per-device mapping-pipeline and
+// send-port contention on many-queue workloads.
 func DevicesSweepParallel(ctx context.Context, bench string, devices []int, scale int, opts harness.Options) ([]SweepPoint, error) {
 	return sweepParallel(ctx, bench, devices, func(d int) (spamer.Config, spamer.Config) {
 		return spamer.Config{Algorithm: spamer.AlgBaseline, Devices: d, Deadline: 1 << 40},
@@ -243,8 +250,9 @@ func DevicesSweepParallel(ctx context.Context, bench string, devices []int, scal
 	}, scale, opts)
 }
 
-// ObfuscationStudyParallel measures the §3.6 mitigation cost with the
-// plain/obfuscated pair of every benchmark in flight at once.
+// ObfuscationStudyParallel measures the performance cost of the §3.6
+// side-channel mitigation across benchmarks, with the plain/obfuscated
+// pair of every benchmark in flight at once.
 func ObfuscationStudyParallel(ctx context.Context, jitter uint64, scale int, opts harness.Options) ([]ObfuscationRow, error) {
 	all := workloads.All()
 	var tasks []harness.Task[spamer.Result]
@@ -276,8 +284,8 @@ func ObfuscationStudyParallel(ctx context.Context, jitter uint64, scale int, opt
 	return rows, nil
 }
 
-// SoftwareQueueStudyParallel runs the six independent stack builds of
-// the software-queue study concurrently.
+// SoftwareQueueStudyParallel runs both software-queue study workloads
+// through all three stacks, the six independent builds concurrently.
 func SoftwareQueueStudyParallel(ctx context.Context, opts harness.Options) ([]SoftwareQueueStudyRow, error) {
 	tasks := []harness.Task[uint64]{
 		{Label: "chain3/sw", Run: func(context.Context) (uint64, error) { return swChain(), nil }},

@@ -13,7 +13,7 @@ import (
 
 // Spec is a machine-readable experiment description: which benchmark to
 // run under which configuration(s), with optional hardware overrides.
-// cmd/spamer-run consumes these as JSON, making reproduction scriptable:
+// `spamer run` consumes these as JSON, making reproduction scriptable:
 //
 //	{
 //	  "benchmark": "FIR",
@@ -174,7 +174,7 @@ func (s *Spec) systemConfig(alg string) spamer.Config {
 		cfg.FaultCorruptStash = s.Fault.CorruptStash
 	}
 	if s.SRDEntries > 0 {
-		cfg.SRD = vl.Config{ProdEntries: s.SRDEntries, ConsEntries: s.SRDEntries, LinkEntries: maxInt(s.SRDEntries, 64)}
+		cfg.SRD = vl.Config{ProdEntries: s.SRDEntries, ConsEntries: s.SRDEntries, LinkEntries: max(s.SRDEntries, 64)}
 	}
 	if s.Tuned != nil && alg == spamer.AlgTuned {
 		cfg.Tuned = config.TunedParams{

@@ -1,18 +1,15 @@
 package experiments
 
 import (
-	"context"
-
 	"spamer"
-	"spamer/internal/harness"
 	"spamer/internal/mem"
 	"spamer/internal/noc"
 	"spamer/internal/sim"
 	"spamer/internal/swqueue"
 )
 
-// SoftwareQueueStudy extends the Figure 1 micro-comparison to
-// application level: the same two small workloads (a 3-stage pipeline
+// SoftwareQueueStudyRow is one workload of the software-queue study,
+// which extends the Figure 1 micro-comparison to application level: the same two small workloads (a 3-stage pipeline
 // chain and a 4:1 incast) built three ways — on the MOESI-modelled
 // coherent software queue, on Virtual-Link, and on SPAMeR — to show the
 // end-to-end cost of coherence-based queue state that motivates
@@ -25,16 +22,6 @@ type SoftwareQueueStudyRow struct {
 	// Speedups over the software queue.
 	VLOverSW float64
 	SpOverSW float64
-}
-
-// SoftwareQueueStudy runs both workloads through all three stacks,
-// fanned across the harness pool.
-func SoftwareQueueStudy() []SoftwareQueueStudyRow {
-	rows, err := SoftwareQueueStudyParallel(context.Background(), harness.Options{})
-	if err != nil {
-		panic(err)
-	}
-	return rows
 }
 
 const (

@@ -7,11 +7,11 @@
 //
 // Topology (docs/FABRIC.md):
 //
-//	client ── POST /v1/jobs ──▶ coordinator (spamer-serve -fabric)
+//	client ── POST /v1/jobs ──▶ coordinator (spamer serve -fabric)
 //	                               │  shard by canonical spec hash,
 //	                               │  queue-depth-aware placement,
 //	                               │  lease + bounded retry
-//	                               ├──▶ worker 1 (spamer-worker)
+//	                               ├──▶ worker 1 (spamer worker)
 //	                               ├──▶ worker 2
 //	                               └──▶ …   each runs
 //	                                    experiments.RunSpecsParallel
@@ -37,7 +37,7 @@
 //   - Determinism. The simulator is deterministic and Outcome JSON
 //     round-trips losslessly, so a distributed run's per-spec Outcomes
 //     are byte-identical to a local run. internal/oracle's
-//     distributed-vs-local differential mode (spamer-verify -workers N)
+//     distributed-vs-local differential mode (`spamer verify -workers N`)
 //     enforces exactly that, and `make fabric-smoke` proves it across
 //     real processes — including one injected worker death.
 //

@@ -15,10 +15,10 @@ import (
 // answers the same spec inside every other client's batch, and a
 // never-seen combination of already-seen specs costs zero simulation.
 //
-// It is the per-spec complement of the service layer's per-job LRU
-// (internal/service): the service cache short-circuits whole repeated
-// job lists before they reach the fabric; the Store fills the gaps
-// spec by spec. Bounded LRU; capacity <= 0 disables storing.
+// The service layer (internal/service) keeps a second Store keyed by
+// whole job (experiments.HashSpecs), which short-circuits repeated job
+// lists before they reach the fabric; this one fills the gaps spec by
+// spec. Bounded LRU; capacity <= 0 disables storing.
 type Store struct {
 	mu  sync.Mutex
 	cap int

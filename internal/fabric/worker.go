@@ -23,7 +23,7 @@ const drainingError = "draining"
 
 // WorkerOptions tunes a Worker.
 type WorkerOptions struct {
-	// ID is the worker's stable identity (required; cmd/spamer-worker
+	// ID is the worker's stable identity (required; `spamer worker`
 	// defaults it to host-pid).
 	ID string
 	// Coordinator is the coordinator's base URL, e.g. http://coord:8080.

@@ -131,8 +131,8 @@ func Campaign(opts CampaignOptions) (CampaignResult, error) {
 	return res, nil
 }
 
-// writeRepro persists a failure as an indented JSON file the
-// spamer-verify CLI can replay with -repro.
+// writeRepro persists a failure as an indented JSON file that
+// `spamer verify -repro` can replay.
 func writeRepro(dir string, seed uint64, fail CaseFailure) (string, error) {
 	if dir == "" {
 		dir = "."

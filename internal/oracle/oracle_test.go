@@ -259,7 +259,7 @@ func TestCompareDeliveries(t *testing.T) {
 	}
 }
 
-// TestReplayRoundTripsBareCase: spamer-verify -repro accepts a bare
+// TestReplayRoundTripsBareCase: `spamer verify -repro` accepts a bare
 // case file too, so hand-written cases are replayable.
 func TestReplayRoundTripsBareCase(t *testing.T) {
 	cs := gen.New(77).DAGCase()

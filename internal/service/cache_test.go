@@ -5,7 +5,11 @@ import (
 	"testing"
 
 	"spamer/internal/experiments"
+	"spamer/internal/fabric"
 )
+
+// The service's result cache is a fabric.Store keyed by job hash; these
+// cases pin the LRU semantics both layers rely on.
 
 func outs(ticks uint64) []experiments.Outcome {
 	return []experiments.Outcome{{Benchmark: "b", Algorithm: "vl", Ticks: ticks}}
@@ -14,32 +18,34 @@ func outs(ticks uint64) []experiments.Outcome {
 // TestCacheLRUEviction: capacity bounds hold and recency decides the
 // victim.
 func TestCacheLRUEviction(t *testing.T) {
-	c := newCache(2)
-	c.put("a", outs(1))
-	c.put("b", outs(2))
-	if _, ok := c.get("a"); !ok { // refresh a; b becomes the LRU
+	c := fabric.NewStore(2)
+	c.Put("a", outs(1))
+	c.Put("b", outs(2))
+	if _, ok := c.Get("a"); !ok { // refresh a; b becomes the LRU
 		t.Fatal("a missing")
 	}
-	c.put("c", outs(3))
-	if c.len() != 2 {
-		t.Fatalf("len = %d", c.len())
+	c.Put("c", outs(3))
+	if c.Len() != 2 {
+		t.Fatalf("len = %d", c.Len())
 	}
-	if _, ok := c.get("b"); ok {
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("LRU entry b survived eviction")
 	}
-	if v, ok := c.get("a"); !ok || v[0].Ticks != 1 {
+	if v, ok := c.Get("a"); !ok || v[0].Ticks != 1 {
 		t.Fatalf("a lost: %v %v", v, ok)
 	}
-	if v, ok := c.get("c"); !ok || v[0].Ticks != 3 {
+	if v, ok := c.Get("c"); !ok || v[0].Ticks != 3 {
 		t.Fatalf("c lost: %v %v", v, ok)
 	}
 }
 
-// TestCacheDisabled: non-positive capacity stores nothing.
+// TestCacheDisabled: a negative CacheEntries reaches the store as a
+// non-positive capacity, which stores nothing.
 func TestCacheDisabled(t *testing.T) {
-	c := newCache(-1)
-	c.put("a", outs(1))
-	if _, ok := c.get("a"); ok || c.len() != 0 {
+	s := New(Options{CacheEntries: -1})
+	defer s.Close()
+	s.cache.Put("a", outs(1))
+	if _, ok := s.cache.Get("a"); ok || s.cache.Len() != 0 {
 		t.Fatal("disabled cache stored an entry")
 	}
 }
@@ -47,13 +53,13 @@ func TestCacheDisabled(t *testing.T) {
 // TestCacheOverwriteRefreshes: re-putting an existing hash updates in
 // place without growing.
 func TestCacheOverwriteRefreshes(t *testing.T) {
-	c := newCache(4)
-	c.put("a", outs(1))
-	c.put("a", outs(9))
-	if c.len() != 1 {
-		t.Fatalf("len = %d", c.len())
+	c := fabric.NewStore(4)
+	c.Put("a", outs(1))
+	c.Put("a", outs(9))
+	if c.Len() != 1 {
+		t.Fatalf("len = %d", c.Len())
 	}
-	if v, _ := c.get("a"); v[0].Ticks != 9 {
+	if v, _ := c.Get("a"); v[0].Ticks != 9 {
 		t.Fatalf("stale value: %v", v)
 	}
 }
@@ -61,7 +67,7 @@ func TestCacheOverwriteRefreshes(t *testing.T) {
 // TestCacheConcurrent: hammering one cache from many goroutines is
 // race-clean and never exceeds capacity.
 func TestCacheConcurrent(t *testing.T) {
-	c := newCache(8)
+	c := fabric.NewStore(8)
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		g := g
@@ -69,15 +75,15 @@ func TestCacheConcurrent(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("k%d", (g*7+i)%16)
-				c.put(k, outs(uint64(i)))
-				c.get(k)
+				c.Put(k, outs(uint64(i)))
+				c.Get(k)
 			}
 		}()
 	}
 	for g := 0; g < 4; g++ {
 		<-done
 	}
-	if c.len() > 8 {
-		t.Fatalf("capacity exceeded: %d", c.len())
+	if c.Len() > 8 {
+		t.Fatalf("capacity exceeded: %d", c.Len())
 	}
 }

@@ -3,7 +3,7 @@
 // experiments on the internal/harness pool) behind a small HTTP API.
 //
 //	POST /v1/jobs            submit a spec (or spec array) — the exact
-//	                         JSON cmd/spamer-run reads
+//	                         JSON spamer run reads
 //	GET  /v1/jobs/{id}       status + outcomes
 //	GET  /v1/jobs/{id}/events  live progress (Server-Sent Events)
 //	GET  /metrics            Prometheus text format
@@ -61,7 +61,7 @@ type Options struct {
 	// (default 1s).
 	RetryAfter time.Duration
 	// Fabric, when non-nil, turns the server into a coordinator for a
-	// pool of spamer-worker processes (docs/FABRIC.md): jobs shard by
+	// pool of `spamer worker` processes (docs/FABRIC.md): jobs shard by
 	// canonical spec hash onto registered workers, the coordinator's
 	// wire endpoints mount under /v1/fabric/, and its metrics join
 	// /metrics. With an empty pool the coordinator's local fallback
@@ -98,7 +98,11 @@ func (o Options) withDefaults() Options {
 type Server struct {
 	opts    Options
 	metrics *metrics
-	cache   *cache
+	// cache is the content-addressed result cache: canonical spec-list
+	// hash (experiments.HashSpecs) → the outcomes that list produced.
+	// The simulator is deterministic, so a hit is exact. Bounded LRU
+	// sized by Options.CacheEntries; a negative size stores nothing.
+	cache *fabric.Store
 
 	queue    chan *job
 	stop     chan struct{} // closed once the queue has fully drained
@@ -125,12 +129,12 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:    opts,
 		metrics: newMetrics(),
-		cache:   newCache(opts.CacheEntries),
+		cache:   fabric.NewStore(opts.CacheEntries),
 		queue:   make(chan *job, opts.QueueDepth),
 		stop:    make(chan struct{}),
 		jobs:    map[string]*job{},
 	}
-	s.metrics.cacheEntries = s.cache.len
+	s.metrics.cacheEntries = s.cache.Len
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	for i := 0; i < opts.JobWorkers; i++ {
 		s.workers.Add(1)
@@ -156,7 +160,7 @@ func (s *Server) submit(specs []experiments.Spec) (*job, error) {
 		return nil, errDraining
 	}
 
-	if outcomes, ok := s.cache.get(hash); ok {
+	if outcomes, ok := s.cache.Get(hash); ok {
 		s.metrics.cacheHits.Add(1)
 		j := newJob(s.nextID(hash), hash, specs, totalRuns(specs))
 		j.completeCached(outcomes)
@@ -270,7 +274,7 @@ func (s *Server) execute(j *job) {
 	}
 	clean := len(errs) == 0
 	if clean {
-		s.cache.put(j.hash, outcomes)
+		s.cache.Put(j.hash, outcomes)
 		s.metrics.jobsDone.Add(1)
 	} else {
 		s.metrics.jobsFailed.Add(1)

@@ -336,7 +336,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestMultiSpecJobKeepsOrder: a spec-array job concatenates outcomes
-// in spec order, exactly as cmd/spamer-run would.
+// in spec order, exactly as `spamer run` would.
 func TestMultiSpecJobKeepsOrder(t *testing.T) {
 	_, ts := newTestServer(t, Options{RunWorkers: 4})
 	body := `[{"benchmark":"firewall","algorithms":["vl","tuned"]},{"benchmark":"ping-pong","algorithms":["vl"]}]`

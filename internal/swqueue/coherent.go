@@ -1,3 +1,9 @@
+// Package swqueue provides the software message-queue baseline the
+// paper positions SPAMeR against: a cycle-modelled coherence-based
+// software queue whose cost structure follows the MOESI snoop/
+// invalidation flow of Figure 1a. It drives the Figure 1 latency
+// comparison (Lc: coherence queue > Lv: Virtual-Link > Ls: SPAMeR) and
+// the application-level software-queue study.
 package swqueue
 
 import (

@@ -184,7 +184,16 @@ type System struct {
 	result Result
 }
 
-// NewSystem builds a system per cfg.
+// KnownAlgorithm reports whether NewSystem accepts name as
+// Config.Algorithm when no CustomAlgorithm is set: "" or AlgBaseline
+// for Virtual-Link, or any delay algorithm core.ByName knows.
+func KnownAlgorithm(name string) bool {
+	_, ok := algorithm(Config{Algorithm: name})
+	return ok
+}
+
+// NewSystem builds a system per cfg. It panics on an algorithm name
+// KnownAlgorithm rejects.
 func NewSystem(cfg Config) *System {
 	if cfg.Algorithm == "" {
 		cfg.Algorithm = AlgBaseline
@@ -208,11 +217,11 @@ func NewSystem(cfg Config) *System {
 	s := &System{cfg: cfg, kernel: k, bus: bus, as: as}
 	for i := 0; i < ndev; i++ {
 		dev := vl.New(k, bus, as, cfg.SRD)
-		if cfg.Algorithm != AlgBaseline {
-			alg, ok := algorithm(cfg)
-			if !ok {
-				panic(fmt.Sprintf("spamer: unknown algorithm %q", cfg.Algorithm))
-			}
+		alg, ok := algorithm(cfg)
+		if !ok {
+			panic(fmt.Sprintf("spamer: unknown algorithm %q", cfg.Algorithm))
+		}
+		if alg != nil {
 			n := cfg.SRD.LinkEntries
 			if n == 0 {
 				n = config.SRDEntries
@@ -236,7 +245,12 @@ func NewSystem(cfg Config) *System {
 	return s
 }
 
+// algorithm builds the delay algorithm cfg selects: nil for the VL
+// baseline, and false for a name no device flavour has.
 func algorithm(cfg Config) (core.DelayAlgorithm, bool) {
+	if cfg.Algorithm == "" || cfg.Algorithm == AlgBaseline {
+		return nil, true
+	}
 	if cfg.CustomAlgorithm != nil {
 		return cfg.CustomAlgorithm, true
 	}

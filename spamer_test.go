@@ -293,3 +293,18 @@ func TestUnknownAlgorithmPanics(t *testing.T) {
 	}()
 	NewSystem(Config{Algorithm: "bogus"})
 }
+
+// KnownAlgorithm accepts exactly the names NewSystem builds without
+// panicking.
+func TestKnownAlgorithmMatchesNewSystem(t *testing.T) {
+	for _, name := range append(Configs(), "", "zero", "adaptive", "history", "perceptron", "profiled", "dyntuned", "bogus", "VL") {
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			NewSystem(Config{Algorithm: name})
+			return false
+		}()
+		if KnownAlgorithm(name) == panicked {
+			t.Errorf("KnownAlgorithm(%q) = %v, but NewSystem panicked = %v", name, KnownAlgorithm(name), panicked)
+		}
+	}
+}
