@@ -20,7 +20,7 @@ GO ?= go
 # GATE_PCT is the SpecRun ns/op tolerance (spamer benchjson -gate-pct):
 # wide by default because wall time on shared runners jitters; the
 # allocs/op checks are the gate's primary teeth.
-BENCH_JSON ?= BENCH_10.json
+BENCH_JSON ?= BENCH_15.json
 BENCH_BASELINE ?= BENCH_9.json
 # MillionMessage pins b.N to the delivered message count; the dedicated
 # pass below records the true million-message run in $(BENCH_JSON)
@@ -92,11 +92,11 @@ bench-ci:
 	| $(GO) run ./cmd/spamer benchjson -out bench-ci.json -baseline $(BENCH_BASELINE) -gate -gate-pct $(GATE_PCT)
 
 # Race-detector pass over the MillionMessage benchmark: the open-loop
-# engine drives the kernel's process hand-off (one goroutine per
-# simulated thread, exactly one running at a time) millions of times,
-# so every PR runs it once under -race. Iterations are cut well below
-# MM_ITERS — the race runtime is ~10x slower and the goal is coverage
-# of the hand-off protocol, not timing.
+# engine switches between the kernel and the simulated threads'
+# coroutines (pooled iter.Pull runners, exactly one running at a time)
+# millions of times, so every PR runs it once under -race. Iterations
+# are cut well below MM_ITERS — the race runtime is ~10x slower and the
+# goal is coverage of the coroutine switches, not timing.
 MM_RACE_ITERS ?= 20000x
 bench-race:
 	$(GO) test -race -run=NONE -bench=MillionMessage -benchmem -benchtime=$(MM_RACE_ITERS) .

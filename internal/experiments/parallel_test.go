@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"spamer"
 	"spamer/internal/harness"
+	"spamer/internal/sim"
 	"spamer/internal/workloads"
 )
 
@@ -72,6 +76,79 @@ func TestRunMatrixParallelCancelled(t *testing.T) {
 	var he *harness.Error
 	if !errors.As(err, &he) {
 		t.Fatalf("err = %v, want *harness.Error", err)
+	}
+}
+
+// failingTask is a run that cannot complete: four consumers pop a queue
+// nobody pushes, so the run deadlocks, or, with panics set, the first
+// consumer's body panics while the others are parked.
+func failingTask(label string, panics bool) harness.Task[spamer.Result] {
+	return harness.Task[spamer.Result]{Label: label, Run: func(context.Context) (spamer.Result, error) {
+		sys := spamer.NewSystem(spamer.Config{Algorithm: spamer.AlgBaseline})
+		q := sys.NewQueue("q")
+		for i := 0; i < 4; i++ {
+			sys.Spawn("consumer", func(th *spamer.Thread) {
+				rx := q.NewConsumer(th.Proc, 1)
+				th.Compute(10)
+				if panics && i == 0 {
+					panic("boom in " + label)
+				}
+				rx.Pop(th.Proc)
+			})
+		}
+		return sys.Run(), nil
+	}}
+}
+
+// TestBodyPanicIsRunError: a panic inside a simulated thread's body
+// comes back as that run's *harness.Error; the other runs complete.
+func TestBodyPanicIsRunError(t *testing.T) {
+	w, _ := workloads.ByName("ping-pong")
+	tasks := []harness.Task[spamer.Result]{
+		runTask(w, spamer.Config{Algorithm: spamer.AlgBaseline}, 1, "ok-0"),
+		failingTask("panics", true),
+		runTask(w, spamer.Config{Algorithm: spamer.AlgBaseline}, 1, "ok-2"),
+	}
+	outs, m := harness.Run(context.Background(), tasks, harness.Options{Workers: 2})
+	if m.Failed != 1 {
+		t.Fatalf("failed = %d, want 1: %+v", m.Failed, outs)
+	}
+	var he *harness.Error
+	if !errors.As(outs[1].Err, &he) || he.Index != 1 || !strings.Contains(he.Error(), "boom in panics") {
+		t.Fatalf("run 1 err = %v, want *harness.Error carrying the body panic", outs[1].Err)
+	}
+	if outs[0].Err != nil || outs[2].Err != nil || outs[0].Value.Ticks == 0 {
+		t.Fatalf("healthy runs: %+v / %+v", outs[0], outs[2])
+	}
+}
+
+// TestFailedRunsReleaseProcesses: deadlocked and panicking runs leave
+// no parked process behind. Past the first batch, further failures do
+// not grow the goroutine count, apart from idle runners waiting on the
+// kernel's bounded free list.
+func TestFailedRunsReleaseProcesses(t *testing.T) {
+	fail := func(n int) {
+		tasks := make([]harness.Task[spamer.Result], n)
+		for i := range tasks {
+			tasks[i] = failingTask("fail", i%2 == 1)
+		}
+		_, m := harness.Run(context.Background(), tasks, harness.Options{Workers: 2})
+		if m.Failed != n {
+			t.Fatalf("failed = %d, want %d", m.Failed, n)
+		}
+	}
+	busy := func() int { return runtime.NumGoroutine() - sim.IdleRunners() }
+	fail(10)
+	time.Sleep(10 * time.Millisecond) // let the pool's workers exit
+	after10 := busy()
+	fail(40)
+	after40 := busy()
+	for deadline := time.Now().Add(2 * time.Second); after40 > after10 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		after40 = busy()
+	}
+	if after40 > after10 {
+		t.Fatalf("goroutines past idle runners: %d after 10 failing runs, %d after 40 more", after10, after40)
 	}
 }
 

@@ -25,16 +25,12 @@ type SpecResult struct {
 // worker; a failed run surfaces as its spec's Err while the other
 // specs' results — and the spec's own completed algorithms — are kept.
 func RunSpecsParallel(ctx context.Context, specs []Spec, opts harness.Options) []SpecResult {
-	type algRun struct {
-		out Outcome
-		res spamer.Result
-	}
 	type slot struct{ spec, alg int }
 
 	results := make([]SpecResult, len(specs))
 	algsBySpec := make([][]string, len(specs))
-	perSpec := make([][]*harness.Outcome[algRun], len(specs))
-	var tasks []harness.Task[algRun]
+	perSpec := make([][]*harness.Outcome[Outcome], len(specs))
+	var tasks []harness.Task[Outcome]
 	var slots []slot
 	for i := range specs {
 		s := &specs[i]
@@ -48,7 +44,7 @@ func RunSpecsParallel(ctx context.Context, specs []Spec, opts harness.Options) [
 			algs = spamer.Configs()
 		}
 		algsBySpec[i] = algs
-		perSpec[i] = make([]*harness.Outcome[algRun], len(algs))
+		perSpec[i] = make([]*harness.Outcome[Outcome], len(algs))
 		w, _ := s.workload()
 		scale := s.Scale
 		if scale == 0 {
@@ -57,11 +53,13 @@ func RunSpecsParallel(ctx context.Context, specs []Spec, opts harness.Options) [
 		for j, alg := range algs {
 			alg := alg
 			slots = append(slots, slot{spec: i, alg: j})
-			tasks = append(tasks, harness.Task[algRun]{
+			tasks = append(tasks, harness.Task[Outcome]{
 				Label: s.Benchmark + "/" + alg,
-				Run: func(ctx context.Context) (algRun, error) {
-					o, res := s.runAlg(w, alg, scale)
-					return algRun{out: o, res: res}, nil
+				Run: func(ctx context.Context) (Outcome, error) {
+					// Keep only the outcome: the speedup needs just its
+					// Ticks, and a batch holds every run until it ends.
+					o, _ := s.runAlg(w, alg, scale)
+					return o, nil
 				},
 			})
 		}
@@ -88,15 +86,15 @@ func RunSpecsParallel(ctx context.Context, specs []Spec, opts harness.Options) [
 				}
 				continue
 			}
-			r := o.Value
+			out := o.Value
+			res := spamer.Result{Ticks: out.Ticks} // Speedup reads only Ticks
 			if alg == spamer.AlgBaseline {
-				res := r.res
 				base = &res
 			}
 			if base != nil {
-				r.out.SpeedupOverVL = r.res.Speedup(*base)
+				out.SpeedupOverVL = res.Speedup(*base)
 			}
-			results[i].Outcomes = append(results[i].Outcomes, r.out)
+			results[i].Outcomes = append(results[i].Outcomes, out)
 		}
 	}
 	return results

@@ -223,8 +223,8 @@ func (i *ISA) Fetch(p *sim.Proc, snd *Sender, sqi vl.SQI, target mem.Addr) {
 }
 
 // Continuation-passing forms. The blocking forms above charge the op's
-// core-side cycles with p.Sleep, splitting each op across a goroutine
-// handoff; the vlq endpoint state machines instead charge the same cycles
+// core-side cycles with p.Sleep, splitting each op across a process
+// switch; the vlq endpoint state machines instead charge the same cycles
 // with their own AfterFunc events and call these halves directly from the
 // kernel goroutine. NoteX runs at the op's issue tick (the counter bump
 // the blocking form does before its Sleep); EnqueueX runs when the

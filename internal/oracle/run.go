@@ -42,9 +42,6 @@ func RunChecked(w *workloads.Workload, cfg spamer.Config, scale int, trace bool)
 		defer func() {
 			if r := recover(); r != nil {
 				rep.Panic = fmt.Sprint(r)
-				// Release parked thread goroutines so a failing
-				// campaign does not leak one goroutine per thread.
-				sys.Kernel().Drain()
 			}
 		}()
 		w.Build(sys, scale)

@@ -88,9 +88,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	if s.opts.hookSubmitted != nil {
+		s.opts.hookSubmitted(j)
+	}
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	code := http.StatusAccepted
-	if j.terminal() { // cache hit: result is already in the body
+	// Only a cache hit is a 200: a cold job that has already finished by
+	// now is still a fresh simulation.
+	if j.cached {
 		code = http.StatusOK
 	}
 	writeJSON(w, code, j.status())

@@ -55,7 +55,7 @@ type RunProgress struct {
 type job struct {
 	id      string
 	hash    string
-	specs   []experiments.Spec
+	specs   []experiments.Spec // read only by execute; dropped once terminal
 	cached  bool
 	created time.Time
 
@@ -157,6 +157,7 @@ func (j *job) runDone(p harness.Progress) {
 // delivery regardless of channel backlog.
 func (j *job) complete(outcomes []experiments.Outcome, errs []string) {
 	j.mu.Lock()
+	j.specs = nil
 	j.outcomes = outcomes
 	j.errs = errs
 	j.finished = time.Now()
@@ -173,6 +174,7 @@ func (j *job) complete(outcomes []experiments.Outcome, errs []string) {
 func (j *job) completeCached(outcomes []experiments.Outcome) {
 	j.cached = true
 	j.mu.Lock()
+	j.specs = nil
 	j.outcomes = outcomes
 	j.state = StateDone
 	j.done = j.total

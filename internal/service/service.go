@@ -72,6 +72,10 @@ type Options struct {
 	// enters StateRunning and before its simulations start. Test-only:
 	// lets tests gate the executor deterministically.
 	hookRunning func(*job)
+	// hookSubmitted, if set, is called by the submit handler after a
+	// job is admitted and before the reply is written. Test-only: lets
+	// tests finish a cold job before its reply.
+	hookSubmitted func(*job)
 }
 
 func (o Options) withDefaults() Options {

@@ -153,6 +153,48 @@ func TestCacheHitOnSemanticallyIdenticalSpec(t *testing.T) {
 	}
 }
 
+// TestColdJobFinishedBeforeReplyIs202: a cold job that completes
+// before its submit reply is written is still answered 202, not
+// reported as a cache hit.
+func TestColdJobFinishedBeforeReplyIs202(t *testing.T) {
+	_, ts := newTestServer(t, Options{hookSubmitted: func(j *job) { <-j.doneCh }})
+	code, st := submit(t, ts, fastSpec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d, want 202 (cold job)", code)
+	}
+	if st.Cached || st.State != StateDone {
+		t.Fatalf("status: %+v (want done, not cached)", st)
+	}
+	code, st = submit(t, ts, fastSpecReordered)
+	if code != http.StatusOK || !st.Cached {
+		t.Fatalf("resubmit = %d cached=%v, want 200 cache hit", code, st.Cached)
+	}
+}
+
+// TestFinishedJobDropsSpecs: a terminal job, cold or cached, no longer
+// holds its parsed specs; only the executor reads them.
+func TestFinishedJobDropsSpecs(t *testing.T) {
+	srv, ts := newTestServer(t, Options{})
+	_, cold := submit(t, ts, fastSpec)
+	waitState(t, ts, cold.ID, StateDone)
+	code, hit := submit(t, ts, fastSpecReordered)
+	if code != http.StatusOK {
+		t.Fatalf("resubmit = %d, want 200 (cache hit)", code)
+	}
+	for _, id := range []string{cold.ID, hit.ID} {
+		j, ok := srv.lookup(id)
+		if !ok {
+			t.Fatalf("job %s not registered", id)
+		}
+		j.mu.Lock()
+		specs := j.specs
+		j.mu.Unlock()
+		if specs != nil {
+			t.Errorf("job %s still holds %d specs", id, len(specs))
+		}
+	}
+}
+
 // TestQueueFullReturns429: with one gated executor and a depth-1
 // queue, the third submission is shed with 429 + Retry-After, and the
 // rejection is counted.

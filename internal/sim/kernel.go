@@ -163,8 +163,11 @@ func (k *Kernel) dispatchTick(b *bucket) {
 }
 
 // Run dispatches events in (tick, seq) order until the event queue drains,
-// Stop is called, or the watchdog deadline passes.
+// Stop is called, or the watchdog deadline passes. A panic out of an
+// event or a process body (the watchdog's included) drains the kernel on
+// its way to the caller, so a failed run holds no parked runners.
 func (k *Kernel) Run() {
+	defer k.drainOnPanic()
 	k.stopped = false
 	for !k.stopped {
 		b := k.events.startTick(^uint64(0))
@@ -177,8 +180,10 @@ func (k *Kernel) Run() {
 
 // RunUntil dispatches events with tick <= t, then sets now = t. It
 // enforces the same watchdog and monotone-time guards as Run, so a
-// livelock below t panics rather than spinning.
+// livelock below t panics rather than spinning, and drains on a panic
+// exactly as Run does.
 func (k *Kernel) RunUntil(t uint64) {
+	defer k.drainOnPanic()
 	k.stopped = false
 	for !k.stopped {
 		b := k.events.startTick(t)
@@ -193,15 +198,26 @@ func (k *Kernel) RunUntil(t uint64) {
 	}
 }
 
+// drainOnPanic, deferred by the run loops, drains the kernel when a
+// panic unwinds through them and then re-raises it unchanged.
+func (k *Kernel) drainOnPanic() {
+	if r := recover(); r != nil {
+		k.Drain()
+		panic(r)
+	}
+}
+
 // Pending reports the number of queued events.
 func (k *Kernel) Pending() int { return k.events.len() }
 
 // LiveProcs reports the number of spawned processes that have not finished.
 func (k *Kernel) LiveProcs() int { return k.live }
 
-// Drain releases any processes still parked so their goroutines can exit.
-// Call it when abandoning a simulation early (e.g. RunUntil in tests);
-// a fully Run simulation needs no draining.
+// Drain unwinds every process still parked, returning its runner to the
+// free list, and drops all pending events. Run and RunUntil call it when
+// a panic unwinds through them; call it directly when abandoning a
+// simulation early (e.g. after RunUntil in tests). A fully Run
+// simulation needs no draining.
 func (k *Kernel) Drain() {
 	for _, p := range k.procs {
 		if !p.finished && p.started {

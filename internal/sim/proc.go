@@ -1,24 +1,26 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"sync"
+)
 
-// Proc is a cooperative simulation process. A Proc runs on its own
-// goroutine, but the kernel hands control to exactly one goroutine at a
-// time, so process bodies may touch shared simulator state without locks
-// and the interleaving is deterministic.
+// Proc is a cooperative simulation process. A started Proc runs on a
+// runner, a stdlib coroutine (iter.Pull), and the kernel resumes exactly
+// one coroutine at a time from its own goroutine, so process bodies may
+// touch shared simulator state without locks and the interleaving is
+// deterministic.
 //
 // A process body blocks simulated time only through the Proc methods
 // (Sleep, Wait, Yield); ordinary Go computation takes zero simulated time.
 type Proc struct {
-	k    *Kernel
-	name string
-	// sync is the single control-handoff channel. Kernel and process
-	// alternate strictly — the kernel sends to resume the process, the
-	// process sends to park itself — so one unbuffered channel carries
-	// both directions: at any moment at most one side is sending and the
-	// other receiving, and each wake or park is exactly one handoff.
-	sync     chan struct{}
-	body     func(p *Proc) // held until the start event runs, then released
+	k        *Kernel
+	name     string
+	r        *runner       // the coroutine running the body, from start until it returns
+	body     func(p *Proc) // held until the body starts, then released
 	idx      uint64        // procs index << 1: the kernel trampoline's dispatch arg
 	started  bool
 	finished bool
@@ -49,9 +51,8 @@ func (k *Kernel) Go(name string, body func(p *Proc)) *Proc {
 			p := k.procs[a>>1]
 			if a&1 != 0 {
 				p.started = true
-				b := p.body
-				p.body = nil // release the closure once the goroutine owns it
-				go p.run(b)
+				p.r = getRunner()
+				p.r.p = p
 			}
 			p.dispatch()
 		}
@@ -66,7 +67,6 @@ func (k *Kernel) Go(name string, body func(p *Proc)) *Proc {
 	*p = Proc{
 		k:    k,
 		name: name,
-		sync: make(chan struct{}),
 		body: body,
 		idx:  uint64(len(k.procs)) << 1,
 	}
@@ -77,54 +77,133 @@ func (k *Kernel) Go(name string, body func(p *Proc)) *Proc {
 	return p
 }
 
-func (p *Proc) run(body func(p *Proc)) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(procAbort); ok {
-				p.finished = true
-				p.k.live--
-				p.sync <- struct{}{}
-				return
-			}
-			panic(r)
-		}
-	}()
-	<-p.sync
-	body(p)
-	p.finished = true
-	p.k.live--
-	p.sync <- struct{}{}
+// runner is one pulled coroutine that runs process bodies back to back:
+// resuming it (next) runs the current body until the body parks (yield)
+// or returns, and a runner whose body has returned idles in yield until
+// it is handed another process. Finished runners wait on a bounded
+// package-level free list shared by every kernel, because a fresh
+// runner costs 13 allocations and a reused one none.
+type runner struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool // the coroutine's yield, bound on first resume
+	p     *Proc               // the process being run; nil while idle
 }
 
-// dispatch transfers control from the kernel goroutine to the process and
-// waits until the process yields or finishes.
+// maxIdleRunners caps the free list. Each idle runner holds one parked
+// goroutine; runners released past the cap are stopped instead.
+const maxIdleRunners = 256
+
+var idle struct {
+	sync.Mutex
+	free []*runner
+}
+
+// getRunner takes an idle runner off the free list or pulls a new one.
+func getRunner() *runner {
+	idle.Lock()
+	if n := len(idle.free); n > 0 {
+		r := idle.free[n-1]
+		idle.free[n-1] = nil
+		idle.free = idle.free[:n-1]
+		idle.Unlock()
+		return r
+	}
+	idle.Unlock()
+	r := &runner{}
+	r.next, r.stop = iter.Pull(r.loop)
+	return r
+}
+
+// putRunner returns a runner whose body has finished to the free list,
+// or stops it when the list is full.
+func putRunner(r *runner) {
+	idle.Lock()
+	if len(idle.free) < maxIdleRunners {
+		idle.free = append(idle.free, r)
+		idle.Unlock()
+		return
+	}
+	idle.Unlock()
+	r.stop()
+}
+
+// IdleRunners reports how many finished runners wait on the free list,
+// each holding one parked goroutine. It never exceeds a fixed cap, so
+// leak checks subtract it from runtime.NumGoroutine.
+func IdleRunners() int {
+	idle.Lock()
+	defer idle.Unlock()
+	return len(idle.free)
+}
+
+// loop is the runner's coroutine body.
+func (r *runner) loop(yield func(struct{}) bool) {
+	r.yield = yield
+	for {
+		r.p.run()
+		r.p = nil
+		if !yield(struct{}{}) {
+			return // stopped while idle
+		}
+	}
+}
+
+// run executes the body on the runner's coroutine. An abort's procAbort
+// unwind ends here. Any other panic ends the coroutine and is re-raised
+// on the kernel goroutine out of next, so it unwinds through Kernel.Run,
+// which drains the remaining processes, to Run's caller.
+func (p *Proc) run() {
+	defer func() {
+		p.finished = true
+		p.k.live--
+		if r := recover(); r != nil {
+			if _, ok := r.(procAbort); !ok {
+				panic(r)
+			}
+		}
+	}()
+	body := p.body
+	p.body = nil // release the closure once the runner owns it
+	body(p)
+}
+
+// dispatch transfers control from the kernel goroutine to the process
+// until the process yields or finishes.
 func (p *Proc) dispatch() {
 	if p.finished {
 		return
 	}
 	p.wakes++
-	p.sync <- struct{}{}
-	<-p.sync
+	p.resume()
+}
+
+// resume switches to the process's coroutine until the body parks or
+// returns; a finished body's runner goes back on the free list.
+func (p *Proc) resume() {
+	r := p.r
+	r.next()
+	if p.finished {
+		p.r = nil
+		putRunner(r)
+	}
 }
 
 // yield parks the process and returns control to the kernel goroutine.
 // The process stays parked until some event calls dispatch again.
 func (p *Proc) yield() {
-	p.sync <- struct{}{}
-	<-p.sync
-	if p.aborted {
+	if !p.r.yield(struct{}{}) || p.aborted {
 		panic(procAbort{})
 	}
 }
 
-// abort unwinds a parked process so its goroutine exits. Kernel-side only.
+// abort unwinds a parked process so its runner is freed. Kernel-side only.
 func (p *Proc) abort() {
 	if p.finished || !p.started {
 		return
 	}
 	p.aborted = true
-	p.sync <- struct{}{}
-	<-p.sync
+	p.resume()
 }
 
 // Name reports the process name given to Go.
@@ -157,7 +236,7 @@ func (p *Proc) armWait() uint64 { return p.cell.arm(p.idx) }
 // continuation-passing endpoint operations (internal/vlq): the operation
 // schedules its first step with AfterFunc, Parks the body, runs its
 // intermediate steps as plain events on the kernel goroutine, and the
-// final step calls Unpark — one goroutine handoff per operation instead
+// final step calls Unpark — one coroutine switch per operation instead
 // of one per step, with the event schedule unchanged.
 func (p *Proc) Park() { p.yield() }
 

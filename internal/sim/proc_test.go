@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func TestProcSleep(t *testing.T) {
 	k := New()
@@ -271,4 +274,98 @@ func TestExecutedCounter(t *testing.T) {
 	if k.Pending() != 0 {
 		t.Fatalf("pending = %d", k.Pending())
 	}
+}
+
+// recoverRun runs k and returns the value Run panicked with, if any.
+func recoverRun(k *Kernel) (r any) {
+	defer func() { r = recover() }()
+	k.Run()
+	return nil
+}
+
+func TestBodyPanicUnwindsThroughRun(t *testing.T) {
+	k := New()
+	sig := NewSignal("never")
+	k.Go("parked", func(p *Proc) { sig.Wait(p) })
+	k.Go("boom", func(p *Proc) {
+		p.Sleep(5)
+		panic("boom")
+	})
+	if r := recoverRun(k); r != "boom" {
+		t.Fatalf("Run panicked with %v, want the body's panic", r)
+	}
+	if k.LiveProcs() != 0 || k.Pending() != 0 {
+		t.Fatalf("after the panic: LiveProcs = %d, Pending = %d, want 0 (drained)", k.LiveProcs(), k.Pending())
+	}
+}
+
+func TestWatchdogPanicDrains(t *testing.T) {
+	k := New()
+	k.SetDeadline(100)
+	k.Go("spin", func(p *Proc) {
+		for {
+			p.Sleep(10)
+		}
+	})
+	if recoverRun(k) == nil {
+		t.Fatal("watchdog did not fire")
+	}
+	if k.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d after the watchdog, want 0", k.LiveProcs())
+	}
+}
+
+// TestRunnerFreeListBounded: more processes than the free list holds
+// finish, and the list keeps exactly its cap; the rest are stopped.
+func TestRunnerFreeListBounded(t *testing.T) {
+	k := New()
+	for i := 0; i < maxIdleRunners+40; i++ {
+		k.Go("p", func(p *Proc) { p.Sleep(1) })
+	}
+	k.Run()
+	if n := IdleRunners(); n != maxIdleRunners {
+		t.Fatalf("IdleRunners = %d, want the cap %d", n, maxIdleRunners)
+	}
+}
+
+// TestRunnersSharedAcrossKernels runs kernels on several goroutines at
+// once, so runners move between goroutines through the free list; every
+// kernel must still see its own deterministic interleaving.
+func TestRunnersSharedAcrossKernels(t *testing.T) {
+	run := func() uint64 {
+		k := New()
+		ping, pong := NewSignal("ping"), NewSignal("pong")
+		var sum uint64
+		k.Go("consumer", func(p *Proc) {
+			for i := 0; i < 50; i++ {
+				ping.Wait(p)
+				sum = sum*31 + p.Now()
+				pong.Fire()
+			}
+		})
+		k.Go("producer", func(p *Proc) {
+			for i := 0; i < 50; i++ {
+				p.Sleep(uint64(1 + i%3))
+				ping.Fire()
+				pong.Wait(p)
+			}
+		})
+		k.Run()
+		return sum
+	}
+	want := run()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if got := run(); got != want {
+					t.Errorf("concurrent kernel sum = %d, want %d", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -349,9 +349,9 @@ func (pr *Producer) Push(p *sim.Proc, payload uint64) {
 // compute-wake event and every push event are scheduled at the same
 // ticks by AfterFunc calls at the same points of the serialized dispatch
 // order, so (tick, seq) dispatch traces are unchanged — only the
-// goroutine round trip at the sleep/push boundary is elided. Workload
+// coroutine switch at the sleep/push boundary is elided. Workload
 // inner loops of the form Compute(d); Push(...) use it to drop one
-// scheduler hand-off per message.
+// process switch per message.
 func (pr *Producer) PushAfter(p *sim.Proc, d uint64, payload uint64) {
 	if pr.q.closed {
 		panic("vlq: Push on closed queue " + pr.q.name)

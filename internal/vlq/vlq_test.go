@@ -391,7 +391,8 @@ func TestPushOnClosedQueuePanics(t *testing.T) {
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The panic surfaces inside the process goroutine, so recover there.
+	// Recover inside the body: uncaught, the panic would unwind through
+	// Kernel.Run and fail the test instead of being checked here.
 	r.k.Go("late", func(p *sim.Proc) {
 		defer func() {
 			if recover() == nil {

@@ -332,7 +332,10 @@ func (s *System) OnDrain(fn func()) {
 }
 
 // Run drives the simulation until every thread finishes, then gathers
-// the Result. Run may be called once.
+// the Result. Run may be called once. It panics on deadlock (threads
+// still parked with no pending events), on the watchdog deadline, and
+// with any panic raised inside a thread body; each failure first
+// releases every parked thread.
 func (s *System) Run() Result {
 	if s.ran {
 		panic("spamer: Run called twice")
@@ -343,6 +346,7 @@ func (s *System) Run() Result {
 	}
 	s.kernel.Run()
 	if live := s.kernel.LiveProcs(); live != 0 {
+		s.kernel.Drain() // free the parked threads' runners before failing
 		panic(fmt.Sprintf("spamer: deadlock — %d threads still parked with no pending events", live))
 	}
 	for _, fn := range s.onDrain {
