@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race verify-oracle fuzz-smoke fabric-smoke bench bench-ci bench-race repro figures trace sweep latency area ablate tune serve worker clean
+.PHONY: all check fmt-check build vet test test-race verify-oracle fuzz-smoke fabric-smoke bench bench-ci bench-race repro figures trace sweep latency area ablate tune serve worker clean
 
 # BENCH_JSON tracks the perf trajectory across PRs: bump the suffix when
 # a PR materially changes the benchmark surface and commit the new file.
@@ -20,7 +20,7 @@ GO ?= go
 # GATE_PCT is the SpecRun ns/op tolerance (spamer benchjson -gate-pct):
 # wide by default because wall time on shared runners jitters; the
 # allocs/op checks are the gate's primary teeth.
-BENCH_JSON ?= BENCH_15.json
+BENCH_JSON ?= BENCH_16.json
 BENCH_BASELINE ?= BENCH_9.json
 # MillionMessage pins b.N to the delivered message count; the dedicated
 # pass below records the true million-message run in $(BENCH_JSON)
@@ -30,9 +30,13 @@ GATE_PCT ?= 25
 
 all: check
 
-# Everything CI runs: compile, vet, unit tests, and the race detector
-# pass over the harness, service, and fabric worker pools.
-check: build vet test test-race
+# Everything CI runs: formatting, compile, vet, unit tests, and the race
+# detector pass over the harness, service, and fabric worker pools.
+check: fmt-check build vet test test-race
+
+# Fails, listing the files, when any Go file is not gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -92,11 +96,13 @@ bench-ci:
 	| $(GO) run ./cmd/spamer benchjson -out bench-ci.json -baseline $(BENCH_BASELINE) -gate -gate-pct $(GATE_PCT)
 
 # Race-detector pass over the MillionMessage benchmark: the open-loop
-# engine switches between the kernel and the simulated threads'
-# coroutines (pooled iter.Pull runners, exactly one running at a time)
-# millions of times, so every PR runs it once under -race. Iterations
-# are cut well below MM_ITERS — the race runtime is ~10x slower and the
-# goal is coverage of the coroutine switches, not timing.
+# engine's hot path — the kernel, the vlq endpoint state machines and
+# the synthetic shapes' process-free threads, all on the kernel
+# goroutine — runs once under -race per PR. Coroutine processes (pooled
+# iter.Pull runners) are raced by test-race, whose Table-2 and DAG
+# workloads still run blocking bodies. Iterations are cut well below
+# MM_ITERS — the race runtime is ~10x slower and the goal is coverage,
+# not timing.
 MM_RACE_ITERS ?= 20000x
 bench-race:
 	$(GO) test -race -run=NONE -bench=MillionMessage -benchmem -benchtime=$(MM_RACE_ITERS) .

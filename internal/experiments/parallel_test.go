@@ -122,15 +122,61 @@ func TestBodyPanicIsRunError(t *testing.T) {
 	}
 }
 
-// TestFailedRunsReleaseProcesses: deadlocked and panicking runs leave
-// no parked process behind. Past the first batch, further failures do
-// not grow the goroutine count, apart from idle runners waiting on the
+// failingShape is a synthetic-shape run, whose threads are process-free,
+// that cannot complete: the first stash is dropped, so the first stage
+// waits for a message that never lands and the run deadlocks, or, with
+// panics set, the chain's first queue is closed before Run, so the
+// source's first step panics.
+func failingShape(label string, panics bool) harness.Task[spamer.Result] {
+	return harness.Task[spamer.Result]{Label: label, Run: func(context.Context) (spamer.Result, error) {
+		sys := spamer.NewSystem(spamer.Config{Algorithm: spamer.AlgBaseline, FaultDropStash: 1})
+		sh := workloads.Shape{Stages: 3, Messages: 20}
+		sh.Workload().Build(sys, 1)
+		if panics {
+			if err := sys.Queues()[0].Close(); err != nil {
+				return spamer.Result{}, err
+			}
+		}
+		return sys.Run(), nil
+	}}
+}
+
+// TestStepPanicIsRunError: a panic inside a process-free thread's step
+// comes back as that run's *harness.Error; the other runs complete.
+func TestStepPanicIsRunError(t *testing.T) {
+	sh := workloads.Shape{Stages: 3, Messages: 20}
+	tasks := []harness.Task[spamer.Result]{
+		runTask(sh.Workload(), spamer.Config{Algorithm: spamer.AlgBaseline}, 1, "ok-0"),
+		failingShape("panics", true),
+		runTask(sh.Workload(), spamer.Config{Algorithm: spamer.AlgTuned}, 1, "ok-2"),
+	}
+	outs, m := harness.Run(context.Background(), tasks, harness.Options{Workers: 2})
+	if m.Failed != 1 {
+		t.Fatalf("failed = %d, want 1: %+v", m.Failed, outs)
+	}
+	var he *harness.Error
+	if !errors.As(outs[1].Err, &he) || he.Index != 1 || !strings.Contains(he.Error(), "NewProducer on closed queue chain.q0") {
+		t.Fatalf("run 1 err = %v, want *harness.Error carrying the step panic", outs[1].Err)
+	}
+	if outs[0].Err != nil || outs[2].Err != nil || outs[0].Value.Popped != 40 || outs[2].Value.Popped != 40 {
+		t.Fatalf("healthy runs: %+v / %+v", outs[0], outs[2])
+	}
+}
+
+// TestFailedRunsReleaseProcesses: deadlocked and panicking runs, of
+// blocking processes and of process-free synthetic shapes, leave no
+// parked process behind. Past the first batch, further failures do not
+// grow the goroutine count, apart from idle runners waiting on the
 // kernel's bounded free list.
 func TestFailedRunsReleaseProcesses(t *testing.T) {
 	fail := func(n int) {
 		tasks := make([]harness.Task[spamer.Result], n)
 		for i := range tasks {
-			tasks[i] = failingTask("fail", i%2 == 1)
+			if i%4 < 2 {
+				tasks[i] = failingTask("fail", i%2 == 1)
+			} else {
+				tasks[i] = failingShape("fail-shape", i%2 == 1)
+			}
 		}
 		_, m := harness.Run(context.Background(), tasks, harness.Options{Workers: 2})
 		if m.Failed != n {

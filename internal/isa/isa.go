@@ -88,7 +88,7 @@ func (i *ISA) Device() *vl.Device { return i.dev }
 // Select models vl_select: translate a line's virtual address into the
 // system register only vl_push/vl_fetch may read. Pure core-side cost.
 func (i *ISA) Select(p *sim.Proc) {
-	i.stats.Selects++
+	i.NoteSelect()
 	p.Sleep(config.VLSelectCycles)
 }
 
@@ -208,29 +208,28 @@ func (s *Sender) Pending() int { return len(s.q) - s.head }
 // delivery and NACK replay proceed asynchronously. accepted runs (at the
 // acceptance tick) once the device takes ownership; it may be nil.
 func (i *ISA) Push(p *sim.Proc, snd *Sender, sqi vl.SQI, msg mem.Message, accepted func()) {
-	i.stats.Pushes++
+	i.NotePush()
 	p.Sleep(config.VLPushCycles)
-	snd.enqueue(senderOp{sqi: sqi, msg: msg, accepted: accepted, push: true})
+	i.EnqueuePush(snd, sqi, msg, accepted)
 }
 
 // Fetch models vl_fetch through the endpoint's ordered sender: write the
 // selected consumer-line physical address to the device-memory range of
 // consBuf. Posted; NACKs replay in order.
 func (i *ISA) Fetch(p *sim.Proc, snd *Sender, sqi vl.SQI, target mem.Addr) {
-	i.stats.Fetches++
+	i.NoteFetch()
 	p.Sleep(config.VLFetchCycles)
-	snd.enqueue(senderOp{sqi: sqi, target: target})
+	i.EnqueueFetch(snd, sqi, target)
 }
 
-// Continuation-passing forms. The blocking forms above charge the op's
-// core-side cycles with p.Sleep, splitting each op across a process
-// switch; the vlq endpoint state machines instead charge the same cycles
-// with their own AfterFunc events and call these halves directly from the
-// kernel goroutine. NoteX runs at the op's issue tick (the counter bump
-// the blocking form does before its Sleep); EnqueueX runs when the
-// charged cycles have elapsed (the device write the blocking form does
-// after its Sleep returns). The split leaves the event schedule — and
-// therefore the dispatch trace — bit-identical to the blocking forms.
+// Continuation-passing forms. Each operation is two halves: NoteX runs
+// at the op's issue tick (the counter bump), and EnqueueX (SendRegister
+// for spamer_register) runs once the op's core-side cycles have
+// elapsed (the device write). The vlq endpoint state machines charge
+// those cycles with their own AfterFunc events and call the halves from
+// the kernel goroutine; the blocking forms above charge them with
+// p.Sleep between the halves. Both schedule the same events, so the
+// dispatch trace does not depend on the form.
 
 // NoteSelect is the continuation-passing half of Select: issue
 // bookkeeping only, cycles charged by the caller's own event.
@@ -258,8 +257,18 @@ func (i *ISA) EnqueueFetch(snd *Sender, sqi vl.SQI, target mem.Addr) {
 // (specBuf exhausted) and surface as panics at delivery time; the §4.5
 // position is that the OS must manage specBuf like any limited resource.
 func (i *ISA) Register(p *sim.Proc, sqi vl.SQI, base mem.Addr, n int) {
-	i.stats.Registers++
+	i.NoteRegister()
 	p.Sleep(config.SpamerRegCycles)
+	i.SendRegister(sqi, base, n)
+}
+
+// NoteRegister is the continuation-passing issue half of Register.
+func (i *ISA) NoteRegister() { i.stats.Registers++ }
+
+// SendRegister is the continuation-passing completion half of Register:
+// the registration write, sent once the caller's charged cycles have
+// elapsed.
+func (i *ISA) SendRegister(sqi vl.SQI, base mem.Addr, n int) {
 	i.bus.Send(noc.PktRegister, func() {
 		if err := i.dev.Register(sqi, base, n); err != nil {
 			panic(err)

@@ -1,5 +1,5 @@
 // Package sim provides a deterministic discrete-event simulation kernel
-// with cooperative coroutine processes.
+// with cooperative coroutine processes and process-free threads.
 //
 // Time is measured in ticks; by convention one tick is one CPU cycle of the
 // simulated 2 GHz machine (see internal/config). Events scheduled for the
@@ -23,7 +23,8 @@ type Kernel struct {
 	seq    uint64
 	events eventQueue
 	procs  []*Proc
-	live   int // procs spawned and not yet finished
+	tasks  []*Task
+	live   int // procs and tasks spawned and not yet finished
 
 	// Proc spawning support: block storage behind the *Proc pointers and
 	// the shared start/dispatch trampoline Go binds on first use (proc.go).
@@ -210,11 +211,13 @@ func (k *Kernel) drainOnPanic() {
 // Pending reports the number of queued events.
 func (k *Kernel) Pending() int { return k.events.len() }
 
-// LiveProcs reports the number of spawned processes that have not finished.
+// LiveProcs reports the number of spawned processes and process-free
+// threads (GoFunc) that have not finished.
 func (k *Kernel) LiveProcs() int { return k.live }
 
 // Drain unwinds every process still parked, returning its runner to the
-// free list, and drops all pending events. Run and RunUntil call it when
+// free list, exits every process-free thread still live, and drops all
+// pending events, so no further step runs. Run and RunUntil call it when
 // a panic unwinds through them; call it directly when abandoning a
 // simulation early (e.g. after RunUntil in tests). A fully Run
 // simulation needs no draining.
@@ -223,6 +226,9 @@ func (k *Kernel) Drain() {
 		if !p.finished && p.started {
 			p.abort()
 		}
+	}
+	for _, t := range k.tasks {
+		t.Exit()
 	}
 	k.events.reset()
 }

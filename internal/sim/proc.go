@@ -223,37 +223,47 @@ func (p *Proc) Sleep(d uint64) {
 	p.yield()
 }
 
-// armWait issues a wake token for the process's next park. A waker that
-// still holds the current token (a fire with a matching gen) wakes the
-// process; issuing a new token or firing spends the old one, so a process
-// parked on several signals (WaitAny) wakes exactly once and stale
-// wake-ups are ignored. Tokens replace the per-wait closure the seed
-// kernel allocated (waitPoint), making Wait/Fire allocation-free.
-func (p *Proc) armWait() uint64 { return p.cell.arm(p.idx) }
-
-// Park parks the calling process until a kernel-side continuation hands
-// control back with Unpark. It is the blocking half of the
-// continuation-passing endpoint operations (internal/vlq): the operation
-// schedules its first step with AfterFunc, Parks the body, runs its
-// intermediate steps as plain events on the kernel goroutine, and the
-// final step calls Unpark — one coroutine switch per operation instead
-// of one per step, with the event schedule unchanged.
+// Park parks the calling process until its continuation (Resume) runs.
+// It is the blocking half of the continuation-passing endpoint
+// operations (internal/vlq): the blocking form of an operation starts
+// its continuation form with p.Resume() as the continuation and Parks
+// the body; the operation's steps run as plain events on the kernel
+// goroutine, and the last one calls the continuation — one coroutine
+// switch per operation instead of one per step, with the event schedule
+// unchanged.
 func (p *Proc) Park() { p.yield() }
 
-// Unpark resumes a process parked with Park. It must be called from the
-// kernel goroutine (inside an event callback), never from another
-// process; control transfers to the parked body immediately and returns
-// here when the body next blocks — exactly as if the running event had
-// been the process's own wake event.
-func (p *Proc) Unpark() { p.dispatch() }
+// Resume returns the continuation that resumes p where it parked: the
+// kernel's dispatch trampoline with p's index, the same call p's own
+// wake events make. Call it only from the kernel goroutine (inside an
+// event callback), never from a process body; control transfers to the
+// parked body and returns when the body next blocks.
+func (p *Proc) Resume() Cont { return Cont{Fn: p.k.procFn, Arg: p.idx} }
+
+// Cont is a continuation: the step fn(arg) a kernel-side operation
+// calls when it completes, where a blocking operation would return to
+// its caller. A process passes its Resume; a process-free thread (Task)
+// passes one of its own steps, a method value bound once, so handing a
+// continuation over allocates nothing.
+type Cont struct {
+	Fn  func(uint64)
+	Arg uint64
+}
+
+// Call runs the continuation.
+func (c Cont) Call() { c.Fn(c.Arg) }
 
 // WaitCell is the kernel-side analogue of a parked process: a wake token
 // plus the continuation to schedule when it is spent. Procs embed one
 // (continuation = the proc's dispatch); continuation-passing endpoint
 // operations embed their own with the state-machine step as the
-// continuation. Firing a cell schedules the continuation with AfterFunc
-// at delay 0 — the same event a woken process would cost — so replacing a
-// parked process with a cell leaves the dispatch trace bit-identical.
+// continuation. Issuing a new token or firing spends the old one, so a
+// waiter registered on several signals wakes exactly once and stale
+// wake-ups are ignored; tokens replace the per-wait closure the seed
+// kernel allocated, making Wait/Fire allocation-free. Firing a cell
+// schedules the continuation with AfterFunc at delay 0 — the same event
+// a woken process would cost — so replacing a parked process with a
+// cell leaves the dispatch trace bit-identical.
 type WaitCell struct {
 	k   *Kernel
 	fn  func(uint64)
@@ -318,7 +328,7 @@ func NewSignal(name string) *Signal { return &Signal{name: name} }
 
 // Wait parks p until the next Fire.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, waiterRef{c: &p.cell, gen: p.armWait()})
+	s.WaitCell(&p.cell, p.idx)
 	p.yield()
 }
 
@@ -393,9 +403,19 @@ func WaitUntil(p *Proc, sig *Signal, cond func() bool) {
 // one wake token, so the first Fire wakes p and later fires find the
 // token spent and ignore it.
 func WaitAny(p *Proc, sigs ...*Signal) {
-	gen := p.armWait()
-	for _, s := range sigs {
-		s.waiters = append(s.waiters, waiterRef{c: &p.cell, gen: gen})
-	}
+	WaitAnyCell(&p.cell, p.idx, sigs...)
 	p.yield()
+}
+
+// WaitAnyCell registers the cell's continuation, with arg, for the first
+// Fire of any of the given signals. One wake token is armed for all of
+// them, so the first fire schedules the continuation once and later
+// fires, even in the same tick, find the token spent. (Calling
+// Signal.WaitCell once per signal would not do: each call re-arms the
+// cell, spending the registration before it.)
+func WaitAnyCell(c *WaitCell, arg uint64, sigs ...*Signal) {
+	gen := c.arm(arg)
+	for _, s := range sigs {
+		s.waiters = append(s.waiters, waiterRef{c: c, gen: gen})
+	}
 }

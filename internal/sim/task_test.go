@@ -1,0 +1,127 @@
+package sim
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// TestGoFuncTraceMatchesGo: a process-free thread that takes the same
+// delays as a process dispatches the same (tick, seq) trace, start event
+// included, and counts as live exactly as long.
+func TestGoFuncTraceMatchesGo(t *testing.T) {
+	delays := []uint64{0, 7, 3, 0, 12}
+	// run returns the dispatch trace with the live count each event
+	// finds; two unrelated events share the seq counter and look at the
+	// live count mid-run and after the thread ends (tick 22).
+	run := func(spawn func(k *Kernel)) []string {
+		k := New()
+		var out []string
+		k.SetDispatchObserver(func(tick, seq uint64) {
+			out = append(out, fmt.Sprintf("%d/%d live %d", tick, seq, k.LiveProcs()))
+		})
+		k.AfterFunc(5, func(uint64) {}, 0)
+		spawn(k)
+		k.AfterFunc(30, func(uint64) {}, 0)
+		k.Run()
+		return out
+	}
+	procs := run(func(k *Kernel) {
+		k.Go("p", func(p *Proc) {
+			for _, d := range delays {
+				p.Sleep(d)
+			}
+		})
+	})
+	tasks := run(func(k *Kernel) {
+		i := 0
+		var task *Task
+		var step func(uint64)
+		step = func(uint64) {
+			if i == len(delays) {
+				task.Exit()
+				return
+			}
+			k.AfterFunc(delays[i], step, 0)
+			i++
+		}
+		task = k.GoFunc("t", step, 0)
+	})
+	if strings.Join(procs, " ") != strings.Join(tasks, " ") {
+		t.Fatalf("traces differ:\nproc: %v\ntask: %v", procs, tasks)
+	}
+}
+
+// TestDrainExitsTasks: Drain after RunUntil exits a thread that never
+// exits on its own, and no further step runs.
+func TestDrainExitsTasks(t *testing.T) {
+	k := New()
+	steps := 0
+	var step func(uint64)
+	step = func(uint64) {
+		steps++
+		k.AfterFunc(100, step, 0)
+	}
+	task := k.GoFunc("forever", step, 0)
+	k.RunUntil(250)
+	if k.LiveProcs() != 1 || steps != 3 {
+		t.Fatalf("before Drain: LiveProcs = %d, steps = %d, want 1 and 3", k.LiveProcs(), steps)
+	}
+	k.Drain()
+	if k.LiveProcs() != 0 || !task.Exited() {
+		t.Fatalf("after Drain: LiveProcs = %d, exited = %v, want 0 and true", k.LiveProcs(), task.Exited())
+	}
+	k.Run()
+	if steps != 3 {
+		t.Fatalf("a step ran after Drain: steps = %d, want 3", steps)
+	}
+	task.Exit() // exiting a drained thread is a no-op
+	if k.LiveProcs() != 0 {
+		t.Fatalf("Exit after Drain: LiveProcs = %d, want 0", k.LiveProcs())
+	}
+}
+
+// TestStepPanicUnwindsThroughRun: a panic inside a step leaves through
+// Run, which drains the kernel, processes and threads alike.
+func TestStepPanicUnwindsThroughRun(t *testing.T) {
+	k := New()
+	sig := NewSignal("never")
+	k.Go("parked", func(p *Proc) { sig.Wait(p) })
+	var c WaitCell
+	c.Init(k, func(uint64) {})
+	k.GoFunc("waiting", func(uint64) { sig.WaitCell(&c, 0) }, 0)
+	k.GoFunc("boom", func(uint64) { k.AfterFunc(5, func(uint64) { panic("boom") }, 0) }, 0)
+	if r := recoverRun(k); r != "boom" {
+		t.Fatalf("Run panicked with %v, want the step's panic", r)
+	}
+	if k.LiveProcs() != 0 || k.Pending() != 0 {
+		t.Fatalf("after the panic: LiveProcs = %d, Pending = %d, want 0 (drained)", k.LiveProcs(), k.Pending())
+	}
+}
+
+// TestWaitAnyCellWakesOnce: two of the signals fire in the same tick,
+// and the continuation runs once; the next registration wakes again.
+func TestWaitAnyCellWakesOnce(t *testing.T) {
+	k := New()
+	a, b, c := NewSignal("a"), NewSignal("b"), NewSignal("c")
+	var cell WaitCell
+	var wakes []uint64
+	cell.Init(k, func(arg uint64) { wakes = append(wakes, k.Now()*10+arg) })
+	WaitAnyCell(&cell, 1, a, b, c)
+	k.At(10, func() {
+		b.Fire()
+		a.Fire()
+	})
+	k.At(20, func() {
+		c.Fire() // the spent token: no wake
+		WaitAnyCell(&cell, 2, a, c)
+	})
+	k.At(30, func() {
+		a.Fire()
+		c.Fire()
+	})
+	k.Run()
+	if len(wakes) != 2 || wakes[0] != 101 || wakes[1] != 302 {
+		t.Fatalf("wakes (tick*10+arg) = %v, want [101 302]", wakes)
+	}
+}

@@ -220,6 +220,15 @@ func (q *Queue) Closed() bool { return q.closed }
 // Producers returns the queue's producer endpoints.
 func (q *Queue) Producers() []*Producer { return q.producers }
 
+// mustBeOpen panics when the queue is closed. Close returned the SQI to
+// the device and the next NewQueue may already own it, so an endpoint
+// operation on a closed queue would act on another queue's messages.
+func (q *Queue) mustBeOpen(op string) {
+	if q.closed {
+		panic("vlq: " + op + " on closed queue " + q.name)
+	}
+}
+
 // ---------------------------------------------------------------------
 // Producer endpoint.
 // ---------------------------------------------------------------------
@@ -232,10 +241,12 @@ const DefaultWindow = 4
 
 // Producer is a producer endpoint: a page of lines pushed to one SQI.
 //
-// Push runs as a continuation-passing state machine on the kernel
-// goroutine (see pushStep): the calling process parks once for the whole
-// operation instead of once per charged delay, which is where the bulk
-// of a simulated push's host-side cost used to go.
+// Push has one implementation, a continuation-passing state machine on
+// the kernel goroutine (PushThen; see pushStep). The blocking form runs
+// it with the calling process's Resume as the continuation, so the
+// process parks once for the whole operation instead of once per
+// charged delay, which is where the bulk of a simulated push's
+// host-side cost used to go.
 type Producer struct {
 	q      *Queue
 	lib    *Lib
@@ -246,7 +257,6 @@ type Producer struct {
 	credit   sim.Gate // single-waiter window rendezvous; no allocation
 	acceptFn func()   // bound once; the push hot path allocates no closure
 	stepFn   func(uint64)
-	afterFn  func(uint64) // bound on first PushAfter
 	snd      *isa.Sender
 
 	// OnAccept, if non-nil, observes every vl_push of this endpoint the
@@ -258,11 +268,11 @@ type Producer struct {
 	seq         uint64
 	accSeq      uint64 // next sequence to be accepted (acceptance is FIFO)
 
-	// In-flight Push state: the parked body, its payload, and the
-	// message under construction. One Push per endpoint is in flight at
-	// a time (an endpoint belongs to one thread), so the state lives
-	// here rather than per call.
-	pushP       *sim.Proc
+	// In-flight Push state: the continuation to run when the push
+	// completes, its payload, and the message under construction. One
+	// Push per endpoint is in flight at a time (an endpoint belongs to
+	// one thread), so the state lives here rather than per call.
+	then        sim.Cont
 	pushPayload uint64
 	pushMsg     mem.Message
 	cell        sim.WaitCell
@@ -273,11 +283,13 @@ const (
 	prPushCredit   uint64 = iota // library overhead charged; (re-)check the window
 	prPushSelected               // vl_select cycles charged; issue vl_push
 	prPushIssued                 // vl_push cycles charged; hand to the sender
+	prPushWork                   // PushAfter's compute charged; charge the library overhead
 )
 
 // NewProducer subscribes a producer endpoint to the queue. window bounds
 // in-flight pushes; 0 selects DefaultWindow.
 func (q *Queue) NewProducer(window int) *Producer {
+	q.mustBeOpen("NewProducer")
 	if window <= 0 {
 		window = DefaultWindow
 	}
@@ -325,22 +337,21 @@ func (pr *Producer) Seq() uint64 { return pr.seq }
 // Push enqueues one message. The calling process is charged the library
 // overhead plus vl_select+vl_push, then blocks only if the producer's
 // line window is exhausted (ownership of a previous line has not yet
-// transferred to the routing device).
-//
-// The delays are charged by the pushStep state machine on the kernel
-// goroutine; the body parks exactly once. The event schedule — one
-// event per charged delay, one re-check event per credit fire — is
-// bit-identical to the process-blocking form this replaced.
+// transferred to the routing device). It is PushThen with the process's
+// Resume as the continuation, plus one Park.
 func (pr *Producer) Push(p *sim.Proc, payload uint64) {
-	if pr.q.closed {
-		panic("vlq: Push on closed queue " + pr.q.name)
-	}
-	lib := pr.lib
-	pr.pushP = p
-	pr.pushPayload = payload
-	lib.k.AfterFunc(lib.overhead(), pr.stepFn, prPushCredit)
+	pr.PushThen(payload, p.Resume())
 	p.Park()
-	pr.pushP = nil
+}
+
+// PushThen is the continuation form of Push: it starts the push and
+// returns at once, and then runs on the kernel goroutine at the point
+// Push would return. The delays are charged by pushStep's events — one
+// event per charged delay, one re-check event per credit fire — so the
+// dispatch trace does not depend on which form a thread uses.
+func (pr *Producer) PushThen(payload uint64, then sim.Cont) {
+	pr.begin(payload, then)
+	pr.lib.k.AfterFunc(pr.lib.overhead(), pr.stepFn, prPushCredit)
 }
 
 // PushAfter charges the caller d cycles of compute and then pushes
@@ -353,37 +364,34 @@ func (pr *Producer) Push(p *sim.Proc, payload uint64) {
 // inner loops of the form Compute(d); Push(...) use it to drop one
 // process switch per message.
 func (pr *Producer) PushAfter(p *sim.Proc, d uint64, payload uint64) {
-	if pr.q.closed {
-		panic("vlq: Push on closed queue " + pr.q.name)
-	}
-	lib := pr.lib
-	if pr.afterFn == nil {
-		pr.afterFn = pr.pushAfterStep
-	}
-	pr.pushP = p
-	pr.pushPayload = payload
-	lib.k.AfterFunc(d, pr.afterFn, 0)
+	pr.PushAfterThen(d, payload, p.Resume())
 	p.Park()
-	pr.pushP = nil
 }
 
-// pushAfterStep runs at the tick the fused compute finishes — where the
-// blocking form's Sleep would have woken the process — and issues the
-// push exactly as the resumed body would: one overhead-delayed event
-// starting the pushStep machine.
-func (pr *Producer) pushAfterStep(uint64) {
-	lib := pr.lib
-	lib.k.AfterFunc(lib.overhead(), pr.stepFn, prPushCredit)
+// PushAfterThen is the continuation form of PushAfter.
+func (pr *Producer) PushAfterThen(d, payload uint64, then sim.Cont) {
+	pr.begin(payload, then)
+	pr.lib.k.AfterFunc(d, pr.stepFn, prPushWork)
+}
+
+// begin records an in-flight push.
+func (pr *Producer) begin(payload uint64, then sim.Cont) {
+	pr.q.mustBeOpen("Push")
+	pr.pushPayload = payload
+	pr.then = then
 }
 
 // pushStep is the Push state machine, driven by kernel events whose
-// delays charge the op's simulated cycles. Each case runs at the tick
-// the blocking form's process would have resumed at, and performs the
-// same work in the same order, so (tick, seq) dispatch traces are
-// unchanged.
+// delays charge the op's simulated cycles. Each case runs at the tick a
+// process-blocking form would have resumed at, and performs the same
+// work in the same order, so (tick, seq) dispatch traces are unchanged.
 func (pr *Producer) pushStep(state uint64) {
 	lib := pr.lib
 	switch state {
+	case prPushWork:
+		// PushAfter's compute is over, where a Sleep would have woken
+		// the process: issue the push exactly as the resumed body would.
+		lib.k.AfterFunc(lib.overhead(), pr.stepFn, prPushCredit)
 	case prPushCredit:
 		if pr.outstanding >= pr.window {
 			pr.credit.WaitCell(&pr.cell, prPushCredit)
@@ -402,7 +410,7 @@ func (pr *Producer) pushStep(state uint64) {
 		lib.k.AfterFunc(config.VLPushCycles, pr.stepFn, prPushIssued)
 	case prPushIssued:
 		lib.isa.EnqueuePush(pr.snd, pr.q.sqi, pr.pushMsg, pr.acceptFn)
-		pr.pushP.Unpark()
+		pr.then.Call()
 	}
 }
 
@@ -414,8 +422,10 @@ func (pr *Producer) pushStep(state uint64) {
 // popped in round-robin order (the library "would use the cachelines of
 // an endpoint in a round-robin fashion", §3.5).
 //
-// Pop runs as a continuation-passing state machine on the kernel
-// goroutine (see popStep); the calling process parks once per Pop.
+// Each consumer operation has one implementation, a continuation-passing
+// state machine on the kernel goroutine (see step): the ...Then form
+// starts it, and the blocking form is that form with the calling
+// process's Resume as the continuation plus one Park.
 type Consumer struct {
 	q     *Queue
 	lib   *Lib
@@ -431,38 +441,46 @@ type Consumer struct {
 	// endpoint (tick, target line index). Used by the Figure 7 tracer.
 	OnFetch func(tick uint64, lineIdx int)
 
-	next   int
-	polls  uint64
-	popped uint64
+	polls uint64
 
 	// Demand-request bookkeeping. Requests are posted strictly
 	// round-robin over the endpoint lines — request j names line
 	// j mod nlines — so the routing device's FIFO matching delivers
-	// message m into line m mod nlines, exactly the line the m-th Pop
-	// reads. (An earlier design let Pop and Prefetch post for
-	// independent lines; interleavings then delivered fills out of the
-	// pop rotation and deadlocked multi-queue workloads.)
+	// message m into line m mod nlines, exactly the line the pop
+	// taking message m reads. (An earlier design let Pop and Prefetch
+	// post for independent lines; interleavings then delivered fills
+	// out of the pop rotation and deadlocked multi-queue workloads.)
 	postedCount uint64 // requests posted (P); request j targets line j%n
-	popsStarted uint64 // pops begun (K); pop k reads line k%n
+	popped      uint64 // messages taken (K); the next pop reads line K%n
 
-	// In-flight Pop state: the parked body, the pop's sequence number
-	// and target line, and the message handed back. One Pop per
-	// endpoint is in flight at a time.
-	popP    *sim.Proc
-	popK    uint64
-	popLine *mem.Line
-	popMsg  mem.Message
-	cell    sim.WaitCell
+	// In-flight operation state: the continuation to run when the
+	// operation completes, the line it reads, PopOrDone's done signal
+	// and check (nil for Pop), and the outcome handed back. One
+	// operation per endpoint is in flight at a time.
+	then   sim.Cont
+	line   *mem.Line
+	done   *sim.Signal
+	isDone func() bool
+	msg    mem.Message
+	ok     bool
+	cell   sim.WaitCell
 }
 
-// Pop state-machine steps (the uint64 event argument of stepFn).
+// Consumer state-machine steps (the uint64 event argument of stepFn).
 const (
-	coPopStart      uint64 = iota // library overhead charged; begin the pop
-	coPopFetchSel                 // vl_select cycles charged; issue vl_fetch
-	coPopFetchIssue               // vl_fetch cycles charged; hand to the sender
-	coPopTouch                    // eviction refetch penalty charged; restore residency
-	coPopCheck                    // a fill (or eviction) fired OnFill; re-check the line
-	coPopLoad                     // L1 hit latency charged; take the message if still valid
+	coPop           uint64 = iota // library overhead charged; begin a Pop or PopOrDone
+	coFetchSel                    // vl_select cycles charged; issue vl_fetch
+	coFetchIssue                  // vl_fetch cycles charged; hand to the sender, then re-check
+	coTouch                       // eviction refetch penalty charged; restore residency
+	coCheck                       // a fill (or eviction, or done) fired; re-check the line
+	coLoad                        // L1 hit latency charged; take the message if still valid
+	coPrefetch                    // library overhead charged; post a request if one is owed
+	coPrefetchSel                 // vl_select cycles charged; issue Prefetch's vl_fetch
+	coPrefetchIssue               // vl_fetch cycles charged; hand to the sender, then complete
+	coTry                         // library overhead charged; TryPop takes only a valid line
+	coTryTouch                    // TryPop's eviction refetch penalty charged
+	coTryLoad                     // TryPop's L1 hit latency charged
+	coRegister                    // spamer_register cycles charged; send the registration
 )
 
 // NewConsumer subscribes a consumer endpoint with nlines buffer lines.
@@ -471,9 +489,24 @@ const (
 // never issues vl_fetch. With spec false the endpoint is a legacy
 // demand-driven VL endpoint.
 //
-// Registration happens from a short-lived setup process, mirroring the
-// library function that creates consumer endpoints (§3.4).
+// Registration charges the calling process, mirroring the library
+// function that creates consumer endpoints (§3.4); it is NewConsumerThen
+// with the process's Resume as the continuation, parking only when the
+// endpoint registers.
 func (q *Queue) NewConsumer(p *sim.Proc, nlines int, spec bool) *Consumer {
+	c, pending := q.NewConsumerThen(nlines, spec, p.Resume())
+	if pending {
+		p.Park()
+	}
+	return c
+}
+
+// NewConsumerThen is the continuation form of NewConsumer. When the
+// endpoint registers its lines it returns pending = true, and then runs
+// once spamer_register has been issued; otherwise it schedules nothing
+// and then never runs.
+func (q *Queue) NewConsumerThen(nlines int, spec bool, then sim.Cont) (c *Consumer, pending bool) {
+	q.mustBeOpen("NewConsumer")
 	if nlines <= 0 {
 		nlines = 1
 	}
@@ -482,7 +515,7 @@ func (q *Queue) NewConsumer(p *sim.Proc, nlines int, spec bool) *Consumer {
 		lib.consArena = make([]Consumer, 0, arenaBlock)
 	}
 	lib.consArena = lib.consArena[:len(lib.consArena)+1]
-	c := &lib.consArena[len(lib.consArena)-1]
+	c = &lib.consArena[len(lib.consArena)-1]
 	*c = Consumer{
 		q:     q,
 		lib:   lib,
@@ -492,20 +525,23 @@ func (q *Queue) NewConsumer(p *sim.Proc, nlines int, spec bool) *Consumer {
 		spec:  spec,
 		snd:   lib.isa.NewFetchSender(),
 	}
-	c.stepFn = c.popStep
+	c.stepFn = c.step
 	c.cell.Init(lib.k, c.stepFn)
 	q.consumers = append(q.consumers, c)
-	if spec {
-		if lib.Limits.MaxSpecLines > 0 && lib.specLines+nlines > lib.Limits.MaxSpecLines {
-			// §3.6 resource cap: the endpoint degrades to demand-driven
-			// rather than letting one process monopolize specBuf.
-			c.spec = false
-			return c
-		}
-		lib.specLines += nlines
-		lib.isa.Register(p, q.sqi, c.page.Base, nlines)
+	if !spec {
+		return c, false
 	}
-	return c
+	if lib.Limits.MaxSpecLines > 0 && lib.specLines+nlines > lib.Limits.MaxSpecLines {
+		// §3.6 resource cap: the endpoint degrades to demand-driven
+		// rather than letting one process monopolize specBuf.
+		c.spec = false
+		return c, false
+	}
+	lib.specLines += nlines
+	c.then = then
+	lib.isa.NoteRegister()
+	lib.k.AfterFunc(config.SpamerRegCycles, c.stepFn, coRegister)
+	return c, true
 }
 
 // ID returns the endpoint's index within its queue.
@@ -517,6 +553,11 @@ func (c *Consumer) SpecEnabled() bool { return c.spec }
 // Lines exposes the endpoint's buffer lines (stats/tracing).
 func (c *Consumer) Lines() []*mem.Line { return c.page.Lines }
 
+// Result reports the outcome of the endpoint's last completed Pop,
+// PopOrDone or TryPop: the message and whether one was taken. A thread
+// using the continuation forms reads it in the continuation.
+func (c *Consumer) Result() (mem.Message, bool) { return c.msg, c.ok }
+
 // totalFills sums fills across the endpoint lines; in demand mode every
 // fill consumed exactly one posted request.
 func (c *Consumer) totalFills() uint64 {
@@ -527,17 +568,10 @@ func (c *Consumer) totalFills() uint64 {
 	return f
 }
 
-// postFetchNext issues the next request of the endpoint's round-robin
-// request stream.
-func (c *Consumer) postFetchNext(p *sim.Proc) {
-	lib := c.lib
-	i := int(c.postedCount) % len(c.page.Lines)
-	lib.isa.Select(p)
-	lib.isa.Fetch(p, c.snd, c.q.sqi, c.page.Lines[i].Addr)
-	c.postedCount++
-	if c.OnFetch != nil {
-		c.OnFetch(p.Now(), i)
-	}
+// begin records an in-flight operation.
+func (c *Consumer) begin(op string, then sim.Cont) {
+	c.q.mustBeOpen(op)
+	c.then = then
 }
 
 // Prefetch posts one demand request ahead of need — even when its target
@@ -552,13 +586,21 @@ func (c *Consumer) postFetchNext(p *sim.Proc) {
 // At most one unconsumed request per line is kept outstanding.
 // Spec-enabled endpoints never request, so Prefetch is a no-op for them.
 func (c *Consumer) Prefetch(p *sim.Proc) {
+	if c.PrefetchThen(p.Resume()) {
+		p.Park()
+	}
+}
+
+// PrefetchThen is the continuation form of Prefetch. On a spec-enabled
+// endpoint it schedules nothing, returns false, and then never runs;
+// otherwise it returns true and then runs where Prefetch would return.
+func (c *Consumer) PrefetchThen(then sim.Cont) bool {
+	c.begin("Prefetch", then)
 	if c.spec {
-		return
+		return false
 	}
-	p.Sleep(c.lib.overhead())
-	if c.postedCount-c.totalFills() < uint64(len(c.page.Lines)) {
-		c.postFetchNext(p)
-	}
+	c.lib.k.AfterFunc(c.lib.overhead(), c.stepFn, coPrefetch)
+	return true
 }
 
 // Pop dequeues one message, blocking the calling process until data is
@@ -570,100 +612,14 @@ func (c *Consumer) Prefetch(p *sim.Proc) {
 // Spec-enabled endpoints skip the request entirely; the routing device
 // is expected to push speculatively.
 func (c *Consumer) Pop(p *sim.Proc) mem.Message {
-	c.popP = p
-	c.lib.k.AfterFunc(c.lib.overhead(), c.stepFn, coPopStart)
+	c.PopThen(p.Resume())
 	p.Park()
-	c.popP = nil
-	return c.popMsg
+	return c.msg
 }
 
-// popStep is the Pop state machine, driven by kernel events whose delays
-// charge the op's simulated cycles. Each case runs at the tick the
-// process-blocking form's body would have resumed at and performs the
-// same work in the same order — including the unguided-prerequest fetch
-// loop, the eviction refetch, and the load-to-use recheck — so (tick,
-// seq) dispatch traces are unchanged.
-func (c *Consumer) popStep(state uint64) {
-	switch state {
-	case coPopStart:
-		k := c.popsStarted
-		c.popsStarted++
-		c.popK = k
-		idx := int(k) % len(c.page.Lines)
-		c.popLine = c.page.Lines[idx]
-		c.next = (int(k) + 1) % len(c.page.Lines)
-		c.popFetchLoop()
-	case coPopFetchSel:
-		c.lib.isa.NoteFetch()
-		c.lib.k.AfterFunc(config.VLFetchCycles, c.stepFn, coPopFetchIssue)
-	case coPopFetchIssue:
-		i := int(c.postedCount) % len(c.page.Lines)
-		c.lib.isa.EnqueueFetch(c.snd, c.q.sqi, c.page.Lines[i].Addr)
-		c.postedCount++
-		if c.OnFetch != nil {
-			c.OnFetch(c.lib.k.Now(), i)
-		}
-		c.popFetchLoop()
-	case coPopTouch:
-		// Residency re-established after the refetch penalty (the
-		// waiting consumer's load missed; Touch restores a written-back
-		// message, firing OnFill for any sibling waiters).
-		c.popLine.Touch()
-		c.popAwait()
-	case coPopCheck:
-		c.popAwait()
-	case coPopLoad:
-		// Load-to-use complete. The eviction timer can fire during the
-		// hit-latency delay; the write-back preserves the message, so
-		// fall back into the wait loop to refetch it.
-		if c.popLine.State == mem.LineValid {
-			c.popFinish()
-			return
-		}
-		c.popAwait()
-	}
-}
-
-// popFetchLoop posts the demand requests owed before pop popK may
-// complete ("ensure the k-th fill has a request" — the unguided
-// prerequest of §4.2), one vl_select+vl_fetch pair per iteration, then
-// falls into the line-wait loop. Spec-enabled endpoints post nothing.
-func (c *Consumer) popFetchLoop() {
-	if !c.spec && c.postedCount <= c.popK {
-		c.lib.isa.NoteSelect()
-		c.lib.k.AfterFunc(config.VLSelectCycles, c.stepFn, coPopFetchSel)
-		return
-	}
-	c.popAwait()
-}
-
-// popAwait advances the wait-for-data loop one step: valid lines proceed
-// to the load-to-use delay, evicted lines pay the refetch penalty, and
-// empty lines park the state machine on OnFill.
-func (c *Consumer) popAwait() {
-	switch c.popLine.State {
-	case mem.LineValid:
-		c.lib.k.AfterFunc(config.L1HitCycles, c.stepFn, coPopLoad)
-	case mem.LineEvicted:
-		c.lib.k.AfterFunc(config.EvictPenalty, c.stepFn, coPopTouch)
-	default:
-		c.polls++
-		c.popLine.OnFill.WaitCell(&c.cell, coPopCheck)
-	}
-}
-
-// popFinish takes the message and resumes the parked body.
-func (c *Consumer) popFinish() {
-	line := c.popLine
-	line.NoteFirstUse(line.Msg)
-	msg := line.Take()
-	c.popped++
-	if c.probe != nil {
-		c.probe.Pop(c.q, c.id, c.lib.k.Now(), msg)
-	}
-	c.popMsg = msg
-	c.popP.Unpark()
-}
+// PopThen is the continuation form of Pop: then runs where Pop would
+// return, and Result reports the message.
+func (c *Consumer) PopThen(then sim.Cont) { c.PopOrDoneThen(nil, nil, then) }
 
 // PopOrDone dequeues one message like Pop, but also returns (with
 // ok=false) if the done signal fires while waiting and isDone reports
@@ -672,77 +628,188 @@ func (c *Consumer) popFinish() {
 // that takes the last message fires done, releasing siblings blocked on
 // lines that will never fill again. A request posted by a demand
 // endpoint may stay parked at the routing device; that is harmless once
-// no producer data remains.
+// no producer data remains. Unlike Pop, it posts a request only when
+// the line holds no data and isDone reports false.
 func (c *Consumer) PopOrDone(p *sim.Proc, done *sim.Signal, isDone func() bool) (mem.Message, bool) {
-	lib := c.lib
-	p.Sleep(lib.overhead())
-	k := c.popsStarted
-	idx := int(k) % len(c.page.Lines)
-	line := c.page.Lines[idx]
-	if !c.spec && line.State != mem.LineValid && !isDone() {
-		for c.postedCount <= k {
-			c.postFetchNext(p)
-		}
-	}
-	for {
-		for line.State != mem.LineValid {
-			if line.State == mem.LineEvicted {
-				p.Sleep(config.EvictPenalty)
-				line.Touch()
-				continue
-			}
-			if isDone() {
-				return mem.Message{}, false
-			}
-			c.polls++
-			sim.WaitAny(p, &line.OnFill, done)
-		}
-		p.Sleep(config.L1HitCycles)
-		// The eviction timer can fire during the hit-latency sleep; the
-		// write-back preserves the message, so loop to refetch it.
-		if line.State == mem.LineValid {
-			break
-		}
-	}
-	c.popsStarted++
-	c.next = (int(k) + 1) % len(c.page.Lines)
-	line.NoteFirstUse(line.Msg)
-	msg := line.Take()
-	c.popped++
-	if c.probe != nil {
-		c.probe.Pop(c.q, c.id, p.Now(), msg)
-	}
-	return msg, true
+	c.PopOrDoneThen(done, isDone, p.Resume())
+	p.Park()
+	return c.msg, c.ok
+}
+
+// PopOrDoneThen is the continuation form of PopOrDone: then runs where
+// PopOrDone would return, and Result reports its outcome. isDone is
+// kept until the pop completes, so pass a func bound once rather than a
+// fresh closure per call. With a nil done it is PopThen.
+func (c *Consumer) PopOrDoneThen(done *sim.Signal, isDone func() bool, then sim.Cont) {
+	c.begin("Pop", then)
+	c.done, c.isDone = done, isDone
+	c.lib.k.AfterFunc(c.lib.overhead(), c.stepFn, coPop)
 }
 
 // TryPop dequeues a message only if one is immediately available in the
 // next line, charging the library overhead either way. It never issues a
-// request and never blocks. Used by polling-style consumers.
+// request and never blocks on data. Used by polling-style consumers.
 func (c *Consumer) TryPop(p *sim.Proc) (mem.Message, bool) {
-	lib := c.lib
-	p.Sleep(lib.overhead())
-	line := c.page.Lines[int(c.popsStarted)%len(c.page.Lines)]
-	if line.State != mem.LineValid {
-		return mem.Message{}, false
-	}
-	c.popsStarted++
-	c.next = (c.next + 1) % len(c.page.Lines)
-	p.Sleep(config.L1HitCycles)
-	for line.State == mem.LineEvicted {
-		// Evicted during the hit-latency sleep: the write-back preserved
-		// the message, so pay the refetch and take it.
-		p.Sleep(config.EvictPenalty)
-		line.Touch()
-	}
-	line.NoteFirstUse(line.Msg)
-	msg := line.Take()
-	c.popped++
-	if c.probe != nil {
-		c.probe.Pop(c.q, c.id, p.Now(), msg)
-	}
-	return msg, true
+	c.TryPopThen(p.Resume())
+	p.Park()
+	return c.msg, c.ok
 }
 
-// Polls reports how many times Pop parked waiting for a fill (slow-path
-// entries).
+// TryPopThen is the continuation form of TryPop: then runs where TryPop
+// would return, and Result reports its outcome.
+func (c *Consumer) TryPopThen(then sim.Cont) {
+	c.begin("TryPop", then)
+	c.lib.k.AfterFunc(c.lib.overhead(), c.stepFn, coTry)
+}
+
+// step is the consumer state machine, driven by kernel events whose
+// delays charge the op's simulated cycles. Each case runs at the tick a
+// process-blocking form's body would have resumed at and performs the
+// same work in the same order — including the unguided-prerequest fetch
+// loop, the eviction refetch, and the load-to-use recheck — so (tick,
+// seq) dispatch traces are unchanged.
+func (c *Consumer) step(state uint64) {
+	switch state {
+	case coPop:
+		c.line = c.page.Lines[int(c.popped)%len(c.page.Lines)]
+		if !c.spec && (c.done == nil || (c.line.State != mem.LineValid && !c.isDone())) {
+			c.fetchLoop()
+			return
+		}
+		c.await()
+	case coFetchSel:
+		c.fetchSelected(coFetchIssue)
+	case coPrefetchSel:
+		c.fetchSelected(coPrefetchIssue)
+	case coFetchIssue:
+		c.issueFetch()
+		c.fetchLoop()
+	case coTouch:
+		// Residency re-established after the refetch penalty (the
+		// waiting consumer's load missed; Touch restores a written-back
+		// message, firing OnFill for any sibling waiters).
+		c.line.Touch()
+		c.await()
+	case coCheck:
+		c.await()
+	case coLoad:
+		// Load-to-use complete. The eviction timer can fire during the
+		// hit-latency delay; the write-back preserves the message, so
+		// fall back into the wait loop to refetch it.
+		if c.line.State == mem.LineValid {
+			c.take()
+			return
+		}
+		c.await()
+	case coPrefetch:
+		if c.postedCount-c.totalFills() < uint64(len(c.page.Lines)) {
+			c.postFetch(coPrefetchSel)
+			return
+		}
+		c.then.Call()
+	case coPrefetchIssue:
+		c.issueFetch()
+		c.then.Call()
+	case coTry:
+		c.line = c.page.Lines[int(c.popped)%len(c.page.Lines)]
+		if c.line.State != mem.LineValid {
+			c.msg, c.ok = mem.Message{}, false
+			c.then.Call()
+			return
+		}
+		c.lib.k.AfterFunc(config.L1HitCycles, c.stepFn, coTryLoad)
+	case coTryTouch:
+		c.line.Touch()
+		fallthrough
+	case coTryLoad:
+		// Evicted during the hit-latency delay: the write-back preserved
+		// the message, so pay the refetch and take it.
+		if c.line.State == mem.LineEvicted {
+			c.lib.k.AfterFunc(config.EvictPenalty, c.stepFn, coTryTouch)
+			return
+		}
+		c.take()
+	case coRegister:
+		c.lib.isa.SendRegister(c.q.sqi, c.page.Base, len(c.page.Lines))
+		c.then.Call()
+	}
+}
+
+// fetchLoop posts the demand requests owed before the pop may complete
+// ("ensure the k-th fill has a request" — the unguided prerequest of
+// §4.2), one vl_select+vl_fetch pair per iteration, then falls into the
+// line-wait loop.
+func (c *Consumer) fetchLoop() {
+	if c.postedCount <= c.popped {
+		c.postFetch(coFetchSel)
+		return
+	}
+	c.await()
+}
+
+// postFetch starts the next request of the endpoint's round-robin
+// request stream: vl_select now, vl_fetch at the sel step.
+func (c *Consumer) postFetch(sel uint64) {
+	c.lib.isa.NoteSelect()
+	c.lib.k.AfterFunc(config.VLSelectCycles, c.stepFn, sel)
+}
+
+// fetchSelected issues vl_fetch once vl_select is charged; the issue
+// step runs when vl_fetch is charged.
+func (c *Consumer) fetchSelected(issue uint64) {
+	c.lib.isa.NoteFetch()
+	c.lib.k.AfterFunc(config.VLFetchCycles, c.stepFn, issue)
+}
+
+// issueFetch hands the request posted by postFetch to the sender once
+// its cycles are charged.
+func (c *Consumer) issueFetch() {
+	i := int(c.postedCount) % len(c.page.Lines)
+	c.lib.isa.EnqueueFetch(c.snd, c.q.sqi, c.page.Lines[i].Addr)
+	c.postedCount++
+	if c.OnFetch != nil {
+		c.OnFetch(c.lib.k.Now(), i)
+	}
+}
+
+// await advances the wait-for-data loop one step: valid lines proceed to
+// the load-to-use delay, evicted lines pay the refetch penalty, and
+// empty lines park the state machine on OnFill — and, for PopOrDone, on
+// done too, unless isDone already reports true.
+func (c *Consumer) await() {
+	switch c.line.State {
+	case mem.LineValid:
+		c.lib.k.AfterFunc(config.L1HitCycles, c.stepFn, coLoad)
+	case mem.LineEvicted:
+		c.lib.k.AfterFunc(config.EvictPenalty, c.stepFn, coTouch)
+	default:
+		if c.done == nil {
+			c.polls++
+			c.line.OnFill.WaitCell(&c.cell, coCheck)
+			return
+		}
+		if c.isDone() {
+			c.msg, c.ok = mem.Message{}, false
+			c.then.Call()
+			return
+		}
+		c.polls++
+		sim.WaitAnyCell(&c.cell, coCheck, &c.line.OnFill, c.done)
+	}
+}
+
+// take takes the message from the line and completes the operation.
+func (c *Consumer) take() {
+	line := c.line
+	line.NoteFirstUse(line.Msg)
+	c.msg, c.ok = line.Take(), true
+	c.popped++
+	if c.probe != nil {
+		c.probe.Pop(c.q, c.id, c.lib.k.Now(), c.msg)
+	}
+	c.then.Call()
+}
+
+// Polls reports how many times a pop parked waiting for a fill
+// (slow-path entries).
 func (c *Consumer) Polls() uint64 { return c.polls }

@@ -403,3 +403,51 @@ func TestPushOnClosedQueuePanics(t *testing.T) {
 	})
 	r.k.Run()
 }
+
+// TestConsumerOpsOnClosedQueuePanic: Close returns the SQI to the
+// device and the next NewQueue recycles it, so a consumer operation on
+// the closed queue must panic rather than request, or take, the new
+// queue's messages.
+func TestConsumerOpsOnClosedQueuePanic(t *testing.T) {
+	r := newRig(false)
+	q := r.lib.NewQueue("q")
+	var c *Consumer
+	r.k.Go("setup", func(p *sim.Proc) { c = q.NewConsumer(p, 2, false) })
+	r.k.Run()
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	q2 := r.lib.NewQueue("q2")
+	if q2.SQI() != q.SQI() {
+		t.Fatalf("SQI not recycled: %d vs %d", q2.SQI(), q.SQI())
+	}
+	r.k.Go("producer", func(p *sim.Proc) { q2.NewProducer(0).Push(p, 77) })
+	r.k.Run()
+	ops := []struct {
+		name string
+		op   func(p *sim.Proc)
+	}{
+		{"Pop", func(p *sim.Proc) { c.Pop(p) }},
+		{"PopOrDone", func(p *sim.Proc) { c.PopOrDone(p, sim.NewSignal("done"), func() bool { return false }) }},
+		{"TryPop", func(p *sim.Proc) { c.TryPop(p) }},
+		{"Prefetch", func(p *sim.Proc) { c.Prefetch(p) }},
+		{"NewConsumer", func(p *sim.Proc) { q.NewConsumer(p, 2, false) }},
+		{"NewProducer", func(p *sim.Proc) { q.NewProducer(0) }},
+	}
+	for _, o := range ops {
+		// Recover inside the body: uncaught, the panic would unwind
+		// through Kernel.Run and fail the test instead of being checked.
+		r.k.Go("late", func(p *sim.Proc) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on closed queue did not panic", o.name)
+				}
+			}()
+			o.op(p)
+		})
+		r.k.Run()
+	}
+	if n := q.Popped(); n != 0 {
+		t.Fatalf("the closed queue's consumer took %d message(s) pushed on the queue that reuses its SQI", n)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spamer"
+	"spamer/internal/sim"
 	"spamer/internal/traffic"
 	"spamer/internal/vlq"
 	"spamer/internal/workloads/dag"
@@ -203,64 +204,197 @@ func (sh *Shape) Workload() *Workload {
 	}
 }
 
-// produce pushes n messages with the shape's work/burst pattern. The
-// payload mixes the producer id into a multiplicative hash so corrupted
-// or cross-wired deliveries cannot alias to a valid payload by accident.
-func (sh *Shape) produce(t *spamer.Thread, tx *spamer.Producer, id, n int) {
-	if sh.Arrival != nil {
-		sh.produceOpen(t, tx, id, n)
-		return
-	}
-	for i := 0; i < n; i++ {
-		if sh.ProdWork > 0 {
-			t.Compute(sh.ProdWork)
-		}
-		if sh.Burst > 0 && i > 0 && i%sh.Burst == 0 {
-			t.Compute(sh.burstGap())
-		}
-		tx.Push(t.Proc, payloadFor(id, i))
-	}
-}
+// The synthetic shapes run their threads process-free
+// (System.SpawnFunc): each thread is a state machine whose steps are
+// kernel events and the continuations of the queue operations, so a
+// message costs no coroutine switch. Each Compute stays its own
+// AfterFunc event — fusing two consecutive ones would renumber every
+// later event — and each queue operation starts at the step where a
+// blocking body would call it, so the dispatch trace is the one
+// blocking bodies produce (TestGoldenShapeTraces pins it).
 
 // arrivalChunk sizes the pooled arrival-record block each open-loop
 // producer refills in place — large enough to amortize the refill loop,
 // small enough to stay cache-resident.
 const arrivalChunk = 256
 
-// produceOpen pushes n messages on the open-loop schedule drawn from
-// sh.Arrival: the producer idles until each arrival tick, then pushes.
-// A producer that falls behind (the queue window stalled it past the
-// next arrival) pushes immediately — the schedule never slips, which is
-// the open-loop contract. One chunk buffer is reused for the whole run,
-// so the steady state allocates nothing per message.
-func (sh *Shape) produceOpen(t *spamer.Thread, tx *spamer.Producer, id, n int) {
-	src := traffic.NewSource(*sh.Arrival, id)
-	buf := make([]uint64, arrivalChunk)
-	if n < len(buf) {
-		buf = buf[:n]
-	}
-	done := 0
-	for done < n {
-		src.Fill(buf)
-		for _, at := range buf {
-			if done >= n {
-				break
-			}
-			if now := t.Now(); now < at {
-				t.Compute(at - now)
-			}
-			if sh.ProdWork > 0 {
-				t.Compute(sh.ProdWork)
-			}
-			tx.Push(t.Proc, payloadFor(id, done))
-			done++
+// producer is a source thread, the chain's first stage or one fan
+// producer: it pushes n messages with the shape's work/burst pattern,
+// or, when sh.Arrival is set, on the open-loop schedule drawn from it.
+type producer struct {
+	sh   *Shape
+	k    *sim.Kernel
+	task *sim.Task
+	q    *spamer.Queue
+	tx   *spamer.Producer
+	id   int
+	i, n int // messages pushed, messages to push
+	step func(uint64)
+
+	// Open loop: the arrival source and one chunk of arrival ticks,
+	// refilled in place, so the steady state allocates nothing per
+	// message.
+	src *traffic.Source
+	buf []uint64
+	pos int
+}
+
+// producer steps.
+const (
+	prodStart  uint64 = iota // open the endpoint
+	prodNext                 // push message i, or exit after the last
+	prodWork                 // charge ProdWork (once an open-loop arrival is due)
+	prodGap                  // charge the burst gap at a burst boundary
+	prodPush                 // push message i
+	prodPushed               // message i pushed
+)
+
+func (sh *Shape) spawnProducer(sys *spamer.System, name string, q *spamer.Queue, id, n int) {
+	m := &producer{sh: sh, k: sys.Kernel(), q: q, id: id, n: n}
+	m.step = m.run
+	m.task = sys.SpawnFunc(name, m.step, prodStart).Task
+}
+
+func (m *producer) run(state uint64) {
+	sh := m.sh
+	switch state {
+	case prodStart:
+		m.tx = m.q.NewProducer(sh.Window)
+		if sh.Arrival != nil {
+			m.src = traffic.NewSource(*sh.Arrival, m.id)
+			m.buf = make([]uint64, min(arrivalChunk, m.n))
+			m.pos = len(m.buf)
 		}
+		fallthrough
+	case prodNext:
+		if m.i == m.n {
+			m.task.Exit()
+			return
+		}
+		if m.src != nil {
+			// Open loop: idle until the arrival is due. A producer the
+			// window stalled past the arrival pushes at once — the
+			// schedule never slips, which is the open-loop contract.
+			if m.pos == len(m.buf) {
+				m.src.Fill(m.buf)
+				m.pos = 0
+			}
+			at := m.buf[m.pos]
+			m.pos++
+			if now := m.k.Now(); now < at {
+				m.k.AfterFunc(at-now, m.step, prodWork)
+				return
+			}
+		}
+		fallthrough
+	case prodWork:
+		if sh.ProdWork > 0 {
+			m.k.AfterFunc(sh.ProdWork, m.step, prodGap)
+			return
+		}
+		fallthrough
+	case prodGap:
+		if m.src == nil && sh.Burst > 0 && m.i > 0 && m.i%sh.Burst == 0 {
+			m.k.AfterFunc(sh.burstGap(), m.step, prodPush)
+			return
+		}
+		fallthrough
+	case prodPush:
+		m.tx.PushThen(payloadFor(m.id, m.i), sim.Cont{Fn: m.step, Arg: prodPushed})
+	case prodPushed:
+		m.i++
+		m.run(prodNext)
+	}
+}
+
+// consumer is a draining thread, a chain stage or sink or one fan
+// consumer: it opens its endpoint on in (registering it on a SPAMeR
+// system), then pops n messages — or, sharing a WorkCounter, takes
+// until the shared count runs out — charging ConsWork after each. A
+// chain stage forwards each message on out.
+type consumer struct {
+	sh      *Shape
+	k       *sim.Kernel
+	task    *sim.Task
+	in, out *spamer.Queue
+	rx      *spamer.Consumer
+	tx      *spamer.Producer
+	wc      *spamer.WorkCounter
+	i, n    int // messages popped, messages to pop (without wc)
+	step    func(uint64)
+}
+
+// consumer steps.
+const (
+	consStart   uint64 = iota // open the input endpoint
+	consOpened                // input endpoint registered: open the output
+	consNext                  // pop (or take) message i, or exit
+	consTook                  // a take completed: exit if the count ran out
+	consWork                  // message i popped: charge ConsWork
+	consForward               // forward message i on out
+	consDone                  // message i done
+)
+
+func (sh *Shape) spawnConsumer(sys *spamer.System, name string, m *consumer) {
+	m.sh, m.k = sh, sys.Kernel()
+	m.step = m.run
+	m.task = sys.SpawnFunc(name, m.step, consStart).Task
+}
+
+func (m *consumer) run(state uint64) {
+	switch state {
+	case consStart:
+		var pending bool
+		m.rx, pending = m.in.NewConsumerThen(m.sh.lines(), sim.Cont{Fn: m.step, Arg: consOpened})
+		if pending {
+			return
+		}
+		fallthrough
+	case consOpened:
+		if m.out != nil {
+			m.tx = m.out.NewProducer(m.sh.Window)
+		}
+		fallthrough
+	case consNext:
+		if m.wc != nil {
+			if !m.wc.TakeThen(m.rx, sim.Cont{Fn: m.step, Arg: consTook}) {
+				m.task.Exit()
+			}
+			return
+		}
+		if m.i == m.n {
+			m.task.Exit()
+			return
+		}
+		m.rx.PopThen(sim.Cont{Fn: m.step, Arg: consWork})
+	case consTook:
+		if _, ok := m.rx.Result(); !ok {
+			m.task.Exit()
+			return
+		}
+		fallthrough
+	case consWork:
+		if m.sh.ConsWork > 0 {
+			m.k.AfterFunc(m.sh.ConsWork, m.step, consForward)
+			return
+		}
+		fallthrough
+	case consForward:
+		if m.tx != nil {
+			m.tx.PushThen(payloadFor(0, m.i), sim.Cont{Fn: m.step, Arg: consDone})
+			return
+		}
+		fallthrough
+	case consDone:
+		m.i++
+		m.run(consNext)
 	}
 }
 
 // payloadFor is the canonical payload of the i-th message of producer
 // id — a Fibonacci-hash spread so every (id, i) pair maps to a distinct,
-// non-trivial 64-bit value.
+// non-trivial 64-bit value, and corrupted or cross-wired deliveries
+// cannot alias to a valid payload by accident.
 func payloadFor(id, i int) uint64 {
 	return (uint64(id)<<32 | uint64(uint32(i))) * 0x9e3779b97f4a7c15
 }
@@ -271,33 +405,11 @@ func (sh *Shape) buildChain(sys *spamer.System, scale int) {
 	for i := range queues {
 		queues[i] = sys.NewQueue(fmt.Sprintf("chain.q%d", i))
 	}
-	sys.Spawn("chain/source", func(t *spamer.Thread) {
-		tx := queues[0].NewProducer(sh.Window)
-		sh.produce(t, tx, 0, n)
-	})
+	sh.spawnProducer(sys, "chain/source", queues[0], 0, n)
 	for s := 1; s < sh.Stages-1; s++ {
-		s := s
-		sys.Spawn(fmt.Sprintf("chain/stage%d", s), func(t *spamer.Thread) {
-			rx := queues[s-1].NewConsumer(t.Proc, sh.lines())
-			tx := queues[s].NewProducer(sh.Window)
-			for i := 0; i < n; i++ {
-				rx.Pop(t.Proc)
-				if sh.ConsWork > 0 {
-					t.Compute(sh.ConsWork)
-				}
-				tx.Push(t.Proc, payloadFor(0, i))
-			}
-		})
+		sh.spawnConsumer(sys, fmt.Sprintf("chain/stage%d", s), &consumer{in: queues[s-1], out: queues[s], n: n})
 	}
-	sys.Spawn("chain/sink", func(t *spamer.Thread) {
-		rx := queues[len(queues)-1].NewConsumer(t.Proc, sh.lines())
-		for i := 0; i < n; i++ {
-			rx.Pop(t.Proc)
-			if sh.ConsWork > 0 {
-				t.Compute(sh.ConsWork)
-			}
-		}
-	})
+	sh.spawnConsumer(sys, "chain/sink", &consumer{in: queues[len(queues)-1], n: n})
 }
 
 func (sh *Shape) buildFan(sys *spamer.System, scale int) {
@@ -306,40 +418,16 @@ func (sh *Shape) buildFan(sys *spamer.System, scale int) {
 	total := per * nprod
 	q := sys.NewQueue("fan.q")
 	for p := 0; p < nprod; p++ {
-		p := p
-		sys.Spawn(fmt.Sprintf("fan/prod%d", p), func(t *spamer.Thread) {
-			tx := q.NewProducer(sh.Window)
-			sh.produce(t, tx, p, per)
-		})
+		sh.spawnProducer(sys, fmt.Sprintf("fan/prod%d", p), q, p, per)
 	}
 	if ncons == 1 {
-		sys.Spawn("fan/cons", func(t *spamer.Thread) {
-			rx := q.NewConsumer(t.Proc, sh.lines())
-			for i := 0; i < total; i++ {
-				rx.Pop(t.Proc)
-				if sh.ConsWork > 0 {
-					t.Compute(sh.ConsWork)
-				}
-			}
-		})
+		sh.spawnConsumer(sys, "fan/cons", &consumer{in: q, n: total})
 		return
 	}
 	// The per-consumer share of an M:N queue is not static; drain
 	// through a shared WorkCounter, as bitonic/pipeline do.
 	wc := spamer.NewWorkCounter("fan", total)
 	for c := 0; c < ncons; c++ {
-		c := c
-		sys.Spawn(fmt.Sprintf("fan/cons%d", c), func(t *spamer.Thread) {
-			rx := q.NewConsumer(t.Proc, sh.lines())
-			for {
-				_, ok := wc.Take(rx, t.Proc)
-				if !ok {
-					return
-				}
-				if sh.ConsWork > 0 {
-					t.Compute(sh.ConsWork)
-				}
-			}
-		})
+		sh.spawnConsumer(sys, fmt.Sprintf("fan/cons%d", c), &consumer{in: q, wc: wc})
 	}
 }

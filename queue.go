@@ -61,6 +61,10 @@ func (q *Queue) NewProducer(window int) *Producer {
 // ISA costs, blocking only on the endpoint's line window.
 func (pr *Producer) Push(p *sim.Proc, payload uint64) { pr.inner.Push(p, payload) }
 
+// PushThen is Push for a process-free thread (System.SpawnFunc): it
+// returns at once, and then runs where Push would return.
+func (pr *Producer) PushThen(payload uint64, then sim.Cont) { pr.inner.PushThen(payload, then) }
+
 // PushAfter charges the calling thread d cycles of compute and then
 // pushes payload — trace-identical to Compute(d) followed by Push, with
 // one scheduler round trip instead of two. Use it for the ubiquitous
@@ -78,6 +82,12 @@ func (pr *Producer) Inner() *vlq.Producer { return pr.inner }
 // Consumer is a consumer endpoint handle.
 type Consumer struct {
 	inner *vlq.Consumer
+
+	// In-flight WorkCounter.TakeThen state: the counter, the caller's
+	// continuation, and the bookkeeping step, bound on first use.
+	wc     *WorkCounter
+	then   sim.Cont
+	tookFn func(uint64)
 }
 
 // NewConsumer subscribes a consumer endpoint with nlines buffer lines.
@@ -89,6 +99,15 @@ func (q *Queue) NewConsumer(p *sim.Proc, nlines int) *Consumer {
 	return &Consumer{inner: q.inner.NewConsumer(p, nlines, q.sys.Speculative())}
 }
 
+// NewConsumerThen is NewConsumer for a process-free thread. When the
+// endpoint registers (a SPAMeR system) it returns pending = true and
+// then runs once registration has been charged; otherwise it schedules
+// nothing and then never runs.
+func (q *Queue) NewConsumerThen(nlines int, then sim.Cont) (c *Consumer, pending bool) {
+	inner, pending := q.inner.NewConsumerThen(nlines, q.sys.Speculative(), then)
+	return &Consumer{inner: inner}, pending
+}
+
 // NewConsumerLegacy subscribes a demand-driven endpoint regardless of the
 // system flavour.
 func (q *Queue) NewConsumerLegacy(p *sim.Proc, nlines int) *Consumer {
@@ -97,6 +116,15 @@ func (q *Queue) NewConsumerLegacy(p *sim.Proc, nlines int) *Consumer {
 
 // Pop dequeues one message, blocking until available.
 func (c *Consumer) Pop(p *sim.Proc) mem.Message { return c.inner.Pop(p) }
+
+// PopThen is Pop for a process-free thread: then runs where Pop would
+// return, and Result reports the message.
+func (c *Consumer) PopThen(then sim.Cont) { c.inner.PopThen(then) }
+
+// Result reports the outcome of the endpoint's last completed pop (Pop,
+// TryPop, PopOrDone or a WorkCounter Take): the message and whether one
+// was taken.
+func (c *Consumer) Result() (mem.Message, bool) { return c.inner.Result() }
 
 // Prefetch posts a demand request for the endpoint's next line ahead of
 // the Pop that will consume it (no-op on spec-enabled endpoints). See
@@ -118,14 +146,21 @@ func (c *Consumer) PopOrDone(p *sim.Proc, done *sim.Signal, isDone func() bool) 
 // approximately, not exactly, evenly). The consumer that takes the last
 // message wakes every sibling still blocked.
 type WorkCounter struct {
+	name      string
 	remaining int
-	done      *sim.Signal
+	done      sim.Signal
+	isDone    func() bool // bound once: a pop keeps it until it completes
 }
 
 // NewWorkCounter returns a counter for total messages.
 func NewWorkCounter(name string, total int) *WorkCounter {
-	return &WorkCounter{remaining: total, done: sim.NewSignal(name + ".done")}
+	wc := &WorkCounter{name: name, remaining: total}
+	wc.isDone = func() bool { return wc.remaining == 0 }
+	return wc
 }
+
+// Name reports the counter's diagnostic name.
+func (wc *WorkCounter) Name() string { return wc.name }
 
 // Remaining reports undelivered messages.
 func (wc *WorkCounter) Remaining() int { return wc.remaining }
@@ -136,15 +171,45 @@ func (wc *WorkCounter) Take(c *Consumer, p *sim.Proc) (mem.Message, bool) {
 	if wc.remaining == 0 {
 		return mem.Message{}, false
 	}
-	m, ok := c.PopOrDone(p, wc.done, func() bool { return wc.remaining == 0 })
-	if !ok {
-		return mem.Message{}, false
+	m, ok := c.PopOrDone(p, &wc.done, wc.isDone)
+	if ok {
+		wc.took()
 	}
+	return m, ok
+}
+
+// TakeThen is Take for a process-free thread. When the count is already
+// exhausted it schedules nothing, returns false, and then never runs;
+// otherwise then runs where Take would return, and c.Result reports the
+// outcome.
+func (wc *WorkCounter) TakeThen(c *Consumer, then sim.Cont) bool {
+	if wc.remaining == 0 {
+		return false
+	}
+	if c.tookFn == nil {
+		c.tookFn = c.took
+	}
+	c.wc, c.then = wc, then
+	c.inner.PopOrDoneThen(&wc.done, wc.isDone, sim.Cont{Fn: c.tookFn})
+	return true
+}
+
+// took counts one taken message, waking the blocked siblings once the
+// count is exhausted.
+func (wc *WorkCounter) took() {
 	wc.remaining--
 	if wc.remaining == 0 {
 		wc.done.Fire()
 	}
-	return m, true
+}
+
+// took completes a TakeThen: the counter's bookkeeping runs before the
+// caller's continuation, where Take would do it before returning.
+func (c *Consumer) took(uint64) {
+	if _, ok := c.inner.Result(); ok {
+		c.wc.took()
+	}
+	c.then.Call()
 }
 
 // SpecEnabled reports whether the endpoint receives speculative pushes.

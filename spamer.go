@@ -140,9 +140,12 @@ type Config struct {
 // Thread is an application thread pinned to a simulated core ("each
 // thread is assigned to a core", §4.1).
 type Thread struct {
-	// Proc is the underlying simulation process; queue operations and
-	// Compute charge time to it.
+	// Proc is the underlying simulation process of a thread added with
+	// Spawn; queue operations and Compute charge time to it.
 	Proc *sim.Proc
+	// Task is the process-free thread of a thread added with SpawnFunc
+	// (Proc is then nil); its last step calls Task.Exit.
+	Task *sim.Task
 	// Core is the core index the thread is pinned to.
 	Core int
 }
@@ -308,12 +311,35 @@ func (s *System) SetQueueProbe(p vlq.Probe) { s.queueProbe = p }
 // process starting at tick 0; threads are pinned round-robin to the
 // Table 1 cores. Spawn panics once Run has been called.
 func (s *System) Spawn(name string, body func(t *Thread)) *Thread {
+	t := s.newThread("Spawn")
+	t.Proc = s.kernel.Go(name, func(p *sim.Proc) { body(t) })
+	return t
+}
+
+// SpawnFunc adds a process-free application thread (sim.Task): a state
+// machine whose first step, fn(arg), runs at tick 0, in spawn order with
+// the threads added by Spawn. It advances through the continuation
+// forms of the queue operations (PushThen, PopThen, ...) and through
+// steps it schedules on the kernel (Compute is Kernel().AfterFunc), and
+// it is live, for Run's deadlock check and the eviction injector, until
+// a step calls the returned thread's Task.Exit. It takes the next core
+// slot like Spawn and panics once Run has been called. Use it for
+// per-message hot loops, where each blocking operation of a Spawned
+// thread costs a coroutine round trip; Spawn's blocking bodies are
+// simpler to write and fine everywhere else.
+func (s *System) SpawnFunc(name string, fn func(uint64), arg uint64) *Thread {
+	t := s.newThread("SpawnFunc")
+	t.Task = s.kernel.GoFunc(name, fn, arg)
+	return t
+}
+
+// newThread records a thread on the next core slot.
+func (s *System) newThread(op string) *Thread {
 	if s.ran {
-		panic("spamer: Spawn after Run")
+		panic("spamer: " + op + " after Run")
 	}
 	t := &Thread{Core: len(s.threads) % config.NumCores}
 	s.threads = append(s.threads, t)
-	t.Proc = s.kernel.Go(name, func(p *sim.Proc) { body(t) })
 	return t
 }
 

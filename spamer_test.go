@@ -1,7 +1,11 @@
 package spamer
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+
+	"spamer/internal/sim"
 )
 
 // runOneToOne runs a 1:1 queue with n messages and the given per-message
@@ -307,4 +311,30 @@ func TestKnownAlgorithmMatchesNewSystem(t *testing.T) {
 			t.Errorf("KnownAlgorithm(%q) = %v, but NewSystem panicked = %v", name, KnownAlgorithm(name), panicked)
 		}
 	}
+}
+
+// TestSpawnFuncThreadDeadlockReported: a process-free thread that never
+// exits counts as live, so Run reports the deadlock, and drains it.
+func TestSpawnFuncThreadDeadlockReported(t *testing.T) {
+	sys := NewSystem(Config{})
+	q := sys.NewQueue("q")
+	var rx *Consumer
+	var th *Thread
+	th = sys.SpawnFunc("sink", func(uint64) {
+		rx, _ = q.NewConsumerThen(1, sim.Cont{Fn: func(uint64) {}})
+		rx.PopThen(sim.Cont{Fn: func(uint64) { th.Task.Exit() }}) // nobody pushes
+	}, 0)
+	if sys.Threads() != 1 || th.Core != 0 || th.Proc != nil {
+		t.Fatalf("threads = %d, core = %d, proc = %v", sys.Threads(), th.Core, th.Proc)
+	}
+	defer func() {
+		r := recover()
+		if !strings.Contains(fmt.Sprint(r), "deadlock — 1 threads still parked") {
+			t.Fatalf("Run panicked with %v, want the deadlock report", r)
+		}
+		if !th.Task.Exited() || sys.Kernel().LiveProcs() != 0 {
+			t.Fatal("the deadlocked thread was not drained")
+		}
+	}()
+	sys.Run()
 }
