@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check build vet test test-race verify-oracle fuzz-smoke fabric-smoke bench bench-ci bench-race repro figures trace sweep latency area ablate tune serve worker clean
+.PHONY: all check fmt-check build vet test test-race perfbench-test verify-oracle fuzz-smoke fabric-smoke bench bench-ci bench-race repro figures trace sweep latency area ablate tune serve worker clean
 
 # BENCH_JSON tracks the perf trajectory across PRs: bump the suffix when
 # a PR materially changes the benchmark surface and commit the new file.
@@ -20,7 +20,7 @@ GO ?= go
 # GATE_PCT is the SpecRun ns/op tolerance (spamer benchjson -gate-pct):
 # wide by default because wall time on shared runners jitters; the
 # allocs/op checks are the gate's primary teeth.
-BENCH_JSON ?= BENCH_16.json
+BENCH_JSON ?= BENCH_17.json
 BENCH_BASELINE ?= BENCH_9.json
 # MillionMessage pins b.N to the delivered message count; the dedicated
 # pass below records the true million-message run in $(BENCH_JSON)
@@ -30,9 +30,10 @@ GATE_PCT ?= 25
 
 all: check
 
-# Everything CI runs: formatting, compile, vet, unit tests, and the race
-# detector pass over the harness, service, and fabric worker pools.
-check: fmt-check build vet test test-race
+# Everything CI runs: formatting, compile, vet, unit tests, the race
+# detector pass over the harness, service, and fabric worker pools, and
+# the benchmark module's vet and self-test.
+check: fmt-check build vet test test-race perfbench-test
 
 # Fails, listing the files, when any Go file is not gofmt-formatted.
 fmt-check:
@@ -49,6 +50,12 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# perfbench/ is its own Go module, so ./... at the root never compiles
+# it: this step catches a change that removes an API the repository
+# benchmark calls.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Randomized differential-oracle campaign (docs/TESTING.md): N seeded
 # cases under the full invariant battery, each additionally run through

@@ -1,9 +1,15 @@
 // Package isa models the instruction-set extension of Virtual-Link and
 // SPAMeR (§3.3): vl_select, vl_push, vl_fetch, and the vl_fetch alias
-// spamer_register. Each operation costs core-side cycles (charged to the
-// calling process) and, where architecturally required, a packet on the
-// coherence network addressed to the routing device's device-memory
-// range.
+// spamer_register. Each operation costs core-side cycles
+// (config.VLSelectCycles, VLPushCycles, VLFetchCycles, SpamerRegCycles)
+// and, where architecturally required, a packet on the coherence network
+// addressed to the routing device's device-memory range.
+//
+// Each operation is two halves. NoteX runs at the op's issue tick (the
+// counter bump), and EnqueueX (SendRegister for spamer_register), the
+// device write, runs once the op's core-side cycles have elapsed. The
+// vlq endpoint state machines charge those cycles with their own
+// AfterFunc events and call the halves from the kernel goroutine.
 //
 // vl_push and vl_fetch are posted operations: the core does not stall for
 // the round trip. Backpressure appears as NACKs (prodBuf/consBuf
@@ -14,7 +20,6 @@ package isa
 
 import (
 	"fmt"
-	"spamer/internal/config"
 	"spamer/internal/mem"
 	"spamer/internal/noc"
 	"spamer/internal/sim"
@@ -57,7 +62,23 @@ type ISA struct {
 	deliverFn func(uint64)
 	replayFn  func(uint64)
 
+	// regs holds the operands of the spamer_register writes in flight,
+	// indexed by their delivery event's argument, so a registration
+	// schedules no closure. regsDone counts delivered entries; the slice
+	// is reused once every entry is delivered, so an index stays valid
+	// while its write is in flight.
+	regs       []regOp
+	regsDone   int
+	registerFn func(uint64)
+
 	stats Stats
+}
+
+// regOp is one spamer_register write in data form.
+type regOp struct {
+	sqi  vl.SQI
+	base mem.Addr
+	n    int
 }
 
 // Stats counts issued operations and replayed NACKs.
@@ -76,6 +97,7 @@ func New(k *sim.Kernel, bus *noc.Bus, dev *vl.Device) *ISA {
 	i.senders = make([]*Sender, 0, senderArenaBlock)
 	i.deliverFn = func(a uint64) { i.senders[a>>retryBits].delivered(a & retryMask) }
 	i.replayFn = func(a uint64) { i.senders[a>>retryBits].deliver(int(a & retryMask)) }
+	i.registerFn = i.registered
 	return i
 }
 
@@ -84,13 +106,6 @@ func (i *ISA) Stats() Stats { return i.stats }
 
 // Device returns the routing device operations are addressed to.
 func (i *ISA) Device() *vl.Device { return i.dev }
-
-// Select models vl_select: translate a line's virtual address into the
-// system register only vl_push/vl_fetch may read. Pure core-side cost.
-func (i *ISA) Select(p *sim.Proc) {
-	i.NoteSelect()
-	p.Sleep(config.VLSelectCycles)
-}
 
 // Sender issues the device writes of one endpoint in order, replaying
 // NACKed writes without letting younger writes of the same endpoint
@@ -202,76 +217,54 @@ func (s *Sender) delivered(attempt uint64) {
 // Pending reports queued-but-unaccepted writes (tests/diagnostics).
 func (s *Sender) Pending() int { return len(s.q) - s.head }
 
-// Push models vl_push through the endpoint's ordered sender: copy the
-// selected line's content to the routing device without changing the
-// line's coherence state. The calling process is charged the issue cost;
-// delivery and NACK replay proceed asynchronously. accepted runs (at the
-// acceptance tick) once the device takes ownership; it may be nil.
-func (i *ISA) Push(p *sim.Proc, snd *Sender, sqi vl.SQI, msg mem.Message, accepted func()) {
-	i.NotePush()
-	p.Sleep(config.VLPushCycles)
-	i.EnqueuePush(snd, sqi, msg, accepted)
-}
-
-// Fetch models vl_fetch through the endpoint's ordered sender: write the
-// selected consumer-line physical address to the device-memory range of
-// consBuf. Posted; NACKs replay in order.
-func (i *ISA) Fetch(p *sim.Proc, snd *Sender, sqi vl.SQI, target mem.Addr) {
-	i.NoteFetch()
-	p.Sleep(config.VLFetchCycles)
-	i.EnqueueFetch(snd, sqi, target)
-}
-
-// Continuation-passing forms. Each operation is two halves: NoteX runs
-// at the op's issue tick (the counter bump), and EnqueueX (SendRegister
-// for spamer_register) runs once the op's core-side cycles have
-// elapsed (the device write). The vlq endpoint state machines charge
-// those cycles with their own AfterFunc events and call the halves from
-// the kernel goroutine; the blocking forms above charge them with
-// p.Sleep between the halves. Both schedule the same events, so the
-// dispatch trace does not depend on the form.
-
-// NoteSelect is the continuation-passing half of Select: issue
-// bookkeeping only, cycles charged by the caller's own event.
+// NoteSelect models vl_select: translate a line's virtual address into
+// the system register only vl_push/vl_fetch may read. Pure core-side
+// cost, charged by the caller; this is the bookkeeping.
 func (i *ISA) NoteSelect() { i.stats.Selects++ }
 
-// NotePush is the continuation-passing issue half of Push.
+// NotePush is the issue half of vl_push.
 func (i *ISA) NotePush() { i.stats.Pushes++ }
 
-// NoteFetch is the continuation-passing issue half of Fetch.
+// NoteFetch is the issue half of vl_fetch.
 func (i *ISA) NoteFetch() { i.stats.Fetches++ }
 
-// EnqueuePush is the continuation-passing completion half of Push: the
-// device write, issued once the caller's charged cycles have elapsed.
+// EnqueuePush is the completion half of vl_push: copy the selected
+// line's content to the routing device, without changing the line's
+// coherence state, through the endpoint's ordered sender. Posted:
+// delivery and NACK replay proceed asynchronously. accepted runs (at the
+// acceptance tick) once the device takes ownership; it may be nil.
 func (i *ISA) EnqueuePush(snd *Sender, sqi vl.SQI, msg mem.Message, accepted func()) {
 	snd.enqueue(senderOp{sqi: sqi, msg: msg, accepted: accepted, push: true})
 }
 
-// EnqueueFetch is the continuation-passing completion half of Fetch.
+// EnqueueFetch is the completion half of vl_fetch: write the selected
+// consumer-line physical address to the device-memory range of consBuf
+// through the endpoint's ordered sender. Posted; NACKs replay in order.
 func (i *ISA) EnqueueFetch(snd *Sender, sqi vl.SQI, target mem.Addr) {
 	snd.enqueue(senderOp{sqi: sqi, target: target})
 }
 
-// Register models spamer_register: "a vl_fetch instruction writing to
-// specBuf" (§3.3). Registration failures are configuration errors
-// (specBuf exhausted) and surface as panics at delivery time; the §4.5
-// position is that the OS must manage specBuf like any limited resource.
-func (i *ISA) Register(p *sim.Proc, sqi vl.SQI, base mem.Addr, n int) {
-	i.NoteRegister()
-	p.Sleep(config.SpamerRegCycles)
-	i.SendRegister(sqi, base, n)
-}
-
-// NoteRegister is the continuation-passing issue half of Register.
+// NoteRegister is the issue half of spamer_register.
 func (i *ISA) NoteRegister() { i.stats.Registers++ }
 
-// SendRegister is the continuation-passing completion half of Register:
-// the registration write, sent once the caller's charged cycles have
-// elapsed.
+// SendRegister is the completion half of spamer_register: "a vl_fetch
+// instruction writing to specBuf" (§3.3), sent once the caller's charged
+// cycles have elapsed. Registration failures are configuration errors
+// (specBuf exhausted) and surface as panics at delivery time; the §4.5
+// position is that the OS must manage specBuf like any limited resource.
 func (i *ISA) SendRegister(sqi vl.SQI, base mem.Addr, n int) {
-	i.bus.Send(noc.PktRegister, func() {
-		if err := i.dev.Register(sqi, base, n); err != nil {
-			panic(err)
-		}
-	})
+	i.regs = append(i.regs, regOp{sqi: sqi, base: base, n: n})
+	i.bus.SendFunc(noc.PktRegister, i.registerFn, uint64(len(i.regs)-1))
+}
+
+// registered runs at a registration packet's arrival tick.
+func (i *ISA) registered(idx uint64) {
+	op := i.regs[idx]
+	i.regsDone++
+	if i.regsDone == len(i.regs) {
+		i.regs, i.regsDone = i.regs[:0], 0
+	}
+	if err := i.dev.Register(op.sqi, op.base, op.n); err != nil {
+		panic(err)
+	}
 }

@@ -50,13 +50,13 @@ func TestTakeOnEmptyPanics(t *testing.T) {
 func TestOccupancyIntegrals(t *testing.T) {
 	k := sim.New()
 	l := NewLine(k, 64)
-	k.At(100, func() {
+	k.AtFunc(100, func(uint64) {
 		if !l.TryFill(Message{}) {
 			t.Error("fill failed")
 		}
-	})
-	k.At(250, func() { l.Take() })
-	k.At(300, func() {
+	}, 0)
+	k.AtFunc(250, func(uint64) { l.Take() }, 0)
+	k.AtFunc(300, func(uint64) {
 		empty, valid := l.Occupancy()
 		if empty != 100+50 {
 			t.Errorf("empty = %d, want 150", empty)
@@ -64,7 +64,7 @@ func TestOccupancyIntegrals(t *testing.T) {
 		if valid != 150 {
 			t.Errorf("valid = %d, want 150", valid)
 		}
-	})
+	}, 0)
 	k.Run()
 }
 
@@ -118,7 +118,7 @@ func TestOnFillSignal(t *testing.T) {
 		}
 		woke = p.Now()
 	})
-	k.At(40, func() { l.TryFill(Message{}) })
+	k.AtFunc(40, func(uint64) { l.TryFill(Message{}) }, 0)
 	k.Run()
 	if woke != 40 {
 		t.Fatalf("woke at %d, want 40", woke)
@@ -192,20 +192,20 @@ func TestOccupancyConservationProperty(t *testing.T) {
 			tick += uint64(g)
 			v := valid
 			if i%2 == 0 {
-				k.At(tick, func() { l.TryFill(Message{}) })
+				k.AtFunc(tick, func(uint64) { l.TryFill(Message{}) }, 0)
 				valid = true
 			} else if v {
-				k.At(tick, func() {
+				k.AtFunc(tick, func(uint64) {
 					if l.State == LineValid {
 						l.Take()
 					}
-				})
+				}, 0)
 				valid = false
 			}
 		}
 		end := tick + 10
 		ok := true
-		k.At(end, func() {
+		k.AtFunc(end, func(uint64) {
 			empty, validTicks := l.Occupancy()
 			if empty+validTicks != end {
 				ok = false
@@ -217,7 +217,7 @@ func TestOccupancyConservationProperty(t *testing.T) {
 			if l.State == LineEmpty && delta != 0 {
 				ok = false
 			}
-		})
+		}, 0)
 		k.Run()
 		return ok
 	}
@@ -230,14 +230,14 @@ func TestOccupancyHelper(t *testing.T) {
 	k := sim.New()
 	as := NewAddressSpace(k)
 	pg := as.NewPage(3)
-	k.At(10, func() { pg.Lines[0].TryFill(Message{}) })
-	k.At(20, func() { pg.Lines[1].TryFill(Message{}) })
-	k.At(30, func() {
+	k.AtFunc(10, func(uint64) { pg.Lines[0].TryFill(Message{}) }, 0)
+	k.AtFunc(20, func(uint64) { pg.Lines[1].TryFill(Message{}) }, 0)
+	k.AtFunc(30, func(uint64) {
 		empty, valid := Occupancy(pg.Lines)
 		// line0: 10 empty + 20 valid; line1: 20 + 10; line2: 30 + 0.
 		if empty != 60 || valid != 30 {
 			t.Errorf("empty=%d valid=%d, want 60/30", empty, valid)
 		}
-	})
+	}, 0)
 	k.Run()
 }

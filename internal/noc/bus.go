@@ -141,20 +141,11 @@ func NewWithOptions(k *sim.Kernel, hop uint64, channels int) *Bus {
 // Channels reports the number of transfer channels.
 func (b *Bus) Channels() int { return len(b.freeAt) }
 
-// Send transmits a packet of the given kind. deliver runs at the arrival
-// tick (channel wait + serialization + hop latency). deliver may be nil
-// for fire-and-forget accounting.
-func (b *Bus) Send(kind PacketKind, deliver func()) {
-	arrival := b.occupy(kind)
-	if deliver != nil {
-		b.k.At(arrival, deliver)
-	}
-}
-
-// SendFunc is the allocation-free form of Send: deliver(arg) runs at the
-// arrival tick. deliver is typically a func value the caller bound once;
-// arg carries the per-packet state, so the per-packet delivery schedules
-// without creating a closure (see sim.Kernel.AtFunc).
+// SendFunc transmits a packet of the given kind; deliver(arg) runs at
+// the arrival tick (channel wait + serialization + hop latency). deliver
+// is typically a func value the caller bound once; arg carries the
+// per-packet state, so the per-packet delivery schedules without
+// creating a closure (see sim.Kernel.AtFunc).
 func (b *Bus) SendFunc(kind PacketKind, deliver func(uint64), arg uint64) {
 	arrival := b.occupy(kind)
 	b.k.AtFunc(arrival, deliver, arg)
@@ -191,7 +182,7 @@ func (b *Bus) Stats() Stats { return b.stats }
 // channel-cycles since the bus was created (or since ResetStats) — the
 // Figure 10b metric generalized to a multi-channel interconnect.
 //
-// Send charges BusyCycles at submit time for serialization that may
+// SendFunc charges BusyCycles at submit time for serialization that may
 // still lie in the future (a channel's freeAt can exceed Now at the end
 // of a run), so the window must extend to the last committed busy cycle:
 // elapsed time is measured to max(Now, max(freeAt)). With that window

@@ -11,9 +11,9 @@ func TestPacketDeliveryLatency(t *testing.T) {
 	k := sim.New()
 	b := New(k)
 	var arrived uint64
-	k.At(0, func() {
-		b.Send(PktFetchReq, func() { arrived = k.Now() })
-	})
+	k.AtFunc(0, func(uint64) {
+		b.SendFunc(PktFetchReq, func(uint64) { arrived = k.Now() }, 0)
+	}, 0)
 	k.Run()
 	want := uint64(config.CtrlPacketCycles + config.HopCycles)
 	if arrived != want {
@@ -25,9 +25,9 @@ func TestDataPacketOccupancy(t *testing.T) {
 	k := sim.New()
 	b := New(k)
 	var arrived uint64
-	k.At(0, func() {
-		b.Send(PktStash, func() { arrived = k.Now() })
-	})
+	k.AtFunc(0, func(uint64) {
+		b.SendFunc(PktStash, func(uint64) { arrived = k.Now() }, 0)
+	}, 0)
 	k.Run()
 	occ := uint64((config.LineBytes + config.BusBytesPerCycle - 1) / config.BusBytesPerCycle)
 	want := occ + config.HopCycles
@@ -40,11 +40,11 @@ func TestSerialization(t *testing.T) {
 	k := sim.New()
 	b := NewWithOptions(k, config.HopCycles, 1) // single channel: strict FIFO
 	var arrivals []uint64
-	k.At(0, func() {
+	k.AtFunc(0, func(uint64) {
 		for i := 0; i < 3; i++ {
-			b.Send(PktStash, func() { arrivals = append(arrivals, k.Now()) })
+			b.SendFunc(PktStash, func(uint64) { arrivals = append(arrivals, k.Now()) }, 0)
 		}
-	})
+	}, 0)
 	k.Run()
 	occ := uint64(2) // 64B / 32B-per-cycle
 	if len(arrivals) != 3 {
@@ -64,21 +64,21 @@ func TestSerialization(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	k := sim.New()
 	b := New(k)
-	k.At(0, func() {
-		b.Send(PktStash, nil)
-		b.Send(PktStash, nil)
-	})
-	k.At(100, func() {
+	k.AtFunc(0, func(uint64) {
+		b.occupy(PktStash)
+		b.occupy(PktStash)
+	}, 0)
+	k.AtFunc(100, func(uint64) {
 		want := 4.0 / float64(100*b.Channels())
 		if u := b.Utilization(); u != want {
 			t.Errorf("utilization = %v, want %v", u, want)
 		}
-	})
+	}, 0)
 	k.Run()
 }
 
 // TestUtilizationExactUnderOverload is the regression test for the old
-// clamp: Send charges BusyCycles at submit time for serialization that
+// clamp: SendFunc charges BusyCycles at submit time for serialization that
 // happens in the future, so measuring against Now alone overcounted
 // (here 6 busy cycles against a 1-cycle window, clamped to 1.0). The
 // window must extend to the last committed busy cycle, giving the exact
@@ -86,19 +86,19 @@ func TestUtilization(t *testing.T) {
 func TestUtilizationExactUnderOverload(t *testing.T) {
 	k := sim.New()
 	b := NewWithOptions(k, config.HopCycles, 2)
-	k.At(0, func() {
+	k.AtFunc(0, func(uint64) {
 		// Three stashes (occupancy 2) on two channels: freeAt = [4, 2],
 		// BusyCycles = 6.
 		for i := 0; i < 3; i++ {
-			b.Send(PktStash, nil)
+			b.occupy(PktStash)
 		}
-	})
-	k.At(1, func() {
+	}, 0)
+	k.AtFunc(1, func(uint64) {
 		// Window extends to max(freeAt) = 4 over 2 channels: 6/8.
 		if u := b.Utilization(); u != 0.75 {
 			t.Errorf("utilization = %v, want 0.75", u)
 		}
-	})
+	}, 0)
 	k.Run()
 }
 
@@ -108,10 +108,10 @@ func TestUtilizationExactUnderOverload(t *testing.T) {
 func TestUtilizationCountsFutureSerialization(t *testing.T) {
 	k := sim.New()
 	b := New(k)
-	k.At(0, func() {
-		b.Send(PktStash, nil)
-		b.Send(PktStash, nil)
-	})
+	k.AtFunc(0, func(uint64) {
+		b.occupy(PktStash)
+		b.occupy(PktStash)
+	}, 0)
 	k.Run() // drains at tick 0; two channels stay busy until tick 2
 	if u := b.Utilization(); u != 0.5 {
 		t.Errorf("end-of-run utilization = %v, want 0.5 (4 busy / 2*4 channel-cycles)", u)
@@ -123,16 +123,16 @@ func TestUtilizationCountsFutureSerialization(t *testing.T) {
 func TestUtilizationNeverExceedsOne(t *testing.T) {
 	k := sim.New()
 	b := NewWithOptions(k, 0, 1)
-	k.At(0, func() {
+	k.AtFunc(0, func(uint64) {
 		for i := 0; i < 100; i++ {
-			b.Send(PktStash, nil)
+			b.occupy(PktStash)
 		}
-	})
-	k.At(10, func() {
+	}, 0)
+	k.AtFunc(10, func(uint64) {
 		if u := b.Utilization(); u != 1 {
 			t.Errorf("mid-run saturated utilization = %v, want exactly 1", u)
 		}
-	})
+	}, 0)
 	k.Run()
 	if u := b.Utilization(); u != 1 {
 		t.Errorf("end-of-run saturated utilization = %v, want exactly 1", u)
@@ -142,12 +142,12 @@ func TestUtilizationNeverExceedsOne(t *testing.T) {
 func TestPacketCounters(t *testing.T) {
 	k := sim.New()
 	b := New(k)
-	k.At(0, func() {
-		b.Send(PktPush, nil)
-		b.Send(PktPush, nil)
-		b.Send(PktFetchReq, nil)
-		b.Send(PktResp, nil)
-	})
+	k.AtFunc(0, func(uint64) {
+		b.occupy(PktPush)
+		b.occupy(PktPush)
+		b.occupy(PktFetchReq)
+		b.occupy(PktResp)
+	}, 0)
 	k.Run()
 	s := b.Stats()
 	if s.PacketCount(PktPush) != 2 || s.PacketCount(PktFetchReq) != 1 || s.PacketCount(PktResp) != 1 {
@@ -161,18 +161,18 @@ func TestPacketCounters(t *testing.T) {
 func TestResetStats(t *testing.T) {
 	k := sim.New()
 	b := New(k)
-	k.At(0, func() { b.Send(PktPush, nil) })
-	k.At(50, func() {
+	k.AtFunc(0, func(uint64) { b.occupy(PktPush) }, 0)
+	k.AtFunc(50, func(uint64) {
 		b.ResetStats()
 		if b.Stats().TotalPackets() != 0 {
 			t.Error("ResetStats did not clear packets")
 		}
-	})
-	k.At(100, func() {
+	}, 0)
+	k.AtFunc(100, func(uint64) {
 		if u := b.Utilization(); u != 0 {
 			t.Errorf("post-reset utilization = %v", u)
 		}
-	})
+	}, 0)
 	k.Run()
 }
 
@@ -180,11 +180,11 @@ func TestChannelsParallel(t *testing.T) {
 	k := sim.New()
 	b := NewWithOptions(k, 0, 2)
 	var arrivals []uint64
-	k.At(0, func() {
+	k.AtFunc(0, func(uint64) {
 		for i := 0; i < 4; i++ {
-			b.Send(PktStash, func() { arrivals = append(arrivals, k.Now()) })
+			b.SendFunc(PktStash, func(uint64) { arrivals = append(arrivals, k.Now()) }, 0)
 		}
-	})
+	}, 0)
 	k.Run()
 	// 2 channels, occupancy 2: pairs arrive at 2 and 4.
 	want := []uint64{2, 2, 4, 4}
@@ -199,7 +199,7 @@ func TestCustomHopLatency(t *testing.T) {
 	k := sim.New()
 	b := NewWithHopLatency(k, 50)
 	var arrived uint64
-	k.At(0, func() { b.Send(PktResp, func() { arrived = k.Now() }) })
+	k.AtFunc(0, func(uint64) { b.SendFunc(PktResp, func(uint64) { arrived = k.Now() }, 0) }, 0)
 	k.Run()
 	if arrived != 51 {
 		t.Fatalf("arrival = %d, want 51", arrived)

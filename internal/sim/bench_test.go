@@ -3,29 +3,11 @@ package sim
 import "testing"
 
 // BenchmarkEventDispatch measures raw event-queue throughput — the
-// floor under every simulation in the repository. Steady state must be
-// 0 allocs/op: the self-rescheduling event reuses one closure and the
-// wheel bucket's backing array.
+// floor under every simulation in the repository — on the
+// self-rescheduling pattern the device tick paths use. Steady state must
+// be 0 allocs/op: the event reuses one bound func value and the wheel
+// bucket's backing array.
 func BenchmarkEventDispatch(b *testing.B) {
-	b.ReportAllocs()
-	k := New()
-	n := 0
-	var self func()
-	self = func() {
-		n++
-		if n < b.N {
-			k.After(1, self)
-		}
-	}
-	k.At(0, self)
-	b.ResetTimer()
-	k.Run()
-}
-
-// BenchmarkEventDispatchFunc measures the non-closure scheduling form
-// (AfterFunc with a bound func value) on the same self-rescheduling
-// pattern the device tick paths use.
-func BenchmarkEventDispatchFunc(b *testing.B) {
 	b.ReportAllocs()
 	k := New()
 	n := 0
@@ -48,11 +30,11 @@ func BenchmarkEventHeapChurn(b *testing.B) {
 	b.ReportAllocs()
 	k := New()
 	for i := 0; i < 1024; i++ {
-		k.At(uint64(1+i%97), func() {})
+		k.AtFunc(uint64(1+i%97), func(uint64) {}, 0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.At(uint64(1+i%97), func() {})
+		k.AtFunc(uint64(1+i%97), func(uint64) {}, 0)
 	}
 	b.StopTimer()
 	k.Run()
@@ -115,16 +97,16 @@ func BenchmarkSignalFire(b *testing.B) {
 			}
 		})
 	}
-	var pump func()
+	var pump func(uint64)
 	fired := 0
-	pump = func() {
+	pump = func(uint64) {
 		sig.Fire()
 		fired++
 		if fired < b.N+1 {
-			k.After(1, pump)
+			k.AfterFunc(1, pump, 0)
 		}
 	}
-	k.At(1, pump)
+	k.AtFunc(1, pump, 0)
 	b.ResetTimer()
 	k.Run()
 	b.StopTimer()

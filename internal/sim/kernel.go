@@ -9,9 +9,10 @@
 // number. See docs/SIMULATOR.md for the full determinism contract.
 //
 // The queue is a monomorphic calendar wheel (near future) backed by a
-// binary heap (far future); scheduling with At/After stores one closure
-// by value, and the AtFunc/AfterFunc forms take a func(uint64) plus
-// argument so steady-state hot paths schedule with zero allocations.
+// binary heap (far future). There is one scheduling form: AtFunc and
+// AfterFunc take a func(uint64), bound once by the caller, plus its
+// argument, and the event stores the pair by value, so steady-state hot
+// paths schedule with zero allocations.
 package sim
 
 import "fmt"
@@ -68,31 +69,19 @@ func (k *Kernel) Executed() uint64 { return k.executed }
 // livelock into a loud failure instead of an endless loop.
 func (k *Kernel) SetDeadline(t uint64) { k.maxTick = t }
 
-// At schedules fn to run at absolute tick t. Scheduling in the past is a
+// AtFunc schedules fn(arg) to run at absolute tick t. fn is typically a
+// func value bound once at construction time (a stored method value),
+// and arg carries the per-event state (an entry index, a packed flag),
+// so the hot path schedules without creating a closure. The event takes
+// the next sequence number here, at scheduling time, which breaks ties
+// between events of the same tick. Scheduling in the past is a
 // programming error and panics.
-func (k *Kernel) At(t uint64, fn func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at tick %d before now %d", t, k.now))
-	}
-	k.seq++
-	k.events.push(event{tick: t, seq: k.seq, fn: fn})
-}
-
-// After schedules fn to run d ticks from now.
-func (k *Kernel) After(d uint64, fn func()) { k.At(k.now+d, fn) }
-
-// AtFunc schedules fn(arg) to run at absolute tick t. It is the
-// allocation-free form of At: fn is typically a func value bound once at
-// construction time (a stored method value), and arg carries the per-event
-// state (an entry index, a packed flag), so the hot path schedules without
-// creating a closure. Ordering is identical to At — the two forms share
-// one sequence counter and one queue.
 func (k *Kernel) AtFunc(t uint64, fn func(uint64), arg uint64) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at tick %d before now %d", t, k.now))
 	}
 	k.seq++
-	k.events.push(event{tick: t, seq: k.seq, afn: fn, arg: arg})
+	k.events.push(event{tick: t, seq: k.seq, fn: fn, arg: arg})
 }
 
 // AfterFunc schedules fn(arg) to run d ticks from now (see AtFunc).
@@ -103,31 +92,6 @@ func (k *Kernel) AfterFunc(d uint64, fn func(uint64), arg uint64) {
 // Stop makes Run return after the current event completes. Pending events
 // remain queued; a subsequent Run continues from where it left off.
 func (k *Kernel) Stop() { k.stopped = true }
-
-// dispatchNext pops the earliest event and runs it, enforcing the
-// invariants every run loop shares: simulated time never moves
-// backwards, and the watchdog deadline converts livelock into a loud
-// panic instead of an endless spin. The run loops batch per tick via
-// dispatchTick instead; this form remains for single-step tests.
-func (k *Kernel) dispatchNext() {
-	e, ok := k.events.pop()
-	if !ok {
-		panic("sim: dispatchNext on empty queue")
-	}
-	if e.tick < k.now {
-		panic("sim: event queue went backwards")
-	}
-	k.now = e.tick
-	if k.maxTick != 0 && k.now > k.maxTick {
-		panic(fmt.Sprintf("sim: watchdog deadline %d exceeded at tick %d (%d live procs)",
-			k.maxTick, k.now, k.live))
-	}
-	k.executed++
-	if k.obs != nil {
-		k.obs(e.tick, e.seq)
-	}
-	e.call()
-}
 
 // dispatchTick drains one tick's bucket — positioned by startTick — in
 // seq (FIFO) order, including events the callbacks append for the same
@@ -154,7 +118,7 @@ func (k *Kernel) dispatchTick(b *bucket) {
 		if k.obs != nil {
 			k.obs(e.tick, e.seq)
 		}
-		e.call()
+		e.fn(e.arg)
 	}
 	if b.head == len(b.ev) {
 		b.ev = b.ev[:0]
@@ -179,23 +143,25 @@ func (k *Kernel) Run() {
 	}
 }
 
-// RunUntil dispatches events with tick <= t, then sets now = t. It
-// enforces the same watchdog and monotone-time guards as Run, so a
-// livelock below t panics rather than spinning, and drains on a panic
-// exactly as Run does.
+// RunUntil dispatches events with tick <= t, then sets now = t. A Stop
+// ends it early and leaves the clock at the stopping event's tick: time
+// moves to t only once no event at or before t remains, so a later Run
+// still dispatches the rest in (tick, seq) order. It enforces the same
+// watchdog and monotone-time guards as Run, so a livelock below t panics
+// rather than spinning, and drains on a panic exactly as Run does.
 func (k *Kernel) RunUntil(t uint64) {
 	defer k.drainOnPanic()
 	k.stopped = false
 	for !k.stopped {
 		b := k.events.startTick(t)
 		if b == nil {
-			break
+			if k.now < t {
+				k.now = t
+				k.events.advanceTo(t)
+			}
+			return
 		}
 		k.dispatchTick(b)
-	}
-	if k.now < t {
-		k.now = t
-		k.events.advanceTo(t)
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 func TestEventOrdering(t *testing.T) {
 	k := New()
 	var got []int
-	k.At(10, func() { got = append(got, 1) })
-	k.At(5, func() { got = append(got, 0) })
-	k.At(10, func() { got = append(got, 2) }) // same tick: FIFO by seq
-	k.At(20, func() { got = append(got, 3) })
+	k.AtFunc(10, func(uint64) { got = append(got, 1) }, 0)
+	k.AtFunc(5, func(uint64) { got = append(got, 0) }, 0)
+	k.AtFunc(10, func(uint64) { got = append(got, 2) }, 0) // same tick: FIFO by seq
+	k.AtFunc(20, func(uint64) { got = append(got, 3) }, 0)
 	k.Run()
 	want := []int{0, 1, 2, 3}
 	if len(got) != len(want) {
@@ -31,9 +31,9 @@ func TestEventOrdering(t *testing.T) {
 func TestAfterAccumulates(t *testing.T) {
 	k := New()
 	var ticks []uint64
-	k.At(3, func() {
-		k.After(7, func() { ticks = append(ticks, k.Now()) })
-	})
+	k.AtFunc(3, func(uint64) {
+		k.AfterFunc(7, func(uint64) { ticks = append(ticks, k.Now()) }, 0)
+	}, 0)
 	k.Run()
 	if len(ticks) != 1 || ticks[0] != 10 {
 		t.Fatalf("ticks = %v, want [10]", ticks)
@@ -42,14 +42,14 @@ func TestAfterAccumulates(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	k := New()
-	k.At(10, func() {
+	k.AtFunc(10, func(uint64) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		k.At(5, func() {})
-	})
+		k.AtFunc(5, func(uint64) {}, 0)
+	}, 0)
 	k.Run()
 }
 
@@ -58,12 +58,12 @@ func TestStopAndResume(t *testing.T) {
 	n := 0
 	for i := 1; i <= 5; i++ {
 		tick := uint64(i * 10)
-		k.At(tick, func() {
+		k.AtFunc(tick, func(uint64) {
 			n++
 			if tick == 30 {
 				k.Stop()
 			}
-		})
+		}, 0)
 	}
 	k.Run()
 	if n != 3 {
@@ -78,9 +78,9 @@ func TestStopAndResume(t *testing.T) {
 func TestRunUntil(t *testing.T) {
 	k := New()
 	n := 0
-	k.At(10, func() { n++ })
-	k.At(20, func() { n++ })
-	k.At(30, func() { n++ })
+	k.AtFunc(10, func(uint64) { n++ }, 0)
+	k.AtFunc(20, func(uint64) { n++ }, 0)
+	k.AtFunc(30, func(uint64) { n++ }, 0)
 	k.RunUntil(20)
 	if n != 2 {
 		t.Fatalf("n = %d, want 2", n)
@@ -94,15 +94,36 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestRunUntilAfterStop: a Stop inside RunUntil leaves the clock at the
+// stopping tick. RunUntil used to fast-forward to its horizon anyway, so
+// the event still pending at tick 20 later ran at a tick past 100.
+func TestRunUntilAfterStop(t *testing.T) {
+	k := New()
+	var fired []uint64
+	k.AtFunc(10, func(uint64) { fired = append(fired, k.Now()); k.Stop() }, 0)
+	k.AtFunc(20, func(uint64) { fired = append(fired, k.Now()) }, 0)
+	k.RunUntil(100)
+	if k.Now() != 10 {
+		t.Fatalf("Now() after a stopped RunUntil = %d, want 10", k.Now())
+	}
+	k.Run()
+	if len(fired) != 2 || fired[0] != 10 || fired[1] != 20 {
+		t.Fatalf("fired at %v, want [10 20]", fired)
+	}
+	if k.Now() != 20 {
+		t.Fatalf("Now() = %d, want 20", k.Now())
+	}
+}
+
 // TestRunUntilWatchdogPanics is the regression test for the RunUntil
 // loop bypassing the watchdog: a livelock below the horizon used to
 // spin until the horizon instead of panicking at the deadline like Run.
 func TestRunUntilWatchdogPanics(t *testing.T) {
 	k := New()
 	k.SetDeadline(100)
-	var tick func()
-	tick = func() { k.After(1, tick) } // endless self-rescheduling
-	k.At(0, tick)
+	var tick func(uint64)
+	tick = func(uint64) { k.AfterFunc(1, tick, 0) } // endless self-rescheduling
+	k.AtFunc(0, tick, 0)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -120,8 +141,8 @@ func TestRunUntilBeforeDeadlineRuns(t *testing.T) {
 	k := New()
 	k.SetDeadline(1000)
 	n := 0
-	k.At(10, func() { n++ })
-	k.At(20, func() { n++ })
+	k.AtFunc(10, func(uint64) { n++ }, 0)
+	k.AtFunc(20, func(uint64) { n++ }, 0)
 	k.RunUntil(50)
 	if n != 2 || k.Now() != 50 {
 		t.Fatalf("n = %d, now = %d", n, k.Now())
@@ -131,9 +152,9 @@ func TestRunUntilBeforeDeadlineRuns(t *testing.T) {
 func TestWatchdogPanics(t *testing.T) {
 	k := New()
 	k.SetDeadline(100)
-	var tick func()
-	tick = func() { k.After(10, tick) } // endless self-rescheduling
-	k.At(0, tick)
+	var tick func(uint64)
+	tick = func(uint64) { k.AfterFunc(10, tick, 0) } // endless self-rescheduling
+	k.AtFunc(0, tick, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("watchdog did not panic")
@@ -158,7 +179,7 @@ func TestEventOrderProperty(t *testing.T) {
 		for i, r := range raw {
 			tick := uint64(r % 97)
 			id := i
-			k.At(tick, func() { log = append(log, fired{tick, id}) })
+			k.AtFunc(tick, func(uint64) { log = append(log, fired{tick, id}) }, 0)
 		}
 		k.Run()
 		if len(log) != len(raw) {
@@ -189,13 +210,13 @@ func TestDeterminism(t *testing.T) {
 			if depth > 4 {
 				return
 			}
-			k.After(uint64(rng.Intn(50)), func() {
+			k.AfterFunc(uint64(rng.Intn(50)), func(uint64) {
 				log = append(log, k.Now())
 				spawn(depth + 1)
 				spawn(depth + 1)
-			})
+			}, 0)
 		}
-		k.At(0, func() { spawn(0) })
+		k.AtFunc(0, func(uint64) { spawn(0) }, 0)
 		k.Run()
 		return log
 	}

@@ -70,7 +70,7 @@ func TestSignalWakesAllWaiters(t *testing.T) {
 			}
 		})
 	}
-	k.At(50, func() { sig.Fire() })
+	k.AtFunc(50, func(uint64) { sig.Fire() }, 0)
 	k.Run()
 	if woke != 3 {
 		t.Fatalf("woke = %d, want 3", woke)
@@ -90,8 +90,8 @@ func TestSignalReusable(t *testing.T) {
 		sig.Wait(p)
 		wakes = append(wakes, p.Now())
 	})
-	k.At(10, sig.Fire)
-	k.At(20, sig.Fire)
+	k.AtFunc(10, func(uint64) { sig.Fire() }, 0)
+	k.AtFunc(20, func(uint64) { sig.Fire() }, 0)
 	k.Run()
 	if len(wakes) != 2 || wakes[0] != 10 || wakes[1] != 20 {
 		t.Fatalf("wakes = %v, want [10 20]", wakes)
@@ -109,7 +109,7 @@ func TestWaitUntil(t *testing.T) {
 	})
 	for i := 1; i <= 5; i++ {
 		i := i
-		k.At(uint64(i*10), func() { val = i; sig.Fire() })
+		k.AtFunc(uint64(i*10), func(uint64) { val = i; sig.Fire() }, 0)
 	}
 	k.Run()
 	if done != 30 {
@@ -196,8 +196,8 @@ func TestWaitAnyFirstSignalWins(t *testing.T) {
 		WaitAny(p, a, b)
 		woke = p.Now()
 	})
-	k.At(30, b.Fire)
-	k.At(60, a.Fire)
+	k.AtFunc(30, func(uint64) { b.Fire() }, 0)
+	k.AtFunc(60, func(uint64) { a.Fire() }, 0)
 	k.Run()
 	if woke != 30 {
 		t.Fatalf("woke at %d, want 30 (first signal)", woke)
@@ -216,9 +216,9 @@ func TestWaitAnySpentHandleIgnored(t *testing.T) {
 		WaitAny(p, a, b)
 		wakes++
 	})
-	k.At(10, a.Fire)
-	k.At(20, b.Fire) // consumes both the stale handle and the new one
-	k.At(30, a.Fire)
+	k.AtFunc(10, func(uint64) { a.Fire() }, 0)
+	k.AtFunc(20, func(uint64) { b.Fire() }, 0) // consumes both the stale handle and the new one
+	k.AtFunc(30, func(uint64) { a.Fire() }, 0)
 	k.Run()
 	if wakes != 2 {
 		t.Fatalf("wakes = %d, want 2", wakes)
@@ -233,7 +233,7 @@ func TestWaitAnySameSignalTwice(t *testing.T) {
 		WaitAny(p, a, a) // degenerate but legal
 		done = true
 	})
-	k.At(5, a.Fire)
+	k.AtFunc(5, func(uint64) { a.Fire() }, 0)
 	k.Run()
 	if !done {
 		t.Fatal("WaitAny(a, a) never woke")
@@ -265,8 +265,8 @@ func TestManyProcsStress(t *testing.T) {
 
 func TestExecutedCounter(t *testing.T) {
 	k := New()
-	k.At(1, func() {})
-	k.At(2, func() {})
+	k.AtFunc(1, func(uint64) {}, 0)
+	k.AtFunc(2, func(uint64) {}, 0)
 	k.Run()
 	if k.Executed() != 2 {
 		t.Fatalf("executed = %d", k.Executed())

@@ -42,7 +42,7 @@ import "math/bits"
 const (
 	wheelBits = 6
 	// wheelSize is the calendar window in ticks. 64 covers every
-	// short-delay scheduling pattern on the hot path (After(0..63):
+	// short-delay scheduling pattern on the hot path (AfterFunc(0..63):
 	// mapper ticks, send-issue spacing, bus serialization+hop, retry
 	// backoffs) and matches the occupancy bitmap word exactly.
 	wheelSize = 1 << wheelBits
@@ -64,24 +64,12 @@ const (
 	farInitCap = 64
 )
 
-// event is one scheduled callback. Exactly one of fn and afn is set:
-// fn is the closure form (At/After), afn+arg the allocation-free form
-// (AtFunc/AfterFunc).
+// event is one scheduled callback, fn(arg), at (tick, seq).
 type event struct {
 	tick uint64
 	seq  uint64
-	fn   func()
-	afn  func(uint64)
+	fn   func(uint64)
 	arg  uint64
-}
-
-// call dispatches the event's callback.
-func (e *event) call() {
-	if e.afn != nil {
-		e.afn(e.arg)
-	} else {
-		e.fn()
-	}
 }
 
 // bucket is one wheel slot: a FIFO of same-tick events. head indexes the
@@ -186,36 +174,6 @@ func (q *eventQueue) startTick(limit uint64) *bucket {
 		q.advanceTo(q.now + d)
 	}
 	return &q.wheel[q.now&wheelMask]
-}
-
-// pop removes and returns the earliest event, advancing the window to its
-// tick. The second return is false when the queue is empty.
-func (q *eventQueue) pop() (event, bool) {
-	if q.occ == 0 {
-		if len(q.far) == 0 {
-			return event{}, false
-		}
-		// Jump the window to the far-heap minimum; migration refills
-		// the wheel with at least that event.
-		q.advanceTo(q.far[0].tick)
-	}
-	d := q.wheelNext()
-	if d != 0 {
-		// The window slides forward before the event runs, so
-		// callbacks at the new now see a fully migrated wheel.
-		q.advanceTo(q.now + d)
-	}
-	b := &q.wheel[q.now&wheelMask]
-	e := b.ev[b.head]
-	b.ev[b.head] = event{} // release closure references for GC
-	b.head++
-	if b.head == len(b.ev) {
-		b.ev = b.ev[:0]
-		b.head = 0
-		q.occ &^= 1 << (q.now & wheelMask)
-	}
-	q.wheelLen--
-	return e, true
 }
 
 // reset drops every pending event and releases the backing arrays.

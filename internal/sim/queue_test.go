@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // refEvent / refHeap replicate the seed kernel's container/heap event
@@ -34,6 +35,37 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
+// pop removes and returns the earliest event the way the kernel's run
+// loop does — startTick positions the bucket, which then drains FIFO —
+// one event at a time. The second return is false when q is empty.
+func pop(q *eventQueue) (event, bool) {
+	b := q.startTick(^uint64(0))
+	if b == nil {
+		return event{}, false
+	}
+	e := b.ev[b.head]
+	b.ev[b.head] = event{}
+	b.head++
+	q.wheelLen--
+	if b.head == len(b.ev) {
+		b.ev = b.ev[:0]
+		b.head = 0
+		q.occ &^= 1 << (q.now & wheelMask)
+	}
+	return e, true
+}
+
+// TestEventSize pins the event record at two uint64s, one func value and
+// one uint64 — 32 bytes on 64-bit platforms — so a second callback slot
+// cannot creep back into the wheel's working set.
+func TestEventSize(t *testing.T) {
+	var f func(uint64)
+	want := 3*unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(f)
+	if got := unsafe.Sizeof(event{}); got != want {
+		t.Fatalf("sizeof(event) = %d, want %d", got, want)
+	}
+}
+
 // TestQueueMatchesSeedHeap drives the calendar queue and the seed
 // reference heap through identical random schedules — delays spanning
 // the same tick, the wheel window, and the calendar/heap handoff at 64
@@ -56,7 +88,7 @@ func TestQueueMatchesSeedHeap(t *testing.T) {
 				pushBias = 30
 			}
 			if pending > 0 && rng.Intn(100) >= pushBias {
-				e, ok := q.pop()
+				e, ok := pop(&q)
 				if !ok {
 					t.Fatalf("seed %d: pop failed with %d pending", seed, pending)
 				}
@@ -93,7 +125,7 @@ func TestQueueMatchesSeedHeap(t *testing.T) {
 		}
 		// Drain what's left.
 		for pending > 0 {
-			e, ok := q.pop()
+			e, ok := pop(&q)
 			if !ok {
 				t.Fatalf("seed %d: drain pop failed with %d pending", seed, pending)
 			}
@@ -148,13 +180,13 @@ func TestKernelAtOrderingProperty(t *testing.T) {
 				myID := id
 				id++
 				tick := k.Now() + d
-				k.At(tick, func() {
+				k.AtFunc(tick, func(uint64) {
 					log = append(log, fired{tick: tick, id: myID})
 					schedule(depth + 1)
-				})
+				}, 0)
 			}
 		}
-		k.At(0, func() { schedule(0) })
+		k.AtFunc(0, func(uint64) { schedule(0) }, 0)
 		k.Run()
 		if len(log) == 0 {
 			t.Fatalf("seed %d: nothing fired", seed)
@@ -186,18 +218,18 @@ func TestKernelAtOrderingProperty(t *testing.T) {
 func TestRunUntilWindowJump(t *testing.T) {
 	k := New()
 	var got []uint64
-	rec := func(tick uint64) func() {
-		return func() { got = append(got, tick) }
+	rec := func(tick uint64) func(uint64) {
+		return func(uint64) { got = append(got, tick) }
 	}
-	k.At(10, rec(10))
-	k.At(500, rec(500))
-	k.At(530, rec(530))
-	k.At(2000, rec(2000))
+	k.AtFunc(10, rec(10), 0)
+	k.AtFunc(500, rec(500), 0)
+	k.AtFunc(530, rec(530), 0)
+	k.AtFunc(2000, rec(2000), 0)
 	k.RunUntil(480) // jump the window into the gap before 500
 	if k.Now() != 480 {
 		t.Fatalf("Now() = %d, want 480", k.Now())
 	}
-	k.At(490, rec(490)) // schedule inside the jumped-to window
+	k.AtFunc(490, rec(490), 0) // schedule inside the jumped-to window
 	k.RunUntil(1000)
 	k.Run()
 	want := []uint64{10, 490, 500, 530, 2000}

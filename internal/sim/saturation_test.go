@@ -16,7 +16,7 @@ func TestFarHorizonFIFO(t *testing.T) {
 	type stamp struct{ tick, seq uint64 }
 	var want []stamp
 	add := func(tick uint64) {
-		k.At(tick, func() {})
+		k.AtFunc(tick, func(uint64) {}, 0)
 		want = append(want, stamp{tick, k.seq})
 	}
 	// Boundary ticks: at and around the top of the range, at the wheel
@@ -74,17 +74,17 @@ func TestFarHorizonFIFO(t *testing.T) {
 func TestFarHorizonInsertDuringRun(t *testing.T) {
 	k := New()
 	var order []uint64
-	note := func(id uint64) func() {
-		return func() { order = append(order, id) }
+	note := func(id uint64) func(uint64) {
+		return func(uint64) { order = append(order, id) }
 	}
 	base := uint64(1 << 40)
-	k.At(base, func() {
+	k.AtFunc(base, func(uint64) {
 		order = append(order, 1)
-		k.At(base, note(2))             // same tick, must run this tick after 3
-		k.At(base+wheelSize*3, note(4)) // far future relative to wheel
-		k.At(^uint64(0), note(5))       // end of time
-	})
-	k.At(base, note(3)) // scheduled before the callback's same-tick insert
+		k.AtFunc(base, note(2), 0)             // same tick, must run this tick after 3
+		k.AtFunc(base+wheelSize*3, note(4), 0) // far future relative to wheel
+		k.AtFunc(^uint64(0), note(5), 0)       // end of time
+	}, 0)
+	k.AtFunc(base, note(3), 0) // scheduled before the callback's same-tick insert
 	k.Run()
 	want := []uint64{1, 3, 2, 4, 5}
 	if len(order) != len(want) {

@@ -108,18 +108,18 @@ func TestWaitAnyCellWakesOnce(t *testing.T) {
 	var wakes []uint64
 	cell.Init(k, func(arg uint64) { wakes = append(wakes, k.Now()*10+arg) })
 	WaitAnyCell(&cell, 1, a, b, c)
-	k.At(10, func() {
+	k.AtFunc(10, func(uint64) {
 		b.Fire()
 		a.Fire()
-	})
-	k.At(20, func() {
+	}, 0)
+	k.AtFunc(20, func(uint64) {
 		c.Fire() // the spent token: no wake
 		WaitAnyCell(&cell, 2, a, c)
-	})
-	k.At(30, func() {
+	}, 0)
+	k.AtFunc(30, func(uint64) {
 		a.Fire()
 		c.Fire()
-	})
+	}, 0)
 	k.Run()
 	if len(wakes) != 2 || wakes[0] != 101 || wakes[1] != 302 {
 		t.Fatalf("wakes (tick*10+arg) = %v, want [101 302]", wakes)

@@ -36,6 +36,12 @@ type CoherentQueue struct {
 
 	onChange *sim.Signal
 
+	// The two hops of a line transfer, bound once. A hop event's
+	// argument is the waiting process's Resume argument, and wake is
+	// its function: the kernel's process trampoline, which every
+	// process of a kernel shares.
+	snoopFn, dataFn, wake func(uint64)
+
 	stats CoherentStats
 }
 
@@ -52,7 +58,7 @@ func NewCoherentQueue(k *sim.Kernel, bus *noc.Bus, depth int) *CoherentQueue {
 	if depth <= 0 {
 		depth = 8
 	}
-	return &CoherentQueue{
+	q := &CoherentQueue{
 		k:         k,
 		bus:       bus,
 		depth:     depth,
@@ -62,6 +68,8 @@ func NewCoherentQueue(k *sim.Kernel, bus *noc.Bus, depth int) *CoherentQueue {
 		dataOwner: make(map[uint64]int),
 		onChange:  sim.NewSignal("coherent.change"),
 	}
+	q.snoopFn, q.dataFn = q.snooped, q.arrived
+	return q
 }
 
 // Stats returns the traffic counters.
@@ -81,16 +89,22 @@ func (q *CoherentQueue) acquire(p *sim.Proc, owner *int, core int) {
 	}
 	// Snoop request out, data response back (cache-to-cache), each a
 	// control or data packet on the coherence network.
-	done := sim.NewSignal("coherent.acquire")
-	q.bus.Send(noc.PktCoherence, func() {
-		q.bus.Send(noc.PktCoherence, func() {
-			done.Fire()
-		})
-	})
-	done.Wait(p)
+	resume := p.Resume()
+	q.wake = resume.Fn
+	q.bus.SendFunc(noc.PktCoherence, q.snoopFn, resume.Arg)
+	p.Park()
 	p.Sleep(config.L2HitCycles) // directory/LLC lookup on the way
 	*owner = core
 }
+
+// snooped runs when the snoop reaches the owning cache: the data
+// response starts back.
+func (q *CoherentQueue) snooped(arg uint64) { q.bus.SendFunc(noc.PktCoherence, q.dataFn, arg) }
+
+// arrived runs when the data response lands: the acquiring process
+// wakes at this tick, with the same zero-delay event a signal wake
+// schedules.
+func (q *CoherentQueue) arrived(arg uint64) { q.k.AfterFunc(0, q.wake, arg) }
 
 // Push enqueues a message from the producer core, spinning (with
 // re-acquired lines, as a real spin would) while the queue is full.

@@ -42,13 +42,13 @@ func RunFigure7(cfg Figure7Config) (*Tracer, spamer.Result) {
 	})
 	// Wire the producer's accept hook once it exists: the producer
 	// endpoint is created inside the spawned thread, so hook at tick 1.
-	sys.Kernel().At(1, func() {
+	sys.Kernel().AtFunc(1, func(uint64) {
 		for _, q := range sys.Queues() {
 			for _, pr := range q.Inner().Producers() {
 				pr.OnAccept = tr.AddDataArrival
 			}
 		}
-	})
+	}, 0)
 	res := sys.Run()
 	return tr, res
 }

@@ -18,15 +18,15 @@ func TestBufferHighWaterLatchesPeak(t *testing.T) {
 
 	for i := 0; i < 3; i++ {
 		i := i
-		r.k.At(uint64(i), func() { r.dev.Push(s, mem.Message{Seq: uint64(i)}) })
+		r.k.AtFunc(uint64(i), func(uint64) { r.dev.Push(s, mem.Message{Seq: uint64(i)}) }, 0)
 	}
 	for i := 0; i < 3; i++ {
 		i := i
-		r.k.At(uint64(100+10*i), func() { r.dev.Fetch(s, pg.Lines[i].Addr) })
+		r.k.AtFunc(uint64(100+10*i), func(uint64) { r.dev.Fetch(s, pg.Lines[i].Addr) }, 0)
 	}
 	// Unanswered fetches park in consBuf.
-	r.k.At(200, func() { r.dev.Fetch(s, pg.Lines[3].Addr) })
-	r.k.At(201, func() { r.dev.Fetch(s, pg.Lines[4].Addr) })
+	r.k.AtFunc(200, func(uint64) { r.dev.Fetch(s, pg.Lines[3].Addr) }, 0)
+	r.k.AtFunc(201, func(uint64) { r.dev.Fetch(s, pg.Lines[4].Addr) }, 0)
 	r.k.Run()
 
 	if got := r.dev.ProdHighWater(); got != 3 {
@@ -71,15 +71,15 @@ func TestBufferHighWaterViolations(t *testing.T) {
 			pg := r.as.NewPage(2)
 			// One buffered message and one parked request keep both
 			// tables occupied so the below-allocated cases can trip.
-			r.k.At(0, func() { r.dev.Push(s, mem.Message{Seq: 0}) })
-			r.k.At(1, func() {
+			r.k.AtFunc(0, func(uint64) { r.dev.Push(s, mem.Message{Seq: 0}) }, 0)
+			r.k.AtFunc(1, func(uint64) {
 				s2, err := r.dev.AllocSQI()
 				if err != nil {
 					t.Errorf("AllocSQI: %v", err)
 					return
 				}
 				r.dev.Fetch(s2, pg.Lines[1].Addr)
-			})
+			}, 0)
 			r.k.Run()
 			tc.corrupt(r.dev)
 			err := r.dev.CheckStructure()

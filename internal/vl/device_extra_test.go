@@ -39,16 +39,16 @@ func TestReservationAccountingOnFree(t *testing.T) {
 	r := newRig(Config{ProdEntries: 4, LinkEntries: 4})
 	s1, _ := r.dev.AllocSQI()
 	pg := r.as.NewPage(4)
-	r.k.At(0, func() {
+	r.k.AtFunc(0, func(uint64) {
 		for i := 0; i < 3; i++ {
 			r.dev.Push(s1, mem.Message{Seq: uint64(i)})
 		}
-	})
-	r.k.At(10, func() {
+	}, 0)
+	r.k.AtFunc(10, func(uint64) {
 		for i := 0; i < 3; i++ {
 			r.dev.Fetch(s1, pg.Lines[i].Addr)
 		}
-	})
+	}, 0)
 	r.k.Run()
 	// All delivered: accounting must be fully restored.
 	if r.dev.FreeProdEntries() != 4 {
@@ -65,10 +65,10 @@ func TestSQIReuseAfterFree(t *testing.T) {
 	r := newRig(Config{})
 	s1, _ := r.dev.AllocSQI()
 	pg := r.as.NewPage(1)
-	r.k.At(0, func() {
+	r.k.AtFunc(0, func(uint64) {
 		r.dev.Push(s1, mem.Message{Payload: 1})
 		r.dev.Fetch(s1, pg.Lines[0].Addr)
-	})
+	}, 0)
 	r.k.Run()
 	pg.Lines[0].Take()
 	if err := r.dev.FreeSQI(s1); err != nil {
@@ -97,21 +97,21 @@ func TestInterleavedSQIFairness(t *testing.T) {
 	for i := 0; i < per; i++ {
 		i := i
 		// Pushes retry until accepted (mimicking the ISA replay).
-		var try1, try2 func()
-		try1 = func() {
+		var try1, try2 func(uint64)
+		try1 = func(uint64) {
 			if !r.dev.Push(s1, mem.Message{Seq: uint64(i)}) {
-				r.k.After(8, try1)
+				r.k.AfterFunc(8, try1, 0)
 			}
 		}
-		try2 = func() {
+		try2 = func(uint64) {
 			if !r.dev.Push(s2, mem.Message{Seq: uint64(i)}) {
-				r.k.After(8, try2)
+				r.k.AfterFunc(8, try2, 0)
 			}
 		}
-		r.k.At(uint64(i*5), try1)
-		r.k.At(uint64(i*5+1), try2)
-		r.k.At(uint64(100+i*40), func() { r.dev.Fetch(s1, pg1.Lines[i].Addr) })
-		r.k.At(uint64(120+i*40), func() { r.dev.Fetch(s2, pg2.Lines[i].Addr) })
+		r.k.AtFunc(uint64(i*5), try1, 0)
+		r.k.AtFunc(uint64(i*5+1), try2, 0)
+		r.k.AtFunc(uint64(100+i*40), func(uint64) { r.dev.Fetch(s1, pg1.Lines[i].Addr) }, 0)
+		r.k.AtFunc(uint64(120+i*40), func(uint64) { r.dev.Fetch(s2, pg2.Lines[i].Addr) }, 0)
 	}
 	r.k.Run()
 	for i := 0; i < per; i++ {
@@ -145,11 +145,11 @@ func TestDeviceConservationProperty(t *testing.T) {
 			if op%3 == 0 && fetched[s] < 8 {
 				i := fetched[s]
 				addr := pages[s].Lines[i].Addr
-				r.k.At(tick, func() { r.dev.Fetch(s, addr) })
+				r.k.AtFunc(tick, func(uint64) { r.dev.Fetch(s, addr) }, 0)
 				fetched[s]++
 			} else if pushed[s] < 8 {
 				seq := uint64(pushed[s])
-				r.k.At(tick, func() { r.dev.Push(s, mem.Message{Seq: seq}) })
+				r.k.AtFunc(tick, func(uint64) { r.dev.Push(s, mem.Message{Seq: seq}) }, 0)
 				pushed[s]++
 			}
 		}

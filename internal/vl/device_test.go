@@ -67,16 +67,16 @@ func TestDemandFlow(t *testing.T) {
 	pg := r.as.NewPage(1)
 	msg := mem.Message{Src: 0, Seq: 0, Payload: 99}
 
-	r.k.At(0, func() {
+	r.k.AtFunc(0, func(uint64) {
 		if !r.dev.Push(s, msg) {
 			t.Error("push NACKed")
 		}
-	})
-	r.k.At(1, func() {
+	}, 0)
+	r.k.AtFunc(1, func(uint64) {
 		if !r.dev.Fetch(s, pg.Lines[0].Addr) {
 			t.Error("fetch NACKed")
 		}
-	})
+	}, 0)
 	r.k.Run()
 
 	if pg.Lines[0].State != mem.LineValid || pg.Lines[0].Msg != msg {
@@ -98,13 +98,13 @@ func TestFetchBeforePush(t *testing.T) {
 	s, _ := r.dev.AllocSQI()
 	pg := r.as.NewPage(1)
 
-	r.k.At(0, func() { r.dev.Fetch(s, pg.Lines[0].Addr) })
-	r.k.At(5, func() {
+	r.k.AtFunc(0, func(uint64) { r.dev.Fetch(s, pg.Lines[0].Addr) }, 0)
+	r.k.AtFunc(5, func(uint64) {
 		if r.dev.PendingRequests(s) != 1 {
 			t.Errorf("pending requests = %d, want 1", r.dev.PendingRequests(s))
 		}
 		r.dev.Push(s, mem.Message{Payload: 1})
-	})
+	}, 0)
 	r.k.Run()
 
 	if pg.Lines[0].State != mem.LineValid {
@@ -119,8 +119,8 @@ func TestFetchBeforePush(t *testing.T) {
 func TestPushWithoutRequestBuffers(t *testing.T) {
 	r := newRig(Config{})
 	s, _ := r.dev.AllocSQI()
-	r.k.At(0, func() { r.dev.Push(s, mem.Message{Payload: 1}) })
-	r.k.At(0, func() { r.dev.Push(s, mem.Message{Payload: 2}) })
+	r.k.AtFunc(0, func(uint64) { r.dev.Push(s, mem.Message{Payload: 1}) }, 0)
+	r.k.AtFunc(0, func(uint64) { r.dev.Push(s, mem.Message{Payload: 2}) }, 0)
 	r.k.Run()
 	if got := r.dev.BufferedLen(s); got != 2 {
 		t.Fatalf("BufferedLen = %d, want 2", got)
@@ -138,11 +138,11 @@ func TestBufferedFIFO(t *testing.T) {
 	pg := r.as.NewPage(4)
 	for i := 0; i < 4; i++ {
 		i := i
-		r.k.At(uint64(i), func() { r.dev.Push(s, mem.Message{Seq: uint64(i)}) })
+		r.k.AtFunc(uint64(i), func(uint64) { r.dev.Push(s, mem.Message{Seq: uint64(i)}) }, 0)
 	}
 	for i := 0; i < 4; i++ {
 		i := i
-		r.k.At(uint64(100+10*i), func() { r.dev.Fetch(s, pg.Lines[i].Addr) })
+		r.k.AtFunc(uint64(100+10*i), func(uint64) { r.dev.Fetch(s, pg.Lines[i].Addr) }, 0)
 	}
 	r.k.Run()
 	for i, l := range pg.Lines {
@@ -161,13 +161,13 @@ func TestMissRetry(t *testing.T) {
 	line := pg.Lines[0]
 	line.TryFill(mem.Message{Payload: 7}) // occupy the line
 
-	r.k.At(0, func() {
+	r.k.AtFunc(0, func(uint64) {
 		r.dev.Push(s, mem.Message{Payload: 8})
 		r.dev.Fetch(s, line.Addr) // prerequest while the line is valid
-	})
+	}, 0)
 	// Consumer takes the old message later; the armed request's retry
 	// loop then succeeds.
-	r.k.At(500, func() { line.Take() })
+	r.k.AtFunc(500, func(uint64) { line.Take() }, 0)
 	r.k.Run()
 
 	if line.State != mem.LineValid || line.Msg.Payload != 8 {
@@ -192,14 +192,14 @@ func TestMissRetry(t *testing.T) {
 func TestProdBufBackpressure(t *testing.T) {
 	r := newRig(Config{ProdEntries: 2})
 	s, _ := r.dev.AllocSQI()
-	r.k.At(0, func() {
+	r.k.AtFunc(0, func(uint64) {
 		if !r.dev.Push(s, mem.Message{}) || !r.dev.Push(s, mem.Message{}) {
 			t.Error("first two pushes NACKed")
 		}
 		if r.dev.Push(s, mem.Message{}) {
 			t.Error("third push accepted with 2-entry prodBuf")
 		}
-	})
+	}, 0)
 	r.k.Run()
 	if r.dev.Stats().PushNACKs != 1 {
 		t.Fatalf("PushNACKs = %d", r.dev.Stats().PushNACKs)
@@ -211,14 +211,14 @@ func TestConsBufBackpressure(t *testing.T) {
 	r := newRig(Config{ConsEntries: 2})
 	s, _ := r.dev.AllocSQI()
 	pg := r.as.NewPage(3)
-	r.k.At(0, func() {
+	r.k.AtFunc(0, func(uint64) {
 		if !r.dev.Fetch(s, pg.Lines[0].Addr) || !r.dev.Fetch(s, pg.Lines[1].Addr) {
 			t.Error("first two fetches NACKed")
 		}
 		if r.dev.Fetch(s, pg.Lines[2].Addr) {
 			t.Error("third fetch accepted with 2-entry consBuf")
 		}
-	})
+	}, 0)
 	r.k.Run()
 	if r.dev.Stats().FetchNACKs != 1 {
 		t.Fatalf("FetchNACKs = %d", r.dev.Stats().FetchNACKs)
@@ -232,12 +232,12 @@ func TestMultiSQIIsolation(t *testing.T) {
 	s2, _ := r.dev.AllocSQI()
 	pg1 := r.as.NewPage(1)
 	pg2 := r.as.NewPage(1)
-	r.k.At(0, func() {
+	r.k.AtFunc(0, func(uint64) {
 		r.dev.Push(s1, mem.Message{Payload: 11})
 		r.dev.Push(s2, mem.Message{Payload: 22})
 		r.dev.Fetch(s2, pg2.Lines[0].Addr)
 		r.dev.Fetch(s1, pg1.Lines[0].Addr)
-	})
+	}, 0)
 	r.k.Run()
 	if pg1.Lines[0].Msg.Payload != 11 || pg2.Lines[0].Msg.Payload != 22 {
 		t.Fatalf("cross-SQI leak: %+v %+v", pg1.Lines[0].Msg, pg2.Lines[0].Msg)
@@ -256,15 +256,15 @@ func TestMNQueue(t *testing.T) {
 		prod := prod
 		for i := 0; i < perProducer; i++ {
 			i := i
-			r.k.At(uint64(prod+2*i), func() {
+			r.k.AtFunc(uint64(prod+2*i), func(uint64) {
 				r.dev.Push(s, mem.Message{Src: prod, Seq: uint64(i)})
-			})
+			}, 0)
 		}
 	}
 	for i := 0; i < 4; i++ {
 		i := i
-		r.k.At(uint64(50+i), func() { r.dev.Fetch(s, pgA.Lines[i].Addr) })
-		r.k.At(uint64(60+i), func() { r.dev.Fetch(s, pgB.Lines[i].Addr) })
+		r.k.AtFunc(uint64(50+i), func(uint64) { r.dev.Fetch(s, pgA.Lines[i].Addr) }, 0)
+		r.k.AtFunc(uint64(60+i), func(uint64) { r.dev.Fetch(s, pgB.Lines[i].Addr) }, 0)
 	}
 	r.k.Run()
 	seen := map[[2]uint64]int{}
@@ -297,7 +297,7 @@ func TestRegisterWithoutExtensionFails(t *testing.T) {
 func TestFreeSQIBusyFails(t *testing.T) {
 	r := newRig(Config{})
 	s, _ := r.dev.AllocSQI()
-	r.k.At(0, func() { r.dev.Push(s, mem.Message{}) })
+	r.k.AtFunc(0, func(uint64) { r.dev.Push(s, mem.Message{}) }, 0)
 	r.k.Run()
 	if err := r.dev.FreeSQI(s); err == nil {
 		t.Fatal("FreeSQI succeeded with buffered data")
@@ -339,7 +339,7 @@ func TestSpecPathDispatch(t *testing.T) {
 	fs := &fakeSpec{targets: []mem.Addr{pg.Lines[0].Addr}, delay: 10}
 	r.dev.SetSpecExtension(fs)
 
-	r.k.At(0, func() { r.dev.Push(s, mem.Message{Payload: 5}) })
+	r.k.AtFunc(0, func(uint64) { r.dev.Push(s, mem.Message{Payload: 5}) }, 0)
 	r.k.Run()
 
 	if pg.Lines[0].State != mem.LineValid || pg.Lines[0].Msg.Payload != 5 {
@@ -364,8 +364,8 @@ func TestDemandPriorityOverSpec(t *testing.T) {
 	fs := &fakeSpec{targets: []mem.Addr{spec.Lines[0].Addr}}
 	r.dev.SetSpecExtension(fs)
 
-	r.k.At(0, func() { r.dev.Fetch(s, demand.Lines[0].Addr) })
-	r.k.At(1, func() { r.dev.Push(s, mem.Message{Payload: 3}) })
+	r.k.AtFunc(0, func(uint64) { r.dev.Fetch(s, demand.Lines[0].Addr) }, 0)
+	r.k.AtFunc(1, func(uint64) { r.dev.Push(s, mem.Message{Payload: 3}) }, 0)
 	r.k.Run()
 
 	if demand.Lines[0].State != mem.LineValid {
@@ -394,8 +394,8 @@ func TestSpecMissRetriesViaKick(t *testing.T) {
 	fs := &fakeSpec{targets: targets, delay: 25}
 	r.dev.SetSpecExtension(fs)
 
-	r.k.At(0, func() { r.dev.Push(s, mem.Message{Payload: 2}) })
-	r.k.At(200, func() { line.Take() })
+	r.k.AtFunc(0, func(uint64) { r.dev.Push(s, mem.Message{Payload: 2}) }, 0)
+	r.k.AtFunc(200, func(uint64) { line.Take() }, 0)
 	r.k.Run()
 
 	if line.State != mem.LineValid || line.Msg.Payload != 2 {
@@ -416,7 +416,7 @@ func TestSpecDelayHonored(t *testing.T) {
 	fs := &fakeSpec{targets: []mem.Addr{pg.Lines[0].Addr}, delay: 1000}
 	r.dev.SetSpecExtension(fs)
 
-	r.k.At(0, func() { r.dev.Push(s, mem.Message{}) })
+	r.k.AtFunc(0, func(uint64) { r.dev.Push(s, mem.Message{}) }, 0)
 	r.k.Run()
 
 	if got := pg.Lines[0].FillTick(); got < 1000 {
@@ -435,9 +435,9 @@ func TestFetchRacesSpecWait(t *testing.T) {
 	fs := &fakeSpec{targets: []mem.Addr{spec.Lines[0].Addr}, delay: 500}
 	r.dev.SetSpecExtension(fs)
 
-	r.k.At(0, func() { r.dev.Push(s, mem.Message{Payload: 1}) })
-	r.k.At(100, func() { r.dev.Fetch(s, demand.Lines[0].Addr) }) // data already in spec-wait
-	r.k.At(200, func() { r.dev.Push(s, mem.Message{Payload: 2}) })
+	r.k.AtFunc(0, func(uint64) { r.dev.Push(s, mem.Message{Payload: 1}) }, 0)
+	r.k.AtFunc(100, func(uint64) { r.dev.Fetch(s, demand.Lines[0].Addr) }, 0) // data already in spec-wait
+	r.k.AtFunc(200, func(uint64) { r.dev.Push(s, mem.Message{Payload: 2}) }, 0)
 	r.k.Run()
 
 	if spec.Lines[0].Msg.Payload != 1 {
@@ -452,7 +452,7 @@ func TestQuiescentWithPendingRequest(t *testing.T) {
 	r := newRig(Config{})
 	s, _ := r.dev.AllocSQI()
 	pg := r.as.NewPage(1)
-	r.k.At(0, func() { r.dev.Fetch(s, pg.Lines[0].Addr) })
+	r.k.AtFunc(0, func(uint64) { r.dev.Fetch(s, pg.Lines[0].Addr) }, 0)
 	r.k.Run()
 	if !r.dev.Quiescent() {
 		t.Fatal("device with only a parked request should be quiescent")

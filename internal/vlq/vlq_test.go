@@ -196,10 +196,10 @@ func TestPopOrDoneReleasesOnDone(t *testing.T) {
 		_, popped = c.PopOrDone(p, done, func() bool { return isDone })
 		released = true
 	})
-	r.k.At(500, func() {
+	r.k.AtFunc(500, func(uint64) {
 		isDone = true
 		done.Fire()
-	})
+	}, 0)
 	r.k.Run()
 	if popped {
 		t.Fatal("PopOrDone returned a message from an empty queue")
@@ -279,11 +279,11 @@ func TestEvictedLineRecovery(t *testing.T) {
 	// Failure injection: periodically evict the consumer's lines.
 	for _, tick := range []uint64{120, 260, 400} {
 		tick := tick
-		r.k.At(tick, func() {
+		r.k.AtFunc(tick, func(uint64) {
 			for _, l := range consumer.Lines() {
 				l.Evict()
 			}
-		})
+		}, 0)
 	}
 	r.k.Run()
 	if len(got) != 10 {
