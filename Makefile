@@ -20,7 +20,7 @@ GO ?= go
 # GATE_PCT is the SpecRun ns/op tolerance (spamer benchjson -gate-pct):
 # wide by default because wall time on shared runners jitters; the
 # allocs/op checks are the gate's primary teeth.
-BENCH_JSON ?= BENCH_17.json
+BENCH_JSON ?= BENCH_18.json
 BENCH_BASELINE ?= BENCH_9.json
 # MillionMessage pins b.N to the delivered message count; the dedicated
 # pass below records the true million-message run in $(BENCH_JSON)
@@ -106,10 +106,11 @@ bench-ci:
 # engine's hot path — the kernel, the vlq endpoint state machines and
 # the synthetic shapes' process-free threads, all on the kernel
 # goroutine — runs once under -race per PR. Coroutine processes (pooled
-# iter.Pull runners) are raced by test-race, whose Table-2 and DAG
-# workloads still run blocking bodies. Iterations are cut well below
-# MM_ITERS — the race runtime is ~10x slower and the goal is coverage,
-# not timing.
+# iter.Pull runners) are raced by test-race, through the DAG runtime's
+# blocking bodies and the sim package's process tests; the Table-2
+# kernels, like the shapes, are process-free. Iterations are cut well
+# below MM_ITERS — the race runtime is ~10x slower and the goal is
+# coverage, not timing.
 MM_RACE_ITERS ?= 20000x
 bench-race:
 	$(GO) test -race -run=NONE -bench=MillionMessage -benchmem -benchtime=$(MM_RACE_ITERS) .

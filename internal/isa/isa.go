@@ -192,7 +192,11 @@ func (s *Sender) delivered(attempt uint64) {
 	if op.push {
 		ok = s.i.dev.Push(op.sqi, op.msg)
 	} else {
-		ok = s.i.dev.Fetch(op.sqi, op.target)
+		// A NACKed fetch once every thread has exited is a dangling
+		// prerequest: no pop will take its fill, so it is dropped
+		// instead of replaying until the replay bound fails a run
+		// whose work is done.
+		ok = s.i.dev.Fetch(op.sqi, op.target) || s.i.k.LiveProcs() == 0
 	}
 	if ok {
 		s.q[s.head] = senderOp{}

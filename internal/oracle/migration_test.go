@@ -24,12 +24,31 @@ import (
 // sleep once panicked ("Take on evicted line"). The bare-case JSON
 // files sweep eviction periods across fan shapes; all must run clean.
 func TestMigrationEvictionRepros(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("testdata", "repros", "evict-during-pop-*.json"))
+	replayClean(t, "evict-during-pop-*.json", func(t *testing.T, cs gen.Case) {
+		if cs.EvictEvery == 0 {
+			t.Fatal("repro lost its eviction period")
+		}
+	})
+}
+
+// TestDanglingFetchRepros replays generated DAG cases (gen.New(seed).
+// DAGCase() for seeds 75, 283 and 397) whose VL runs once panicked
+// after every thread had exited: a drain replica's last vl_fetch,
+// NACKed by a full consBuf, replayed until the replay bound. All must
+// run clean.
+func TestDanglingFetchRepros(t *testing.T) {
+	replayClean(t, "dangling-fetch-*.json", func(*testing.T, gen.Case) {})
+}
+
+// replayClean replays every bare-case repro matching pattern under the
+// full invariant battery, after check inspects the decoded case.
+func replayClean(t *testing.T, pattern string, check func(*testing.T, gen.Case)) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "repros", pattern))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) == 0 {
-		t.Fatal("eviction repro corpus missing from testdata/repros")
+		t.Fatalf("repro corpus %s missing from testdata/repros", pattern)
 	}
 	for _, path := range paths {
 		path := path
@@ -42,9 +61,7 @@ func TestMigrationEvictionRepros(t *testing.T) {
 			if err := json.Unmarshal(data, &cs); err != nil {
 				t.Fatal(err)
 			}
-			if cs.EvictEvery == 0 {
-				t.Fatal("repro lost its eviction period")
-			}
+			check(t, cs)
 			if rep := CheckCase(cs); rep.Failed() {
 				t.Fatalf("replay on current kernel: %v", rep.Violations)
 			}

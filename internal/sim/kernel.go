@@ -32,11 +32,15 @@ type Kernel struct {
 	// The first arena block and index array are embedded, so a kernel
 	// spawning a handful of processes allocates nothing for them;
 	// &procArena0[i] is handed out, which is safe because kernels never
-	// move (New returns a heap object).
+	// move (New returns a heap object). GoFunc stores its Tasks the same
+	// way (task.go).
 	procArena  []Proc
 	procFn     func(uint64)
-	procArena0 [procArenaBlock]Proc
-	procs0     [procArenaBlock]*Proc
+	procArena0 [arenaBlock]Proc
+	procs0     [arenaBlock]*Proc
+	taskArena  []Task
+	taskArena0 [arenaBlock]Task
+	tasks0     [arenaBlock]*Task
 	stopped    bool
 	maxTick    uint64 // watchdog: Run panics past this tick (0 = unlimited)
 	executed   uint64 // total events dispatched, for diagnostics

@@ -29,11 +29,11 @@ type Proc struct {
 	cell     WaitCell // wake-token state shared with kernel-side waiters
 }
 
-// procArenaBlock batches Proc storage: a system spawns a few dozen
-// processes at setup, so block storage turns one heap object per spawn
+// arenaBlock batches Proc and Task storage: a system spawns a few dozen
+// threads at setup, so block storage turns one heap object per spawn
 // into one per block. Blocks are replaced when full, never grown in
-// place, so *Proc pointers stay valid.
-const procArenaBlock = 16
+// place, so *Proc and *Task pointers stay valid.
+const arenaBlock = 16
 
 // procAbort is the panic value used to unwind an abandoned process.
 type procAbort struct{}
@@ -60,7 +60,7 @@ func (k *Kernel) Go(name string, body func(p *Proc)) *Proc {
 		k.procArena = k.procArena0[:0]
 	}
 	if len(k.procArena) == cap(k.procArena) {
-		k.procArena = make([]Proc, 0, procArenaBlock)
+		k.procArena = make([]Proc, 0, arenaBlock)
 	}
 	k.procArena = k.procArena[:len(k.procArena)+1]
 	p := &k.procArena[len(k.procArena)-1]

@@ -22,7 +22,16 @@ type Task struct {
 // thread spawned with GoFunc in place of Go leaves every later event's
 // sequence number unchanged.
 func (k *Kernel) GoFunc(name string, fn func(uint64), arg uint64) *Task {
-	t := &Task{k: k, name: name}
+	if k.tasks == nil {
+		k.tasks = k.tasks0[:0]
+		k.taskArena = k.taskArena0[:0]
+	}
+	if len(k.taskArena) == cap(k.taskArena) {
+		k.taskArena = make([]Task, 0, arenaBlock)
+	}
+	k.taskArena = k.taskArena[:len(k.taskArena)+1]
+	t := &k.taskArena[len(k.taskArena)-1]
+	*t = Task{k: k, name: name}
 	k.tasks = append(k.tasks, t)
 	k.live++
 	k.AfterFunc(0, fn, arg)

@@ -47,46 +47,77 @@ func BuildBitonic(sys *spamer.System, workers, blocks int) {
 	scatter := sys.NewQueue("bitonic.scatter") // (1:N)
 	gather := sys.NewQueue("bitonic.gather")   // (M:1)
 
-	sys.Spawn("bitonic/master", func(t *spamer.Thread) {
-		tx := scatter.NewProducer(0)
-		rx := gather.NewConsumer(t.Proc, 2*workers)
-		// The master merges results as they come back, keeping at most
-		// 2*workers blocks in flight — pushing every block before
-		// popping any result would wedge the shared 64-entry prodBuf
-		// (scatter backlog plus gather results exceed it).
-		ahead := 2 * workers
-		popped := 0
-		for b := 0; b < blocks; b++ {
-			t.Compute(bitonicPrep)
-			tx.Push(t.Proc, uint64(b))
-			if b >= ahead {
-				rx.Pop(t.Proc)
-				t.Compute(bitonicMerge)
-				popped++
-			}
-		}
-		for ; popped < blocks; popped++ {
-			rx.Pop(t.Proc)
-			t.Compute(bitonicMerge)
-		}
-	})
+	master := &bitonicMaster{scatter: scatter, gather: gather, workers: workers, blocks: blocks}
+	master.spawn(sys, "bitonic/master", master.run)
 
 	// Workers drain the scatter queue dynamically (speculative rotation
 	// distributes blocks approximately, not exactly, evenly).
 	work := spamer.NewWorkCounter("bitonic.scatter", blocks)
-	for w := 0; w < workers; w++ {
-		w := w
-		sys.Spawn(fmt.Sprintf("bitonic/worker%d", w), func(t *spamer.Thread) {
-			rx := scatter.NewConsumer(t.Proc, bitonicLines)
-			tx := gather.NewProducer(0)
-			for {
-				m, ok := work.Take(rx, t.Proc)
-				if !ok {
-					return
-				}
-				t.Compute(bitonicSortWork)
-				tx.Push(t.Proc, m.Payload)
-			}
-		})
+	ws := make([]consumer, workers)
+	for w := range ws {
+		m := &ws[w]
+		*m = consumer{in: scatter, out: gather, lines: bitonicLines, wc: work, work: bitonicSortWork, relay: true}
+		m.spawn(sys, fmt.Sprintf("bitonic/worker%d", w), m.run)
+	}
+}
+
+// bitonicMaster prepares and scatters the blocks, merging results as
+// they come back, keeping at most 2*workers blocks in flight — pushing
+// every block before popping any result would wedge the shared 64-entry
+// prodBuf (scatter backlog plus gather results exceed it).
+type bitonicMaster struct {
+	thread
+	scatter, gather *spamer.Queue
+	workers, blocks int
+
+	tx             *spamer.Producer
+	rx             *spamer.Consumer
+	pushed, popped int // blocks scattered, results merged
+}
+
+// bitonicMaster steps.
+const (
+	bmStart  uint64 = iota // open the endpoints
+	bmNext                 // prepare the next block, or merge a result
+	bmPush                 // scatter the prepared block
+	bmPushed               // block scattered: merge a result once enough are in flight
+	bmMerge                // result popped: merge it
+	bmMerged               // result merged
+)
+
+func (m *bitonicMaster) run(state uint64) {
+	switch state {
+	case bmStart:
+		m.tx = m.scatter.NewProducer(0)
+		var pending bool
+		m.rx, pending = m.gather.NewConsumerThen(2*m.workers, m.then(bmNext))
+		if pending {
+			return
+		}
+		fallthrough
+	case bmNext:
+		if m.pushed < m.blocks {
+			m.compute(bitonicPrep, bmPush)
+			return
+		}
+		if m.popped < m.blocks {
+			m.rx.PopThen(m.then(bmMerge))
+			return
+		}
+		m.task.Exit()
+	case bmPush:
+		m.tx.PushThen(uint64(m.pushed), m.then(bmPushed))
+	case bmPushed:
+		m.pushed++
+		if m.pushed > 2*m.workers {
+			m.rx.PopThen(m.then(bmMerge))
+			return
+		}
+		m.run(bmNext)
+	case bmMerge:
+		m.compute(bitonicMerge, bmMerged)
+	case bmMerged:
+		m.popped++
+		m.run(bmNext)
 	}
 }

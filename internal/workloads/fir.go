@@ -52,38 +52,93 @@ func buildFIR(sys *spamer.System, scale int) {
 		queues[i] = sys.NewQueue(fmt.Sprintf("fir.q%d", i))
 	}
 
-	sys.Spawn("fir/source", func(t *spamer.Thread) {
-		tx := queues[0].NewProducer(0)
-		for i := 0; i < n; i++ {
-			tx.PushAfter(t.Proc, firSrcWork, uint64(i))
-		}
-	})
-
+	taps := make([]firTap, firStages)
+	taps[0] = firTap{out: queues[0], work: firSrcWork, n: n}
+	taps[0].spawn(sys, "fir/source", taps[0].run)
 	for s := 1; s < firStages-1; s++ {
-		s := s
-		sys.Spawn(fmt.Sprintf("fir/stage%d", s), func(t *spamer.Thread) {
-			rx := queues[s-1].NewConsumer(t.Proc, firLines)
-			tx := queues[s].NewProducer(0)
-			acc := uint64(0)
-			for i := 0; i < n; i++ {
-				m := rx.Pop(t.Proc)
-				acc += m.Payload // tap accumulate
-				tx.PushAfter(t.Proc, firMAC, acc)
-				if (i+s*7)%firReloadEvery == 0 {
-					t.Compute(firReloadCost) // coefficient block reload
-				}
-			}
-		})
+		m := &taps[s]
+		*m = firTap{in: queues[s-1], out: queues[s], work: firMAC, phase: s * 7, n: n}
+		m.spawn(sys, fmt.Sprintf("fir/stage%d", s), m.run)
 	}
+	sink := &taps[firStages-1]
+	*sink = firTap{in: queues[firStages-2], work: firMAC, n: n}
+	sink.spawn(sys, "fir/sink", sink.run)
+}
 
-	sys.Spawn("fir/sink", func(t *spamer.Thread) {
-		rx := queues[firStages-2].NewConsumer(t.Proc, firLines)
-		for i := 0; i < n; i++ {
-			rx.Pop(t.Proc)
-			t.Compute(firMAC)
-			if i%firReloadEvery == 0 {
-				t.Compute(firReloadCost)
+// firTap is one FIR thread: the source (no in), a tap stage, or the
+// sink (no out). Per sample a stage or the sink pops from in; the
+// source then pushes the sample index after work cycles, a stage its
+// running tap sum, and the sink charges work. Stages and the sink then
+// reload their coefficient block when (i+phase)%firReloadEvery == 0.
+type firTap struct {
+	thread
+	in, out *spamer.Queue
+	work    uint64
+	phase   int
+	n       int
+
+	rx  *spamer.Consumer
+	tx  *spamer.Producer
+	acc uint64 // tap accumulator
+	i   int    // samples done
+}
+
+// firTap steps.
+const (
+	firStart  uint64 = iota // open the endpoints
+	firOpened               // input registered: open the output
+	firNext                 // pop sample i, or exit after the last
+	firPopped               // sample i popped: accumulate and push it on
+	firTapped               // sample i pushed: reload on schedule
+	firDone                 // sample i done
+)
+
+func (m *firTap) run(state uint64) {
+	switch state {
+	case firStart:
+		if m.in != nil {
+			var pending bool
+			m.rx, pending = m.in.NewConsumerThen(firLines, m.then(firOpened))
+			if pending {
+				return
 			}
 		}
-	})
+		fallthrough
+	case firOpened:
+		if m.out != nil {
+			m.tx = m.out.NewProducer(0)
+		}
+		fallthrough
+	case firNext:
+		if m.i == m.n {
+			m.task.Exit()
+			return
+		}
+		if m.rx != nil {
+			m.rx.PopThen(m.then(firPopped))
+			return
+		}
+		fallthrough
+	case firPopped:
+		if m.tx == nil {
+			m.compute(m.work, firTapped)
+			return
+		}
+		sample := uint64(m.i)
+		if m.rx != nil {
+			msg, _ := m.rx.Result()
+			m.acc += msg.Payload // tap accumulate
+			sample = m.acc
+		}
+		m.tx.PushAfterThen(m.work, sample, m.then(firTapped))
+	case firTapped:
+		if m.rx != nil && (m.i+m.phase)%firReloadEvery == 0 {
+			m.compute(firReloadCost, firDone) // coefficient block reload
+			return
+		}
+		fallthrough
+	case firDone:
+		m.i++
+		m.run(firNext)
+	}
 }

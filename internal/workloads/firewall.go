@@ -39,43 +39,73 @@ func buildFirewall(sys *spamer.System, scale int) {
 	qF2 := sys.NewQueue("fw.lane2")  // classify -> fw2 (1:1)
 	qOut := sys.NewQueue("fw.merge") // fw1+fw2 -> sink (2:1)
 
-	sys.Spawn("firewall/rx", func(t *spamer.Thread) {
-		tx := qRx.NewProducer(0)
-		for i := 0; i < n; i++ {
-			t.Compute(fwRxWork)
-			tx.Push(t.Proc, uint64(i))
-		}
-	})
+	rx := &source{q: qRx, work: fwRxWork, n: n}
+	rx.spawn(sys, "firewall/rx", rx.run)
 
-	sys.Spawn("firewall/classify", func(t *spamer.Thread) {
-		rx := qRx.NewConsumer(t.Proc, fwLines)
-		lanes := []*spamer.Producer{qF1.NewProducer(0), qF2.NewProducer(0)}
-		for i := 0; i < n; i++ {
-			m := rx.Pop(t.Proc)
-			t.Compute(fwClsWork)
-			// Deterministic 5-tuple hash stand-in: alternate lanes.
-			lanes[int(m.Payload)%2].Push(t.Proc, m.Payload)
-		}
-	})
+	cls := &classifier{in: qRx, lanes: [2]*spamer.Queue{qF1, qF2}, n: n}
+	cls.spawn(sys, "firewall/classify", cls.run)
 
+	cs := make([]consumer, 3)
 	for lane, q := range []*spamer.Queue{qF1, qF2} {
-		lane, q := lane, q
-		sys.Spawn("firewall/fw"+string(rune('1'+lane)), func(t *spamer.Thread) {
-			rx := q.NewConsumer(t.Proc, fwLines)
-			tx := qOut.NewProducer(0)
-			for i := 0; i < n/2; i++ {
-				m := rx.Pop(t.Proc)
-				t.Compute(fwFilter)
-				tx.Push(t.Proc, m.Payload)
-			}
-		})
+		m := &cs[lane]
+		*m = consumer{in: q, out: qOut, lines: fwLines, n: n / 2, work: fwFilter, relay: true}
+		m.spawn(sys, "firewall/fw"+string(rune('1'+lane)), m.run)
 	}
 
-	sys.Spawn("firewall/sink", func(t *spamer.Thread) {
-		rx := qOut.NewConsumer(t.Proc, fwSinkLines)
-		for i := 0; i < n; i++ {
-			rx.Pop(t.Proc)
-			t.Compute(fwSinkWork)
+	sink := &cs[2]
+	*sink = consumer{in: qOut, lines: fwSinkLines, n: n, work: fwSinkWork}
+	sink.spawn(sys, "firewall/sink", sink.run)
+}
+
+// classifier is the firewall's classify thread: it pops each packet,
+// classifies it, and dispatches it to a filter lane.
+type classifier struct {
+	thread
+	in    *spamer.Queue
+	lanes [2]*spamer.Queue
+	n     int
+
+	rx *spamer.Consumer
+	tx [2]*spamer.Producer
+	i  int // packets dispatched
+}
+
+// classifier steps.
+const (
+	clsStart      uint64 = iota // open the input endpoint
+	clsOpened                   // input registered: open the lanes
+	clsNext                     // pop packet i, or exit after the last
+	clsPopped                   // packet i popped: classify it
+	clsClassified               // dispatch packet i
+	clsDone                     // packet i dispatched
+)
+
+func (m *classifier) run(state uint64) {
+	switch state {
+	case clsStart:
+		var pending bool
+		m.rx, pending = m.in.NewConsumerThen(fwLines, m.then(clsOpened))
+		if pending {
+			return
 		}
-	})
+		fallthrough
+	case clsOpened:
+		m.tx = [2]*spamer.Producer{m.lanes[0].NewProducer(0), m.lanes[1].NewProducer(0)}
+		fallthrough
+	case clsNext:
+		if m.i == m.n {
+			m.task.Exit()
+			return
+		}
+		m.rx.PopThen(m.then(clsPopped))
+	case clsPopped:
+		m.compute(fwClsWork, clsClassified)
+	case clsClassified:
+		msg, _ := m.rx.Result()
+		// Deterministic 5-tuple hash stand-in: alternate lanes.
+		m.tx[int(msg.Payload)%2].PushThen(msg.Payload, m.then(clsDone))
+	case clsDone:
+		m.i++
+		m.run(clsNext)
+	}
 }

@@ -59,28 +59,12 @@ type IncastParams struct {
 // BuildIncast constructs the incast pattern with explicit parameters.
 func BuildIncast(sys *spamer.System, p IncastParams) {
 	q := sys.NewQueue("incast")
-	total := p.Producers * p.PerProd
-	for i := 0; i < p.Producers; i++ {
-		i := i
-		sys.Spawn(fmt.Sprintf("incast/prod%d", i), func(t *spamer.Thread) {
-			tx := q.NewProducer(incastProdWindow)
-			for n := 0; n < p.PerProd; n++ {
-				t.Compute(p.ProdWork)
-				tx.Push(t.Proc, uint64(n))
-				if p.Burst > 0 && (n+1)%p.Burst == 0 {
-					t.Compute(uint64(p.Burst) * p.ProdWork)
-				}
-			}
-		})
+	prods := make([]source, p.Producers)
+	for i := range prods {
+		m := &prods[i]
+		*m = source{q: q, window: incastProdWindow, work: p.ProdWork, burst: p.Burst, n: p.PerProd}
+		m.spawn(sys, fmt.Sprintf("incast/prod%d", i), m.run)
 	}
-	sys.Spawn("incast/master", func(t *spamer.Thread) {
-		rx := q.NewConsumer(t.Proc, p.ConsLines)
-		if p.OnConsumer != nil {
-			p.OnConsumer(rx)
-		}
-		for n := 0; n < total; n++ {
-			rx.Pop(t.Proc)
-			t.Compute(p.ConsWork)
-		}
-	})
+	master := &consumer{in: q, lines: p.ConsLines, n: p.Producers * p.PerProd, work: p.ConsWork, onOpen: p.OnConsumer}
+	master.spawn(sys, "incast/master", master.run)
 }

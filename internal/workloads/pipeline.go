@@ -44,66 +44,130 @@ func buildPipeline(sys *spamer.System, scale int) {
 	q3 := sys.NewQueue("pipe.s2s3") // (4:1)
 	qc := sys.NewQueue("pipe.cred") // (1:1) sink -> source
 
-	batches := n / pipeBatch
-
-	sys.Spawn("pipeline/source", func(t *spamer.Thread) {
-		tx := q1.NewProducer(0)
-		cr := qc.NewConsumer(t.Proc, 2)
-		for b := 0; b < batches; b++ {
-			if b >= pipeDepth {
-				cr.Pop(t.Proc) // wait for a retired batch
-			}
-			for i := 0; i < pipeBatch; i++ {
-				t.Compute(pipeSrcWork)
-				tx.Push(t.Proc, uint64(b*pipeBatch+i))
-			}
-		}
-	})
+	src := &pipeSource{out: q1, credits: qc, n: n}
+	src.spawn(sys, "pipeline/source", src.run)
 
 	// The middle stages drain their queues dynamically: under
 	// speculative rotation the per-worker share is approximate, so the
 	// workers share a WorkCounter instead of fixed pop counts.
 	parseWork := spamer.NewWorkCounter("pipe.parse", n)
 	processWork := spamer.NewWorkCounter("pipe.process", n)
+	ws := make([]consumer, 2*pipeWorkers)
 	for w := 0; w < pipeWorkers; w++ {
-		w := w
-		sys.Spawn(fmt.Sprintf("pipeline/parse%d", w), func(t *spamer.Thread) {
-			rx := q1.NewConsumer(t.Proc, pipeLines)
-			tx := q2.NewProducer(0)
-			for {
-				m, ok := parseWork.Take(rx, t.Proc)
-				if !ok {
-					return
-				}
-				t.Compute(pipeMidWork)
-				tx.Push(t.Proc, m.Payload)
-			}
-		})
-		sys.Spawn(fmt.Sprintf("pipeline/process%d", w), func(t *spamer.Thread) {
-			rx := q2.NewConsumer(t.Proc, pipeLines)
-			tx := q3.NewProducer(0)
-			for {
-				m, ok := processWork.Take(rx, t.Proc)
-				if !ok {
-					return
-				}
-				t.Compute(pipeMidWork)
-				tx.Push(t.Proc, m.Payload)
-			}
-		})
+		parse, process := &ws[2*w], &ws[2*w+1]
+		*parse = consumer{in: q1, out: q2, lines: pipeLines, wc: parseWork, work: pipeMidWork, relay: true}
+		parse.spawn(sys, fmt.Sprintf("pipeline/parse%d", w), parse.run)
+		*process = consumer{in: q2, out: q3, lines: pipeLines, wc: processWork, work: pipeMidWork, relay: true}
+		process.spawn(sys, fmt.Sprintf("pipeline/process%d", w), process.run)
 	}
 
-	sys.Spawn("pipeline/sink", func(t *spamer.Thread) {
-		rx := q3.NewConsumer(t.Proc, pipeLines)
-		cr := qc.NewProducer(0)
-		credits := 0
-		for i := 0; i < n; i++ {
-			rx.Pop(t.Proc)
-			t.Compute(pipeSinkWork)
-			if (i+1)%pipeBatch == 0 && credits < batches-pipeDepth {
-				cr.Push(t.Proc, uint64(credits))
-				credits++
-			}
+	sink := &pipeSink{in: q3, credits: qc, n: n}
+	sink.spawn(sys, "pipeline/sink", sink.run)
+}
+
+// pipeSource generates the n packets, waiting for a retired batch's
+// credit before each batch past the first pipeDepth.
+type pipeSource struct {
+	thread
+	out, credits *spamer.Queue
+	n            int
+
+	tx *spamer.Producer
+	cr *spamer.Consumer
+	i  int // packets pushed
+}
+
+// pipeSource steps.
+const (
+	psStart  uint64 = iota // open the endpoints
+	psNext                 // packet i: wait for a credit at a batch boundary
+	psWork                 // generate packet i
+	psPush                 // push packet i
+	psPushed               // packet i pushed
+)
+
+func (m *pipeSource) run(state uint64) {
+	switch state {
+	case psStart:
+		m.tx = m.out.NewProducer(0)
+		var pending bool
+		m.cr, pending = m.credits.NewConsumerThen(2, m.then(psNext))
+		if pending {
+			return
 		}
-	})
+		fallthrough
+	case psNext:
+		if m.i == m.n {
+			m.task.Exit()
+			return
+		}
+		if m.i%pipeBatch == 0 && m.i/pipeBatch >= pipeDepth {
+			m.cr.PopThen(m.then(psWork))
+			return
+		}
+		fallthrough
+	case psWork:
+		m.compute(pipeSrcWork, psPush)
+	case psPush:
+		m.tx.PushThen(uint64(m.i), m.then(psPushed))
+	case psPushed:
+		m.i++
+		m.run(psNext)
+	}
+}
+
+// pipeSink retires the n packets, returning a credit to the source
+// after each retired batch until the source has all it waits for.
+type pipeSink struct {
+	thread
+	in, credits *spamer.Queue
+	n           int
+
+	rx      *spamer.Consumer
+	cr      *spamer.Producer
+	i       int // packets retired
+	granted int // credits returned
+}
+
+// pipeSink steps.
+const (
+	pkStart   uint64 = iota // open the input endpoint
+	pkOpened                // input registered: open the credit endpoint
+	pkNext                  // pop packet i, or exit after the last
+	pkRetire                // packet i popped: retire it
+	pkRetired               // packet i retired: return a credit at a batch end
+	pkDone                  // packet i done
+)
+
+func (m *pipeSink) run(state uint64) {
+	switch state {
+	case pkStart:
+		var pending bool
+		m.rx, pending = m.in.NewConsumerThen(pipeLines, m.then(pkOpened))
+		if pending {
+			return
+		}
+		fallthrough
+	case pkOpened:
+		m.cr = m.credits.NewProducer(0)
+		fallthrough
+	case pkNext:
+		if m.i == m.n {
+			m.task.Exit()
+			return
+		}
+		m.rx.PopThen(m.then(pkRetire))
+	case pkRetire:
+		m.compute(pipeSinkWork, pkRetired)
+	case pkRetired:
+		if (m.i+1)%pipeBatch == 0 && m.granted < m.n/pipeBatch-pipeDepth {
+			m.cr.PushThen(uint64(m.granted), m.then(pkDone))
+			m.granted++
+			return
+		}
+		fallthrough
+	case pkDone:
+		m.i++
+		m.run(pkNext)
+	}
 }

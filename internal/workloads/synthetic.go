@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"spamer"
-	"spamer/internal/sim"
 	"spamer/internal/traffic"
 	"spamer/internal/vlq"
 	"spamer/internal/workloads/dag"
@@ -204,15 +203,6 @@ func (sh *Shape) Workload() *Workload {
 	}
 }
 
-// The synthetic shapes run their threads process-free
-// (System.SpawnFunc): each thread is a state machine whose steps are
-// kernel events and the continuations of the queue operations, so a
-// message costs no coroutine switch. Each Compute stays its own
-// AfterFunc event — fusing two consecutive ones would renumber every
-// later event — and each queue operation starts at the step where a
-// blocking body would call it, so the dispatch trace is the one
-// blocking bodies produce (TestGoldenShapeTraces pins it).
-
 // arrivalChunk sizes the pooled arrival-record block each open-loop
 // producer refills in place — large enough to amortize the refill loop,
 // small enough to stay cache-resident.
@@ -222,14 +212,12 @@ const arrivalChunk = 256
 // producer: it pushes n messages with the shape's work/burst pattern,
 // or, when sh.Arrival is set, on the open-loop schedule drawn from it.
 type producer struct {
+	thread
 	sh   *Shape
-	k    *sim.Kernel
-	task *sim.Task
 	q    *spamer.Queue
 	tx   *spamer.Producer
 	id   int
 	i, n int // messages pushed, messages to push
-	step func(uint64)
 
 	// Open loop: the arrival source and one chunk of arrival ticks,
 	// refilled in place, so the steady state allocates nothing per
@@ -248,12 +236,6 @@ const (
 	prodPush                 // push message i
 	prodPushed               // message i pushed
 )
-
-func (sh *Shape) spawnProducer(sys *spamer.System, name string, q *spamer.Queue, id, n int) {
-	m := &producer{sh: sh, k: sys.Kernel(), q: q, id: id, n: n}
-	m.step = m.run
-	m.task = sys.SpawnFunc(name, m.step, prodStart).Task
-}
 
 func (m *producer) run(state uint64) {
 	sh := m.sh
@@ -282,46 +264,55 @@ func (m *producer) run(state uint64) {
 			at := m.buf[m.pos]
 			m.pos++
 			if now := m.k.Now(); now < at {
-				m.k.AfterFunc(at-now, m.step, prodWork)
+				m.compute(at-now, prodWork)
 				return
 			}
 		}
 		fallthrough
 	case prodWork:
 		if sh.ProdWork > 0 {
-			m.k.AfterFunc(sh.ProdWork, m.step, prodGap)
+			m.compute(sh.ProdWork, prodGap)
 			return
 		}
 		fallthrough
 	case prodGap:
 		if m.src == nil && sh.Burst > 0 && m.i > 0 && m.i%sh.Burst == 0 {
-			m.k.AfterFunc(sh.burstGap(), m.step, prodPush)
+			m.compute(sh.burstGap(), prodPush)
 			return
 		}
 		fallthrough
 	case prodPush:
-		m.tx.PushThen(payloadFor(m.id, m.i), sim.Cont{Fn: m.step, Arg: prodPushed})
+		m.tx.PushThen(payloadFor(m.id, m.i), m.then(prodPushed))
 	case prodPushed:
 		m.i++
 		m.run(prodNext)
 	}
 }
 
-// consumer is a draining thread, a chain stage or sink or one fan
-// consumer: it opens its endpoint on in (registering it on a SPAMeR
-// system), then pops n messages — or, sharing a WorkCounter, takes
-// until the shared count runs out — charging ConsWork after each. A
-// chain stage forwards each message on out.
+// consumer is a draining thread, a synthetic chain stage, sink or fan
+// consumer, or a Table-2 relay or sink: it opens its endpoint on in
+// (registering it on a SPAMeR system) and then, with out set, its
+// output endpoint. It pops n messages — or, sharing a WorkCounter,
+// takes until the shared count runs out — and after each charges work
+// cycles, unless skipWork is set (a zero work is still a Sleep(0)
+// event), then forwards one message on out: the popped payload when
+// relay is set, the canonical payloadFor(0, i) otherwise.
 type consumer struct {
-	sh      *Shape
-	k       *sim.Kernel
-	task    *sim.Task
-	in, out *spamer.Queue
-	rx      *spamer.Consumer
-	tx      *spamer.Producer
-	wc      *spamer.WorkCounter
-	i, n    int // messages popped, messages to pop (without wc)
-	step    func(uint64)
+	thread
+	in, out  *spamer.Queue
+	lines    int // input endpoint lines
+	window   int // output endpoint window
+	wc       *spamer.WorkCounter
+	n        int // messages to pop (without wc)
+	work     uint64
+	skipWork bool
+	relay    bool
+	// onOpen, if set, receives the input endpoint once it is open.
+	onOpen func(*spamer.Consumer)
+
+	rx *spamer.Consumer
+	tx *spamer.Producer
+	i  int // messages taken
 }
 
 // consumer steps.
@@ -330,34 +321,31 @@ const (
 	consOpened                // input endpoint registered: open the output
 	consNext                  // pop (or take) message i, or exit
 	consTook                  // a take completed: exit if the count ran out
-	consWork                  // message i popped: charge ConsWork
+	consWork                  // message i popped: charge its work
 	consForward               // forward message i on out
 	consDone                  // message i done
 )
-
-func (sh *Shape) spawnConsumer(sys *spamer.System, name string, m *consumer) {
-	m.sh, m.k = sh, sys.Kernel()
-	m.step = m.run
-	m.task = sys.SpawnFunc(name, m.step, consStart).Task
-}
 
 func (m *consumer) run(state uint64) {
 	switch state {
 	case consStart:
 		var pending bool
-		m.rx, pending = m.in.NewConsumerThen(m.sh.lines(), sim.Cont{Fn: m.step, Arg: consOpened})
+		m.rx, pending = m.in.NewConsumerThen(m.lines, m.then(consOpened))
 		if pending {
 			return
 		}
 		fallthrough
 	case consOpened:
+		if m.onOpen != nil {
+			m.onOpen(m.rx)
+		}
 		if m.out != nil {
-			m.tx = m.out.NewProducer(m.sh.Window)
+			m.tx = m.out.NewProducer(m.window)
 		}
 		fallthrough
 	case consNext:
 		if m.wc != nil {
-			if !m.wc.TakeThen(m.rx, sim.Cont{Fn: m.step, Arg: consTook}) {
+			if !m.wc.TakeThen(m.rx, m.then(consTook)) {
 				m.task.Exit()
 			}
 			return
@@ -366,7 +354,7 @@ func (m *consumer) run(state uint64) {
 			m.task.Exit()
 			return
 		}
-		m.rx.PopThen(sim.Cont{Fn: m.step, Arg: consWork})
+		m.rx.PopThen(m.then(consWork))
 	case consTook:
 		if _, ok := m.rx.Result(); !ok {
 			m.task.Exit()
@@ -374,14 +362,19 @@ func (m *consumer) run(state uint64) {
 		}
 		fallthrough
 	case consWork:
-		if m.sh.ConsWork > 0 {
-			m.k.AfterFunc(m.sh.ConsWork, m.step, consForward)
+		if !m.skipWork {
+			m.compute(m.work, consForward)
 			return
 		}
 		fallthrough
 	case consForward:
 		if m.tx != nil {
-			m.tx.PushThen(payloadFor(0, m.i), sim.Cont{Fn: m.step, Arg: consDone})
+			payload := payloadFor(0, m.i)
+			if m.relay {
+				msg, _ := m.rx.Result()
+				payload = msg.Payload
+			}
+			m.tx.PushThen(payload, m.then(consDone))
 			return
 		}
 		fallthrough
@@ -399,17 +392,33 @@ func payloadFor(id, i int) uint64 {
 	return (uint64(id)<<32 | uint64(uint32(i))) * 0x9e3779b97f4a7c15
 }
 
+// consumer returns a drain thread on in with the shape's endpoint
+// sizes and per-message work.
+func (sh *Shape) consumer(in *spamer.Queue) consumer {
+	return consumer{in: in, lines: sh.lines(), window: sh.Window,
+		work: sh.ConsWork, skipWork: sh.ConsWork == 0}
+}
+
 func (sh *Shape) buildChain(sys *spamer.System, scale int) {
 	n := sh.Messages * scale
 	queues := make([]*spamer.Queue, sh.Stages-1)
 	for i := range queues {
 		queues[i] = sys.NewQueue(fmt.Sprintf("chain.q%d", i))
 	}
-	sh.spawnProducer(sys, "chain/source", queues[0], 0, n)
-	for s := 1; s < sh.Stages-1; s++ {
-		sh.spawnConsumer(sys, fmt.Sprintf("chain/stage%d", s), &consumer{in: queues[s-1], out: queues[s], n: n})
+	src := &producer{sh: sh, q: queues[0], n: n}
+	src.spawn(sys, "chain/source", src.run)
+	cs := make([]consumer, len(queues))
+	for s := range cs {
+		c := &cs[s]
+		*c = sh.consumer(queues[s])
+		c.n = n
+		name := "chain/sink"
+		if s+1 < len(queues) {
+			c.out = queues[s+1]
+			name = fmt.Sprintf("chain/stage%d", s+1)
+		}
+		c.spawn(sys, name, c.run)
 	}
-	sh.spawnConsumer(sys, "chain/sink", &consumer{in: queues[len(queues)-1], n: n})
 }
 
 func (sh *Shape) buildFan(sys *spamer.System, scale int) {
@@ -417,17 +426,26 @@ func (sh *Shape) buildFan(sys *spamer.System, scale int) {
 	per := sh.Messages * scale
 	total := per * nprod
 	q := sys.NewQueue("fan.q")
-	for p := 0; p < nprod; p++ {
-		sh.spawnProducer(sys, fmt.Sprintf("fan/prod%d", p), q, p, per)
+	ps := make([]producer, nprod)
+	for p := range ps {
+		m := &ps[p]
+		*m = producer{sh: sh, q: q, id: p, n: per}
+		m.spawn(sys, fmt.Sprintf("fan/prod%d", p), m.run)
 	}
+	cs := make([]consumer, ncons)
 	if ncons == 1 {
-		sh.spawnConsumer(sys, "fan/cons", &consumer{in: q, n: total})
+		cs[0] = sh.consumer(q)
+		cs[0].n = total
+		cs[0].spawn(sys, "fan/cons", cs[0].run)
 		return
 	}
 	// The per-consumer share of an M:N queue is not static; drain
 	// through a shared WorkCounter, as bitonic/pipeline do.
 	wc := spamer.NewWorkCounter("fan", total)
-	for c := 0; c < ncons; c++ {
-		sh.spawnConsumer(sys, fmt.Sprintf("fan/cons%d", c), &consumer{in: q, wc: wc})
+	for c := range cs {
+		m := &cs[c]
+		*m = sh.consumer(q)
+		m.wc = wc
+		m.spawn(sys, fmt.Sprintf("fan/cons%d", c), m.run)
 	}
 }

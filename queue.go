@@ -46,6 +46,22 @@ func (q *Queue) Close() error { return q.inner.Close() }
 // Inner exposes the library-level queue for tracing and tests.
 func (q *Queue) Inner() *vlq.Queue { return q.inner }
 
+// handleBlock sizes the System's endpoint-handle arenas: handles live
+// in block storage, like the vlq endpoints they wrap, so opening an
+// endpoint costs no heap object of its own.
+const handleBlock = 16
+
+// nextHandle returns a zeroed handle from the arena. Blocks are
+// replaced when full, never grown in place, so handed-out pointers
+// stay valid.
+func nextHandle[T any](arena *[]T) *T {
+	if len(*arena) == cap(*arena) {
+		*arena = make([]T, 0, handleBlock)
+	}
+	*arena = (*arena)[:len(*arena)+1]
+	return &(*arena)[len(*arena)-1]
+}
+
 // Producer is a producer endpoint handle.
 type Producer struct {
 	inner *vlq.Producer
@@ -54,7 +70,9 @@ type Producer struct {
 // NewProducer subscribes a producer endpoint. window bounds in-flight
 // pushes (0 = default).
 func (q *Queue) NewProducer(window int) *Producer {
-	return &Producer{inner: q.inner.NewProducer(window)}
+	pr := nextHandle(&q.sys.prodArena)
+	pr.inner = q.inner.NewProducer(window)
+	return pr
 }
 
 // Push enqueues one message, charging the calling thread the library and
@@ -71,6 +89,12 @@ func (pr *Producer) PushThen(payload uint64, then sim.Cont) { pr.inner.PushThen(
 // produce-loop shape `Compute(work); Push(msg)`.
 func (pr *Producer) PushAfter(p *sim.Proc, d uint64, payload uint64) {
 	pr.inner.PushAfter(p, d, payload)
+}
+
+// PushAfterThen is PushAfter for a process-free thread: it returns at
+// once, and then runs where PushAfter would return.
+func (pr *Producer) PushAfterThen(d, payload uint64, then sim.Cont) {
+	pr.inner.PushAfterThen(d, payload, then)
 }
 
 // Sent reports how many messages this endpoint has pushed.
@@ -96,7 +120,9 @@ type Consumer struct {
 // demand-driven. Use NewConsumerLegacy to force a demand-driven endpoint
 // on a SPAMeR system (§3.4's "legacy option").
 func (q *Queue) NewConsumer(p *sim.Proc, nlines int) *Consumer {
-	return &Consumer{inner: q.inner.NewConsumer(p, nlines, q.sys.Speculative())}
+	c := nextHandle(&q.sys.consArena)
+	c.inner = q.inner.NewConsumer(p, nlines, q.sys.Speculative())
+	return c
 }
 
 // NewConsumerThen is NewConsumer for a process-free thread. When the
@@ -104,14 +130,17 @@ func (q *Queue) NewConsumer(p *sim.Proc, nlines int) *Consumer {
 // then runs once registration has been charged; otherwise it schedules
 // nothing and then never runs.
 func (q *Queue) NewConsumerThen(nlines int, then sim.Cont) (c *Consumer, pending bool) {
-	inner, pending := q.inner.NewConsumerThen(nlines, q.sys.Speculative(), then)
-	return &Consumer{inner: inner}, pending
+	c = nextHandle(&q.sys.consArena)
+	c.inner, pending = q.inner.NewConsumerThen(nlines, q.sys.Speculative(), then)
+	return c, pending
 }
 
 // NewConsumerLegacy subscribes a demand-driven endpoint regardless of the
 // system flavour.
 func (q *Queue) NewConsumerLegacy(p *sim.Proc, nlines int) *Consumer {
-	return &Consumer{inner: q.inner.NewConsumer(p, nlines, false)}
+	c := nextHandle(&q.sys.consArena)
+	c.inner = q.inner.NewConsumer(p, nlines, false)
+	return c
 }
 
 // Pop dequeues one message, blocking until available.
@@ -130,6 +159,11 @@ func (c *Consumer) Result() (mem.Message, bool) { return c.inner.Result() }
 // the Pop that will consume it (no-op on spec-enabled endpoints). See
 // vlq.Consumer.Prefetch.
 func (c *Consumer) Prefetch(p *sim.Proc) { c.inner.Prefetch(p) }
+
+// PrefetchThen is Prefetch for a process-free thread. On a spec-enabled
+// endpoint it schedules nothing, returns false, and then never runs;
+// otherwise it returns true and then runs where Prefetch would return.
+func (c *Consumer) PrefetchThen(then sim.Cont) bool { return c.inner.PrefetchThen(then) }
 
 // TryPop dequeues only if a message is immediately available.
 func (c *Consumer) TryPop(p *sim.Proc) (mem.Message, bool) { return c.inner.TryPop(p) }

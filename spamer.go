@@ -179,6 +179,10 @@ type System struct {
 	threads []*Thread
 	queues  []*Queue
 
+	// Block storage behind the endpoint handles (queue.go).
+	prodArena []Producer
+	consArena []Consumer
+
 	queueProbe vlq.Probe
 
 	onDrain []func()
