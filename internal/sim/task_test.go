@@ -81,6 +81,34 @@ func TestDrainExitsTasks(t *testing.T) {
 	}
 }
 
+// TestTasksBeyondFirstArenaBlock: threads spawned past the kernel's
+// embedded storage block keep their identity, count as live until they
+// exit, and Drain reaches the later blocks.
+func TestTasksBeyondFirstArenaBlock(t *testing.T) {
+	k := New()
+	n := 2*arenaBlock + 3
+	tasks := make([]*Task, n)
+	for i := range tasks {
+		i := i
+		tasks[i] = k.GoFunc(fmt.Sprintf("t%d", i), func(uint64) {
+			k.AfterFunc(uint64(i), func(uint64) { tasks[i].Exit() }, 0)
+		}, 0)
+	}
+	k.RunUntil(uint64(n / 2)) // task i exits at tick i
+	if live, want := k.LiveProcs(), n-n/2-1; live != want {
+		t.Fatalf("LiveProcs = %d, want %d", live, want)
+	}
+	k.Drain()
+	for i, task := range tasks {
+		if !task.Exited() || task.Name() != fmt.Sprintf("t%d", i) {
+			t.Fatalf("task %d: exited %v, name %q", i, task.Exited(), task.Name())
+		}
+	}
+	if k.LiveProcs() != 0 {
+		t.Fatalf("after Drain: LiveProcs = %d, want 0", k.LiveProcs())
+	}
+}
+
 // TestStepPanicUnwindsThroughRun: a panic inside a step leaves through
 // Run, which drains the kernel, processes and threads alike.
 func TestStepPanicUnwindsThroughRun(t *testing.T) {
