@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check build vet test test-race perfbench-test verify-oracle fuzz-smoke fabric-smoke bench bench-ci bench-race repro figures trace sweep latency area ablate tune serve worker clean
+.PHONY: all check fmt-check build vet test test-race perfbench-test examples-check verify-oracle fuzz-smoke fabric-smoke bench bench-ci bench-race repro figures trace sweep latency area ablate tune serve worker clean
 
 # BENCH_JSON tracks the perf trajectory across PRs: bump the suffix when
 # a PR materially changes the benchmark surface and commit the new file.
@@ -31,9 +31,9 @@ GATE_PCT ?= 25
 all: check
 
 # Everything CI runs: formatting, compile, vet, unit tests, the race
-# detector pass over the harness, service, and fabric worker pools, and
-# the benchmark module's vet and self-test.
-check: fmt-check build vet test test-race perfbench-test
+# detector pass over the harness, service, and fabric worker pools, the
+# benchmark module's vet and self-test, and the examples' pinned output.
+check: fmt-check build vet test test-race perfbench-test examples-check
 
 # Fails, listing the files, when any Go file is not gofmt-formatted.
 fmt-check:
@@ -56,6 +56,20 @@ test-race:
 # benchmark calls.
 perfbench-test:
 	cd perfbench && $(GO) vet . && $(GO) test .
+
+# The example programs are the public API's only callers outside tests,
+# and each is deterministic: run every examples/<name>/main.go and diff
+# its stdout against examples/<name>/output.txt. After a change that is
+# meant to move an example's numbers, regenerate that file with
+#   go run ./examples/<name> > examples/<name>/output.txt
+EXAMPLES := $(patsubst examples/%/main.go,%,$(wildcard examples/*/main.go))
+examples-check:
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for e in $(EXAMPLES); do \
+		$(GO) run ./examples/$$e > "$$out" || exit 1; \
+		diff -u examples/$$e/output.txt "$$out" || { echo "examples-check: $$e output differs"; exit 1; }; \
+	done; \
+	echo "examples-check: $(words $(EXAMPLES)) examples match"
 
 # Randomized differential-oracle campaign (docs/TESTING.md): N seeded
 # cases under the full invariant battery, each additionally run through

@@ -36,7 +36,7 @@ func TestEvictionInjectionCorrectness(t *testing.T) {
 				t.Fatalf("conservation: %d/%d", res.Pushed, res.Popped)
 			}
 			evictions := uint64(0)
-			for _, c := range q.Inner().Consumers() {
+			for _, c := range q.Consumers() {
 				for _, l := range c.Lines() {
 					evictions += l.Evictions()
 				}

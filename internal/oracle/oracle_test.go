@@ -198,10 +198,10 @@ func TestCampaignClean(t *testing.T) {
 
 // TestEvictionDuringPopRegression pins the fix for a crash the fuzz
 // corpus surfaced: the eviction timer firing inside the L1-hit-latency
-// sleep of PopOrDone/TryPop hit a "Take on evicted line" panic (Pop
-// already re-checked; the other two dequeue paths did not). Fan shapes
-// drain through PopOrDone, so sweeping eviction periods over one would
-// crash without the re-check.
+// sleep of the shared-drain pop hit a "Take on evicted line" panic (Pop
+// already re-checked; the drain did not). Fan shapes drain through
+// WorkCounter.Take, so sweeping eviction periods over one would crash
+// without the re-check.
 func TestEvictionDuringPopRegression(t *testing.T) {
 	for _, evict := range []uint64{150, 350, 700, 1300} {
 		cs := gen.Case{

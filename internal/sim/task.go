@@ -51,5 +51,8 @@ func (t *Task) Exit() {
 // Name reports the thread name given to GoFunc.
 func (t *Task) Name() string { return t.name }
 
+// Now reports the current simulated tick.
+func (t *Task) Now() uint64 { return t.k.now }
+
 // Exited reports whether the thread has exited or been drained.
 func (t *Task) Exited() bool { return t.exited }

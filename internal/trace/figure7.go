@@ -44,7 +44,7 @@ func RunFigure7(cfg Figure7Config) (*Tracer, spamer.Result) {
 	// endpoint is created inside the spawned thread, so hook at tick 1.
 	sys.Kernel().AtFunc(1, func(uint64) {
 		for _, q := range sys.Queues() {
-			for _, pr := range q.Inner().Producers() {
+			for _, pr := range q.Producers() {
 				pr.OnAccept = tr.AddDataArrival
 			}
 		}

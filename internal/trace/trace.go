@@ -115,8 +115,7 @@ func New() *Tracer { return &Tracer{} }
 // are approximated by the push-accept tick at the device; request
 // arrivals come from the endpoint's fetch hook plus the transit latency.
 func (t *Tracer) Attach(c *spamer.Consumer) {
-	inner := c.Inner()
-	inner.OnFetch = func(tick uint64, lineIdx int) {
+	c.OnFetch = func(tick uint64, lineIdx int) {
 		// The request reaches the device one hop + serialization later.
 		t.Add(Event{Tick: tick + config.HopCycles + config.CtrlPacketCycles, Kind: EvRequestArrive, Line: lineIdx})
 	}

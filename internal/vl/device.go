@@ -140,6 +140,9 @@ func New(k *sim.Kernel, bus *noc.Bus, as *mem.AddressSpace, cfg Config) *Device 
 // any traffic reaches the device.
 func (d *Device) SetSpecExtension(s SpecExtension) { d.spec = s }
 
+// Speculative reports whether the SPAMeR extension is installed.
+func (d *Device) Speculative() bool { return d.spec != nil }
+
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats { return d.stats }
 

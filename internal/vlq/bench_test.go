@@ -31,7 +31,7 @@ func BenchmarkVLQPushPop(b *testing.B) {
 			})
 			popped := 0
 			r.k.Go("consumer", func(p *sim.Proc) {
-				c := q.NewConsumer(p, 2, mode.spec)
+				c := q.NewConsumer(p, 2)
 				for i := 0; i < n; i++ {
 					c.Pop(p)
 					popped++

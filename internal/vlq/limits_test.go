@@ -25,9 +25,9 @@ func TestSpecLineLimitDegradesToDemand(t *testing.T) {
 	q := r.lib.NewQueue("q")
 	var c1, c2, c3 *Consumer
 	r.k.Go("setup", func(p *sim.Proc) {
-		c1 = q.NewConsumer(p, 2, true) // 2/4 used
-		c2 = q.NewConsumer(p, 2, true) // 4/4 used
-		c3 = q.NewConsumer(p, 2, true) // over limit: degrades
+		c1 = q.NewConsumer(p, 2) // 2/4 used
+		c2 = q.NewConsumer(p, 2) // 4/4 used
+		c3 = q.NewConsumer(p, 2) // over limit: degrades
 	})
 	r.k.Run()
 	if !c1.SpecEnabled() || !c2.SpecEnabled() {
@@ -51,7 +51,7 @@ func TestSpecLimitIsolation(t *testing.T) {
 	qa := attacker.NewQueue("attacker")
 	r.k.Go("attacker", func(p *sim.Proc) {
 		for i := 0; i < 30; i++ {
-			qa.NewConsumer(p, 2, true)
+			qa.NewConsumer(p, 2)
 		}
 	})
 	r.k.Run()

@@ -283,7 +283,6 @@ const (
 	prPushCredit   uint64 = iota // library overhead charged; (re-)check the window
 	prPushSelected               // vl_select cycles charged; issue vl_push
 	prPushIssued                 // vl_push cycles charged; hand to the sender
-	prPushWork                   // PushAfter's compute charged; charge the library overhead
 )
 
 // NewProducer subscribes a producer endpoint to the queue. window bounds
@@ -328,12 +327,6 @@ func (pr *Producer) accepted() {
 	}
 }
 
-// ID returns the endpoint's index within its queue.
-func (pr *Producer) ID() int { return pr.id }
-
-// Seq returns the number of messages pushed so far.
-func (pr *Producer) Seq() uint64 { return pr.seq }
-
 // Push enqueues one message. The calling process is charged the library
 // overhead plus vl_select+vl_push, then blocks only if the producer's
 // line window is exhausted (ownership of a previous line has not yet
@@ -350,35 +343,10 @@ func (pr *Producer) Push(p *sim.Proc, payload uint64) {
 // event per charged delay, one re-check event per credit fire — so the
 // dispatch trace does not depend on which form a thread uses.
 func (pr *Producer) PushThen(payload uint64, then sim.Cont) {
-	pr.begin(payload, then)
-	pr.lib.k.AfterFunc(pr.lib.overhead(), pr.stepFn, prPushCredit)
-}
-
-// PushAfter charges the caller d cycles of compute and then pushes
-// payload, parking the calling process once for the pair. It is
-// trace-identical to p.Sleep(d) followed by Push(p, payload): the
-// compute-wake event and every push event are scheduled at the same
-// ticks by AfterFunc calls at the same points of the serialized dispatch
-// order, so (tick, seq) dispatch traces are unchanged — only the
-// coroutine switch at the sleep/push boundary is elided. Workload
-// inner loops of the form Compute(d); Push(...) use it to drop one
-// process switch per message.
-func (pr *Producer) PushAfter(p *sim.Proc, d uint64, payload uint64) {
-	pr.PushAfterThen(d, payload, p.Resume())
-	p.Park()
-}
-
-// PushAfterThen is the continuation form of PushAfter.
-func (pr *Producer) PushAfterThen(d, payload uint64, then sim.Cont) {
-	pr.begin(payload, then)
-	pr.lib.k.AfterFunc(d, pr.stepFn, prPushWork)
-}
-
-// begin records an in-flight push.
-func (pr *Producer) begin(payload uint64, then sim.Cont) {
 	pr.q.mustBeOpen("Push")
 	pr.pushPayload = payload
 	pr.then = then
+	pr.lib.k.AfterFunc(pr.lib.overhead(), pr.stepFn, prPushCredit)
 }
 
 // pushStep is the Push state machine, driven by kernel events whose
@@ -388,10 +356,6 @@ func (pr *Producer) begin(payload uint64, then sim.Cont) {
 func (pr *Producer) pushStep(state uint64) {
 	lib := pr.lib
 	switch state {
-	case prPushWork:
-		// PushAfter's compute is over, where a Sleep would have woken
-		// the process: issue the push exactly as the resumed body would.
-		lib.k.AfterFunc(lib.overhead(), pr.stepFn, prPushCredit)
 	case prPushCredit:
 		if pr.outstanding >= pr.window {
 			pr.credit.WaitCell(&pr.cell, prPushCredit)
@@ -441,8 +405,6 @@ type Consumer struct {
 	// endpoint (tick, target line index). Used by the Figure 7 tracer.
 	OnFetch func(tick uint64, lineIdx int)
 
-	polls uint64
-
 	// Demand-request bookkeeping. Requests are posted strictly
 	// round-robin over the endpoint lines — request j names line
 	// j mod nlines — so the routing device's FIFO matching delivers
@@ -454,47 +416,43 @@ type Consumer struct {
 	popped      uint64 // messages taken (K); the next pop reads line K%n
 
 	// In-flight operation state: the continuation to run when the
-	// operation completes, the line it reads, PopOrDone's done signal
-	// and check (nil for Pop), and the outcome handed back. One
+	// operation completes, the line it reads, the WorkCounter a Take
+	// draws on (nil for Pop), and the outcome handed back. One
 	// operation per endpoint is in flight at a time.
-	then   sim.Cont
-	line   *mem.Line
-	done   *sim.Signal
-	isDone func() bool
-	msg    mem.Message
-	ok     bool
-	cell   sim.WaitCell
+	then sim.Cont
+	line *mem.Line
+	wc   *WorkCounter
+	msg  mem.Message
+	ok   bool
+	cell sim.WaitCell
 }
 
 // Consumer state-machine steps (the uint64 event argument of stepFn).
 const (
-	coPop           uint64 = iota // library overhead charged; begin a Pop or PopOrDone
+	coPop           uint64 = iota // library overhead charged; begin a Pop or Take
 	coFetchSel                    // vl_select cycles charged; issue vl_fetch
 	coFetchIssue                  // vl_fetch cycles charged; hand to the sender, then re-check
 	coTouch                       // eviction refetch penalty charged; restore residency
-	coCheck                       // a fill (or eviction, or done) fired; re-check the line
+	coCheck                       // a fill (or eviction, or the count running out) fired; re-check the line
 	coLoad                        // L1 hit latency charged; take the message if still valid
 	coPrefetch                    // library overhead charged; post a request if one is owed
 	coPrefetchSel                 // vl_select cycles charged; issue Prefetch's vl_fetch
 	coPrefetchIssue               // vl_fetch cycles charged; hand to the sender, then complete
-	coTry                         // library overhead charged; TryPop takes only a valid line
-	coTryTouch                    // TryPop's eviction refetch penalty charged
-	coTryLoad                     // TryPop's L1 hit latency charged
 	coRegister                    // spamer_register cycles charged; send the registration
 )
 
 // NewConsumer subscribes a consumer endpoint with nlines buffer lines.
-// If spec is true the endpoint is spec-push-enabled: the library
+// On a SPAMeR device the endpoint is spec-push-enabled: the library
 // registers its lines in specBuf (spamer_register) at creation, and Pop
-// never issues vl_fetch. With spec false the endpoint is a legacy
-// demand-driven VL endpoint.
+// never issues vl_fetch. On a VL device it is demand-driven, as is every
+// endpoint past the §3.6 MaxSpecLines cap.
 //
 // Registration charges the calling process, mirroring the library
 // function that creates consumer endpoints (§3.4); it is NewConsumerThen
 // with the process's Resume as the continuation, parking only when the
 // endpoint registers.
-func (q *Queue) NewConsumer(p *sim.Proc, nlines int, spec bool) *Consumer {
-	c, pending := q.NewConsumerThen(nlines, spec, p.Resume())
+func (q *Queue) NewConsumer(p *sim.Proc, nlines int) *Consumer {
+	c, pending := q.NewConsumerThen(nlines, p.Resume())
 	if pending {
 		p.Park()
 	}
@@ -505,7 +463,30 @@ func (q *Queue) NewConsumer(p *sim.Proc, nlines int, spec bool) *Consumer {
 // endpoint registers its lines it returns pending = true, and then runs
 // once spamer_register has been issued; otherwise it schedules nothing
 // and then never runs.
-func (q *Queue) NewConsumerThen(nlines int, spec bool, then sim.Cont) (c *Consumer, pending bool) {
+func (q *Queue) NewConsumerThen(nlines int, then sim.Cont) (c *Consumer, pending bool) {
+	c = q.NewConsumerLegacy(nlines)
+	lib := q.lib
+	if !lib.dev.Speculative() {
+		return c, false
+	}
+	nlines = len(c.page.Lines)
+	if lib.Limits.MaxSpecLines > 0 && lib.specLines+nlines > lib.Limits.MaxSpecLines {
+		// §3.6 resource cap: the endpoint degrades to demand-driven
+		// rather than letting one process monopolize specBuf.
+		return c, false
+	}
+	lib.specLines += nlines
+	c.spec = true
+	c.then = then
+	lib.isa.NoteRegister()
+	lib.k.AfterFunc(config.SpamerRegCycles, c.stepFn, coRegister)
+	return c, true
+}
+
+// NewConsumerLegacy subscribes a demand-driven endpoint whatever the
+// device flavour: §3.4's legacy option for non-speculative endpoints.
+// It registers nothing, so it charges no time.
+func (q *Queue) NewConsumerLegacy(nlines int) *Consumer {
 	q.mustBeOpen("NewConsumer")
 	if nlines <= 0 {
 		nlines = 1
@@ -515,37 +496,20 @@ func (q *Queue) NewConsumerThen(nlines int, spec bool, then sim.Cont) (c *Consum
 		lib.consArena = make([]Consumer, 0, arenaBlock)
 	}
 	lib.consArena = lib.consArena[:len(lib.consArena)+1]
-	c = &lib.consArena[len(lib.consArena)-1]
+	c := &lib.consArena[len(lib.consArena)-1]
 	*c = Consumer{
 		q:     q,
 		lib:   lib,
 		id:    len(q.consumers),
 		probe: q.probe,
 		page:  lib.as.NewPage(nlines),
-		spec:  spec,
 		snd:   lib.isa.NewFetchSender(),
 	}
 	c.stepFn = c.step
 	c.cell.Init(lib.k, c.stepFn)
 	q.consumers = append(q.consumers, c)
-	if !spec {
-		return c, false
-	}
-	if lib.Limits.MaxSpecLines > 0 && lib.specLines+nlines > lib.Limits.MaxSpecLines {
-		// §3.6 resource cap: the endpoint degrades to demand-driven
-		// rather than letting one process monopolize specBuf.
-		c.spec = false
-		return c, false
-	}
-	lib.specLines += nlines
-	c.then = then
-	lib.isa.NoteRegister()
-	lib.k.AfterFunc(config.SpamerRegCycles, c.stepFn, coRegister)
-	return c, true
+	return c
 }
-
-// ID returns the endpoint's index within its queue.
-func (c *Consumer) ID() int { return c.id }
 
 // SpecEnabled reports whether the endpoint is spec-push-enabled.
 func (c *Consumer) SpecEnabled() bool { return c.spec }
@@ -553,8 +517,8 @@ func (c *Consumer) SpecEnabled() bool { return c.spec }
 // Lines exposes the endpoint's buffer lines (stats/tracing).
 func (c *Consumer) Lines() []*mem.Line { return c.page.Lines }
 
-// Result reports the outcome of the endpoint's last completed Pop,
-// PopOrDone or TryPop: the message and whether one was taken. A thread
+// Result reports the outcome of the endpoint's last completed Pop or
+// WorkCounter Take: the message and whether one was taken. A thread
 // using the continuation forms reads it in the continuation.
 func (c *Consumer) Result() (mem.Message, bool) { return c.msg, c.ok }
 
@@ -619,47 +583,13 @@ func (c *Consumer) Pop(p *sim.Proc) mem.Message {
 
 // PopThen is the continuation form of Pop: then runs where Pop would
 // return, and Result reports the message.
-func (c *Consumer) PopThen(then sim.Cont) { c.PopOrDoneThen(nil, nil, then) }
+func (c *Consumer) PopThen(then sim.Cont) { c.pop(nil, then) }
 
-// PopOrDone dequeues one message like Pop, but also returns (with
-// ok=false) if the done signal fires while waiting and isDone reports
-// true. Multi-consumer workloads use it to drain a shared queue whose
-// per-consumer message counts are not known statically: the consumer
-// that takes the last message fires done, releasing siblings blocked on
-// lines that will never fill again. A request posted by a demand
-// endpoint may stay parked at the routing device; that is harmless once
-// no producer data remains. Unlike Pop, it posts a request only when
-// the line holds no data and isDone reports false.
-func (c *Consumer) PopOrDone(p *sim.Proc, done *sim.Signal, isDone func() bool) (mem.Message, bool) {
-	c.PopOrDoneThen(done, isDone, p.Resume())
-	p.Park()
-	return c.msg, c.ok
-}
-
-// PopOrDoneThen is the continuation form of PopOrDone: then runs where
-// PopOrDone would return, and Result reports its outcome. isDone is
-// kept until the pop completes, so pass a func bound once rather than a
-// fresh closure per call. With a nil done it is PopThen.
-func (c *Consumer) PopOrDoneThen(done *sim.Signal, isDone func() bool, then sim.Cont) {
+// pop starts a Pop, or with wc set a Take drawing on wc.
+func (c *Consumer) pop(wc *WorkCounter, then sim.Cont) {
 	c.begin("Pop", then)
-	c.done, c.isDone = done, isDone
+	c.wc = wc
 	c.lib.k.AfterFunc(c.lib.overhead(), c.stepFn, coPop)
-}
-
-// TryPop dequeues a message only if one is immediately available in the
-// next line, charging the library overhead either way. It never issues a
-// request and never blocks on data. Used by polling-style consumers.
-func (c *Consumer) TryPop(p *sim.Proc) (mem.Message, bool) {
-	c.TryPopThen(p.Resume())
-	p.Park()
-	return c.msg, c.ok
-}
-
-// TryPopThen is the continuation form of TryPop: then runs where TryPop
-// would return, and Result reports its outcome.
-func (c *Consumer) TryPopThen(then sim.Cont) {
-	c.begin("TryPop", then)
-	c.lib.k.AfterFunc(c.lib.overhead(), c.stepFn, coTry)
 }
 
 // step is the consumer state machine, driven by kernel events whose
@@ -672,7 +602,7 @@ func (c *Consumer) step(state uint64) {
 	switch state {
 	case coPop:
 		c.line = c.page.Lines[int(c.popped)%len(c.page.Lines)]
-		if !c.spec && (c.done == nil || (c.line.State != mem.LineValid && !c.isDone())) {
+		if !c.spec && (c.wc == nil || (c.line.State != mem.LineValid && c.wc.remaining != 0)) {
 			c.fetchLoop()
 			return
 		}
@@ -710,25 +640,6 @@ func (c *Consumer) step(state uint64) {
 	case coPrefetchIssue:
 		c.issueFetch()
 		c.then.Call()
-	case coTry:
-		c.line = c.page.Lines[int(c.popped)%len(c.page.Lines)]
-		if c.line.State != mem.LineValid {
-			c.msg, c.ok = mem.Message{}, false
-			c.then.Call()
-			return
-		}
-		c.lib.k.AfterFunc(config.L1HitCycles, c.stepFn, coTryLoad)
-	case coTryTouch:
-		c.line.Touch()
-		fallthrough
-	case coTryLoad:
-		// Evicted during the hit-latency delay: the write-back preserved
-		// the message, so pay the refetch and take it.
-		if c.line.State == mem.LineEvicted {
-			c.lib.k.AfterFunc(config.EvictPenalty, c.stepFn, coTryTouch)
-			return
-		}
-		c.take()
 	case coRegister:
 		c.lib.isa.SendRegister(c.q.sqi, c.page.Base, len(c.page.Lines))
 		c.then.Call()
@@ -774,8 +685,8 @@ func (c *Consumer) issueFetch() {
 
 // await advances the wait-for-data loop one step: valid lines proceed to
 // the load-to-use delay, evicted lines pay the refetch penalty, and
-// empty lines park the state machine on OnFill — and, for PopOrDone, on
-// done too, unless isDone already reports true.
+// empty lines park the state machine on OnFill — and, for a Take, on
+// the count's done signal too, unless the count has already run out.
 func (c *Consumer) await() {
 	switch c.line.State {
 	case mem.LineValid:
@@ -783,22 +694,21 @@ func (c *Consumer) await() {
 	case mem.LineEvicted:
 		c.lib.k.AfterFunc(config.EvictPenalty, c.stepFn, coTouch)
 	default:
-		if c.done == nil {
-			c.polls++
+		if c.wc == nil {
 			c.line.OnFill.WaitCell(&c.cell, coCheck)
 			return
 		}
-		if c.isDone() {
+		if c.wc.remaining == 0 {
 			c.msg, c.ok = mem.Message{}, false
 			c.then.Call()
 			return
 		}
-		c.polls++
-		sim.WaitAnyCell(&c.cell, coCheck, &c.line.OnFill, c.done)
+		sim.WaitAnyCell(&c.cell, coCheck, &c.line.OnFill, &c.wc.done)
 	}
 }
 
-// take takes the message from the line and completes the operation.
+// take takes the message from the line, counts it against a Take's
+// WorkCounter, and completes the operation.
 func (c *Consumer) take() {
 	line := c.line
 	line.NoteFirstUse(line.Msg)
@@ -807,9 +717,68 @@ func (c *Consumer) take() {
 	if c.probe != nil {
 		c.probe.Pop(c.q, c.id, c.lib.k.Now(), c.msg)
 	}
+	if c.wc != nil {
+		c.wc.took()
+	}
 	c.then.Call()
 }
 
-// Polls reports how many times a pop parked waiting for a fill
-// (slow-path entries).
-func (c *Consumer) Polls() uint64 { return c.polls }
+// ---------------------------------------------------------------------
+// Shared drain.
+// ---------------------------------------------------------------------
+
+// WorkCounter coordinates multiple consumers draining a fixed global
+// message count from one queue when the per-consumer share is not known
+// statically (M:N queues under speculative rotation deliver
+// approximately, not exactly, evenly). The consumer that takes the last
+// message wakes every sibling still blocked; a request a demand
+// endpoint posted may stay parked at the routing device, which is
+// harmless once no producer data remains.
+type WorkCounter struct {
+	name      string
+	remaining int
+	done      sim.Signal
+}
+
+// NewWorkCounter returns a counter for total messages.
+func NewWorkCounter(name string, total int) *WorkCounter {
+	return &WorkCounter{name: name, remaining: total}
+}
+
+// Name reports the counter's diagnostic name.
+func (wc *WorkCounter) Name() string { return wc.name }
+
+// Remaining reports undelivered messages.
+func (wc *WorkCounter) Remaining() int { return wc.remaining }
+
+// Take pops one message from c, or returns ok=false once the count is
+// exhausted. Unlike Pop, a demand endpoint posts a request only when
+// its line holds no data and the count has not run out.
+func (wc *WorkCounter) Take(c *Consumer, p *sim.Proc) (mem.Message, bool) {
+	if !wc.TakeThen(c, p.Resume()) {
+		return mem.Message{}, false
+	}
+	p.Park()
+	return c.msg, c.ok
+}
+
+// TakeThen is the continuation form of Take. When the count is already
+// exhausted it schedules nothing, returns false, and then never runs;
+// otherwise then runs where Take would return, and c.Result reports the
+// outcome.
+func (wc *WorkCounter) TakeThen(c *Consumer, then sim.Cont) bool {
+	if wc.remaining == 0 {
+		return false
+	}
+	c.pop(wc, then)
+	return true
+}
+
+// took counts one taken message, waking the blocked siblings once the
+// count is exhausted.
+func (wc *WorkCounter) took() {
+	wc.remaining--
+	if wc.remaining == 0 {
+		wc.done.Fire()
+	}
+}

@@ -47,7 +47,7 @@ func TestPushPopRoundTrip(t *testing.T) {
 		})
 		var got []uint64
 		r.k.Go("consumer", func(p *sim.Proc) {
-			c := q.NewConsumer(p, 2, spec)
+			c := q.NewConsumer(p, 2)
 			for i := 0; i < n; i++ {
 				got = append(got, c.Pop(p).Payload)
 			}
@@ -97,7 +97,7 @@ func TestSpecConsumerNeverFetches(t *testing.T) {
 		}
 	})
 	r.k.Go("consumer", func(p *sim.Proc) {
-		c := q.NewConsumer(p, 2, true)
+		c := q.NewConsumer(p, 2)
 		c.Prefetch(p) // must be a no-op
 		for i := 0; i < 20; i++ {
 			c.Pop(p)
@@ -123,7 +123,7 @@ func TestDemandConsumerRequestStreamRoundRobin(t *testing.T) {
 		}
 	})
 	r.k.Go("consumer", func(p *sim.Proc) {
-		c := q.NewConsumer(p, 3, false)
+		c := q.NewConsumer(p, 3)
 		c.OnFetch = func(tick uint64, lineIdx int) { fetchLines = append(fetchLines, lineIdx) }
 		for i := 0; i < 9; i++ {
 			c.Pop(p)
@@ -145,7 +145,7 @@ func TestPrefetchBoundedByLines(t *testing.T) {
 	q := r.lib.NewQueue("q")
 	fetches := 0
 	r.k.Go("consumer", func(p *sim.Proc) {
-		c := q.NewConsumer(p, 2, false)
+		c := q.NewConsumer(p, 2)
 		c.OnFetch = func(uint64, int) { fetches++ }
 		// Prefetch many times with no fills: at most one outstanding
 		// request per line is allowed.
@@ -159,75 +159,34 @@ func TestPrefetchBoundedByLines(t *testing.T) {
 	}
 }
 
-func TestTryPop(t *testing.T) {
-	r := newRig(true)
-	q := r.lib.NewQueue("q")
-	r.k.Go("producer", func(p *sim.Proc) {
-		pr := q.NewProducer(0)
-		pr.Push(p, 42)
-	})
-	var immediate, eventual bool
-	var got uint64
-	r.k.Go("consumer", func(p *sim.Proc) {
-		c := q.NewConsumer(p, 2, true)
-		_, immediate = c.TryPop(p) // too early: push still in flight
-		p.Sleep(200)
-		var m mem.Message
-		m, eventual = c.TryPop(p)
-		got = m.Payload
-	})
-	r.k.Run()
-	if immediate {
-		t.Fatal("TryPop succeeded before delivery")
-	}
-	if !eventual || got != 42 {
-		t.Fatalf("TryPop after delivery = %v, %d", eventual, got)
-	}
-}
-
-func TestPopOrDoneReleasesOnDone(t *testing.T) {
-	r := newRig(true)
-	q := r.lib.NewQueue("q")
-	done := sim.NewSignal("done")
-	isDone := false
-	var popped, released bool
-	r.k.Go("consumer", func(p *sim.Proc) {
-		c := q.NewConsumer(p, 2, true)
-		_, popped = c.PopOrDone(p, done, func() bool { return isDone })
-		released = true
-	})
-	r.k.AtFunc(500, func(uint64) {
-		isDone = true
-		done.Fire()
-	}, 0)
-	r.k.Run()
-	if popped {
-		t.Fatal("PopOrDone returned a message from an empty queue")
-	}
-	if !released {
-		t.Fatal("PopOrDone never released the consumer")
-	}
-}
-
-func TestPopOrDoneDeliversFirst(t *testing.T) {
-	r := newRig(false)
-	q := r.lib.NewQueue("q")
-	done := sim.NewSignal("done")
-	r.k.Go("producer", func(p *sim.Proc) {
-		pr := q.NewProducer(0)
-		pr.Push(p, 7)
-	})
-	var got uint64
-	var ok bool
-	r.k.Go("consumer", func(p *sim.Proc) {
-		c := q.NewConsumer(p, 2, false)
-		var m mem.Message
-		m, ok = c.PopOrDone(p, done, func() bool { return false })
-		got = m.Payload
-	})
-	r.k.Run()
-	if !ok || got != 7 {
-		t.Fatalf("PopOrDone = %v, %d", ok, got)
+// TestTakeDrainsSharedCount: two consumers share a count of one. One
+// takes the message; the other, left waiting on an empty line, is
+// released with ok=false when the count runs out.
+func TestTakeDrainsSharedCount(t *testing.T) {
+	for _, spec := range []bool{false, true} {
+		r := newRig(spec)
+		q := r.lib.NewQueue("q")
+		wc := NewWorkCounter("jobs", 1)
+		r.k.Go("producer", func(p *sim.Proc) { q.NewProducer(0).Push(p, 7) })
+		var got []uint64
+		released := 0
+		for i := 0; i < 2; i++ {
+			r.k.Go("consumer", func(p *sim.Proc) {
+				c := q.NewConsumer(p, 2)
+				if m, ok := wc.Take(c, p); ok {
+					got = append(got, m.Payload)
+				} else {
+					released++
+				}
+			})
+		}
+		r.k.Run()
+		if len(got) != 1 || got[0] != 7 || released != 1 {
+			t.Fatalf("spec=%v: took %v, released %d; want [7] and 1", spec, got, released)
+		}
+		if wc.Remaining() != 0 || r.k.LiveProcs() != 0 {
+			t.Fatalf("spec=%v: remaining %d, live %d", spec, wc.Remaining(), r.k.LiveProcs())
+		}
 	}
 }
 
@@ -244,7 +203,7 @@ func TestInlineOverheadDifference(t *testing.T) {
 			}
 		})
 		r.k.Go("consumer", func(p *sim.Proc) {
-			c := q.NewConsumer(p, 2, false)
+			c := q.NewConsumer(p, 2)
 			for i := 0; i < 20; i++ {
 				c.Pop(p)
 			}
@@ -264,7 +223,7 @@ func TestEvictedLineRecovery(t *testing.T) {
 	var consumer *Consumer
 	var got []uint64
 	r.k.Go("consumer", func(p *sim.Proc) {
-		consumer = q.NewConsumer(p, 2, true)
+		consumer = q.NewConsumer(p, 2)
 		for i := 0; i < 10; i++ {
 			got = append(got, consumer.Pop(p).Seq)
 		}
@@ -321,7 +280,7 @@ func TestQueueCloseLifecycle(t *testing.T) {
 		}
 	})
 	r.k.Go("consumer", func(p *sim.Proc) {
-		c := q.NewConsumer(p, 2, true)
+		c := q.NewConsumer(p, 2)
 		for i := 0; i < 10; i++ {
 			c.Pop(p)
 		}
@@ -343,7 +302,7 @@ func TestQueueCloseLifecycle(t *testing.T) {
 		t.Fatalf("SQI not recycled: %d vs %d", q2.SQI(), q.SQI())
 	}
 	r.k.Go("again", func(p *sim.Proc) {
-		c := q2.NewConsumer(p, 2, true)
+		c := q2.NewConsumer(p, 2)
 		pr := q2.NewProducer(0)
 		pr.Push(p, 99)
 		if m := c.Pop(p); m.Payload != 99 {
@@ -370,7 +329,7 @@ func TestQueueCloseFlushesPrerequests(t *testing.T) {
 	r := newRig(false)
 	q := r.lib.NewQueue("q")
 	r.k.Go("consumer", func(p *sim.Proc) {
-		c := q.NewConsumer(p, 2, false)
+		c := q.NewConsumer(p, 2)
 		c.Prefetch(p) // dangling request, never answered
 	})
 	r.k.Run()
@@ -412,7 +371,7 @@ func TestConsumerOpsOnClosedQueuePanic(t *testing.T) {
 	r := newRig(false)
 	q := r.lib.NewQueue("q")
 	var c *Consumer
-	r.k.Go("setup", func(p *sim.Proc) { c = q.NewConsumer(p, 2, false) })
+	r.k.Go("setup", func(p *sim.Proc) { c = q.NewConsumer(p, 2) })
 	r.k.Run()
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
@@ -428,10 +387,9 @@ func TestConsumerOpsOnClosedQueuePanic(t *testing.T) {
 		op   func(p *sim.Proc)
 	}{
 		{"Pop", func(p *sim.Proc) { c.Pop(p) }},
-		{"PopOrDone", func(p *sim.Proc) { c.PopOrDone(p, sim.NewSignal("done"), func() bool { return false }) }},
-		{"TryPop", func(p *sim.Proc) { c.TryPop(p) }},
+		{"Take", func(p *sim.Proc) { NewWorkCounter("w", 1).Take(c, p) }},
 		{"Prefetch", func(p *sim.Proc) { c.Prefetch(p) }},
-		{"NewConsumer", func(p *sim.Proc) { q.NewConsumer(p, 2, false) }},
+		{"NewConsumer", func(p *sim.Proc) { q.NewConsumer(p, 2) }},
 		{"NewProducer", func(p *sim.Proc) { q.NewProducer(0) }},
 	}
 	for _, o := range ops {

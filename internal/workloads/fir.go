@@ -88,7 +88,8 @@ const (
 	firStart  uint64 = iota // open the endpoints
 	firOpened               // input registered: open the output
 	firNext                 // pop sample i, or exit after the last
-	firPopped               // sample i popped: accumulate and push it on
+	firPopped               // sample i popped: charge its work
+	firPush                 // sample i's work charged: accumulate and push it on
 	firTapped               // sample i pushed: reload on schedule
 	firDone                 // sample i done
 )
@@ -124,13 +125,15 @@ func (m *firTap) run(state uint64) {
 			m.compute(m.work, firTapped)
 			return
 		}
+		m.compute(m.work, firPush)
+	case firPush:
 		sample := uint64(m.i)
 		if m.rx != nil {
 			msg, _ := m.rx.Result()
 			m.acc += msg.Payload // tap accumulate
 			sample = m.acc
 		}
-		m.tx.PushAfterThen(m.work, sample, m.then(firTapped))
+		m.tx.PushThen(sample, m.then(firTapped))
 	case firTapped:
 		if m.rx != nil && (m.i+m.phase)%firReloadEvery == 0 {
 			m.compute(firReloadCost, firDone) // coefficient block reload

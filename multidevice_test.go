@@ -2,47 +2,59 @@ package spamer
 
 import "testing"
 
-// TestMultiDeviceDistribution: queues spread round-robin over devices
-// and traffic stays correct.
+// TestMultiDeviceDistribution: queues spread round-robin over devices,
+// traffic stays correct, and each device sets the flavour of the
+// consumers opened on its queues.
 func TestMultiDeviceDistribution(t *testing.T) {
-	sys := NewSystem(Config{Algorithm: AlgTuned, Devices: 3, Deadline: 1 << 32})
-	if len(sys.Devices()) != 3 {
-		t.Fatalf("devices = %d", len(sys.Devices()))
-	}
-	const queues, perQueue = 6, 40
-	for qi := 0; qi < queues; qi++ {
-		q := sys.NewQueue("q")
-		sys.Spawn("producer", func(th *Thread) {
-			pr := q.NewProducer(0)
-			for i := 0; i < perQueue; i++ {
-				th.Compute(20)
-				pr.Push(th.Proc, uint64(i))
+	for _, alg := range []string{AlgTuned, AlgBaseline} {
+		t.Run(alg, func(t *testing.T) {
+			sys := NewSystem(Config{Algorithm: alg, Devices: 3, Deadline: 1 << 32})
+			if len(sys.Devices()) != 3 {
+				t.Fatalf("devices = %d", len(sys.Devices()))
 			}
-		})
-		sys.Spawn("consumer", func(th *Thread) {
-			c := q.NewConsumer(th.Proc, 2)
-			for i := 0; i < perQueue; i++ {
-				m := c.Pop(th.Proc)
-				if m.Seq != uint64(i) {
-					t.Errorf("queue %d: seq %d at pop %d", qi, m.Seq, i)
+			const queues, perQueue = 6, 40
+			for qi := 0; qi < queues; qi++ {
+				q := sys.NewQueue("q")
+				sys.Spawn("producer", func(th *Thread) {
+					pr := q.NewProducer(0)
+					for i := 0; i < perQueue; i++ {
+						th.Compute(20)
+						pr.Push(th.Proc, uint64(i))
+					}
+				})
+				sys.Spawn("consumer", func(th *Thread) {
+					c := q.NewConsumer(th.Proc, 2)
+					for i := 0; i < perQueue; i++ {
+						m := c.Pop(th.Proc)
+						if m.Seq != uint64(i) {
+							t.Errorf("queue %d: seq %d at pop %d", qi, m.Seq, i)
+						}
+						th.Compute(30)
+					}
+				})
+			}
+			res := sys.Run()
+			if res.Pushed != queues*perQueue || res.Popped != queues*perQueue {
+				t.Fatalf("conservation: %d/%d", res.Pushed, res.Popped)
+			}
+			// Every device must have carried traffic (6 queues over 3 devices).
+			for i, d := range sys.Devices() {
+				if d.Stats().PushAccepts == 0 {
+					t.Errorf("device %d idle", i)
 				}
-				th.Compute(30)
+			}
+			// Aggregated stats must cover all pushes.
+			if res.Device.PushAccepts < queues*perQueue {
+				t.Fatalf("aggregated accepts = %d", res.Device.PushAccepts)
+			}
+			for qi, q := range sys.Queues() {
+				for _, c := range q.Consumers() {
+					if c.SpecEnabled() != (alg != AlgBaseline) {
+						t.Errorf("queue %d: consumer SpecEnabled = %v under %s", qi, c.SpecEnabled(), alg)
+					}
+				}
 			}
 		})
-	}
-	res := sys.Run()
-	if res.Pushed != queues*perQueue || res.Popped != queues*perQueue {
-		t.Fatalf("conservation: %d/%d", res.Pushed, res.Popped)
-	}
-	// Every device must have carried traffic (6 queues over 3 devices).
-	for i, d := range sys.Devices() {
-		if d.Stats().PushAccepts == 0 {
-			t.Errorf("device %d idle", i)
-		}
-	}
-	// Aggregated stats must cover all pushes.
-	if res.Device.PushAccepts < queues*perQueue {
-		t.Fatalf("aggregated accepts = %d", res.Device.PushAccepts)
 	}
 }
 

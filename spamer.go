@@ -150,12 +150,24 @@ type Thread struct {
 	Core int
 }
 
-// Compute charges d cycles of local work to the thread — the per-message
-// processing between queue operations.
-func (t *Thread) Compute(d uint64) { t.Proc.Sleep(d) }
+// Compute charges d cycles of local work to a Spawned thread — the
+// per-message processing between queue operations. A SpawnFunc thread
+// has no process to park; it charges work by scheduling its next step
+// with Kernel().AfterFunc, and Compute panics on it.
+func (t *Thread) Compute(d uint64) {
+	if t.Proc == nil {
+		panic("spamer: Compute on a SpawnFunc thread; schedule its next step with Kernel().AfterFunc")
+	}
+	t.Proc.Sleep(d)
+}
 
 // Now reports the current simulated tick.
-func (t *Thread) Now() uint64 { return t.Proc.Now() }
+func (t *Thread) Now() uint64 {
+	if t.Task != nil {
+		return t.Task.Now()
+	}
+	return t.Proc.Now()
+}
 
 // System is one simulated machine: kernel, bus, routing device(s),
 // queue library, and the application threads spawned onto it.
@@ -178,10 +190,6 @@ type System struct {
 
 	threads []*Thread
 	queues  []*Queue
-
-	// Block storage behind the endpoint handles (queue.go).
-	prodArena []Producer
-	consArena []Consumer
 
 	queueProbe vlq.Probe
 
@@ -419,9 +427,9 @@ func (s *System) collect() Result {
 	}
 	r.MS = config.TicksToMS(r.Ticks)
 	for _, q := range s.queues {
-		r.Pushed += q.inner.Pushed()
-		r.Popped += q.inner.Popped()
-		for _, c := range q.inner.Consumers() {
+		r.Pushed += q.Pushed()
+		r.Popped += q.Popped()
+		for _, c := range q.Consumers() {
 			e, v := mem.Occupancy(c.Lines())
 			r.EmptyTicks += e
 			r.NonEmptyTicks += v
@@ -448,7 +456,7 @@ func (s *System) startEvictionInjector(period uint64) {
 		}
 		lines = lines[:0]
 		for _, q := range s.queues {
-			for _, c := range q.inner.Consumers() {
+			for _, c := range q.Consumers() {
 				lines = append(lines, c.Lines()...)
 			}
 		}

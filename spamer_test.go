@@ -213,7 +213,7 @@ func TestLegacyEndpointOnSpamer(t *testing.T) {
 		}
 	})
 	sys.Spawn("consumer", func(th *Thread) {
-		c := q.NewConsumerLegacy(th.Proc, 4)
+		c := q.NewConsumerLegacy(4)
 		if c.SpecEnabled() {
 			t.Error("legacy endpoint is spec-enabled")
 		}
@@ -337,4 +337,33 @@ func TestSpawnFuncThreadDeadlockReported(t *testing.T) {
 		}
 	}()
 	sys.Run()
+}
+
+// TestSpawnFuncThreadClock: a process-free thread reads the simulated
+// time through its Thread, and Compute, which would park a process the
+// thread does not have, fails naming the call that schedules a step.
+func TestSpawnFuncThreadClock(t *testing.T) {
+	sys := NewSystem(Config{})
+	var th *Thread
+	var seen []uint64
+	var step func(uint64)
+	step = func(arg uint64) {
+		seen = append(seen, th.Now())
+		if arg == 0 {
+			sys.Kernel().AfterFunc(25, step, 1)
+			return
+		}
+		th.Task.Exit()
+	}
+	th = sys.SpawnFunc("clock", step, 0)
+	sys.Run()
+	if len(seen) != 2 || seen[0] != 0 || seen[1] != 25 {
+		t.Fatalf("Now read %v, want [0 25]", seen)
+	}
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "Kernel().AfterFunc") {
+			t.Fatalf("Compute panicked with %v, want a message naming Kernel().AfterFunc", r)
+		}
+	}()
+	th.Compute(10)
 }
