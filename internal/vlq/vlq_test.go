@@ -159,10 +159,13 @@ func TestPrefetchBoundedByLines(t *testing.T) {
 	}
 }
 
-// TestTakeDrainsSharedCount: two consumers share a count of one. One
+// The two PopOrDone tests keep the names of the op whose wait-for-data-
+// or-done paths WorkCounter.Take now runs.
+
+// TestPopOrDoneReleasesOnDone: two consumers share a count of one. One
 // takes the message; the other, left waiting on an empty line, is
 // released with ok=false when the count runs out.
-func TestTakeDrainsSharedCount(t *testing.T) {
+func TestPopOrDoneReleasesOnDone(t *testing.T) {
 	for _, spec := range []bool{false, true} {
 		r := newRig(spec)
 		q := r.lib.NewQueue("q")
@@ -183,6 +186,42 @@ func TestTakeDrainsSharedCount(t *testing.T) {
 		r.k.Run()
 		if len(got) != 1 || got[0] != 7 || released != 1 {
 			t.Fatalf("spec=%v: took %v, released %d; want [7] and 1", spec, got, released)
+		}
+		if wc.Remaining() != 0 || r.k.LiveProcs() != 0 {
+			t.Fatalf("spec=%v: remaining %d, live %d", spec, wc.Remaining(), r.k.LiveProcs())
+		}
+	}
+}
+
+// TestPopOrDoneDeliversFirst: a Take waiting on an empty line while the
+// count has not run out delivers the message when it arrives; a Take
+// on the exhausted count then returns ok=false at once.
+func TestPopOrDoneDeliversFirst(t *testing.T) {
+	for _, spec := range []bool{false, true} {
+		r := newRig(spec)
+		q := r.lib.NewQueue("q")
+		wc := NewWorkCounter("jobs", 1)
+		r.k.Go("producer", func(p *sim.Proc) {
+			p.Sleep(500)
+			q.NewProducer(0).Push(p, 7)
+		})
+		var got uint64
+		var ok, again bool
+		var at, after uint64
+		r.k.Go("consumer", func(p *sim.Proc) {
+			c := q.NewConsumer(p, 2)
+			var m mem.Message
+			m, ok = wc.Take(c, p)
+			got, at = m.Payload, p.Now()
+			_, again = wc.Take(c, p)
+			after = p.Now()
+		})
+		r.k.Run()
+		if !ok || got != 7 || at < 500 {
+			t.Fatalf("spec=%v: Take = %v, %d at tick %d; want true, 7 after tick 500", spec, ok, got, at)
+		}
+		if again || after != at {
+			t.Fatalf("spec=%v: Take on exhausted count = %v at tick %d; want false at tick %d", spec, again, after, at)
 		}
 		if wc.Remaining() != 0 || r.k.LiveProcs() != 0 {
 			t.Fatalf("spec=%v: remaining %d, live %d", spec, wc.Remaining(), r.k.LiveProcs())
