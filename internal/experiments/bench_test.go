@@ -29,3 +29,29 @@ func BenchmarkSpecRun(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDAGScenarios measures the DAG runtime end to end: the three
+// checked-in scenarios (scenarios/*.json) through Spec.Run under the VL
+// baseline and the tuned algorithm, the run a cold DAG job of the
+// service costs.
+func BenchmarkDAGScenarios(b *testing.B) {
+	var specs []Spec
+	for _, file := range []string{"telemetry.json", "rpc.json", "shuffle.json"} {
+		sp := loadScenario(b, file)
+		sp.Algorithms = []string{spamer.AlgBaseline, spamer.AlgTuned}
+		specs = append(specs, sp)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range specs {
+			outs, err := specs[j].Run()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(outs) != 2 {
+				b.Fatalf("outcomes = %d, want 2", len(outs))
+			}
+		}
+	}
+}
