@@ -18,8 +18,12 @@ type Page struct {
 // linesPerChunk sizes the dense line-table chunks. Chunks are fixed
 // arrays so &chunk[i] stays valid forever (they are never moved or
 // resized), which lets Pages and the routing device hold *Line into
-// storage that is contiguous by value.
-const linesPerChunk = 256
+// storage that is contiguous by value. A chunk of 32 lines is 6.4 KB
+// with its cold rows, which covers the endpoints of a short run in one
+// or two chunks (the three scenarios/ DAGs open 12 to 40 lines); a
+// system with more lines takes one more chunk per 32, where a larger
+// chunk would charge every short run for lines it never opens.
+const linesPerChunk = 32
 
 // pageArenaBlock and ptrSlabBlock batch the per-page header and Lines
 // allocations: a system opens a few dozen endpoints (each one page), so

@@ -54,8 +54,12 @@ const (
 	// slab allocation so an idle kernel pays nothing and a busy one pays
 	// ~one allocation total: sized to the whole wheel, a kernel that
 	// eventually touches every bucket (any long-running model does) takes
-	// a single ~100KB slab instead of a per-bucket growth chain.
-	bucketChunk = 32
+	// a single 32 KB slab (64 buckets x 16 events x 32 B) instead of a
+	// per-bucket growth chain. The chunk is sized for short runs, which
+	// pay for the slab once per run: a bucket that outgrows 16 events
+	// grows once and keeps its array, so a long run stays allocation-free
+	// after warm-up.
+	bucketChunk = 16
 	slabBuckets = wheelSize
 
 	// farInitCap presizes the far heap's backing array on first use,
