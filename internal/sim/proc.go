@@ -399,14 +399,6 @@ func WaitUntil(p *Proc, sig *Signal, cond func() bool) {
 	}
 }
 
-// WaitAny parks p until any of the given signals fires. The signals share
-// one wake token, so the first Fire wakes p and later fires find the
-// token spent and ignore it.
-func WaitAny(p *Proc, sigs ...*Signal) {
-	WaitAnyCell(&p.cell, p.idx, sigs...)
-	p.yield()
-}
-
 // WaitAnyCell registers the cell's continuation, with arg, for the first
 // Fire of any of the given signals. One wake token is armed for all of
 // them, so the first fire schedules the continuation once and later

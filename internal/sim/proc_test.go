@@ -188,58 +188,6 @@ func TestSleepZeroYields(t *testing.T) {
 	}
 }
 
-func TestWaitAnyFirstSignalWins(t *testing.T) {
-	k := New()
-	a, b := NewSignal("a"), NewSignal("b")
-	var woke uint64
-	k.Go("w", func(p *Proc) {
-		WaitAny(p, a, b)
-		woke = p.Now()
-	})
-	k.AtFunc(30, func(uint64) { b.Fire() }, 0)
-	k.AtFunc(60, func(uint64) { a.Fire() }, 0)
-	k.Run()
-	if woke != 30 {
-		t.Fatalf("woke at %d, want 30 (first signal)", woke)
-	}
-}
-
-func TestWaitAnySpentHandleIgnored(t *testing.T) {
-	k := New()
-	a, b := NewSignal("a"), NewSignal("b")
-	wakes := 0
-	k.Go("w", func(p *Proc) {
-		WaitAny(p, a, b)
-		wakes++
-		// Park again on a fresh handle; the later fire of the other
-		// signal must not double-wake.
-		WaitAny(p, a, b)
-		wakes++
-	})
-	k.AtFunc(10, func(uint64) { a.Fire() }, 0)
-	k.AtFunc(20, func(uint64) { b.Fire() }, 0) // consumes both the stale handle and the new one
-	k.AtFunc(30, func(uint64) { a.Fire() }, 0)
-	k.Run()
-	if wakes != 2 {
-		t.Fatalf("wakes = %d, want 2", wakes)
-	}
-}
-
-func TestWaitAnySameSignalTwice(t *testing.T) {
-	k := New()
-	a := NewSignal("a")
-	done := false
-	k.Go("w", func(p *Proc) {
-		WaitAny(p, a, a) // degenerate but legal
-		done = true
-	})
-	k.AtFunc(5, func(uint64) { a.Fire() }, 0)
-	k.Run()
-	if !done {
-		t.Fatal("WaitAny(a, a) never woke")
-	}
-}
-
 func TestManyProcsStress(t *testing.T) {
 	k := New()
 	k.SetDeadline(1 << 24)
