@@ -120,9 +120,10 @@ bench-ci:
 # engine's hot path — the kernel, the vlq endpoint state machines and
 # the synthetic shapes' process-free threads, all on the kernel
 # goroutine — runs once under -race per PR. Coroutine processes (pooled
-# iter.Pull runners) are raced by test-race, through the DAG runtime's
-# blocking bodies and the sim package's process tests; the Table-2
-# kernels, like the shapes, are process-free. Iterations are cut well
+# iter.Pull runners) are raced by test-race, through
+# TestRunnersSharedAcrossKernels, the parallel extended-collective tests
+# and the software-queue baseline's tests; the Table-2 kernels and the
+# DAG runtime, like the shapes, are process-free. Iterations are cut well
 # below MM_ITERS — the race runtime is ~10x slower and the goal is
 # coverage, not timing.
 MM_RACE_ITERS ?= 20000x

@@ -5,16 +5,17 @@ import (
 	"spamer/internal/sim"
 )
 
-// Every workload in this package except the extended set and the DAG
-// runtime runs its threads process-free (System.SpawnFunc): each thread
-// is a state machine whose steps are kernel events and the
-// continuations of the queue operations, so a message costs no
-// coroutine switch. Each Compute stays its own AfterFunc event, a zero
-// one included (Sleep(0) is an event too) — fusing two consecutive ones
-// would renumber every later event — and each queue operation and
-// endpoint open happens at the step where a blocking body would call
-// it, so the dispatch trace is the one blocking bodies produce
-// (TestGoldenShapeTraces and TestGoldenTable2Traces pin it).
+// Every workload in this package except the extended set runs its
+// threads process-free (System.SpawnFunc), as the DAG runtime
+// (internal/workloads/dag) does: each thread is a state machine whose
+// steps are kernel events and the continuations of the queue
+// operations, so a message costs no coroutine switch. Each Compute
+// stays its own AfterFunc event, a zero one included (Sleep(0) is an
+// event too) — fusing two consecutive ones would renumber every later
+// event — and each queue operation and endpoint open happens at the
+// step where a blocking body would call it, so the dispatch trace is
+// the one blocking bodies produce (TestGoldenShapeTraces and
+// TestGoldenTable2Traces pin it).
 
 // thread is what every process-free thread shares: its kernel, its
 // Task, and its step function, a method value bound once.
