@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check build vet test test-race perfbench-test examples-check verify-oracle fuzz-smoke fabric-smoke bench bench-ci bench-race repro figures trace sweep latency area ablate tune serve worker clean
+.PHONY: all check fmt-check build vet test test-race perfbench-test examples-check artifacts-check verify-oracle fuzz-smoke fabric-smoke bench bench-ci bench-race repro figures trace sweep latency area ablate tune serve worker clean
 
 # BENCH_JSON tracks the perf trajectory across PRs: bump the suffix when
 # a PR materially changes the benchmark surface and commit the new file.
@@ -32,8 +32,9 @@ all: check
 
 # Everything CI runs: formatting, compile, vet, unit tests, the race
 # detector pass over the harness, service, and fabric worker pools, the
-# benchmark module's vet and self-test, and the examples' pinned output.
-check: fmt-check build vet test test-race perfbench-test examples-check
+# benchmark module's vet and self-test, the examples' pinned output and
+# the evaluation artifacts' pinned stdout.
+check: fmt-check build vet test test-race perfbench-test examples-check artifacts-check
 
 # Fails, listing the files, when any Go file is not gofmt-formatted.
 fmt-check:
@@ -70,6 +71,26 @@ examples-check:
 		diff -u examples/$$e/output.txt "$$out" || { echo "examples-check: $$e output differs"; exit 1; }; \
 	done; \
 	echo "examples-check: $(words $(EXAMPLES)) examples match"
+
+# The evaluation artifacts are deterministic too (the same bytes at any
+# -parallel): build spamer once, run each subcommand below and diff its
+# stdout against testdata/artifacts/<name>.txt. Each entry is
+# <name>:<args, comma-separated>. After a change that is meant to move an
+# artifact's numbers, regenerate its file, for example
+#   go run ./cmd/spamer trace -alg tuned > testdata/artifacts/trace-tuned.txt
+ARTIFACTS := bench:bench trace:trace trace-tuned:trace,-alg,tuned sweep:sweep \
+	latency:latency area:area ablate:ablate tune:tune \
+	phases-allreduce:trace,-phases,allreduce phases-alltoall:trace,-phases,alltoall \
+	phases-reduce:trace,-phases,reduce
+artifacts-check:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/spamer" ./cmd/spamer || exit 1; \
+	for a in $(ARTIFACTS); do \
+		name=$${a%%:*}; args=$$(echo "$${a#*:}" | tr , ' '); \
+		"$$dir/spamer" $$args > "$$dir/out" 2> "$$dir/err" || { cat "$$dir/err"; echo "artifacts-check: spamer $$args failed"; exit 1; }; \
+		diff -u testdata/artifacts/$$name.txt "$$dir/out" || { echo "artifacts-check: $$name differs"; exit 1; }; \
+	done; \
+	echo "artifacts-check: $(words $(ARTIFACTS)) artifacts match"
 
 # Randomized differential-oracle campaign (docs/TESTING.md): N seeded
 # cases under the full invariant battery, each additionally run through
