@@ -13,20 +13,8 @@ func Example() {
 	q := sys.NewQueue("work")
 
 	const n = 100
-	sys.Spawn("producer", func(t *spamer.Thread) {
-		tx := q.NewProducer(0)
-		for i := 0; i < n; i++ {
-			t.Compute(10)
-			tx.Push(t.Proc, uint64(i))
-		}
-	})
-	sys.Spawn("consumer", func(t *spamer.Thread) {
-		rx := q.NewConsumer(t.Proc, 4)
-		for i := 0; i < n; i++ {
-			rx.Pop(t.Proc)
-			t.Compute(25)
-		}
-	})
+	(&spamer.Source{Out: q, N: n, Work: 10}).Spawn(sys, "producer")
+	(&spamer.Stage{In: q, Lines: 4, N: n, Work: 25}).Spawn(sys, "consumer")
 
 	res := sys.Run()
 	fmt.Println("messages:", res.Popped)
@@ -43,20 +31,8 @@ func Example_comparison() {
 	run := func(alg string) spamer.Result {
 		sys := spamer.NewSystem(spamer.Config{Algorithm: alg})
 		q := sys.NewQueue("q")
-		sys.Spawn("p", func(t *spamer.Thread) {
-			tx := q.NewProducer(0)
-			for i := 0; i < 50; i++ {
-				t.Compute(10)
-				tx.Push(t.Proc, uint64(i))
-			}
-		})
-		sys.Spawn("c", func(t *spamer.Thread) {
-			rx := q.NewConsumer(t.Proc, 2)
-			for i := 0; i < 50; i++ {
-				rx.Pop(t.Proc)
-				t.Compute(30)
-			}
-		})
+		(&spamer.Source{Out: q, N: 50, Work: 10}).Spawn(sys, "p")
+		(&spamer.Stage{In: q, Lines: 2, N: 50, Work: 30}).Spawn(sys, "c")
 		return sys.Run()
 	}
 	base := run(spamer.AlgBaseline)
@@ -73,27 +49,16 @@ func Example_workSharing() {
 	q := sys.NewQueue("jobs")
 	const jobs = 80
 
-	sys.Spawn("dispatcher", func(t *spamer.Thread) {
-		tx := q.NewProducer(0)
-		for i := 0; i < jobs; i++ {
-			t.Compute(8)
-			tx.Push(t.Proc, uint64(i))
-		}
-	})
+	(&spamer.Source{Out: q, N: jobs, Work: 8}).Spawn(sys, "dispatcher")
 	wc := spamer.NewWorkCounter("jobs", jobs)
 	done := 0
 	for w := 0; w < 4; w++ {
-		sys.Spawn("worker", func(t *spamer.Thread) {
-			rx := q.NewConsumer(t.Proc, 2)
-			for {
-				_, ok := wc.Take(rx, t.Proc)
-				if !ok {
-					return
-				}
-				t.Compute(100)
+		(&spamer.Stage{In: q, Lines: 2, Shared: wc, Work: 100,
+			OnPop: func(m spamer.Message) uint64 {
 				done++
-			}
-		})
+				return m.Payload
+			},
+		}).Spawn(sys, "worker")
 	}
 	sys.Run()
 	fmt.Println("done:", done)

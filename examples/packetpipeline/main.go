@@ -23,50 +23,22 @@ func run(alg string) spamer.Result {
 	lane := sys.NewQueue("lane")       // classifiers -> filters (2:2)
 	egress := sys.NewQueue("egress")   // filters -> tx (2:1)
 
-	sys.Spawn("rx", func(t *spamer.Thread) {
-		tx := ingress.NewProducer(0)
-		for i := 0; i < packets; i++ {
-			t.Compute(18) // DMA + checksum
-			tx.Push(t.Proc, uint64(i))
-		}
-	})
+	// rx: DMA + checksum, 18 cycles per packet.
+	(&spamer.Source{Out: ingress, N: packets, Work: 18}).Spawn(sys, "rx")
 
+	// The classifiers (5-tuple lookup) and filters (rule evaluation)
+	// relay packets, each taking from a shared count.
 	classifyWork := spamer.NewWorkCounter("classify", packets)
 	filterWork := spamer.NewWorkCounter("filter", packets)
 	for w := 0; w < 2; w++ {
-		sys.Spawn(fmt.Sprintf("classify%d", w), func(t *spamer.Thread) {
-			rx := ingress.NewConsumer(t.Proc, 4)
-			tx := lane.NewProducer(0)
-			for {
-				m, ok := classifyWork.Take(rx, t.Proc)
-				if !ok {
-					return
-				}
-				t.Compute(30) // 5-tuple lookup
-				tx.Push(t.Proc, m.Payload)
-			}
-		})
-		sys.Spawn(fmt.Sprintf("filter%d", w), func(t *spamer.Thread) {
-			rx := lane.NewConsumer(t.Proc, 4)
-			tx := egress.NewProducer(0)
-			for {
-				m, ok := filterWork.Take(rx, t.Proc)
-				if !ok {
-					return
-				}
-				t.Compute(45) // rule evaluation
-				tx.Push(t.Proc, m.Payload)
-			}
-		})
+		(&spamer.Stage{In: ingress, Lines: 4, Out: lane, Shared: classifyWork, Work: 30}).
+			Spawn(sys, fmt.Sprintf("classify%d", w))
+		(&spamer.Stage{In: lane, Lines: 4, Out: egress, Shared: filterWork, Work: 45}).
+			Spawn(sys, fmt.Sprintf("filter%d", w))
 	}
 
-	sys.Spawn("tx", func(t *spamer.Thread) {
-		rx := egress.NewConsumer(t.Proc, 8)
-		for i := 0; i < packets; i++ {
-			rx.Pop(t.Proc)
-			t.Compute(12) // egress descriptor
-		}
-	})
+	// tx: egress descriptor, 12 cycles per packet.
+	(&spamer.Stage{In: egress, Lines: 8, N: packets, Work: 12}).Spawn(sys, "tx")
 
 	return sys.Run()
 }

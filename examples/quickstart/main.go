@@ -19,26 +19,28 @@ func run(alg string) spamer.Result {
 
 	const messages = 1000
 
-	// Threads are simulation processes pinned to cores. The producer
-	// generates items faster than the consumer handles them, so data
-	// waits at the routing device — the situation speculation exploits.
-	sys.Spawn("producer", func(t *spamer.Thread) {
-		tx := q.NewProducer(0)
-		for i := 0; i < messages; i++ {
-			t.Compute(15) // generate an item
-			tx.Push(t.Proc, uint64(i))
-		}
-	})
-	sys.Spawn("consumer", func(t *spamer.Thread) {
-		rx := q.NewConsumer(t.Proc, 4) // 4 cache-line buffer
-		for i := 0; i < messages; i++ {
-			msg := rx.Pop(t.Proc)
-			if msg.Seq != uint64(i) {
+	// Threads are pinned to cores. The producer generates items (15
+	// cycles each) faster than the consumer handles them (25 cycles),
+	// so data waits at the routing device — the situation speculation
+	// exploits.
+	producer := &spamer.Source{Out: q, N: messages, Work: 15}
+	producer.Spawn(sys, "producer")
+	next := uint64(0)
+	consumer := &spamer.Stage{
+		In:    q,
+		Lines: 4, // 4 cache-line buffer
+		N:     messages,
+		Work:  25,
+		// OnPop sees every message as it is popped.
+		OnPop: func(m spamer.Message) uint64 {
+			if m.Seq != next {
 				panic("FIFO violation")
 			}
-			t.Compute(25) // handle the item
-		}
-	})
+			next++
+			return m.Payload
+		},
+	}
+	consumer.Spawn(sys, "consumer")
 
 	return sys.Run()
 }

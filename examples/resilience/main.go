@@ -21,30 +21,17 @@ func run(evictEvery uint64) spamer.Result {
 	q1 := sys.NewQueue("phase1")
 	q2 := sys.NewQueue("phase2")
 
-	sys.Spawn("source", func(t *spamer.Thread) {
-		tx := q1.NewProducer(0)
-		for i := 0; i < messages; i++ {
-			t.Compute(12)
-			tx.Push(t.Proc, uint64(i))
-		}
-	})
-	sys.Spawn("transform", func(t *spamer.Thread) {
-		rx := q1.NewConsumer(t.Proc, 4)
-		tx := q2.NewProducer(0)
-		for i := 0; i < messages; i++ {
-			m := rx.Pop(t.Proc)
-			t.Compute(20)
-			tx.Push(t.Proc, m.Payload*2)
-		}
-	})
+	(&spamer.Source{Out: q1, N: messages, Work: 12}).Spawn(sys, "source")
+	(&spamer.Stage{In: q1, Lines: 4, Out: q2, N: messages, Work: 20,
+		OnPop: func(m spamer.Message) uint64 { return m.Payload * 2 },
+	}).Spawn(sys, "transform")
 	var checksum uint64
-	sys.Spawn("sink", func(t *spamer.Thread) {
-		rx := q2.NewConsumer(t.Proc, 4)
-		for i := 0; i < messages; i++ {
-			checksum += rx.Pop(t.Proc).Payload
-			t.Compute(15)
-		}
-	})
+	(&spamer.Stage{In: q2, Lines: 4, N: messages, Work: 15,
+		OnPop: func(m spamer.Message) uint64 {
+			checksum += m.Payload
+			return m.Payload
+		},
+	}).Spawn(sys, "sink")
 
 	res := sys.Run()
 

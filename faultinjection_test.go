@@ -14,23 +14,8 @@ func TestEvictionInjectionCorrectness(t *testing.T) {
 			sys := NewSystem(Config{Algorithm: alg, EvictEvery: 300, Deadline: 1 << 32})
 			q := sys.NewQueue("q")
 			const n = 300
-			sys.Spawn("producer", func(th *Thread) {
-				pr := q.NewProducer(0)
-				for i := 0; i < n; i++ {
-					th.Compute(15)
-					pr.Push(th.Proc, uint64(i))
-				}
-			})
-			sys.Spawn("consumer", func(th *Thread) {
-				c := q.NewConsumer(th.Proc, 2)
-				for i := 0; i < n; i++ {
-					m := c.Pop(th.Proc)
-					if m.Seq != uint64(i) {
-						t.Errorf("seq %d at pop %d", m.Seq, i)
-					}
-					th.Compute(25)
-				}
-			})
+			(&Source{Out: q, N: n, Work: 15}).Spawn(sys, "producer")
+			(&Stage{In: q, Lines: 2, N: n, Work: 25, OnPop: inOrder(t, alg)}).Spawn(sys, "consumer")
 			res := sys.Run()
 			if res.Pushed != n || res.Popped != n {
 				t.Fatalf("conservation: %d/%d", res.Pushed, res.Popped)
@@ -55,20 +40,8 @@ func TestEvictionInjectionDegradesGracefully(t *testing.T) {
 		sys := NewSystem(Config{Algorithm: AlgTuned, EvictEvery: every, Deadline: 1 << 32})
 		q := sys.NewQueue("q")
 		const n = 300
-		sys.Spawn("p", func(th *Thread) {
-			pr := q.NewProducer(0)
-			for i := 0; i < n; i++ {
-				th.Compute(15)
-				pr.Push(th.Proc, uint64(i))
-			}
-		})
-		sys.Spawn("c", func(th *Thread) {
-			rx := q.NewConsumer(th.Proc, 2)
-			for i := 0; i < n; i++ {
-				rx.Pop(th.Proc)
-				th.Compute(25)
-			}
-		})
+		(&Source{Out: q, N: n, Work: 15}).Spawn(sys, "p")
+		(&Stage{In: q, Lines: 2, N: n, Work: 25}).Spawn(sys, "c")
 		return sys.Run()
 	}
 	clean := run(0)
@@ -89,29 +62,9 @@ func TestEvictionInjectionOnWorkload(t *testing.T) {
 	rx := sys.NewQueue("rx")
 	out := sys.NewQueue("out")
 	const n = 400
-	sys.Spawn("rx", func(th *Thread) {
-		pr := rx.NewProducer(0)
-		for i := 0; i < n; i++ {
-			th.Compute(20)
-			pr.Push(th.Proc, uint64(i))
-		}
-	})
-	sys.Spawn("fw", func(th *Thread) {
-		c := rx.NewConsumer(th.Proc, 4)
-		pr := out.NewProducer(0)
-		for i := 0; i < n; i++ {
-			m := c.Pop(th.Proc)
-			th.Compute(40)
-			pr.Push(th.Proc, m.Payload)
-		}
-	})
-	sys.Spawn("sink", func(th *Thread) {
-		c := out.NewConsumer(th.Proc, 4)
-		for i := 0; i < n; i++ {
-			c.Pop(th.Proc)
-			th.Compute(15)
-		}
-	})
+	(&Source{Out: rx, N: n, Work: 20}).Spawn(sys, "rx")
+	(&Stage{In: rx, Lines: 4, Out: out, N: n, Work: 40}).Spawn(sys, "fw")
+	(&Stage{In: out, Lines: 4, N: n, Work: 15}).Spawn(sys, "sink")
 	res := sys.Run()
 	if res.Pushed != 2*n || res.Popped != 2*n {
 		t.Fatalf("conservation: %d/%d", res.Pushed, res.Popped)

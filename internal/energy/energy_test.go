@@ -127,20 +127,8 @@ func TestFigure11EndToEnd(t *testing.T) {
 		sys := spamer.NewSystem(spamer.Config{Algorithm: alg, Deadline: 1 << 32})
 		q := sys.NewQueue("q")
 		const n = 400
-		sys.Spawn("p", func(th *spamer.Thread) {
-			pr := q.NewProducer(0)
-			for i := 0; i < n; i++ {
-				th.Compute(10)
-				pr.Push(th.Proc, uint64(i))
-			}
-		})
-		sys.Spawn("c", func(th *spamer.Thread) {
-			c := q.NewConsumer(th.Proc, 2)
-			for i := 0; i < n; i++ {
-				c.Pop(th.Proc)
-				th.Compute(30)
-			}
-		})
+		(&spamer.Source{Out: q, N: n, Work: 10}).Spawn(sys, "p")
+		(&spamer.Stage{In: q, Lines: 2, N: n, Work: 30}).Spawn(sys, "c")
 		return sys.Run()
 	}
 	base := run1to1(spamer.AlgBaseline)

@@ -6,7 +6,6 @@ import (
 
 	"spamer"
 	"spamer/internal/harness"
-	"spamer/internal/mem"
 	"spamer/internal/noc"
 	"spamer/internal/sim"
 	"spamer/internal/swqueue"
@@ -37,17 +36,8 @@ func runCoherentTraced() (uint64, uint64) {
 	rec.Attach(k)
 	q := swqueue.NewCoherentQueue(k, noc.New(k), 4)
 	const n = 50
-	k.Go("producer", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			q.Push(p, 0, mem.Message{Seq: uint64(i)})
-		}
-	})
-	k.Go("consumer", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			q.Pop(p, 1)
-			p.Sleep(10)
-		}
-	})
+	(&swStage{out: q.End(0), n: n}).spawn(k, "producer")
+	(&swStage{in: q.End(1), core: 1, n: n, work: 10}).spawn(k, "consumer")
 	k.Run()
 	return rec.Sum(), k.Now()
 }

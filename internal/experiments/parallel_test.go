@@ -79,22 +79,35 @@ func TestRunMatrixParallelCancelled(t *testing.T) {
 	}
 }
 
-// failingTask is a run that cannot complete: four consumers pop a queue
-// nobody pushes, so the run deadlocks, or, with panics set, the first
-// consumer's body panics while the others are parked.
+// failingTask is a run that cannot complete: four consumer threads, step
+// machines on SpawnFunc, pop a queue nobody pushes, so the run
+// deadlocks, or, with panics set, the first consumer's step panics while
+// the others wait.
 func failingTask(label string, panics bool) harness.Task[spamer.Result] {
 	return harness.Task[spamer.Result]{Label: label, Run: func(context.Context) (spamer.Result, error) {
 		sys := spamer.NewSystem(spamer.Config{Algorithm: spamer.AlgBaseline})
 		q := sys.NewQueue("q")
 		for i := 0; i < 4; i++ {
-			sys.Spawn("consumer", func(th *spamer.Thread) {
-				rx := q.NewConsumer(th.Proc, 1)
-				th.Compute(10)
-				if panics && i == 0 {
-					panic("boom in " + label)
+			var rx *spamer.Consumer
+			var step func(uint64)
+			step = func(state uint64) {
+				switch state {
+				case 0:
+					var pending bool
+					if rx, pending = q.NewConsumerThen(1, sim.Cont{Fn: step, Arg: 1}); pending {
+						return
+					}
+					fallthrough
+				case 1:
+					sys.Kernel().AfterFunc(10, step, 2)
+				case 2:
+					if panics && i == 0 {
+						panic("boom in " + label)
+					}
+					rx.PopThen(sim.Cont{Fn: step, Arg: 3})
 				}
-				rx.Pop(th.Proc)
-			})
+			}
+			sys.SpawnFunc("consumer", step, 0)
 		}
 		return sys.Run(), nil
 	}}
@@ -164,10 +177,9 @@ func TestStepPanicIsRunError(t *testing.T) {
 }
 
 // TestFailedRunsReleaseProcesses: deadlocked and panicking runs, of
-// blocking processes and of process-free synthetic shapes, leave no
-// parked process behind. Past the first batch, further failures do not
-// grow the goroutine count, apart from idle runners waiting on the
-// kernel's bounded free list.
+// hand-written step machines and of synthetic shapes, leave nothing
+// behind: past the first batch, further failures do not grow the
+// goroutine count.
 func TestFailedRunsReleaseProcesses(t *testing.T) {
 	fail := func(n int) {
 		tasks := make([]harness.Task[spamer.Result], n)
@@ -183,18 +195,17 @@ func TestFailedRunsReleaseProcesses(t *testing.T) {
 			t.Fatalf("failed = %d, want %d", m.Failed, n)
 		}
 	}
-	busy := func() int { return runtime.NumGoroutine() - sim.IdleRunners() }
 	fail(10)
 	time.Sleep(10 * time.Millisecond) // let the pool's workers exit
-	after10 := busy()
+	after10 := runtime.NumGoroutine()
 	fail(40)
-	after40 := busy()
+	after40 := runtime.NumGoroutine()
 	for deadline := time.Now().Add(2 * time.Second); after40 > after10 && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
-		after40 = busy()
+		after40 = runtime.NumGoroutine()
 	}
 	if after40 > after10 {
-		t.Fatalf("goroutines past idle runners: %d after 10 failing runs, %d after 40 more", after10, after40)
+		t.Fatalf("goroutines: %d after 10 failing runs, %d after 40 more", after10, after40)
 	}
 }
 

@@ -31,6 +31,73 @@ const (
 	swsSinkWork = 20
 )
 
+// swStage is a thread of the software side: for each of n messages it
+// pops from in (unless in is nil), charges work cycles (0: none), and
+// pushes to out (unless out is nil) the popped message or, at a source,
+// message i of its core.
+type swStage struct {
+	in, out *swqueue.End
+	core    int
+	n       int
+	work    uint64
+
+	k    *sim.Kernel
+	task *sim.Task
+	step func(uint64)
+	msg  mem.Message
+	i    int
+}
+
+// swStage steps.
+const (
+	swNext   uint64 = iota // pop message i, or exit after the last
+	swWork                 // message i in hand: charge the work
+	swPush                 // push message i
+	swPushed               // message i done
+)
+
+func (m *swStage) spawn(k *sim.Kernel, name string) {
+	m.k, m.step = k, m.run
+	m.task = k.GoFunc(name, m.step, swNext)
+}
+
+func (m *swStage) run(state uint64) {
+	switch state {
+	case swNext:
+		if m.i == m.n {
+			m.task.Exit()
+			return
+		}
+		if m.in != nil {
+			m.in.PopThen(sim.Cont{Fn: m.step, Arg: swWork})
+			return
+		}
+		m.msg = mem.Message{Src: m.core, Seq: uint64(m.i)}
+		m.charge()
+	case swWork:
+		m.msg = m.in.Result()
+		m.charge()
+	case swPush:
+		if m.out != nil {
+			m.out.PushThen(m.msg, sim.Cont{Fn: m.step, Arg: swPushed})
+			return
+		}
+		fallthrough
+	case swPushed:
+		m.i++
+		m.run(swNext)
+	}
+}
+
+// charge charges the work, then pushes.
+func (m *swStage) charge() {
+	if m.work == 0 {
+		m.run(swPush)
+		return
+	}
+	m.k.AfterFunc(m.work, m.step, swPush)
+}
+
 // swChain: src -> stage -> sink over coherent software queues.
 func swChain() uint64 {
 	k := sim.New()
@@ -38,25 +105,14 @@ func swChain() uint64 {
 	bus := noc.New(k)
 	q1 := swqueue.NewCoherentQueue(k, bus, 4)
 	q2 := swqueue.NewCoherentQueue(k, bus, 4)
-	k.Go("src", func(p *sim.Proc) {
-		for i := 0; i < swsMessages; i++ {
-			p.Sleep(swsSrcWork)
-			q1.Push(p, 0, mem.Message{Seq: uint64(i)})
-		}
-	})
-	k.Go("mid", func(p *sim.Proc) {
-		for i := 0; i < swsMessages; i++ {
-			m := q1.Pop(p, 1)
-			p.Sleep(swsMidWork)
-			q2.Push(p, 1, m)
-		}
-	})
-	k.Go("sink", func(p *sim.Proc) {
-		for i := 0; i < swsMessages; i++ {
-			q2.Pop(p, 2)
-			p.Sleep(swsSinkWork)
-		}
-	})
+	ts := []swStage{
+		{out: q1.End(0), core: 0, n: swsMessages, work: swsSrcWork},
+		{in: q1.End(1), out: q2.End(1), core: 1, n: swsMessages, work: swsMidWork},
+		{in: q2.End(2), core: 2, n: swsMessages, work: swsSinkWork},
+	}
+	for i, name := range []string{"src", "mid", "sink"} {
+		ts[i].spawn(k, name)
+	}
 	k.Run()
 	return k.Now()
 }
@@ -65,29 +121,9 @@ func hwChain(alg string) uint64 {
 	sys := spamer.NewSystem(spamer.Config{Algorithm: alg, Deadline: 1 << 34})
 	q1 := sys.NewQueue("c1")
 	q2 := sys.NewQueue("c2")
-	sys.Spawn("src", func(t *spamer.Thread) {
-		pr := q1.NewProducer(0)
-		for i := 0; i < swsMessages; i++ {
-			t.Compute(swsSrcWork)
-			pr.Push(t.Proc, uint64(i))
-		}
-	})
-	sys.Spawn("mid", func(t *spamer.Thread) {
-		rx := q1.NewConsumer(t.Proc, 2)
-		pr := q2.NewProducer(0)
-		for i := 0; i < swsMessages; i++ {
-			m := rx.Pop(t.Proc)
-			t.Compute(swsMidWork)
-			pr.Push(t.Proc, m.Payload)
-		}
-	})
-	sys.Spawn("sink", func(t *spamer.Thread) {
-		rx := q2.NewConsumer(t.Proc, 2)
-		for i := 0; i < swsMessages; i++ {
-			rx.Pop(t.Proc)
-			t.Compute(swsSinkWork)
-		}
-	})
+	(&spamer.Source{Out: q1, N: swsMessages, Work: swsSrcWork}).Spawn(sys, "src")
+	(&spamer.Stage{In: q1, Lines: 2, Out: q2, N: swsMessages, Work: swsMidWork}).Spawn(sys, "mid")
+	(&spamer.Stage{In: q2, Lines: 2, N: swsMessages, Work: swsSinkWork}).Spawn(sys, "sink")
 	return sys.Run().Ticks
 }
 
@@ -98,22 +134,13 @@ func swIncast() uint64 {
 	k.SetDeadline(1 << 34)
 	bus := noc.New(k)
 	q := swqueue.NewCoherentQueue(k, bus, 8)
-	per := swsMessages / 4
+	ts := make([]swStage, 5)
 	for c := 0; c < 4; c++ {
-		c := c
-		k.Go("prod", func(p *sim.Proc) {
-			for i := 0; i < per; i++ {
-				p.Sleep(swsSrcWork * 4)
-				q.Push(p, c, mem.Message{Src: c, Seq: uint64(i)})
-			}
-		})
+		ts[c] = swStage{out: q.End(c), core: c, n: swsMessages / 4, work: swsSrcWork * 4}
+		ts[c].spawn(k, "prod")
 	}
-	k.Go("master", func(p *sim.Proc) {
-		for i := 0; i < swsMessages; i++ {
-			q.Pop(p, 5)
-			p.Sleep(swsSinkWork)
-		}
-	})
+	ts[4] = swStage{in: q.End(5), core: 5, n: swsMessages, work: swsSinkWork}
+	ts[4].spawn(k, "master")
 	k.Run()
 	return k.Now()
 }
@@ -121,22 +148,9 @@ func swIncast() uint64 {
 func hwIncast(alg string) uint64 {
 	sys := spamer.NewSystem(spamer.Config{Algorithm: alg, Deadline: 1 << 34})
 	q := sys.NewQueue("incast")
-	per := swsMessages / 4
 	for c := 0; c < 4; c++ {
-		sys.Spawn("prod", func(t *spamer.Thread) {
-			pr := q.NewProducer(0)
-			for i := 0; i < per; i++ {
-				t.Compute(swsSrcWork * 4)
-				pr.Push(t.Proc, uint64(i))
-			}
-		})
+		(&spamer.Source{Out: q, N: swsMessages / 4, Work: swsSrcWork * 4}).Spawn(sys, "prod")
 	}
-	sys.Spawn("master", func(t *spamer.Thread) {
-		rx := q.NewConsumer(t.Proc, 8)
-		for i := 0; i < swsMessages; i++ {
-			rx.Pop(t.Proc)
-			t.Compute(swsSinkWork)
-		}
-	})
+	(&spamer.Stage{In: q, Lines: 8, N: swsMessages, Work: swsSinkWork}).Spawn(sys, "master")
 	return sys.Run().Ticks
 }

@@ -205,10 +205,10 @@ func runOne[T any](ctx context.Context, i int, t Task[T], timeout time.Duration)
 	defer func() {
 		out.Wall = time.Since(start)
 		if r := recover(); r != nil {
-			// A watchdog, deadlock or thread-body panic from the
-			// simulator lands here (the kernel runs on this goroutine,
-			// and bodies run in coroutines it resumes); keep the sweep
-			// alive and record the failure in this run's slot.
+			// A watchdog, deadlock or thread-step panic from the
+			// simulator lands here (the kernel and every thread step
+			// run on this goroutine); keep the sweep alive and record
+			// the failure in this run's slot.
 			out.Err = &Error{Index: i, Label: t.Label, Err: fmt.Errorf("panic: %v", r)}
 		}
 	}()

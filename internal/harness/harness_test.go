@@ -75,7 +75,7 @@ func TestStructuredErrors(t *testing.T) {
 		{Label: "ok", Run: func(ctx context.Context) (int, error) { return 1, nil }},
 		{Label: "boom", Run: func(ctx context.Context) (int, error) { return 0, errors.New("boom") }},
 		{Label: "livelock", Run: func(ctx context.Context) (int, error) {
-			panic("sim: watchdog deadline 100 exceeded at tick 101 (3 live procs)")
+			panic("sim: watchdog deadline 100 exceeded at tick 101 (3 live threads)")
 		}},
 		{Label: "after", Run: func(ctx context.Context) (int, error) { return 4, nil }},
 	}

@@ -95,20 +95,38 @@ func TestSenderOrderedReplay(t *testing.T) {
 
 	// Three pushes against a 1-entry prodBuf: heavy NACK replay.
 	enqueuePushes(r, snd, s, 3, nil)
-	r.k.Go("consumer", func(p *sim.Proc) {
-		p.Sleep(200)
-		for i := 0; i < 3; i++ {
+	// The consumer is a step machine: after 200 cycles it fetches line
+	// i, waits on its OnFill until the line is valid, and takes it.
+	var task *sim.Task
+	var cell sim.WaitCell
+	i := 0
+	var step func(uint64)
+	step = func(state uint64) {
+		switch state {
+		case 0:
+			r.k.AfterFunc(200, step, 1)
+		case 1:
 			r.isa.EnqueueFetch(fsnd, s, pg.Lines[i].Addr)
+			fallthrough
+		case 2:
 			line := pg.Lines[i]
-			for line.State != mem.LineValid {
-				line.OnFill.Wait(p)
+			if line.State != mem.LineValid {
+				line.OnFill.WaitCell(&cell, 2)
+				return
 			}
 			// Delivery order must match issue order despite replays.
 			if got := line.Take().Seq; got != uint64(i) {
 				t.Errorf("line %d holds seq %d", i, got)
 			}
+			if i++; i == 3 {
+				task.Exit()
+				return
+			}
+			step(1)
 		}
-	})
+	}
+	cell.Init(r.k, step)
+	task = r.k.GoFunc("consumer", step, 0)
 	r.k.Run()
 	if r.isa.Stats().Replays == 0 {
 		t.Fatal("expected NACK replays with a 1-entry prodBuf")

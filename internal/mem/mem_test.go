@@ -112,12 +112,20 @@ func TestOnFillSignal(t *testing.T) {
 	k := sim.New()
 	l := NewLine(k, 64)
 	var woke uint64
-	k.Go("consumer", func(p *sim.Proc) {
-		for l.State != LineValid {
-			l.OnFill.Wait(p)
+	// The consumer is a step machine that waits on OnFill until the
+	// line is valid.
+	var task *sim.Task
+	var cell sim.WaitCell
+	check := func(uint64) {
+		if l.State != LineValid {
+			l.OnFill.WaitCell(&cell, 0)
+			return
 		}
-		woke = p.Now()
-	})
+		woke = k.Now()
+		task.Exit()
+	}
+	cell.Init(k, check)
+	task = k.GoFunc("consumer", check, 0)
 	k.AtFunc(40, func(uint64) { l.TryFill(Message{}) }, 0)
 	k.Run()
 	if woke != 40 {

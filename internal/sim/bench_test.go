@@ -70,32 +70,30 @@ func BenchmarkMixedWorkload(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkProcSwitch measures a coroutine sleep/wake round trip — two
-// goroutine handoffs over the single control channel per iteration.
-func BenchmarkProcSwitch(b *testing.B) {
-	b.ReportAllocs()
-	k := New()
-	k.Go("p", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1)
-		}
-	})
-	b.ResetTimer()
-	k.Run()
-}
-
-// BenchmarkSignalFire measures broadcast wake of 8 parked processes.
+// BenchmarkSignalFire measures broadcast wake of 8 waiting threads.
 func BenchmarkSignalFire(b *testing.B) {
 	b.ReportAllocs()
 	k := New()
 	sig := NewSignal("s")
 	const waiters = 8
-	for w := 0; w < waiters; w++ {
-		k.Go("w", func(p *Proc) {
-			for i := 0; i < b.N; i++ {
-				sig.Wait(p)
+	type waiter struct {
+		task  *Task
+		cell  WaitCell
+		waits int
+	}
+	ws := make([]waiter, waiters)
+	for w := range ws {
+		wt := &ws[w]
+		step := func(uint64) {
+			if wt.waits == b.N {
+				wt.task.Exit()
+				return
 			}
-		})
+			wt.waits++
+			sig.WaitCell(&wt.cell, 0)
+		}
+		wt.cell.Init(k, step)
+		wt.task = k.GoFunc("w", step, 0)
 	}
 	var pump func(uint64)
 	fired := 0
@@ -115,26 +113,53 @@ func BenchmarkSignalFire(b *testing.B) {
 
 // BenchmarkSignalWaiterChurn measures the waiter-list churn of a
 // producer/consumer pair exchanging wakes through two signals — the
-// Wait/Fire pattern of the vlq queue library. The waiter backing arrays
-// and wake tokens must be fully recycled: 0 allocs/op in steady state.
+// WaitCell/Fire pattern of the vlq queue library. The waiter backing
+// arrays and wake tokens must be fully recycled: 0 allocs/op in steady
+// state.
 func BenchmarkSignalWaiterChurn(b *testing.B) {
 	b.ReportAllocs()
 	k := New()
 	ping := NewSignal("ping")
 	pong := NewSignal("pong")
-	k.Go("consumer", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			ping.Wait(p)
+	// Each thread's step argument selects its state: 0 starts round i,
+	// the others resume it.
+	var cons, prod struct {
+		task *Task
+		cell WaitCell
+		i    int
+	}
+	var consStep, prodStep func(uint64)
+	consStep = func(state uint64) {
+		if state == 1 { // pinged
 			pong.Fire()
+			cons.i++
 		}
-	})
-	k.Go("producer", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1)
+		if cons.i == b.N {
+			cons.task.Exit()
+			return
+		}
+		ping.WaitCell(&cons.cell, 1)
+	}
+	prodStep = func(state uint64) {
+		switch state {
+		case 0:
+			if prod.i == b.N {
+				prod.task.Exit()
+				return
+			}
+			k.AfterFunc(1, prodStep, 1)
+		case 1: // slept
 			ping.Fire()
-			pong.Wait(p)
+			pong.WaitCell(&prod.cell, 2)
+		case 2: // ponged
+			prod.i++
+			prodStep(0)
 		}
-	})
+	}
+	cons.cell.Init(k, consStep)
+	prod.cell.Init(k, prodStep)
+	cons.task = k.GoFunc("consumer", consStep, 0)
+	prod.task = k.GoFunc("producer", prodStep, 0)
 	b.ResetTimer()
 	k.Run()
 	b.StopTimer()

@@ -1,12 +1,14 @@
 // Package sim provides a deterministic discrete-event simulation kernel
-// with cooperative coroutine processes and process-free threads.
+// and its one kind of simulated thread, the Task: a state machine whose
+// steps are events and the continuations (Cont) of kernel-side
+// operations, all run on the goroutine that calls Run.
 //
 // Time is measured in ticks; by convention one tick is one CPU cycle of the
 // simulated 2 GHz machine (see internal/config). Events scheduled for the
 // same tick fire in scheduling order (FIFO), which makes runs bit-for-bit
-// reproducible: the kernel never runs two processes concurrently, and the
-// event queue breaks tick ties with a monotonically increasing sequence
-// number. See docs/SIMULATOR.md for the full determinism contract.
+// reproducible: the kernel runs one event at a time, and the event queue
+// breaks tick ties with a monotonically increasing sequence number. See
+// docs/SIMULATOR.md for the full determinism contract.
 //
 // The queue is a monomorphic calendar wheel (near future) backed by a
 // binary heap (far future). There is one scheduling form: AtFunc and
@@ -23,21 +25,14 @@ type Kernel struct {
 	now    uint64
 	seq    uint64
 	events eventQueue
-	procs  []*Proc
 	tasks  []*Task
-	live   int // procs and tasks spawned and not yet finished
+	live   int // tasks spawned and not yet exited
 
-	// Proc spawning support: block storage behind the *Proc pointers and
-	// the shared start/dispatch trampoline Go binds on first use (proc.go).
-	// The first arena block and index array are embedded, so a kernel
-	// spawning a handful of processes allocates nothing for them;
-	// &procArena0[i] is handed out, which is safe because kernels never
-	// move (New returns a heap object). GoFunc stores its Tasks the same
-	// way (task.go).
-	procArena  []Proc
-	procFn     func(uint64)
-	procArena0 [arenaBlock]Proc
-	procs0     [arenaBlock]*Proc
+	// Block storage behind the *Task pointers GoFunc hands out
+	// (task.go). The first arena block and index array are embedded, so
+	// a kernel spawning a handful of threads allocates nothing for them;
+	// &taskArena0[i] is handed out, which is safe because kernels never
+	// move (New returns a heap object).
 	taskArena  []Task
 	taskArena0 [arenaBlock]Task
 	tasks0     [arenaBlock]*Task
@@ -110,7 +105,7 @@ func (k *Kernel) dispatchTick(b *bucket) {
 	}
 	k.now = t
 	if k.maxTick != 0 && t > k.maxTick {
-		panic(fmt.Sprintf("sim: watchdog deadline %d exceeded at tick %d (%d live procs)",
+		panic(fmt.Sprintf("sim: watchdog deadline %d exceeded at tick %d (%d live threads)",
 			k.maxTick, t, k.live))
 	}
 	for b.head < len(b.ev) && !k.stopped {
@@ -133,8 +128,8 @@ func (k *Kernel) dispatchTick(b *bucket) {
 
 // Run dispatches events in (tick, seq) order until the event queue drains,
 // Stop is called, or the watchdog deadline passes. A panic out of an
-// event or a process body (the watchdog's included) drains the kernel on
-// its way to the caller, so a failed run holds no parked runners.
+// event or a thread's step (the watchdog's included) drains the kernel
+// on its way to the caller, so a failed run leaves no live thread.
 func (k *Kernel) Run() {
 	defer k.drainOnPanic()
 	k.stopped = false
@@ -181,22 +176,16 @@ func (k *Kernel) drainOnPanic() {
 // Pending reports the number of queued events.
 func (k *Kernel) Pending() int { return k.events.len() }
 
-// LiveProcs reports the number of spawned processes and process-free
-// threads (GoFunc) that have not finished.
+// LiveProcs reports the number of threads (GoFunc) that have not
+// exited.
 func (k *Kernel) LiveProcs() int { return k.live }
 
-// Drain unwinds every process still parked, returning its runner to the
-// free list, exits every process-free thread still live, and drops all
-// pending events, so no further step runs. Run and RunUntil call it when
-// a panic unwinds through them; call it directly when abandoning a
-// simulation early (e.g. after RunUntil in tests). A fully Run
-// simulation needs no draining.
+// Drain exits every thread still live and drops all pending events, so
+// no further step runs. Run and RunUntil call it when a panic unwinds
+// through them; call it directly when abandoning a simulation early
+// (e.g. after RunUntil in tests). A fully Run simulation needs no
+// draining.
 func (k *Kernel) Drain() {
-	for _, p := range k.procs {
-		if !p.finished && p.started {
-			p.abort()
-		}
-	}
 	for _, t := range k.tasks {
 		t.Exit()
 	}

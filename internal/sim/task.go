@@ -1,26 +1,29 @@
 package sim
 
-// Task is a process-free simulated thread. Its body is a chain of steps
-// — event callbacks and the continuations of kernel-side operations
-// (Cont) — that run on the kernel goroutine, so advancing it costs no
-// coroutine switch. A step is a func(uint64) bound once, typically a
+// Task is a simulated thread. Its body is a chain of steps — event
+// callbacks and the continuations of kernel-side operations (Cont) —
+// that run on the kernel goroutine, so advancing it costs no host
+// thread switch. A step is a func(uint64) bound once, typically a
 // method value of the thread's own state machine, and the argument
-// selects the state.
+// selects the state. A wait is a Signal.WaitCell (or Gate, or
+// WaitAnyCell) registration whose wake runs the next step.
 //
 // A Task counts in LiveProcs from GoFunc until its last step calls
-// Exit, exactly as a process counts from Go until its body returns, so
-// the deadlock check and anything else reading the live count cannot
-// tell the two apart.
+// Exit; Run's deadlock check reads that count.
 type Task struct {
 	k      *Kernel
 	name   string
 	exited bool
 }
 
-// GoFunc spawns a process-free thread whose first step, fn(arg), runs at
-// the current tick. Like Go it schedules exactly one start event, so a
-// thread spawned with GoFunc in place of Go leaves every later event's
-// sequence number unchanged.
+// arenaBlock batches Task storage: a system spawns a few dozen threads
+// at setup, so block storage turns one heap object per spawn into one
+// per block. Blocks are replaced when full, never grown in place, so
+// *Task pointers stay valid.
+const arenaBlock = 16
+
+// GoFunc spawns a thread whose first step, fn(arg), runs at the current
+// tick: it schedules exactly one start event.
 func (k *Kernel) GoFunc(name string, fn func(uint64), arg uint64) *Task {
 	if k.tasks == nil {
 		k.tasks = k.tasks0[:0]
@@ -38,8 +41,8 @@ func (k *Kernel) GoFunc(name string, fn func(uint64), arg uint64) *Task {
 	return t
 }
 
-// Exit ends the thread: its last step calls Exit where a process body
-// would return. Exiting an exited (or drained) thread is a no-op.
+// Exit ends the thread: its last step calls Exit. Exiting an exited (or
+// drained) thread is a no-op.
 func (t *Task) Exit() {
 	if t.exited {
 		return

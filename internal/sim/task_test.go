@@ -6,49 +6,37 @@ import (
 	"testing"
 )
 
-// TestGoFuncTraceMatchesGo: a process-free thread that takes the same
-// delays as a process dispatches the same (tick, seq) trace, start event
-// included, and counts as live exactly as long.
+// TestGoFuncTraceMatchesGo: a process-free thread dispatches the
+// (tick, seq) trace, start event included, that a blocking process
+// sleeping the same delays dispatched, and counts as live exactly as
+// long. The blocking runtime is gone; its trace is kept as the literal
+// it recorded: two unrelated events share the seq counter and look at
+// the live count mid-run (tick 5) and after the thread ends (tick 30).
 func TestGoFuncTraceMatchesGo(t *testing.T) {
+	const proc = "0/2 live 1 0/4 live 1 5/1 live 1 7/5 live 1 10/6 live 1 10/7 live 1 22/8 live 1 30/3 live 0"
 	delays := []uint64{0, 7, 3, 0, 12}
-	// run returns the dispatch trace with the live count each event
-	// finds; two unrelated events share the seq counter and look at the
-	// live count mid-run and after the thread ends (tick 22).
-	run := func(spawn func(k *Kernel)) []string {
-		k := New()
-		var out []string
-		k.SetDispatchObserver(func(tick, seq uint64) {
-			out = append(out, fmt.Sprintf("%d/%d live %d", tick, seq, k.LiveProcs()))
-		})
-		k.AfterFunc(5, func(uint64) {}, 0)
-		spawn(k)
-		k.AfterFunc(30, func(uint64) {}, 0)
-		k.Run()
-		return out
-	}
-	procs := run(func(k *Kernel) {
-		k.Go("p", func(p *Proc) {
-			for _, d := range delays {
-				p.Sleep(d)
-			}
-		})
+	k := New()
+	var out []string
+	k.SetDispatchObserver(func(tick, seq uint64) {
+		out = append(out, fmt.Sprintf("%d/%d live %d", tick, seq, k.LiveProcs()))
 	})
-	tasks := run(func(k *Kernel) {
-		i := 0
-		var task *Task
-		var step func(uint64)
-		step = func(uint64) {
-			if i == len(delays) {
-				task.Exit()
-				return
-			}
-			k.AfterFunc(delays[i], step, 0)
-			i++
+	k.AfterFunc(5, func(uint64) {}, 0)
+	i := 0
+	var task *Task
+	var step func(uint64)
+	step = func(uint64) {
+		if i == len(delays) {
+			task.Exit()
+			return
 		}
-		task = k.GoFunc("t", step, 0)
-	})
-	if strings.Join(procs, " ") != strings.Join(tasks, " ") {
-		t.Fatalf("traces differ:\nproc: %v\ntask: %v", procs, tasks)
+		k.AfterFunc(delays[i], step, 0)
+		i++
+	}
+	task = k.GoFunc("t", step, 0)
+	k.AfterFunc(30, func(uint64) {}, 0)
+	k.Run()
+	if got := strings.Join(out, " "); got != proc {
+		t.Fatalf("traces differ:\nproc: %v\ntask: %v", proc, got)
 	}
 }
 
@@ -110,11 +98,11 @@ func TestTasksBeyondFirstArenaBlock(t *testing.T) {
 }
 
 // TestStepPanicUnwindsThroughRun: a panic inside a step leaves through
-// Run, which drains the kernel, processes and threads alike.
+// Run, which drains the kernel: every waiting thread exits.
 func TestStepPanicUnwindsThroughRun(t *testing.T) {
 	k := New()
 	sig := NewSignal("never")
-	k.Go("parked", func(p *Proc) { sig.Wait(p) })
+	spawn(k, "parked", wait(sig))
 	var c WaitCell
 	c.Init(k, func(uint64) {})
 	k.GoFunc("waiting", func(uint64) { sig.WaitCell(&c, 0) }, 0)

@@ -5,15 +5,64 @@ import (
 	"testing"
 )
 
+// thread is a scripted test thread: a Task whose steps run ops in
+// order. An op may start one wait, Sleep or Wait, which resumes the
+// thread at the next op; an op that starts none runs on into the next
+// at once. The thread exits after the last op.
+type thread struct {
+	k       *Kernel
+	task    *Task
+	step    func(uint64)
+	cell    WaitCell
+	ops     []func(t *thread)
+	pc      int
+	waiting bool
+}
+
+// spawn starts a thread running ops; its first op runs at the current
+// tick, after the events already scheduled for it.
+func spawn(k *Kernel, name string, ops ...func(t *thread)) *thread {
+	t := &thread{k: k, ops: ops}
+	t.step = t.run
+	t.cell.Init(k, t.step)
+	t.task = k.GoFunc(name, t.step, 0)
+	return t
+}
+
+func (t *thread) run(uint64) {
+	for t.pc < len(t.ops) {
+		t.waiting = false
+		op := t.ops[t.pc]
+		t.pc++
+		op(t)
+		if t.waiting {
+			return
+		}
+	}
+	t.task.Exit()
+}
+
+// Sleep resumes the thread d ticks from now; Sleep(0) lets the other
+// events of the current tick run first.
+func (t *thread) Sleep(d uint64) {
+	t.waiting = true
+	t.k.AfterFunc(d, t.step, 0)
+}
+
+// Wait resumes the thread at the next Fire of s.
+func (t *thread) Wait(s *Signal) {
+	t.waiting = true
+	s.WaitCell(&t.cell, 0)
+}
+
+func sleep(d uint64) func(*thread) { return func(t *thread) { t.Sleep(d) } }
+func wait(s *Signal) func(*thread) { return func(t *thread) { t.Wait(s) } }
+
 func TestProcSleep(t *testing.T) {
 	k := New()
 	var wake []uint64
-	k.Go("a", func(p *Proc) {
-		p.Sleep(10)
-		wake = append(wake, p.Now())
-		p.Sleep(5)
-		wake = append(wake, p.Now())
-	})
+	note := func(th *thread) { wake = append(wake, k.Now()) }
+	spawn(k, "a", sleep(10), note, sleep(5), note)
 	k.Run()
 	if len(wake) != 2 || wake[0] != 10 || wake[1] != 15 {
 		t.Fatalf("wake = %v, want [10 15]", wake)
@@ -29,12 +78,11 @@ func TestProcInterleavingDeterministic(t *testing.T) {
 		var log []string
 		for _, name := range []string{"a", "b", "c"} {
 			name := name
-			k.Go(name, func(p *Proc) {
-				for i := 0; i < 3; i++ {
-					p.Sleep(2)
-					log = append(log, name)
-				}
-			})
+			var ops []func(*thread)
+			for i := 0; i < 3; i++ {
+				ops = append(ops, sleep(2), func(*thread) { log = append(log, name) })
+			}
+			spawn(k, name, ops...)
 		}
 		k.Run()
 		return log
@@ -62,11 +110,10 @@ func TestSignalWakesAllWaiters(t *testing.T) {
 	sig := NewSignal("s")
 	woke := 0
 	for i := 0; i < 3; i++ {
-		k.Go("w", func(p *Proc) {
-			sig.Wait(p)
+		spawn(k, "w", wait(sig), func(*thread) {
 			woke++
-			if p.Now() != 50 {
-				t.Errorf("woke at %d, want 50", p.Now())
+			if k.Now() != 50 {
+				t.Errorf("woke at %d, want 50", k.Now())
 			}
 		})
 	}
@@ -84,12 +131,8 @@ func TestSignalReusable(t *testing.T) {
 	k := New()
 	sig := NewSignal("s")
 	var wakes []uint64
-	k.Go("w", func(p *Proc) {
-		sig.Wait(p)
-		wakes = append(wakes, p.Now())
-		sig.Wait(p)
-		wakes = append(wakes, p.Now())
-	})
+	note := func(*thread) { wakes = append(wakes, k.Now()) }
+	spawn(k, "w", wait(sig), note, wait(sig), note)
 	k.AtFunc(10, func(uint64) { sig.Fire() }, 0)
 	k.AtFunc(20, func(uint64) { sig.Fire() }, 0)
 	k.Run()
@@ -98,52 +141,15 @@ func TestSignalReusable(t *testing.T) {
 	}
 }
 
-func TestWaitUntil(t *testing.T) {
-	k := New()
-	sig := NewSignal("cond")
-	val := 0
-	done := uint64(0)
-	k.Go("w", func(p *Proc) {
-		WaitUntil(p, sig, func() bool { return val >= 3 })
-		done = p.Now()
-	})
-	for i := 1; i <= 5; i++ {
-		i := i
-		k.AtFunc(uint64(i*10), func(uint64) { val = i; sig.Fire() }, 0)
-	}
-	k.Run()
-	if done != 30 {
-		t.Fatalf("done at %d, want 30", done)
-	}
-}
-
-func TestWaitUntilAlreadyTrue(t *testing.T) {
-	k := New()
-	sig := NewSignal("cond")
-	ran := false
-	k.Go("w", func(p *Proc) {
-		WaitUntil(p, sig, func() bool { return true })
-		ran = true
-	})
-	k.Run()
-	if !ran {
-		t.Fatal("WaitUntil with true condition parked forever")
-	}
-}
-
 func TestProcsCommunicate(t *testing.T) {
 	k := New()
 	sig := NewSignal("hand")
 	var order []string
-	k.Go("producer", func(p *Proc) {
-		p.Sleep(10)
+	spawn(k, "producer", sleep(10), func(*thread) {
 		order = append(order, "produce")
 		sig.Fire()
 	})
-	k.Go("consumer", func(p *Proc) {
-		sig.Wait(p)
-		order = append(order, "consume")
-	})
+	spawn(k, "consumer", wait(sig), func(*thread) { order = append(order, "consume") })
 	k.Run()
 	if len(order) != 2 || order[0] != "produce" || order[1] != "consume" {
 		t.Fatalf("order = %v", order)
@@ -153,7 +159,7 @@ func TestProcsCommunicate(t *testing.T) {
 func TestDrainReleasesParkedProcs(t *testing.T) {
 	k := New()
 	sig := NewSignal("never")
-	k.Go("stuck", func(p *Proc) { sig.Wait(p) })
+	spawn(k, "stuck", wait(sig))
 	k.RunUntil(100)
 	if k.LiveProcs() != 1 {
 		t.Fatalf("LiveProcs = %d, want 1", k.LiveProcs())
@@ -167,14 +173,9 @@ func TestDrainReleasesParkedProcs(t *testing.T) {
 func TestSleepZeroYields(t *testing.T) {
 	k := New()
 	var order []string
-	k.Go("a", func(p *Proc) {
-		order = append(order, "a1")
-		p.Sleep(0)
-		order = append(order, "a2")
-	})
-	k.Go("b", func(p *Proc) {
-		order = append(order, "b1")
-	})
+	note := func(s string) func(*thread) { return func(*thread) { order = append(order, s) } }
+	spawn(k, "a", note("a1"), sleep(0), note("a2"))
+	spawn(k, "b", note("b1"))
 	k.Run()
 	// a starts first (spawn order), yields at the same tick, b runs, then a resumes.
 	want := []string{"a1", "b1", "a2"}
@@ -194,13 +195,11 @@ func TestManyProcsStress(t *testing.T) {
 	const procs, steps = 64, 50
 	total := 0
 	for i := 0; i < procs; i++ {
-		i := i
-		k.Go("p", func(p *Proc) {
-			for s := 0; s < steps; s++ {
-				p.Sleep(uint64(1 + (i+s)%7))
-			}
-			total++
-		})
+		var ops []func(*thread)
+		for s := 0; s < steps; s++ {
+			ops = append(ops, sleep(uint64(1+(i+s)%7)))
+		}
+		spawn(k, "p", append(ops, func(*thread) { total++ })...)
 	}
 	k.Run()
 	if total != procs {
@@ -234,13 +233,10 @@ func recoverRun(k *Kernel) (r any) {
 func TestBodyPanicUnwindsThroughRun(t *testing.T) {
 	k := New()
 	sig := NewSignal("never")
-	k.Go("parked", func(p *Proc) { sig.Wait(p) })
-	k.Go("boom", func(p *Proc) {
-		p.Sleep(5)
-		panic("boom")
-	})
+	spawn(k, "parked", wait(sig))
+	spawn(k, "boom", sleep(5), func(*thread) { panic("boom") })
 	if r := recoverRun(k); r != "boom" {
-		t.Fatalf("Run panicked with %v, want the body's panic", r)
+		t.Fatalf("Run panicked with %v, want the step's panic", r)
 	}
 	if k.LiveProcs() != 0 || k.Pending() != 0 {
 		t.Fatalf("after the panic: LiveProcs = %d, Pending = %d, want 0 (drained)", k.LiveProcs(), k.Pending())
@@ -250,11 +246,11 @@ func TestBodyPanicUnwindsThroughRun(t *testing.T) {
 func TestWatchdogPanicDrains(t *testing.T) {
 	k := New()
 	k.SetDeadline(100)
-	k.Go("spin", func(p *Proc) {
-		for {
-			p.Sleep(10)
-		}
-	})
+	spin := func(th *thread) {
+		th.pc-- // run this op again after the sleep
+		th.Sleep(10)
+	}
+	spawn(k, "spin", spin)
 	if recoverRun(k) == nil {
 		t.Fatal("watchdog did not fire")
 	}
@@ -263,41 +259,28 @@ func TestWatchdogPanicDrains(t *testing.T) {
 	}
 }
 
-// TestRunnerFreeListBounded: more processes than the free list holds
-// finish, and the list keeps exactly its cap; the rest are stopped.
-func TestRunnerFreeListBounded(t *testing.T) {
-	k := New()
-	for i := 0; i < maxIdleRunners+40; i++ {
-		k.Go("p", func(p *Proc) { p.Sleep(1) })
-	}
-	k.Run()
-	if n := IdleRunners(); n != maxIdleRunners {
-		t.Fatalf("IdleRunners = %d, want the cap %d", n, maxIdleRunners)
-	}
-}
-
 // TestRunnersSharedAcrossKernels runs kernels on several goroutines at
-// once, so runners move between goroutines through the free list; every
-// kernel must still see its own deterministic interleaving.
+// once, each with its own threads exchanging wakes; every kernel must
+// still see its own deterministic interleaving, and the race detector
+// must find nothing the kernels share.
 func TestRunnersSharedAcrossKernels(t *testing.T) {
 	run := func() uint64 {
 		k := New()
 		ping, pong := NewSignal("ping"), NewSignal("pong")
 		var sum uint64
-		k.Go("consumer", func(p *Proc) {
-			for i := 0; i < 50; i++ {
-				ping.Wait(p)
-				sum = sum*31 + p.Now()
+		var consumer, producer []func(*thread)
+		for i := 0; i < 50; i++ {
+			consumer = append(consumer, wait(ping), func(*thread) {
+				sum = sum*31 + k.Now()
 				pong.Fire()
-			}
-		})
-		k.Go("producer", func(p *Proc) {
-			for i := 0; i < 50; i++ {
-				p.Sleep(uint64(1 + i%3))
+			})
+			producer = append(producer, sleep(uint64(1+i%3)), func(th *thread) {
 				ping.Fire()
-				pong.Wait(p)
-			}
-		})
+				th.Wait(pong)
+			})
+		}
+		spawn(k, "consumer", consumer...)
+		spawn(k, "producer", producer...)
 		k.Run()
 		return sum
 	}

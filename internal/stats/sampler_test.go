@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spamer"
+	"spamer/internal/sim"
 	"spamer/internal/workloads"
 )
 
@@ -13,24 +14,36 @@ import (
 func buildTwoPhase(sys *spamer.System) {
 	q := sys.NewQueue("q")
 	const n = 600
-	sys.Spawn("producer", func(t *spamer.Thread) {
-		pr := q.NewProducer(0)
-		for i := 0; i < n; i++ {
-			if i < n/2 {
-				t.Compute(200) // slow phase: producer-bound
-			} else {
-				t.Compute(10) // fast phase: consumer-bound
+	// A Source charges the same work per message, so the two-phase
+	// producer is a step machine of its own.
+	var tx *spamer.Producer
+	var th *spamer.Thread
+	i := 0
+	var step func(uint64)
+	step = func(state uint64) {
+		switch state {
+		case 0:
+			tx = q.NewProducer(0)
+			fallthrough
+		case 1:
+			if i == n {
+				th.Task.Exit()
+				return
 			}
-			pr.Push(t.Proc, uint64(i))
+			work := uint64(200) // slow phase: producer-bound
+			if i >= n/2 {
+				work = 10 // fast phase: consumer-bound
+			}
+			sys.Kernel().AfterFunc(work, step, 2)
+		case 2:
+			tx.PushThen(uint64(i), sim.Cont{Fn: step, Arg: 3})
+		case 3:
+			i++
+			step(1)
 		}
-	})
-	sys.Spawn("consumer", func(t *spamer.Thread) {
-		c := q.NewConsumer(t.Proc, 4)
-		for i := 0; i < n; i++ {
-			c.Pop(t.Proc)
-			t.Compute(60)
-		}
-	})
+	}
+	th = sys.SpawnFunc("producer", step, 0)
+	(&spamer.Stage{In: q, Lines: 4, N: n, Work: 60}).Spawn(sys, "consumer")
 }
 
 func TestSamplerWindowsCoverRun(t *testing.T) {

@@ -8,24 +8,47 @@ import (
 	"spamer/internal/sim"
 )
 
+// script runs ops in order on a process-free thread: each op starts
+// one operation with next as its continuation, or calls next itself.
+func script(k *sim.Kernel, name string, ops ...func(next sim.Cont)) {
+	var task *sim.Task
+	var step func(uint64)
+	step = func(i uint64) {
+		if i == uint64(len(ops)) {
+			task.Exit()
+			return
+		}
+		ops[i](sim.Cont{Fn: step, Arg: i + 1})
+	}
+	task = k.GoFunc(name, step, 0)
+}
+
+func sleep(k *sim.Kernel, d uint64) func(sim.Cont) {
+	return func(next sim.Cont) { k.AfterFunc(d, next.Fn, next.Arg) }
+}
+
+func push(e *End, seq int) func(sim.Cont) {
+	return func(next sim.Cont) { e.PushThen(mem.Message{Seq: uint64(seq)}, next) }
+}
+
 func TestCoherentQueueFIFO(t *testing.T) {
 	k := sim.New()
 	k.SetDeadline(1 << 30)
 	bus := noc.New(k)
 	q := NewCoherentQueue(k, bus, 4)
 	const n = 50
-	k.Go("producer", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			q.Push(p, 0, mem.Message{Seq: uint64(i)})
-		}
-	})
+	tx, rx := q.End(0), q.End(1)
+	var prod, cons []func(sim.Cont)
 	var got []uint64
-	k.Go("consumer", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			got = append(got, q.Pop(p, 1).Seq)
-			p.Sleep(10)
-		}
-	})
+	for i := 0; i < n; i++ {
+		prod = append(prod, push(tx, i))
+		cons = append(cons, rx.PopThen, func(next sim.Cont) {
+			got = append(got, rx.Result().Seq)
+			next.Call()
+		}, sleep(k, 10))
+	}
+	script(k, "producer", prod...)
+	script(k, "consumer", cons...)
 	k.Run()
 	if len(got) != n {
 		t.Fatalf("popped %d", len(got))
@@ -49,19 +72,20 @@ func TestCoherentQueueBackpressure(t *testing.T) {
 	k.SetDeadline(1 << 30)
 	bus := noc.New(k)
 	q := NewCoherentQueue(k, bus, 2)
+	tx, rx := q.End(0), q.End(1)
 	var pushDone uint64
-	k.Go("producer", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			q.Push(p, 0, mem.Message{Seq: uint64(i)})
-		}
-		pushDone = p.Now()
+	var prod []func(sim.Cont)
+	cons := []func(sim.Cont){sleep(k, 5000)}
+	for i := 0; i < 4; i++ {
+		prod = append(prod, push(tx, i))
+		cons = append(cons, rx.PopThen)
+	}
+	prod = append(prod, func(next sim.Cont) {
+		pushDone = k.Now()
+		next.Call()
 	})
-	k.Go("consumer", func(p *sim.Proc) {
-		p.Sleep(5000)
-		for i := 0; i < 4; i++ {
-			q.Pop(p, 1)
-		}
-	})
+	script(k, "producer", prod...)
+	script(k, "consumer", cons...)
 	k.Run()
 	if pushDone < 5000 {
 		t.Fatalf("producer finished at %d despite full queue", pushDone)

@@ -36,14 +36,15 @@ func RunFigure7(cfg Figure7Config) (*Tracer, spamer.Result) {
 		ConsWork:  cfg.ConsWork,
 		ConsLines: cfg.Lines,
 		Burst:     cfg.Burst,
-		OnConsumer: func(c *spamer.Consumer) {
-			tr.Attach(c)
-		},
 	})
-	// Wire the producer's accept hook once it exists: the producer
-	// endpoint is created inside the spawned thread, so hook at tick 1.
+	// The threads open their endpoints in their first steps, at tick 0,
+	// so hook the tracer onto both sides at tick 1: before the first
+	// vl_fetch, fill or push acceptance.
 	sys.Kernel().AtFunc(1, func(uint64) {
 		for _, q := range sys.Queues() {
+			for _, c := range q.Consumers() {
+				tr.Attach(c)
+			}
 			for _, pr := range q.Producers() {
 				pr.OnAccept = tr.AddDataArrival
 			}

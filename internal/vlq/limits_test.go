@@ -24,11 +24,10 @@ func TestSpecLineLimitDegradesToDemand(t *testing.T) {
 	r.lib.Limits.MaxSpecLines = 4
 	q := r.lib.NewQueue("q")
 	var c1, c2, c3 *Consumer
-	r.k.Go("setup", func(p *sim.Proc) {
-		c1 = q.NewConsumer(p, 2) // 2/4 used
-		c2 = q.NewConsumer(p, 2) // 4/4 used
-		c3 = q.NewConsumer(p, 2) // over limit: degrades
-	})
+	script(r.k, "setup",
+		open(q, 2, &c1), // 2/4 used
+		open(q, 2, &c2), // 4/4 used
+		open(q, 2, &c3)) // over limit: degrades
 	r.k.Run()
 	if !c1.SpecEnabled() || !c2.SpecEnabled() {
 		t.Fatal("endpoints within the limit lost speculation")
@@ -49,11 +48,8 @@ func TestSpecLimitIsolation(t *testing.T) {
 	attacker := r.lib
 	attacker.Limits.MaxSpecLines = 8
 	qa := attacker.NewQueue("attacker")
-	r.k.Go("attacker", func(p *sim.Proc) {
-		for i := 0; i < 30; i++ {
-			qa.NewConsumer(p, 2)
-		}
-	})
+	var c *Consumer
+	script(r.k, "attacker", times(30, func(_ int, next sim.Cont) { open(qa, 2, &c)(next) }))
 	r.k.Run()
 	// The device-level specBuf must still have room (64 entries; the
 	// attacker consumed at most 4 = 8 lines / 2 per endpoint).

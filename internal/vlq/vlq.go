@@ -97,7 +97,7 @@ func (l *Lib) overhead() uint64 {
 // implements it to check conservation, ordering, and payload integrity.
 //
 // Probe calls run synchronously inside the endpoint operation; the kernel
-// runs one event or process at a time, so calls never overlap.
+// runs one event at a time, so calls never overlap.
 // Implementations must not schedule events or touch simulation state — a
 // probe is a pure observer, and installing one must leave the dispatch
 // trace bit-identical.
@@ -241,12 +241,9 @@ const DefaultWindow = 4
 
 // Producer is a producer endpoint: a page of lines pushed to one SQI.
 //
-// Push has one implementation, a continuation-passing state machine on
-// the kernel goroutine (PushThen; see pushStep). The blocking form runs
-// it with the calling process's Resume as the continuation, so the
-// process parks once for the whole operation instead of once per
-// charged delay, which is where the bulk of a simulated push's
-// host-side cost used to go.
+// PushThen is a continuation-passing state machine on the kernel
+// goroutine (see pushStep): each charged delay is one event, and the
+// calling thread's continuation runs when the push completes.
 type Producer struct {
 	q      *Queue
 	lib    *Lib
@@ -327,21 +324,14 @@ func (pr *Producer) accepted() {
 	}
 }
 
-// Push enqueues one message. The calling process is charged the library
-// overhead plus vl_select+vl_push, then blocks only if the producer's
-// line window is exhausted (ownership of a previous line has not yet
-// transferred to the routing device). It is PushThen with the process's
-// Resume as the continuation, plus one Park.
-func (pr *Producer) Push(p *sim.Proc, payload uint64) {
-	pr.PushThen(payload, p.Resume())
-	p.Park()
-}
-
-// PushThen is the continuation form of Push: it starts the push and
-// returns at once, and then runs on the kernel goroutine at the point
-// Push would return. The delays are charged by pushStep's events — one
-// event per charged delay, one re-check event per credit fire — so the
-// dispatch trace does not depend on which form a thread uses.
+// PushThen enqueues one message: it starts the push and returns at
+// once, and then runs on the kernel goroutine when the push completes.
+// The calling thread is charged the library overhead plus
+// vl_select+vl_push, and waits longer only if the producer's line
+// window is exhausted (ownership of a previous line has not yet
+// transferred to the routing device). The delays are charged by
+// pushStep's events: one event per charged delay, one re-check event
+// per credit fire.
 func (pr *Producer) PushThen(payload uint64, then sim.Cont) {
 	pr.q.mustBeOpen("Push")
 	pr.pushPayload = payload
@@ -349,10 +339,8 @@ func (pr *Producer) PushThen(payload uint64, then sim.Cont) {
 	pr.lib.k.AfterFunc(pr.lib.overhead(), pr.stepFn, prPushCredit)
 }
 
-// pushStep is the Push state machine, driven by kernel events whose
-// delays charge the op's simulated cycles. Each case runs at the tick a
-// process-blocking form would have resumed at, and performs the same
-// work in the same order, so (tick, seq) dispatch traces are unchanged.
+// pushStep is the push state machine, driven by kernel events whose
+// delays charge the op's simulated cycles.
 func (pr *Producer) pushStep(state uint64) {
 	lib := pr.lib
 	switch state {
@@ -386,10 +374,9 @@ func (pr *Producer) pushStep(state uint64) {
 // popped in round-robin order (the library "would use the cachelines of
 // an endpoint in a round-robin fashion", §3.5).
 //
-// Each consumer operation has one implementation, a continuation-passing
-// state machine on the kernel goroutine (see step): the ...Then form
-// starts it, and the blocking form is that form with the calling
-// process's Resume as the continuation plus one Park.
+// Each consumer operation is a continuation-passing state machine on
+// the kernel goroutine (see step): the ...Then form starts it, and the
+// calling thread's continuation runs when it completes.
 type Consumer struct {
 	q     *Queue
 	lib   *Lib
@@ -441,28 +428,17 @@ const (
 	coRegister                    // spamer_register cycles charged; send the registration
 )
 
-// NewConsumer subscribes a consumer endpoint with nlines buffer lines.
-// On a SPAMeR device the endpoint is spec-push-enabled: the library
-// registers its lines in specBuf (spamer_register) at creation, and Pop
-// never issues vl_fetch. On a VL device it is demand-driven, as is every
-// endpoint past the §3.6 MaxSpecLines cap.
+// NewConsumerThen subscribes a consumer endpoint with nlines buffer
+// lines. On a SPAMeR device the endpoint is spec-push-enabled: the
+// library registers its lines in specBuf (spamer_register) at creation,
+// and a pop never issues vl_fetch. On a VL device it is demand-driven,
+// as is every endpoint past the §3.6 MaxSpecLines cap.
 //
-// Registration charges the calling process, mirroring the library
-// function that creates consumer endpoints (§3.4); it is NewConsumerThen
-// with the process's Resume as the continuation, parking only when the
-// endpoint registers.
-func (q *Queue) NewConsumer(p *sim.Proc, nlines int) *Consumer {
-	c, pending := q.NewConsumerThen(nlines, p.Resume())
-	if pending {
-		p.Park()
-	}
-	return c
-}
-
-// NewConsumerThen is the continuation form of NewConsumer. When the
-// endpoint registers its lines it returns pending = true, and then runs
-// once spamer_register has been issued; otherwise it schedules nothing
-// and then never runs.
+// Registration charges the calling thread, mirroring the library
+// function that creates consumer endpoints (§3.4): when the endpoint
+// registers its lines NewConsumerThen returns pending = true, and then
+// runs once spamer_register has been issued; otherwise it schedules
+// nothing and then never runs.
 func (q *Queue) NewConsumerThen(nlines int, then sim.Cont) (c *Consumer, pending bool) {
 	c = q.NewConsumerLegacy(nlines)
 	lib := q.lib
@@ -517,9 +493,9 @@ func (c *Consumer) SpecEnabled() bool { return c.spec }
 // Lines exposes the endpoint's buffer lines (stats/tracing).
 func (c *Consumer) Lines() []*mem.Line { return c.page.Lines }
 
-// Result reports the outcome of the endpoint's last completed Pop or
-// WorkCounter Take: the message and whether one was taken. A thread
-// using the continuation forms reads it in the continuation.
+// Result reports the outcome of the endpoint's last completed PopThen
+// or WorkCounter TakeThen: the message and whether one was taken. A
+// thread reads it in the operation's continuation.
 func (c *Consumer) Result() (mem.Message, bool) { return c.msg, c.ok }
 
 // totalFills sums fills across the endpoint lines; in demand mode every
@@ -538,26 +514,19 @@ func (c *Consumer) begin(op string, then sim.Cont) {
 	c.then = then
 }
 
-// Prefetch posts one demand request ahead of need — even when its target
-// line currently holds unconsumed data. This is the guided form of the
-// "prerequest" behaviour of §4.2: a request travelling to the routing
-// device while the line is still valid lets buffered producer data start
-// moving before the consumer actually vacates the line. The resulting
-// push can miss (the line has not vacated yet) and retry — the source of
-// the VL baseline's non-zero failure rate on halo (Figure 10a) — but is
-// overall beneficial.
+// PrefetchThen posts one demand request ahead of need — even when its
+// target line currently holds unconsumed data. This is the guided form
+// of the "prerequest" behaviour of §4.2: a request travelling to the
+// routing device while the line is still valid lets buffered producer
+// data start moving before the consumer actually vacates the line. The
+// resulting push can miss (the line has not vacated yet) and retry —
+// the source of the VL baseline's non-zero failure rate on halo (Figure
+// 10a) — but is overall beneficial.
 //
 // At most one unconsumed request per line is kept outstanding.
-// Spec-enabled endpoints never request, so Prefetch is a no-op for them.
-func (c *Consumer) Prefetch(p *sim.Proc) {
-	if c.PrefetchThen(p.Resume()) {
-		p.Park()
-	}
-}
-
-// PrefetchThen is the continuation form of Prefetch. On a spec-enabled
-// endpoint it schedules nothing, returns false, and then never runs;
-// otherwise it returns true and then runs where Prefetch would return.
+// Spec-enabled endpoints never request: on them PrefetchThen schedules
+// nothing, returns false, and then never runs. Otherwise it returns
+// true and then runs once the request is posted.
 func (c *Consumer) PrefetchThen(then sim.Cont) bool {
 	c.begin("Prefetch", then)
 	if c.spec {
@@ -567,25 +536,17 @@ func (c *Consumer) PrefetchThen(then sim.Cont) bool {
 	return true
 }
 
-// Pop dequeues one message, blocking the calling process until data is
-// available in the endpoint's next line.
+// PopThen dequeues one message: then runs once data is available in
+// the endpoint's next line and taken, and Result reports the message.
 //
 // Demand (VL) endpoints issue vl_select+vl_fetch for the line first
-// (unless a request is already outstanding, e.g. from Prefetch) — even
-// if it currently holds data, which is the unguided prerequest of §4.2.
-// Spec-enabled endpoints skip the request entirely; the routing device
-// is expected to push speculatively.
-func (c *Consumer) Pop(p *sim.Proc) mem.Message {
-	c.PopThen(p.Resume())
-	p.Park()
-	return c.msg
-}
-
-// PopThen is the continuation form of Pop: then runs where Pop would
-// return, and Result reports the message.
+// (unless a request is already outstanding, e.g. from PrefetchThen) —
+// even if it currently holds data, which is the unguided prerequest of
+// §4.2. Spec-enabled endpoints skip the request entirely; the routing
+// device is expected to push speculatively.
 func (c *Consumer) PopThen(then sim.Cont) { c.pop(nil, then) }
 
-// pop starts a Pop, or with wc set a Take drawing on wc.
+// pop starts a pop, or with wc set a take drawing on wc.
 func (c *Consumer) pop(wc *WorkCounter, then sim.Cont) {
 	c.begin("Pop", then)
 	c.wc = wc
@@ -593,11 +554,8 @@ func (c *Consumer) pop(wc *WorkCounter, then sim.Cont) {
 }
 
 // step is the consumer state machine, driven by kernel events whose
-// delays charge the op's simulated cycles. Each case runs at the tick a
-// process-blocking form's body would have resumed at and performs the
-// same work in the same order — including the unguided-prerequest fetch
-// loop, the eviction refetch, and the load-to-use recheck — so (tick,
-// seq) dispatch traces are unchanged.
+// delays charge the op's simulated cycles: the unguided-prerequest
+// fetch loop, the eviction refetch, and the load-to-use recheck.
 func (c *Consumer) step(state uint64) {
 	switch state {
 	case coPop:
@@ -731,7 +689,7 @@ func (c *Consumer) take() {
 // message count from one queue when the per-consumer share is not known
 // statically (M:N queues under speculative rotation deliver
 // approximately, not exactly, evenly). The consumer that takes the last
-// message wakes every sibling still blocked; a request a demand
+// message wakes every sibling still waiting; a request a demand
 // endpoint posted may stay parked at the routing device, which is
 // harmless once no producer data remains.
 type WorkCounter struct {
@@ -751,21 +709,12 @@ func (wc *WorkCounter) Name() string { return wc.name }
 // Remaining reports undelivered messages.
 func (wc *WorkCounter) Remaining() int { return wc.remaining }
 
-// Take pops one message from c, or returns ok=false once the count is
-// exhausted. Unlike Pop, a demand endpoint posts a request only when
-// its line holds no data and the count has not run out.
-func (wc *WorkCounter) Take(c *Consumer, p *sim.Proc) (mem.Message, bool) {
-	if !wc.TakeThen(c, p.Resume()) {
-		return mem.Message{}, false
-	}
-	p.Park()
-	return c.msg, c.ok
-}
-
-// TakeThen is the continuation form of Take. When the count is already
-// exhausted it schedules nothing, returns false, and then never runs;
-// otherwise then runs where Take would return, and c.Result reports the
-// outcome.
+// TakeThen pops one message from c unless the count runs out first.
+// When the count is already exhausted it schedules nothing, returns
+// false, and then never runs; otherwise then runs once c has taken a
+// message or the count has run out, and c.Result reports which. Unlike
+// PopThen, a demand endpoint posts a request only when its line holds
+// no data and the count has not run out.
 func (wc *WorkCounter) TakeThen(c *Consumer, then sim.Cont) bool {
 	if wc.remaining == 0 {
 		return false
@@ -774,7 +723,7 @@ func (wc *WorkCounter) TakeThen(c *Consumer, then sim.Cont) bool {
 	return true
 }
 
-// took counts one taken message, waking the blocked siblings once the
+// took counts one taken message, waking the waiting siblings once the
 // count is exhausted.
 func (wc *WorkCounter) took() {
 	wc.remaining--

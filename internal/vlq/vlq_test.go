@@ -34,24 +34,96 @@ func newRig(spec bool) *rig {
 	return &rig{k: k, lib: lib, dev: dev}
 }
 
+// op is one operation of a scripted test thread: it starts an endpoint
+// operation with next as its continuation, or calls next itself.
+type op = func(next sim.Cont)
+
+// script spawns a process-free thread (sim.Task) that runs ops in
+// order, each continuing where the blocking form of its operation
+// would return, and exits after the last.
+func script(k *sim.Kernel, name string, ops ...op) *sim.Task {
+	var task *sim.Task
+	var step func(uint64)
+	step = func(i uint64) {
+		if i == uint64(len(ops)) {
+			task.Exit()
+			return
+		}
+		ops[i](sim.Cont{Fn: step, Arg: i + 1})
+	}
+	task = k.GoFunc(name, step, 0)
+	return task
+}
+
+// do is the op that runs f.
+func do(f func()) op { return func(next sim.Cont) { f(); next.Call() } }
+
+// times is the op that runs body(i, next) for i = 0, ..., n-1 in turn.
+func times(n int, body func(i int, next sim.Cont)) op {
+	return func(next sim.Cont) {
+		var step func(uint64)
+		step = func(i uint64) {
+			if i == uint64(n) {
+				next.Call()
+				return
+			}
+			body(int(i), sim.Cont{Fn: step, Arg: i + 1})
+		}
+		step(0)
+	}
+}
+
+// open is the op that opens a consumer endpoint with n lines on q into
+// *c.
+func open(q *Queue, n int, c **Consumer) op {
+	return func(next sim.Cont) {
+		var pending bool
+		if *c, pending = q.NewConsumerThen(n, next); !pending {
+			next.Call()
+		}
+	}
+}
+
+// prefetch is the op that prefetches on *c.
+func prefetch(c **Consumer) op {
+	return func(next sim.Cont) {
+		if !(*c).PrefetchThen(next) {
+			next.Call()
+		}
+	}
+}
+
+// pushes spawns a thread that opens a producer endpoint on q and pushes
+// vals(i) for i = 0, ..., n-1.
+func pushes(k *sim.Kernel, q *Queue, n int, vals func(i int) uint64) {
+	var pr *Producer
+	script(k, "producer", do(func() { pr = q.NewProducer(0) }),
+		times(n, func(i int, next sim.Cont) { pr.PushThen(vals(i), next) }))
+}
+
+// pops spawns a thread that opens a consumer endpoint with lines lines
+// on q and pops n messages, handing each to got.
+func pops(k *sim.Kernel, q *Queue, lines, n int, got func(mem.Message)) {
+	var c *Consumer
+	script(k, "consumer", open(q, lines, &c), times(n, func(_ int, next sim.Cont) {
+		c.PopThen(sim.Cont{Fn: func(arg uint64) {
+			m, _ := c.Result()
+			got(m)
+			next.Fn(arg)
+		}, Arg: next.Arg})
+	}))
+}
+
+func index(i int) uint64 { return uint64(i) }
+
 func TestPushPopRoundTrip(t *testing.T) {
 	for _, spec := range []bool{false, true} {
 		r := newRig(spec)
 		q := r.lib.NewQueue("q")
 		const n = 50
-		r.k.Go("producer", func(p *sim.Proc) {
-			pr := q.NewProducer(0)
-			for i := 0; i < n; i++ {
-				pr.Push(p, uint64(i*3))
-			}
-		})
+		pushes(r.k, q, n, func(i int) uint64 { return uint64(i * 3) })
 		var got []uint64
-		r.k.Go("consumer", func(p *sim.Proc) {
-			c := q.NewConsumer(p, 2)
-			for i := 0; i < n; i++ {
-				got = append(got, c.Pop(p).Payload)
-			}
-		})
+		pops(r.k, q, 2, n, func(m mem.Message) { got = append(got, m.Payload) })
 		r.k.Run()
 		if len(got) != n {
 			t.Fatalf("spec=%v: popped %d", spec, len(got))
@@ -71,13 +143,11 @@ func TestProducerWindowBlocks(t *testing.T) {
 	r := newRig(false)
 	q := r.lib.NewQueue("q")
 	var pushDone uint64
-	r.k.Go("producer", func(p *sim.Proc) {
-		pr := q.NewProducer(2)
-		for i := 0; i < 10; i++ {
-			pr.Push(p, uint64(i))
-		}
-		pushDone = p.Now()
-	})
+	var pr *Producer
+	script(r.k, "producer",
+		do(func() { pr = q.NewProducer(2) }),
+		times(10, func(i int, next sim.Cont) { pr.PushThen(uint64(i), next) }),
+		do(func() { pushDone = r.k.Now() }))
 	r.k.Run()
 	// With window 2 and accept latency ~15 cycles, 10 pushes cannot all
 	// be issued back-to-back; the producer must have stalled.
@@ -90,19 +160,11 @@ func TestProducerWindowBlocks(t *testing.T) {
 func TestSpecConsumerNeverFetches(t *testing.T) {
 	r := newRig(true)
 	q := r.lib.NewQueue("q")
-	r.k.Go("producer", func(p *sim.Proc) {
-		pr := q.NewProducer(0)
-		for i := 0; i < 20; i++ {
-			pr.Push(p, uint64(i))
-		}
-	})
-	r.k.Go("consumer", func(p *sim.Proc) {
-		c := q.NewConsumer(p, 2)
-		c.Prefetch(p) // must be a no-op
-		for i := 0; i < 20; i++ {
-			c.Pop(p)
-		}
-	})
+	pushes(r.k, q, 20, index)
+	var c *Consumer
+	script(r.k, "consumer", open(q, 2, &c),
+		prefetch(&c), // must be a no-op
+		times(20, func(_ int, next sim.Cont) { c.PopThen(next) }))
 	r.k.Run()
 	if f := r.dev.Stats().Fetches; f != 0 {
 		t.Fatalf("spec consumer issued %d fetches", f)
@@ -116,19 +178,11 @@ func TestDemandConsumerRequestStreamRoundRobin(t *testing.T) {
 	r := newRig(false)
 	q := r.lib.NewQueue("q")
 	var fetchLines []int
-	r.k.Go("producer", func(p *sim.Proc) {
-		pr := q.NewProducer(0)
-		for i := 0; i < 9; i++ {
-			pr.Push(p, uint64(i))
-		}
-	})
-	r.k.Go("consumer", func(p *sim.Proc) {
-		c := q.NewConsumer(p, 3)
-		c.OnFetch = func(tick uint64, lineIdx int) { fetchLines = append(fetchLines, lineIdx) }
-		for i := 0; i < 9; i++ {
-			c.Pop(p)
-		}
-	})
+	pushes(r.k, q, 9, index)
+	var c *Consumer
+	script(r.k, "consumer", open(q, 3, &c),
+		do(func() { c.OnFetch = func(tick uint64, lineIdx int) { fetchLines = append(fetchLines, lineIdx) } }),
+		times(9, func(_ int, next sim.Cont) { c.PopThen(next) }))
 	r.k.Run()
 	if len(fetchLines) != 9 {
 		t.Fatalf("fetches = %d", len(fetchLines))
@@ -144,15 +198,14 @@ func TestPrefetchBoundedByLines(t *testing.T) {
 	r := newRig(false)
 	q := r.lib.NewQueue("q")
 	fetches := 0
-	r.k.Go("consumer", func(p *sim.Proc) {
-		c := q.NewConsumer(p, 2)
-		c.OnFetch = func(uint64, int) { fetches++ }
-		// Prefetch many times with no fills: at most one outstanding
-		// request per line is allowed.
-		for i := 0; i < 10; i++ {
-			c.Prefetch(p)
-		}
-	})
+	var c *Consumer
+	// Prefetch many times with no fills: at most one outstanding
+	// request per line is allowed.
+	ops := []op{open(q, 2, &c), do(func() { c.OnFetch = func(uint64, int) { fetches++ } })}
+	for i := 0; i < 10; i++ {
+		ops = append(ops, prefetch(&c))
+	}
+	script(r.k, "consumer", ops...)
 	r.k.Run()
 	if fetches != 2 {
 		t.Fatalf("fetches = %d, want 2 (one per line)", fetches)
@@ -162,6 +215,19 @@ func TestPrefetchBoundedByLines(t *testing.T) {
 // The two PopOrDone tests keep the names of the op whose wait-for-data-
 // or-done paths WorkCounter.Take now runs.
 
+// take is the op that takes from wc on *c and hands the outcome to got.
+func take(wc *WorkCounter, c **Consumer, got func(mem.Message, bool)) op {
+	return func(next sim.Cont) {
+		if !wc.TakeThen(*c, sim.Cont{Fn: func(arg uint64) {
+			got((*c).Result())
+			next.Fn(arg)
+		}, Arg: next.Arg}) {
+			got(mem.Message{}, false)
+			next.Call()
+		}
+	}
+}
+
 // TestPopOrDoneReleasesOnDone: two consumers share a count of one. One
 // takes the message; the other, left waiting on an empty line, is
 // released with ok=false when the count runs out.
@@ -170,18 +236,18 @@ func TestPopOrDoneReleasesOnDone(t *testing.T) {
 		r := newRig(spec)
 		q := r.lib.NewQueue("q")
 		wc := NewWorkCounter("jobs", 1)
-		r.k.Go("producer", func(p *sim.Proc) { q.NewProducer(0).Push(p, 7) })
+		pushes(r.k, q, 1, func(int) uint64 { return 7 })
 		var got []uint64
 		released := 0
 		for i := 0; i < 2; i++ {
-			r.k.Go("consumer", func(p *sim.Proc) {
-				c := q.NewConsumer(p, 2)
-				if m, ok := wc.Take(c, p); ok {
+			var c *Consumer
+			script(r.k, "consumer", open(q, 2, &c), take(wc, &c, func(m mem.Message, ok bool) {
+				if ok {
 					got = append(got, m.Payload)
 				} else {
 					released++
 				}
-			})
+			}))
 		}
 		r.k.Run()
 		if len(got) != 1 || got[0] != 7 || released != 1 {
@@ -201,21 +267,18 @@ func TestPopOrDoneDeliversFirst(t *testing.T) {
 		r := newRig(spec)
 		q := r.lib.NewQueue("q")
 		wc := NewWorkCounter("jobs", 1)
-		r.k.Go("producer", func(p *sim.Proc) {
-			p.Sleep(500)
-			q.NewProducer(0).Push(p, 7)
-		})
+		var pr *Producer
+		script(r.k, "producer",
+			func(next sim.Cont) { r.k.AfterFunc(500, next.Fn, next.Arg) },
+			do(func() { pr = q.NewProducer(0) }),
+			func(next sim.Cont) { pr.PushThen(7, next) })
 		var got uint64
 		var ok, again bool
 		var at, after uint64
-		r.k.Go("consumer", func(p *sim.Proc) {
-			c := q.NewConsumer(p, 2)
-			var m mem.Message
-			m, ok = wc.Take(c, p)
-			got, at = m.Payload, p.Now()
-			_, again = wc.Take(c, p)
-			after = p.Now()
-		})
+		var c *Consumer
+		script(r.k, "consumer", open(q, 2, &c),
+			take(wc, &c, func(m mem.Message, took bool) { got, ok, at = m.Payload, took, r.k.Now() }),
+			take(wc, &c, func(_ mem.Message, took bool) { again, after = took, r.k.Now() }))
 		r.k.Run()
 		if !ok || got != 7 || at < 500 {
 			t.Fatalf("spec=%v: Take = %v, %d at tick %d; want true, 7 after tick 500", spec, ok, got, at)
@@ -235,19 +298,8 @@ func TestInlineOverheadDifference(t *testing.T) {
 		r.lib.Inlined = inlined
 		q := r.lib.NewQueue("q")
 		var end uint64
-		r.k.Go("producer", func(p *sim.Proc) {
-			pr := q.NewProducer(0)
-			for i := 0; i < 20; i++ {
-				pr.Push(p, uint64(i))
-			}
-		})
-		r.k.Go("consumer", func(p *sim.Proc) {
-			c := q.NewConsumer(p, 2)
-			for i := 0; i < 20; i++ {
-				c.Pop(p)
-			}
-			end = p.Now()
-		})
+		pushes(r.k, q, 20, index)
+		pops(r.k, q, 2, 20, func(mem.Message) { end = r.k.Now() })
 		r.k.Run()
 		return end
 	}
@@ -261,19 +313,17 @@ func TestEvictedLineRecovery(t *testing.T) {
 	q := r.lib.NewQueue("q")
 	var consumer *Consumer
 	var got []uint64
-	r.k.Go("consumer", func(p *sim.Proc) {
-		consumer = q.NewConsumer(p, 2)
-		for i := 0; i < 10; i++ {
-			got = append(got, consumer.Pop(p).Seq)
-		}
-	})
-	r.k.Go("producer", func(p *sim.Proc) {
-		pr := q.NewProducer(0)
-		for i := 0; i < 10; i++ {
-			p.Sleep(50)
-			pr.Push(p, uint64(i))
-		}
-	})
+	script(r.k, "consumer", open(q, 2, &consumer), times(10, func(_ int, next sim.Cont) {
+		consumer.PopThen(sim.Cont{Fn: func(arg uint64) {
+			m, _ := consumer.Result()
+			got = append(got, m.Seq)
+			next.Fn(arg)
+		}, Arg: next.Arg})
+	}))
+	var pr *Producer
+	script(r.k, "producer", do(func() { pr = q.NewProducer(0) }), times(10, func(i int, next sim.Cont) {
+		r.k.AfterFunc(50, func(uint64) { pr.PushThen(uint64(i), next) }, 0)
+	}))
 	// Failure injection: periodically evict the consumer's lines.
 	for _, tick := range []uint64{120, 260, 400} {
 		tick := tick
@@ -312,18 +362,8 @@ func TestQueueNamesAndSQIs(t *testing.T) {
 func TestQueueCloseLifecycle(t *testing.T) {
 	r := newRig(true)
 	q := r.lib.NewQueue("q")
-	r.k.Go("producer", func(p *sim.Proc) {
-		pr := q.NewProducer(0)
-		for i := 0; i < 10; i++ {
-			pr.Push(p, uint64(i))
-		}
-	})
-	r.k.Go("consumer", func(p *sim.Proc) {
-		c := q.NewConsumer(p, 2)
-		for i := 0; i < 10; i++ {
-			c.Pop(p)
-		}
-	})
+	pushes(r.k, q, 10, index)
+	pops(r.k, q, 2, 10, func(mem.Message) {})
 	r.k.Run()
 	if err := q.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -340,24 +380,24 @@ func TestQueueCloseLifecycle(t *testing.T) {
 	if q2.SQI() != q.SQI() {
 		t.Fatalf("SQI not recycled: %d vs %d", q2.SQI(), q.SQI())
 	}
-	r.k.Go("again", func(p *sim.Proc) {
-		c := q2.NewConsumer(p, 2)
-		pr := q2.NewProducer(0)
-		pr.Push(p, 99)
-		if m := c.Pop(p); m.Payload != 99 {
-			t.Errorf("payload = %d", m.Payload)
-		}
-	})
+	var c *Consumer
+	var pr *Producer
+	script(r.k, "again", open(q2, 2, &c),
+		do(func() { pr = q2.NewProducer(0) }),
+		func(next sim.Cont) { pr.PushThen(99, next) },
+		func(next sim.Cont) { c.PopThen(next) },
+		do(func() {
+			if m, _ := c.Result(); m.Payload != 99 {
+				t.Errorf("payload = %d", m.Payload)
+			}
+		}))
 	r.k.Run()
 }
 
 func TestQueueCloseUndrained(t *testing.T) {
 	r := newRig(false)
 	q := r.lib.NewQueue("q")
-	r.k.Go("producer", func(p *sim.Proc) {
-		pr := q.NewProducer(0)
-		pr.Push(p, 1)
-	})
+	pushes(r.k, q, 1, index)
 	r.k.Run()
 	if err := q.Close(); err == nil {
 		t.Fatal("Close succeeded with undelivered data")
@@ -367,10 +407,8 @@ func TestQueueCloseUndrained(t *testing.T) {
 func TestQueueCloseFlushesPrerequests(t *testing.T) {
 	r := newRig(false)
 	q := r.lib.NewQueue("q")
-	r.k.Go("consumer", func(p *sim.Proc) {
-		c := q.NewConsumer(p, 2)
-		c.Prefetch(p) // dangling request, never answered
-	})
+	var c *Consumer
+	script(r.k, "consumer", open(q, 2, &c), prefetch(&c)) // dangling request, never answered
 	r.k.Run()
 	if err := q.Close(); err != nil {
 		t.Fatalf("Close with dangling prerequest: %v", err)
@@ -384,20 +422,21 @@ func TestPushOnClosedQueuePanics(t *testing.T) {
 	r := newRig(false)
 	q := r.lib.NewQueue("q")
 	var pr *Producer
-	r.k.Go("setup", func(p *sim.Proc) { pr = q.NewProducer(0) })
+	script(r.k, "setup", do(func() { pr = q.NewProducer(0) }))
 	r.k.Run()
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Recover inside the body: uncaught, the panic would unwind through
+	// Recover inside the step: uncaught, the panic would unwind through
 	// Kernel.Run and fail the test instead of being checked here.
-	r.k.Go("late", func(p *sim.Proc) {
+	script(r.k, "late", func(next sim.Cont) {
 		defer func() {
 			if recover() == nil {
 				t.Error("Push on closed queue did not panic")
 			}
+			next.Call()
 		}()
-		pr.Push(p, 1)
+		pr.PushThen(1, next)
 	})
 	r.k.Run()
 }
@@ -410,7 +449,7 @@ func TestConsumerOpsOnClosedQueuePanic(t *testing.T) {
 	r := newRig(false)
 	q := r.lib.NewQueue("q")
 	var c *Consumer
-	r.k.Go("setup", func(p *sim.Proc) { c = q.NewConsumer(p, 2) })
+	script(r.k, "setup", open(q, 2, &c))
 	r.k.Run()
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
@@ -419,28 +458,30 @@ func TestConsumerOpsOnClosedQueuePanic(t *testing.T) {
 	if q2.SQI() != q.SQI() {
 		t.Fatalf("SQI not recycled: %d vs %d", q2.SQI(), q.SQI())
 	}
-	r.k.Go("producer", func(p *sim.Proc) { q2.NewProducer(0).Push(p, 77) })
+	pushes(r.k, q2, 1, func(int) uint64 { return 77 })
 	r.k.Run()
+	var fresh *Consumer
 	ops := []struct {
 		name string
-		op   func(p *sim.Proc)
+		op   op
 	}{
-		{"Pop", func(p *sim.Proc) { c.Pop(p) }},
-		{"Take", func(p *sim.Proc) { NewWorkCounter("w", 1).Take(c, p) }},
-		{"Prefetch", func(p *sim.Proc) { c.Prefetch(p) }},
-		{"NewConsumer", func(p *sim.Proc) { q.NewConsumer(p, 2) }},
-		{"NewProducer", func(p *sim.Proc) { q.NewProducer(0) }},
+		{"Pop", func(next sim.Cont) { c.PopThen(next) }},
+		{"Take", func(next sim.Cont) { NewWorkCounter("w", 1).TakeThen(c, next) }},
+		{"Prefetch", prefetch(&c)},
+		{"NewConsumer", open(q, 2, &fresh)},
+		{"NewProducer", do(func() { q.NewProducer(0) })},
 	}
 	for _, o := range ops {
-		// Recover inside the body: uncaught, the panic would unwind
+		// Recover inside the step: uncaught, the panic would unwind
 		// through Kernel.Run and fail the test instead of being checked.
-		r.k.Go("late", func(p *sim.Proc) {
+		script(r.k, "late", func(next sim.Cont) {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("%s on closed queue did not panic", o.name)
 				}
+				next.Call()
 			}()
-			o.op(p)
+			o.op(sim.Cont{Fn: func(uint64) {}})
 		})
 		r.k.Run()
 	}

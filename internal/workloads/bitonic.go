@@ -53,11 +53,11 @@ func BuildBitonic(sys *spamer.System, workers, blocks int) {
 	// Workers drain the scatter queue dynamically (speculative rotation
 	// distributes blocks approximately, not exactly, evenly).
 	work := spamer.NewWorkCounter("bitonic.scatter", blocks)
-	ws := make([]consumer, workers)
+	ws := make([]spamer.Stage, workers)
 	for w := range ws {
 		m := &ws[w]
-		*m = consumer{in: scatter, out: gather, lines: bitonicLines, wc: work, work: bitonicSortWork, relay: true}
-		m.spawn(sys, fmt.Sprintf("bitonic/worker%d", w), m.run)
+		*m = spamer.Stage{In: scatter, Out: gather, Lines: bitonicLines, Shared: work, Work: bitonicSortWork}
+		m.Spawn(sys, fmt.Sprintf("bitonic/worker%d", w))
 	}
 }
 

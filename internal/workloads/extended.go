@@ -84,11 +84,15 @@ func log2(n int) int {
 	return l
 }
 
+// The collectives are phased threads: each rank opens its endpoints,
+// then runs one fixed phase list per iteration. A push carries the
+// iteration number; the partial sums a rank would combine take no
+// simulated time beyond the combine computes, so they are not modelled.
+
 // buildAllreduce: recursive doubling — in round r, rank i exchanges with
 // rank i XOR 2^r; after log2(N) rounds every rank holds the reduction.
 // Each directed pair link is one 1:1 queue per round direction.
 func buildAllreduce(sys *spamer.System, scale int) {
-	iters := allreduceIters * scale
 	rounds := log2(allreduceRanks)
 	// q[r][i] is the queue rank i uses to send in round r (to i^2^r).
 	q := make([][]*spamer.Queue, rounds)
@@ -98,34 +102,31 @@ func buildAllreduce(sys *spamer.System, scale int) {
 			q[r][i] = sys.NewQueue(fmt.Sprintf("ar.r%d.%d", r, i))
 		}
 	}
-	for i := 0; i < allreduceRanks; i++ {
-		i := i
-		sys.Spawn(fmt.Sprintf("allreduce/%d", i), func(t *spamer.Thread) {
-			tx := make([]*spamer.Producer, rounds)
-			rx := make([]*spamer.Consumer, rounds)
-			for r := 0; r < rounds; r++ {
-				peer := i ^ (1 << r)
-				tx[r] = q[r][i].NewProducer(2)
-				rx[r] = q[r][peer].NewConsumer(t.Proc, 2)
-			}
-			acc := uint64(i)
-			for it := 0; it < iters; it++ {
-				t.Compute(allreduceCompute) // local partial reduction
-				for r := 0; r < rounds; r++ {
-					tx[r].Push(t.Proc, acc)
-					m := rx[r].Pop(t.Proc)
-					acc += m.Payload
-					t.Compute(12) // combine
-				}
-			}
-		})
+	// Each iteration: a local partial reduction, then per round a send
+	// to the peer, a receive from it and a combine.
+	phases := []phase{{op: opCompute, d: allreduceCompute}}
+	for r := 0; r < rounds; r++ {
+		phases = append(phases,
+			phase{op: opPush, lo: r, hi: r + 1},
+			phase{op: opPop, lo: r, hi: r + 1},
+			phase{op: opCompute, d: 12})
+	}
+	ranks := make([]phased, allreduceRanks)
+	for i := range ranks {
+		var ends []endpoint
+		for r := 0; r < rounds; r++ {
+			peer := i ^ (1 << r)
+			ends = append(ends, endpoint{q: q[r][i], window: 2}, endpoint{q: q[r][peer], lines: 2})
+		}
+		m := &ranks[i]
+		*m = phased{ends: ends, phases: phases, iters: allreduceIters * scale}
+		m.spawn(sys, fmt.Sprintf("allreduce/%d", i), m.run)
 	}
 }
 
 // buildAlltoall: each iteration every rank sends a personalized block to
 // every other rank, then receives N-1 blocks.
 func buildAlltoall(sys *spamer.System, scale int) {
-	iters := alltoallIters * scale
 	// q[i][j] is rank i's queue to rank j.
 	q := map[[2]int]*spamer.Queue{}
 	for i := 0; i < alltoallRanks; i++ {
@@ -135,76 +136,58 @@ func buildAlltoall(sys *spamer.System, scale int) {
 			}
 		}
 	}
-	for i := 0; i < alltoallRanks; i++ {
-		i := i
-		sys.Spawn(fmt.Sprintf("alltoall/%d", i), func(t *spamer.Thread) {
-			var tx []*spamer.Producer
-			var rx []*spamer.Consumer
-			for j := 0; j < alltoallRanks; j++ {
-				if j == i {
-					continue
-				}
-				tx = append(tx, q[[2]int{i, j}].NewProducer(2))
-				rx = append(rx, q[[2]int{j, i}].NewConsumer(t.Proc, 2))
+	// Send to every peer, overlap compute with transit, prefetch every
+	// inbound block, then pop them.
+	peers := alltoallRanks - 1
+	phases := []phase{
+		{op: opPush, hi: peers},
+		{op: opCompute, d: alltoallCompute},
+		{op: opPrefetch, hi: peers},
+		{op: opPop, hi: peers},
+	}
+	ranks := make([]phased, alltoallRanks)
+	for i := range ranks {
+		var ends []endpoint
+		for j := 0; j < alltoallRanks; j++ {
+			if j != i {
+				ends = append(ends, endpoint{q: q[[2]int{i, j}], window: 2}, endpoint{q: q[[2]int{j, i}], lines: 2})
 			}
-			for it := 0; it < iters; it++ {
-				for _, p := range tx {
-					p.Push(t.Proc, uint64(it))
-				}
-				t.Compute(alltoallCompute) // overlap with transit
-				for _, c := range rx {
-					c.Prefetch(t.Proc)
-				}
-				for _, c := range rx {
-					c.Pop(t.Proc)
-				}
-			}
-		})
+		}
+		m := &ranks[i]
+		*m = phased{ends: ends, phases: phases, iters: alltoallIters * scale}
+		m.spawn(sys, fmt.Sprintf("alltoall/%d", i), m.run)
 	}
 }
 
 // buildReduce: leaves push partial sums up a binary tree; interior ranks
 // combine two children and forward; rank 0 holds the result.
 func buildReduce(sys *spamer.System, scale int) {
-	iters := reduceIters * scale
 	// up[i] carries rank i's contribution to its parent (i-1)/2.
 	up := make([]*spamer.Queue, reduceRanks)
 	for i := 1; i < reduceRanks; i++ {
 		up[i] = sys.NewQueue(fmt.Sprintf("red.up%d", i))
 	}
-	children := func(i int) []int {
-		var out []int
-		if l := 2*i + 1; l < reduceRanks {
-			out = append(out, l)
+	ranks := make([]phased, reduceRanks)
+	for i := range ranks {
+		// Produce the local partial, receive and combine each child's,
+		// then send the sum to the parent (rank 0 has none).
+		var ends []endpoint
+		if i != 0 {
+			ends = append(ends, endpoint{q: up[i], window: 2})
 		}
-		if r := 2*i + 2; r < reduceRanks {
-			out = append(out, r)
+		phases := []phase{{op: opCompute, d: reduceCompute}}
+		for rx, c := range []int{2*i + 1, 2*i + 2} {
+			if c >= reduceRanks {
+				break
+			}
+			ends = append(ends, endpoint{q: up[c], lines: 2})
+			phases = append(phases, phase{op: opPop, lo: rx, hi: rx + 1}, phase{op: opCompute, d: 10})
 		}
-		return out
-	}
-	for i := 0; i < reduceRanks; i++ {
-		i := i
-		sys.Spawn(fmt.Sprintf("reduce/%d", i), func(t *spamer.Thread) {
-			var tx *spamer.Producer
-			if i != 0 {
-				tx = up[i].NewProducer(2)
-			}
-			var rx []*spamer.Consumer
-			for _, c := range children(i) {
-				rx = append(rx, up[c].NewConsumer(t.Proc, 2))
-			}
-			for it := 0; it < iters; it++ {
-				acc := uint64(i)
-				t.Compute(reduceCompute) // produce the local partial
-				for _, c := range rx {
-					m := c.Pop(t.Proc)
-					acc += m.Payload
-					t.Compute(10) // combine
-				}
-				if tx != nil {
-					tx.Push(t.Proc, acc)
-				}
-			}
-		})
+		if i != 0 {
+			phases = append(phases, phase{op: opPush, hi: 1})
+		}
+		m := &ranks[i]
+		*m = phased{ends: ends, phases: phases, iters: reduceIters * scale}
+		m.spawn(sys, fmt.Sprintf("reduce/%d", i), m.run)
 	}
 }

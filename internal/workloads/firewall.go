@@ -39,22 +39,22 @@ func buildFirewall(sys *spamer.System, scale int) {
 	qF2 := sys.NewQueue("fw.lane2")  // classify -> fw2 (1:1)
 	qOut := sys.NewQueue("fw.merge") // fw1+fw2 -> sink (2:1)
 
-	rx := &source{q: qRx, work: fwRxWork, n: n}
-	rx.spawn(sys, "firewall/rx", rx.run)
+	rx := &spamer.Source{Out: qRx, Work: fwRxWork, N: n}
+	rx.Spawn(sys, "firewall/rx")
 
 	cls := &classifier{in: qRx, lanes: [2]*spamer.Queue{qF1, qF2}, n: n}
 	cls.spawn(sys, "firewall/classify", cls.run)
 
-	cs := make([]consumer, 3)
+	cs := make([]spamer.Stage, 3)
 	for lane, q := range []*spamer.Queue{qF1, qF2} {
 		m := &cs[lane]
-		*m = consumer{in: q, out: qOut, lines: fwLines, n: n / 2, work: fwFilter, relay: true}
-		m.spawn(sys, "firewall/fw"+string(rune('1'+lane)), m.run)
+		*m = spamer.Stage{In: q, Out: qOut, Lines: fwLines, N: n / 2, Work: fwFilter}
+		m.Spawn(sys, "firewall/fw"+string(rune('1'+lane)))
 	}
 
 	sink := &cs[2]
-	*sink = consumer{in: qOut, lines: fwSinkLines, n: n, work: fwSinkWork}
-	sink.spawn(sys, "firewall/sink", sink.run)
+	*sink = spamer.Stage{In: qOut, Lines: fwSinkLines, N: n, Work: fwSinkWork}
+	sink.Spawn(sys, "firewall/sink")
 }
 
 // classifier is the firewall's classify thread: it pops each packet,

@@ -51,20 +51,17 @@ type IncastParams struct {
 	// followed by an idle gap of Burst*ProdWork cycles, reproducing the
 	// two-phase behaviour visible in the Figure 7 trace.
 	Burst int
-	// OnConsumer, if non-nil, receives the consumer endpoint right
-	// after creation (the tracer hooks its lines).
-	OnConsumer func(c *spamer.Consumer)
 }
 
 // BuildIncast constructs the incast pattern with explicit parameters.
 func BuildIncast(sys *spamer.System, p IncastParams) {
 	q := sys.NewQueue("incast")
-	prods := make([]source, p.Producers)
+	prods := make([]spamer.Source, p.Producers)
 	for i := range prods {
 		m := &prods[i]
-		*m = source{q: q, window: incastProdWindow, work: p.ProdWork, burst: p.Burst, n: p.PerProd}
-		m.spawn(sys, fmt.Sprintf("incast/prod%d", i), m.run)
+		*m = spamer.Source{Out: q, Window: incastProdWindow, Work: p.ProdWork, Burst: p.Burst, N: p.PerProd}
+		m.Spawn(sys, fmt.Sprintf("incast/prod%d", i))
 	}
-	master := &consumer{in: q, lines: p.ConsLines, n: p.Producers * p.PerProd, work: p.ConsWork, onOpen: p.OnConsumer}
-	master.spawn(sys, "incast/master", master.run)
+	master := &spamer.Stage{In: q, Lines: p.ConsLines, N: p.Producers * p.PerProd, Work: p.ConsWork}
+	master.Spawn(sys, "incast/master")
 }

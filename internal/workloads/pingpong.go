@@ -45,6 +45,6 @@ func buildPingPong(sys *spamer.System, scale int) {
 		rx:    make([]*spamer.Consumer, 0, 1),
 	}
 	a.spawn(sys, "ping-pong/A", a.run)
-	b := &consumer{in: ab, out: ba, lines: pingPongLines, n: rounds, work: pingPongCompute, relay: true}
-	b.spawn(sys, "ping-pong/B", b.run)
+	b := &spamer.Stage{In: ab, Out: ba, Lines: pingPongLines, N: rounds, Work: pingPongCompute}
+	b.Spawn(sys, "ping-pong/B")
 }

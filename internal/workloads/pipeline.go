@@ -52,13 +52,13 @@ func buildPipeline(sys *spamer.System, scale int) {
 	// workers share a WorkCounter instead of fixed pop counts.
 	parseWork := spamer.NewWorkCounter("pipe.parse", n)
 	processWork := spamer.NewWorkCounter("pipe.process", n)
-	ws := make([]consumer, 2*pipeWorkers)
+	ws := make([]spamer.Stage, 2*pipeWorkers)
 	for w := 0; w < pipeWorkers; w++ {
 		parse, process := &ws[2*w], &ws[2*w+1]
-		*parse = consumer{in: q1, out: q2, lines: pipeLines, wc: parseWork, work: pipeMidWork, relay: true}
-		parse.spawn(sys, fmt.Sprintf("pipeline/parse%d", w), parse.run)
-		*process = consumer{in: q2, out: q3, lines: pipeLines, wc: processWork, work: pipeMidWork, relay: true}
-		process.spawn(sys, fmt.Sprintf("pipeline/process%d", w), process.run)
+		*parse = spamer.Stage{In: q1, Out: q2, Lines: pipeLines, Shared: parseWork, Work: pipeMidWork}
+		parse.Spawn(sys, fmt.Sprintf("pipeline/parse%d", w))
+		*process = spamer.Stage{In: q2, Out: q3, Lines: pipeLines, Shared: processWork, Work: pipeMidWork}
+		process.Spawn(sys, fmt.Sprintf("pipeline/process%d", w))
 	}
 
 	sink := &pipeSink{in: q3, credits: qc, n: n}

@@ -289,101 +289,6 @@ func (m *producer) run(state uint64) {
 	}
 }
 
-// consumer is a draining thread, a synthetic chain stage, sink or fan
-// consumer, or a Table-2 relay or sink: it opens its endpoint on in
-// (registering it on a SPAMeR system) and then, with out set, its
-// output endpoint. It pops n messages — or, sharing a WorkCounter,
-// takes until the shared count runs out — and after each charges work
-// cycles, unless skipWork is set (a zero work is still a Sleep(0)
-// event), then forwards one message on out: the popped payload when
-// relay is set, the canonical payloadFor(0, i) otherwise.
-type consumer struct {
-	thread
-	in, out  *spamer.Queue
-	lines    int // input endpoint lines
-	window   int // output endpoint window
-	wc       *spamer.WorkCounter
-	n        int // messages to pop (without wc)
-	work     uint64
-	skipWork bool
-	relay    bool
-	// onOpen, if set, receives the input endpoint once it is open.
-	onOpen func(*spamer.Consumer)
-
-	rx *spamer.Consumer
-	tx *spamer.Producer
-	i  int // messages taken
-}
-
-// consumer steps.
-const (
-	consStart   uint64 = iota // open the input endpoint
-	consOpened                // input endpoint registered: open the output
-	consNext                  // pop (or take) message i, or exit
-	consTook                  // a take completed: exit if the count ran out
-	consWork                  // message i popped: charge its work
-	consForward               // forward message i on out
-	consDone                  // message i done
-)
-
-func (m *consumer) run(state uint64) {
-	switch state {
-	case consStart:
-		var pending bool
-		m.rx, pending = m.in.NewConsumerThen(m.lines, m.then(consOpened))
-		if pending {
-			return
-		}
-		fallthrough
-	case consOpened:
-		if m.onOpen != nil {
-			m.onOpen(m.rx)
-		}
-		if m.out != nil {
-			m.tx = m.out.NewProducer(m.window)
-		}
-		fallthrough
-	case consNext:
-		if m.wc != nil {
-			if !m.wc.TakeThen(m.rx, m.then(consTook)) {
-				m.task.Exit()
-			}
-			return
-		}
-		if m.i == m.n {
-			m.task.Exit()
-			return
-		}
-		m.rx.PopThen(m.then(consWork))
-	case consTook:
-		if _, ok := m.rx.Result(); !ok {
-			m.task.Exit()
-			return
-		}
-		fallthrough
-	case consWork:
-		if !m.skipWork {
-			m.compute(m.work, consForward)
-			return
-		}
-		fallthrough
-	case consForward:
-		if m.tx != nil {
-			payload := payloadFor(0, m.i)
-			if m.relay {
-				msg, _ := m.rx.Result()
-				payload = msg.Payload
-			}
-			m.tx.PushThen(payload, m.then(consDone))
-			return
-		}
-		fallthrough
-	case consDone:
-		m.i++
-		m.run(consNext)
-	}
-}
-
 // payloadFor is the canonical payload of the i-th message of producer
 // id — a Fibonacci-hash spread so every (id, i) pair maps to a distinct,
 // non-trivial 64-bit value, and corrupted or cross-wired deliveries
@@ -392,11 +297,12 @@ func payloadFor(id, i int) uint64 {
 	return (uint64(id)<<32 | uint64(uint32(i))) * 0x9e3779b97f4a7c15
 }
 
-// consumer returns a drain thread on in with the shape's endpoint
-// sizes and per-message work.
-func (sh *Shape) consumer(in *spamer.Queue) consumer {
-	return consumer{in: in, lines: sh.lines(), window: sh.Window,
-		work: sh.ConsWork, skipWork: sh.ConsWork == 0}
+// stage returns a drain thread on in with the shape's endpoint sizes
+// and per-message work. A chain stage forwards the payload it popped,
+// which is payloadFor(0, i) for its i-th message: the chain is 1:1 and
+// FIFO from the source on.
+func (sh *Shape) stage(in *spamer.Queue) spamer.Stage {
+	return spamer.Stage{In: in, Lines: sh.lines(), Window: sh.Window, Work: sh.ConsWork}
 }
 
 func (sh *Shape) buildChain(sys *spamer.System, scale int) {
@@ -407,17 +313,17 @@ func (sh *Shape) buildChain(sys *spamer.System, scale int) {
 	}
 	src := &producer{sh: sh, q: queues[0], n: n}
 	src.spawn(sys, "chain/source", src.run)
-	cs := make([]consumer, len(queues))
+	cs := make([]spamer.Stage, len(queues))
 	for s := range cs {
 		c := &cs[s]
-		*c = sh.consumer(queues[s])
-		c.n = n
+		*c = sh.stage(queues[s])
+		c.N = n
 		name := "chain/sink"
 		if s+1 < len(queues) {
-			c.out = queues[s+1]
+			c.Out = queues[s+1]
 			name = fmt.Sprintf("chain/stage%d", s+1)
 		}
-		c.spawn(sys, name, c.run)
+		c.Spawn(sys, name)
 	}
 }
 
@@ -432,11 +338,11 @@ func (sh *Shape) buildFan(sys *spamer.System, scale int) {
 		*m = producer{sh: sh, q: q, id: p, n: per}
 		m.spawn(sys, fmt.Sprintf("fan/prod%d", p), m.run)
 	}
-	cs := make([]consumer, ncons)
+	cs := make([]spamer.Stage, ncons)
 	if ncons == 1 {
-		cs[0] = sh.consumer(q)
-		cs[0].n = total
-		cs[0].spawn(sys, "fan/cons", cs[0].run)
+		cs[0] = sh.stage(q)
+		cs[0].N = total
+		cs[0].Spawn(sys, "fan/cons")
 		return
 	}
 	// The per-consumer share of an M:N queue is not static; drain
@@ -444,8 +350,8 @@ func (sh *Shape) buildFan(sys *spamer.System, scale int) {
 	wc := spamer.NewWorkCounter("fan", total)
 	for c := range cs {
 		m := &cs[c]
-		*m = sh.consumer(q)
-		m.wc = wc
-		m.spawn(sys, fmt.Sprintf("fan/cons%d", c), m.run)
+		*m = sh.stage(q)
+		m.Shared = wc
+		m.Spawn(sys, fmt.Sprintf("fan/cons%d", c))
 	}
 }

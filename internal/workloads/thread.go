@@ -5,17 +5,17 @@ import (
 	"spamer/internal/sim"
 )
 
-// Every workload in this package except the extended set runs its
-// threads process-free (System.SpawnFunc), as the DAG runtime
-// (internal/workloads/dag) does: each thread is a state machine whose
-// steps are kernel events and the continuations of the queue
-// operations, so a message costs no coroutine switch. Each Compute
-// stays its own AfterFunc event, a zero one included (Sleep(0) is an
-// event too) — fusing two consecutive ones would renumber every later
-// event — and each queue operation and endpoint open happens at the
-// step where a blocking body would call it, so the dispatch trace is
-// the one blocking bodies produce (TestGoldenShapeTraces and
-// TestGoldenTable2Traces pin it).
+// Every workload in this package runs its threads as step machines on
+// System.SpawnFunc, as the DAG runtime (internal/workloads/dag) does:
+// the ready-made spamer.Source and spamer.Stage, and the machines
+// below. Each step is a kernel event or the continuation of a queue
+// operation, so a message costs no host thread switch. Each compute
+// stays its own AfterFunc event — fusing two consecutive ones would
+// renumber every later event — and each queue operation and endpoint
+// open happens in the order a thread written as a loop makes it, so
+// the dispatch trace is the one the goldens recorded when these threads
+// were blocking loops (TestGoldenShapeTraces, TestGoldenTable2Traces and
+// TestGoldenExtendedTraces pin it).
 
 // thread is what every process-free thread shares: its kernel, its
 // Task, and its step function, a method value bound once.
@@ -33,66 +33,17 @@ func (t *thread) spawn(sys *spamer.System, name string, step func(uint64)) {
 }
 
 // compute charges d cycles of local work, then runs step next: one
-// event, as Thread.Compute costs.
+// event, a zero d included.
 func (t *thread) compute(d, next uint64) { t.k.AfterFunc(d, t.step, next) }
 
 // then is the continuation that resumes the thread at step next.
 func (t *thread) then(next uint64) sim.Cont { return sim.Cont{Fn: t.step, Arg: next} }
 
-// source is a closed-loop source thread: for each of n messages it
-// charges work cycles and pushes the message index, and after every
-// burst messages (0: never) it idles burst*work cycles — incast's
-// two-phase producer.
-type source struct {
-	thread
-	q      *spamer.Queue
-	window int
-	work   uint64
-	burst  int
-	n      int
-
-	tx *spamer.Producer
-	i  int // messages pushed
-}
-
-// source steps.
-const (
-	srcStart  uint64 = iota // open the endpoint
-	srcNext                 // charge message i's work, or exit after the last
-	srcPush                 // push message i
-	srcPushed               // message i pushed: idle at a burst boundary
-	srcDone                 // message i done
-)
-
-func (m *source) run(state uint64) {
-	switch state {
-	case srcStart:
-		m.tx = m.q.NewProducer(m.window)
-		fallthrough
-	case srcNext:
-		if m.i == m.n {
-			m.task.Exit()
-			return
-		}
-		m.compute(m.work, srcPush)
-	case srcPush:
-		m.tx.PushThen(uint64(m.i), m.then(srcPushed))
-	case srcPushed:
-		if m.burst > 0 && (m.i+1)%m.burst == 0 {
-			m.compute(uint64(m.burst)*m.work, srcDone)
-			return
-		}
-		fallthrough
-	case srcDone:
-		m.i++
-		m.run(srcNext)
-	}
-}
-
 // phased is a thread whose every iteration runs one fixed list of
 // phases, each a compute or one queue operation on every endpoint of a
 // range in turn, after it opens its endpoints in the order given. A
-// push sends the iteration number. halo, sweep and ping-pong's
+// push sends the iteration number. halo, sweep, the extended
+// collectives and ping-pong's
 // initiator are phased threads.
 type phased struct {
 	thread

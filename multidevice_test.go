@@ -1,6 +1,9 @@
 package spamer
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestMultiDeviceDistribution: queues spread round-robin over devices,
 // traffic stays correct, and each device sets the flavour of the
@@ -15,23 +18,9 @@ func TestMultiDeviceDistribution(t *testing.T) {
 			const queues, perQueue = 6, 40
 			for qi := 0; qi < queues; qi++ {
 				q := sys.NewQueue("q")
-				sys.Spawn("producer", func(th *Thread) {
-					pr := q.NewProducer(0)
-					for i := 0; i < perQueue; i++ {
-						th.Compute(20)
-						pr.Push(th.Proc, uint64(i))
-					}
-				})
-				sys.Spawn("consumer", func(th *Thread) {
-					c := q.NewConsumer(th.Proc, 2)
-					for i := 0; i < perQueue; i++ {
-						m := c.Pop(th.Proc)
-						if m.Seq != uint64(i) {
-							t.Errorf("queue %d: seq %d at pop %d", qi, m.Seq, i)
-						}
-						th.Compute(30)
-					}
-				})
+				(&Source{Out: q, N: perQueue, Work: 20}).Spawn(sys, "producer")
+				(&Stage{In: q, Lines: 2, N: perQueue, Work: 30,
+					OnPop: inOrder(t, fmt.Sprintf("queue %d", qi))}).Spawn(sys, "consumer")
 			}
 			res := sys.Run()
 			if res.Pushed != queues*perQueue || res.Popped != queues*perQueue {
@@ -64,19 +53,8 @@ func TestMultiDeviceMatchesSingleDeviceSemantics(t *testing.T) {
 	run := func(devices int) Result {
 		sys := NewSystem(Config{Algorithm: AlgZeroDelay, Devices: devices, Deadline: 1 << 32})
 		q := sys.NewQueue("q")
-		sys.Spawn("p", func(th *Thread) {
-			pr := q.NewProducer(0)
-			for i := 0; i < 100; i++ {
-				pr.Push(th.Proc, uint64(i))
-			}
-		})
-		sys.Spawn("c", func(th *Thread) {
-			rx := q.NewConsumer(th.Proc, 2)
-			for i := 0; i < 100; i++ {
-				rx.Pop(th.Proc)
-				th.Compute(25)
-			}
-		})
+		(&Source{Out: q, N: 100}).Spawn(sys, "p")
+		(&Stage{In: q, Lines: 2, N: 100, Work: 25}).Spawn(sys, "c")
 		return sys.Run()
 	}
 	a, b := run(1), run(4)

@@ -9,30 +9,22 @@
 // consumer cache lines in anticipation of requests.
 //
 // A System bundles the simulation kernel, the coherence-network bus, the
-// routing device, and the software queue library. Application threads are
-// simulation processes spawned with Spawn; they communicate through
-// Queues created with NewQueue. Run drives the simulation to completion
-// and returns a Result with the metrics the paper's evaluation reports:
-// execution time, consumer-line empty/non-empty cycle breakdown
-// (Figure 9), push failure rates (Figure 10a), and bus utilization
-// (Figure 10b).
+// routing device, and the software queue library. Application threads
+// communicate through Queues created with NewQueue. A thread is a step
+// machine on the simulation kernel: a Source (closed-loop producer) or a
+// Stage (sink, relay or WorkCounter worker) filled in and spawned, or a
+// machine of its own on SpawnFunc. Run drives the simulation to
+// completion and returns a Result with the metrics the paper's
+// evaluation reports: execution time, consumer-line empty/non-empty
+// cycle breakdown (Figure 9), push failure rates (Figure 10a), and bus
+// utilization (Figure 10b).
 //
 // Minimal example:
 //
 //	sys := spamer.NewSystem(spamer.Config{Algorithm: spamer.AlgTuned})
 //	q := sys.NewQueue("work")
-//	sys.Spawn("producer", func(t *spamer.Thread) {
-//		pr := q.NewProducer(0)
-//		for i := 0; i < 100; i++ {
-//			pr.Push(t.Proc, uint64(i))
-//		}
-//	})
-//	sys.Spawn("consumer", func(t *spamer.Thread) {
-//		c := q.NewConsumer(t.Proc, 4)
-//		for i := 0; i < 100; i++ {
-//			_ = c.Pop(t.Proc)
-//		}
-//	})
+//	(&spamer.Source{Out: q, N: 100}).Spawn(sys, "producer")
+//	(&spamer.Stage{In: q, Lines: 4, N: 100}).Spawn(sys, "consumer")
 //	res := sys.Run()
 //	fmt.Println(res.Ticks, res.FailureRate(), res.BusUtilization)
 package spamer
@@ -140,34 +132,15 @@ type Config struct {
 // Thread is an application thread pinned to a simulated core ("each
 // thread is assigned to a core", §4.1).
 type Thread struct {
-	// Proc is the underlying simulation process of a thread added with
-	// Spawn; queue operations and Compute charge time to it.
-	Proc *sim.Proc
-	// Task is the process-free thread of a thread added with SpawnFunc
-	// (Proc is then nil); its last step calls Task.Exit.
+	// Task is the thread's state on the kernel; its last step calls
+	// Task.Exit.
 	Task *sim.Task
 	// Core is the core index the thread is pinned to.
 	Core int
 }
 
-// Compute charges d cycles of local work to a Spawned thread — the
-// per-message processing between queue operations. A SpawnFunc thread
-// has no process to park; it charges work by scheduling its next step
-// with Kernel().AfterFunc, and Compute panics on it.
-func (t *Thread) Compute(d uint64) {
-	if t.Proc == nil {
-		panic("spamer: Compute on a SpawnFunc thread; schedule its next step with Kernel().AfterFunc")
-	}
-	t.Proc.Sleep(d)
-}
-
 // Now reports the current simulated tick.
-func (t *Thread) Now() uint64 {
-	if t.Task != nil {
-		return t.Task.Now()
-	}
-	return t.Proc.Now()
-}
+func (t *Thread) Now() uint64 { return t.Task.Now() }
 
 // System is one simulated machine: kernel, bus, routing device(s),
 // queue library, and the application threads spawned onto it.
@@ -319,38 +292,20 @@ func (s *System) AddressSpace() *mem.AddressSpace { return s.as }
 // contract (no event scheduling; trace-neutral).
 func (s *System) SetQueueProbe(p vlq.Probe) { s.queueProbe = p }
 
-// Spawn adds an application thread. The body runs as a simulation
-// process starting at tick 0; threads are pinned round-robin to the
-// Table 1 cores. Spawn panics once Run has been called.
-func (s *System) Spawn(name string, body func(t *Thread)) *Thread {
-	t := s.newThread("Spawn")
-	t.Proc = s.kernel.Go(name, func(p *sim.Proc) { body(t) })
-	return t
-}
-
-// SpawnFunc adds a process-free application thread (sim.Task): a state
-// machine whose first step, fn(arg), runs at tick 0, in spawn order with
-// the threads added by Spawn. It advances through the continuation
-// forms of the queue operations (PushThen, PopThen, ...) and through
-// steps it schedules on the kernel (Compute is Kernel().AfterFunc), and
-// it is live, for Run's deadlock check and the eviction injector, until
-// a step calls the returned thread's Task.Exit. It takes the next core
-// slot like Spawn and panics once Run has been called. Use it for
-// per-message hot loops, where each blocking operation of a Spawned
-// thread costs a coroutine round trip; Spawn's blocking bodies are
-// simpler to write and fine everywhere else.
+// SpawnFunc adds an application thread (sim.Task): a state machine
+// whose first step, fn(arg), runs at tick 0, in spawn order. It
+// advances through the queue operations (PushThen, PopThen, ...), each
+// of which runs a continuation when it completes, and through steps it
+// schedules on the kernel (local work is Kernel().AfterFunc), and it is
+// live, for Run's deadlock check and the eviction injector, until a
+// step calls the returned thread's Task.Exit. Threads are pinned
+// round-robin to the Table 1 cores. SpawnFunc panics once Run has been
+// called. Source and Stage are ready-made machines on it.
 func (s *System) SpawnFunc(name string, fn func(uint64), arg uint64) *Thread {
-	t := s.newThread("SpawnFunc")
-	t.Task = s.kernel.GoFunc(name, fn, arg)
-	return t
-}
-
-// newThread records a thread on the next core slot.
-func (s *System) newThread(op string) *Thread {
 	if s.ran {
-		panic("spamer: " + op + " after Run")
+		panic("spamer: SpawnFunc after Run")
 	}
-	t := &Thread{Core: len(s.threads) % config.NumCores}
+	t := &Thread{Core: len(s.threads) % config.NumCores, Task: s.kernel.GoFunc(name, fn, arg)}
 	s.threads = append(s.threads, t)
 	return t
 }
@@ -369,11 +324,11 @@ func (s *System) OnDrain(fn func()) {
 	s.onDrain = append(s.onDrain, fn)
 }
 
-// Run drives the simulation until every thread finishes, then gathers
-// the Result. Run may be called once. It panics on deadlock (threads
-// still parked with no pending events), on the watchdog deadline, and
-// with any panic raised inside a thread body; each failure first
-// releases every parked thread.
+// Run drives the simulation until every thread exits, then gathers the
+// Result. Run may be called once. It panics on deadlock (threads still
+// waiting with no pending events), on the watchdog deadline, and with
+// any panic raised inside a thread's step; each failure first drains
+// every waiting thread.
 func (s *System) Run() Result {
 	if s.ran {
 		panic("spamer: Run called twice")
@@ -384,7 +339,7 @@ func (s *System) Run() Result {
 	}
 	s.kernel.Run()
 	if live := s.kernel.LiveProcs(); live != 0 {
-		s.kernel.Drain() // free the parked threads' runners before failing
+		s.kernel.Drain() // exit the waiting threads before failing
 		panic(fmt.Sprintf("spamer: deadlock — %d threads still parked with no pending events", live))
 	}
 	for _, fn := range s.onDrain {

@@ -8,28 +8,27 @@ import (
 	"spamer/internal/sim"
 )
 
+// inOrder returns an OnPop hook that reports every message that
+// arrives out of sequence.
+func inOrder(t *testing.T, label string) func(Message) uint64 {
+	next := uint64(0)
+	return func(m Message) uint64 {
+		if m.Seq != next {
+			t.Errorf("%s: message %d has seq %d (FIFO violation)", label, next, m.Seq)
+		}
+		next++
+		return m.Payload
+	}
+}
+
 // runOneToOne runs a 1:1 queue with n messages and the given per-message
 // consumer compute cost, returning the result.
 func runOneToOne(t *testing.T, alg string, n int, computeCycles uint64) Result {
 	t.Helper()
 	sys := NewSystem(Config{Algorithm: alg, Deadline: 1 << 30})
 	q := sys.NewQueue("q")
-	sys.Spawn("producer", func(th *Thread) {
-		pr := q.NewProducer(0)
-		for i := 0; i < n; i++ {
-			pr.Push(th.Proc, uint64(i))
-		}
-	})
-	sys.Spawn("consumer", func(th *Thread) {
-		c := q.NewConsumer(th.Proc, 4)
-		for i := 0; i < n; i++ {
-			msg := c.Pop(th.Proc)
-			if msg.Seq != uint64(i) {
-				t.Errorf("%s: message %d has seq %d (FIFO violation)", alg, i, msg.Seq)
-			}
-			th.Compute(computeCycles)
-		}
-	})
+	(&Source{Out: q, N: n}).Spawn(sys, "producer")
+	(&Stage{In: q, Lines: 4, N: n, Work: computeCycles, OnPop: inOrder(t, alg)}).Spawn(sys, "consumer")
 	res := sys.Run()
 	if res.Pushed != uint64(n) || res.Popped != uint64(n) {
 		t.Fatalf("%s: pushed=%d popped=%d, want %d", alg, res.Pushed, res.Popped, n)
@@ -82,19 +81,8 @@ func TestProducerBoundNeutral(t *testing.T) {
 		sys := NewSystem(Config{Algorithm: alg, Deadline: 1 << 30})
 		q := sys.NewQueue("q")
 		const n = 200
-		sys.Spawn("producer", func(th *Thread) {
-			pr := q.NewProducer(0)
-			for i := 0; i < n; i++ {
-				th.Compute(300) // slow producer
-				pr.Push(th.Proc, uint64(i))
-			}
-		})
-		sys.Spawn("consumer", func(th *Thread) {
-			c := q.NewConsumer(th.Proc, 4)
-			for i := 0; i < n; i++ {
-				c.Pop(th.Proc)
-			}
-		})
+		(&Source{Out: q, N: n, Work: 300}).Spawn(sys, "producer") // slow producer
+		(&Stage{In: q, Lines: 4, N: n}).Spawn(sys, "consumer")
 		return sys.Run()
 	}
 	base := mk(AlgBaseline)
@@ -115,29 +103,21 @@ func TestMNDeliveryExactlyOnce(t *testing.T) {
 			const perProd, nProd, nCons = 60, 3, 2
 			total := perProd * nProd
 			for p := 0; p < nProd; p++ {
-				sys.Spawn("producer", func(th *Thread) {
-					pr := q.NewProducer(0)
-					for i := 0; i < perProd; i++ {
-						th.Compute(15)
-						pr.Push(th.Proc, uint64(i))
-					}
-				})
+				(&Source{Out: q, N: perProd, Work: 15}).Spawn(sys, "producer")
 			}
 			got := make(chan [2]uint64, total)
 			done := make([]int, nCons)
 			for cidx := 0; cidx < nCons; cidx++ {
 				cidx := cidx
-				sys.Spawn("consumer", func(th *Thread) {
-					c := q.NewConsumer(th.Proc, 4)
-					// Consumers split the work statically to avoid a
-					// termination race; total is divisible by nCons.
-					for i := 0; i < total/nCons; i++ {
-						m := c.Pop(th.Proc)
+				// Consumers split the work statically to avoid a
+				// termination race; total is divisible by nCons.
+				(&Stage{In: q, Lines: 4, N: total / nCons, Work: 25,
+					OnPop: func(m Message) uint64 {
 						got <- [2]uint64{uint64(m.Src), m.Seq}
 						done[cidx]++
-						th.Compute(25)
-					}
-				})
+						return m.Payload
+					},
+				}).Spawn(sys, "consumer")
 			}
 			res := sys.Run()
 			close(got)
@@ -174,27 +154,43 @@ func TestPerProducerFIFO(t *testing.T) {
 			sys := NewSystem(Config{Algorithm: alg, Deadline: 1 << 30})
 			q := sys.NewQueue("fifo")
 			const n = 300
-			sys.Spawn("producer", func(th *Thread) {
-				pr := q.NewProducer(0)
-				for i := 0; i < n; i++ {
-					pr.Push(th.Proc, uint64(i))
-				}
-			})
-			sys.Spawn("consumer", func(th *Thread) {
-				c := q.NewConsumer(th.Proc, 2) // small buffer: more retries
-				last := int64(-1)
-				for i := 0; i < n; i++ {
-					m := c.Pop(th.Proc)
+			(&Source{Out: q, N: n}).Spawn(sys, "producer")
+			// A Stage charges the same work per message, so the bursty
+			// consumer is a step machine of its own.
+			var c *Consumer
+			var th *Thread
+			i, last := 0, int64(-1)
+			var step func(uint64)
+			step = func(state uint64) {
+				switch state {
+				case 0:
+					var pending bool
+					c, pending = q.NewConsumerThen(2, sim.Cont{Fn: step, Arg: 1}) // small buffer: more retries
+					if pending {
+						return
+					}
+					fallthrough
+				case 1:
+					if i == n {
+						th.Task.Exit()
+						return
+					}
+					c.PopThen(sim.Cont{Fn: step, Arg: 2})
+				case 2:
+					m, _ := c.Result()
 					if int64(m.Seq) != last+1 {
 						t.Errorf("seq %d after %d", m.Seq, last)
 					}
 					last = int64(m.Seq)
 					// Bursty consumption provokes failed pushes.
-					if i%10 == 9 {
-						th.Compute(400)
+					if i++; i%10 == 0 {
+						sys.Kernel().AfterFunc(400, step, 1)
+						return
 					}
+					step(1)
 				}
-			})
+			}
+			th = sys.SpawnFunc("consumer", step, 0)
 			sys.Run()
 		})
 	}
@@ -206,21 +202,29 @@ func TestLegacyEndpointOnSpamer(t *testing.T) {
 	sys := NewSystem(Config{Algorithm: AlgZeroDelay, Deadline: 1 << 30})
 	q := sys.NewQueue("legacy")
 	const n = 100
-	sys.Spawn("producer", func(th *Thread) {
-		pr := q.NewProducer(0)
-		for i := 0; i < n; i++ {
-			pr.Push(th.Proc, uint64(i))
+	(&Source{Out: q, N: n}).Spawn(sys, "producer")
+	// A Stage opens a spec-enabled endpoint on SPAMeR; this consumer
+	// opens a legacy one and pops n messages from it.
+	var c *Consumer
+	var th *Thread
+	popped := 0
+	var step func(uint64)
+	step = func(state uint64) {
+		if state == 0 {
+			c = q.NewConsumerLegacy(4)
+			if c.SpecEnabled() {
+				t.Error("legacy endpoint is spec-enabled")
+			}
+		} else {
+			popped++
 		}
-	})
-	sys.Spawn("consumer", func(th *Thread) {
-		c := q.NewConsumerLegacy(4)
-		if c.SpecEnabled() {
-			t.Error("legacy endpoint is spec-enabled")
+		if popped == n {
+			th.Task.Exit()
+			return
 		}
-		for i := 0; i < n; i++ {
-			c.Pop(th.Proc)
-		}
-	})
+		c.PopThen(sim.Cont{Fn: step, Arg: 1})
+	}
+	th = sys.SpawnFunc("consumer", step, 0)
 	res := sys.Run()
 	if res.Device.SpecPushes != 0 {
 		t.Fatalf("legacy endpoint drew %d spec pushes", res.Device.SpecPushes)
@@ -257,18 +261,8 @@ func TestInlineKnob(t *testing.T) {
 		sys := NewSystem(Config{Algorithm: AlgBaseline, NoInline: noInline, Deadline: 1 << 30})
 		q := sys.NewQueue("q")
 		const n = 200
-		sys.Spawn("producer", func(th *Thread) {
-			pr := q.NewProducer(0)
-			for i := 0; i < n; i++ {
-				pr.Push(th.Proc, uint64(i))
-			}
-		})
-		sys.Spawn("consumer", func(th *Thread) {
-			c := q.NewConsumer(th.Proc, 4)
-			for i := 0; i < n; i++ {
-				c.Pop(th.Proc)
-			}
-		})
+		(&Source{Out: q, N: n}).Spawn(sys, "producer")
+		(&Stage{In: q, Lines: 4, N: n}).Spawn(sys, "consumer")
 		return sys.Run()
 	}
 	inlined := run(false)
@@ -286,7 +280,7 @@ func TestSpawnAfterRunPanics(t *testing.T) {
 			t.Error("Spawn after Run did not panic")
 		}
 	}()
-	sys.Spawn("late", func(t *Thread) {})
+	(&Source{}).Spawn(sys, "late")
 }
 
 func TestUnknownAlgorithmPanics(t *testing.T) {
@@ -324,8 +318,8 @@ func TestSpawnFuncThreadDeadlockReported(t *testing.T) {
 		rx, _ = q.NewConsumerThen(1, sim.Cont{Fn: func(uint64) {}})
 		rx.PopThen(sim.Cont{Fn: func(uint64) { th.Task.Exit() }}) // nobody pushes
 	}, 0)
-	if sys.Threads() != 1 || th.Core != 0 || th.Proc != nil {
-		t.Fatalf("threads = %d, core = %d, proc = %v", sys.Threads(), th.Core, th.Proc)
+	if sys.Threads() != 1 || th.Core != 0 {
+		t.Fatalf("threads = %d, core = %d", sys.Threads(), th.Core)
 	}
 	defer func() {
 		r := recover()
@@ -340,8 +334,7 @@ func TestSpawnFuncThreadDeadlockReported(t *testing.T) {
 }
 
 // TestSpawnFuncThreadClock: a process-free thread reads the simulated
-// time through its Thread, and Compute, which would park a process the
-// thread does not have, fails naming the call that schedules a step.
+// time through its Thread.
 func TestSpawnFuncThreadClock(t *testing.T) {
 	sys := NewSystem(Config{})
 	var th *Thread
@@ -360,10 +353,4 @@ func TestSpawnFuncThreadClock(t *testing.T) {
 	if len(seen) != 2 || seen[0] != 0 || seen[1] != 25 {
 		t.Fatalf("Now read %v, want [0 25]", seen)
 	}
-	defer func() {
-		if r := recover(); !strings.Contains(fmt.Sprint(r), "Kernel().AfterFunc") {
-			t.Fatalf("Compute panicked with %v, want a message naming Kernel().AfterFunc", r)
-		}
-	}()
-	th.Compute(10)
 }
