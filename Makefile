@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check build vet test test-race perfbench-test examples-check artifacts-check verify-oracle fuzz-smoke fabric-smoke bench bench-ci bench-race repro figures trace sweep latency area ablate tune serve worker clean
+.PHONY: all check fmt-check lang-check build vet test test-race perfbench-test examples-check artifacts-check verify-oracle fuzz-smoke fabric-smoke bench bench-ci bench-race repro figures trace sweep latency area ablate tune serve worker clean
 
 # BENCH_JSON tracks the perf trajectory across PRs: bump the suffix when
 # a PR materially changes the benchmark surface and commit the new file.
@@ -30,15 +30,24 @@ GATE_PCT ?= 25
 
 all: check
 
-# Everything CI runs: formatting, compile, vet, unit tests, the race
-# detector pass over the harness, service, and fabric worker pools, the
+# Everything CI runs: formatting, the go.mod language floor, compile,
+# vet, unit tests, the race detector pass over the harness, service, and
+# fabric worker pools, the
 # benchmark module's vet and self-test, the examples' pinned output and
 # the evaluation artifacts' pinned stdout.
-check: fmt-check build vet test test-race perfbench-test examples-check artifacts-check
+check: fmt-check lang-check build vet test test-race perfbench-test examples-check artifacts-check
 
 # Fails, listing the files, when any Go file is not gofmt-formatted.
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
+# go.mod's "go 1.22" is the language version every file is built and
+# vetted at. A //go:build line naming a Go release raises that file's
+# version past it and hides the file from vet's stdversion check, so
+# fail, listing the files, on any.
+lang-check:
+	@out=$$(grep -rlE --include='*.go' --exclude-dir=.bench_build '^//go:build.*\bgo1\.[0-9]+' .); \
+	if [ -n "$$out" ]; then echo "//go:build lines naming a Go release:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -139,14 +148,12 @@ bench-ci:
 
 # Race-detector pass over the MillionMessage benchmark: the open-loop
 # engine's hot path — the kernel, the vlq endpoint state machines and
-# the synthetic shapes' process-free threads, all on the kernel
-# goroutine — runs once under -race per PR. Coroutine processes (pooled
-# iter.Pull runners) are raced by test-race, through
-# TestRunnersSharedAcrossKernels, the parallel extended-collective tests
-# and the software-queue baseline's tests; the Table-2 kernels and the
-# DAG runtime, like the shapes, are process-free. Iterations are cut well
-# below MM_ITERS — the race runtime is ~10x slower and the goal is
-# coverage, not timing.
+# the synthetic shapes' threads, all on the kernel goroutine — runs once
+# under -race per PR. Every simulated thread is a step machine on its
+# kernel's goroutine, so no coroutine is left to race; test-race races
+# the harness, service and fabric pools, which run kernels on several
+# goroutines at once. Iterations are cut well below MM_ITERS — the race
+# runtime is ~10x slower and the goal is coverage, not timing.
 MM_RACE_ITERS ?= 20000x
 bench-race:
 	$(GO) test -race -run=NONE -bench=MillionMessage -benchmem -benchtime=$(MM_RACE_ITERS) .

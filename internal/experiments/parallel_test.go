@@ -135,8 +135,7 @@ func TestBodyPanicIsRunError(t *testing.T) {
 	}
 }
 
-// failingShape is a synthetic-shape run, whose threads are process-free,
-// that cannot complete: the first stash is dropped, so the first stage
+// failingShape is a synthetic-shape run that cannot complete: the first stash is dropped, so the first stage
 // waits for a message that never lands and the run deadlocks, or, with
 // panics set, the chain's first queue is closed before Run, so the
 // source's first step panics.
@@ -154,7 +153,7 @@ func failingShape(label string, panics bool) harness.Task[spamer.Result] {
 	}}
 }
 
-// TestStepPanicIsRunError: a panic inside a process-free thread's step
+// TestStepPanicIsRunError: a panic inside a synthetic shape's step
 // comes back as that run's *harness.Error; the other runs complete.
 func TestStepPanicIsRunError(t *testing.T) {
 	sh := workloads.Shape{Stages: 3, Messages: 20}

@@ -1,9 +1,9 @@
 package sim
 
 // Cont is a continuation: the step fn(arg) a kernel-side operation
-// calls when it completes, where a blocking operation would return to
-// its caller. A thread (Task) passes one of its own steps, a method
-// value bound once, so handing a continuation over allocates nothing.
+// calls when it completes. A thread (Task) passes one of its own steps,
+// a method value bound once, so handing a continuation over allocates
+// nothing.
 type Cont struct {
 	Fn  func(uint64)
 	Arg uint64

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// TestGoFuncTraceMatchesGo: a process-free thread dispatches the
-// (tick, seq) trace, start event included, that a blocking process
+// TestGoFuncTraceMatchesGo: a GoFunc thread dispatches the (tick, seq)
+// trace, start event included, that a blocking coroutine process
 // sleeping the same delays dispatched, and counts as live exactly as
-// long. The blocking runtime is gone; its trace is kept as the literal
-// it recorded: two unrelated events share the seq counter and look at
-// the live count mid-run (tick 5) and after the thread ends (tick 30).
+// long. That runtime is gone; its trace is kept as the literal it
+// recorded: two unrelated events share the seq counter and look at the
+// live count mid-run (tick 5) and after the thread ends (tick 30).
 func TestGoFuncTraceMatchesGo(t *testing.T) {
 	const proc = "0/2 live 1 0/4 live 1 5/1 live 1 7/5 live 1 10/6 live 1 10/7 live 1 22/8 live 1 30/3 live 0"
 	delays := []uint64{0, 7, 3, 0, 12}

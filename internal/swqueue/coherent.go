@@ -81,7 +81,7 @@ func (q *CoherentQueue) Len() int { return int(q.tail - q.head) }
 // End is one core's handle on the queue. Its operations are
 // continuation-passing state machines on the kernel goroutine: PushThen
 // and PopThen start one and return, each charged delay is one event, and
-// the continuation runs where a blocking operation would return. One
+// the continuation runs when the operation completes. One
 // operation per End is in flight at a time.
 type End struct {
 	q    *CoherentQueue

@@ -8,7 +8,7 @@ import (
 	"spamer/internal/sim"
 )
 
-// script runs ops in order on a process-free thread: each op starts
+// script runs ops in order on a step-machine thread: each op starts
 // one operation with next as its continuation, or calls next itself.
 func script(k *sim.Kernel, name string, ops ...func(next sim.Cont)) {
 	var task *sim.Task

@@ -38,9 +38,8 @@ func newRig(spec bool) *rig {
 // operation with next as its continuation, or calls next itself.
 type op = func(next sim.Cont)
 
-// script spawns a process-free thread (sim.Task) that runs ops in
-// order, each continuing where the blocking form of its operation
-// would return, and exits after the last.
+// script spawns a thread (sim.Task) that runs ops in order, each
+// continuing when its operation completes, and exits after the last.
 func script(k *sim.Kernel, name string, ops ...op) *sim.Task {
 	var task *sim.Task
 	var step func(uint64)

@@ -297,16 +297,17 @@ func (in *inStream) fillSignal() *sim.Signal {
 	return &lines[in.taken%len(lines)].OnFill
 }
 
-// replica is one stage replica, a process-free thread (System.SpawnFunc):
-// a state machine whose steps are kernel events and the continuations
-// of its queue operations, so a message costs no coroutine switch. It
+// replica is one stage replica, a thread on System.SpawnFunc: a state
+// machine whose steps are kernel events and the continuations of its
+// queue operations, so a message costs no host thread switch. It
 // opens its producers, then its consumers, and runs as a source, a
 // WorkCounter drain (a dynamic sink) or the fair merge of an interior
-// stage. Each Compute is its own AfterFunc event, and a zero work draw
-// schedules none; each queue operation and endpoint open happens at the
-// step where a blocking body would make it, so the dispatch trace is
-// the one a blocking replica produces (TestGoldenDAGScenarios and the
-// oracle's TestGoldenGeneratedDAGTraces pin it).
+// stage. Each work draw is its own AfterFunc event, and a zero draw
+// schedules none; each queue operation and endpoint open happens in the
+// order a replica written as a loop makes it, so the dispatch trace is
+// the one the goldens recorded with blocking replicas
+// (TestGoldenDAGScenarios and the oracle's
+// TestGoldenGeneratedDAGTraces pin it).
 type replica struct {
 	k    *sim.Kernel
 	task *sim.Task

@@ -17,7 +17,7 @@ import (
 // were blocking loops (TestGoldenShapeTraces, TestGoldenTable2Traces and
 // TestGoldenExtendedTraces pin it).
 
-// thread is what every process-free thread shares: its kernel, its
+// thread is what every machine below shares: its kernel, its
 // Task, and its step function, a method value bound once.
 type thread struct {
 	k    *sim.Kernel

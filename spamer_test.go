@@ -307,7 +307,7 @@ func TestKnownAlgorithmMatchesNewSystem(t *testing.T) {
 	}
 }
 
-// TestSpawnFuncThreadDeadlockReported: a process-free thread that never
+// TestSpawnFuncThreadDeadlockReported: a SpawnFunc thread that never
 // exits counts as live, so Run reports the deadlock, and drains it.
 func TestSpawnFuncThreadDeadlockReported(t *testing.T) {
 	sys := NewSystem(Config{})
@@ -333,7 +333,7 @@ func TestSpawnFuncThreadDeadlockReported(t *testing.T) {
 	sys.Run()
 }
 
-// TestSpawnFuncThreadClock: a process-free thread reads the simulated
+// TestSpawnFuncThreadClock: a SpawnFunc thread reads the simulated
 // time through its Thread.
 func TestSpawnFuncThreadClock(t *testing.T) {
 	sys := NewSystem(Config{})

@@ -42,7 +42,7 @@ type Source struct {
 // pushes the payload OnPop returned (without OnPop, the popped payload).
 type Stage struct {
 	In     *Queue
-	Lines  int // input endpoint lines
+	Lines  int // input endpoint lines; 0 opens one
 	Out    *Queue
 	Window int          // output producer window; 0 selects the default
 	N      int          // messages to pop, unless Shared is set
