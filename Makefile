@@ -20,7 +20,7 @@ GO ?= go
 # GATE_PCT is the SpecRun ns/op tolerance (spamer benchjson -gate-pct):
 # wide by default because wall time on shared runners jitters; the
 # allocs/op checks are the gate's primary teeth.
-BENCH_JSON ?= BENCH_18.json
+BENCH_JSON ?= BENCH_24.json
 BENCH_BASELINE ?= BENCH_9.json
 # MillionMessage pins b.N to the delivered message count; the dedicated
 # pass below records the true million-message run in $(BENCH_JSON)
@@ -132,16 +132,17 @@ bench:
 	  $(GO) test -run=NONE -bench=MillionMessage -benchmem -benchtime=$(MM_ITERS) . ) \
 	| $(GO) run ./cmd/spamer benchjson -out $(BENCH_JSON)
 
-# Quick variant for CI: the kernel and experiment-layer benchmarks plus
-# the MillionMessage hot path, gated (-gate: >25% SpecRun regression,
-# any allocs/op increase, or a MillionMessage alloc fails the step). Iteration counts are per-package: the ns-scale sim
+# Quick variant for CI: the kernel, bus and experiment-layer benchmarks
+# plus the MillionMessage hot path, gated (-gate: >25% SpecRun
+# regression, any allocs/op increase, or a MillionMessage alloc fails
+# the step). Iteration counts are per-package: the ns-scale sim and noc
 # microbenchmarks need 10000x so one-time setup allocations amortize
 # below one per op (at 10x they read as false allocs/op regressions);
 # SpecRun and HarnessMatrix are 0.2-1 s/op end-to-end sweeps, so 10x
 # keeps the step under a minute. Blocking in ci.yml: the timing bar is
 # wide enough for shared-runner noise, and allocs/op is exact.
 bench-ci:
-	( $(GO) test -run=NONE -bench=. -benchmem -benchtime=10000x ./internal/sim && \
+	( $(GO) test -run=NONE -bench=. -benchmem -benchtime=10000x ./internal/sim ./internal/noc && \
 	  $(GO) test -run=NONE -bench=. -benchmem -benchtime=10x ./internal/experiments && \
 	  $(GO) test -run=NONE -bench=MillionMessage -benchmem -benchtime=200000x . ) \
 	| $(GO) run ./cmd/spamer benchjson -out bench-ci.json -baseline $(BENCH_BASELINE) -gate -gate-pct $(GATE_PCT)

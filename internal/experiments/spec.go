@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -268,13 +269,18 @@ func ReadSpecs(r io.Reader) ([]Spec, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The first non-space byte tells the forms apart, so the body is
+	// decoded once: an object is one spec, and anything else (an array,
+	// null, or input that is not a spec at all) decodes as a list.
 	var many []wireSpec
-	if err := json.Unmarshal(data, &many); err != nil {
-		var one wireSpec
-		if err := json.Unmarshal(data, &one); err != nil {
-			return nil, fmt.Errorf("experiments: spec JSON: %w", err)
-		}
-		many = []wireSpec{one}
+	if rest := bytes.TrimLeft(data, " \t\r\n"); len(rest) > 0 && rest[0] == '{' {
+		many = make([]wireSpec, 1)
+		err = json.Unmarshal(data, &many[0])
+	} else {
+		err = json.Unmarshal(data, &many)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("experiments: spec JSON: %w", err)
 	}
 	specs := make([]Spec, len(many))
 	for i, w := range many {

@@ -175,6 +175,23 @@ func TestReadSpecsSingleAndArray(t *testing.T) {
 	if _, err = ReadSpecs(strings.NewReader("not json")); err == nil {
 		t.Fatal("bad JSON accepted")
 	}
+	// Leading whitespace does not change the form a body is read as.
+	for _, in := range []string{" \n\t" + single, "\r\n " + array} {
+		if specs, err = ReadSpecs(strings.NewReader(in)); err != nil || len(specs) == 0 || specs[0].Benchmark != "FIR" {
+			t.Errorf("ReadSpecs(%q) = %v %v", in, specs, err)
+		}
+	}
+	// null and an empty array are empty batches, not errors.
+	for _, in := range []string{`null`, `[]`, " \t[]"} {
+		if specs, err = ReadSpecs(strings.NewReader(in)); err != nil || len(specs) != 0 {
+			t.Errorf("ReadSpecs(%q) = %v %v, want no specs", in, specs, err)
+		}
+	}
+	for _, in := range []string{`[1]`, `{"benchmark":1}`} {
+		if specs, err = ReadSpecs(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadSpecs(%q) accepted: %+v", in, specs)
+		}
+	}
 }
 
 func TestWriteOutcomesRoundTrip(t *testing.T) {

@@ -152,20 +152,21 @@ func (b *Bus) SendFunc(kind PacketKind, deliver func(uint64), arg uint64) {
 }
 
 // occupy books a packet of the given kind on the earliest-free channel,
-// updates the accounting, and returns the arrival tick.
+// the lowest-numbered one on a tie, updates the accounting, and returns
+// the arrival tick. Which channel is free first is data the branch
+// predictor cannot learn, so the scan keeps a running minimum and moves
+// the index with a conditional move instead of a branch.
 func (b *Bus) occupy(kind PacketKind) uint64 {
 	occ := occupancy(kind)
-	// Earliest-free channel.
-	ch := 0
+	ch, free := 0, b.freeAt[0]
 	for i := 1; i < len(b.freeAt); i++ {
-		if b.freeAt[i] < b.freeAt[ch] {
+		f := b.freeAt[i]
+		if f < free {
 			ch = i
 		}
+		free = min(free, f)
 	}
-	start := b.k.Now()
-	if b.freeAt[ch] > start {
-		start = b.freeAt[ch]
-	}
+	start := max(b.k.Now(), free)
 	b.freeAt[ch] = start + occ
 	b.stats.BusyCycles += occ
 	b.stats.Packets[kind]++

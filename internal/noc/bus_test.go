@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/rand"
 	"testing"
 
 	"spamer/internal/config"
@@ -216,4 +217,87 @@ func TestKindStrings(t *testing.T) {
 		}
 		seen[s] = true
 	}
+}
+
+// scanOccupy is the channel pick occupy made with a data-dependent
+// branch, kept as the reference for the branch-free one: the first
+// channel with the smallest freeAt, and the tick its packet starts.
+func scanOccupy(freeAt []uint64, now uint64) (ch int, start uint64) {
+	for i := 1; i < len(freeAt); i++ {
+		if freeAt[i] < freeAt[ch] {
+			ch = i
+		}
+	}
+	start = now
+	if freeAt[ch] > start {
+		start = freeAt[ch]
+	}
+	return ch, start
+}
+
+// TestOccupyMatchesScan: over random channel states of 1 to 8 channels,
+// most with two or more channels tied at the earliest free tick, occupy
+// books the same channel and returns the same arrival tick as the
+// reference scan, and leaves every other channel alone.
+func TestOccupyMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	kinds := []PacketKind{PktPush, PktFetchReq, PktStash, PktResp, PktRegister, PktCoherence}
+	for iter := 0; iter < 20000; iter++ {
+		n := 1 + rng.Intn(8)
+		now := uint64(rng.Intn(40))
+		k := sim.New()
+		k.RunUntil(now)
+		b := NewWithOptions(k, uint64(rng.Intn(20)), n)
+		// A narrow range makes ties common; copying the minimum to a
+		// second channel forces one at the pick.
+		lo := 0
+		for i := range b.freeAt {
+			b.freeAt[i] = uint64(rng.Intn(48))
+			if b.freeAt[i] < b.freeAt[lo] {
+				lo = i
+			}
+		}
+		if n > 1 && rng.Intn(4) != 0 {
+			b.freeAt[rng.Intn(n)] = b.freeAt[lo]
+		}
+		want := append([]uint64(nil), b.freeAt...)
+		kind := kinds[rng.Intn(len(kinds))]
+		ch, start := scanOccupy(want, now)
+		want[ch] = start + occupancy(kind)
+		arrival := b.occupy(kind)
+		if wantArrival := start + occupancy(kind) + b.HopLatency(); arrival != wantArrival {
+			t.Fatalf("iter %d: arrival %d, reference %d", iter, arrival, wantArrival)
+		}
+		for i := range want {
+			if b.freeAt[i] != want[i] {
+				t.Fatalf("iter %d: freeAt after occupy %v, reference %v (channel %d)", iter, b.freeAt, want, ch)
+			}
+		}
+	}
+}
+
+// BenchmarkBusSend measures one packet through the bus: the channel
+// pick, the accounting and its delivery event, for a mix of data and
+// control packets on the default four channels, two sent per tick so
+// the channels stay below saturation. Steady state must be 0 allocs/op.
+func BenchmarkBusSend(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.New()
+	bus := New(k)
+	kinds := [...]PacketKind{PktPush, PktFetchReq, PktStash, PktResp, PktStash, PktRegister}
+	n := 0
+	deliver := func(uint64) {}
+	var send func(uint64)
+	send = func(uint64) {
+		for j := 0; j < 2 && n < b.N; j++ {
+			bus.SendFunc(kinds[n%len(kinds)], deliver, uint64(n))
+			n++
+		}
+		if n < b.N {
+			k.AfterFunc(1, send, 0)
+		}
+	}
+	k.AtFunc(0, send, 0)
+	b.ResetTimer()
+	k.Run()
 }

@@ -13,7 +13,7 @@
 // The queue is a monomorphic calendar wheel (near future) backed by a
 // binary heap (far future). There is one scheduling form: AtFunc and
 // AfterFunc take a func(uint64), bound once by the caller, plus its
-// argument, and the event stores the pair by value, so steady-state hot
+// argument, and the queue stores the pair by value, so steady-state hot
 // paths schedule with zero allocations.
 package sim
 
@@ -75,12 +75,36 @@ func (k *Kernel) SetDeadline(t uint64) { k.maxTick = t }
 // the next sequence number here, at scheduling time, which breaks ties
 // between events of the same tick. Scheduling in the past is a
 // programming error and panics.
+//
+// A tick inside the wheel window is the straight-line case: the body of
+// eventQueue.put, written out because a function that may call grow is
+// too costly for the compiler to inline. A single comparison sends both
+// a past tick (t-now wraps around) and a far one to atFar.
 func (k *Kernel) AtFunc(t uint64, fn func(uint64), arg uint64) {
+	q := &k.events
+	if t-q.now >= wheelSize {
+		k.atFar(t, fn, arg)
+		return
+	}
+	k.seq++
+	b := &q.wheel[t&wheelMask]
+	n := len(b.ev)
+	if n == cap(b.ev) {
+		q.grow(b)
+	}
+	b.ev = b.ev[:n+1]
+	b.ev[n] = slot{fn: fn, arg: arg, seq: k.seq}
+	q.occ |= 1 << (t & wheelMask)
+}
+
+// atFar is AtFunc's out-of-line path: it panics on a tick in the past
+// and pushes any other onto the far heap.
+func (k *Kernel) atFar(t uint64, fn func(uint64), arg uint64) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at tick %d before now %d", t, k.now))
 	}
 	k.seq++
-	k.events.push(event{tick: t, seq: k.seq, fn: fn, arg: arg})
+	k.events.farPush(event{tick: t, seq: k.seq, fn: fn, arg: arg})
 }
 
 // AfterFunc schedules fn(arg) to run d ticks from now (see AtFunc).
@@ -97,7 +121,11 @@ func (k *Kernel) Stop() { k.stopped = true }
 // tick. Batching the monotone-time and watchdog checks per tick instead
 // of per event is what keeps million-event open-loop runs cheap; the
 // dispatch order is identical to the per-event loop because a bucket
-// holds exactly one tick's events in seq order.
+// holds exactly one tick's events in seq order. A dispatched slot is read
+// in place and not cleared: its func value is bound once per system and
+// lives as long as the kernel, so the stale copy keeps nothing alive; the
+// next schedule into the bucket overwrites it, and Drain drops the
+// arrays.
 func (k *Kernel) dispatchTick(b *bucket) {
 	t := k.events.now
 	if t < k.now {
@@ -109,15 +137,13 @@ func (k *Kernel) dispatchTick(b *bucket) {
 			k.maxTick, t, k.live))
 	}
 	for b.head < len(b.ev) && !k.stopped {
-		e := b.ev[b.head]
-		b.ev[b.head] = event{} // release closure references for GC
+		s := &b.ev[b.head]
 		b.head++
-		k.events.wheelLen--
 		k.executed++
 		if k.obs != nil {
-			k.obs(e.tick, e.seq)
+			k.obs(t, s.seq)
 		}
-		e.fn(e.arg)
+		s.fn(s.arg)
 	}
 	if b.head == len(b.ev) {
 		b.ev = b.ev[:0]

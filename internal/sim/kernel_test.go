@@ -115,6 +115,50 @@ func TestRunUntilAfterStop(t *testing.T) {
 	}
 }
 
+// TestPendingExact: Pending counts the undispatched events, wheel and
+// far heap alike, and always equals the events scheduled minus
+// Executed(): inside a callback, after a Stop leaves a bucket half
+// dispatched, after RunUntil jumps the window past a far-heap event's
+// migration, and after Drain.
+func TestPendingExact(t *testing.T) {
+	k := New()
+	scheduled := 0
+	at := func(tick uint64, fn func(uint64)) {
+		scheduled++
+		k.AtFunc(tick, fn, 0)
+	}
+	check := func(where string, want int) {
+		t.Helper()
+		if got := k.Pending(); got != want || got != scheduled-int(k.Executed()) {
+			t.Fatalf("%s: Pending() = %d, want %d (scheduled %d, executed %d)",
+				where, got, want, scheduled, k.Executed())
+		}
+	}
+	nop := func(uint64) {}
+	at(5, func(uint64) { check("first callback", 6) })
+	at(5, func(uint64) { k.Stop() })
+	at(5, nop)
+	at(5, nop)
+	at(40, nop)
+	at(500, nop)  // far heap until the window reaches it
+	at(2000, nop) // far heap
+	check("before Run", 7)
+	k.Run()
+	check("after a Stop mid-bucket", 5)
+	k.RunUntil(480) // dispatches the rest of tick 5 and tick 40
+	check("after RunUntil jumped the window", 2)
+	at(490, nop)
+	check("scheduled in the jumped window", 3)
+	k.RunUntil(1000)
+	check("after RunUntil(1000)", 1)
+	at(1500, nop)
+	k.Drain() // drops the events at 1500 and 2000 undispatched
+	scheduled = int(k.Executed())
+	check("after Drain", 0)
+	k.Run()
+	check("after Run on a drained kernel", 0)
+}
+
 // TestRunUntilWatchdogPanics is the regression test for the RunUntil
 // loop bypassing the watchdog: a livelock below the horizon used to
 // spin until the horizon instead of panicking at the deadline like Run.

@@ -9,11 +9,13 @@ import "math/bits"
 // device ticks, bus deliveries, and retry backoffs of this repository
 // land — lives in a calendar wheel of wheelSize buckets indexed by
 // tick & wheelMask. Everything at or beyond now+wheelSize lives in a
-// hand-rolled binary min-heap ("far" heap). Both levels store event
-// structs by value in reusable backing arrays, so scheduling never boxes
+// hand-rolled binary min-heap ("far" heap). Both levels store their
+// records by value in reusable backing arrays, so scheduling never boxes
 // through an interface and never heap-allocates once the arrays have
 // grown to the workload's high-water mark (container/heap's any-typed
-// Push allocated on every call).
+// Push allocated on every call). A wheel slot is 24 bytes, {fn, arg,
+// seq}: its bucket implies its tick. The far heap keeps the 32-byte
+// event, tick included, and migration drops the tick.
 //
 // Two structural choices keep the wheel cheap at scale:
 //
@@ -21,7 +23,7 @@ import "math/bits"
 //     holds undispatched events. Finding the earliest pending tick is a
 //     rotate + trailing-zeros instead of a worst-case 64-bucket scan.
 //   - Fresh buckets draw their initial backing array from a slab carved
-//     in bucketChunk-event pieces, so a newly built kernel costs a
+//     in bucketChunk-slot pieces, so a newly built kernel costs a
 //     couple of slab allocations instead of one append-growth chain per
 //     touched bucket.
 //
@@ -54,9 +56,9 @@ const (
 	// slab allocation so an idle kernel pays nothing and a busy one pays
 	// ~one allocation total: sized to the whole wheel, a kernel that
 	// eventually touches every bucket (any long-running model does) takes
-	// a single 32 KB slab (64 buckets x 16 events x 32 B) instead of a
+	// a single 24 KB slab (64 buckets x 16 slots x 24 B) instead of a
 	// per-bucket growth chain. The chunk is sized for short runs, which
-	// pay for the slab once per run: a bucket that outgrows 16 events
+	// pay for the slab once per run: a bucket that outgrows 16 slots
 	// grows once and keeps its array, so a long run stays allocation-free
 	// after warm-up.
 	bucketChunk = 16
@@ -68,7 +70,7 @@ const (
 	farInitCap = 64
 )
 
-// event is one scheduled callback, fn(arg), at (tick, seq).
+// event is one far-heap record: fn(arg) at (tick, seq).
 type event struct {
 	tick uint64
 	seq  uint64
@@ -76,54 +78,74 @@ type event struct {
 	arg  uint64
 }
 
-// bucket is one wheel slot: a FIFO of same-tick events. head indexes the
-// next event to dispatch; the backing array is reused across windows.
+// slot is one wheel record: fn(arg) at its bucket's tick, ordered by seq.
+type slot struct {
+	fn  func(uint64)
+	arg uint64
+	seq uint64
+}
+
+// bucket is one wheel position: a FIFO of same-tick slots. head indexes
+// the next slot to dispatch; the backing array is reused across windows.
 type bucket struct {
 	head int
-	ev   []event
+	ev   []slot
 }
 
 // eventQueue is the two-level queue. now mirrors the kernel's clock and
 // anchors the wheel window.
 type eventQueue struct {
-	now      uint64
-	occ      uint64 // bit i set iff wheel[i] has undispatched events
-	wheelLen int    // events currently in the wheel
-	wheel    [wheelSize]bucket
-	far      []event // binary min-heap on (tick, seq); ticks >= now+wheelSize
-	slab     []event // backing store carved into fresh bucket arrays
+	now   uint64
+	occ   uint64 // bit i set iff wheel[i] has undispatched slots
+	wheel [wheelSize]bucket
+	far   []event // binary min-heap on (tick, seq); ticks >= now+wheelSize
+	slab  []slot  // backing store carved into fresh bucket arrays
 }
 
-// len reports the number of pending events.
-func (q *eventQueue) len() int { return q.wheelLen + len(q.far) }
+// len reports the number of pending events. Only tests ask, so it sums
+// the buckets instead of the dispatch loop keeping a count.
+func (q *eventQueue) len() int {
+	n := len(q.far)
+	for i := range q.wheel {
+		n += len(q.wheel[i].ev) - q.wheel[i].head
+	}
+	return n
+}
 
-// grab carves a fresh bucketChunk-capacity array out of the slab,
-// replenishing the slab when exhausted. The three-index slice expression
-// caps the chunk so append growth beyond bucketChunk reallocates instead
-// of clobbering the neighbouring chunk.
-func (q *eventQueue) grab() []event {
+// put appends s to the bucket of tick t, which must lie in the window.
+// Kernel.AtFunc writes the same steps out in line. The bucket is full
+// only when it first gets an array or outgrows it.
+func (q *eventQueue) put(t uint64, s slot) {
+	b := &q.wheel[t&wheelMask]
+	n := len(b.ev)
+	if n == cap(b.ev) {
+		q.grow(b)
+	}
+	b.ev = b.ev[:n+1]
+	b.ev[n] = s
+	q.occ |= 1 << (t & wheelMask)
+}
+
+// grow gives a full bucket room for one more slot: a fresh
+// bucketChunk-capacity array carved out of the slab (replenished when
+// exhausted) on first use, append doubling after that. The three-index
+// slice expression caps the chunk so growth beyond bucketChunk
+// reallocates instead of clobbering the neighbouring chunk. It is kept
+// out of line so the schedule path stays short.
+//
+//go:noinline
+func (q *eventQueue) grow(b *bucket) {
+	if cap(b.ev) != 0 {
+		b.ev = append(b.ev, slot{})[:len(b.ev)]
+		return
+	}
 	n := len(q.slab)
 	if cap(q.slab)-n < bucketChunk {
-		q.slab = make([]event, 0, bucketChunk*slabBuckets)
+		q.slab = make([]slot, 0, bucketChunk*slabBuckets)
 		n = 0
 	}
 	q.slab = q.slab[:n+bucketChunk]
-	return q.slab[n : n : n+bucketChunk]
-}
-
-// push inserts an event. e.tick must be >= q.now (the kernel checks).
-func (q *eventQueue) push(e event) {
-	if e.tick-q.now < wheelSize {
-		b := &q.wheel[e.tick&wheelMask]
-		if cap(b.ev) == 0 {
-			b.ev = q.grab()
-		}
-		b.ev = append(b.ev, e)
-		q.occ |= 1 << (e.tick & wheelMask)
-		q.wheelLen++
-		return
-	}
-	q.farPush(e)
+	b.ev = q.slab[n : n : n+bucketChunk]
 }
 
 // advanceTo moves the window start to t (monotone) and migrates far-heap
@@ -135,13 +157,7 @@ func (q *eventQueue) advanceTo(t uint64) {
 	q.now = t
 	for len(q.far) > 0 && q.far[0].tick-t < wheelSize {
 		e := q.farPop()
-		b := &q.wheel[e.tick&wheelMask]
-		if cap(b.ev) == 0 {
-			b.ev = q.grab()
-		}
-		b.ev = append(b.ev, e)
-		q.occ |= 1 << (e.tick & wheelMask)
-		q.wheelLen++
+		q.put(e.tick, slot{fn: e.fn, arg: e.arg, seq: e.seq})
 	}
 }
 
@@ -186,7 +202,6 @@ func (q *eventQueue) reset() {
 		q.wheel[i] = bucket{}
 	}
 	q.occ = 0
-	q.wheelLen = 0
 	q.far = nil
 	q.slab = nil
 }

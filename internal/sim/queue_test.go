@@ -35,34 +35,55 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
+// push schedules (tick, seq) the way Kernel.AtFunc does: a tick inside
+// the window goes into its bucket as a slot, any later one onto the far
+// heap.
+func push(q *eventQueue, tick, seq uint64) {
+	if tick-q.now < wheelSize {
+		q.put(tick, slot{seq: seq})
+		return
+	}
+	q.farPush(event{tick: tick, seq: seq})
+}
+
 // pop removes and returns the earliest event the way the kernel's run
 // loop does — startTick positions the bucket, which then drains FIFO —
-// one event at a time. The second return is false when q is empty.
+// one event at a time. The slot's tick is the window's now. The second
+// return is false when q is empty.
 func pop(q *eventQueue) (event, bool) {
 	b := q.startTick(^uint64(0))
 	if b == nil {
 		return event{}, false
 	}
-	e := b.ev[b.head]
-	b.ev[b.head] = event{}
+	s := b.ev[b.head]
 	b.head++
-	q.wheelLen--
 	if b.head == len(b.ev) {
 		b.ev = b.ev[:0]
 		b.head = 0
 		q.occ &^= 1 << (q.now & wheelMask)
 	}
-	return e, true
+	return event{tick: q.now, seq: s.seq, fn: s.fn, arg: s.arg}, true
 }
 
-// TestEventSize pins the event record at two uint64s, one func value and
-// one uint64 — 32 bytes on 64-bit platforms — so a second callback slot
-// cannot creep back into the wheel's working set.
+// TestEventSize pins the far-heap record at two uint64s, one func value
+// and one uint64 — 32 bytes on 64-bit platforms — so a second callback
+// slot cannot creep back into the queue.
 func TestEventSize(t *testing.T) {
 	var f func(uint64)
 	want := 3*unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(f)
 	if got := unsafe.Sizeof(event{}); got != want {
 		t.Fatalf("sizeof(event) = %d, want %d", got, want)
+	}
+}
+
+// TestSlotSize pins the wheel record at one func value and two uint64s —
+// 24 bytes on 64-bit platforms: the bucket implies the tick, so the
+// tick cannot creep back into the wheel's working set.
+func TestSlotSize(t *testing.T) {
+	var f func(uint64)
+	want := 2*unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(f)
+	if got := unsafe.Sizeof(slot{}); got != want {
+		t.Fatalf("sizeof(slot) = %d, want %d", got, want)
 	}
 }
 
@@ -119,7 +140,7 @@ func TestQueueMatchesSeedHeap(t *testing.T) {
 			}
 			seq++
 			tick := now + d
-			q.push(event{tick: tick, seq: seq})
+			push(&q, tick, seq)
 			heap.Push(&ref, refEvent{tick: tick, seq: seq})
 			pending++
 		}
