@@ -190,8 +190,8 @@ tune:
 fabric-smoke:
 	$(GO) run ./cmd/spamer fabric-smoke
 
-# Long-lived simulation-as-a-service daemon (docs/SERVICE.md). With the
-# fabric on (default), attach workers via `make worker COORDINATOR=...`.
+# Long-lived simulation-as-a-service daemon (docs/SERVICE.md); it is the
+# fabric coordinator, so attach workers via `make worker COORDINATOR=...`.
 serve:
 	$(GO) run ./cmd/spamer serve
 

@@ -16,28 +16,28 @@ import (
 	"spamer/internal/harness"
 )
 
-// batch1/batch2 are the golden batches: same benchmarks, distinct
-// labels, so batch2 has fresh canonical hashes and cannot be answered
-// from the store — its shards must be placed, which is what drives one
-// of them onto the dead worker.
-const (
-	batch1 = `[{"benchmark":"ping-pong","algorithms":["vl"],"label":"s1"},
-{"benchmark":"ping-pong","algorithms":["vl","0delay"],"label":"s2"},
-{"benchmark":"incast","algorithms":["vl"],"label":"s3"}]`
-	batch2 = `[{"benchmark":"ping-pong","algorithms":["vl"],"label":"k1"},
-{"benchmark":"ping-pong","algorithms":["vl","0delay"],"label":"k2"},
-{"benchmark":"incast","algorithms":["vl"],"label":"k3"}]`
-)
+// smokeBatch is a golden batch of three specs labelled prefix1..3.
+// Every phase uses a fresh prefix, so its specs have fresh canonical
+// hashes and cannot be answered from the store: each shard must run,
+// which is what drives one of them onto the dead worker.
+func smokeBatch(prefix string) string {
+	return fmt.Sprintf(`[{"benchmark":"ping-pong","algorithms":["vl"],"label":"%[1]s1"},
+{"benchmark":"ping-pong","algorithms":["vl","0delay"],"label":"%[1]s2"},
+{"benchmark":"incast","algorithms":["vl"],"label":"%[1]s3"}]`, prefix)
+}
 
 // fabricSmokeCmd is the end-to-end exercise of the distributed
 // simulation fabric with real processes: it re-executes this binary as
-// `spamer serve` plus two `spamer worker` processes on loopback, submits
-// a golden spec batch over the service API, and byte-compares the
-// distributed outcomes against an in-process run. It then SIGKILLs one
-// worker and submits a second batch: the coordinator must observe the
-// broken lease, re-dispatch to the survivor, and still return outcomes
-// byte-identical to local — the retry path under genuine process death
-// (docs/FABRIC.md). Any divergence, timeout, or missed retry exits 1.
+// `spamer serve`, submits a golden spec batch over the service API
+// before any worker exists, and byte-compares the outcomes — which the
+// coordinator's local fallback must have produced — against an
+// in-process run. It then starts two `spamer worker` processes on
+// loopback and repeats with a fresh batch, which must be placed on
+// them. Last it SIGKILLs one worker and submits a third batch: the
+// coordinator must observe the broken lease, re-dispatch to the
+// survivor, and still return outcomes byte-identical to local — the
+// retry path under genuine process death (docs/FABRIC.md). Any
+// divergence, timeout, or missed retry exits 1.
 func fabricSmokeCmd(c *cli) error {
 	if err := c.parse(); err != nil {
 		return err
@@ -78,6 +78,22 @@ func fabricSmoke(c *cli) error {
 		return fmt.Errorf("coordinator never came up: %w", err)
 	}
 
+	// Phase 0: with no worker attached, every spec runs in the
+	// coordinator's local fallback — the service's only local mode.
+	if err := submitAndCompare(ctx, coordURL, smokeBatch("z")); err != nil {
+		return fmt.Errorf("zero-worker batch: %w", err)
+	}
+	m, err := httpDo(ctx, "GET", coordURL+"/metrics", "")
+	if err != nil {
+		return err
+	}
+	for _, want := range []string{"spamer_fabric_local_fallbacks_total 3\n", "spamer_fabric_placements_total 0\n"} {
+		if !strings.Contains(string(m), want) {
+			return fmt.Errorf("zero-worker batch: metrics missing %q:\n%s", strings.TrimSpace(want), m)
+		}
+	}
+	fmt.Fprintln(c.stdout, "fabric-smoke: zero-worker batch ran in the local fallback, byte-identical to local run")
+
 	workers := make(map[string]*exec.Cmd)
 	for _, id := range []string{"w1", "w2"} {
 		port, err := freePort()
@@ -103,7 +119,7 @@ func fabricSmoke(c *cli) error {
 
 	// Phase 1: golden batch through the full wire path must equal the
 	// in-process run byte for byte.
-	if err := submitAndCompare(ctx, coordURL, batch1); err != nil {
+	if err := submitAndCompare(ctx, coordURL, smokeBatch("s")); err != nil {
 		return fmt.Errorf("golden batch: %w", err)
 	}
 	fmt.Fprintln(c.stdout, "fabric-smoke: golden batch byte-identical to local run")
@@ -117,12 +133,12 @@ func fabricSmoke(c *cli) error {
 	}
 	workers["w1"].Wait()
 	fmt.Fprintln(c.stdout, "fabric-smoke: killed w1 (SIGKILL)")
-	if err := submitAndCompare(ctx, coordURL, batch2); err != nil {
+	if err := submitAndCompare(ctx, coordURL, smokeBatch("k")); err != nil {
 		return fmt.Errorf("post-kill batch: %w", err)
 	}
 	// Dispatch is synchronous, so by job completion the broken lease has
 	// already been observed and re-dispatched — the counter must show it.
-	m, err := httpDo(ctx, "GET", coordURL+"/metrics", "")
+	m, err = httpDo(ctx, "GET", coordURL+"/metrics", "")
 	if err != nil {
 		return err
 	}

@@ -17,7 +17,7 @@
 //	spamer run [-spec experiment.json] [-parallel N]
 //	spamer verify [-n N] [-seed S] [-out DIR] [-workers N] [-repro FILE]
 //	spamer benchjson [-out FILE] [-baseline OLD.json] [-gate] [-gate-pct P]
-//	spamer serve [-addr :8080] [-queue 64] [-jobs 1] [-parallel N] [-cache 256] ...
+//	spamer serve [-addr :8080] [-queue 64] [-jobs 1] [-parallel N] [-cache 256] [-fabric-store 4096] ...
 //	spamer worker -coordinator URL [-addr :9090] [-slots 1] [-parallel N] ...
 //	spamer fabric-smoke
 //

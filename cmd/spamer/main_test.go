@@ -96,6 +96,12 @@ func TestFlagErrors(t *testing.T) {
 	if code, _, _ := call(t, "", "sweep", "-nosuchflag"); code != 2 {
 		t.Errorf("bad flag: exit = %d, want 2", code)
 	}
+	// serve has no -fabric switch: every job runs through the fabric
+	// coordinator. The bad -addr makes a build that accepted the flag
+	// fail fast instead of serving.
+	if code, _, _ := call(t, "", "serve", "-fabric=false", "-addr", "127.0.0.1:-1"); code != 2 {
+		t.Errorf("serve -fabric=false: exit = %d, want 2", code)
+	}
 	if code, _, stderr := call(t, "", "tune", "-h"); code != 0 || !strings.Contains(stderr, "-rounds") {
 		t.Errorf("-h: exit = %d, stderr %q", code, stderr)
 	}

@@ -14,18 +14,18 @@ import (
 
 // serveCmd runs the simulation-as-a-service daemon: a long-lived HTTP
 // server that executes experiments.Spec jobs (the JSON `spamer run`
-// reads) on the internal/harness pool, with bounded admission (429 +
-// Retry-After under overload), a content-addressed result cache, live
-// SSE progress, and Prometheus metrics. See docs/SERVICE.md for the API.
+// reads), with bounded admission (429 + Retry-After under overload), a
+// content-addressed result cache, live SSE progress, and Prometheus
+// metrics. See docs/SERVICE.md for the API.
 //
-// With -fabric (the default) the daemon is also the coordinator of the
-// distributed simulation fabric (docs/FABRIC.md): `spamer worker`
-// processes register under /v1/fabric/, jobs shard by canonical spec
-// hash onto the pool with queue-depth-aware placement and lease-based
-// retry, and a shared content-addressed result store makes any
-// worker's completed spec a cache hit for every client. With no
-// workers attached, the coordinator's local fallback reproduces
-// single-process behaviour exactly.
+// Every job runs through the coordinator of the distributed simulation
+// fabric (docs/FABRIC.md): `spamer worker` processes register under
+// /v1/fabric/, jobs shard by canonical spec hash onto the pool with
+// queue-depth-aware placement and lease-based retry, and a shared
+// content-addressed result store makes any worker's completed spec a
+// cache hit for every client. With no worker attached, the
+// coordinator's local fallback runs each spec in this process on
+// -parallel simulations, each bounded by -run-timeout.
 //
 // SIGTERM/SIGINT triggers a graceful drain: admission stops, every
 // admitted job finishes (bounded by -drain-timeout), then the process
@@ -34,11 +34,10 @@ func serveCmd(c *cli) error {
 	addr := c.flags.String("addr", ":8080", "listen address")
 	queue := c.flags.Int("queue", 64, "admission queue depth (full queue returns 429)")
 	jobs := c.flags.Int("jobs", 1, "jobs executed concurrently")
-	c.addParallel("simulations per job run concurrently (0 = GOMAXPROCS)")
+	c.addParallel("simulations per spec run concurrently by the local fallback (0 = GOMAXPROCS)")
 	cacheEntries := c.flags.Int("cache", 256, "result cache entries (negative disables)")
-	runTimeout := c.flags.Duration("run-timeout", 0, "per-simulation timeout (0 = none)")
+	runTimeout := c.flags.Duration("run-timeout", 0, "per-simulation timeout in the local fallback (0 = none)")
 	drainTimeout := c.flags.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
-	useFabric := c.flags.Bool("fabric", true, "coordinate a pool of spamer worker processes (docs/FABRIC.md)")
 	fabricHeartbeat := c.flags.Duration("fabric-heartbeat", 2*time.Second, "heartbeat cadence told to workers")
 	fabricExpire := c.flags.Duration("fabric-expire", 0, "presence deadline for silent workers (0 = 3x heartbeat)")
 	fabricDispatch := c.flags.Duration("fabric-dispatch-timeout", 10*time.Minute, "lease bound for one dispatched spec shard")
@@ -48,10 +47,11 @@ func serveCmd(c *cli) error {
 		return err
 	}
 
-	var coord *fabric.Coordinator
-	mode := "single-process"
-	if *useFabric {
-		coord = fabric.NewCoordinator(fabric.CoordinatorOptions{
+	srv := service.New(service.Options{
+		QueueDepth:   *queue,
+		JobWorkers:   *jobs,
+		CacheEntries: *cacheEntries,
+		Fabric: fabric.NewCoordinator(fabric.CoordinatorOptions{
 			HeartbeatEvery:  *fabricHeartbeat,
 			ExpireAfter:     *fabricExpire,
 			DispatchTimeout: *fabricDispatch,
@@ -59,19 +59,10 @@ func serveCmd(c *cli) error {
 			StoreEntries:    *fabricStore,
 			LocalWorkers:    c.workers,
 			RunTimeout:      *runTimeout,
-		})
-		mode = "fabric coordinator"
-	}
-	srv := service.New(service.Options{
-		QueueDepth:   *queue,
-		JobWorkers:   *jobs,
-		RunWorkers:   c.workers,
-		RunTimeout:   *runTimeout,
-		CacheEntries: *cacheEntries,
-		Fabric:       coord,
+		}),
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
-	fmt.Fprintf(c.stderr, "%s: listening on %s (queue=%d jobs=%d, %s)\n", c.name, *addr, *queue, *jobs, mode)
+	fmt.Fprintf(c.stderr, "%s: listening on %s (queue=%d jobs=%d)\n", c.name, *addr, *queue, *jobs)
 	return c.serveUntilSignal(hs, *drainTimeout, "admitted jobs", func(ctx context.Context) error {
 		err := srv.Drain(ctx)
 		if err != nil {

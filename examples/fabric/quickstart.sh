@@ -20,7 +20,7 @@ echo "==> building spamer (spamer serve is the coordinator, spamer worker the ag
 SPAMER="${TMPDIR:-/tmp}/spamer"
 go build -o "$SPAMER" ./cmd/spamer
 
-echo "==> starting the coordinator on $ADDR (fabric is on by default)"
+echo "==> starting the coordinator on $ADDR"
 "$SPAMER" serve -addr "$ADDR" -fabric-heartbeat 500ms &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" $W1_PID $W2_PID 2>/dev/null || true' EXIT INT TERM

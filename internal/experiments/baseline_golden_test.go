@@ -6,6 +6,7 @@ import (
 
 	"spamer"
 	"spamer/internal/harness"
+	"spamer/internal/mem"
 	"spamer/internal/noc"
 	"spamer/internal/sim"
 	"spamer/internal/swqueue"
@@ -37,9 +38,28 @@ func runCoherentTraced() (uint64, uint64) {
 	q := swqueue.NewCoherentQueue(k, noc.New(k), 4)
 	const n = 50
 	(&swStage{out: q.End(0), n: n}).spawn(k, "producer")
-	(&swStage{in: q.End(1), core: 1, n: n, work: 10}).spawn(k, "consumer")
+	(&swStage{in: []*swqueue.End{q.End(1)}, core: 1, n: n, work: 10}).spawn(k, "consumer")
 	k.Run()
 	return rec.Sum(), k.Now()
+}
+
+// TestSWIncastConservesMessages: the software incast's master pops each
+// of the producers' 400 messages exactly once.
+func TestSWIncastConservesMessages(t *testing.T) {
+	popped := map[mem.Message]int{}
+	pops := 0
+	swIncast(func(m mem.Message) {
+		popped[m]++
+		pops++
+	})
+	if pops != swsMessages || len(popped) != swsMessages {
+		t.Fatalf("master popped %d messages, %d distinct; want %d, each once", pops, len(popped), swsMessages)
+	}
+	for m := range popped {
+		if m.Src < 0 || m.Src >= 4 || m.Seq >= swsMessages/4 || m.Payload != 0 {
+			t.Errorf("popped %+v, which no producer pushed", m)
+		}
+	}
 }
 
 func TestGoldenBaselineModels(t *testing.T) {
@@ -68,7 +88,7 @@ func TestGoldenBaselineModels(t *testing.T) {
 			sw, vl, spamerTick uint64
 		}{
 			{"chain3", 122338, 29680, 17311},
-			{"incast4", 27886, 22886, 10931},
+			{"incast4", 63082, 22886, 10931},
 		}
 		if len(rows) != len(want) {
 			t.Fatalf("%d rows, want %d", len(rows), len(want))

@@ -48,7 +48,7 @@ func RunMatrixParallel(ctx context.Context, scale int, opts harness.Options) (*M
 		for _, alg := range m.Configs {
 			cells = append(cells, cell{w.Name, alg})
 			tasks = append(tasks, runTask(w,
-				spamer.Config{Algorithm: alg, Deadline: 1 << 40}, scale, w.Name+"/"+alg))
+				spamer.Config{Algorithm: alg}, scale, w.Name+"/"+alg))
 		}
 	}
 	outs, _ := harness.Run(ctx, tasks, opts)
@@ -84,15 +84,15 @@ func Figure11Parallel(ctx context.Context, benchName string, scale int, opts har
 	}
 
 	tasks := []harness.Task[spamer.Result]{
-		runTask(w, spamer.Config{Algorithm: spamer.AlgBaseline, Deadline: 1 << 40}, scale, benchName+"/vl"),
+		runTask(w, spamer.Config{Algorithm: spamer.AlgBaseline}, scale, benchName+"/vl"),
 	}
 	for _, alg := range named {
 		tasks = append(tasks, runTask(w,
-			spamer.Config{Algorithm: alg, Deadline: 1 << 40}, scale, benchName+"/"+alg))
+			spamer.Config{Algorithm: alg}, scale, benchName+"/"+alg))
 	}
 	for _, p := range grid {
 		tasks = append(tasks, runTask(w,
-			spamer.Config{Algorithm: spamer.AlgTuned, Tuned: p, Deadline: 1 << 40}, scale,
+			spamer.Config{Algorithm: spamer.AlgTuned, Tuned: p}, scale,
 			benchName+"/tuned{"+p.String()+"}"))
 	}
 	outs, _ := harness.Run(ctx, tasks, opts)
@@ -131,8 +131,8 @@ func InlineStudyParallel(ctx context.Context, scale int, opts harness.Options) (
 	var tasks []harness.Task[spamer.Result]
 	for _, w := range all {
 		tasks = append(tasks,
-			runTask(w, spamer.Config{Algorithm: spamer.AlgBaseline, NoInline: true, Deadline: 1 << 40}, scale, w.Name+"/called"),
-			runTask(w, spamer.Config{Algorithm: spamer.AlgBaseline, Deadline: 1 << 40}, scale, w.Name+"/inlined"))
+			runTask(w, spamer.Config{Algorithm: spamer.AlgBaseline, NoInline: true}, scale, w.Name+"/called"),
+			runTask(w, spamer.Config{Algorithm: spamer.AlgBaseline}, scale, w.Name+"/inlined"))
 	}
 	outs, _ := harness.Run(ctx, tasks, opts)
 	results, err := harness.Values(outs)
@@ -155,10 +155,10 @@ func PredictorStudyParallel(ctx context.Context, scale int, opts harness.Options
 	var tasks []harness.Task[spamer.Result]
 	for _, w := range all {
 		tasks = append(tasks, runTask(w,
-			spamer.Config{Algorithm: spamer.AlgBaseline, Deadline: 1 << 40}, scale, w.Name+"/vl"))
+			spamer.Config{Algorithm: spamer.AlgBaseline}, scale, w.Name+"/vl"))
 		for _, alg := range algs {
 			tasks = append(tasks, runTask(w,
-				spamer.Config{Algorithm: "custom", CustomAlgorithm: alg, Deadline: 1 << 40}, scale,
+				spamer.Config{Algorithm: "custom", CustomAlgorithm: alg}, scale,
 				w.Name+"/"+alg.Name()))
 		}
 	}
@@ -212,8 +212,8 @@ func sweepParallel(ctx context.Context, bench string, xs []int,
 func SRDEntriesSweepParallel(ctx context.Context, bench string, sizes []int, scale int, opts harness.Options) ([]SweepPoint, error) {
 	return sweepParallel(ctx, bench, sizes, func(n int) (spamer.Config, spamer.Config) {
 		cfg := vl.Config{ProdEntries: n, ConsEntries: n, LinkEntries: max(n, 64)}
-		return spamer.Config{Algorithm: spamer.AlgBaseline, SRD: cfg, Deadline: 1 << 40},
-			spamer.Config{Algorithm: spamer.AlgTuned, SRD: cfg, Deadline: 1 << 40}
+		return spamer.Config{Algorithm: spamer.AlgBaseline, SRD: cfg},
+			spamer.Config{Algorithm: spamer.AlgTuned, SRD: cfg}
 	}, scale, opts)
 }
 
@@ -226,16 +226,16 @@ func HopLatencySweepParallel(ctx context.Context, bench string, hops []uint64, s
 		xs[i] = int(h)
 	}
 	return sweepParallel(ctx, bench, xs, func(h int) (spamer.Config, spamer.Config) {
-		return spamer.Config{Algorithm: spamer.AlgBaseline, HopLatency: uint64(h), Deadline: 1 << 40},
-			spamer.Config{Algorithm: spamer.AlgZeroDelay, HopLatency: uint64(h), Deadline: 1 << 40}
+		return spamer.Config{Algorithm: spamer.AlgBaseline, HopLatency: uint64(h)},
+			spamer.Config{Algorithm: spamer.AlgZeroDelay, HopLatency: uint64(h)}
 	}, scale, opts)
 }
 
 // BusChannelsSweepParallel varies the interconnect parallelism.
 func BusChannelsSweepParallel(ctx context.Context, bench string, channels []int, scale int, opts harness.Options) ([]SweepPoint, error) {
 	return sweepParallel(ctx, bench, channels, func(c int) (spamer.Config, spamer.Config) {
-		return spamer.Config{Algorithm: spamer.AlgBaseline, BusChannels: c, Deadline: 1 << 40},
-			spamer.Config{Algorithm: spamer.AlgZeroDelay, BusChannels: c, Deadline: 1 << 40}
+		return spamer.Config{Algorithm: spamer.AlgBaseline, BusChannels: c},
+			spamer.Config{Algorithm: spamer.AlgZeroDelay, BusChannels: c}
 	}, scale, opts)
 }
 
@@ -245,8 +245,8 @@ func BusChannelsSweepParallel(ctx context.Context, bench string, channels []int,
 // send-port contention on many-queue workloads.
 func DevicesSweepParallel(ctx context.Context, bench string, devices []int, scale int, opts harness.Options) ([]SweepPoint, error) {
 	return sweepParallel(ctx, bench, devices, func(d int) (spamer.Config, spamer.Config) {
-		return spamer.Config{Algorithm: spamer.AlgBaseline, Devices: d, Deadline: 1 << 40},
-			spamer.Config{Algorithm: spamer.AlgZeroDelay, Devices: d, Deadline: 1 << 40}
+		return spamer.Config{Algorithm: spamer.AlgBaseline, Devices: d},
+			spamer.Config{Algorithm: spamer.AlgZeroDelay, Devices: d}
 	}, scale, opts)
 }
 
@@ -258,11 +258,10 @@ func ObfuscationStudyParallel(ctx context.Context, jitter uint64, scale int, opt
 	var tasks []harness.Task[spamer.Result]
 	for _, w := range all {
 		tasks = append(tasks,
-			runTask(w, spamer.Config{Algorithm: spamer.AlgTuned, Deadline: 1 << 40}, scale, w.Name+"/plain"),
+			runTask(w, spamer.Config{Algorithm: spamer.AlgTuned}, scale, w.Name+"/plain"),
 			runTask(w, spamer.Config{
 				Algorithm:       "custom",
 				CustomAlgorithm: core.Obfuscated{Inner: core.NewTuned(), Key: 0x5eed, MaxJitter: jitter},
-				Deadline:        1 << 40,
 			}, scale, w.Name+"/obfuscated"))
 	}
 	outs, _ := harness.Run(ctx, tasks, opts)
@@ -291,7 +290,7 @@ func SoftwareQueueStudyParallel(ctx context.Context, opts harness.Options) ([]So
 		{Label: "chain3/sw", Run: func(context.Context) (uint64, error) { return swChain(), nil }},
 		{Label: "chain3/vl", Run: func(context.Context) (uint64, error) { return hwChain(spamer.AlgBaseline), nil }},
 		{Label: "chain3/spamer", Run: func(context.Context) (uint64, error) { return hwChain(spamer.AlgZeroDelay), nil }},
-		{Label: "incast4/sw", Run: func(context.Context) (uint64, error) { return swIncast(), nil }},
+		{Label: "incast4/sw", Run: func(context.Context) (uint64, error) { return swIncast(nil), nil }},
 		{Label: "incast4/vl", Run: func(context.Context) (uint64, error) { return hwIncast(spamer.AlgBaseline), nil }},
 		{Label: "incast4/spamer", Run: func(context.Context) (uint64, error) { return hwIncast(spamer.AlgZeroDelay), nil }},
 	}

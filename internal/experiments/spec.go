@@ -168,7 +168,6 @@ func (s *Spec) systemConfig(alg string) spamer.Config {
 		BusChannels: s.Channels,
 		Devices:     s.Devices,
 		NoInline:    s.NoInline,
-		Deadline:    1 << 40,
 	}
 	if s.Fault != nil {
 		cfg.FaultDropStash = s.Fault.DropStash

@@ -32,14 +32,17 @@ const (
 )
 
 // swStage is a thread of the software side: for each of n messages it
-// pops from in (unless in is nil), charges work cycles (0: none), and
-// pushes to out (unless out is nil) the popped message or, at a source,
-// message i of its core.
+// pops message i from in[i % len(in)] (unless in is empty), hands it to
+// onPop (if set), charges work cycles (0: none), and pushes to out
+// (unless out is nil) the popped message or, at a source, message i of
+// its core.
 type swStage struct {
-	in, out *swqueue.End
-	core    int
-	n       int
-	work    uint64
+	in    []*swqueue.End
+	out   *swqueue.End
+	core  int
+	n     int
+	work  uint64
+	onPop func(mem.Message)
 
 	k    *sim.Kernel
 	task *sim.Task
@@ -68,14 +71,17 @@ func (m *swStage) run(state uint64) {
 			m.task.Exit()
 			return
 		}
-		if m.in != nil {
-			m.in.PopThen(sim.Cont{Fn: m.step, Arg: swWork})
+		if len(m.in) > 0 {
+			m.in[m.i%len(m.in)].PopThen(sim.Cont{Fn: m.step, Arg: swWork})
 			return
 		}
 		m.msg = mem.Message{Src: m.core, Seq: uint64(m.i)}
 		m.charge()
 	case swWork:
-		m.msg = m.in.Result()
+		m.msg = m.in[m.i%len(m.in)].Result()
+		if m.onPop != nil {
+			m.onPop(m.msg)
+		}
 		m.charge()
 	case swPush:
 		if m.out != nil {
@@ -107,8 +113,8 @@ func swChain() uint64 {
 	q2 := swqueue.NewCoherentQueue(k, bus, 4)
 	ts := []swStage{
 		{out: q1.End(0), core: 0, n: swsMessages, work: swsSrcWork},
-		{in: q1.End(1), out: q2.End(1), core: 1, n: swsMessages, work: swsMidWork},
-		{in: q2.End(2), core: 2, n: swsMessages, work: swsSinkWork},
+		{in: []*swqueue.End{q1.End(1)}, out: q2.End(1), core: 1, n: swsMessages, work: swsMidWork},
+		{in: []*swqueue.End{q2.End(2)}, core: 2, n: swsMessages, work: swsSinkWork},
 	}
 	for i, name := range []string{"src", "mid", "sink"} {
 		ts[i].spawn(k, name)
@@ -127,19 +133,25 @@ func hwChain(alg string) uint64 {
 	return sys.Run().Ticks
 }
 
-// swIncast: 4 producers share one coherent queue — heavy tail/head line
-// contention, the §1 scaling pathology.
-func swIncast() uint64 {
+// swIncast: 4 producers feed one master, which sees each message it
+// pops through onPop (nil: none). The coherent queue is SPSC, so each
+// producer pushes into its own depth-2 queue (8 slots in all, as many
+// as the lines the hardware side's master opens) and the master pops
+// them round-robin: a multi-producer queue built from SPSC rings, whose
+// every message moves a data line and ping-pongs its ring's control
+// lines — the §1 scaling pathology.
+func swIncast(onPop func(mem.Message)) uint64 {
 	k := sim.New()
 	k.SetDeadline(1 << 34)
 	bus := noc.New(k)
-	q := swqueue.NewCoherentQueue(k, bus, 8)
 	ts := make([]swStage, 5)
+	ts[4] = swStage{core: 5, n: swsMessages, work: swsSinkWork, onPop: onPop}
 	for c := 0; c < 4; c++ {
+		q := swqueue.NewCoherentQueue(k, bus, 2)
 		ts[c] = swStage{out: q.End(c), core: c, n: swsMessages / 4, work: swsSrcWork * 4}
 		ts[c].spawn(k, "prod")
+		ts[4].in = append(ts[4].in, q.End(5))
 	}
-	ts[4] = swStage{in: q.End(5), core: 5, n: swsMessages, work: swsSinkWork}
 	ts[4].spawn(k, "master")
 	k.Run()
 	return k.Now()

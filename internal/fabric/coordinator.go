@@ -38,13 +38,10 @@ type CoordinatorOptions struct {
 	// StoreEntries bounds the shared content-addressed result store
 	// (default 4096; negative disables).
 	StoreEntries int
-	// MaxInFlight bounds concurrently dispatched spec shards per
-	// RunSpecs call (default 64).
-	MaxInFlight int
 	// NoLocalFallback disables running a spec on the coordinator itself
 	// when the pool is empty or exhausted; the spec then fails with the
-	// last dispatch error. The default (fallback on) means an empty
-	// pool degrades to exactly the pre-fabric single-process behaviour.
+	// last dispatch error. With the default (fallback on), an empty pool
+	// runs every spec in this process.
 	NoLocalFallback bool
 	// LocalWorkers is the harness pool width for local fallback runs
 	// (<= 0 selects GOMAXPROCS).
@@ -69,11 +66,12 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.StoreEntries == 0 {
 		o.StoreEntries = 4096
 	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 64
-	}
 	return o
 }
+
+// maxInFlight bounds concurrently dispatched spec shards per RunSpecs
+// call.
+const maxInFlight = 64
 
 // workerState is the coordinator's view of one registered worker.
 type workerState struct {
@@ -329,10 +327,10 @@ func (c *Coordinator) markDraining(id string) {
 type RunOptions struct {
 	// OnSpecStart fires when a spec shard leaves the store-lookup stage
 	// and begins executing (remotely or locally).
-	OnSpecStart func(index int, label string)
+	OnSpecStart func(label string)
 	// OnSpecDone fires when a spec shard completes; runs is the
 	// (spec, algorithm) simulation count it contributed.
-	OnSpecDone func(index int, label string, runs int, failed bool)
+	OnSpecDone func(label string, runs int, failed bool)
 }
 
 // specLabel names a spec in progress hooks and lease diagnostics.
@@ -354,14 +352,14 @@ func specLabel(s *experiments.Spec) string {
 // cannot run it — executed locally unless NoLocalFallback is set.
 func (c *Coordinator) RunSpecs(ctx context.Context, specs []experiments.Spec, opts RunOptions) []experiments.SpecResult {
 	results := make([]experiments.SpecResult, len(specs))
-	sem := make(chan struct{}, c.opts.MaxInFlight)
+	sem := make(chan struct{}, maxInFlight)
 	var wg sync.WaitGroup
 	for i := range specs {
 		results[i].Index = i
 		if err := specs[i].Validate(); err != nil {
 			results[i].Err = err
 			if opts.OnSpecDone != nil {
-				opts.OnSpecDone(i, specLabel(&specs[i]), 0, true)
+				opts.OnSpecDone(specLabel(&specs[i]), 0, true)
 			}
 			continue
 		}
@@ -393,7 +391,7 @@ func (c *Coordinator) runSpec(ctx context.Context, index int, spec experiments.S
 			c.metrics.storeHits.Add(1)
 			res.Outcomes = outs
 			if opts.OnSpecDone != nil {
-				opts.OnSpecDone(index, label, len(outs), false)
+				opts.OnSpecDone(label, len(outs), false)
 			}
 			return res
 		}
@@ -421,7 +419,7 @@ func (c *Coordinator) runSpec(ctx context.Context, index int, spec experiments.S
 	}()
 	c.metrics.storeMisses.Add(1)
 	if opts.OnSpecStart != nil {
-		opts.OnSpecStart(index, label)
+		opts.OnSpecStart(label)
 	}
 
 	outs, err := c.dispatch(ctx, &spec, hash, label)
@@ -432,7 +430,7 @@ func (c *Coordinator) runSpec(ctx context.Context, index int, spec experiments.S
 		res.Err = err
 	}
 	if opts.OnSpecDone != nil {
-		opts.OnSpecDone(index, label, len(outs), err != nil)
+		opts.OnSpecDone(label, len(outs), err != nil)
 	}
 	return res
 }

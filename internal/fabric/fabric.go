@@ -7,7 +7,7 @@
 //
 // Topology (docs/FABRIC.md):
 //
-//	client ── POST /v1/jobs ──▶ coordinator (spamer serve -fabric)
+//	client ── POST /v1/jobs ──▶ coordinator (spamer serve)
 //	                               │  shard by canonical spec hash,
 //	                               │  queue-depth-aware placement,
 //	                               │  lease + bounded retry

@@ -76,7 +76,7 @@ func NewWorker(opts WorkerOptions) *Worker {
 
 func (w *Worker) logf(format string, args ...any) {
 	if w.opts.Log != nil {
-		fmt.Fprintf(w.opts.Log, "spamer-worker %s: "+format+"\n", append([]any{w.opts.ID}, args...)...)
+		fmt.Fprintf(w.opts.Log, "spamer worker %s: "+format+"\n", append([]any{w.opts.ID}, args...)...)
 	}
 }
 

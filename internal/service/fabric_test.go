@@ -32,9 +32,9 @@ func fabricServer(t *testing.T) (*fabric.Coordinator, *httptest.Server) {
 	return coord, ts
 }
 
-// TestFabricJobMatchesLocal: a job executed through the fabric returns
-// the same outcomes as the single-process path, the per-spec store
-// counts the work, and /metrics exposes the fabric family.
+// TestFabricJobMatchesLocal: a job executed on a worker returns the
+// same outcomes as the default server's local fallback, the per-spec
+// store counts the work, and /metrics exposes the fabric family.
 func TestFabricJobMatchesLocal(t *testing.T) {
 	_, localTS := newTestServer(t, Options{})
 	coord, fabricTS := fabricServer(t)

@@ -15,9 +15,9 @@ import (
 const maxSpecBytes = 1 << 20
 
 // Handler builds the HTTP API. Routes use Go 1.22 method+wildcard mux
-// patterns, so unknown methods fall out as 405 automatically. With a
-// fabric coordinator configured, its wire protocol (register,
-// heartbeat — docs/FABRIC.md) mounts under /v1/fabric/.
+// patterns, so unknown methods fall out as 405 automatically. The
+// coordinator's wire protocol (register, heartbeat — docs/FABRIC.md)
+// mounts under /v1/fabric/.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -25,9 +25,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if s.opts.Fabric != nil {
-		mux.Handle("/v1/fabric/", http.StripPrefix("/v1/fabric", s.opts.Fabric.Handler()))
-	}
+	mux.Handle("/v1/fabric/", http.StripPrefix("/v1/fabric", s.opts.Fabric.Handler()))
 	return mux
 }
 
@@ -111,9 +109,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents streams a job's progress as Server-Sent Events: a
-// snapshot frame on connect, run_start/run_done frames as simulations
-// move, and exactly one terminal done/failed frame before the stream
-// closes. Subscribing to a finished job replays just the terminal
+// snapshot frame on connect, run_start/run_done frames as specs start
+// and finish, and exactly one terminal done/failed frame before the
+// stream closes. Subscribing to a finished job replays just the terminal
 // frame.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
@@ -169,9 +167,7 @@ func writeEvent(w http.ResponseWriter, ev Event) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.metrics.write(w)
-	if s.opts.Fabric != nil {
-		s.opts.Fabric.WriteMetrics(w)
-	}
+	s.opts.Fabric.WriteMetrics(w)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

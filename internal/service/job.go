@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"spamer/internal/experiments"
-	"spamer/internal/harness"
 )
 
 // Job states. A job moves queued → running → done|failed; a cache hit
@@ -19,15 +18,16 @@ const (
 
 // Event is one SSE frame of a job's progress stream. Terminal events
 // (type done/failed) are delivered exactly once per subscriber;
-// per-run events are lossy under a slow consumer (the stream favours
-// liveness over completeness — the terminal snapshot is authoritative).
+// per-spec events (run_start/run_done) are lossy under a slow consumer
+// (the stream favours liveness over completeness — the terminal
+// snapshot is authoritative).
 type Event struct {
 	Type   string `json:"type"` // queued|running|run_start|run_done|done|failed
 	Job    string `json:"job"`
 	State  string `json:"state"`
 	Done   int    `json:"done"`   // simulations finished
 	Total  int    `json:"total"`  // simulations in the job
-	Failed int    `json:"failed"` // simulations that errored
+	Failed int    `json:"failed"` // specs that failed
 	Label  string `json:"label,omitempty"`
 }
 
@@ -45,7 +45,8 @@ type Status struct {
 	Errors   []string              `json:"errors,omitempty"`
 }
 
-// RunProgress counts individual (spec, algorithm) simulations.
+// RunProgress counts individual (spec, algorithm) simulations, done
+// and total, and the specs that failed.
 type RunProgress struct {
 	Done   int `json:"done"`
 	Total  int `json:"total"`
@@ -133,21 +134,26 @@ func (j *job) start() {
 	j.publishLocked(j.eventLocked("running"))
 }
 
-// runStart / runDone translate harness progress callbacks into events.
-func (j *job) runStart(p harness.Progress) {
+// specStart / specDone are the coordinator's per-spec hooks: each
+// publishes one frame labelled with the spec. A finished spec adds its
+// simulations to done; a failed one counts in fails.
+func (j *job) specStart(label string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	ev := j.eventLocked("run_start")
-	ev.Label = p.Label
+	ev.Label = label
 	j.publishLocked(ev)
 }
 
-func (j *job) runDone(p harness.Progress) {
+func (j *job) specDone(label string, runs int, failed bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.done, j.fails = p.Done, p.Failed
+	j.done += runs
+	if failed {
+		j.fails++
+	}
 	ev := j.eventLocked("run_done")
-	ev.Label = p.Label
+	ev.Label = label
 	j.publishLocked(ev)
 }
 

@@ -48,7 +48,7 @@ func (m *metrics) write(w io.Writer) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
 	gauge("spamer_serve_queue_depth", "Jobs admitted and waiting for an executor.", m.queueDepth.Load())
-	gauge("spamer_serve_in_flight", "Jobs currently executing on the harness pool.", m.inFlight.Load())
+	gauge("spamer_serve_in_flight", "Jobs currently executing.", m.inFlight.Load())
 	if m.cacheEntries != nil {
 		gauge("spamer_serve_cache_entries", "Entries in the content-addressed result cache.", int64(m.cacheEntries()))
 	}
@@ -62,7 +62,7 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "%s{outcome=\"rejected\"} %d\n", jobs, m.jobsRejected.Load())
 
 	counter("spamer_serve_runs_total", "Individual (spec, algorithm) simulations completed.", m.runsDone.Load())
-	counter("spamer_serve_runs_failed_total", "Individual simulations that panicked, timed out, or were cancelled.", m.runsFailed.Load())
+	counter("spamer_serve_runs_failed_total", "Specs that failed: a simulation panicked, timed out, or was cancelled.", m.runsFailed.Load())
 
 	m.latency.write(w, "spamer_serve_job_duration_seconds", "Wall-clock seconds from admission to completion, per executed job.")
 }

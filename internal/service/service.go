@@ -1,6 +1,7 @@
 // Package service is the simulation-as-a-service layer: a long-lived
-// daemon wrapping the deterministic experiment runner (internal/
-// experiments on the internal/harness pool) behind a small HTTP API.
+// daemon that runs every job through a fabric coordinator
+// (internal/fabric) behind a small HTTP API. With no worker attached,
+// the coordinator runs each spec in this process.
 //
 //	POST /v1/jobs            submit a spec (or spec array) — the exact
 //	                         JSON spamer run reads
@@ -8,6 +9,7 @@
 //	GET  /v1/jobs/{id}/events  live progress (Server-Sent Events)
 //	GET  /metrics            Prometheus text format
 //	GET  /healthz            liveness / drain state
+//	POST /v1/fabric/...      the coordinator's worker protocol
 //
 // Three properties define the layer:
 //
@@ -34,7 +36,6 @@ import (
 
 	"spamer/internal/experiments"
 	"spamer/internal/fabric"
-	"spamer/internal/harness"
 )
 
 // Options tunes a Server. The zero value serves with sane defaults.
@@ -46,26 +47,19 @@ type Options struct {
 	// sweep at a time keeps per-job latency predictable; raise it when
 	// jobs are small).
 	JobWorkers int
-	// RunWorkers is the harness pool width within one job; <= 0
-	// selects GOMAXPROCS.
-	RunWorkers int
-	// RunTimeout bounds each individual simulation; 0 means none.
-	RunTimeout time.Duration
 	// CacheEntries bounds the content-addressed result cache
 	// (default 256; negative disables caching).
 	CacheEntries int
-	// MaxJobs bounds the in-memory job registry (default 4096);
-	// oldest finished jobs are evicted first, active jobs never.
-	MaxJobs int
 	// RetryAfter is the backoff hint attached to 429 responses
 	// (default 1s).
 	RetryAfter time.Duration
-	// Fabric, when non-nil, turns the server into a coordinator for a
-	// pool of `spamer worker` processes (docs/FABRIC.md): jobs shard by
-	// canonical spec hash onto registered workers, the coordinator's
-	// wire endpoints mount under /v1/fabric/, and its metrics join
-	// /metrics. With an empty pool the coordinator's local fallback
-	// reproduces single-process behaviour exactly.
+	// Fabric is the coordinator every job runs through
+	// (docs/FABRIC.md): specs shard by canonical hash onto registered
+	// `spamer worker` processes, its wire endpoints mount under
+	// /v1/fabric/, and its metrics join /metrics. With no worker
+	// attached, its local fallback runs each spec in this process, sized
+	// by its LocalWorkers and RunTimeout. Nil builds one with default
+	// options.
 	Fabric *fabric.Coordinator
 
 	// hookRunning, if set, is called from the executor after a job
@@ -88,14 +82,18 @@ func (o Options) withDefaults() Options {
 	if o.CacheEntries == 0 {
 		o.CacheEntries = 256
 	}
-	if o.MaxJobs <= 0 {
-		o.MaxJobs = 4096
-	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
 	}
+	if o.Fabric == nil {
+		o.Fabric = fabric.NewCoordinator(fabric.CoordinatorOptions{})
+	}
 	return o
 }
+
+// maxJobs bounds the in-memory job registry: past it, the oldest
+// finished jobs are evicted, active jobs never.
+const maxJobs = 4096
 
 // Server executes experiment specs submitted over HTTP on a bounded
 // worker pool. Create with New, expose via Handler, stop with Drain.
@@ -198,20 +196,23 @@ func (s *Server) nextID(hash string) string {
 }
 
 // register adds a job to the registry, evicting the oldest finished
-// jobs past MaxJobs. Active jobs are never evicted.
+// jobs past maxJobs. Active jobs are never evicted, and they keep their
+// place in order without pinning the finished jobs behind them.
 func (s *Server) register(j *job) {
 	s.jobsMu.Lock()
 	defer s.jobsMu.Unlock()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	for len(s.jobs) > s.opts.MaxJobs && len(s.order) > 0 {
-		id := s.order[0]
-		old, ok := s.jobs[id]
-		if ok && !old.terminal() {
-			break
+	for i := 0; len(s.jobs) > maxJobs && i < len(s.order); {
+		id := s.order[i]
+		if !s.jobs[id].terminal() {
+			i++
+			continue
 		}
-		s.order = s.order[1:]
 		delete(s.jobs, id)
+		// Shift the i active jobs ahead of the victim over it.
+		copy(s.order[1:i+1], s.order[:i])
+		s.order = s.order[1:]
 	}
 }
 
@@ -244,8 +245,9 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one job's simulations on the harness pool, streaming
-// progress to subscribers and recording the result in the cache.
+// execute runs one job's specs through the fabric coordinator,
+// streaming per-spec progress to subscribers and recording the result
+// in the cache.
 func (s *Server) execute(j *job) {
 	defer s.admitted.Done()
 	s.metrics.queueDepth.Add(-1)
@@ -256,17 +258,10 @@ func (s *Server) execute(j *job) {
 	if s.opts.hookRunning != nil {
 		s.opts.hookRunning(j)
 	}
-	var results []experiments.SpecResult
-	if s.opts.Fabric != nil {
-		results = s.runOnFabric(j)
-	} else {
-		results = experiments.RunSpecsParallel(s.ctx, j.specs, harness.Options{
-			Workers:    s.opts.RunWorkers,
-			Timeout:    s.opts.RunTimeout,
-			OnStart:    j.runStart,
-			OnProgress: j.runDone,
-		})
-	}
+	results := s.opts.Fabric.RunSpecs(s.ctx, j.specs, fabric.RunOptions{
+		OnSpecStart: j.specStart,
+		OnSpecDone:  j.specDone,
+	})
 
 	var outcomes []experiments.Outcome
 	var errs []string
@@ -291,35 +286,6 @@ func (s *Server) execute(j *job) {
 	if st.Started != nil && st.Finished != nil {
 		s.metrics.latency.observe(st.Finished.Sub(j.created).Seconds())
 	}
-}
-
-// runOnFabric executes a job's specs across the worker pool, adapting
-// the coordinator's per-spec progress hooks to the job's SSE stream.
-// Progress is per spec shard (the fabric's scheduling unit): done
-// counts completed (spec, algorithm) simulations as shards land,
-// failed counts failed shards.
-func (s *Server) runOnFabric(j *job) []experiments.SpecResult {
-	var mu sync.Mutex
-	var done, failed int
-	total := j.status().Runs.Total
-	return s.opts.Fabric.RunSpecs(s.ctx, j.specs, fabric.RunOptions{
-		OnSpecStart: func(index int, label string) {
-			mu.Lock()
-			p := harness.Progress{Done: done, Total: total, Failed: failed, Label: label}
-			mu.Unlock()
-			j.runStart(p)
-		},
-		OnSpecDone: func(index int, label string, runs int, specFailed bool) {
-			mu.Lock()
-			done += runs
-			if specFailed {
-				failed++
-			}
-			p := harness.Progress{Done: done, Total: total, Failed: failed, Label: label}
-			mu.Unlock()
-			j.runDone(p)
-		},
-	})
 }
 
 // Drain gracefully shuts the server down: stop admitting (POST → 503,

@@ -3,12 +3,15 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"spamer/internal/fabric"
 )
 
 // fastSpec is a sub-second single simulation; fastSpecReordered is the
@@ -92,7 +95,8 @@ func metricsBody(t *testing.T, ts *httptest.Server) string {
 }
 
 // TestSubmitCompleteFetch: the basic lifecycle — 202 on admission, the
-// job reaches done, outcomes are fetchable and well-formed.
+// job reaches done through the default coordinator, outcomes are
+// fetchable and well-formed.
 func TestSubmitCompleteFetch(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	code, st := submit(t, ts, fastSpec)
@@ -112,6 +116,17 @@ func TestSubmitCompleteFetch(t *testing.T) {
 	}
 	if final.Runs.Done != 1 || final.Runs.Total != 1 || final.Runs.Failed != 0 {
 		t.Fatalf("run progress: %+v", final.Runs)
+	}
+	// With no worker attached, the default coordinator ran the spec in
+	// this process.
+	m := metricsBody(t, ts)
+	for _, want := range []string{
+		"spamer_fabric_local_fallbacks_total 1",
+		"spamer_fabric_placements_total 0",
+	} {
+		if !strings.Contains(m, want) {
+			t.Errorf("metrics missing %q:\n%s", want, m)
+		}
 	}
 }
 
@@ -307,8 +322,37 @@ func TestDrainCompletesInFlight(t *testing.T) {
 	}
 }
 
-// TestEventsStream: the SSE stream opens with a snapshot, carries
-// per-run frames, and ends with exactly one terminal done frame.
+// TestRegistryEvictsPastActiveJob: a job still running does not pin the
+// finished jobs registered after it (cache hits are born done). They are
+// evicted oldest first down to maxJobs, and the active job stays.
+func TestRegistryEvictsPastActiveJob(t *testing.T) {
+	srv := New(Options{})
+	defer srv.Close()
+	srv.register(newJob("active", "h", nil, 1))
+	const extra = 20
+	for i := 0; i < maxJobs+extra; i++ {
+		j := newJob(fmt.Sprintf("done-%d", i), "h", nil, 1)
+		j.completeCached(nil)
+		srv.register(j)
+	}
+	if len(srv.jobs) != maxJobs || len(srv.order) != maxJobs {
+		t.Fatalf("registry holds %d jobs (%d in order), want %d", len(srv.jobs), len(srv.order), maxJobs)
+	}
+	if _, ok := srv.lookup("active"); !ok || srv.order[0] != "active" {
+		t.Fatalf("active job evicted or moved (order starts %q)", srv.order[0])
+	}
+	// active plus maxJobs-1 finished jobs: the oldest extra+1 went.
+	if _, ok := srv.lookup(fmt.Sprintf("done-%d", extra)); ok {
+		t.Errorf("done-%d survived eviction", extra)
+	}
+	if _, ok := srv.lookup(fmt.Sprintf("done-%d", extra+1)); !ok {
+		t.Errorf("done-%d evicted, want it kept", extra+1)
+	}
+}
+
+// TestEventsStream: the SSE stream opens with a snapshot, carries one
+// run_done frame per spec, labelled with the spec and counting its
+// simulations, and ends with exactly one terminal done frame.
 func TestEventsStream(t *testing.T) {
 	gate := make(chan struct{})
 	_, ts := newTestServer(t, Options{hookRunning: func(*job) { <-gate }})
@@ -333,8 +377,19 @@ func TestEventsStream(t *testing.T) {
 	if !strings.Contains(s, "event: running") {
 		t.Errorf("missing snapshot frame:\n%s", s)
 	}
-	if !strings.Contains(s, "event: run_done") {
-		t.Errorf("missing progress frame:\n%s", s)
+	var runDone []Event
+	for _, frame := range strings.Split(s, "\n\n") {
+		if data, ok := strings.CutPrefix(frame, "event: run_done\ndata: "); ok {
+			var ev Event
+			if err := json.Unmarshal([]byte(data), &ev); err != nil {
+				t.Fatal(err)
+			}
+			runDone = append(runDone, ev)
+		}
+	}
+	// fastSpec is one spec of one algorithm.
+	if len(runDone) != 1 || runDone[0].Label != "t" || runDone[0].Done != 1 || runDone[0].Failed != 0 {
+		t.Errorf("run_done frames = %+v, want one for spec \"t\" with done 1:\n%s", runDone, s)
 	}
 	if n := strings.Count(s, "event: done"); n != 1 {
 		t.Errorf("terminal frames = %d, want 1:\n%s", n, s)
@@ -352,8 +407,9 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
-// TestBadRequests: malformed JSON, invalid specs, and unknown jobs map
-// to 400/404 without touching the queue.
+// TestBadRequests: malformed JSON, invalid specs, unknown jobs and a
+// malformed worker registration map to 400/404 without touching the
+// queue.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	for _, body := range []string{
@@ -375,12 +431,22 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job = %d, want 404", resp.StatusCode)
 	}
+	// The default server mounts the coordinator's worker protocol: a
+	// malformed registration is refused, not an unknown route.
+	resp, err = http.Post(ts.URL+"/v1/fabric/register", "application/json", strings.NewReader("not json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad register body = %d, want 400", resp.StatusCode)
+	}
 }
 
 // TestMultiSpecJobKeepsOrder: a spec-array job concatenates outcomes
 // in spec order, exactly as `spamer run` would.
 func TestMultiSpecJobKeepsOrder(t *testing.T) {
-	_, ts := newTestServer(t, Options{RunWorkers: 4})
+	_, ts := newTestServer(t, Options{Fabric: fabric.NewCoordinator(fabric.CoordinatorOptions{LocalWorkers: 4})})
 	body := `[{"benchmark":"firewall","algorithms":["vl","tuned"]},{"benchmark":"ping-pong","algorithms":["vl"]}]`
 	code, st := submit(t, ts, body)
 	if code != http.StatusAccepted {

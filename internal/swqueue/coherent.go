@@ -20,7 +20,10 @@ import (
 // snoop/invalidation round trip on the coherence network, then the data
 // response. The cost structure is what makes hardware queues attractive:
 // each message moves the data line AND ping-pongs the control lines.
-// Threads reach it through per-core handles (End).
+// Threads reach it through per-core handles (End). It is single-producer
+// single-consumer: an End picks its slot before it acquires the slot's
+// data line and publishes it after, so two pushing (or popping) Ends
+// would share slots. A second End that pushes, or pops, panics.
 type CoherentQueue struct {
 	k   *sim.Kernel
 	bus *noc.Bus
@@ -41,6 +44,7 @@ type CoherentQueue struct {
 	// argument is the acquiring End's index in ends.
 	snoopFn, dataFn func(uint64)
 	ends            []*End
+	pusher, popper  *End // the one End that pushes, and the one that pops
 
 	stats CoherentStats
 }
@@ -125,6 +129,7 @@ func (q *CoherentQueue) End(core int) *End {
 // PushThen enqueues msg, spinning (with re-acquired lines, as a real
 // spin would) while the queue is full, then runs then.
 func (e *End) PushThen(msg mem.Message, then sim.Cont) {
+	e.claim(&e.q.pusher, "push")
 	e.msg, e.then = msg, then
 	// Read the consumer-owned head to check fullness: acquiring shared
 	// suffices, but the subsequent write to tail upgrades.
@@ -134,12 +139,24 @@ func (e *End) PushThen(msg mem.Message, then sim.Cont) {
 // PopThen dequeues a message, spinning while the queue is empty, then
 // runs then; Result holds the message.
 func (e *End) PopThen(then sim.Cont) {
+	e.claim(&e.q.popper, "pop")
 	e.then = then
 	e.acquire(&e.q.tailOwner, popTail)
 }
 
 // Result reports the message the last PopThen dequeued.
 func (e *End) Result() mem.Message { return e.msg }
+
+// claim makes e the queue's one End for op, or panics if another End
+// already is.
+func (e *End) claim(side **End, op string) {
+	if *side == nil {
+		*side = e
+	}
+	if *side != e {
+		panic("swqueue: a second End would " + op + " on a single-producer single-consumer CoherentQueue")
+	}
+}
 
 // acquire models the end's core upgrading a line to exclusive/modified,
 // then runs step next: if another cache owns the line, a snoop +

@@ -67,6 +67,30 @@ func TestCoherentQueueFIFO(t *testing.T) {
 	}
 }
 
+// TestCoherentQueueSingleEnds: the queue is SPSC; a second End that
+// pushes, or pops, panics.
+func TestCoherentQueueSingleEnds(t *testing.T) {
+	k := sim.New()
+	q := NewCoherentQueue(k, noc.New(k), 2)
+	a, b := q.End(0), q.End(1)
+	nop := sim.Cont{Fn: func(uint64) {}}
+	a.PushThen(mem.Message{}, nop)
+	b.PopThen(nop)
+	for name, op := range map[string]func(){
+		"push": func() { b.PushThen(mem.Message{}, nop) },
+		"pop":  func() { a.PopThen(nop) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a second End's %s did not panic", name)
+				}
+			}()
+			op()
+		}()
+	}
+}
+
 func TestCoherentQueueBackpressure(t *testing.T) {
 	k := sim.New()
 	k.SetDeadline(1 << 30)

@@ -112,7 +112,6 @@ func (s *Search) evalBatch(ps []config.TunedParams) []Candidate {
 					return s.Workload.Run(spamer.Config{
 						Algorithm: spamer.AlgTuned,
 						Tuned:     p,
-						Deadline:  1 << 40,
 					}, s.Scale), nil
 				},
 			}
@@ -197,7 +196,7 @@ type Result struct {
 // Run executes the search.
 func (s *Search) Run() Result {
 	// Baseline for normalization.
-	s.base = s.Workload.Run(spamer.Config{Algorithm: spamer.AlgBaseline, Deadline: 1 << 40}, s.Scale)
+	s.base = s.Workload.Run(spamer.Config{Algorithm: spamer.AlgBaseline}, s.Scale)
 
 	start := s.eval(config.DefaultTuned())
 	best := start
