@@ -16,24 +16,27 @@ import (
 	"spamer/internal/harness"
 )
 
-// smokeBatch is a golden batch of three specs labelled prefix1..3.
-// Every phase uses a fresh prefix, so its specs have fresh canonical
-// hashes and cannot be answered from the store: each shard must run,
-// which is what drives one of them onto the dead worker.
+// smokeBatch is a golden batch of four specs labelled prefix1..4. The
+// fourth deadlocks under both of its algorithms (a dropped stash
+// delivery), so every batch also checks the failure contract. Every
+// phase uses a fresh prefix, so its specs have fresh canonical hashes
+// and cannot be answered from the store: each shard must run, which is
+// what drives one of them onto the dead worker.
 func smokeBatch(prefix string) string {
 	return fmt.Sprintf(`[{"benchmark":"ping-pong","algorithms":["vl"],"label":"%[1]s1"},
 {"benchmark":"ping-pong","algorithms":["vl","0delay"],"label":"%[1]s2"},
-{"benchmark":"incast","algorithms":["vl"],"label":"%[1]s3"}]`, prefix)
+{"benchmark":"incast","algorithms":["vl"],"label":"%[1]s3"},
+{"benchmark":"ping-pong","algorithms":["vl","0delay"],"fault":{"drop_stash":1},"label":"%[1]s4"}]`, prefix)
 }
 
 // fabricSmokeCmd is the end-to-end exercise of the distributed
 // simulation fabric with real processes: it re-executes this binary as
 // `spamer serve`, submits a golden spec batch over the service API
-// before any worker exists, and byte-compares the outcomes — which the
-// coordinator's local fallback must have produced — against an
-// in-process run. It then starts two `spamer worker` processes on
-// loopback and repeats with a fresh batch, which must be placed on
-// them. Last it SIGKILLs one worker and submits a third batch: the
+// before any worker exists, and byte-compares the outcomes and the
+// failing spec's error — which the coordinator's local fallback must
+// have produced — against in-process runs. It then starts two `spamer
+// worker` processes on loopback and repeats with a fresh batch, which
+// must be placed on them. Last it SIGKILLs one worker and submits a third batch: the
 // coordinator must observe the broken lease, re-dispatch to the
 // survivor, and still return outcomes byte-identical to local — the
 // retry path under genuine process death (docs/FABRIC.md). Any
@@ -87,7 +90,7 @@ func fabricSmoke(c *cli) error {
 	if err != nil {
 		return err
 	}
-	for _, want := range []string{"spamer_fabric_local_fallbacks_total 3\n", "spamer_fabric_placements_total 0\n"} {
+	for _, want := range []string{"spamer_fabric_local_fallbacks_total 4\n", "spamer_fabric_placements_total 0\n"} {
 		if !strings.Contains(string(m), want) {
 			return fmt.Errorf("zero-worker batch: metrics missing %q:\n%s", strings.TrimSpace(want), m)
 		}
@@ -150,25 +153,37 @@ func fabricSmoke(c *cli) error {
 }
 
 // submitAndCompare POSTs the batch to the service, waits for the job,
-// and byte-compares its outcomes against experiments.RunSpecsParallel
-// in this process.
+// and checks it against experiments.RunSpecsParallel in this process,
+// one spec at a time: the job must end done, with outcomes
+// byte-identical to the passing specs', each failing spec's error text
+// byte-identical to its local run's and none of its outcomes, and
+// runs.done counting only the simulations the job returns.
 func submitAndCompare(ctx context.Context, base, batch string) error {
 	specs, err := experiments.ReadSpecs(strings.NewReader(batch))
 	if err != nil {
 		return err
 	}
 	var want []experiments.Outcome
-	for _, r := range experiments.RunSpecsParallel(ctx, specs, harness.Options{Workers: 1}) {
+	var wantErrs []string
+	for i := range specs {
+		r := experiments.RunSpecsParallel(ctx, specs[i:i+1], harness.Options{Workers: 1})[0]
 		if r.Err != nil {
-			return fmt.Errorf("local run failed: %w", r.Err)
+			wantErrs = append(wantErrs, fmt.Sprintf("spec %d: %v", i, r.Err))
+			continue
 		}
 		want = append(want, r.Outcomes...)
+	}
+	if len(wantErrs) == 0 {
+		return fmt.Errorf("local run: no spec failed, so the failure contract goes unchecked")
 	}
 
 	body, err := httpDo(ctx, "POST", base+"/v1/jobs", batch)
 	var st struct {
-		ID       string                `json:"id"`
-		State    string                `json:"state"`
+		ID    string `json:"id"`
+		State string `json:"state"`
+		Runs  struct {
+			Done int `json:"done"`
+		} `json:"runs"`
 		Outcomes []experiments.Outcome `json:"outcomes"`
 		Errors   []string              `json:"errors"`
 	}
@@ -187,6 +202,12 @@ func submitAndCompare(ctx context.Context, base, batch string) error {
 			gj, _ := json.Marshal(st.Outcomes)
 			if string(wj) != string(gj) {
 				return fmt.Errorf("outcomes not byte-identical:\nlocal:  %s\nfabric: %s", wj, gj)
+			}
+			if strings.Join(st.Errors, "\n") != strings.Join(wantErrs, "\n") {
+				return fmt.Errorf("errors not byte-identical:\nlocal:  %q\nfabric: %q", wantErrs, st.Errors)
+			}
+			if st.Runs.Done != len(want) {
+				return fmt.Errorf("runs.done = %d, want %d (the simulations the job returns)", st.Runs.Done, len(want))
 			}
 			return nil
 		case time.Now().After(deadline):

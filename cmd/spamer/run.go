@@ -61,9 +61,9 @@ func runCmd(c *cli) error {
 	}
 	failed := false
 	var all []experiments.Outcome
-	for _, res := range results {
+	for i, res := range results {
 		if res.Err != nil {
-			fmt.Fprintf(c.stderr, "spec %d: %v\n", res.Index, res.Err)
+			fmt.Fprintf(c.stderr, "spec %d: %v\n", i, res.Err)
 			failed = true
 		}
 		all = append(all, res.Outcomes...)

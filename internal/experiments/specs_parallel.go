@@ -11,9 +11,9 @@ import (
 // SpecResult is one spec's slot in a RunSpecsParallel result: the
 // outcomes of the algorithms that ran, plus the first failure if any
 // run died (watchdog panic, timeout, cancellation) or the spec itself
-// was invalid. Slots stay in spec order.
+// was invalid. Slots stay in spec order, so a slot's position is its
+// spec's index.
 type SpecResult struct {
-	Index    int
 	Outcomes []Outcome
 	Err      error
 }
@@ -34,7 +34,6 @@ func RunSpecsParallel(ctx context.Context, specs []Spec, opts harness.Options) [
 	var slots []slot
 	for i := range specs {
 		s := &specs[i]
-		results[i].Index = i
 		if err := s.Validate(); err != nil {
 			results[i].Err = err
 			continue

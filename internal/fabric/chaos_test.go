@@ -19,12 +19,10 @@ func chaosSpecs(t *testing.T, seed uint64, n int) []experiments.Spec {
 	var specs []experiments.Spec
 	for i := 0; len(specs) < n && i < 4*n; i++ {
 		cs := gen.New(seed + uint64(i)*0x9e3779b97f4a7c15).FanCase()
-		sp := cs.Spec
-		sp.Shape = cs.Shape
-		if err := sp.Validate(); err != nil {
+		if err := cs.Spec.Validate(); err != nil {
 			continue
 		}
-		specs = append(specs, sp)
+		specs = append(specs, cs.Spec)
 	}
 	if len(specs) < n {
 		t.Fatalf("generator yielded %d/%d valid specs", len(specs), n)

@@ -121,9 +121,6 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	return c
 }
 
-// Store exposes the shared content-addressed result store.
-func (c *Coordinator) Store() *Store { return c.store }
-
 // Metrics exposes the fabric counters (for tests and the smoke tool).
 func (c *Coordinator) Metrics() *Metrics { return c.metrics }
 
@@ -328,8 +325,8 @@ type RunOptions struct {
 	// OnSpecStart fires when a spec shard leaves the store-lookup stage
 	// and begins executing (remotely or locally).
 	OnSpecStart func(label string)
-	// OnSpecDone fires when a spec shard completes; runs is the
-	// (spec, algorithm) simulation count it contributed.
+	// OnSpecDone fires once per spec, however it ends; runs is the
+	// (spec, algorithm) simulation count it returns, 0 when it failed.
 	OnSpecDone func(label string, runs int, failed bool)
 }
 
@@ -347,7 +344,8 @@ func specLabel(s *experiments.Spec) string {
 // RunSpecs executes a spec batch across the worker pool and returns
 // per-spec results in spec order, with per-spec Outcomes byte-identical
 // to a local experiments.RunSpecsParallel run (the oracle's
-// distributed-vs-local mode enforces this). Each spec is independently
+// distributed-vs-local mode enforces this); a failed spec carries its
+// error and no outcomes, wherever it ran. Each spec is independently
 // store-checked, leased, retried on worker death, and — if the pool
 // cannot run it — executed locally unless NoLocalFallback is set.
 func (c *Coordinator) RunSpecs(ctx context.Context, specs []experiments.Spec, opts RunOptions) []experiments.SpecResult {
@@ -355,7 +353,6 @@ func (c *Coordinator) RunSpecs(ctx context.Context, specs []experiments.Spec, op
 	sem := make(chan struct{}, maxInFlight)
 	var wg sync.WaitGroup
 	for i := range specs {
-		results[i].Index = i
 		if err := specs[i].Validate(); err != nil {
 			results[i].Err = err
 			if opts.OnSpecDone != nil {
@@ -363,12 +360,13 @@ func (c *Coordinator) RunSpecs(ctx context.Context, specs []experiments.Spec, op
 			}
 			continue
 		}
+		// Take the slot before starting the goroutine, so a large job
+		// holds at most maxInFlight of them.
+		sem <- struct{}{}
 		wg.Add(1)
 		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = c.runSpec(ctx, i, specs[i], opts)
+			defer func() { <-sem; wg.Done() }()
+			results[i] = c.runSpec(ctx, specs[i], opts)
 		}(i)
 	}
 	wg.Wait()
@@ -378,10 +376,18 @@ func (c *Coordinator) RunSpecs(ctx context.Context, specs []experiments.Spec, op
 // runSpec resolves one spec: store hit, singleflight wait, or a
 // dispatch loop ending in success, deterministic failure, or local
 // fallback.
-func (c *Coordinator) runSpec(ctx context.Context, index int, spec experiments.Spec, opts RunOptions) experiments.SpecResult {
-	res := experiments.SpecResult{Index: index}
+func (c *Coordinator) runSpec(ctx context.Context, spec experiments.Spec, opts RunOptions) experiments.SpecResult {
 	label := specLabel(&spec)
 	hash := spec.Hash()
+	// Every way a spec ends fires OnSpecDone once. A failed spec comes
+	// back with no outcomes, so the hook counts only simulations the
+	// result returns.
+	done := func(outs []experiments.Outcome, err error) experiments.SpecResult {
+		if opts.OnSpecDone != nil {
+			opts.OnSpecDone(label, len(outs), err != nil)
+		}
+		return experiments.SpecResult{Outcomes: outs, Err: err}
+	}
 
 	// Singleflight per content address: concurrent submissions of the
 	// same spec dispatch once; everyone else waits and reads the store.
@@ -389,11 +395,7 @@ func (c *Coordinator) runSpec(ctx context.Context, index int, spec experiments.S
 	for {
 		if outs, ok := c.store.Get(hash); ok {
 			c.metrics.storeHits.Add(1)
-			res.Outcomes = outs
-			if opts.OnSpecDone != nil {
-				opts.OnSpecDone(label, len(outs), false)
-			}
-			return res
+			return done(outs, nil)
 		}
 		c.mu.Lock()
 		if ch, ok := c.inflight[hash]; ok {
@@ -402,8 +404,7 @@ func (c *Coordinator) runSpec(ctx context.Context, index int, spec experiments.S
 			case <-ch:
 				continue // leader finished; re-check the store
 			case <-ctx.Done():
-				res.Err = ctx.Err()
-				return res
+				return done(nil, ctx.Err())
 			}
 		}
 		lead = make(chan struct{})
@@ -425,14 +426,8 @@ func (c *Coordinator) runSpec(ctx context.Context, index int, spec experiments.S
 	outs, err := c.dispatch(ctx, &spec, hash, label)
 	if err == nil {
 		c.store.Put(hash, outs)
-		res.Outcomes = outs
-	} else {
-		res.Err = err
 	}
-	if opts.OnSpecDone != nil {
-		opts.OnSpecDone(label, len(outs), err != nil)
-	}
-	return res
+	return done(outs, err)
 }
 
 // errSpecFailed marks a worker-reported deterministic simulation
@@ -516,9 +511,9 @@ func (c *Coordinator) dispatch(ctx context.Context, spec *experiments.Spec, hash
 	}
 }
 
-// fallback runs the spec on the coordinator itself through the exact
-// local path (experiments.RunSpecsParallel), so an empty or failing
-// pool degrades to single-process behaviour instead of failing jobs.
+// fallback runs the spec on the coordinator itself through the runner
+// a worker uses (runShard), so an empty or failing pool degrades to
+// single-process behaviour instead of failing jobs.
 func (c *Coordinator) fallback(ctx context.Context, spec *experiments.Spec, lastErr error) ([]experiments.Outcome, error) {
 	if c.opts.NoLocalFallback {
 		if lastErr == nil {
@@ -527,11 +522,10 @@ func (c *Coordinator) fallback(ctx context.Context, spec *experiments.Spec, last
 		return nil, lastErr
 	}
 	c.metrics.localFallbacks.Add(1)
-	rs := experiments.RunSpecsParallel(ctx, []experiments.Spec{*spec}, harness.Options{
+	return runShard(ctx, *spec, harness.Options{
 		Workers: c.opts.LocalWorkers,
 		Timeout: c.opts.RunTimeout,
 	})
-	return rs[0].Outcomes, rs[0].Err
 }
 
 // call performs one lease round trip: POST the spec shard to the
@@ -540,7 +534,7 @@ func (c *Coordinator) call(ctx context.Context, ws *workerState, lease string, s
 	body, err := json.Marshal(RunRequest{
 		Version: ProtocolVersion,
 		Lease:   lease,
-		Specs:   []experiments.Spec{*spec},
+		Spec:    *spec,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("marshal run request: %w", err)
@@ -573,12 +567,8 @@ func (c *Coordinator) call(ctx context.Context, ws *workerState, lease string, s
 	if err := checkVersion(rr.Version); err != nil {
 		return nil, err
 	}
-	if len(rr.Results) != 1 {
-		return nil, fmt.Errorf("worker returned %d results for 1 spec", len(rr.Results))
+	if rr.Err != "" {
+		return nil, &errSpecFailed{msg: rr.Err}
 	}
-	wr := rr.Results[0]
-	if wr.Err != "" {
-		return nil, &errSpecFailed{msg: wr.Err}
-	}
-	return wr.Outcomes, nil
+	return rr.Outcomes, nil
 }

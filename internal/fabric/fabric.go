@@ -47,15 +47,17 @@
 package fabric
 
 import (
+	"context"
 	"fmt"
 
 	"spamer/internal/experiments"
+	"spamer/internal/harness"
 )
 
 // ProtocolVersion is the fabric wire-protocol version. Coordinator and
 // workers must agree exactly; bump it on any incompatible change to the
 // request/response shapes below.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // RegisterRequest announces a worker to the coordinator.
 // POST {coordinator}/v1/fabric/register
@@ -103,37 +105,41 @@ type HeartbeatResponse struct {
 	Registered bool `json:"registered"`
 }
 
-// RunRequest leases a spec batch to a worker.
+// RunRequest leases one spec, the shard unit, to a worker.
 // POST {worker}/v1/run
 type RunRequest struct {
 	Version int `json:"version"`
 	// Lease identifies the dispatch for logs and diagnostics; the
 	// coordinator generates it, the worker echoes it back.
-	Lease string `json:"lease,omitempty"`
-	// Specs is the shard — in practice a single spec, the sharding
-	// unit, but the shape is a batch so the protocol does not need a
-	// version bump to coarsen shards later.
-	Specs []experiments.Spec `json:"specs"`
+	Lease string           `json:"lease,omitempty"`
+	Spec  experiments.Spec `json:"spec"`
 }
 
-// WireResult is one spec's slot of a RunResponse: the JSON form of
-// experiments.SpecResult, with the error flattened to a string.
-type WireResult struct {
-	Index    int                   `json:"index"`
+// RunResponse reports a completed lease: the spec's outcomes, or its
+// error and no outcomes. Err is a deterministic simulation failure
+// (the spec itself is bad or its run panicked) — re-dispatching it
+// elsewhere would fail identically, so the coordinator surfaces it
+// instead of retrying; transport-level failures are what trigger
+// re-leasing.
+type RunResponse struct {
+	Version  int                   `json:"version"`
+	Worker   string                `json:"worker"`
+	Lease    string                `json:"lease,omitempty"`
 	Outcomes []experiments.Outcome `json:"outcomes,omitempty"`
 	Err      string                `json:"error,omitempty"`
 }
 
-// RunResponse reports a completed lease. A per-spec Err is a
-// deterministic simulation failure (the spec itself is bad or its run
-// panicked) — re-dispatching it elsewhere would fail identically, so
-// the coordinator surfaces it instead of retrying; transport-level
-// failures are what trigger re-leasing.
-type RunResponse struct {
-	Version int          `json:"version"`
-	Worker  string       `json:"worker"`
-	Lease   string       `json:"lease,omitempty"`
-	Results []WireResult `json:"results"`
+// runShard runs one spec through the local runner
+// (experiments.RunSpecsParallel). A worker's lease and the
+// coordinator's local fallback both call it, so a failed or cancelled
+// spec reads the same wherever it ran: its first error and no
+// outcomes, not even those of the algorithms that finished.
+func runShard(ctx context.Context, spec experiments.Spec, opts harness.Options) ([]experiments.Outcome, error) {
+	r := experiments.RunSpecsParallel(ctx, []experiments.Spec{spec}, opts)[0]
+	if r.Err != nil {
+		return nil, r.Err
+	}
+	return r.Outcomes, nil
 }
 
 // errorBody is the JSON error envelope both sides use for non-200s.

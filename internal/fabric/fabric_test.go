@@ -3,9 +3,12 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +16,7 @@ import (
 
 	"spamer/internal/experiments"
 	"spamer/internal/harness"
+	"spamer/internal/workloads"
 )
 
 // fastSpecs is a small deterministic batch: three sub-second specs with
@@ -111,7 +115,7 @@ func TestRegisterHeartbeatPresence(t *testing.T) {
 		return resp.StatusCode, string(data)
 	}
 
-	code, body := post("/v1/fabric/register", `{"version":1,"id":"w1","addr":"http://127.0.0.1:1","max_procs":4,"slots":2}`)
+	code, body := post("/v1/fabric/register", `{"version":2,"id":"w1","addr":"http://127.0.0.1:1","max_procs":4,"slots":2}`)
 	if code != http.StatusOK || !strings.Contains(body, `"ok":true`) {
 		t.Fatalf("register = %d %s", code, body)
 	}
@@ -126,11 +130,11 @@ func TestRegisterHeartbeatPresence(t *testing.T) {
 	}
 
 	// Heartbeat for an unknown worker demands re-registration.
-	code, body = post("/v1/fabric/heartbeat", `{"version":1,"id":"ghost"}`)
+	code, body = post("/v1/fabric/heartbeat", `{"version":2,"id":"ghost"}`)
 	if code != http.StatusOK || !strings.Contains(body, `"registered":false`) {
 		t.Fatalf("ghost heartbeat = %d %s", code, body)
 	}
-	code, body = post("/v1/fabric/heartbeat", `{"version":1,"id":"w1","active":1}`)
+	code, body = post("/v1/fabric/heartbeat", `{"version":2,"id":"w1","active":1}`)
 	if code != http.StatusOK || !strings.Contains(body, `"registered":true`) {
 		t.Fatalf("w1 heartbeat = %d %s", code, body)
 	}
@@ -336,4 +340,164 @@ func TestAnnounceRegistersAndReRegisters(t *testing.T) {
 
 	cancel()
 	<-done
+}
+
+// TestCancelledWaiterReportsFailure: a spec whose singleflight wait
+// ends with its context fires OnSpecDone as a failed spec with no
+// runs, like every other way a spec can end.
+func TestCancelledWaiterReportsFailure(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{
+		DispatchTimeout: 30 * time.Second,
+		NoLocalFallback: true,
+	})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	w := NewWorker(WorkerOptions{ID: "w1", Slots: 1, RunWorkers: 1,
+		hookRun: func(RunRequest) {
+			close(entered)
+			<-release
+		}})
+	startWorker(t, c, w)
+
+	spec := fastSpecs(t)[:1]
+	lead := make(chan []experiments.SpecResult, 1)
+	go func() { lead <- c.RunSpecs(context.Background(), spec, RunOptions{}) }()
+	<-entered // the leader's lease holds the spec's singleflight slot
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var hooks, runs, fails int
+	res := c.RunSpecs(ctx, spec, RunOptions{OnSpecDone: func(_ string, n int, failed bool) {
+		hooks++
+		runs += n
+		if failed {
+			fails++
+		}
+	}})
+	close(release)
+	if r := <-lead; r[0].Err != nil {
+		t.Fatalf("leader: %v", r[0].Err)
+	}
+	if !errors.Is(res[0].Err, context.Canceled) {
+		t.Fatalf("waiter err = %v, want context.Canceled", res[0].Err)
+	}
+	if hooks != 1 || runs != 0 || fails != 1 {
+		t.Fatalf("OnSpecDone fired %d times with %d runs and %d failures, want once, 0 runs, 1 failure", hooks, runs, fails)
+	}
+}
+
+// failingSpec deadlocks under both of its algorithms: the routing
+// device drops its first stash delivery.
+const failingSpec = `{"benchmark":"ping-pong","algorithms":["vl","0delay"],"fault":{"drop_stash":1}}`
+
+// TestRunShardDropsPartialOutcomes: FIR cancelled after its first run
+// keeps that run in RunSpecsParallel's slot, but the shared runner —
+// which worker leases and the local fallback both call — returns the
+// same error and no outcomes, so neither path reports simulations the
+// result does not carry.
+func TestRunShardDropsPartialOutcomes(t *testing.T) {
+	spec := experiments.Spec{Benchmark: "FIR"} // all four algorithms
+	cancelAfterFirst := func() (context.Context, harness.Options) {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		return ctx, harness.Options{Workers: 1, OnProgress: func(harness.Progress) { cancel() }}
+	}
+
+	ctx, opts := cancelAfterFirst()
+	r := experiments.RunSpecsParallel(ctx, []experiments.Spec{spec}, opts)[0]
+	if r.Err == nil || len(r.Outcomes) != 1 {
+		t.Fatalf("RunSpecsParallel: err %v with %d outcomes, want an error and the 1 finished run", r.Err, len(r.Outcomes))
+	}
+
+	ctx, opts = cancelAfterFirst()
+	outs, err := runShard(ctx, spec, opts)
+	if !errors.Is(err, context.Canceled) || outs != nil {
+		t.Fatalf("runShard: err %v with %d outcomes, want context.Canceled and none", err, len(outs))
+	}
+	if err.Error() != r.Err.Error() {
+		t.Fatalf("runShard error %q, RunSpecsParallel error %q", err, r.Err)
+	}
+}
+
+// TestRunSpecsBoundsGoroutines: a 1,000-spec job holds at most
+// maxInFlight spec goroutines at once. With no worker, each in-flight
+// spec runs in the local fallback on a pool of one, so it may hold a
+// second goroutine (the harness worker); the slack covers those, plus
+// spec goroutines that released their slot and have not exited yet.
+func TestRunSpecsBoundsGoroutines(t *testing.T) {
+	const n = 1000
+	specs := make([]experiments.Spec, n)
+	for i := range specs {
+		specs[i] = experiments.Spec{
+			Shape:      &workloads.Shape{Stages: 2, Messages: 1},
+			Algorithms: []string{"vl"},
+			Label:      fmt.Sprintf("g%d", i), // distinct content addresses
+		}
+	}
+	c := NewCoordinator(CoordinatorOptions{LocalWorkers: 1})
+	base := runtime.NumGoroutine()
+	var mu sync.Mutex
+	peak := 0
+	res := c.RunSpecs(context.Background(), specs, RunOptions{OnSpecStart: func(string) {
+		g := runtime.NumGoroutine()
+		mu.Lock()
+		peak = max(peak, g)
+		mu.Unlock()
+	}})
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("spec %d: %v", i, r.Err)
+		}
+	}
+	const slack = maxInFlight + 16
+	if limit := base + maxInFlight + slack; peak > limit {
+		t.Fatalf("peak %d goroutines during a %d-spec job, want <= %d (%d before it + maxInFlight %d + slack %d)",
+			peak, n, limit, base, maxInFlight, slack)
+	}
+}
+
+// TestWorkerMetricsCountOnlyReturnedRuns: a worker leased one passing
+// and one failing spec counts one spec and the passing spec's
+// simulations on /metrics, and answers the failing lease with its
+// error and no outcomes.
+func TestWorkerMetricsCountOnlyReturnedRuns(t *testing.T) {
+	w := NewWorker(WorkerOptions{ID: "w1", Slots: 1, RunWorkers: 1})
+	ts := httptest.NewServer(w.Handler())
+	t.Cleanup(ts.Close)
+
+	lease := func(spec string) map[string]json.RawMessage {
+		t.Helper()
+		body := fmt.Sprintf(`{"version":%d,"lease":"l1","spec":%s}`, ProtocolVersion, spec)
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var rr map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("lease %s: HTTP %d, %v", spec, resp.StatusCode, err)
+		}
+		return rr
+	}
+	ok := lease(`{"benchmark":"ping-pong","algorithms":["vl","0delay"],"label":"ok"}`)
+	var outs []experiments.Outcome
+	if err := json.Unmarshal(ok["outcomes"], &outs); err != nil || len(outs) != 2 || ok["error"] != nil {
+		t.Fatalf("passing lease: %d outcomes, error %s (%v)", len(outs), ok["error"], err)
+	}
+	bad := lease(failingSpec)
+	if bad["error"] == nil || bad["outcomes"] != nil {
+		t.Fatalf("failing lease must carry an error and no outcomes: error %s, outcomes %s", bad["error"], bad["outcomes"])
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	m, _ := io.ReadAll(resp.Body)
+	for _, want := range []string{"spamer_worker_specs_total 1\n", "spamer_worker_runs_total 2\n"} {
+		if !strings.Contains(string(m), want) {
+			t.Errorf("worker metrics missing %q:\n%s", strings.TrimSpace(want), m)
+		}
+	}
 }

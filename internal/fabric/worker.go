@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"spamer/internal/experiments"
 	"spamer/internal/harness"
 )
 
@@ -48,11 +47,11 @@ type WorkerOptions struct {
 }
 
 // Worker is the agent side of the fabric: it executes leased spec
-// shards via the exact local path (experiments.RunSpecsParallel),
-// heartbeats its presence and queue depth to the coordinator, and
-// drains gracefully — /healthz flips to 503 the moment drain begins so
-// coordinators and load balancers stop routing to it, in-flight leases
-// finish, new ones bounce.
+// shards through runShard, the runner the coordinator's local fallback
+// uses too, heartbeats its presence and queue depth to the
+// coordinator, and drains gracefully — /healthz flips to 503 the
+// moment drain begins so coordinators and load balancers stop routing
+// to it, in-flight leases finish, new ones bounce.
 type Worker struct {
 	opts   WorkerOptions
 	client *http.Client
@@ -142,26 +141,21 @@ func (w *Worker) handleRun(r http.ResponseWriter, req *http.Request) {
 	if w.opts.hookRun != nil {
 		w.opts.hookRun(rr)
 	}
-	w.logf("lease %s: %d spec(s)", rr.Lease, len(rr.Specs))
+	w.logf("lease %s: %s", rr.Lease, specLabel(&rr.Spec))
 
 	// The request context carries the coordinator's lease: if the
 	// coordinator gives up (DispatchTimeout) or dies, queued runs are
 	// cancelled with it instead of burning CPU on an orphaned lease.
-	results := experiments.RunSpecsParallel(req.Context(), rr.Specs, harness.Options{
+	outs, err := runShard(req.Context(), rr.Spec, harness.Options{
 		Workers: w.opts.RunWorkers,
 		Timeout: w.opts.RunTimeout,
 	})
-	resp := RunResponse{Version: ProtocolVersion, Worker: w.opts.ID, Lease: rr.Lease}
-	for _, sr := range results {
-		wr := WireResult{Index: sr.Index, Outcomes: sr.Outcomes}
-		if sr.Err != nil {
-			wr.Err = sr.Err.Error()
-			wr.Outcomes = nil // a failed spec reports its error, not partial outcomes
-		} else {
-			w.specsDone.Add(1)
-			w.runsDone.Add(uint64(len(sr.Outcomes)))
-		}
-		resp.Results = append(resp.Results, wr)
+	resp := RunResponse{Version: ProtocolVersion, Worker: w.opts.ID, Lease: rr.Lease, Outcomes: outs}
+	if err != nil {
+		resp.Err = err.Error()
+	} else {
+		w.specsDone.Add(1)
+		w.runsDone.Add(uint64(len(outs)))
 	}
 	writeJSON(r, http.StatusOK, resp)
 }

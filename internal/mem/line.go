@@ -91,8 +91,6 @@ type lineStats struct {
 	fills       uint64 // successful pushes into this line
 	vacates     uint64 // consumer take-outs
 	evictions   uint64
-	fillTick    uint64 // tick of the most recent fill
-	vacateTick  uint64 // tick of the most recent vacate
 	firstUse    func(tick uint64, msg Message)
 	traceVacate func(tick uint64)
 	traceFill   func(tick uint64, msg Message)
@@ -149,7 +147,6 @@ func (l *Line) TryFill(msg Message) bool {
 	l.State = LineValid
 	l.Msg = msg
 	l.cold.fills++
-	l.cold.fillTick = l.k.Now()
 	if l.cold.traceFill != nil {
 		l.cold.traceFill(l.k.Now(), msg)
 	}
@@ -169,7 +166,6 @@ func (l *Line) Take() Message {
 	l.State = LineEmpty
 	l.Msg = Message{}
 	l.cold.vacates++
-	l.cold.vacateTick = l.k.Now()
 	if l.cold.traceVacate != nil {
 		l.cold.traceVacate(l.k.Now())
 	}
@@ -238,9 +234,3 @@ func (l *Line) Vacates() uint64 { return l.cold.vacates }
 
 // Evictions reports the number of Evict calls that changed state.
 func (l *Line) Evictions() uint64 { return l.cold.evictions }
-
-// FillTick reports the tick of the most recent fill.
-func (l *Line) FillTick() uint64 { return l.cold.fillTick }
-
-// VacateTick reports the tick of the most recent vacate.
-func (l *Line) VacateTick() uint64 { return l.cold.vacateTick }

@@ -13,14 +13,6 @@ import (
 	"spamer/internal/workloads/dag"
 )
 
-// dagOf returns the case's workload DAG, or nil.
-func dagOf(cs *gen.Case) *dag.Spec {
-	if cs.Shape == nil {
-		return nil
-	}
-	return cs.Shape.DAG
-}
-
 // CampaignOptions parameterizes a randomized verification campaign.
 type CampaignOptions struct {
 	// Seed is the campaign's base seed; case i derives its own seed from
@@ -207,54 +199,54 @@ func shrinkSteps(cs gen.Case) []gen.Case {
 		mut(&c)
 		out = append(out, c)
 	}
-	if sh := cs.Shape; sh != nil && sh.DAG != nil {
+	if sh := cs.Spec.Shape; sh != nil && sh.DAG != nil {
 		out = append(out, dagShrinkSteps(cs)...)
 	} else if sh != nil {
 		if sh.Messages > 1 {
-			add(func(c *gen.Case) { c.Shape.Messages /= 2 })
-			add(func(c *gen.Case) { c.Shape.Messages = 1 })
+			add(func(c *gen.Case) { c.Spec.Shape.Messages /= 2 })
+			add(func(c *gen.Case) { c.Spec.Shape.Messages = 1 })
 		}
 		if sh.Stages > 2 {
-			add(func(c *gen.Case) { c.Shape.Stages = 2 })
+			add(func(c *gen.Case) { c.Spec.Shape.Stages = 2 })
 		}
 		if sh.Producers > 1 {
-			add(func(c *gen.Case) { c.Shape.Producers = 1 })
+			add(func(c *gen.Case) { c.Spec.Shape.Producers = 1 })
 		}
 		if sh.Consumers > 1 {
-			add(func(c *gen.Case) { c.Shape.Consumers = 1 })
+			add(func(c *gen.Case) { c.Spec.Shape.Consumers = 1 })
 		}
 		if sh.Burst > 0 {
-			add(func(c *gen.Case) { c.Shape.Burst, c.Shape.BurstGap = 0, 0 })
+			add(func(c *gen.Case) { c.Spec.Shape.Burst, c.Spec.Shape.BurstGap = 0, 0 })
 		}
 		if sh.Arrival != nil {
 			// Peel the overlays first (a storm or ramp may be the
 			// trigger), then the whole arrival process.
 			if sh.Arrival.StormBurst > 0 {
-				add(func(c *gen.Case) { c.Shape.Arrival.StormEvery, c.Shape.Arrival.StormBurst = 0, 0 })
+				add(func(c *gen.Case) { c.Spec.Shape.Arrival.StormEvery, c.Spec.Shape.Arrival.StormBurst = 0, 0 })
 			}
 			if sh.Arrival.RampPeriod > 0 {
-				add(func(c *gen.Case) { c.Shape.Arrival.RampPeriod, c.Shape.Arrival.RampPeak = 0, 0 })
+				add(func(c *gen.Case) { c.Spec.Shape.Arrival.RampPeriod, c.Spec.Shape.Arrival.RampPeak = 0, 0 })
 			}
 			if sh.Arrival.Users > 1 {
-				add(func(c *gen.Case) { c.Shape.Arrival.Users = 1 })
+				add(func(c *gen.Case) { c.Spec.Shape.Arrival.Users = 1 })
 			}
 			if sh.Arrival.Process != "" && sh.Arrival.Process != "poisson" {
 				add(func(c *gen.Case) {
-					c.Shape.Arrival.Process = ""
-					c.Shape.Arrival.BurstyGap, c.Shape.Arrival.MeanDwell = 0, 0
-					c.Shape.Arrival.Alpha, c.Shape.Arrival.MaxGap = 0, 0
+					c.Spec.Shape.Arrival.Process = ""
+					c.Spec.Shape.Arrival.BurstyGap, c.Spec.Shape.Arrival.MeanDwell = 0, 0
+					c.Spec.Shape.Arrival.Alpha, c.Spec.Shape.Arrival.MaxGap = 0, 0
 				})
 			}
-			add(func(c *gen.Case) { c.Shape.Arrival = nil })
+			add(func(c *gen.Case) { c.Spec.Shape.Arrival = nil })
 		}
 		if sh.ProdWork > 0 || sh.ConsWork > 0 {
-			add(func(c *gen.Case) { c.Shape.ProdWork, c.Shape.ConsWork = 0, 0 })
+			add(func(c *gen.Case) { c.Spec.Shape.ProdWork, c.Spec.Shape.ConsWork = 0, 0 })
 		}
 		if sh.Lines > 1 {
-			add(func(c *gen.Case) { c.Shape.Lines = 1 })
+			add(func(c *gen.Case) { c.Spec.Shape.Lines = 1 })
 		}
 		if sh.Window > 0 {
-			add(func(c *gen.Case) { c.Shape.Window = 0 })
+			add(func(c *gen.Case) { c.Spec.Shape.Window = 0 })
 		}
 	}
 	if len(cs.Spec.Algorithms) > 2 {
@@ -274,7 +266,7 @@ func shrinkSteps(cs gen.Case) []gen.Case {
 		// Resetting to the default table size is only a valid shrink
 		// when the workload's queue footprint still fits (DAGs can
 		// legitimately need enlarged tables).
-		if d := dagOf(&cs); d == nil || d.Queues() <= config.SRDEntries {
+		if sh := cs.Spec.Shape; sh == nil || sh.DAG == nil || sh.DAG.Queues() <= config.SRDEntries {
 			add(func(c *gen.Case) { c.Spec.SRDEntries = 0 })
 		}
 	}
@@ -303,13 +295,13 @@ func dagShrinkSteps(cs gen.Case) []gen.Case {
 	var out []gen.Case
 	add := func(mut func(*dag.Spec)) {
 		c := cloneCase(cs)
-		mut(c.Shape.DAG)
-		if c.Shape.DAG.Validate() != nil {
+		mut(c.Spec.Shape.DAG)
+		if c.Spec.Shape.DAG.Validate() != nil {
 			return
 		}
 		out = append(out, c)
 	}
-	d := cs.Shape.DAG
+	d := cs.Spec.Shape.DAG
 
 	// Peel sink stages (with their in-edges); dropping an interior stage
 	// would orphan its consumers, which the Validate filter rejects.
@@ -416,8 +408,8 @@ func dagShrinkSteps(cs gen.Case) []gen.Case {
 // cloneCase deep-copies the case so shrink mutations never alias.
 func cloneCase(cs gen.Case) gen.Case {
 	c := cs
-	if cs.Shape != nil {
-		sh := *cs.Shape
+	if cs.Spec.Shape != nil {
+		sh := *cs.Spec.Shape
 		if sh.Arrival != nil {
 			a := *sh.Arrival
 			sh.Arrival = &a
@@ -425,7 +417,7 @@ func cloneCase(cs gen.Case) gen.Case {
 		if sh.DAG != nil {
 			sh.DAG = sh.DAG.Clone()
 		}
-		c.Shape = &sh
+		c.Spec.Shape = &sh
 	}
 	if cs.Spec.Tuned != nil {
 		t := *cs.Spec.Tuned

@@ -24,10 +24,10 @@ import (
 func TestGoldenGeneratedDAGTraces(t *testing.T) {
 	for seed, want := range goldenGeneratedDAGs {
 		cs := gen.New(uint64(seed)).DAGCase()
-		w, err := cs.Workload()
-		if err != nil {
+		if err := cs.Spec.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		w, _ := cs.Spec.Workload()
 		h := sim.TraceOffset
 		for _, evict := range []uint64{cs.EvictEvery, 900, 2000} {
 			if seed == 57 && evict == 900 {

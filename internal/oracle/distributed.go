@@ -83,13 +83,11 @@ func (d *DistributedChecker) Close() {
 // approximate). Returns the violations; empty means equivalent. The
 // second return value is the number of simulation passes spent.
 func (d *DistributedChecker) Check(cs gen.Case) ([]Violation, int) {
-	sp := cs.Spec
-	sp.Shape = cs.Shape
-	if err := sp.Validate(); err != nil {
+	if err := cs.Spec.Validate(); err != nil {
 		// CheckCase already reports invalid cases; nothing to diff.
 		return nil, 0
 	}
-	specs := []experiments.Spec{sp}
+	specs := []experiments.Spec{cs.Spec}
 	ctx := context.Background()
 
 	dist := d.coord.RunSpecs(ctx, specs, fabric.RunOptions{})

@@ -49,14 +49,12 @@ func TestDistributedCheckerAgreesOnFaultedCase(t *testing.T) {
 	}
 	defer dc.Close()
 
-	cs := gen.Case{
-		Spec: experiments.Spec{
-			Benchmark:  "synthetic",
-			Algorithms: []string{spamer.AlgBaseline, spamer.AlgTuned},
-			Fault:      &experiments.FaultSpec{DropStash: 1},
-		},
-		Shape: &workloads.Shape{Stages: 3, Messages: 40},
-	}
+	cs := gen.Case{Spec: experiments.Spec{
+		Benchmark:  "synthetic",
+		Shape:      &workloads.Shape{Stages: 3, Messages: 40},
+		Algorithms: []string{spamer.AlgBaseline, spamer.AlgTuned},
+		Fault:      &experiments.FaultSpec{DropStash: 1},
+	}}
 	vs, runs := dc.Check(cs)
 	if runs == 0 {
 		t.Fatal("faulted case was skipped as invalid")

@@ -1,8 +1,9 @@
 // Package gen generates the randomized inputs of the verification
-// oracle: seeded pseudo-random experiment specs and synthetic workload
-// shapes (internal/workloads.Shape) bundled as Cases. Every Case is
-// fully determined by its seed and JSON-serializable, so a failing case
-// from a campaign or a fuzz run can be persisted verbatim and replayed.
+// oracle: seeded pseudo-random experiment specs, many carrying a
+// synthetic workload shape (internal/workloads.Shape), as Cases. Every
+// Case is fully determined by its seed and JSON-serializable, so a
+// failing case from a campaign or a fuzz run can be persisted verbatim
+// and replayed.
 package gen
 
 import (
@@ -19,71 +20,18 @@ import (
 	"spamer/internal/workloads/dag"
 )
 
-// Case is one generated verification case: an experiment spec plus an
-// optional synthetic workload shape. With a nil Shape the spec's named
-// benchmark runs; with a Shape the synthetic workload replaces the
-// benchmark and the spec contributes only the hardware and algorithm
-// knobs (its Benchmark field is the informational "synthetic").
+// Case is one generated verification case: an experiment spec — a
+// named benchmark, or a synthetic workload in Spec.Shape (Benchmark is
+// then "synthetic") — plus the oracle's eviction pressure.
 type Case struct {
 	// Seed is the value the case was generated from (diagnostic).
 	Seed uint64 `json:"seed,omitempty"`
 
-	Spec  experiments.Spec `json:"spec"`
-	Shape *workloads.Shape `json:"shape,omitempty"`
+	Spec experiments.Spec `json:"spec"`
 
 	// EvictEvery arms line-eviction pressure (spamer.Config.EvictEvery)
 	// on the invariant runs.
 	EvictEvery uint64 `json:"evict_every,omitempty"`
-}
-
-// Validate rejects cases that cannot run.
-func (c *Case) Validate() error {
-	if c.Shape == nil {
-		return c.Spec.Validate()
-	}
-	if err := c.Shape.Validate(); err != nil {
-		return err
-	}
-	if d := c.Shape.DAG; d != nil {
-		entries := c.Spec.SRDEntries
-		if entries == 0 {
-			entries = config.SRDEntries
-		}
-		if q := d.Queues(); q > entries {
-			// Fewer prodBuf slots than queues voids the device's
-			// per-SQI reservation, so the workload can deadlock by
-			// construction rather than by bug.
-			return fmt.Errorf("gen: dag needs %d queues but srd_entries is %d", q, entries)
-		}
-	}
-	for _, a := range c.Spec.Algorithms {
-		if _, ok := algConfig(a); !ok {
-			return fmt.Errorf("gen: unknown algorithm %q", a)
-		}
-	}
-	return nil
-}
-
-func algConfig(a string) (struct{}, bool) {
-	for _, known := range spamer.Configs() {
-		if a == known {
-			return struct{}{}, true
-		}
-	}
-	return struct{}{}, false
-}
-
-// Workload materializes the case's workload: the shape when present,
-// the named benchmark otherwise.
-func (c *Case) Workload() (*workloads.Workload, error) {
-	if c.Shape != nil {
-		return c.Shape.Workload(), nil
-	}
-	w, ok := workloads.ByName(c.Spec.Benchmark)
-	if !ok {
-		return nil, fmt.Errorf("gen: unknown benchmark %q", c.Spec.Benchmark)
-	}
-	return w, nil
 }
 
 // WriteFile persists the case as indented JSON (repro files).
@@ -127,11 +75,11 @@ func (g *Gen) Case() Case {
 	c := Case{Seed: g.seed}
 	switch r := g.rng.Intn(16); {
 	case r < 6:
-		c.Shape = g.chain()
+		c.Spec.Shape = g.chain()
 	case r < 10:
-		c.Shape = &workloads.Shape{DAG: g.dag()}
+		c.Spec.Shape = &workloads.Shape{DAG: g.dag()}
 	case r < 14:
-		c.Shape = g.fan()
+		c.Spec.Shape = g.fan()
 	default:
 		g.named(&c)
 	}
@@ -142,7 +90,7 @@ func (g *Gen) Case() Case {
 // DAGCase always draws a workload-DAG case — the entry point of DAG-
 // focused fuzzing and tests.
 func (g *Gen) DAGCase() Case {
-	c := Case{Seed: g.seed, Shape: &workloads.Shape{DAG: g.dag()}}
+	c := Case{Seed: g.seed, Spec: experiments.Spec{Shape: &workloads.Shape{DAG: g.dag()}}}
 	g.knobs(&c)
 	return c
 }
@@ -151,7 +99,7 @@ func (g *Gen) DAGCase() Case {
 // FuzzSpamerVsVL (M:N fans stress the multi-consumer delivery paths the
 // chain shapes cannot reach).
 func (g *Gen) FanCase() Case {
-	c := Case{Seed: g.seed, Shape: g.fan()}
+	c := Case{Seed: g.seed, Spec: experiments.Spec{Shape: g.fan()}}
 	g.knobs(&c)
 	return c
 }
@@ -437,16 +385,16 @@ func (g *Gen) knobs(c *Case) {
 	if g.rng.Intn(4) == 0 {
 		c.EvictEvery = uint64(300 + g.rng.Intn(2700))
 	}
-	if c.Shape != nil {
+	if c.Spec.Shape != nil {
 		c.Spec.Benchmark = "synthetic"
 	}
-	if c.Shape != nil && c.Shape.DAG != nil {
+	if c.Spec.Shape != nil && c.Spec.Shape.DAG != nil {
 		// Keep the small-tables NACK pressure, but never hand a DAG
 		// fewer prodBuf slots than queues: that voids the device's
 		// per-SQI reservation and manufactures a deadlock. An exact
 		// match (sharedCap 0, reserved slots only) is the maximum
 		// legal backpressure.
-		q := c.Shape.DAG.Queues()
+		q := c.Spec.Shape.DAG.Queues()
 		if c.Spec.SRDEntries > 0 && c.Spec.SRDEntries < q {
 			c.Spec.SRDEntries = q
 		}

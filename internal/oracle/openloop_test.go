@@ -15,11 +15,8 @@ import (
 // storms, a repeat run that must dispatch the identical trace, and the
 // SPAMeR-vs-VL delivery differential.
 func TestOpenLoopInvariants(t *testing.T) {
-	cs := gen.Case{
-		Spec: experiments.Spec{
-			Benchmark:  "synthetic",
-			Algorithms: []string{spamer.AlgBaseline, spamer.AlgTuned},
-		},
+	cs := gen.Case{Spec: experiments.Spec{
+		Benchmark: "synthetic",
 		Shape: &workloads.Shape{
 			Stages: 3, Messages: 300, Lines: 2, ConsWork: 15,
 			Arrival: &traffic.Spec{
@@ -28,7 +25,8 @@ func TestOpenLoopInvariants(t *testing.T) {
 				StormEvery: 900, StormBurst: 5,
 			},
 		},
-	}
+		Algorithms: []string{spamer.AlgBaseline, spamer.AlgTuned},
+	}}
 	rep := CheckCase(cs)
 	if rep.Failed() {
 		t.Fatalf("open-loop chain violated invariants: %v", rep.Violations)
@@ -49,18 +47,19 @@ func TestGenMixIncludesOpenLoop(t *testing.T) {
 	procs := map[string]int{}
 	for i := 0; i < n; i++ {
 		cs := gen.New(caseSeed(0x01eaf, i)).Case()
-		if cs.Shape == nil || cs.Shape.Arrival == nil {
+		sh := cs.Spec.Shape
+		if sh == nil || sh.Arrival == nil {
 			continue
 		}
 		open++
-		procs[cs.Shape.Arrival.Process]++
-		if cs.Shape.Arrival.StormBurst > 0 {
+		procs[sh.Arrival.Process]++
+		if sh.Arrival.StormBurst > 0 {
 			storms++
 		}
-		if cs.Shape.Arrival.RampPeak > 0 {
+		if sh.Arrival.RampPeak > 0 {
 			ramps++
 		}
-		if err := cs.Validate(); err != nil {
+		if err := cs.Spec.Validate(); err != nil {
 			t.Fatalf("generated open-loop case %d invalid: %v", i, err)
 		}
 	}
@@ -84,12 +83,8 @@ func TestGenMixIncludesOpenLoop(t *testing.T) {
 // case must minimize without losing its violation, and the shrunken
 // arrival spec must still validate (no half-cleared process fields).
 func TestOpenLoopShrink(t *testing.T) {
-	cs := gen.Case{
-		Spec: experiments.Spec{
-			Benchmark:  "synthetic",
-			Algorithms: []string{spamer.AlgBaseline, spamer.AlgZeroDelay},
-			Fault:      &experiments.FaultSpec{DropStash: 3},
-		},
+	cs := gen.Case{Spec: experiments.Spec{
+		Benchmark: "synthetic",
 		Shape: &workloads.Shape{
 			Stages: 3, Messages: 120, Lines: 2,
 			Arrival: &traffic.Spec{
@@ -98,7 +93,9 @@ func TestOpenLoopShrink(t *testing.T) {
 				RampPeriod: 2000, RampPeak: 3,
 			},
 		},
-	}
+		Algorithms: []string{spamer.AlgBaseline, spamer.AlgZeroDelay},
+		Fault:      &experiments.FaultSpec{DropStash: 3},
+	}}
 	rep := CheckCase(cs)
 	if !rep.Failed() {
 		t.Fatal("injected drop not detected on open-loop case")
@@ -110,13 +107,13 @@ func TestOpenLoopShrink(t *testing.T) {
 	if !min.Failed() {
 		t.Fatalf("minimized case lost the violation: %v", min.Violations)
 	}
-	if min.Case.Shape == nil {
+	if min.Case.Spec.Shape == nil {
 		t.Fatal("minimized case lost its shape")
 	}
-	if err := min.Case.Validate(); err != nil {
+	if err := min.Case.Spec.Validate(); err != nil {
 		t.Fatalf("minimized case does not validate: %v", err)
 	}
-	if a := min.Case.Shape.Arrival; a != nil {
+	if a := min.Case.Spec.Shape.Arrival; a != nil {
 		// Shrinking must never leave process-specific fields dangling
 		// behind a cleared process name.
 		if a.Process == "" && (a.Alpha != 0 || a.BurstyGap != 0) {
@@ -125,7 +122,7 @@ func TestOpenLoopShrink(t *testing.T) {
 	}
 	// The original case must be untouched by shrink mutations (cloneCase
 	// deep-copies the nested arrival spec).
-	if cs.Shape.Arrival.StormBurst != 4 || cs.Shape.Arrival.Users != 3 {
-		t.Fatalf("shrink aliased the original arrival spec: %+v", cs.Shape.Arrival)
+	if a := cs.Spec.Shape.Arrival; a.StormBurst != 4 || a.Users != 3 {
+		t.Fatalf("shrink aliased the original arrival spec: %+v", a)
 	}
 }

@@ -28,14 +28,12 @@ func hasViolation(vs []Violation, invariant string) bool {
 // one that still fails, and the minimized repro must round-trip through
 // the campaign's JSON repro file and still reproduce on replay.
 func TestFaultDropCaughtByConservation(t *testing.T) {
-	cs := gen.Case{
-		Spec: experiments.Spec{
-			Benchmark:  "synthetic",
-			Algorithms: []string{spamer.AlgBaseline, spamer.AlgZeroDelay},
-			Fault:      &experiments.FaultSpec{DropStash: 5},
-		},
-		Shape: &workloads.Shape{Stages: 4, Messages: 96, Lines: 2, ProdWork: 20, ConsWork: 35},
-	}
+	cs := gen.Case{Spec: experiments.Spec{
+		Benchmark:  "synthetic",
+		Shape:      &workloads.Shape{Stages: 4, Messages: 96, Lines: 2, ProdWork: 20, ConsWork: 35},
+		Algorithms: []string{spamer.AlgBaseline, spamer.AlgZeroDelay},
+		Fault:      &experiments.FaultSpec{DropStash: 5},
+	}}
 
 	rep := CheckCase(cs)
 	if !rep.Failed() {
@@ -55,8 +53,8 @@ func TestFaultDropCaughtByConservation(t *testing.T) {
 	if !min.Failed() || !hasViolation(min.Violations, "message-loss") {
 		t.Fatalf("minimized case lost the violation: %v", min.Violations)
 	}
-	if min.Case.Shape == nil || min.Case.Shape.Messages >= cs.Shape.Messages {
-		t.Fatalf("case did not shrink: %+v", min.Case.Shape)
+	if min.Case.Spec.Shape == nil || min.Case.Spec.Shape.Messages >= cs.Spec.Shape.Messages {
+		t.Fatalf("case did not shrink: %+v", min.Case.Spec.Shape)
 	}
 
 	// The campaign repro workflow: persist, reload, replay.
@@ -97,14 +95,12 @@ func TestFaultCorruptCaughtOnDAG(t *testing.T) {
 			{From: "side", To: "sink", Policy: dag.PolicyPair},
 		},
 	}
-	cs := gen.Case{
-		Spec: experiments.Spec{
-			Benchmark:  "synthetic",
-			Algorithms: []string{spamer.AlgBaseline, spamer.AlgZeroDelay},
-			Fault:      &experiments.FaultSpec{CorruptStash: 7},
-		},
-		Shape: &workloads.Shape{DAG: topo},
-	}
+	cs := gen.Case{Spec: experiments.Spec{
+		Benchmark:  "synthetic",
+		Shape:      &workloads.Shape{DAG: topo},
+		Algorithms: []string{spamer.AlgBaseline, spamer.AlgZeroDelay},
+		Fault:      &experiments.FaultSpec{CorruptStash: 7},
+	}}
 
 	rep := CheckCase(cs)
 	if !rep.Failed() {
@@ -121,7 +117,7 @@ func TestFaultCorruptCaughtOnDAG(t *testing.T) {
 	if !min.Failed() || !hasViolation(min.Violations, "payload-corruption") {
 		t.Fatalf("minimized case lost the violation: %v", min.Violations)
 	}
-	md := min.Case.Shape.DAG
+	md := min.Case.Spec.Shape.DAG
 	if md == nil {
 		t.Fatal("minimized case lost its DAG")
 	}
@@ -159,13 +155,13 @@ func TestDAGCaseGen(t *testing.T) {
 	var drains, static, evicted int
 	for seed := uint64(0); seed < 40; seed++ {
 		cs := gen.New(seed).DAGCase()
-		if err := cs.Validate(); err != nil {
+		if err := cs.Spec.Validate(); err != nil {
 			t.Fatalf("seed %d: generated invalid case: %v", seed, err)
 		}
-		if cs.Shape == nil || cs.Shape.DAG == nil {
+		if cs.Spec.Shape == nil || cs.Spec.Shape.DAG == nil {
 			t.Fatalf("seed %d: DAGCase without a DAG", seed)
 		}
-		st := cs.Shape.DAG.Stages
+		st := cs.Spec.Shape.DAG.Stages
 		if st[len(st)-1].Name == "drain" {
 			drains++
 		} else {
@@ -207,9 +203,9 @@ func TestEvictionDuringPopRegression(t *testing.T) {
 		cs := gen.Case{
 			Spec: experiments.Spec{
 				Benchmark:  "synthetic",
+				Shape:      &workloads.Shape{Producers: 3, Consumers: 2, Messages: 60, Lines: 2, ConsWork: 25},
 				Algorithms: []string{spamer.AlgBaseline, spamer.AlgZeroDelay},
 			},
-			Shape:      &workloads.Shape{Producers: 3, Consumers: 2, Messages: 60, Lines: 2, ConsWork: 25},
 			EvictEvery: evict,
 		}
 		if rep := CheckCase(cs); rep.Failed() {

@@ -80,15 +80,11 @@ func (r *CaseReport) Failed() bool { return len(r.Violations) > 0 }
 //     baseline VL run (speculative-push safety).
 func CheckCase(cs gen.Case) CaseReport {
 	rep := CaseReport{Case: cs}
-	if err := cs.Validate(); err != nil {
+	if err := cs.Spec.Validate(); err != nil {
 		rep.Violations = append(rep.Violations, Violation{Invariant: "invalid-case", Detail: err.Error()})
 		return rep
 	}
-	w, err := cs.Workload()
-	if err != nil {
-		rep.Violations = append(rep.Violations, Violation{Invariant: "invalid-case", Detail: err.Error()})
-		return rep
-	}
+	w, _ := cs.Spec.Workload() // Validate resolved it
 	scale := cs.Spec.Scale
 	algs := withBaselineFirst(cs.Spec.Algorithms)
 
@@ -109,7 +105,7 @@ func CheckCase(cs gen.Case) CaseReport {
 		r := RunChecked(w, cfg, scale, true)
 		rep.Runs++
 		collect(ctx, r.Violations)
-		if cs.Shape != nil && r.Panic == "" {
+		if cs.Spec.Shape != nil && r.Panic == "" {
 			// Determinism: an identical run must dispatch the identical
 			// trace. Shapes only — named benchmarks take long enough
 			// that doubling them would dominate campaign time, and the

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"spamer/internal/experiments"
 )
@@ -46,7 +45,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 //	202 — admitted; body carries the job id to poll
 //	200 — cache hit; body already carries the outcomes
 //	400 — malformed or invalid spec
-//	429 — queue full; Retry-After hints the backoff
+//	429 — queue full; Retry-After: 1 (second) hints the backoff
 //	503 — draining
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	specs, err := experiments.ReadSpecs(http.MaxBytesReader(w, r.Body, maxSpecBytes))
@@ -71,14 +70,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining: not admitting jobs")
 		return
 	case errors.Is(err, errQueueFull):
-		// Clamp to >= 1s: a sub-second RetryAfter used to round down to
-		// "Retry-After: 0", telling saturated clients to hammer the
-		// server immediately — amplifying the overload the 429 sheds.
-		secs := int(s.opts.RetryAfter.Seconds() + 0.5)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "queue full (depth %d): retry later", s.opts.QueueDepth)
 		return
 	case err != nil:

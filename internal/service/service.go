@@ -32,7 +32,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"spamer/internal/experiments"
 	"spamer/internal/fabric"
@@ -50,9 +49,6 @@ type Options struct {
 	// CacheEntries bounds the content-addressed result cache
 	// (default 256; negative disables caching).
 	CacheEntries int
-	// RetryAfter is the backoff hint attached to 429 responses
-	// (default 1s).
-	RetryAfter time.Duration
 	// Fabric is the coordinator every job runs through
 	// (docs/FABRIC.md): specs shard by canonical hash onto registered
 	// `spamer worker` processes, its wire endpoints mount under
@@ -81,9 +77,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheEntries == 0 {
 		o.CacheEntries = 256
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	if o.Fabric == nil {
 		o.Fabric = fabric.NewCoordinator(fabric.CoordinatorOptions{})
@@ -265,10 +258,10 @@ func (s *Server) execute(j *job) {
 
 	var outcomes []experiments.Outcome
 	var errs []string
-	for _, r := range results {
+	for i, r := range results {
 		outcomes = append(outcomes, r.Outcomes...)
 		if r.Err != nil {
-			errs = append(errs, fmt.Sprintf("spec %d: %v", r.Index, r.Err))
+			errs = append(errs, fmt.Sprintf("spec %d: %v", i, r.Err))
 		}
 	}
 	clean := len(errs) == 0

@@ -248,16 +248,14 @@ func TestQueueFullReturns429(t *testing.T) {
 	}
 }
 
-// TestRetryAfterSubSecondClamp is the regression test for the
-// Retry-After rounding bug: a sub-second RetryAfter option used to emit
-// "Retry-After: 0", telling saturated clients to retry immediately. The
-// header must clamp to at least one second.
-func TestRetryAfterSubSecondClamp(t *testing.T) {
+// TestQueueFullRetryAfterOneSecond: a 429 tells the client to back off
+// for one second — never "Retry-After: 0", which would make saturated
+// clients retry at once and amplify the overload the 429 sheds.
+func TestQueueFullRetryAfterOneSecond(t *testing.T) {
 	gate := make(chan struct{})
 	_, ts := newTestServer(t, Options{
 		QueueDepth:  1,
 		JobWorkers:  1,
-		RetryAfter:  200 * time.Millisecond,
 		hookRunning: func(*job) { <-gate },
 	})
 	defer close(gate)
@@ -278,7 +276,7 @@ func TestRetryAfterSubSecondClamp(t *testing.T) {
 		t.Fatalf("third submit = %d, want 429", resp.StatusCode)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Fatalf("Retry-After = %q with 200ms option, want %q (sub-second must clamp up, never 0)", ra, "1")
+		t.Fatalf("Retry-After = %q, want %q", ra, "1")
 	}
 }
 

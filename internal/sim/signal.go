@@ -67,7 +67,6 @@ type waiterRef struct {
 type Signal struct {
 	name    string
 	waiters []waiterRef
-	fires   uint64
 }
 
 // NewSignal returns a named signal for diagnostics.
@@ -87,7 +86,6 @@ func (s *Signal) WaitCell(c *WaitCell, arg uint64) {
 // inside Fire — so the waiter list can be truncated in place and its
 // backing array reused by the next round of waits.
 func (s *Signal) Fire() {
-	s.fires++
 	w := s.waiters
 	for i := range w {
 		w[i].c.fire(w[i].gen)
@@ -98,9 +96,6 @@ func (s *Signal) Fire() {
 
 // Waiters reports how many waiters are registered.
 func (s *Signal) Waiters() int { return len(s.waiters) }
-
-// Fires reports how many times Fire has been called.
-func (s *Signal) Fires() uint64 { return s.fires }
 
 // Gate is a single-waiter Signal embedded by value: one wait-cell slot
 // and no name, so a struct that owns its only possible waiter pays no

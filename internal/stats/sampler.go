@@ -140,19 +140,7 @@ func (s *Sampler) snapshot() {
 func aggregateDevs(sys *spamer.System) vl.Stats {
 	var agg vl.Stats
 	for _, d := range sys.Devices() {
-		st := d.Stats()
-		agg.PushAccepts += st.PushAccepts
-		agg.PushNACKs += st.PushNACKs
-		agg.Fetches += st.Fetches
-		agg.FetchNACKs += st.FetchNACKs
-		agg.Registers += st.Registers
-		agg.DemandPushes += st.DemandPushes
-		agg.DemandHits += st.DemandHits
-		agg.DemandMisses += st.DemandMisses
-		agg.SpecScheduled += st.SpecScheduled
-		agg.SpecPushes += st.SpecPushes
-		agg.SpecHits += st.SpecHits
-		agg.SpecMisses += st.SpecMisses
+		agg = agg.Add(d.Stats())
 	}
 	return agg
 }

@@ -419,8 +419,13 @@ func TestSpecDelayHonored(t *testing.T) {
 	r.k.AtFunc(0, func(uint64) { r.dev.Push(s, mem.Message{}) }, 0)
 	r.k.Run()
 
-	if got := pg.Lines[0].FillTick(); got < 1000 {
-		t.Fatalf("fill at %d, want >= 1000 (spec delay)", got)
+	// The line stayed empty from tick 0 until the spec push filled it.
+	line := pg.Lines[0]
+	if line.State != mem.LineValid {
+		t.Fatalf("line %v, want filled by the spec push", line.State)
+	}
+	if empty, _ := line.Occupancy(); empty < 1000 {
+		t.Fatalf("fill at %d, want >= 1000 (spec delay)", empty)
 	}
 }
 

@@ -39,6 +39,24 @@ func (s Stats) FailureRate() float64 {
 	return float64(s.FailedPushes()) / float64(t)
 }
 
+// Add returns the counter sums s + o (multi-device systems).
+func (s Stats) Add(o Stats) Stats {
+	return Stats{
+		PushAccepts:   s.PushAccepts + o.PushAccepts,
+		PushNACKs:     s.PushNACKs + o.PushNACKs,
+		Fetches:       s.Fetches + o.Fetches,
+		FetchNACKs:    s.FetchNACKs + o.FetchNACKs,
+		Registers:     s.Registers + o.Registers,
+		DemandPushes:  s.DemandPushes + o.DemandPushes,
+		DemandHits:    s.DemandHits + o.DemandHits,
+		DemandMisses:  s.DemandMisses + o.DemandMisses,
+		SpecScheduled: s.SpecScheduled + o.SpecScheduled,
+		SpecPushes:    s.SpecPushes + o.SpecPushes,
+		SpecHits:      s.SpecHits + o.SpecHits,
+		SpecMisses:    s.SpecMisses + o.SpecMisses,
+	}
+}
+
 // Sub returns the counter deltas s - prev, for windowed measurement.
 func (s Stats) Sub(prev Stats) Stats {
 	return Stats{

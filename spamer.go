@@ -252,9 +252,6 @@ func algorithm(cfg Config) (core.DelayAlgorithm, bool) {
 // (any algorithm) rather than the VL baseline.
 func (s *System) Speculative() bool { return len(s.specs) > 0 }
 
-// AlgorithmName reports the configured algorithm ("vl", "0delay", ...).
-func (s *System) AlgorithmName() string { return s.cfg.Algorithm }
-
 // Kernel exposes the simulation kernel (advanced use: custom events).
 func (s *System) Kernel() *sim.Kernel { return s.kernel }
 
@@ -372,13 +369,8 @@ func (s *System) collect() Result {
 		Bus:            s.bus.Stats(),
 		BusUtilization: s.bus.Utilization(),
 	}
-	for i, d := range s.devs {
-		st := d.Stats()
-		if i == 0 {
-			r.Device = st
-		} else {
-			r.Device = addStats(r.Device, st)
-		}
+	for _, d := range s.devs {
+		r.Device = r.Device.Add(d.Stats())
 	}
 	r.MS = config.TicksToMS(r.Ticks)
 	for _, q := range s.queues {
@@ -422,24 +414,6 @@ func (s *System) startEvictionInjector(period uint64) {
 		s.kernel.AfterFunc(period, tickFn, 0)
 	}
 	s.kernel.AfterFunc(period, tickFn, 0)
-}
-
-// addStats sums two device counter snapshots (multi-device systems).
-func addStats(a, b vl.Stats) vl.Stats {
-	return vl.Stats{
-		PushAccepts:   a.PushAccepts + b.PushAccepts,
-		PushNACKs:     a.PushNACKs + b.PushNACKs,
-		Fetches:       a.Fetches + b.Fetches,
-		FetchNACKs:    a.FetchNACKs + b.FetchNACKs,
-		Registers:     a.Registers + b.Registers,
-		DemandPushes:  a.DemandPushes + b.DemandPushes,
-		DemandHits:    a.DemandHits + b.DemandHits,
-		DemandMisses:  a.DemandMisses + b.DemandMisses,
-		SpecScheduled: a.SpecScheduled + b.SpecScheduled,
-		SpecPushes:    a.SpecPushes + b.SpecPushes,
-		SpecHits:      a.SpecHits + b.SpecHits,
-		SpecMisses:    a.SpecMisses + b.SpecMisses,
-	}
 }
 
 // Result carries the metrics of one completed run.
