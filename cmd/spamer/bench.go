@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -23,7 +22,8 @@ var benchArtifacts = []string{"config", "workloads", "fig8", "fig9", "fig10", "i
 // (speedup over Virtual-Link), Figure 9 (execution-time breakdown),
 // Figure 10 (push failure rates and bus utilization), and the §4.3
 // library-inlining study. The matrix cells and inlining pairs are
-// independent simulations fanned across the -parallel pool.
+// independent simulations fanned across the -parallel pool; SIGINT or
+// SIGTERM stops it from starting runs and fails the command.
 func benchCmd(c *cli) error {
 	what := c.flags.String("what", "all", "which artifact to regenerate: all|config|workloads|fig8|fig9|fig10|inline")
 	scale := c.flags.Int("scale", 1, "message-count multiplier for every workload")
@@ -40,12 +40,14 @@ func benchCmd(c *cli) error {
 		show = []string{*what}
 	}
 
+	ctx, stop := c.interruptible()
+	defer stop()
 	var m *experiments.Matrix
 	if slices.ContainsFunc(show, func(s string) bool { return s == "fig8" || s == "fig9" || s == "fig10" }) {
 		fmt.Fprintf(c.stderr, "running %d benchmarks x %d configurations (scale %d) on %d workers...\n",
 			len(workloads.Names()), len(spamer.Configs()), *scale, harness.Workers(c.workers))
 		var err error
-		if m, err = experiments.RunMatrixParallel(context.Background(), *scale, c.pool("matrix")); err != nil {
+		if m, err = experiments.RunMatrixParallel(ctx, *scale, c.pool("matrix")); err != nil {
 			return err
 		}
 		if *svgDir != "" {
@@ -85,7 +87,7 @@ func benchCmd(c *cli) error {
 					return []string{fmt.Sprintf("%5.1f%%", cell.FailureRate*100), fmt.Sprintf("%5.1f%%", cell.BusUtilization*100)}
 				})
 		case "inline":
-			rows, err := experiments.InlineStudyParallel(context.Background(), *scale, c.pool("inline"))
+			rows, err := experiments.InlineStudyParallel(ctx, *scale, c.pool("inline"))
 			if err != nil {
 				return err
 			}

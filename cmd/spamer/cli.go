@@ -24,6 +24,7 @@ import (
 // registered.
 type cli struct {
 	name           string // "spamer <subcommand>", the prefix of its diagnostics
+	ctx            context.Context
 	stdin          io.Reader
 	stdout, stderr io.Writer
 	flags          *flag.FlagSet
@@ -95,6 +96,18 @@ func (c *cli) pool(prefix string) harness.Options {
 		opts.OnProgress = harness.ProgressPrinter(c.stderr, prefix)
 	}
 	return opts
+}
+
+// interruptible returns the invocation's context, cancelled by the first
+// SIGINT or SIGTERM, for a batch that should stop starting runs when
+// asked to: the pool then fails every unstarted run with
+// context.Canceled while the runs in flight finish. The first signal
+// also restores the default action, so a second one ends the process.
+// Call stop when the batch is over.
+func (c *cli) interruptible() (ctx context.Context, stop context.CancelFunc) {
+	ctx, stop = signal.NotifyContext(c.ctx, os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
+	return ctx, stop
 }
 
 // addProfileFlags registers -cpuprofile and -memprofile.

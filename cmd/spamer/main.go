@@ -29,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -59,12 +60,12 @@ var subcommands = []subcommand{
 }
 
 func main() {
-	os.Exit(dispatch(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+	os.Exit(dispatch(context.Background(), os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-// dispatch runs the subcommand named by args[0] and returns the process
-// exit status.
-func dispatch(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+// dispatch runs the subcommand named by args[0] under ctx and returns
+// the process exit status.
+func dispatch(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if len(args) == 0 {
 		usage(stderr)
 		return 2
@@ -76,7 +77,7 @@ func dispatch(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	for _, sc := range subcommands {
 		if sc.name == args[0] {
-			c := &cli{name: "spamer " + sc.name, stdin: stdin, stdout: stdout, stderr: stderr, args: args[1:]}
+			c := &cli{name: "spamer " + sc.name, ctx: ctx, stdin: stdin, stdout: stdout, stderr: stderr, args: args[1:]}
 			c.flags = flag.NewFlagSet(c.name, flag.ContinueOnError)
 			c.flags.SetOutput(stderr)
 			return c.exitCode(sc.run(c))

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,8 +16,14 @@ import (
 // output streams.
 func call(t *testing.T, stdin string, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
+	return callContext(t, context.Background(), stdin, args...)
+}
+
+// callContext is call under ctx.
+func callContext(t *testing.T, ctx context.Context, stdin string, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
 	var out, errOut bytes.Buffer
-	code = dispatch(args, strings.NewReader(stdin), &out, &errOut)
+	code = dispatch(ctx, args, strings.NewReader(stdin), &out, &errOut)
 	return code, out.String(), errOut.String()
 }
 
@@ -65,6 +73,36 @@ func TestRunMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestCancelledBatchStartsNoRun: run, bench and sweep run their pool
+// under the invocation's context, which SIGINT and SIGTERM cancel. Once
+// it is cancelled no run starts: run names each spec's cancelled run on
+// stderr, writes the outcomes that completed (none here) and exits 1,
+// and bench and sweep fail with the cancellation.
+func TestCancelledBatchStartsNoRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const batch = `[{"benchmark":"ping-pong","algorithms":["vl","0delay"]},
+{"benchmark":"incast","algorithms":["vl"]}]`
+	code, stdout, stderr := callContext(t, ctx, batch, "run")
+	if code != 1 || stdout != "null\n" {
+		t.Fatalf("run: exit %d, stdout %q, want 1 and null", code, stdout)
+	}
+	for _, want := range []string{
+		"spec 0: harness: run 0 (ping-pong/vl): context canceled\n",
+		"spec 1: harness: run 2 (incast/vl): context canceled\n",
+	} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("run stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+	for _, args := range [][]string{{"bench", "-what", "fig8"}, {"sweep", "-bench", "FIR"}} {
+		code, stdout, stderr := callContext(t, ctx, "", args...)
+		if code != 1 || stdout != "" || !strings.Contains(stderr, "context canceled") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 on the cancellation", args, code, stdout, stderr)
+		}
+	}
+}
+
 // TestTraceRejectsUnknownAlgorithm: an unknown -alg is an invalid
 // invocation (one stderr line, exit 2), not a simulator panic.
 func TestTraceRejectsUnknownAlgorithm(t *testing.T) {
@@ -89,6 +127,32 @@ func TestVerifySmallCampaign(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "3 cases") || !strings.Contains(stdout, "0 failures") {
 		t.Fatalf("unexpected summary: %q", stdout)
+	}
+}
+
+// TestReplayWrappedShapeCase: a campaign repro wraps its case under a
+// "case" key, and a shape spec may leave out "benchmark". Such a wrapper
+// replays exactly as the bare case file does, deadlock and all.
+func TestReplayWrappedShapeCase(t *testing.T) {
+	const cs = `{"spec":{"shape":{"stages":4,"messages":3,"lines":1},"algorithms":["vl"],"fault":{"drop_stash":5}}}`
+	dir := t.TempDir()
+	var reports []string
+	for _, f := range []struct{ name, body string }{
+		{"bare.json", cs},
+		{"wrapped.json", `{"case":` + cs + `,"violations":[]}`},
+	} {
+		path := filepath.Join(dir, f.name)
+		if err := os.WriteFile(path, []byte(f.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := call(t, "", "verify", "-repro", path)
+		if code != 1 || !strings.Contains(stdout, "run-panic [alg=vl]: spamer: deadlock") {
+			t.Fatalf("%s: exit %d, want 1 and the deadlock\nstdout:\n%s\nstderr:\n%s", f.name, code, stdout, stderr)
+		}
+		reports = append(reports, strings.ReplaceAll(stdout, path, "FILE"))
+	}
+	if reports[0] != reports[1] {
+		t.Fatalf("wrapped replay differs from the bare one:\n%s\nvs\n%s", reports[1], reports[0])
 	}
 }
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -38,8 +37,11 @@ import (
 // spec × algorithm) across the harness pool while keeping the emitted
 // outcomes in spec order. A failing spec does not abort the batch: its
 // error goes to stderr, every outcome that did complete is still
-// written to stdout, and the exit status is 1. After the batch, a
-// per-scenario SPAMeR-vs-VL speedup table is printed to stderr.
+// written to stdout, and the exit status is 1. SIGINT or SIGTERM stops
+// the batch from starting runs: the runs in flight finish, every
+// unstarted one fails its spec with "context canceled", and a second
+// signal ends the process. After the batch, a per-scenario
+// SPAMeR-vs-VL speedup table is printed to stderr.
 func runCmd(c *cli) error {
 	specPath := c.flags.String("spec", "-", "spec file path, or - for stdin")
 	c.addParallel(parallelUsage)
@@ -52,9 +54,11 @@ func runCmd(c *cli) error {
 		return err
 	}
 
+	ctx, stop := c.interruptible()
+	defer stop()
 	var results []experiments.SpecResult
 	if err := c.profiled(func() error {
-		results = experiments.RunSpecsParallel(context.Background(), specs, c.pool(""))
+		results = experiments.RunSpecsParallel(ctx, specs, c.pool(""))
 		return nil
 	}); err != nil {
 		return err

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"strings"
@@ -18,7 +17,8 @@ import (
 // normalized end-to-end execution time ("delay") against the
 // normalized dynamic energy of SRD pushes, per benchmark, with the
 // baseline at (1, 1). Every benchmark's grid points fan across the
-// -parallel pool.
+// -parallel pool; SIGINT or SIGTERM stops it from starting runs and
+// fails the command.
 func sweepCmd(c *cli) error {
 	benchList := c.flags.String("bench", strings.Join(workloads.Names(), ","),
 		"comma-separated benchmarks to sweep")
@@ -34,6 +34,8 @@ func sweepCmd(c *cli) error {
 			return err
 		}
 	}
+	ctx, stop := c.interruptible()
+	defer stop()
 	return c.profiled(func() error {
 		start := time.Now()
 		runs := 0
@@ -42,7 +44,7 @@ func sweepCmd(c *cli) error {
 			if name == "" {
 				continue
 			}
-			points, err := experiments.Figure11Parallel(context.Background(), name, *scale, c.pool("fig11 "+name))
+			points, err := experiments.Figure11Parallel(ctx, name, *scale, c.pool("fig11 "+name))
 			if err != nil {
 				return err
 			}

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 
 	"spamer/internal/oracle"
 	"spamer/internal/oracle/gen"
@@ -83,10 +85,16 @@ func replay(c *cli, path string) error {
 
 // readReproCase accepts both a campaign repro file, which wraps the
 // case as {"case": {...}, ...}, and a bare hand-written case file,
-// {"spec": {...}, ...}. The wrapper is tried first.
+// {"spec": {...}, ...}, telling them apart by the "case" key.
 func readReproCase(path string) (gen.Case, error) {
-	if fail, err := oracle.ReadReproFile(path); err == nil && fail.Case.Spec.Benchmark != "" {
-		return fail.Case, nil
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return gen.Case{}, err
+	}
+	var keys map[string]json.RawMessage
+	if json.Unmarshal(data, &keys) == nil && keys["case"] != nil {
+		fail, err := oracle.ReadReproFile(path)
+		return fail.Case, err
 	}
 	return gen.ReadCaseFile(path)
 }

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"spamer"
+	"spamer/internal/harness"
+	"spamer/internal/workloads"
 )
 
 // BenchmarkSpecRun measures an end-to-end experiment through the spec
@@ -51,6 +54,30 @@ func BenchmarkDAGScenarios(b *testing.B) {
 			}
 			if len(outs) != 2 {
 				b.Fatalf("outcomes = %d, want 2", len(outs))
+			}
+		}
+	}
+}
+
+// BenchmarkRunSpecsParallel measures the batch path that takes input of
+// any size (spamer run, a fabric lease, the oracle): 2,000 tiny shape
+// specs under the VL baseline and the tuned algorithm, 4,000 runs per
+// op. Each run is a short simulation, so the pool's per-run bookkeeping
+// shows in B/op and allocs/op beside the simulations' own.
+func BenchmarkRunSpecsParallel(b *testing.B) {
+	specs := make([]Spec, 2000)
+	for i := range specs {
+		specs[i] = Spec{
+			Shape:      &workloads.Shape{Stages: 2, Messages: 2, Lines: 1},
+			Algorithms: []string{spamer.AlgBaseline, spamer.AlgTuned},
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range RunSpecsParallel(context.Background(), specs, harness.Options{}) {
+			if r.Err != nil || len(r.Outcomes) != 2 {
+				b.Fatalf("result = %+v", r)
 			}
 		}
 	}

@@ -116,8 +116,7 @@ func (s *Spec) Validate() error {
 		}
 	} else if s.Benchmark == "" {
 		return fmt.Errorf("experiments: spec missing benchmark")
-	}
-	if _, ok := s.workload(); !ok {
+	} else if _, ok := s.workload(); !ok {
 		return fmt.Errorf("experiments: unknown benchmark %q", s.Benchmark)
 	}
 	for _, a := range s.Algorithms {
@@ -191,17 +190,13 @@ func (s *Spec) Run() ([]Outcome, error) {
 		return nil, err
 	}
 	w, _ := s.workload()
-	algs := s.Algorithms
-	if len(algs) == 0 {
-		algs = spamer.Configs()
-	}
 	scale := s.Scale
 	if scale == 0 {
 		scale = 1
 	}
 	var base *spamer.Result
 	var out []Outcome
-	for _, alg := range algs {
+	for _, alg := range s.algorithms() {
 		o, res := s.runAlg(w, alg, scale)
 		if alg == spamer.AlgBaseline {
 			r := res
@@ -213,6 +208,18 @@ func (s *Spec) Run() ([]Outcome, error) {
 		out = append(out, o)
 	}
 	return out, nil
+}
+
+// allAlgorithms is the algorithm list of a spec that names none.
+var allAlgorithms = spamer.Configs()
+
+// algorithms returns the spec's algorithms, or every configuration when
+// it names none. Callers must not modify the result.
+func (s *Spec) algorithms() []string {
+	if len(s.Algorithms) == 0 {
+		return allAlgorithms
+	}
+	return s.Algorithms
 }
 
 // runAlg executes one algorithm of the spec — including the Repeat

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"sort"
 
 	"spamer"
 	"spamer/internal/harness"
@@ -24,77 +25,83 @@ type SpecResult struct {
 // Spec.Run. Invalid specs fail fast in their slot without occupying a
 // worker; a failed run surfaces as its spec's Err while the other
 // specs' results — and the spec's own completed algorithms — are kept.
+//
+// Each run writes its outcome straight into its spec's result slot, so
+// beside the results a batch holds one workload and one offset per spec
+// and the pool's error slots.
 func RunSpecsParallel(ctx context.Context, specs []Spec, opts harness.Options) []SpecResult {
-	type slot struct{ spec, alg int }
-
 	results := make([]SpecResult, len(specs))
-	algsBySpec := make([][]string, len(specs))
-	perSpec := make([][]*harness.Outcome[Outcome], len(specs))
-	var tasks []harness.Task[Outcome]
-	var slots []slot
+	// Spec i owns the flat run indices first[i] to first[i+1]-1, one per
+	// algorithm in order; an invalid spec owns none.
+	first := make([]int, len(specs)+1)
+	works := make([]*workloads.Workload, len(specs))
+	n := 0
 	for i := range specs {
+		first[i] = n
 		s := &specs[i]
 		if err := s.Validate(); err != nil {
 			results[i].Err = err
 			continue
 		}
-		algs := s.Algorithms
-		if len(algs) == 0 {
-			algs = spamer.Configs()
-		}
-		algsBySpec[i] = algs
-		perSpec[i] = make([]*harness.Outcome[Outcome], len(algs))
-		w, _ := s.workload()
-		scale := s.Scale
-		if scale == 0 {
-			scale = 1
-		}
-		for j, alg := range algs {
-			alg := alg
-			slots = append(slots, slot{spec: i, alg: j})
-			tasks = append(tasks, harness.Task[Outcome]{
-				Label: s.Benchmark + "/" + alg,
-				Run: func(ctx context.Context) (Outcome, error) {
-					// Keep only the outcome: the speedup needs just its
-					// Ticks, and a batch holds every run until it ends.
-					o, _ := s.runAlg(w, alg, scale)
-					return o, nil
-				},
-			})
-		}
+		works[i], _ = s.workload()
+		results[i].Outcomes = make([]Outcome, len(s.algorithms()))
+		n += len(results[i].Outcomes)
+	}
+	first[len(specs)] = n
+	// at resolves a flat run index to its spec and algorithm position:
+	// the last spec whose first run is at or before k.
+	at := func(k int) (i, j int) {
+		i = sort.SearchInts(first, k+1) - 1
+		return i, k - first[i]
 	}
 
-	outs, _ := harness.Run(ctx, tasks, opts)
-	for k := range outs {
-		sl := slots[k]
-		perSpec[sl.spec][sl.alg] = &outs[k]
-	}
+	errs, _ := harness.Each(ctx, n, opts,
+		func(k int) string {
+			i, j := at(k)
+			return specs[i].Benchmark + "/" + specs[i].algorithms()[j]
+		},
+		func(_ context.Context, k int) error {
+			// The body ignores its context: a run is not interruptible,
+			// so cancellation acts when the pool claims an index.
+			i, j := at(k)
+			s := &specs[i]
+			// Keep only the outcome: the speedup needs just its Ticks.
+			results[i].Outcomes[j], _ = s.runAlg(works[i], s.algorithms()[j], max(s.Scale, 1))
+			return nil
+		})
 
-	// Reassemble each spec sequentially in algorithm order so the
-	// running-baseline speedup normalization matches Spec.Run.
+	// Normalize each spec sequentially in algorithm order so the
+	// running-baseline speedup matches Spec.Run, and compact out the
+	// algorithms whose run failed.
 	for i := range specs {
-		if results[i].Err != nil {
+		r := &results[i]
+		if r.Err != nil {
 			continue
 		}
-		var base *spamer.Result
-		for j, alg := range algsBySpec[i] {
-			o := perSpec[i][j]
-			if o.Err != nil {
-				if results[i].Err == nil {
-					results[i].Err = o.Err
+		var base spamer.Result // Speedup reads only Ticks
+		haveBase := false
+		kept := r.Outcomes[:0]
+		for j, alg := range specs[i].algorithms() {
+			if errs != nil && errs[first[i]+j] != nil {
+				if r.Err == nil {
+					r.Err = errs[first[i]+j]
 				}
 				continue
 			}
-			out := o.Value
-			res := spamer.Result{Ticks: out.Ticks} // Speedup reads only Ticks
+			out := r.Outcomes[j]
+			res := spamer.Result{Ticks: out.Ticks}
 			if alg == spamer.AlgBaseline {
-				base = &res
+				base, haveBase = res, true
 			}
-			if base != nil {
-				out.SpeedupOverVL = res.Speedup(*base)
+			if haveBase {
+				out.SpeedupOverVL = res.Speedup(base)
 			}
-			results[i].Outcomes = append(results[i].Outcomes, out)
+			kept = append(kept, out)
 		}
+		if len(kept) == 0 {
+			kept = nil
+		}
+		r.Outcomes = kept
 	}
 	return results
 }

@@ -2,42 +2,90 @@ package experiments
 
 import (
 	"context"
-	"reflect"
+	"encoding/json"
+	"fmt"
 	"testing"
 
 	"spamer/internal/harness"
+	"spamer/internal/workloads"
 )
 
 // TestRunSpecsParallelMatchesSequential: the pooled runner reproduces
-// Spec.Run outcome-for-outcome, at any worker count, in spec order.
+// Spec.Run outcome-for-outcome and error-for-error, at any worker count,
+// in spec order, over a batch that mixes named benchmarks, an invalid
+// spec, a run that deadlocks, shapes, a DAG, a repeat and a spec that
+// names no algorithm.
 func TestRunSpecsParallelMatchesSequential(t *testing.T) {
 	specs := []Spec{
 		{Benchmark: "ping-pong", Algorithms: []string{"vl", "tuned"}, Label: "a"},
 		{Benchmark: "firewall", Algorithms: []string{"tuned", "vl"}, Label: "b"},
+		{Benchmark: "no-such-benchmark"},
+		{Shape: &workloads.Shape{Stages: 4, Messages: 3, Lines: 1}, Algorithms: []string{"vl"}, Fault: &FaultSpec{DropStash: 5}},
+		{Shape: &workloads.Shape{Stages: 2, Messages: 3}, Algorithms: []string{"0delay", "vl", "tuned"}},
+		loadScenario(t, "rpc.json"),
 		{Benchmark: "ping-pong", Algorithms: []string{"0delay"}, Repeat: 2},
+		{Benchmark: "ping-pong"},
 	}
-	var want [][]Outcome
+	specs[5].Algorithms = []string{"vl", "tuned"}
+
+	// want[i] is spec i run alone through Spec.Run. The pool reports a
+	// panic under the run's flat index among all valid specs' runs; the
+	// spec that deadlocks names one algorithm, so its flat index is its
+	// spec's first.
+	type result struct{ outs, err string }
+	var want []result
+	flat := 0
 	for i := range specs {
-		outs, err := specs[i].Run()
-		if err != nil {
-			t.Fatal(err)
+		s := &specs[i]
+		outs, err, p := specRun(s)
+		w := result{outs: outcomeJSON(t, outs)}
+		switch {
+		case p != nil:
+			w.err = fmt.Sprintf("harness: run %d (%s/%s): panic: %v", flat, s.Benchmark, s.Algorithms[0], p)
+		case err != nil:
+			w.err = err.Error()
 		}
-		want = append(want, outs)
+		if s.Validate() == nil {
+			flat += len(s.algorithms())
+		}
+		want = append(want, w)
 	}
+	if want[2].err == "" || want[3].err == "" {
+		t.Fatalf("specs 2 and 3 must fail: %+v", want)
+	}
+
 	for _, workers := range []int{1, 4} {
 		results := RunSpecsParallel(context.Background(), specs, harness.Options{Workers: workers})
 		if len(results) != len(specs) {
 			t.Fatalf("workers=%d: results = %d", workers, len(results))
 		}
 		for i, r := range results {
+			got := result{outs: outcomeJSON(t, r.Outcomes)}
 			if r.Err != nil {
-				t.Fatalf("workers=%d spec %d: %+v", workers, i, r)
+				got.err = r.Err.Error()
 			}
-			if !reflect.DeepEqual(r.Outcomes, want[i]) {
-				t.Errorf("workers=%d spec %d:\n got %+v\nwant %+v", workers, i, r.Outcomes, want[i])
+			if got != want[i] {
+				t.Errorf("workers=%d spec %d:\n got %+v\nwant %+v", workers, i, got, want[i])
 			}
 		}
 	}
+}
+
+// specRun runs s through Spec.Run, returning a panic instead of
+// propagating it.
+func specRun(s *Spec) (outs []Outcome, err error, p any) {
+	defer func() { p = recover() }()
+	outs, err = s.Run()
+	return outs, err, nil
+}
+
+func outcomeJSON(t *testing.T, outs []Outcome) string {
+	t.Helper()
+	b, err := json.Marshal(outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestRunSpecsParallelIsolatesFailures: an invalid spec fails in its

@@ -14,6 +14,11 @@
 //     becomes a structured *Error in its slot instead of killing the
 //     whole sweep.
 //
+// Each is the one pool loop: it runs an index-addressed body, so a
+// caller that writes each run's result into its own slot holds only its
+// results, plus one error word per run once a run fails. Run adapts it
+// to a task slice.
+//
 // Cancellation is context-based and cooperative: the pool stops
 // dispatching queued tasks as soon as the context is cancelled, and the
 // per-task context (with Options.Timeout applied) is handed to the task
@@ -60,9 +65,8 @@ func (e *Error) Unwrap() error { return e.Err }
 type Outcome[T any] struct {
 	Index int
 	Label string
-	Value T             // zero when Err != nil
-	Err   error         // nil on success, otherwise *Error
-	Wall  time.Duration // host wall-clock the run took
+	Value T     // zero when Err != nil
+	Err   error // nil on success, otherwise *Error
 }
 
 // Progress is a live snapshot delivered after each run finishes.
@@ -113,119 +117,159 @@ func (m Metrics) String() string {
 // is done) are recorded in their slots, so a sweep always yields a
 // complete, ordered account of what ran and what failed.
 func Run[T any](ctx context.Context, tasks []Task[T], opts Options) ([]Outcome[T], Metrics) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(tasks) && len(tasks) > 0 {
-		workers = len(tasks)
-	}
-	start := time.Now()
 	outs := make([]Outcome[T], len(tasks))
-
-	var (
-		mu   sync.Mutex
-		done int
-		fail int
-	)
-	starting := func(i int) {
-		if opts.OnStart == nil {
-			return
-		}
-		mu.Lock()
-		opts.OnStart(Progress{
-			Done:    done,
-			Total:   len(tasks),
-			Failed:  fail,
-			Label:   tasks[i].Label,
-			Elapsed: time.Since(start),
+	errs, m := Each(ctx, len(tasks), opts,
+		func(i int) string { return tasks[i].Label },
+		func(ctx context.Context, i int) (err error) {
+			outs[i].Value, err = tasks[i].Run(ctx)
+			return err
 		})
-		mu.Unlock()
-	}
-	report := func(i int) {
-		mu.Lock()
-		done++
-		if outs[i].Err != nil {
-			fail++
+	for i := range outs {
+		outs[i].Index, outs[i].Label = i, tasks[i].Label
+		if errs != nil && errs[i] != nil {
+			var zero T
+			outs[i].Value, outs[i].Err = zero, errs[i]
 		}
-		if opts.OnProgress != nil {
-			opts.OnProgress(Progress{
-				Done:    done,
-				Total:   len(tasks),
-				Failed:  fail,
-				Label:   outs[i].Label,
-				Elapsed: time.Since(start),
-			})
-		}
-		mu.Unlock()
-	}
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				starting(i)
-				outs[i] = runOne(ctx, i, tasks[i], opts.Timeout)
-				report(i)
-			}
-		}()
-	}
-	for i := range tasks {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
-	wall := time.Since(start)
-	m := Metrics{Runs: len(tasks), Failed: fail, Workers: workers, Wall: wall}
-	if secs := wall.Seconds(); secs > 0 {
-		m.Throughput = float64(len(tasks)-fail) / secs
 	}
 	return outs, m
 }
 
-// runOne executes a single task with cancellation, timeout, and panic
-// containment.
-func runOne[T any](ctx context.Context, i int, t Task[T], timeout time.Duration) (out Outcome[T]) {
-	out = Outcome[T]{Index: i, Label: t.Label}
-	if err := ctx.Err(); err != nil {
-		out.Err = &Error{Index: i, Label: t.Label, Err: err}
-		return out
+// Each calls body(ctx, i) once for every i in [0, n) on a bounded worker
+// pool, with Run's contract for each run: the per-run Timeout, panic
+// containment, and a structured *Error naming the run's index and
+// label(i). It returns the runs' errors indexed by i, or nil when every
+// run succeeded, so a caller that writes each run's result into its own
+// slot holds nothing else per run.
+//
+// Workers claim the next index under the lock that serializes OnStart
+// and OnProgress, and the calling goroutine is one of them: a pool of
+// one runs every body inline, in index order. A claim made once ctx is
+// done records ctx.Err() instead of starting the run, so no run starts
+// after cancellation while work that finished is kept. label is called
+// only when a callback or an error needs the run's name.
+func Each(ctx context.Context, n int, opts Options, label func(i int) string, body func(ctx context.Context, i int) error) ([]error, Metrics) {
+	workers := Workers(opts.Workers)
+	if n > 0 {
+		workers = min(workers, n)
 	}
+	p := &pool{ctx: ctx, n: n, opts: opts, label: label, body: body, start: time.Now(),
+		named: opts.OnStart != nil || opts.OnProgress != nil}
+	for w := 1; w < workers; w++ {
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			p.work()
+		}()
+	}
+	p.work()
+	p.wg.Wait()
+
+	wall := time.Since(p.start)
+	m := Metrics{Runs: n, Failed: p.fail, Workers: workers, Wall: wall}
+	if secs := wall.Seconds(); secs > 0 {
+		m.Throughput = float64(n-p.fail) / secs
+	}
+	return p.errs, m
+}
+
+// pool is the state one Each call shares among its workers.
+type pool struct {
+	ctx   context.Context
+	n     int
+	opts  Options
+	label func(int) string
+	body  func(context.Context, int) error
+	start time.Time
+	named bool // a callback needs every run's label
+	wg    sync.WaitGroup
+
+	mu               sync.Mutex // guards the fields below and serializes the callbacks
+	next, done, fail int
+	errs             []error // allocated at the first failure
+}
+
+// work claims and runs indices until none is left.
+func (p *pool) work() {
+	for {
+		p.mu.Lock()
+		if p.next == p.n {
+			p.mu.Unlock()
+			return
+		}
+		i := p.next
+		p.next++
+		var name string
+		if p.named {
+			name = p.label(i)
+		}
+		if p.opts.OnStart != nil {
+			p.opts.OnStart(p.progress(name))
+		}
+		err := p.ctx.Err()
+		p.mu.Unlock()
+
+		if err == nil {
+			err = runOne(p.ctx, i, p.opts.Timeout, p.body)
+		}
+		if err != nil {
+			if !p.named {
+				name = p.label(i)
+			}
+			err = &Error{Index: i, Label: name, Err: err}
+		}
+
+		p.mu.Lock()
+		p.done++
+		if err != nil {
+			p.fail++
+			if p.errs == nil {
+				p.errs = make([]error, p.n)
+			}
+			p.errs[i] = err
+		}
+		if p.opts.OnProgress != nil {
+			p.opts.OnProgress(p.progress(name))
+		}
+		p.mu.Unlock()
+	}
+}
+
+// progress snapshots the counts for a callback about run name; p.mu is
+// held.
+func (p *pool) progress(name string) Progress {
+	return Progress{Done: p.done, Total: p.n, Failed: p.fail, Label: name, Elapsed: time.Since(p.start)}
+}
+
+// runOne runs body(i) under the per-run timeout, converting a panic into
+// the run's error.
+func runOne(ctx context.Context, i int, timeout time.Duration, body func(context.Context, int) error) (err error) {
 	runCtx := ctx
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		runCtx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	start := time.Now()
 	defer func() {
-		out.Wall = time.Since(start)
 		if r := recover(); r != nil {
 			// A watchdog, deadlock or thread-step panic from the
 			// simulator lands here (the kernel and every thread step
 			// run on this goroutine); keep the sweep alive and record
 			// the failure in this run's slot.
-			out.Err = &Error{Index: i, Label: t.Label, Err: fmt.Errorf("panic: %v", r)}
+			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	v, err := t.Run(runCtx)
-	if err == nil && ctx.Err() == nil {
-		// A body that ignores its context may have returned a value
-		// after the per-run deadline passed; surface the timeout.
-		// (Pool-wide cancellation, by contrast, keeps work that
-		// completed before the cancel was observed.)
-		err = runCtx.Err()
+	err = body(runCtx, i)
+	if err == nil {
+		// A body that ignores its context may have returned after the
+		// per-run deadline passed; surface the timeout. Pool-wide
+		// cancellation, by contrast, keeps work that completed. The run
+		// context is read first: a pool cancel that reached it has
+		// already set ctx, so it is never taken for the deadline.
+		if rerr := runCtx.Err(); rerr != nil && ctx.Err() == nil {
+			err = rerr
+		}
 	}
-	if err != nil {
-		out.Err = &Error{Index: i, Label: t.Label, Err: err}
-		return out
-	}
-	out.Value = v
-	return out
+	return err
 }
 
 // ProgressPrinter returns an OnProgress callback that rewrites one

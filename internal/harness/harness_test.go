@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -281,5 +282,186 @@ func TestOnStartFiresPerRun(t *testing.T) {
 		if started[l] != 1 || finished[l] != 1 {
 			t.Fatalf("run %s: started %d finished %d times", l, started[l], finished[l])
 		}
+	}
+}
+
+func runLabel(i int) string { return fmt.Sprintf("r%d", i) }
+
+// TestEachRunsEveryIndexOnce: every index runs exactly once at any pool
+// width, a clean pool returns no error slice, and no label is built when
+// no callback or error needs one.
+func TestEachRunsEveryIndexOnce(t *testing.T) {
+	const n = 1000
+	for _, workers := range []int{1, 3, 8} {
+		counts := make([]atomic.Int32, n)
+		errs, m := Each(context.Background(), n, Options{Workers: workers},
+			func(i int) string {
+				t.Errorf("label(%d) built with no callback or error", i)
+				return ""
+			},
+			func(_ context.Context, i int) error {
+				counts[i].Add(1)
+				return nil
+			})
+		if errs != nil || m.Runs != n || m.Failed != 0 || m.Workers != workers {
+			t.Fatalf("workers=%d: errs %v, metrics %+v", workers, errs != nil, m)
+		}
+		for i := range counts {
+			if c := counts[i].Load(); c != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+			}
+		}
+	}
+}
+
+// TestEachProgressCounts: OnStart and OnProgress calls are serialized
+// and carry Run's counts: OnStart sees the runs finished so far, and
+// OnProgress counts Done up to Total with Failed counting failed runs.
+// Failed runs become *Error slots with their index and label.
+func TestEachProgressCounts(t *testing.T) {
+	const n = 60
+	failing := func(i int) bool { return i%5 == 0 }
+	type event struct {
+		start bool
+		p     Progress
+	}
+	var events []event // appended without a lock: the pool serializes callbacks
+	var inside atomic.Int32
+	record := func(start bool) func(Progress) {
+		return func(p Progress) {
+			if inside.Add(1) != 1 {
+				t.Error("callbacks overlap")
+			}
+			events = append(events, event{start, p})
+			inside.Add(-1)
+		}
+	}
+	errs, m := Each(context.Background(), n, Options{Workers: 4, OnStart: record(true), OnProgress: record(false)},
+		runLabel,
+		func(_ context.Context, i int) error {
+			if failing(i) {
+				return errors.New("boom")
+			}
+			return nil
+		})
+	if len(events) != 2*n {
+		t.Fatalf("events = %d, want %d", len(events), 2*n)
+	}
+	done, failed := 0, 0
+	for k, e := range events {
+		if !e.start {
+			done++
+			var i int
+			if _, err := fmt.Sscanf(e.p.Label, "r%d", &i); err != nil {
+				t.Fatalf("event %d: label %q: %v", k, e.p.Label, err)
+			}
+			if failing(i) {
+				failed++
+			}
+		}
+		if e.p.Done != done || e.p.Failed != failed || e.p.Total != n {
+			t.Fatalf("event %d (start %v) = %+v, want done %d failed %d total %d", k, e.start, e.p, done, failed, n)
+		}
+	}
+	if m.Failed != n/5 || failed != n/5 {
+		t.Fatalf("failed: metrics %d, progress %d, want %d", m.Failed, failed, n/5)
+	}
+	for i := 0; i < n; i++ {
+		var he *Error
+		switch {
+		case !failing(i) && errs[i] != nil:
+			t.Fatalf("errs[%d] = %v, want nil", i, errs[i])
+		case failing(i) && (!errors.As(errs[i], &he) || he.Index != i || he.Label != runLabel(i)):
+			t.Fatalf("errs[%d] = %v, want *Error for run %d", i, errs[i], i)
+		}
+	}
+}
+
+// TestEachCancelFillsUnstartedSlots: once the context is cancelled no
+// claimed run starts, runs already in flight finish and keep their
+// result, and every unstarted index reports context.Canceled as a
+// structured *Error with its index and label. The cancel is issued from
+// OnStart as run cut is claimed, so exactly the runs before it start at
+// any pool width; a context cancelled before the pool starts none.
+func TestEachCancelFillsUnstartedSlots(t *testing.T) {
+	const n, cut = 50, 7
+	for _, workers := range []int{1, 4} {
+		for _, early := range []bool{false, true} {
+			ctx, cancel := context.WithCancel(context.Background())
+			if early {
+				cancel()
+			}
+			opts := Options{Workers: workers, OnStart: func(p Progress) {
+				if p.Label == runLabel(cut) {
+					cancel()
+				}
+			}}
+			ran := make([]atomic.Bool, n)
+			errs, m := Each(ctx, n, opts, runLabel, func(_ context.Context, i int) error {
+				ran[i].Store(true)
+				return nil
+			})
+			cancel()
+			started := cut
+			if early {
+				started = 0
+			}
+			for i := 0; i < n; i++ {
+				if i < started {
+					if !ran[i].Load() || errs[i] != nil {
+						t.Fatalf("workers=%d early=%v: run %d ran %v, err %v; want it run and kept", workers, early, i, ran[i].Load(), errs[i])
+					}
+					continue
+				}
+				var he *Error
+				if ran[i].Load() || !errors.Is(errs[i], context.Canceled) || !errors.As(errs[i], &he) || he.Index != i || he.Label != runLabel(i) {
+					t.Fatalf("workers=%d early=%v: run %d ran %v, err %v; want structured context.Canceled", workers, early, i, ran[i].Load(), errs[i])
+				}
+			}
+			if m.Failed != n-started {
+				t.Fatalf("workers=%d early=%v: failed = %d, want %d", workers, early, m.Failed, n-started)
+			}
+		}
+	}
+}
+
+// TestEachInlineAtOneWorker: a pool of one runs every body on the
+// calling goroutine, in index order.
+func TestEachInlineAtOneWorker(t *testing.T) {
+	var order []int
+	buf := make([]byte, 16<<10)
+	_, m := Each(context.Background(), 5, Options{Workers: 1}, runLabel, func(_ context.Context, i int) error {
+		order = append(order, i)
+		if stack := string(buf[:runtime.Stack(buf, false)]); !strings.Contains(stack, "harness.TestEachInlineAtOneWorker(") {
+			t.Errorf("run %d is not on the caller's goroutine:\n%s", i, stack)
+		}
+		return nil
+	})
+	if m.Workers != 1 || fmt.Sprint(order) != "[0 1 2 3 4]" {
+		t.Fatalf("workers %d, order %v", m.Workers, order)
+	}
+}
+
+// TestEachAllocationFlat: the pool allocates O(workers), not O(runs):
+// 100,000 no-op runs allocate at most 4 KB more than 1,000 do (the
+// least of three tries each, so a stray background allocation does not
+// count).
+func TestEachAllocationFlat(t *testing.T) {
+	body := func(context.Context, int) error { return nil }
+	allocated := func(n int) uint64 {
+		least := ^uint64(0)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			Each(context.Background(), n, Options{Workers: 4}, runLabel, body)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	small, large := allocated(1000), allocated(100_000)
+	t.Logf("bytes allocated: %d for 1,000 runs, %d for 100,000", small, large)
+	if large > small+4<<10 {
+		t.Fatalf("100,000 runs allocated %d bytes, 1,000 runs %d: the pool holds per-run state", large, small)
 	}
 }
