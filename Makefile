@@ -84,13 +84,18 @@ examples-check:
 # The evaluation artifacts are deterministic too (the same bytes at any
 # -parallel): build spamer once, run each subcommand below and diff its
 # stdout against testdata/artifacts/<name>.txt. Each entry is
-# <name>:<args, comma-separated>. After a change that is meant to move an
-# artifact's numbers, regenerate its file, for example
+# <name>:<args, comma-separated>. bench, sweep, ablate and tune run a
+# second time at -parallel 1 against the same file, pinning that a
+# study's results do not depend on the pool's width. After a change that
+# is meant to move an artifact's numbers, regenerate its file, for
+# example
 #   go run ./cmd/spamer trace -alg tuned > testdata/artifacts/trace-tuned.txt
 ARTIFACTS := bench:bench trace:trace trace-tuned:trace,-alg,tuned sweep:sweep \
 	latency:latency area:area ablate:ablate tune:tune \
 	phases-allreduce:trace,-phases,allreduce phases-alltoall:trace,-phases,alltoall \
-	phases-reduce:trace,-phases,reduce
+	phases-reduce:trace,-phases,reduce \
+	bench:bench,-parallel,1 sweep:sweep,-parallel,1 ablate:ablate,-parallel,1 \
+	tune:tune,-parallel,1
 artifacts-check:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/spamer" ./cmd/spamer || exit 1; \

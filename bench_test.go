@@ -29,7 +29,6 @@ import (
 	"spamer/internal/experiments"
 	"spamer/internal/harness"
 	"spamer/internal/traffic"
-	"spamer/internal/tuner"
 	"spamer/internal/workloads"
 )
 
@@ -212,12 +211,10 @@ func BenchmarkAblationTopology(b *testing.B) {
 func BenchmarkTunerSearch(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		s, err := tuner.NewSearch("firewall", 1)
+		res, err := experiments.Tune(context.Background(), "firewall", 1, 2, harness.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.MaxRounds = 2
-		res := s.Run()
 		gain = res.Improvement
 	}
 	b.ReportMetric(gain, "tuner-gain")

@@ -35,7 +35,8 @@ var ablations = []ablation{
 }
 
 // ablateCmd runs one ablation study, or all of them, each fanned
-// across the -parallel pool.
+// across the -parallel pool; SIGINT or SIGTERM stops it from starting
+// runs and fails the command.
 func ablateCmd(c *cli) error {
 	what := c.flags.String("what", "all", "study: predictors|srd|hop|channels|devices|obfuscation|all")
 	scale := c.flags.Int("scale", 1, "message-count multiplier")
@@ -43,9 +44,11 @@ func ablateCmd(c *cli) error {
 	if err := c.parse(); err != nil {
 		return err
 	}
+	ctx, stop := c.interruptible()
+	defer stop()
 	run := func(a ablation) error {
 		fmt.Fprintln(c.stdout, a.title)
-		table, err := a.table(context.Background(), *scale, c.pool(a.name))
+		table, err := a.table(ctx, *scale, c.pool(a.name))
 		if err != nil {
 			return err
 		}

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"context"
 	"fmt"
 
 	"spamer/internal/energy"
 	"spamer/internal/experiments"
-	"spamer/internal/harness"
 	"spamer/internal/report"
 )
 
@@ -14,7 +12,8 @@ import (
 // the Table 1 sizing (paper: 0.156 mm² of buffers, 0.170 mm² total, <1%
 // of a 16-core SoC) and worst-case SRD power per delay algorithm from
 // measured push-frequency factors (paper: at most 47.75 mW, ≈0.23% of
-// SoC power).
+// SoC power). SIGINT or SIGTERM stops the measurement matrix from
+// starting runs and fails the command.
 func areaCmd(c *cli) error {
 	entries := c.flags.Int("entries", 0, "specBuf entries (0 = Table 1 default, 64)")
 	scale := c.flags.Int("scale", 1, "message-count multiplier for the power measurement")
@@ -39,7 +38,9 @@ func areaCmd(c *cli) error {
 
 	fmt.Fprintln(w)
 	fmt.Fprintln(c.stderr, "measuring push-frequency factors across the benchmark matrix...")
-	m, err := experiments.RunMatrixParallel(context.Background(), *scale, harness.Options{})
+	ctx, stop := c.interruptible()
+	defer stop()
+	m, err := experiments.RunMatrixParallel(ctx, *scale, c.pool(""))
 	if err != nil {
 		return err
 	}

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"context"
 	"fmt"
 
 	"spamer/internal/experiments"
-	"spamer/internal/harness"
 	"spamer/internal/report"
 )
 
@@ -14,6 +12,8 @@ import (
 // Virtual-Link hardware queue (Lv), and SPAMeR with speculative pushes
 // (Ls), demonstrating Lc > Lv > Ls; then the same three stacks at
 // application level. It exits 1 when the ordering does not reproduce.
+// SIGINT or SIGTERM stops the application-level study from starting
+// builds and fails the command.
 func latencyCmd(c *cli) error {
 	if err := c.parse(); err != nil {
 		return err
@@ -33,7 +33,9 @@ func latencyCmd(c *cli) error {
 
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "application-level comparison (end-to-end cycles):")
-	rows, err := experiments.SoftwareQueueStudyParallel(context.Background(), harness.Options{})
+	ctx, stop := c.interruptible()
+	defer stop()
+	rows, err := experiments.SoftwareQueueStudyParallel(ctx, c.pool(""))
 	if err != nil {
 		return err
 	}

@@ -73,19 +73,21 @@ func TestRunMatchesLibrary(t *testing.T) {
 	}
 }
 
-// TestCancelledBatchStartsNoRun: run, bench and sweep run their pool
-// under the invocation's context, which SIGINT and SIGTERM cancel. Once
-// it is cancelled no run starts: run names each spec's cancelled run on
-// stderr, writes the outcomes that completed (none here) and exits 1,
-// and bench and sweep fail with the cancellation.
+// TestCancelledBatchStartsNoRun: every subcommand with a pool (run,
+// bench, sweep, ablate, area, latency and tune) runs it under the
+// invocation's context, which SIGINT and SIGTERM cancel. Once it is
+// cancelled no run starts: run names each spec's cancelled run on
+// stderr, writes the outcomes that completed (none here, an empty
+// array) and exits 1, and the others fail with the cancellation, bench,
+// sweep and tune before printing anything.
 func TestCancelledBatchStartsNoRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	const batch = `[{"benchmark":"ping-pong","algorithms":["vl","0delay"]},
 {"benchmark":"incast","algorithms":["vl"]}]`
 	code, stdout, stderr := callContext(t, ctx, batch, "run")
-	if code != 1 || stdout != "null\n" {
-		t.Fatalf("run: exit %d, stdout %q, want 1 and null", code, stdout)
+	if code != 1 || stdout != "[]\n" {
+		t.Fatalf("run: exit %d, stdout %q, want 1 and an empty array", code, stdout)
 	}
 	for _, want := range []string{
 		"spec 0: harness: run 0 (ping-pong/vl): context canceled\n",
@@ -95,10 +97,20 @@ func TestCancelledBatchStartsNoRun(t *testing.T) {
 			t.Errorf("run stderr lacks %q:\n%s", want, stderr)
 		}
 	}
-	for _, args := range [][]string{{"bench", "-what", "fig8"}, {"sweep", "-bench", "FIR"}} {
-		code, stdout, stderr := callContext(t, ctx, "", args...)
-		if code != 1 || stdout != "" || !strings.Contains(stderr, "context canceled") {
-			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 on the cancellation", args, code, stdout, stderr)
+	for _, tc := range []struct {
+		args   []string
+		silent bool // nothing reaches stdout before the pool runs
+	}{
+		{[]string{"bench", "-what", "fig8"}, true},
+		{[]string{"sweep", "-bench", "FIR"}, true},
+		{[]string{"tune", "-bench", "firewall"}, true},
+		{[]string{"ablate"}, false},
+		{[]string{"area"}, false},
+		{[]string{"latency"}, false},
+	} {
+		code, stdout, stderr := callContext(t, ctx, "", tc.args...)
+		if code != 1 || (tc.silent && stdout != "") || !strings.Contains(stderr, "context canceled") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 on the cancellation", tc.args, code, stdout, stderr)
 		}
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"time"
 
+	"spamer/internal/experiments"
 	"spamer/internal/harness"
 	"spamer/internal/report"
-	"spamer/internal/tuner"
 	"spamer/internal/workloads"
 )
 
@@ -17,7 +17,8 @@ import (
 // the improvement against the Figure 11 objective (distance from the
 // origin in normalized delay/energy space). Each round's candidate
 // neighbours run on the -parallel pool without changing the search
-// trajectory.
+// trajectory; SIGINT or SIGTERM stops it from starting runs and fails
+// the command.
 func tuneCmd(c *cli) error {
 	benchList := c.flags.String("bench", strings.Join(workloads.Names(), ","), "benchmarks to tune")
 	rounds := c.flags.Int("rounds", 6, "coordinate-descent rounds")
@@ -27,28 +28,27 @@ func tuneCmd(c *cli) error {
 		return err
 	}
 
+	ctx, stop := c.interruptible()
+	defer stop()
 	table := [][]string{{"benchmark", "published score", "best score", "best params", "gain", "evals"}}
 	for _, name := range strings.Split(*benchList, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		s, err := tuner.NewSearch(name, *scale)
+		fmt.Fprintf(c.stderr, "tuning %s (%d workers)...\n", name, harness.Workers(c.workers))
+		start := time.Now()
+		res, err := experiments.Tune(ctx, name, *scale, *rounds, c.pool(""))
 		if err != nil {
 			return err
 		}
-		s.MaxRounds = *rounds
-		s.Workers = c.workers
-		fmt.Fprintf(c.stderr, "tuning %s (%d workers)...\n", name, harness.Workers(c.workers))
-		start := time.Now()
-		res := s.Run()
 		elapsed := time.Since(start)
 		fmt.Fprintf(c.stderr, "tuned %s: %d evals in %v (%.1f runs/s)\n",
 			name, res.Evals, elapsed.Round(time.Millisecond), float64(res.Evals)/elapsed.Seconds())
 		table = append(table, []string{
 			res.Benchmark,
-			fmt.Sprintf("%.4f", res.Start.Score),
-			fmt.Sprintf("%.4f", res.Best.Score),
+			fmt.Sprintf("%.4f", res.Start.Score()),
+			fmt.Sprintf("%.4f", res.Best.Score()),
 			res.Best.Params.String(),
 			fmt.Sprintf("%.1f%%", (res.Improvement-1)*100),
 			fmt.Sprint(res.Evals),

@@ -2,8 +2,9 @@
 // evaluation section from the simulator. Each experiment returns plain
 // data; cmd/spamer renders it with internal/report, and the root bench
 // suite wraps each in a testing.B benchmark. A study that runs
-// simulations has one entry point, a *Parallel function taking a
-// context and the harness.Options of its worker pool.
+// simulations has one entry point, a *Parallel function (or Tune, the
+// parameter search) taking a context and the harness.Options of its
+// worker pool.
 package experiments
 
 import (

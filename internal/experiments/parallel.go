@@ -13,24 +13,48 @@ import (
 	"spamer/internal/workloads"
 )
 
-// This file holds the entry points that run simulations, each fanned
-// across the bounded worker pool of internal/harness. Every simulator
-// run is an independent, deterministic spamer.System, so parallel
-// execution with ordered result assembly is observably identical to a
-// sequential loop at any worker count.
+// This file holds the entry points that run simulations. A study is a
+// list of runs, each a workload under one configuration, and runAll
+// fans the list across the bounded worker pool of internal/harness.
+// Every simulator run is an independent, deterministic spamer.System,
+// so parallel execution with each result written into its own slot is
+// observably identical to a sequential loop at any worker count.
 
-// runTask wraps one workload run as a harness task. The simulator is
-// CPU-bound and single-threaded per system; cancellation is honoured at
-// dispatch (a cancelled task never starts) and runaway systems are
-// bounded by the kernel watchdog, whose panic the harness converts into
-// the run's structured error.
-func runTask(w *workloads.Workload, cfg spamer.Config, scale int, label string) harness.Task[spamer.Result] {
-	return harness.Task[spamer.Result]{
-		Label: label,
-		Run: func(ctx context.Context) (spamer.Result, error) {
-			return w.Run(cfg, scale), nil
-		},
+// run is one simulation of a study: workload w under cfg, named by
+// label in progress reports and errors.
+type run struct {
+	w     *workloads.Workload
+	cfg   spamer.Config
+	label string
+}
+
+// runAll executes runs at scale on the harness pool, each writing its
+// Result into its own slot, and returns the slots in run order with the
+// first failure in run order (a *harness.Error), or nil. A failed run's
+// slot holds the zero Result. The simulator is CPU-bound and
+// single-threaded per system: cancellation is honoured at dispatch (a
+// cancelled run never starts) and a runaway system is bounded by the
+// kernel watchdog, whose panic the harness turns into the run's error.
+func runAll(ctx context.Context, runs []run, scale int, opts harness.Options) ([]spamer.Result, error) {
+	results := make([]spamer.Result, len(runs))
+	errs, _ := harness.Each(ctx, len(runs), opts,
+		func(i int) string { return runs[i].label },
+		func(_ context.Context, i int) error {
+			results[i] = runs[i].w.Run(runs[i].cfg, scale)
+			return nil
+		})
+	return results, firstErr(errs)
+}
+
+// firstErr returns the first failure of a harness.Each result in run
+// order, or nil.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // RunMatrixParallel executes every benchmark under every configuration
@@ -41,26 +65,21 @@ func RunMatrixParallel(ctx context.Context, scale int, opts harness.Options) (*M
 		Configs:    spamer.Configs(),
 		Results:    map[string]map[string]spamer.Result{},
 	}
-	type cell struct{ bench, alg string }
-	var cells []cell
-	var tasks []harness.Task[spamer.Result]
+	runs := make([]run, 0, len(m.Benchmarks)*len(m.Configs))
 	for _, w := range workloads.All() {
 		for _, alg := range m.Configs {
-			cells = append(cells, cell{w.Name, alg})
-			tasks = append(tasks, runTask(w,
-				spamer.Config{Algorithm: alg}, scale, w.Name+"/"+alg))
+			runs = append(runs, run{w, spamer.Config{Algorithm: alg}, w.Name + "/" + alg})
 		}
 	}
-	outs, _ := harness.Run(ctx, tasks, opts)
-	for i, o := range outs {
-		if o.Err != nil {
-			return nil, o.Err
+	results, err := runAll(ctx, runs, scale, opts)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range runs {
+		if m.Results[r.w.Name] == nil {
+			m.Results[r.w.Name] = map[string]spamer.Result{}
 		}
-		c := cells[i]
-		if m.Results[c.bench] == nil {
-			m.Results[c.bench] = map[string]spamer.Result{}
-		}
-		m.Results[c.bench][c.alg] = o.Value
+		m.Results[r.w.Name][r.cfg.Algorithm] = results[i]
 	}
 	return m, nil
 }
@@ -83,20 +102,14 @@ func Figure11Parallel(ctx context.Context, benchName string, scale int, opts har
 		grid = append(grid, p)
 	}
 
-	tasks := []harness.Task[spamer.Result]{
-		runTask(w, spamer.Config{Algorithm: spamer.AlgBaseline}, scale, benchName+"/vl"),
-	}
+	runs := []run{{w, spamer.Config{Algorithm: spamer.AlgBaseline}, benchName + "/vl"}}
 	for _, alg := range named {
-		tasks = append(tasks, runTask(w,
-			spamer.Config{Algorithm: alg}, scale, benchName+"/"+alg))
+		runs = append(runs, run{w, spamer.Config{Algorithm: alg}, benchName + "/" + alg})
 	}
 	for _, p := range grid {
-		tasks = append(tasks, runTask(w,
-			spamer.Config{Algorithm: spamer.AlgTuned, Tuned: p}, scale,
-			benchName+"/tuned{"+p.String()+"}"))
+		runs = append(runs, tunedRun(w, p))
 	}
-	outs, _ := harness.Run(ctx, tasks, opts)
-	results, err := harness.Values(outs)
+	results, err := runAll(ctx, runs, scale, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -104,23 +117,28 @@ func Figure11Parallel(ctx context.Context, benchName string, scale int, opts har
 	base := results[0]
 	points := []Figure11Point{{Label: "VL(baseline)", DelayNorm: 1, EnergyNorm: 1}}
 	for i, alg := range named {
-		res := results[1+i]
-		points = append(points, Figure11Point{
-			Label:      "SPAMeR(" + alg + ")",
-			DelayNorm:  energy.DelayNorm(res, base),
-			EnergyNorm: energy.EnergyNorm(res, base),
-		})
+		points = append(points, normalized("SPAMeR("+alg+")", config.TunedParams{}, results[1+i], base))
 	}
 	for i, p := range grid {
-		res := results[1+len(named)+i]
-		points = append(points, Figure11Point{
-			Label:      "tuned{" + p.String() + "}",
-			Params:     p,
-			DelayNorm:  energy.DelayNorm(res, base),
-			EnergyNorm: energy.EnergyNorm(res, base),
-		})
+		points = append(points, normalized("tuned{"+p.String()+"}", p, results[1+len(named)+i], base))
 	}
 	return points, nil
+}
+
+// tunedRun is w under the tuned algorithm with parameters p.
+func tunedRun(w *workloads.Workload, p config.TunedParams) run {
+	return run{w, spamer.Config{Algorithm: spamer.AlgTuned, Tuned: p}, w.Name + "/tuned{" + p.String() + "}"}
+}
+
+// normalized is the Figure 11 point of res against the baseline run
+// base.
+func normalized(label string, p config.TunedParams, res, base spamer.Result) Figure11Point {
+	return Figure11Point{
+		Label:      label,
+		Params:     p,
+		DelayNorm:  energy.DelayNorm(res, base),
+		EnergyNorm: energy.EnergyNorm(res, base),
+	}
 }
 
 // InlineStudyParallel measures the §4.3 library-inlining speedup per
@@ -128,14 +146,13 @@ func Figure11Parallel(ctx context.Context, benchName string, scale int, opts har
 // variants of every benchmark in flight at once.
 func InlineStudyParallel(ctx context.Context, scale int, opts harness.Options) ([]InlineStudyRow, error) {
 	all := workloads.All()
-	var tasks []harness.Task[spamer.Result]
+	var runs []run
 	for _, w := range all {
-		tasks = append(tasks,
-			runTask(w, spamer.Config{Algorithm: spamer.AlgBaseline, NoInline: true}, scale, w.Name+"/called"),
-			runTask(w, spamer.Config{Algorithm: spamer.AlgBaseline}, scale, w.Name+"/inlined"))
+		runs = append(runs,
+			run{w, spamer.Config{Algorithm: spamer.AlgBaseline, NoInline: true}, w.Name + "/called"},
+			run{w, spamer.Config{Algorithm: spamer.AlgBaseline}, w.Name + "/inlined"})
 	}
-	outs, _ := harness.Run(ctx, tasks, opts)
-	results, err := harness.Values(outs)
+	results, err := runAll(ctx, runs, scale, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -152,18 +169,14 @@ func InlineStudyParallel(ctx context.Context, scale int, opts harness.Options) (
 func PredictorStudyParallel(ctx context.Context, scale int, opts harness.Options) ([]PredictorRow, error) {
 	all := workloads.All()
 	algs := core.ExtendedAlgorithms()
-	var tasks []harness.Task[spamer.Result]
+	var runs []run
 	for _, w := range all {
-		tasks = append(tasks, runTask(w,
-			spamer.Config{Algorithm: spamer.AlgBaseline}, scale, w.Name+"/vl"))
+		runs = append(runs, run{w, spamer.Config{Algorithm: spamer.AlgBaseline}, w.Name + "/vl"})
 		for _, alg := range algs {
-			tasks = append(tasks, runTask(w,
-				spamer.Config{Algorithm: "custom", CustomAlgorithm: alg}, scale,
-				w.Name+"/"+alg.Name()))
+			runs = append(runs, run{w, spamer.Config{Algorithm: "custom", CustomAlgorithm: alg}, w.Name + "/" + alg.Name()})
 		}
 	}
-	outs, _ := harness.Run(ctx, tasks, opts)
-	results, err := harness.Values(outs)
+	results, err := runAll(ctx, runs, scale, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -180,30 +193,31 @@ func PredictorStudyParallel(ctx context.Context, scale int, opts harness.Options
 	return rows, nil
 }
 
-// sweepParallel runs one sweep point per task; each task pairs the
-// baseline and SPAMeR runs so the speedup stays an apples-to-apples
-// comparison at the same x.
+// sweepParallel runs every sweep point as two runs, the baseline and
+// SPAMeR at the same x, so the speedup stays an apples-to-apples
+// comparison.
 func sweepParallel(ctx context.Context, bench string, xs []int,
 	cfgs func(x int) (base, spec spamer.Config), scale int, opts harness.Options) ([]SweepPoint, error) {
 	w, ok := workloads.ByName(bench)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown benchmark %q", bench)
 	}
-	var tasks []harness.Task[SweepPoint]
+	var runs []run
 	for _, x := range xs {
-		x := x
-		tasks = append(tasks, harness.Task[SweepPoint]{
-			Label: fmt.Sprintf("%s/x=%d", bench, x),
-			Run: func(ctx context.Context) (SweepPoint, error) {
-				baseCfg, specCfg := cfgs(x)
-				base := w.Run(baseCfg, scale)
-				res := w.Run(specCfg, scale)
-				return SweepPoint{X: x, Ticks: res.Ticks, Speedup: res.Speedup(base)}, nil
-			},
-		})
+		base, spec := cfgs(x)
+		label := fmt.Sprintf("%s/x=%d/", bench, x)
+		runs = append(runs, run{w, base, label + base.Algorithm}, run{w, spec, label + spec.Algorithm})
 	}
-	outs, _ := harness.Run(ctx, tasks, opts)
-	return harness.Values(outs)
+	results, err := runAll(ctx, runs, scale, opts)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]SweepPoint, len(xs))
+	for i, x := range xs {
+		base, res := results[2*i], results[2*i+1]
+		points[i] = SweepPoint{X: x, Ticks: res.Ticks, Speedup: res.Speedup(base)}
+	}
+	return points, nil
 }
 
 // SRDEntriesSweepParallel varies the routing-device structure sizes on
@@ -255,17 +269,16 @@ func DevicesSweepParallel(ctx context.Context, bench string, devices []int, scal
 // pair of every benchmark in flight at once.
 func ObfuscationStudyParallel(ctx context.Context, jitter uint64, scale int, opts harness.Options) ([]ObfuscationRow, error) {
 	all := workloads.All()
-	var tasks []harness.Task[spamer.Result]
+	var runs []run
 	for _, w := range all {
-		tasks = append(tasks,
-			runTask(w, spamer.Config{Algorithm: spamer.AlgTuned}, scale, w.Name+"/plain"),
-			runTask(w, spamer.Config{
+		runs = append(runs,
+			run{w, spamer.Config{Algorithm: spamer.AlgTuned}, w.Name + "/plain"},
+			run{w, spamer.Config{
 				Algorithm:       "custom",
 				CustomAlgorithm: core.Obfuscated{Inner: core.NewTuned(), Key: 0x5eed, MaxJitter: jitter},
-			}, scale, w.Name+"/obfuscated"))
+			}, w.Name + "/obfuscated"})
 	}
-	outs, _ := harness.Run(ctx, tasks, opts)
-	results, err := harness.Values(outs)
+	results, err := runAll(ctx, runs, scale, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -285,18 +298,28 @@ func ObfuscationStudyParallel(ctx context.Context, jitter uint64, scale int, opt
 
 // SoftwareQueueStudyParallel runs both software-queue study workloads
 // through all three stacks, the six independent builds concurrently.
+// The builds are not workloads, so it calls the pool itself, each build
+// writing its ticks into its own slot.
 func SoftwareQueueStudyParallel(ctx context.Context, opts harness.Options) ([]SoftwareQueueStudyRow, error) {
-	tasks := []harness.Task[uint64]{
-		{Label: "chain3/sw", Run: func(context.Context) (uint64, error) { return swChain(), nil }},
-		{Label: "chain3/vl", Run: func(context.Context) (uint64, error) { return hwChain(spamer.AlgBaseline), nil }},
-		{Label: "chain3/spamer", Run: func(context.Context) (uint64, error) { return hwChain(spamer.AlgZeroDelay), nil }},
-		{Label: "incast4/sw", Run: func(context.Context) (uint64, error) { return swIncast(nil), nil }},
-		{Label: "incast4/vl", Run: func(context.Context) (uint64, error) { return hwIncast(spamer.AlgBaseline), nil }},
-		{Label: "incast4/spamer", Run: func(context.Context) (uint64, error) { return hwIncast(spamer.AlgZeroDelay), nil }},
+	builds := [...]struct {
+		label string
+		ticks func() uint64
+	}{
+		{"chain3/sw", swChain},
+		{"chain3/vl", func() uint64 { return hwChain(spamer.AlgBaseline) }},
+		{"chain3/spamer", func() uint64 { return hwChain(spamer.AlgZeroDelay) }},
+		{"incast4/sw", func() uint64 { return swIncast(nil) }},
+		{"incast4/vl", func() uint64 { return hwIncast(spamer.AlgBaseline) }},
+		{"incast4/spamer", func() uint64 { return hwIncast(spamer.AlgZeroDelay) }},
 	}
-	outs, _ := harness.Run(ctx, tasks, opts)
-	ticks, err := harness.Values(outs)
-	if err != nil {
+	var ticks [len(builds)]uint64
+	errs, _ := harness.Each(ctx, len(builds), opts,
+		func(i int) string { return builds[i].label },
+		func(_ context.Context, i int) error {
+			ticks[i] = builds[i].ticks()
+			return nil
+		})
+	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
 	rows := []SoftwareQueueStudyRow{

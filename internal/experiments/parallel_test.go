@@ -28,22 +28,20 @@ func TestParallelRunsBitIdenticalToSequential(t *testing.T) {
 	algs := spamer.Configs()
 
 	var seq []spamer.Result
+	var runs []run
 	for _, alg := range algs {
-		seq = append(seq, w.Run(spamer.Config{Algorithm: alg, Deadline: 1 << 40}, 1))
+		cfg := spamer.Config{Algorithm: alg, Deadline: 1 << 40}
+		seq = append(seq, w.Run(cfg, 1))
+		runs = append(runs, run{w, cfg, alg})
 	}
-
-	var tasks []harness.Task[spamer.Result]
-	for _, alg := range algs {
-		tasks = append(tasks, runTask(w, spamer.Config{Algorithm: alg, Deadline: 1 << 40}, 1, alg))
+	results, err := runAll(context.Background(), runs, 1, harness.Options{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	outs, m := harness.Run(context.Background(), tasks, harness.Options{Workers: 8})
-	if m.Failed != 0 {
-		t.Fatalf("failures: %+v", m)
-	}
-	for i, o := range outs {
-		if o.Value != seq[i] {
+	for i, res := range results {
+		if res != seq[i] {
 			t.Fatalf("parallel run %d (%s) diverged:\nparallel:   %+v\nsequential: %+v",
-				i, algs[i], o.Value, seq[i])
+				i, algs[i], res, seq[i])
 		}
 	}
 }
@@ -64,28 +62,48 @@ func TestFigure11ParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunMatrixParallelCancelled: a cancelled context aborts the sweep
-// with a structured error instead of running anything.
+// errOf keeps the error of a study's (result, error) pair.
+func errOf[T any](_ T, err error) error { return err }
+
+// TestRunMatrixParallelCancelled: under a cancelled context every study
+// entry point, and Tune, aborts with a structured error instead of
+// running anything.
 func TestRunMatrixParallelCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunMatrixParallel(ctx, 1, harness.Options{Workers: 4})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	var he *harness.Error
-	if !errors.As(err, &he) {
-		t.Fatalf("err = %v, want *harness.Error", err)
+	opts := harness.Options{Workers: 4}
+	for _, tc := range []struct {
+		study string
+		err   error
+	}{
+		{"matrix", errOf(RunMatrixParallel(ctx, 1, opts))},
+		{"figure11", errOf(Figure11Parallel(ctx, "FIR", 1, opts))},
+		{"inline", errOf(InlineStudyParallel(ctx, 1, opts))},
+		{"predictors", errOf(PredictorStudyParallel(ctx, 1, opts))},
+		{"srd", errOf(SRDEntriesSweepParallel(ctx, "firewall", []int{8, 64}, 1, opts))},
+		{"hop", errOf(HopLatencySweepParallel(ctx, "FIR", []uint64{6, 12}, 1, opts))},
+		{"channels", errOf(BusChannelsSweepParallel(ctx, "halo", []int{1, 2}, 1, opts))},
+		{"devices", errOf(DevicesSweepParallel(ctx, "halo", []int{1, 2}, 1, opts))},
+		{"obfuscation", errOf(ObfuscationStudyParallel(ctx, 32, 1, opts))},
+		{"software-queue", errOf(SoftwareQueueStudyParallel(ctx, opts))},
+		{"tune", errOf(Tune(ctx, "firewall", 1, 2, opts))},
+	} {
+		if !errors.Is(tc.err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", tc.study, tc.err)
+		}
+		var he *harness.Error
+		if !errors.As(tc.err, &he) {
+			t.Errorf("%s: err = %v, want *harness.Error", tc.study, tc.err)
+		}
 	}
 }
 
-// failingTask is a run that cannot complete: four consumer threads, step
+// failingRun is a run that cannot complete: four consumer threads, step
 // machines on SpawnFunc, pop a queue nobody pushes, so the run
 // deadlocks, or, with panics set, the first consumer's step panics while
 // the others wait.
-func failingTask(label string, panics bool) harness.Task[spamer.Result] {
-	return harness.Task[spamer.Result]{Label: label, Run: func(context.Context) (spamer.Result, error) {
-		sys := spamer.NewSystem(spamer.Config{Algorithm: spamer.AlgBaseline})
+func failingRun(label string, panics bool) run {
+	w := &workloads.Workload{Name: label, Build: func(sys *spamer.System, _ int) {
 		q := sys.NewQueue("q")
 		for i := 0; i < 4; i++ {
 			var rx *spamer.Consumer
@@ -109,69 +127,62 @@ func failingTask(label string, panics bool) harness.Task[spamer.Result] {
 			}
 			sys.SpawnFunc("consumer", step, 0)
 		}
-		return sys.Run(), nil
 	}}
+	return run{w, spamer.Config{Algorithm: spamer.AlgBaseline}, label}
 }
 
 // TestBodyPanicIsRunError: a panic inside a simulated thread's body
 // comes back as that run's *harness.Error; the other runs complete.
 func TestBodyPanicIsRunError(t *testing.T) {
 	w, _ := workloads.ByName("ping-pong")
-	tasks := []harness.Task[spamer.Result]{
-		runTask(w, spamer.Config{Algorithm: spamer.AlgBaseline}, 1, "ok-0"),
-		failingTask("panics", true),
-		runTask(w, spamer.Config{Algorithm: spamer.AlgBaseline}, 1, "ok-2"),
+	runs := []run{
+		{w, spamer.Config{Algorithm: spamer.AlgBaseline}, "ok-0"},
+		failingRun("panics", true),
+		{w, spamer.Config{Algorithm: spamer.AlgBaseline}, "ok-2"},
 	}
-	outs, m := harness.Run(context.Background(), tasks, harness.Options{Workers: 2})
-	if m.Failed != 1 {
-		t.Fatalf("failed = %d, want 1: %+v", m.Failed, outs)
-	}
+	results, err := runAll(context.Background(), runs, 1, harness.Options{Workers: 2})
 	var he *harness.Error
-	if !errors.As(outs[1].Err, &he) || he.Index != 1 || !strings.Contains(he.Error(), "boom in panics") {
-		t.Fatalf("run 1 err = %v, want *harness.Error carrying the body panic", outs[1].Err)
+	if !errors.As(err, &he) || he.Index != 1 || !strings.Contains(he.Error(), "boom in panics") {
+		t.Fatalf("err = %v, want run 1's *harness.Error carrying the body panic", err)
 	}
-	if outs[0].Err != nil || outs[2].Err != nil || outs[0].Value.Ticks == 0 {
-		t.Fatalf("healthy runs: %+v / %+v", outs[0], outs[2])
+	if results[0].Ticks == 0 || results[2].Ticks == 0 {
+		t.Fatalf("healthy runs: %+v / %+v", results[0], results[2])
 	}
 }
 
-// failingShape is a synthetic-shape run that cannot complete: the first stash is dropped, so the first stage
-// waits for a message that never lands and the run deadlocks, or, with
-// panics set, the chain's first queue is closed before Run, so the
-// source's first step panics.
-func failingShape(label string, panics bool) harness.Task[spamer.Result] {
-	return harness.Task[spamer.Result]{Label: label, Run: func(context.Context) (spamer.Result, error) {
-		sys := spamer.NewSystem(spamer.Config{Algorithm: spamer.AlgBaseline, FaultDropStash: 1})
-		sh := workloads.Shape{Stages: 3, Messages: 20}
-		sh.Workload().Build(sys, 1)
+// failingShape is a synthetic-shape run that cannot complete: the first
+// stash is dropped, so the first stage waits for a message that never
+// lands and the run deadlocks, or, with panics set, the chain's first
+// queue is closed before Run, so the source's first step panics.
+func failingShape(label string, panics bool) run {
+	sh := workloads.Shape{Stages: 3, Messages: 20}
+	w := &workloads.Workload{Name: label, Build: func(sys *spamer.System, scale int) {
+		sh.Workload().Build(sys, scale)
 		if panics {
 			if err := sys.Queues()[0].Close(); err != nil {
-				return spamer.Result{}, err
+				panic(err)
 			}
 		}
-		return sys.Run(), nil
 	}}
+	return run{w, spamer.Config{Algorithm: spamer.AlgBaseline, FaultDropStash: 1}, label}
 }
 
 // TestStepPanicIsRunError: a panic inside a synthetic shape's step
 // comes back as that run's *harness.Error; the other runs complete.
 func TestStepPanicIsRunError(t *testing.T) {
 	sh := workloads.Shape{Stages: 3, Messages: 20}
-	tasks := []harness.Task[spamer.Result]{
-		runTask(sh.Workload(), spamer.Config{Algorithm: spamer.AlgBaseline}, 1, "ok-0"),
+	runs := []run{
+		{sh.Workload(), spamer.Config{Algorithm: spamer.AlgBaseline}, "ok-0"},
 		failingShape("panics", true),
-		runTask(sh.Workload(), spamer.Config{Algorithm: spamer.AlgTuned}, 1, "ok-2"),
+		{sh.Workload(), spamer.Config{Algorithm: spamer.AlgTuned}, "ok-2"},
 	}
-	outs, m := harness.Run(context.Background(), tasks, harness.Options{Workers: 2})
-	if m.Failed != 1 {
-		t.Fatalf("failed = %d, want 1: %+v", m.Failed, outs)
-	}
+	results, err := runAll(context.Background(), runs, 1, harness.Options{Workers: 2})
 	var he *harness.Error
-	if !errors.As(outs[1].Err, &he) || he.Index != 1 || !strings.Contains(he.Error(), "NewProducer on closed queue chain.q0") {
-		t.Fatalf("run 1 err = %v, want *harness.Error carrying the step panic", outs[1].Err)
+	if !errors.As(err, &he) || he.Index != 1 || !strings.Contains(he.Error(), "NewProducer on closed queue chain.q0") {
+		t.Fatalf("err = %v, want run 1's *harness.Error carrying the step panic", err)
 	}
-	if outs[0].Err != nil || outs[2].Err != nil || outs[0].Value.Popped != 40 || outs[2].Value.Popped != 40 {
-		t.Fatalf("healthy runs: %+v / %+v", outs[0], outs[2])
+	if results[0].Popped != 40 || results[2].Popped != 40 {
+		t.Fatalf("healthy runs: %+v / %+v", results[0], results[2])
 	}
 }
 
@@ -181,17 +192,21 @@ func TestStepPanicIsRunError(t *testing.T) {
 // goroutine count.
 func TestFailedRunsReleaseProcesses(t *testing.T) {
 	fail := func(n int) {
-		tasks := make([]harness.Task[spamer.Result], n)
-		for i := range tasks {
+		runs := make([]run, n)
+		for i := range runs {
 			if i%4 < 2 {
-				tasks[i] = failingTask("fail", i%2 == 1)
+				runs[i] = failingRun("fail", i%2 == 1)
 			} else {
-				tasks[i] = failingShape("fail-shape", i%2 == 1)
+				runs[i] = failingShape("fail-shape", i%2 == 1)
 			}
 		}
-		_, m := harness.Run(context.Background(), tasks, harness.Options{Workers: 2})
-		if m.Failed != n {
-			t.Fatalf("failed = %d, want %d", m.Failed, n)
+		failed := 0
+		_, err := runAll(context.Background(), runs, 1, harness.Options{
+			Workers:    2,
+			OnProgress: func(p harness.Progress) { failed = p.Failed },
+		})
+		if err == nil || failed != n {
+			t.Fatalf("failed = %d (err %v), want %d", failed, err, n)
 		}
 	}
 	fail(10)

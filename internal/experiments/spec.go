@@ -298,8 +298,12 @@ func ReadSpecs(r io.Reader) ([]Spec, error) {
 	return specs, nil
 }
 
-// WriteOutcomes encodes outcomes as indented JSON.
+// WriteOutcomes encodes outcomes as an indented JSON array, which is
+// [] when there are none.
 func WriteOutcomes(w io.Writer, outs []Outcome) error {
+	if outs == nil {
+		outs = []Outcome{}
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(outs)

@@ -203,6 +203,14 @@ func TestWriteOutcomesRoundTrip(t *testing.T) {
 	if !strings.Contains(sb.String(), `"ticks": 42`) {
 		t.Fatalf("json: %s", sb.String())
 	}
+	// No outcome, as when every run of a batch failed, is still an
+	// array.
+	for _, outs := range [][]Outcome{nil, {}} {
+		sb.Reset()
+		if err := WriteOutcomes(&sb, outs); err != nil || sb.String() != "[]\n" {
+			t.Fatalf("WriteOutcomes(%#v) = %q, %v; want [] and no error", outs, sb.String(), err)
+		}
+	}
 }
 
 // TestReadSpecsErrorPaths: every malformed input ReadSpecs can see is

@@ -75,10 +75,9 @@ const maxInFlight = 64
 
 // workerState is the coordinator's view of one registered worker.
 type workerState struct {
-	id       string
-	addr     string
-	maxProcs int
-	slots    int
+	id    string
+	addr  string
+	slots int
 
 	lastBeat    time.Time
 	active      int // worker-reported depth at last heartbeat
@@ -195,7 +194,6 @@ func (c *Coordinator) Register(req RegisterRequest) error {
 	c.workers[req.ID] = &workerState{
 		id:       req.ID,
 		addr:     req.Addr,
-		maxProcs: req.MaxProcs,
 		slots:    slots,
 		lastBeat: time.Now(),
 	}

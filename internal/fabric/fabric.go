@@ -65,9 +65,6 @@ type RegisterRequest struct {
 	Version int    `json:"version"`
 	ID      string `json:"id"`   // stable worker identity (host-pid by default)
 	Addr    string `json:"addr"` // base URL the coordinator dials, e.g. http://10.0.0.7:9090
-	// MaxProcs is the worker's GOMAXPROCS — advertised capacity,
-	// exported in metrics.
-	MaxProcs int `json:"max_procs"`
 	// Slots bounds the spec shards the worker executes concurrently;
 	// the coordinator never keeps more than Slots leases outstanding on
 	// one worker, and the worker itself rejects excess with 503.

@@ -53,7 +53,7 @@ func startWorker(t *testing.T, c *Coordinator, w *Worker) *httptest.Server {
 	t.Cleanup(ts.Close)
 	w.opts.Advertise = ts.URL
 	if err := c.Register(RegisterRequest{
-		Version: ProtocolVersion, ID: w.opts.ID, Addr: ts.URL, MaxProcs: 1, Slots: w.opts.Slots,
+		Version: ProtocolVersion, ID: w.opts.ID, Addr: ts.URL, Slots: w.opts.Slots,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +115,7 @@ func TestRegisterHeartbeatPresence(t *testing.T) {
 		return resp.StatusCode, string(data)
 	}
 
+	// An older worker still sends max_procs; the coordinator ignores it.
 	code, body := post("/v1/fabric/register", `{"version":2,"id":"w1","addr":"http://127.0.0.1:1","max_procs":4,"slots":2}`)
 	if code != http.StatusOK || !strings.Contains(body, `"ok":true`) {
 		t.Fatalf("register = %d %s", code, body)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -253,11 +252,10 @@ func (w *Worker) registerLoop(ctx context.Context) (time.Duration, error) {
 
 func (w *Worker) registerOnce(ctx context.Context) (time.Duration, error) {
 	body, _ := json.Marshal(RegisterRequest{
-		Version:  ProtocolVersion,
-		ID:       w.opts.ID,
-		Addr:     w.opts.Advertise,
-		MaxProcs: runtime.GOMAXPROCS(0),
-		Slots:    w.opts.Slots,
+		Version: ProtocolVersion,
+		ID:      w.opts.ID,
+		Addr:    w.opts.Advertise,
+		Slots:   w.opts.Slots,
 	})
 	var rr RegisterResponse
 	if err := w.post(ctx, "/v1/fabric/register", body, &rr); err != nil {

@@ -1,9 +1,9 @@
 // Package harness fans independent simulation runs across a bounded
 // worker pool. Every evaluation entry point (the figure matrices, the
-// parameter sweeps, the tuner) consists of many mutually independent,
-// deterministic spamer.System runs; the harness executes them on
-// multiple cores while keeping the observable behaviour identical to a
-// sequential loop:
+// parameter sweeps, the tuning search, spec batches) consists of many
+// mutually independent, deterministic spamer.System runs; the harness
+// executes them on multiple cores while keeping the observable
+// behaviour identical to a sequential loop:
 //
 //   - results are returned in submission order regardless of completion
 //     order, so downstream tables and figures are byte-identical;
@@ -16,8 +16,9 @@
 //
 // Each is the one pool loop: it runs an index-addressed body, so a
 // caller that writes each run's result into its own slot holds only its
-// results, plus one error word per run once a run fails. Run adapts it
-// to a task slice.
+// results, plus one error word per run once a run fails; every study
+// and batch of the repository calls it so. Run adapts it to a task
+// slice.
 //
 // Cancellation is context-based and cooperative: the pool stops
 // dispatching queued tasks as soon as the context is cancelled, and the
@@ -294,27 +295,4 @@ func Workers(n int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return n
-}
-
-// FirstError returns the first failed outcome's error, or nil.
-func FirstError[T any](outs []Outcome[T]) error {
-	for _, o := range outs {
-		if o.Err != nil {
-			return o.Err
-		}
-	}
-	return nil
-}
-
-// Values unwraps successful outcomes in submission order, returning the
-// first failure alongside the values collected so far.
-func Values[T any](outs []Outcome[T]) ([]T, error) {
-	vals := make([]T, 0, len(outs))
-	for _, o := range outs {
-		if o.Err != nil {
-			return vals, o.Err
-		}
-		vals = append(vals, o.Value)
-	}
-	return vals, nil
 }

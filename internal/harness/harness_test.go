@@ -207,25 +207,6 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
-// TestValuesAndFirstError cover the unwrap helpers.
-func TestValuesAndFirstError(t *testing.T) {
-	ok := []Outcome[int]{{Value: 1}, {Value: 2}}
-	vals, err := Values(ok)
-	if err != nil || len(vals) != 2 || vals[0] != 1 || vals[1] != 2 {
-		t.Fatalf("Values = %v, %v", vals, err)
-	}
-	if FirstError(ok) != nil {
-		t.Fatal("FirstError on clean outcomes")
-	}
-	bad := []Outcome[int]{{Value: 1}, {Err: &Error{Index: 1, Label: "x", Err: errors.New("boom")}}}
-	if _, err := Values(bad); err == nil {
-		t.Fatal("Values missed the failure")
-	}
-	if FirstError(bad) == nil {
-		t.Fatal("FirstError missed the failure")
-	}
-}
-
 // TestMetricsString keeps the human-readable summary stable enough for
 // CLI use.
 func TestMetricsString(t *testing.T) {
