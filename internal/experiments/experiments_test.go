@@ -47,9 +47,6 @@ func TestFigure11UnknownBenchmark(t *testing.T) {
 	if _, err := Figure11Parallel(context.Background(), "nope", 1, harness.Options{}); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
-	if _, err := Tune(context.Background(), "nope", 1, 1, harness.Options{}); err == nil {
-		t.Fatal("Tune accepted an unknown benchmark")
-	}
 }
 
 // TestMatrixDerivations runs a reduced matrix and checks the derived

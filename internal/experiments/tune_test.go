@@ -8,6 +8,12 @@ import (
 	"spamer/internal/harness"
 )
 
+func TestTuneUnknownBenchmark(t *testing.T) {
+	if _, err := Tune(context.Background(), "nope", 1, 1, harness.Options{}); err == nil {
+		t.Fatal("unknown benchmark accepted")
+	}
+}
+
 func TestNeighboursMutateEveryParameter(t *testing.T) {
 	p := config.DefaultTuned()
 	nb := neighbours(p)
