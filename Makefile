@@ -20,7 +20,7 @@ GO ?= go
 # GATE_PCT is the SpecRun ns/op tolerance (spamer benchjson -gate-pct):
 # wide by default because wall time on shared runners jitters; the
 # allocs/op checks are the gate's primary teeth.
-BENCH_JSON ?= BENCH_24.json
+BENCH_JSON ?= BENCH_35.json
 BENCH_BASELINE ?= BENCH_9.json
 # MillionMessage pins b.N to the delivered message count; the dedicated
 # pass below records the true million-message run in $(BENCH_JSON)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -35,8 +36,9 @@ var ablations = []ablation{
 }
 
 // ablateCmd runs one ablation study, or all of them, each fanned
-// across the -parallel pool; SIGINT or SIGTERM stops it from starting
-// runs and fails the command.
+// across the -parallel pool, and prints them once every study's results
+// are in; SIGINT or SIGTERM stops it from starting runs and fails the
+// command with nothing on stdout.
 func ablateCmd(c *cli) error {
 	what := c.flags.String("what", "all", "study: predictors|srd|hop|channels|devices|obfuscation|all")
 	scale := c.flags.Int("scale", 1, "message-count multiplier")
@@ -44,32 +46,31 @@ func ablateCmd(c *cli) error {
 	if err := c.parse(); err != nil {
 		return err
 	}
+	var studies []ablation
+	for _, a := range ablations {
+		if *what == "all" || *what == a.name {
+			studies = append(studies, a)
+		}
+	}
+	if len(studies) == 0 {
+		return usagef("unknown -what %q", *what)
+	}
 	ctx, stop := c.interruptible()
 	defer stop()
-	run := func(a ablation) error {
-		fmt.Fprintln(c.stdout, a.title)
+	var out bytes.Buffer
+	for _, a := range studies {
 		table, err := a.table(ctx, *scale, c.pool(a.name))
 		if err != nil {
 			return err
 		}
-		report.Table(c.stdout, table, true)
-		return nil
-	}
-	for _, a := range ablations {
-		switch *what {
-		case "all":
-			if err := run(a); err != nil {
-				return err
-			}
-			fmt.Fprintln(c.stdout)
-		case a.name:
-			return run(a)
+		fmt.Fprintln(&out, a.title)
+		report.Table(&out, table, true)
+		if *what == "all" {
+			fmt.Fprintln(&out)
 		}
 	}
-	if *what != "all" {
-		return usagef("unknown -what %q", *what)
-	}
-	return nil
+	_, err := c.stdout.Write(out.Bytes())
+	return err
 }
 
 func predictorTable(ctx context.Context, scale int, opts harness.Options) ([][]string, error) {

@@ -12,16 +12,24 @@ import (
 // the Table 1 sizing (paper: 0.156 mm² of buffers, 0.170 mm² total, <1%
 // of a 16-core SoC) and worst-case SRD power per delay algorithm from
 // measured push-frequency factors (paper: at most 47.75 mW, ≈0.23% of
-// SoC power). SIGINT or SIGTERM stops the measurement matrix from
-// starting runs and fails the command.
+// SoC power). Both tables print once the measurement matrix is in;
+// SIGINT or SIGTERM stops the matrix from starting runs and fails the
+// command with nothing on stdout.
 func areaCmd(c *cli) error {
 	entries := c.flags.Int("entries", 0, "specBuf entries (0 = Table 1 default, 64)")
 	scale := c.flags.Int("scale", 1, "message-count multiplier for the power measurement")
 	if err := c.parse(); err != nil {
 		return err
 	}
-	w := c.stdout
+	fmt.Fprintln(c.stderr, "measuring push-frequency factors across the benchmark matrix...")
+	ctx, stop := c.interruptible()
+	defer stop()
+	m, err := experiments.RunMatrixParallel(ctx, *scale, c.pool(""))
+	if err != nil {
+		return err
+	}
 
+	w := c.stdout
 	a := energy.Area(*entries)
 	fmt.Fprintln(w, "§4.5 area estimation (16 nm, scaled per Stillmaker-Baas from FreePDK45 synthesis)")
 	report.Table(w, [][]string{
@@ -35,15 +43,8 @@ func areaCmd(c *cli) error {
 		{"SRD share of SoC", fmt.Sprintf("%.2f%%", a.SRDShareOfSoC*100)},
 	}, true)
 	fmt.Fprintln(w, "paper reference: 0.156 mm² buffers, 0.170 mm² total, <1% of SoC")
-
 	fmt.Fprintln(w)
-	fmt.Fprintln(c.stderr, "measuring push-frequency factors across the benchmark matrix...")
-	ctx, stop := c.interruptible()
-	defer stop()
-	m, err := experiments.RunMatrixParallel(ctx, *scale, c.pool(""))
-	if err != nil {
-		return err
-	}
+
 	ap := experiments.Section45(m)
 	rows := [][]string{{"algorithm", "push factor", "dynamic", "total", "SoC share", "within paper bound"}}
 	for _, alg := range m.Configs[1:] {

@@ -8,7 +8,9 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
+	"spamer/internal/blocks"
 	"spamer/internal/config"
 	"spamer/internal/mem"
 	"spamer/internal/vl"
@@ -98,27 +100,53 @@ type SpecBuf struct {
 	alg       DelayAlgorithm
 }
 
+// specBufs holds released specBufs for NewSpecBuf to reuse (see
+// Release).
+var specBufs sync.Pool
+
 // NewSpecBuf returns a specBuf with n entries (Table 1: 64) driven by the
-// given delay-prediction algorithm.
+// given delay-prediction algorithm. It reuses the columns of a released
+// specBuf when the pool holds one.
 func NewSpecBuf(n int, alg DelayAlgorithm) *SpecBuf {
 	if n <= 0 {
 		n = config.SRDEntries
 	}
-	b := &SpecBuf{
-		flags: make([]uint8, n),
-		next:  make([]int32, n),
-		sqi:   make([]vl.SQI, n),
-		base:  make([]mem.Addr, n),
-		size:  make([]int32, n),
-		off:   make([]int32, n),
-		pred:  make([]PredState, n),
-		free:  make([]int32, 0, n),
-		alg:   alg,
+	b, _ := specBufs.Get().(*SpecBuf)
+	if b == nil {
+		b = new(SpecBuf)
 	}
-	for i := n - 1; i >= 0; i-- {
-		b.free = append(b.free, int32(i))
-	}
+	b.init(n, alg)
 	return b
+}
+
+// init empties the buffer with n entries under alg, reusing the columns
+// a released buffer brings when they hold n entries, so a fresh and a
+// recycled buffer start from the same state.
+func (b *SpecBuf) init(n int, alg DelayAlgorithm) {
+	*b = SpecBuf{
+		flags:    blocks.Resize(b.flags, n),
+		next:     blocks.Resize(b.next, n),
+		sqi:      blocks.Resize(b.sqi, n),
+		base:     blocks.Resize(b.base, n),
+		size:     blocks.Resize(b.size, n),
+		off:      blocks.Resize(b.off, n),
+		pred:     blocks.Resize(b.pred, n),
+		free:     blocks.Resize(b.free, n),
+		specHead: b.specHead[:0],
+		alg:      alg,
+	}
+	for i := range b.free {
+		b.free[i] = int32(n - 1 - i) // entry 0 is taken first
+	}
+}
+
+// Release hands the buffer's columns to a later NewSpecBuf. Call it only
+// when nothing will touch the buffer again: the next buffer may already
+// own them. The columns hold only values, so dropping the algorithm
+// leaves a pooled buffer referring to nothing.
+func (b *SpecBuf) Release() {
+	b.alg = nil
+	specBufs.Put(b)
 }
 
 // Algorithm returns the installed delay-prediction algorithm.

@@ -26,15 +26,14 @@ type SpecResult struct {
 // worker; a failed run surfaces as its spec's Err while the other
 // specs' results — and the spec's own completed algorithms — are kept.
 //
-// Each run writes its outcome straight into its spec's result slot, so
-// beside the results a batch holds one workload and one offset per spec
-// and the pool's error slots.
+// Each run resolves its spec's workload when it starts and writes its
+// outcome straight into its spec's result slot, so beside the results a
+// batch holds one offset per spec and the pool's error slots.
 func RunSpecsParallel(ctx context.Context, specs []Spec, opts harness.Options) []SpecResult {
 	results := make([]SpecResult, len(specs))
 	// Spec i owns the flat run indices first[i] to first[i+1]-1, one per
 	// algorithm in order; an invalid spec owns none.
 	first := make([]int, len(specs)+1)
-	works := make([]*workloads.Workload, len(specs))
 	n := 0
 	for i := range specs {
 		first[i] = n
@@ -43,7 +42,6 @@ func RunSpecsParallel(ctx context.Context, specs []Spec, opts harness.Options) [
 			results[i].Err = err
 			continue
 		}
-		works[i], _ = s.workload()
 		results[i].Outcomes = make([]Outcome, len(s.algorithms()))
 		n += len(results[i].Outcomes)
 	}
@@ -65,8 +63,9 @@ func RunSpecsParallel(ctx context.Context, specs []Spec, opts harness.Options) [
 			// so cancellation acts when the pool claims an index.
 			i, j := at(k)
 			s := &specs[i]
+			w, _ := s.workload()
 			// Keep only the outcome: the speedup needs just its Ticks.
-			results[i].Outcomes[j], _ = s.runAlg(works[i], s.algorithms()[j], max(s.Scale, 1))
+			results[i].Outcomes[j], _ = s.runAlg(w, s.algorithms()[j], max(s.Scale, 1))
 			return nil
 		})
 

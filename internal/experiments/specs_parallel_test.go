@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"spamer/internal/harness"
@@ -27,18 +29,71 @@ func TestRunSpecsParallelMatchesSequential(t *testing.T) {
 		{Benchmark: "ping-pong"},
 	}
 	specs[5].Algorithms = []string{"vl", "tuned"}
+	want := sequentialResults(t, specs, false)
+	if want[2].err == "" || want[3].err == "" {
+		t.Fatalf("specs 2 and 3 must fail: %+v", want)
+	}
+	checkBatch(t, specs, want)
+}
 
-	// want[i] is spec i run alone through Spec.Run. The pool reports a
-	// panic under the run's flat index among all valid specs' runs; the
-	// spec that deadlocks names one algorithm, so its flat index is its
-	// spec's first.
-	type result struct{ outs, err string }
-	var want []result
+// TestRunSpecsParallelRecycledMatchesFresh: recycled storage changes no
+// result. A shuffled batch of every Table-2 benchmark under all four
+// algorithms, the three scenarios, a non-default srd_entries, two
+// routing devices, a repeat and a drop_stash shape that deadlocks runs
+// through RunSpecsParallel at 1 and 4 workers, where each run builds on
+// storage earlier runs released. Every spec's outcome bytes and error
+// string equal those of a Spec.Run of it alone, started once the pools
+// are empty, so that its first run builds on fresh storage.
+func TestRunSpecsParallelRecycledMatchesFresh(t *testing.T) {
+	var specs []Spec
+	for _, name := range workloads.Names() {
+		specs = append(specs, Spec{Benchmark: name})
+	}
+	for _, file := range []string{"telemetry.json", "rpc.json", "shuffle.json"} {
+		specs = append(specs, loadScenario(t, file))
+	}
+	specs = append(specs,
+		Spec{Benchmark: "firewall", Algorithms: []string{"vl", "tuned"}, SRDEntries: 16},
+		Spec{Benchmark: "halo", Algorithms: []string{"0delay", "vl"}, Devices: 2},
+		Spec{Benchmark: "incast", Algorithms: []string{"adapt"}, Repeat: 2},
+		Spec{Shape: &workloads.Shape{Stages: 4, Messages: 3, Lines: 1}, Algorithms: []string{"vl"}, Fault: &FaultSpec{DropStash: 5}},
+	)
+	rand.New(rand.NewSource(1)).Shuffle(len(specs), func(i, j int) { specs[i], specs[j] = specs[j], specs[i] })
+
+	want := sequentialResults(t, specs, true)
+	failed := 0
+	for _, w := range want {
+		if w.err != "" {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d specs failed, want only the drop_stash shape: %+v", failed, want)
+	}
+	checkBatch(t, specs, want)
+}
+
+// specResult is one spec's outcomes as JSON and its error string.
+type specResult struct{ outs, err string }
+
+// sequentialResults runs each spec alone through Spec.Run, after
+// emptying the storage pools first when fresh is set (a sync.Pool drops
+// its contents over two collections). A panic is rendered as the error
+// RunSpecsParallel reports for it, which names the run's flat index
+// among all valid specs' runs; the specs that deadlock name one
+// algorithm, so that index is their spec's first.
+func sequentialResults(t *testing.T, specs []Spec, fresh bool) []specResult {
+	t.Helper()
+	var want []specResult
 	flat := 0
 	for i := range specs {
 		s := &specs[i]
+		if fresh {
+			runtime.GC()
+			runtime.GC()
+		}
 		outs, err, p := specRun(s)
-		w := result{outs: outcomeJSON(t, outs)}
+		w := specResult{outs: outcomeJSON(t, outs)}
 		switch {
 		case p != nil:
 			w.err = fmt.Sprintf("harness: run %d (%s/%s): panic: %v", flat, s.Benchmark, s.Algorithms[0], p)
@@ -50,17 +105,20 @@ func TestRunSpecsParallelMatchesSequential(t *testing.T) {
 		}
 		want = append(want, w)
 	}
-	if want[2].err == "" || want[3].err == "" {
-		t.Fatalf("specs 2 and 3 must fail: %+v", want)
-	}
+	return want
+}
 
+// checkBatch runs specs through RunSpecsParallel at 1 and 4 workers and
+// compares every spec's result with want.
+func checkBatch(t *testing.T, specs []Spec, want []specResult) {
+	t.Helper()
 	for _, workers := range []int{1, 4} {
 		results := RunSpecsParallel(context.Background(), specs, harness.Options{Workers: workers})
 		if len(results) != len(specs) {
 			t.Fatalf("workers=%d: results = %d", workers, len(results))
 		}
 		for i, r := range results {
-			got := result{outs: outcomeJSON(t, r.Outcomes)}
+			got := specResult{outs: outcomeJSON(t, r.Outcomes)}
 			if r.Err != nil {
 				got.err = r.Err.Error()
 			}

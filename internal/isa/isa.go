@@ -20,6 +20,9 @@ package isa
 
 import (
 	"fmt"
+	"sync"
+
+	"spamer/internal/blocks"
 	"spamer/internal/mem"
 	"spamer/internal/noc"
 	"spamer/internal/sim"
@@ -41,24 +44,20 @@ const retryBits = 20
 // retryMask extracts the attempt count from a packed event argument.
 const retryMask = MaxRetries - 1
 
-// senderArenaBlock sizes the sender arena: a system opens a few endpoints
-// per queue (one producer and one consumer side), so one block covers
-// typical workloads and heavy ones amortize.
-const senderArenaBlock = 16
-
 // ISA issues the VL/SPAMeR operations against one routing device.
 type ISA struct {
 	k   *sim.Kernel
 	bus *noc.Bus
 	dev *vl.Device
 
-	// Senders live in block-allocated arena storage and share two
-	// ISA-level dispatch closures; the sender id and attempt count ride
-	// packed in the event argument (id<<retryBits | attempt), so
-	// opening an endpoint costs no per-sender closure allocations and
-	// a block of endpoints costs one.
+	// Senders live in block arena storage and share two ISA-level
+	// dispatch closures; the sender id and attempt count ride packed in
+	// the event argument (id<<retryBits | attempt), so opening an
+	// endpoint costs no per-sender closure allocations and a block of
+	// endpoints costs one. senders indexes the arena by id for the
+	// delivery path.
 	senders   []*Sender
-	arena     []Sender
+	arena     blocks.Arena[Sender]
 	deliverFn func(uint64)
 	replayFn  func(uint64)
 
@@ -90,15 +89,50 @@ type Stats struct {
 	Replays   uint64
 }
 
-// New returns an ISA bound to the given device.
+// isas holds released ISAs for New to reuse (see Release).
+var isas sync.Pool
+
+// New returns an ISA bound to the given device. It reuses the storage of
+// a released ISA when the pool holds one.
 func New(k *sim.Kernel, bus *noc.Bus, dev *vl.Device) *ISA {
-	i := &ISA{k: k, bus: bus, dev: dev}
-	i.arena = make([]Sender, 0, senderArenaBlock)
-	i.senders = make([]*Sender, 0, senderArenaBlock)
-	i.deliverFn = func(a uint64) { i.senders[a>>retryBits].delivered(a & retryMask) }
-	i.replayFn = func(a uint64) { i.senders[a>>retryBits].deliver(int(a & retryMask)) }
-	i.registerFn = i.registered
+	i, _ := isas.Get().(*ISA)
+	if i == nil {
+		i = new(ISA)
+	}
+	i.init(k, bus, dev)
 	return i
+}
+
+// init binds the ISA to its device with no senders and zeroed counters.
+// It keeps the sender blocks, index and register buffer a released ISA
+// brings (which Release emptied), and the dispatch closures, which
+// capture only the ISA, so a fresh and a recycled ISA start from the
+// same state.
+func (i *ISA) init(k *sim.Kernel, bus *noc.Bus, dev *vl.Device) {
+	i.k, i.bus, i.dev = k, bus, dev
+	if cap(i.senders) == 0 {
+		i.senders = make([]*Sender, 0, blocks.Size)
+	}
+	i.senders = i.senders[:0]
+	i.regs, i.regsDone = i.regs[:0], 0
+	i.stats = Stats{}
+	if i.deliverFn == nil {
+		i.deliverFn = func(a uint64) { i.senders[a>>retryBits].delivered(a & retryMask) }
+		i.replayFn = func(a uint64) { i.senders[a>>retryBits].deliver(int(a & retryMask)) }
+		i.registerFn = i.registered
+	}
+}
+
+// Release hands the ISA's storage to a later New. Call it only when
+// nothing will touch the ISA or a Sender from it again: the next ISA may
+// already own the storage. It first zeroes every sender, which drops the
+// queued writes' acceptance callbacks, and the kernel, bus and device
+// references, so a pooled ISA keeps no earlier simulation alive.
+func (i *ISA) Release() {
+	i.arena.Reset()
+	clear(i.senders)
+	i.k, i.bus, i.dev = nil, nil, nil
+	isas.Put(i)
 }
 
 // Stats returns a snapshot of the operation counters.
@@ -144,12 +178,7 @@ func (i *ISA) NewPushSender() *Sender { return newSender(i, noc.PktPush) }
 func (i *ISA) NewFetchSender() *Sender { return newSender(i, noc.PktFetchReq) }
 
 func newSender(i *ISA, kind noc.PacketKind) *Sender {
-	if len(i.arena) == cap(i.arena) {
-		// A fresh block: existing senders keep pointing into old blocks.
-		i.arena = make([]Sender, 0, senderArenaBlock)
-	}
-	i.arena = i.arena[:len(i.arena)+1]
-	s := &i.arena[len(i.arena)-1]
+	s := i.arena.New()
 	*s = Sender{i: i, id: len(i.senders), kind: kind}
 	i.senders = append(i.senders, s)
 	return s

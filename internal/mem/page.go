@@ -2,7 +2,9 @@ package mem
 
 import (
 	"fmt"
+	"sync"
 
+	"spamer/internal/blocks"
 	"spamer/internal/config"
 	"spamer/internal/sim"
 )
@@ -25,18 +27,15 @@ type Page struct {
 // chunk would charge every short run for lines it never opens.
 const linesPerChunk = 32
 
-// pageArenaBlock and ptrSlabBlock batch the per-page header and Lines
-// allocations: a system opens a few dozen endpoints (each one page), so
-// block storage turns one Page struct + one []*Line per endpoint into a
-// couple of allocations per address space. Blocks are never grown in
-// place — a full block is replaced by a fresh one — so &pages[i] and the
-// carved Lines slices stay valid forever. The first block of each kind
-// is embedded in the AddressSpace itself, so a typical space (a handful
-// of endpoints) allocates nothing for its page bookkeeping.
-const (
-	pageArenaBlock = 16
-	ptrSlabBlock   = 128
-)
+// ptrSlabBlock batches the Lines allocations: a system opens a few dozen
+// endpoints (each one page), so a slab carved into the pages' Lines
+// arrays turns one []*Line per endpoint into a couple of allocations per
+// address space, as the blocks arena does for the Page headers. Slabs
+// are never grown in place — a full one is followed by another — so the
+// carved Lines slices stay valid. The first slab is embedded in the
+// AddressSpace itself, so a typical space (a handful of endpoints)
+// allocates nothing for its Lines arrays.
+const ptrSlabBlock = 128
 
 // chunk fuses linesPerChunk hot lines with their cold accounting rows in
 // one allocation. The hot array stays dense and contiguous — cold rows
@@ -58,32 +57,92 @@ type chunk struct {
 // lines of the host. Each line's cold accounting half trails the hot
 // array inside its chunk (see Line).
 type AddressSpace struct {
-	k      *sim.Kernel
-	next   Addr
-	n      int // allocated lines; the arena's high-water mark (lines are never freed)
+	k    *sim.Kernel
+	next Addr
+	n    int // allocated lines; the arena's high-water mark (lines are never freed)
+	// chunks holds the chunks in use. A recycled space keeps the chunks
+	// of its earlier life past len, and NewPage takes them before it
+	// allocates.
 	chunks []*chunk
 
-	pages []Page  // block arena behind the *Page headers NewPage hands out
-	ptrs  []*Line // slab carved into the Lines arrays of those pages
+	pages blocks.Arena[Page] // the *Page headers NewPage hands out
+	ptrs  []*Line            // slab carved into the Lines arrays of those pages
+	// The heap slabs ptrs moved on to once the embedded one filled, in
+	// order; like chunks, a recycled space keeps them past len for
+	// reuse.
+	ptrBlocks [][]*Line
 
-	// Embedded first blocks: NewAddressSpace points pages/ptrs (and the
-	// chunks index) here, so a space only hits the heap once its demand
-	// outgrows them. &pages0[i] and the carved ptrs0 sub-slices are
-	// handed out, so an AddressSpace must not move after construction.
+	// Embedded first blocks: init points ptrs (and the chunks index)
+	// here, so a space only hits the heap once its demand outgrows them.
+	// The carved ptrs0 sub-slices are handed out, so an AddressSpace
+	// must not move after construction.
 	chunks0 [4]*chunk
-	pages0  [pageArenaBlock]Page
 	ptrs0   [ptrSlabBlock]*Line
 }
 
+// spaces holds released address spaces for NewAddressSpace to reuse
+// (see Release).
+var spaces sync.Pool
+
 // NewAddressSpace returns an empty address space whose allocations start
 // one line above address 0 (address 0 is reserved as the nil/NULL target
-// of the mapping pipeline, Figure 4).
+// of the mapping pipeline, Figure 4). It reuses the storage of a
+// released space when the pool holds one.
 func NewAddressSpace(k *sim.Kernel) *AddressSpace {
-	as := &AddressSpace{k: k, next: Addr(config.LineBytes)}
-	as.chunks = as.chunks0[:0]
-	as.pages = as.pages0[:0]
-	as.ptrs = as.ptrs0[:0]
+	as, _ := spaces.Get().(*AddressSpace)
+	if as == nil {
+		as = new(AddressSpace)
+	}
+	as.init(k)
 	return as
+}
+
+// init empties the space for kernel k. It keeps the chunks, page blocks
+// and slabs a released space brings (which Release emptied), so a fresh
+// and a recycled space start from the same state.
+func (as *AddressSpace) init(k *sim.Kernel) {
+	as.k, as.next, as.n = k, Addr(config.LineBytes), 0
+	if cap(as.chunks) == 0 {
+		as.chunks = as.chunks0[:0]
+	}
+	as.chunks = as.chunks[:0]
+	as.ptrs = as.ptrs0[:0]
+	as.ptrBlocks = as.ptrBlocks[:0]
+}
+
+// Release hands the space's storage to a later NewAddressSpace. Call it
+// only when nothing will touch the space, a Page or a Line from it
+// again: the next space may already own the storage. It first zeroes
+// every line and page record, which drops what they point at (the
+// kernel, fill-signal waiters, trace hooks), so a pooled space keeps no
+// earlier simulation alive.
+func (as *AddressSpace) Release() {
+	for _, c := range as.chunks {
+		*c = chunk{}
+	}
+	as.pages.Reset()
+	clear(as.ptrs0[:])
+	for _, b := range as.ptrBlocks {
+		clear(b[:cap(b)])
+	}
+	as.k = nil
+	spaces.Put(as)
+}
+
+// nextSlab returns an empty slab of at least n pointers: the released
+// slab that follows the in-use ones, when there is one that large, or a
+// new one. ptrBlocks grows by the slab either way.
+func (as *AddressSpace) nextSlab(n int) []*Line {
+	l := as.ptrBlocks
+	if m := len(l); m < cap(l) {
+		if b := l[:m+1][m]; cap(b) >= n {
+			as.ptrBlocks = l[:m+1]
+			return b[:0]
+		}
+	}
+	b := make([]*Line, 0, n)
+	as.ptrBlocks = append(l, b)
+	return b
 }
 
 // NewPage allocates a page of n lines.
@@ -91,19 +150,9 @@ func (as *AddressSpace) NewPage(n int) *Page {
 	if n <= 0 {
 		panic(fmt.Sprintf("mem: NewPage(%d)", n))
 	}
-	if len(as.pages) == cap(as.pages) {
-		// Fresh header block; earlier *Page pointers keep aiming into the
-		// old blocks.
-		as.pages = make([]Page, 0, pageArenaBlock)
-	}
-	as.pages = as.pages[:len(as.pages)+1]
-	p := &as.pages[len(as.pages)-1]
+	p := as.pages.New()
 	if cap(as.ptrs)-len(as.ptrs) < n {
-		c := ptrSlabBlock
-		if n > c {
-			c = n
-		}
-		as.ptrs = make([]*Line, 0, c)
+		as.ptrs = as.nextSlab(max(ptrSlabBlock, n))
 	}
 	m := len(as.ptrs)
 	as.ptrs = as.ptrs[:m+n]
@@ -112,8 +161,12 @@ func (as *AddressSpace) NewPage(n int) *Page {
 	// page's slots.
 	*p = Page{Base: as.next, Lines: as.ptrs[m : m+n : m+n]}
 	for i := range p.Lines {
-		if as.n%linesPerChunk == 0 {
-			as.chunks = append(as.chunks, new(chunk))
+		if m := len(as.chunks); as.n == m*linesPerChunk {
+			if m < cap(as.chunks) && as.chunks[:m+1][m] != nil {
+				as.chunks = as.chunks[:m+1] // a released chunk
+			} else {
+				as.chunks = append(as.chunks, new(chunk))
+			}
 		}
 		c := as.chunks[as.n/linesPerChunk]
 		l := &c.hot[as.n%linesPerChunk]

@@ -17,7 +17,12 @@
 // paths schedule with zero allocations.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+
+	"spamer/internal/blocks"
+)
 
 // Kernel is a discrete-event simulator instance. The zero value is not
 // usable; construct with New.
@@ -25,20 +30,15 @@ type Kernel struct {
 	now    uint64
 	seq    uint64
 	events eventQueue
-	tasks  []*Task
 	live   int // tasks spawned and not yet exited
 
-	// Block storage behind the *Task pointers GoFunc hands out
-	// (task.go). The first arena block and index array are embedded, so
-	// a kernel spawning a handful of threads allocates nothing for them;
-	// &taskArena0[i] is handed out, which is safe because kernels never
-	// move (New returns a heap object).
-	taskArena  []Task
-	taskArena0 [arenaBlock]Task
-	tasks0     [arenaBlock]*Task
-	stopped    bool
-	maxTick    uint64 // watchdog: Run panics past this tick (0 = unlimited)
-	executed   uint64 // total events dispatched, for diagnostics
+	// Block storage behind the *Task pointers GoFunc hands out: one
+	// allocation per 16 threads, and none on a recycled kernel, which
+	// keeps its blocks.
+	tasks    blocks.Arena[Task]
+	stopped  bool
+	maxTick  uint64 // watchdog: Run panics past this tick (0 = unlimited)
+	executed uint64 // total events dispatched, for diagnostics
 
 	// obs, when set, observes every dispatched event's (tick, seq) pair
 	// before its callback runs. Golden-trace tests use it to prove two
@@ -52,9 +52,40 @@ type Kernel struct {
 // determinism tests; the nil check costs one branch per event.
 func (k *Kernel) SetDispatchObserver(fn func(tick, seq uint64)) { k.obs = fn }
 
-// New returns an empty kernel at tick zero.
+// kernels holds released kernels for New to reuse (see Release).
+var kernels sync.Pool
+
+// New returns an empty kernel at tick zero. It reuses the storage of a
+// released kernel when the pool holds one.
 func New() *Kernel {
-	return &Kernel{}
+	k, _ := kernels.Get().(*Kernel)
+	if k == nil {
+		k = new(Kernel)
+	}
+	k.init()
+	return k
+}
+
+// init puts k at tick zero with no events, threads or observer. It
+// keeps the storage a released kernel brings, the wheel and far-heap
+// arrays and the task blocks (which Release emptied), so a fresh and a
+// recycled kernel start from the same state.
+func (k *Kernel) init() {
+	*k = Kernel{events: k.events, tasks: k.tasks}
+	k.events.init()
+}
+
+// Release hands k's storage to a later New. Call it only once Run has
+// returned and nothing will touch k, or a Task it spawned, again: the
+// next kernel may already own the storage. It first drops every
+// reference the storage holds (the func values dispatched slots keep,
+// the task names, the observer), so a pooled kernel keeps no earlier
+// simulation alive.
+func (k *Kernel) Release() {
+	k.events.release()
+	k.tasks.Reset()
+	k.obs = nil
+	kernels.Put(k)
 }
 
 // Now reports the current simulated tick.
@@ -124,8 +155,8 @@ func (k *Kernel) Stop() { k.stopped = true }
 // holds exactly one tick's events in seq order. A dispatched slot is read
 // in place and not cleared: its func value is bound once per system and
 // lives as long as the kernel, so the stale copy keeps nothing alive; the
-// next schedule into the bucket overwrites it, and Drain drops the
-// arrays.
+// next schedule into the bucket overwrites it, Drain drops the arrays,
+// and Release clears them before a later kernel reuses them.
 func (k *Kernel) dispatchTick(b *bucket) {
 	t := k.events.now
 	if t < k.now {
@@ -212,8 +243,8 @@ func (k *Kernel) LiveProcs() int { return k.live }
 // (e.g. after RunUntil in tests). A fully Run simulation needs no
 // draining.
 func (k *Kernel) Drain() {
-	for _, t := range k.tasks {
-		t.Exit()
+	for i := 0; i < k.tasks.Len(); i++ {
+		k.tasks.At(i).Exit()
 	}
 	k.events.reset()
 }

@@ -196,6 +196,27 @@ func (q *eventQueue) startTick(limit uint64) *bucket {
 	return &q.wheel[q.now&wheelMask]
 }
 
+// init empties the queue at tick zero and keeps its arrays.
+func (q *eventQueue) init() {
+	q.now, q.occ = 0, 0
+	for i := range q.wheel {
+		q.wheel[i] = bucket{ev: q.wheel[i].ev[:0]}
+	}
+	q.far = q.far[:0]
+}
+
+// release clears every slot the queue's arrays hold, to their capacity:
+// dispatched wheel slots keep their func values, and a bucket that
+// outgrew its slab chunk left stale slots in the slab. The arrays stay
+// for the next init.
+func (q *eventQueue) release() {
+	for i := range q.wheel {
+		clear(q.wheel[i].ev[:cap(q.wheel[i].ev)])
+	}
+	clear(q.slab[:cap(q.slab)])
+	clear(q.far[:cap(q.far)])
+}
+
 // reset drops every pending event and releases the backing arrays.
 func (q *eventQueue) reset() {
 	for i := range q.wheel {

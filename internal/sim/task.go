@@ -16,26 +16,11 @@ type Task struct {
 	exited bool
 }
 
-// arenaBlock batches Task storage: a system spawns a few dozen threads
-// at setup, so block storage turns one heap object per spawn into one
-// per block. Blocks are replaced when full, never grown in place, so
-// *Task pointers stay valid.
-const arenaBlock = 16
-
 // GoFunc spawns a thread whose first step, fn(arg), runs at the current
 // tick: it schedules exactly one start event.
 func (k *Kernel) GoFunc(name string, fn func(uint64), arg uint64) *Task {
-	if k.tasks == nil {
-		k.tasks = k.tasks0[:0]
-		k.taskArena = k.taskArena0[:0]
-	}
-	if len(k.taskArena) == cap(k.taskArena) {
-		k.taskArena = make([]Task, 0, arenaBlock)
-	}
-	k.taskArena = k.taskArena[:len(k.taskArena)+1]
-	t := &k.taskArena[len(k.taskArena)-1]
+	t := k.tasks.New()
 	*t = Task{k: k, name: name}
-	k.tasks = append(k.tasks, t)
 	k.live++
 	k.AfterFunc(0, fn, arg)
 	return t

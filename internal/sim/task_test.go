@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"spamer/internal/blocks"
 )
 
 // TestGoFuncTraceMatchesGo: a GoFunc thread dispatches the (tick, seq)
@@ -70,11 +72,11 @@ func TestDrainExitsTasks(t *testing.T) {
 }
 
 // TestTasksBeyondFirstArenaBlock: threads spawned past the kernel's
-// embedded storage block keep their identity, count as live until they
+// first storage block keep their identity, count as live until they
 // exit, and Drain reaches the later blocks.
 func TestTasksBeyondFirstArenaBlock(t *testing.T) {
 	k := New()
-	n := 2*arenaBlock + 3
+	n := 2*blocks.Size + 3
 	tasks := make([]*Task, n)
 	for i := range tasks {
 		i := i

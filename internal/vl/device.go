@@ -2,7 +2,9 @@ package vl
 
 import (
 	"fmt"
+	"sync"
 
+	"spamer/internal/blocks"
 	"spamer/internal/config"
 	"spamer/internal/mem"
 	"spamer/internal/noc"
@@ -60,19 +62,7 @@ type Device struct {
 
 	stats Stats
 
-	// Scheduling callbacks bound once at construction. The device
-	// schedules events every cycle while traffic flows (mapper ticks,
-	// send-issue spacing, bus deliveries); passing these stored func
-	// values through sim.Kernel.AfterFunc/noc.Bus.SendFunc with the
-	// entry index as the argument keeps the steady-state tick path free
-	// of per-event closure allocations.
-	mapperTickFn      func(uint64)
-	completeMappingFn func(uint64) // arg: prodBuf index
-	releaseSpecFn     func(uint64) // arg: prodBuf index
-	appendSendFn      func(uint64) // arg: prodBuf index
-	deliverStashFn    func(uint64) // arg: prodBuf index
-	handleResponseFn  func(uint64) // arg: prodBuf index << 1 | hit
-	sendIssueDoneFn   func(uint64)
+	callbacks
 
 	// Fault injection (verification only): when faultDropNth is non-zero
 	// the faultDropNth-th stash delivery acknowledges a hit without
@@ -84,7 +74,29 @@ type Device struct {
 	stashesDelivered uint64
 }
 
-// New creates a routing device on the given kernel, bus and address space.
+// callbacks are the device's scheduling callbacks. The device schedules
+// events every cycle while traffic flows (mapper ticks, send-issue
+// spacing, bus deliveries); passing these stored func values through
+// sim.Kernel.AfterFunc/noc.Bus.SendFunc with the entry index as the
+// argument keeps the steady-state tick path free of per-event closure
+// allocations. They capture only their device, so they are bound once
+// per Device value and survive recycling.
+type callbacks struct {
+	mapperTickFn      func(uint64)
+	completeMappingFn func(uint64) // arg: prodBuf index
+	releaseSpecFn     func(uint64) // arg: prodBuf index
+	appendSendFn      func(uint64) // arg: prodBuf index
+	deliverStashFn    func(uint64) // arg: prodBuf index
+	handleResponseFn  func(uint64) // arg: prodBuf index << 1 | hit
+	sendIssueDoneFn   func(uint64)
+}
+
+// devices holds released devices for New to reuse (see Release).
+var devices sync.Pool
+
+// New creates a routing device on the given kernel, bus and address
+// space. It reuses the storage of a released device when the pool holds
+// one.
 func New(k *sim.Kernel, bus *noc.Bus, as *mem.AddressSpace, cfg Config) *Device {
 	if cfg.ProdEntries == 0 {
 		cfg.ProdEntries = config.SRDEntries
@@ -95,45 +107,68 @@ func New(k *sim.Kernel, bus *noc.Bus, as *mem.AddressSpace, cfg Config) *Device 
 	if cfg.LinkEntries == 0 {
 		cfg.LinkEntries = config.SRDEntries
 	}
-	d := &Device{
+	d, _ := devices.Get().(*Device)
+	if d == nil {
+		d = new(Device)
+	}
+	d.init(k, bus, as, cfg)
+	return d
+}
+
+// init empties the device and sizes its tables to cfg, reusing the
+// arrays a released device brings when they are large enough, so a
+// fresh and a recycled device start from the same state.
+func (d *Device) init(k *sim.Kernel, bus *noc.Bus, as *mem.AddressSpace, cfg Config) {
+	*d = Device{
 		k:          k,
 		bus:        bus,
 		as:         as,
-		prod:       make([]prodEntry, cfg.ProdEntries),
-		cons:       make([]consEntry, cfg.ConsEntries),
-		link:       make([]linkRow, cfg.LinkEntries+1),
-		usedPerSQI: make([]int, cfg.LinkEntries+1),
+		prod:       blocks.Resize(d.prod, cfg.ProdEntries),
+		cons:       blocks.Resize(d.cons, cfg.ConsEntries),
+		link:       blocks.Resize(d.link, cfg.LinkEntries+1),
+		freeProd:   blocks.Resize(d.freeProd, cfg.ProdEntries),
+		freeCons:   blocks.Resize(d.freeCons, cfg.ConsEntries),
+		usedPerSQI: blocks.Resize(d.usedPerSQI, cfg.LinkEntries+1),
 		inputHead:  nilIdx,
 		inputTail:  nilIdx,
 		sendHead:   nilIdx,
 		sendTail:   nilIdx,
 		nextSQI:    1,
+		callbacks:  d.callbacks,
 	}
 	for i := range d.prod {
-		d.freeProd = append(d.freeProd, i)
 		d.prod[i].next = nilIdx
+		d.freeProd[i] = i
 	}
 	for i := range d.cons {
-		d.freeCons = append(d.freeCons, i)
 		d.cons[i].next = nilIdx
+		d.freeCons[i] = i
 	}
 	for i := range d.link {
-		d.link[i].consHead = nilIdx
-		d.link[i].consTail = nilIdx
-		d.link[i].prodHead = nilIdx
-		d.link[i].prodTail = nilIdx
+		d.link[i] = linkRow{consHead: nilIdx, consTail: nilIdx, prodHead: nilIdx, prodTail: nilIdx}
 	}
-	d.mapperTickFn = func(uint64) { d.mapperTick() }
-	d.completeMappingFn = func(idx uint64) { d.completeMapping(int(idx)) }
-	d.releaseSpecFn = func(idx uint64) { d.releaseSpec(int(idx)) }
-	d.appendSendFn = func(idx uint64) { d.appendSend(int(idx)) }
-	d.deliverStashFn = d.deliverStash
-	d.handleResponseFn = func(arg uint64) { d.handleResponse(int(arg>>1), arg&1 != 0) }
-	d.sendIssueDoneFn = func(uint64) {
-		d.sendBusy = false
-		d.ensureSending()
+	if d.mapperTickFn == nil {
+		d.mapperTickFn = func(uint64) { d.mapperTick() }
+		d.completeMappingFn = func(idx uint64) { d.completeMapping(int(idx)) }
+		d.releaseSpecFn = func(idx uint64) { d.releaseSpec(int(idx)) }
+		d.appendSendFn = func(idx uint64) { d.appendSend(int(idx)) }
+		d.deliverStashFn = d.deliverStash
+		d.handleResponseFn = func(arg uint64) { d.handleResponse(int(arg>>1), arg&1 != 0) }
+		d.sendIssueDoneFn = func(uint64) {
+			d.sendBusy = false
+			d.ensureSending()
+		}
 	}
-	return d
+}
+
+// Release hands the device's storage to a later New. Call it only when
+// nothing will touch the device again: the next device may already own
+// the storage. The tables hold only indices and message words, so
+// dropping the kernel, bus, address space and specBuf extension leaves
+// a pooled device referring to nothing but itself.
+func (d *Device) Release() {
+	d.k, d.bus, d.as, d.spec = nil, nil, nil, nil
+	devices.Put(d)
 }
 
 // SetSpecExtension installs the SPAMeR extension. Must be called before

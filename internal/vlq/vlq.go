@@ -24,7 +24,9 @@ package vlq
 
 import (
 	"fmt"
+	"sync"
 
+	"spamer/internal/blocks"
 	"spamer/internal/config"
 	"spamer/internal/isa"
 	"spamer/internal/mem"
@@ -69,19 +71,49 @@ type Lib struct {
 	// Block arenas behind the Queue/Producer/Consumer pointers this
 	// library hands out: endpoint setup is the dominant allocation phase
 	// of a run, so batching the struct storage turns one heap object per
-	// endpoint into one per block. Blocks are replaced, never grown in
-	// place, so earlier pointers stay valid.
-	queueArena []Queue
-	prodArena  []Producer
-	consArena  []Consumer
+	// endpoint into one per block, and a recycled library none.
+	queueArena blocks.Arena[Queue]
+	prodArena  blocks.Arena[Producer]
+	consArena  blocks.Arena[Consumer]
 }
 
-// arenaBlock sizes the Lib arenas (queues/producers/consumers each).
-const arenaBlock = 16
+// libs holds released libraries for New to reuse (see Release).
+var libs sync.Pool
 
-// New returns a library instance over the given device.
+// New returns a library instance over the given device. It reuses the
+// storage of a released library when the pool holds one.
 func New(k *sim.Kernel, as *mem.AddressSpace, dev *vl.Device, i *isa.ISA) *Lib {
-	return &Lib{k: k, as: as, dev: dev, isa: i}
+	l, _ := libs.Get().(*Lib)
+	if l == nil {
+		l = new(Lib)
+	}
+	l.init(k, as, dev, i)
+	return l
+}
+
+// init binds the library to its device with no queues and the default
+// knobs. It keeps the record blocks and the queue index a released
+// library brings (which Release emptied), so a fresh and a recycled
+// library start from the same state.
+func (l *Lib) init(k *sim.Kernel, as *mem.AddressSpace, dev *vl.Device, i *isa.ISA) {
+	l.k, l.as, l.dev, l.isa = k, as, dev, i
+	l.Inlined, l.Limits, l.specLines = false, Limits{}, 0
+	l.queues = l.queues[:0]
+}
+
+// Release hands the library's storage to a later New. Call it only when
+// nothing will touch the library, or a queue or endpoint from it, again:
+// the next library may already own the storage. It first zeroes every
+// queue and endpoint record, which drops what they point at (threads'
+// continuations, probes, trace hooks), so a pooled library keeps no
+// earlier simulation alive.
+func (l *Lib) Release() {
+	l.queueArena.Reset()
+	l.prodArena.Reset()
+	l.consArena.Reset()
+	clear(l.queues)
+	l.k, l.as, l.dev, l.isa = nil, nil, nil, nil
+	libs.Put(l)
 }
 
 func (l *Lib) overhead() uint64 {
@@ -137,11 +169,7 @@ func (l *Lib) NewQueue(name string) *Queue {
 	if err != nil {
 		panic(fmt.Sprintf("vlq: %v", err))
 	}
-	if len(l.queueArena) == cap(l.queueArena) {
-		l.queueArena = make([]Queue, 0, arenaBlock)
-	}
-	l.queueArena = l.queueArena[:len(l.queueArena)+1]
-	q := &l.queueArena[len(l.queueArena)-1]
+	q := l.queueArena.New()
 	*q = Queue{lib: l, sqi: sqi, name: name}
 	l.queues = append(l.queues, q)
 	return q
@@ -290,11 +318,7 @@ func (q *Queue) NewProducer(window int) *Producer {
 		window = DefaultWindow
 	}
 	lib := q.lib
-	if len(lib.prodArena) == cap(lib.prodArena) {
-		lib.prodArena = make([]Producer, 0, arenaBlock)
-	}
-	lib.prodArena = lib.prodArena[:len(lib.prodArena)+1]
-	p := &lib.prodArena[len(lib.prodArena)-1]
+	p := lib.prodArena.New()
 	*p = Producer{
 		q:      q,
 		lib:    lib,
@@ -468,11 +492,7 @@ func (q *Queue) NewConsumerLegacy(nlines int) *Consumer {
 		nlines = 1
 	}
 	lib := q.lib
-	if len(lib.consArena) == cap(lib.consArena) {
-		lib.consArena = make([]Consumer, 0, arenaBlock)
-	}
-	lib.consArena = lib.consArena[:len(lib.consArena)+1]
-	c := &lib.consArena[len(lib.consArena)-1]
+	c := lib.consArena.New()
 	*c = Consumer{
 		q:     q,
 		lib:   lib,

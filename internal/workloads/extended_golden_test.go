@@ -11,7 +11,7 @@ import (
 // rotating the algorithm. The hashes, ticks and message counts were
 // recorded with every rank running as a blocking coroutine process; any
 // implementation of the collectives must dispatch the same (tick, seq)
-// stream.
+// stream, on fresh storage and on storage other runs released.
 func TestGoldenExtendedTraces(t *testing.T) {
 	cases := []struct {
 		bench  string
@@ -48,14 +48,17 @@ func TestGoldenExtendedTraces(t *testing.T) {
 			if !ok {
 				t.Fatalf("no extended workload %q", tc.bench)
 			}
-			sys := spamer.NewSystem(spamer.Config{Algorithm: tc.alg, EvictEvery: tc.evict})
-			sys.EnableDispatchTrace()
-			w.Build(sys, 1)
-			res := sys.Run()
-			h := sys.DispatchTraceHash()
-			if h != tc.hash || res.Ticks != tc.ticks || res.Pushed != tc.pushed || res.Popped != tc.popped {
-				t.Errorf("got hash %#x ticks %d pushed %d popped %d, want %#x %d %d %d",
-					h, res.Ticks, res.Pushed, res.Popped, tc.hash, tc.ticks, tc.pushed, tc.popped)
+			for _, storage := range storages {
+				prepareStorage(t, storage)
+				sys := spamer.NewSystem(spamer.Config{Algorithm: tc.alg, EvictEvery: tc.evict})
+				sys.EnableDispatchTrace()
+				w.Build(sys, 1)
+				res := sys.Run()
+				h := sys.DispatchTraceHash()
+				if h != tc.hash || res.Ticks != tc.ticks || res.Pushed != tc.pushed || res.Popped != tc.popped {
+					t.Errorf("%s storage: got hash %#x ticks %d pushed %d popped %d, want %#x %d %d %d",
+						storage, h, res.Ticks, res.Pushed, res.Popped, tc.hash, tc.ticks, tc.pushed, tc.popped)
+				}
 			}
 		})
 	}

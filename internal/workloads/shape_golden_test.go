@@ -12,9 +12,10 @@ import (
 // pressure, each under the VL baseline and the tuned algorithm. The
 // hashes, ticks and delivered counts were recorded with every synthetic
 // thread running as a blocking coroutine process; any implementation of
-// the shapes must dispatch the same (tick, seq) stream. The EvictEvery
-// cases also pin when the eviction injector stops: it reads the live
-// thread count, so a thread that stops counting early moves the trace.
+// the shapes must dispatch the same (tick, seq) stream, on fresh storage
+// and on storage other runs released. The EvictEvery cases also pin
+// when the eviction injector stops: it reads the live thread count, so
+// a thread that stops counting early moves the trace.
 func TestGoldenShapeTraces(t *testing.T) {
 	stream := func(n int) Shape {
 		return Shape{
@@ -82,15 +83,18 @@ func TestGoldenShapeTraces(t *testing.T) {
 			if err := sh.Validate(); err != nil {
 				t.Fatal(err)
 			}
-			sys := spamer.NewSystem(spamer.Config{Algorithm: tc.alg, EvictEvery: tc.evict})
-			sys.EnableDispatchTrace()
-			sh.Workload().Build(sys, 1)
-			res := sys.Run()
-			h := sys.DispatchTraceHash()
-			t.Logf("hash: %#x, ticks: %d, popped: %d", h, res.Ticks, res.Popped)
-			if h != tc.hash || res.Ticks != tc.ticks || res.Popped != tc.popped {
-				t.Errorf("got hash %#x ticks %d popped %d, want %#x %d %d",
-					h, res.Ticks, res.Popped, tc.hash, tc.ticks, tc.popped)
+			for _, storage := range storages {
+				prepareStorage(t, storage)
+				sys := spamer.NewSystem(spamer.Config{Algorithm: tc.alg, EvictEvery: tc.evict})
+				sys.EnableDispatchTrace()
+				sh.Workload().Build(sys, 1)
+				res := sys.Run()
+				h := sys.DispatchTraceHash()
+				t.Logf("%s storage: hash: %#x, ticks: %d, popped: %d", storage, h, res.Ticks, res.Popped)
+				if h != tc.hash || res.Ticks != tc.ticks || res.Popped != tc.popped {
+					t.Errorf("%s storage: got hash %#x ticks %d popped %d, want %#x %d %d",
+						storage, h, res.Ticks, res.Popped, tc.hash, tc.ticks, tc.popped)
+				}
 			}
 		})
 	}

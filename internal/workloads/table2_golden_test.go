@@ -13,7 +13,8 @@ import (
 // process; any implementation of the kernels must dispatch the same
 // (tick, seq) stream. The eviction runs also pin when each kernel's
 // last thread exits: the injector stops once no thread is live, so a
-// run's ticks round up to the next eviction period.
+// run's ticks round up to the next eviction period. Each case runs on
+// fresh storage and on storage other runs released (prepareStorage).
 func TestGoldenTable2Traces(t *testing.T) {
 	cases := []struct {
 		bench  string
@@ -75,14 +76,17 @@ func TestGoldenTable2Traces(t *testing.T) {
 			if !ok {
 				t.Fatalf("no workload %q", tc.bench)
 			}
-			sys := spamer.NewSystem(spamer.Config{Algorithm: tc.alg, EvictEvery: tc.evict})
-			sys.EnableDispatchTrace()
-			w.Build(sys, 1)
-			res := sys.Run()
-			h := sys.DispatchTraceHash()
-			if h != tc.hash || res.Ticks != tc.ticks || res.Pushed != tc.pushed || res.Popped != tc.popped {
-				t.Errorf("got hash %#x ticks %d pushed %d popped %d, want %#x %d %d %d",
-					h, res.Ticks, res.Pushed, res.Popped, tc.hash, tc.ticks, tc.pushed, tc.popped)
+			for _, storage := range storages {
+				prepareStorage(t, storage)
+				sys := spamer.NewSystem(spamer.Config{Algorithm: tc.alg, EvictEvery: tc.evict})
+				sys.EnableDispatchTrace()
+				w.Build(sys, 1)
+				res := sys.Run()
+				h := sys.DispatchTraceHash()
+				if h != tc.hash || res.Ticks != tc.ticks || res.Pushed != tc.pushed || res.Popped != tc.popped {
+					t.Errorf("%s storage: got hash %#x ticks %d pushed %d popped %d, want %#x %d %d %d",
+						storage, h, res.Ticks, res.Pushed, res.Popped, tc.hash, tc.ticks, tc.pushed, tc.popped)
+				}
 			}
 		})
 	}

@@ -39,14 +39,20 @@ type Workload struct {
 	Build func(sys *spamer.System, scale int)
 }
 
-// Run builds the workload on a fresh system and drives it to completion.
+// Run builds the workload on a new system, drives it to completion and
+// releases the system's storage for the next run to reuse: nothing
+// outside Run ever holds the system. A run that panics (a deadlock, the
+// watchdog, a failed step) leaves before the release, so its storage
+// goes to the garbage collector instead.
 func (w *Workload) Run(cfg spamer.Config, scale int) spamer.Result {
 	if scale <= 0 {
 		scale = 1
 	}
 	sys := spamer.NewSystem(cfg)
 	w.Build(sys, scale)
-	return sys.Run()
+	res := sys.Run()
+	sys.Release()
+	return res
 }
 
 var registry = map[string]*Workload{}

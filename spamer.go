@@ -155,6 +155,7 @@ type System struct {
 	// single-device accessors expose.
 	devs  []*vl.Device
 	specs []*core.SpecBuf
+	isas  []*isa.ISA
 	libs  []*vlq.Lib
 
 	nextDev int
@@ -169,6 +170,7 @@ type System struct {
 	onDrain []func()
 
 	ran    bool
+	done   bool // Run returned: the run completed and was not drained
 	result Result
 }
 
@@ -222,6 +224,7 @@ func NewSystem(cfg Config) *System {
 		lib := vlq.New(k, as, dev, ii)
 		lib.Inlined = !cfg.NoInline
 		s.devs = append(s.devs, dev)
+		s.isas = append(s.isas, ii)
 		s.libs = append(s.libs, lib)
 	}
 	if cfg.FaultDropStash > 0 {
@@ -343,7 +346,40 @@ func (s *System) Run() Result {
 		fn()
 	}
 	s.result = s.collect()
+	s.done = true
 	return s.result
+}
+
+// Release hands the system's storage (its kernel, line arena, routing
+// devices, specBufs, ISAs and queue libraries) to later NewSystem calls
+// for reuse, so a caller that runs many short simulations stops
+// allocating it afresh. Only the system's sole owner may call it, once
+// Run has returned, and only if nothing will touch the system or
+// anything taken from it (queues, endpoints, threads, lines, the
+// kernel) again: the next system may already own that storage. A
+// system whose Run did not return (it panicked on a deadlock, the
+// watchdog or a failed step, and drained its kernel) is never recycled;
+// Release leaves it to the garbage collector. Release empties s, so a
+// later use of it fails at once.
+func (s *System) Release() {
+	if !s.done {
+		return
+	}
+	for _, l := range s.libs {
+		l.Release()
+	}
+	for _, i := range s.isas {
+		i.Release()
+	}
+	for _, b := range s.specs {
+		b.Release()
+	}
+	for _, d := range s.devs {
+		d.Release()
+	}
+	s.as.Release()
+	s.kernel.Release()
+	*s = System{}
 }
 
 // EnableDispatchTrace arms dispatch-trace hashing for golden tests. Must
