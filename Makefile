@@ -90,7 +90,8 @@ examples-check:
 # is meant to move an artifact's numbers, regenerate its file, for
 # example
 #   go run ./cmd/spamer trace -alg tuned > testdata/artifacts/trace-tuned.txt
-ARTIFACTS := bench:bench trace:trace trace-tuned:trace,-alg,tuned sweep:sweep \
+ARTIFACTS := bench:bench trace:trace trace-tuned:trace,-alg,tuned \
+	trace-csv:trace,-csv trace-tuned-csv:trace,-alg,tuned,-csv sweep:sweep \
 	latency:latency area:area ablate:ablate tune:tune \
 	phases-allreduce:trace,-phases,allreduce phases-alltoall:trace,-phases,alltoall \
 	phases-reduce:trace,-phases,reduce \
