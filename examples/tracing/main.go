@@ -1,5 +1,5 @@
 // Tracing: observe individual message-queue transactions the way §4.2
-// does — hook a consumer endpoint's cache lines, record data arrivals,
+// does — probe the queue's endpoint events, record data arrivals,
 // requests, vacates, fills and first uses, and compare the on-demand
 // timeline (Virtual-Link) against the speculative one (SPAMeR).
 package main

@@ -16,7 +16,7 @@ import (
 // Golden results of the two models no other golden covers: the
 // coherence-based software queue of Figure 1a (swqueue.CoherentQueue,
 // behind Figure 1 and the software-queue study) and the Figure-7
-// tracing run with its tick-1 producer hook. TestFigure1Ordering and
+// tracing run. TestFigure1Ordering and
 // TestSoftwareQueueStudy check only orderings; these pin the exact
 // numbers, so a change to how either model schedules its events that
 // moves a single dispatch shows up here.

@@ -59,7 +59,7 @@ type Message struct {
 // Line is one endpoint cache line, split hot/cold: the fields the
 // per-message path touches (occupancy state, the message word, the fill
 // signal) live here, by value, inside the AddressSpace's dense chunk
-// slab; the accounting integrals and trace hooks — read only at
+// slab; the accounting integrals and the fill observer — read only at
 // collection time or on state transitions — live in a parallel cold slab
 // (lineStats) reached through one pointer. The split keeps the data a
 // push-probe or pop-check actually reads within the first host cache
@@ -82,18 +82,16 @@ type Line struct {
 }
 
 // lineStats is the cold half of a Line: Figure 9 occupancy integrals,
-// Figure 7 trace state, and the eviction/fill counters. Rows live in a
-// slab parallel to the line chunks (or alone for NewLine).
+// the eviction/fill counters and the fill observer. Rows live in a slab
+// parallel to the line chunks (or alone for NewLine).
 type lineStats struct {
-	lastChange  uint64 // tick of the last state transition
-	emptyTicks  uint64 // accumulated ticks spent empty (or evicted)
-	validTicks  uint64 // accumulated ticks spent holding a message
-	fills       uint64 // successful pushes into this line
-	vacates     uint64 // consumer take-outs
-	evictions   uint64
-	firstUse    func(tick uint64, msg Message)
-	traceVacate func(tick uint64)
-	traceFill   func(tick uint64, msg Message)
+	lastChange uint64 // tick of the last state transition
+	emptyTicks uint64 // accumulated ticks spent empty (or evicted)
+	validTicks uint64 // accumulated ticks spent holding a message
+	fills      uint64 // successful pushes into this line
+	vacates    uint64 // consumer take-outs
+	evictions  uint64
+	onFill     func(*Line)
 }
 
 // NewLine returns an empty line at the given address.
@@ -117,13 +115,11 @@ func (l *Line) init(k *sim.Kernel, addr Addr, cold *lineStats) {
 	*cold = lineStats{lastChange: k.Now()}
 }
 
-// SetTraceHooks installs optional per-event callbacks used by the Figure 7
-// tracer. Any hook may be nil.
-func (l *Line) SetTraceHooks(fill func(tick uint64, msg Message), vacate func(tick uint64), firstUse func(tick uint64, msg Message)) {
-	l.cold.traceFill = fill
-	l.cold.traceVacate = vacate
-	l.cold.firstUse = firstUse
-}
+// ObserveFills installs fn to run each time TryFill lands a message in
+// the line, after the message is in place and before OnFill wakes any
+// waiter. A line has one observer; nil removes it. The queue library
+// installs one on the lines of a consumer whose queue has a probe.
+func (l *Line) ObserveFills(fn func(*Line)) { l.cold.onFill = fn }
 
 func (l *Line) account() {
 	c := l.cold
@@ -147,8 +143,8 @@ func (l *Line) TryFill(msg Message) bool {
 	l.State = LineValid
 	l.Msg = msg
 	l.cold.fills++
-	if l.cold.traceFill != nil {
-		l.cold.traceFill(l.k.Now(), msg)
+	if l.cold.onFill != nil {
+		l.cold.onFill(l)
 	}
 	l.OnFill.Fire()
 	return true
@@ -166,18 +162,7 @@ func (l *Line) Take() Message {
 	l.State = LineEmpty
 	l.Msg = Message{}
 	l.cold.vacates++
-	if l.cold.traceVacate != nil {
-		l.cold.traceVacate(l.k.Now())
-	}
 	return msg
-}
-
-// NoteFirstUse records the consumer's first use of the current message
-// (the topmost marker row of Figure 7).
-func (l *Line) NoteFirstUse(msg Message) {
-	if l.cold.firstUse != nil {
-		l.cold.firstUse(l.k.Now(), msg)
-	}
 }
 
 // Evict models the line losing cache residency: it writes back to

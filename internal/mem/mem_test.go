@@ -133,20 +133,34 @@ func TestOnFillSignal(t *testing.T) {
 	}
 }
 
-func TestTraceHooks(t *testing.T) {
+// TestFillObserver: the observer runs once per successful TryFill, with
+// the message already in the line; a refused fill, a Take, an eviction
+// and a Touch that restores the written-back message are not fills, and
+// a nil observer removes it.
+func TestFillObserver(t *testing.T) {
 	k := sim.New()
 	l := NewLine(k, 64)
-	var fills, vacates, uses int
-	l.SetTraceHooks(
-		func(tick uint64, msg Message) { fills++ },
-		func(tick uint64) { vacates++ },
-		func(tick uint64, msg Message) { uses++ },
-	)
-	l.TryFill(Message{})
-	l.NoteFirstUse(l.Msg)
+	var seen []Message
+	l.ObserveFills(func(got *Line) {
+		if got != l || got.State != LineValid {
+			t.Fatalf("observer saw line %p in state %s", got, got.State)
+		}
+		seen = append(seen, got.Msg)
+	})
+	l.TryFill(Message{Seq: 1})
+	l.TryFill(Message{Seq: 2}) // refused: the line still holds seq 1
+	l.Evict()
+	l.Touch()
 	l.Take()
-	if fills != 1 || vacates != 1 || uses != 1 {
-		t.Fatalf("fills=%d vacates=%d uses=%d", fills, vacates, uses)
+	l.TryFill(Message{Seq: 3})
+	l.Take()
+	l.ObserveFills(nil)
+	l.TryFill(Message{Seq: 4})
+	if len(seen) != 2 || seen[0].Seq != 1 || seen[1].Seq != 3 {
+		t.Fatalf("observed fills %+v, want seqs 1 and 3", seen)
+	}
+	if l.Fills() != 3 {
+		t.Fatalf("Fills() = %d, want 3", l.Fills())
 	}
 }
 

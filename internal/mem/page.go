@@ -114,8 +114,8 @@ func (as *AddressSpace) init(k *sim.Kernel) {
 // only when nothing will touch the space, a Page or a Line from it
 // again: the next space may already own the storage. It first zeroes
 // every line and page record, which drops what they point at (the
-// kernel, fill-signal waiters, trace hooks), so a pooled space keeps no
-// earlier simulation alive.
+// kernel, fill-signal waiters, fill observers), so a pooled space keeps
+// no earlier simulation alive.
 func (as *AddressSpace) Release() {
 	for _, c := range as.chunks {
 		*c = chunk{}

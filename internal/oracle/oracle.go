@@ -149,10 +149,16 @@ func (c *Checker) Push(q *vlq.Queue, producer int, tick uint64, msg mem.Message)
 	s.popped = append(s.popped, false)
 }
 
+// Accept, Fetch and Fill implement vlq.Probe. The invariants are checked
+// where a message enters (Push) and leaves (Pop) the queue.
+func (c *Checker) Accept(*vlq.Queue, int, uint64, uint64)         {}
+func (c *Checker) Fetch(*vlq.Queue, int, int, uint64)             {}
+func (c *Checker) Fill(*vlq.Queue, int, int, uint64, mem.Message) {}
+
 // Pop implements vlq.Probe: check the delivered message against the
 // recorded push stream — exactly-once, payload-intact, and in per-link
 // order — and periodically walk the device structures.
-func (c *Checker) Pop(q *vlq.Queue, consumer int, tick uint64, msg mem.Message) {
+func (c *Checker) Pop(q *vlq.Queue, consumer, _ int, tick uint64, msg mem.Message) {
 	st := c.state(q)
 	s := st.src(msg.Src)
 	switch {

@@ -5,7 +5,8 @@
 // burst and the consumer becomes the bottleneck") generalized to any
 // run. A Sampler snapshots the device and bus counters on a fixed
 // period and reports per-window rates, from which phase changes are
-// visible.
+// visible. It only observes: it schedules no event, so a sampled run
+// dispatches exactly the events of an unsampled one.
 package stats
 
 import (
@@ -47,108 +48,93 @@ func (w Window) FailureRate() float64 {
 	return float64(w.Failures) / float64(w.Pushes)
 }
 
-// Sampler periodically snapshots a system's counters. Attach before
-// Run; windows accumulate until the simulation drains.
+// Sampler snapshots a system's counters at fixed period boundaries.
+// Attach before Run.
 type Sampler struct {
 	sys    *spamer.System
 	period uint64
-	tickFn func(uint64) // periodic sampling callback, bound once
 
-	windows []Window
-
-	prevDev vl.Stats
-	prevBus noc.Stats
-	prevIn  uint64
-	prevOut uint64
-	lastT   uint64
+	windows []Window // closed windows
+	prev    counters // the counters when the last window closed
+	lastT   uint64   // the tick the last window closed at
 }
 
-// Attach installs a sampler with the given period in cycles. It must be
-// called before System.Run. The sampler snapshots every period while
-// the simulation is live and flushes the final partial window when the
-// run drains, so window sums always equal end-of-run totals.
+// counters is one snapshot of the counters a Window reports deltas of.
+type counters struct {
+	dev     vl.Stats
+	bus     noc.Stats
+	in, out uint64
+}
+
+// Attach installs a sampler with the given period in cycles as sys's
+// kernel dispatch observer, which it needs for itself: it replaces any
+// observer installed before it, and one installed later (such as
+// System.EnableDispatchTrace) stops it. It must be called before
+// System.Run. Window k covers [k·period, (k+1)·period) and closes just
+// before the first event at or past its end; Windows adds the tail of
+// the run up to the kernel's current tick, so window sums always equal
+// end-of-run totals.
 func Attach(sys *spamer.System, period uint64) *Sampler {
 	if period == 0 {
 		period = 4096
 	}
 	s := &Sampler{sys: sys, period: period}
-	s.tickFn = s.tick
-	sys.Kernel().AfterFunc(period, s.tickFn, 0)
-	sys.OnDrain(s.Flush)
+	sys.Kernel().SetDispatchObserver(s.observe)
 	return s
 }
 
-// tick is the periodic sampling event. The bound func value in tickFn is
-// what gets scheduled, so the per-period reschedule allocates nothing.
-func (s *Sampler) tick(uint64) {
-	s.snapshot()
-	if s.sys.Kernel().LiveProcs() > 0 {
-		s.sys.Kernel().AfterFunc(s.period, s.tickFn, 0)
+// observe runs before each dispatched event and closes every window the
+// event's tick has reached the end of. Windows an idle stretch skips
+// close empty.
+func (s *Sampler) observe(tick, _ uint64) {
+	for tick >= s.lastT+s.period {
+		end := s.lastT + s.period
+		now := s.read()
+		s.windows = append(s.windows, s.since(now, end))
+		s.prev, s.lastT = now, end
 	}
 }
 
-// Flush snapshots the tail of the run: the partial window between the
-// last periodic sample and the moment the simulation drained. Without
-// it, messages and pushes after the final full period would vanish from
-// Windows, Phases, and WriteCSV. Attach hooks Flush into run
-// completion; callers that stop a system early (RunUntil) may call it
-// explicitly. Flush is idempotent — it emits nothing when no time
-// passed and no counter moved since the last snapshot.
-func (s *Sampler) Flush() {
-	now := s.sys.Kernel().Now()
-	if now > s.lastT {
-		s.snapshot()
-		return
+// read snapshots the system's counters now.
+func (s *Sampler) read() counters {
+	var c counters
+	for _, d := range s.sys.Devices() {
+		c.dev = c.dev.Add(d.Stats())
 	}
-	// Same tick as the previous snapshot: emit a zero-width window only
-	// if counters moved after it (events later in the same tick), so
-	// totals still balance without recording empty windows.
-	dev := aggregateDevs(s.sys)
-	bus := s.sys.Bus().Stats()
-	var in, out uint64
+	c.bus = s.sys.Bus().Stats()
 	for _, q := range s.sys.Queues() {
-		in += q.Pushed()
-		out += q.Popped()
+		c.in += q.Pushed()
+		c.out += q.Popped()
 	}
-	if dev != s.prevDev || bus != s.prevBus || in != s.prevIn || out != s.prevOut {
-		s.snapshot()
-	}
+	return c
 }
 
-func (s *Sampler) snapshot() {
-	now := s.sys.Kernel().Now()
-	dev := aggregateDevs(s.sys)
-	bus := s.sys.Bus().Stats()
-	var in, out uint64
-	for _, q := range s.sys.Queues() {
-		in += q.Pushed()
-		out += q.Popped()
-	}
-	s.windows = append(s.windows, Window{
+// since is the window from the last close to end, over which the
+// counters moved from s.prev to now.
+func (s *Sampler) since(now counters, end uint64) Window {
+	return Window{
 		StartTick:   s.lastT,
-		EndTick:     now,
-		Pushes:      dev.TotalPushes() - s.prevDev.TotalPushes(),
-		Failures:    dev.FailedPushes() - s.prevDev.FailedPushes(),
-		Fetches:     dev.Fetches - s.prevDev.Fetches,
-		BusBusy:     bus.BusyCycles - s.prevBus.BusyCycles,
-		MessagesIn:  in - s.prevIn,
-		MessagesOut: out - s.prevOut,
-	})
-	s.prevDev, s.prevBus, s.prevIn, s.prevOut, s.lastT = dev, bus, in, out, now
-}
-
-func aggregateDevs(sys *spamer.System) vl.Stats {
-	var agg vl.Stats
-	for _, d := range sys.Devices() {
-		agg = agg.Add(d.Stats())
+		EndTick:     end,
+		Pushes:      now.dev.TotalPushes() - s.prev.dev.TotalPushes(),
+		Failures:    now.dev.FailedPushes() - s.prev.dev.FailedPushes(),
+		Fetches:     now.dev.Fetches - s.prev.dev.Fetches,
+		BusBusy:     now.bus.BusyCycles - s.prev.bus.BusyCycles,
+		MessagesIn:  now.in - s.prev.in,
+		MessagesOut: now.out - s.prev.out,
 	}
-	return agg
 }
 
-// Windows returns the collected windows.
+// Windows returns the closed windows followed by the tail: the window
+// from the last close to the kernel's current tick, which is the end of
+// the run once Run has returned. The tail is left out when no time
+// passed and no counter moved since the last close, so reading the
+// windows again emits nothing new.
 func (s *Sampler) Windows() []Window {
-	out := make([]Window, len(s.windows))
-	copy(out, s.windows)
+	out := append([]Window(nil), s.windows...)
+	end, now := s.sys.Kernel().Now(), s.read()
+	if end > s.lastT || now != s.prev {
+		out = append(out, s.since(now, end))
+	}
 	return out
 }
 
@@ -168,7 +154,7 @@ func (s *Sampler) Phases(tol float64) []Phase {
 		tol = 0.35
 	}
 	var phases []Phase
-	for _, w := range s.windows {
+	for _, w := range s.Windows() {
 		r := w.Rate(w.MessagesOut)
 		n := len(phases)
 		if n > 0 {
@@ -200,7 +186,7 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "start,end,pushes,failures,fetches,busbusy,msgs_in,msgs_out"); err != nil {
 		return err
 	}
-	for _, win := range s.windows {
+	for _, win := range s.Windows() {
 		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d,%d,%d\n",
 			win.StartTick, win.EndTick, win.Pushes, win.Failures, win.Fetches,
 			win.BusBusy, win.MessagesIn, win.MessagesOut); err != nil {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -65,9 +66,9 @@ func TestSamplerWindowsCoverRun(t *testing.T) {
 		in += w.MessagesIn
 		out += w.MessagesOut
 	}
-	// The final partial window is flushed at drain, so window sums must
-	// equal the end-of-run queue totals exactly — nothing from the tail
-	// may vanish.
+	// Windows ends with the tail of the run, so window sums must equal
+	// the end-of-run queue totals exactly — nothing from the tail may
+	// vanish.
 	if in != res.Pushed || out != res.Popped {
 		t.Fatalf("window sums != totals: %d/%d vs %d/%d", in, out, res.Pushed, res.Popped)
 	}
@@ -103,18 +104,17 @@ func TestSamplerFlushesTail(t *testing.T) {
 	}
 }
 
-// Flush is idempotent: a second call with no time passed and no counter
-// movement emits nothing.
+// The tail flush is idempotent: Windows computes the tail when it is
+// read, so reading the windows again emits nothing new.
 func TestSamplerFlushIdempotent(t *testing.T) {
 	sys := spamer.NewSystem(spamer.Config{Algorithm: spamer.AlgTuned, Deadline: 1 << 32})
 	buildTwoPhase(sys)
 	s := Attach(sys, 2048)
 	sys.Run()
-	n := len(s.Windows())
-	s.Flush()
-	s.Flush()
-	if got := len(s.Windows()); got != n {
-		t.Fatalf("redundant Flush grew windows: %d -> %d", n, got)
+	first := s.Windows()
+	s.Phases(0.35)
+	if again := s.Windows(); !reflect.DeepEqual(again, first) {
+		t.Fatalf("a second read changed the windows: %d -> %d", len(first), len(again))
 	}
 }
 

@@ -24,11 +24,9 @@ func DefaultFigure7(alg string) Figure7Config {
 	return Figure7Config{Algorithm: alg, Messages: 220, ProdWork: 90, ConsWork: 60, Burst: 16, Lines: 1}
 }
 
-// RunFigure7 builds the reduced incast, attaches a tracer, runs it, and
-// returns the tracer plus the run result.
-func RunFigure7(cfg Figure7Config) (*Tracer, spamer.Result) {
-	sys := spamer.NewSystem(spamer.Config{Algorithm: cfg.Algorithm, Deadline: 1 << 34})
-	tr := New()
+// Build builds the reduced incast on sys; sys's own Config picks the
+// routing device, not cfg.Algorithm.
+func (cfg Figure7Config) Build(sys *spamer.System) {
 	workloads.BuildIncast(sys, workloads.IncastParams{
 		Producers: 1,
 		PerProd:   cfg.Messages,
@@ -37,19 +35,14 @@ func RunFigure7(cfg Figure7Config) (*Tracer, spamer.Result) {
 		ConsLines: cfg.Lines,
 		Burst:     cfg.Burst,
 	})
-	// The threads open their endpoints in their first steps, at tick 0,
-	// so hook the tracer onto both sides at tick 1: before the first
-	// vl_fetch, fill or push acceptance.
-	sys.Kernel().AtFunc(1, func(uint64) {
-		for _, q := range sys.Queues() {
-			for _, c := range q.Consumers() {
-				tr.Attach(c)
-			}
-			for _, pr := range q.Producers() {
-				pr.OnAccept = tr.AddDataArrival
-			}
-		}
-	}, 0)
-	res := sys.Run()
-	return tr, res
+}
+
+// RunFigure7 builds the reduced incast with a tracer on its queues,
+// runs it, and returns the tracer plus the run result.
+func RunFigure7(cfg Figure7Config) (*Tracer, spamer.Result) {
+	sys := spamer.NewSystem(spamer.Config{Algorithm: cfg.Algorithm, Deadline: 1 << 34})
+	tr := New()
+	sys.SetQueueProbe(tr)
+	cfg.Build(sys)
+	return tr, sys.Run()
 }

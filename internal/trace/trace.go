@@ -103,7 +103,9 @@ func (tx Transaction) Latency() uint64 {
 	return tx.FirstUse - tx.DataArrive
 }
 
-// Tracer collects events from one consumer endpoint.
+// Tracer collects the Figure 7 events of every queue it observes. It is
+// a vlq.Probe: install it with System.SetQueueProbe before the workload
+// builds its queues.
 type Tracer struct {
 	events []Event
 }
@@ -111,34 +113,31 @@ type Tracer struct {
 // New returns an empty tracer.
 func New() *Tracer { return &Tracer{} }
 
-// Attach hooks the tracer onto a consumer endpoint. Data-arrival events
-// are approximated by the push-accept tick at the device; request
-// arrivals come from the endpoint's fetch hook plus the transit latency.
-func (t *Tracer) Attach(c *spamer.Consumer) {
-	c.OnFetch = func(tick uint64, lineIdx int) {
-		// The request reaches the device one hop + serialization later.
-		t.Add(Event{Tick: tick + config.HopCycles + config.CtrlPacketCycles, Kind: EvRequestArrive, Line: lineIdx})
-	}
-	for i, l := range c.Lines() {
-		i := i
-		l.SetTraceHooks(
-			func(tick uint64, msg mem.Message) {
-				t.Add(Event{Tick: tick, Kind: EvLineFill, Line: i, Seq: msg.Seq})
-			},
-			func(tick uint64) {
-				t.Add(Event{Tick: tick, Kind: EvLineVacate, Line: i})
-			},
-			func(tick uint64, msg mem.Message) {
-				t.Add(Event{Tick: tick, Kind: EvFirstUse, Line: i, Seq: msg.Seq})
-			},
-		)
-	}
+// Push implements vlq.Probe; a submitted push is not a Figure 7 event.
+func (t *Tracer) Push(*spamer.Queue, int, uint64, mem.Message) {}
+
+// Accept implements vlq.Probe: the push-accept tick at the device
+// stands for the producer data's arrival.
+func (t *Tracer) Accept(_ *spamer.Queue, _ int, tick, seq uint64) {
+	t.Add(Event{Tick: tick, Kind: EvDataArrive, Line: -1, Seq: seq})
 }
 
-// AddDataArrival records a producer push reaching the device. The
-// harness wires this from the producer side (push accept time).
-func (t *Tracer) AddDataArrival(tick uint64, seq uint64) {
-	t.Add(Event{Tick: tick, Kind: EvDataArrive, Line: -1, Seq: seq})
+// Fetch implements vlq.Probe: the request reaches the device one hop
+// plus its serialization after the consumer issues it.
+func (t *Tracer) Fetch(_ *spamer.Queue, _, line int, tick uint64) {
+	t.Add(Event{Tick: tick + config.HopCycles + config.CtrlPacketCycles, Kind: EvRequestArrive, Line: line})
+}
+
+// Fill implements vlq.Probe: the data fills the consumer line.
+func (t *Tracer) Fill(_ *spamer.Queue, _, line int, tick uint64, msg mem.Message) {
+	t.Add(Event{Tick: tick, Kind: EvLineFill, Line: line, Seq: msg.Seq})
+}
+
+// Pop implements vlq.Probe: the consumer's first use of the data, and
+// the line vacating, at the same tick.
+func (t *Tracer) Pop(_ *spamer.Queue, _, line int, tick uint64, msg mem.Message) {
+	t.Add(Event{Tick: tick, Kind: EvFirstUse, Line: line, Seq: msg.Seq})
+	t.Add(Event{Tick: tick, Kind: EvLineVacate, Line: line})
 }
 
 // Add appends a raw event.

@@ -21,7 +21,7 @@ func TestEventKindStrings(t *testing.T) {
 
 func TestStitchOnDemandTransaction(t *testing.T) {
 	tr := New()
-	tr.AddDataArrival(100, 0)
+	tr.Accept(nil, 0, 100, 0)
 	tr.Add(Event{Tick: 150, Kind: EvRequestArrive, Line: 0})
 	tr.Add(Event{Tick: 120, Kind: EvLineVacate, Line: 0})
 	tr.Add(Event{Tick: 180, Kind: EvLineFill, Line: 0, Seq: 0})
@@ -50,7 +50,7 @@ func TestStitchOnDemandTransaction(t *testing.T) {
 
 func TestStitchSpeculativeTransaction(t *testing.T) {
 	tr := New()
-	tr.AddDataArrival(100, 3)
+	tr.Accept(nil, 0, 100, 3)
 	tr.Add(Event{Tick: 110, Kind: EvLineFill, Line: 0, Seq: 3})
 	tr.Add(Event{Tick: 130, Kind: EvFirstUse, Line: 0, Seq: 3})
 	txs := tr.Transactions()
@@ -120,7 +120,7 @@ func TestRenderTimeline(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	tr := New()
-	tr.AddDataArrival(10, 1)
+	tr.Accept(nil, 0, 10, 1)
 	var sb strings.Builder
 	if err := WriteCSV(&sb, tr.Events()); err != nil {
 		t.Fatal(err)

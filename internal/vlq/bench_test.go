@@ -20,7 +20,7 @@ func BenchmarkVLQPushPop(b *testing.B) {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {
 			r := newRig(mode.spec)
-			q := r.lib.NewQueue("bench")
+			q := r.lib.NewQueue("bench", nil)
 			n := b.N
 			pushes(r.k, q, n, index)
 			var c *Consumer

@@ -9,20 +9,20 @@ import (
 func TestQueueLimitEnforced(t *testing.T) {
 	r := newRig(false)
 	r.lib.Limits.MaxQueues = 2
-	r.lib.NewQueue("a")
-	r.lib.NewQueue("b")
+	r.lib.NewQueue("a", nil)
+	r.lib.NewQueue("b", nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("third queue allowed past MaxQueues=2")
 		}
 	}()
-	r.lib.NewQueue("c")
+	r.lib.NewQueue("c", nil)
 }
 
 func TestSpecLineLimitDegradesToDemand(t *testing.T) {
 	r := newRig(true)
 	r.lib.Limits.MaxSpecLines = 4
-	q := r.lib.NewQueue("q")
+	q := r.lib.NewQueue("q", nil)
 	var c1, c2, c3 *Consumer
 	script(r.k, "setup",
 		open(q, 2, &c1), // 2/4 used
@@ -47,7 +47,7 @@ func TestSpecLimitIsolation(t *testing.T) {
 	// Attacker: tries to register many endpoints but is capped.
 	attacker := r.lib
 	attacker.Limits.MaxSpecLines = 8
-	qa := attacker.NewQueue("attacker")
+	qa := attacker.NewQueue("attacker", nil)
 	var c *Consumer
 	script(r.k, "attacker", times(30, func(_ int, next sim.Cont) { open(qa, 2, &c)(next) }))
 	r.k.Run()

@@ -105,8 +105,8 @@ func (l *Lib) init(k *sim.Kernel, as *mem.AddressSpace, dev *vl.Device, i *isa.I
 // nothing will touch the library, or a queue or endpoint from it, again:
 // the next library may already own the storage. It first zeroes every
 // queue and endpoint record, which drops what they point at (threads'
-// continuations, probes, trace hooks), so a pooled library keeps no
-// earlier simulation alive.
+// continuations, probes), so a pooled library keeps no earlier
+// simulation alive.
 func (l *Lib) Release() {
 	l.queueArena.Reset()
 	l.prodArena.Reset()
@@ -123,24 +123,39 @@ func (l *Lib) overhead() uint64 {
 	return config.CallOverheadCycles
 }
 
-// Probe observes the application-visible message traffic of a queue: one
-// Push call per message a producer submits, one Pop call per message a
-// consumer takes out of a line. The verification layer (internal/oracle)
-// implements it to check conservation, ordering, and payload integrity.
+// Probe observes a queue's endpoint events: each message's way from the
+// producer that submits it, through the routing device, into a consumer
+// line and out to the consumer, plus the consumers' demand requests.
+// The verification layer (internal/oracle) implements it to check
+// conservation, ordering, and payload integrity; the Figure 7 tracer
+// (internal/trace) implements it to timestamp each transaction.
+// Producers and consumers are named by their index on the queue, lines
+// by their index within the consumer's page.
 //
-// Probe calls run synchronously inside the endpoint operation; the kernel
-// runs one event at a time, so calls never overlap.
-// Implementations must not schedule events or touch simulation state — a
-// probe is a pure observer, and installing one must leave the dispatch
-// trace bit-identical.
+// A queue's probe is fixed when the queue is made (Lib.NewQueue). Probe
+// calls run synchronously inside the endpoint operation, at the tick
+// they report; the kernel runs one event at a time, so calls never
+// overlap. Implementations must not schedule events or touch simulation
+// state — a probe is a pure observer, and installing one must leave the
+// dispatch trace bit-identical.
 type Probe interface {
 	// Push observes msg entering the queue through producer endpoint
-	// producer at the given tick. The message already carries its
-	// (Src, Seq) link tag.
+	// producer, when the endpoint takes a window slot for it. The
+	// message already carries its (Src, Seq) link tag.
 	Push(q *Queue, producer int, tick uint64, msg mem.Message)
-	// Pop observes msg leaving the queue through consumer endpoint
-	// consumer at the given tick.
-	Pop(q *Queue, consumer int, tick uint64, msg mem.Message)
+	// Accept observes the routing device accepting producer's vl_push
+	// of message seq: the data has arrived at the device.
+	Accept(q *Queue, producer int, tick uint64, seq uint64)
+	// Fetch observes consumer endpoint consumer issuing a vl_fetch
+	// request for its line.
+	Fetch(q *Queue, consumer, line int, tick uint64)
+	// Fill observes msg landing in line of consumer endpoint consumer,
+	// whether pushed on demand or speculatively.
+	Fill(q *Queue, consumer, line int, tick uint64, msg mem.Message)
+	// Pop observes consumer endpoint consumer taking msg out of its
+	// line: the consumer's first use of the message, and the tick the
+	// line vacates.
+	Pop(q *Queue, consumer, line int, tick uint64, msg mem.Message)
 }
 
 // Queue is one M:N message channel: a Shared Queue Identifier plus its
@@ -158,10 +173,11 @@ type Queue struct {
 	closed bool
 }
 
-// NewQueue creates a queue (allocates an SQI). It panics when the
-// device's linkTab is exhausted or the process's queue limit (§3.6) is
-// reached — resource exhaustion at setup is a configuration error.
-func (l *Lib) NewQueue(name string) *Queue {
+// NewQueue creates a queue (allocates an SQI) whose endpoint events p
+// observes; a nil p observes nothing. It panics when the device's
+// linkTab is exhausted or the process's queue limit (§3.6) is reached —
+// resource exhaustion at setup is a configuration error.
+func (l *Lib) NewQueue(name string, p Probe) *Queue {
 	if l.Limits.MaxQueues > 0 && len(l.queues) >= l.Limits.MaxQueues {
 		panic(fmt.Sprintf("vlq: queue limit %d reached (§3.6 resource cap)", l.Limits.MaxQueues))
 	}
@@ -170,29 +186,13 @@ func (l *Lib) NewQueue(name string) *Queue {
 		panic(fmt.Sprintf("vlq: %v", err))
 	}
 	q := l.queueArena.New()
-	*q = Queue{lib: l, sqi: sqi, name: name}
+	*q = Queue{lib: l, sqi: sqi, name: name, probe: p}
 	l.queues = append(l.queues, q)
 	return q
 }
 
 // Queues returns every queue created through this library instance.
 func (l *Lib) Queues() []*Queue { return l.queues }
-
-// SetProbe installs a traffic observer on the queue. Must be called
-// before any endpoint operates on it; a nil probe disables observation.
-// Endpoints cache the probe reference at creation — the common probe-free
-// case then costs one endpoint-local nil check per message instead of
-// chasing through the queue — so SetProbe also refreshes any endpoint
-// already subscribed.
-func (q *Queue) SetProbe(p Probe) {
-	q.probe = p
-	for _, pr := range q.producers {
-		pr.probe = p
-	}
-	for _, c := range q.consumers {
-		c.probe = p
-	}
-}
 
 // SQI returns the queue's Shared Queue Identifier.
 func (q *Queue) SQI() vl.SQI { return q.sqi }
@@ -284,11 +284,6 @@ type Producer struct {
 	stepFn   func(uint64)
 	snd      *isa.Sender
 
-	// OnAccept, if non-nil, observes every vl_push of this endpoint the
-	// routing device accepts (tick, message sequence). Used by the
-	// Figure 7 tracer as the "data arrive" event.
-	OnAccept func(tick uint64, seq uint64)
-
 	outstanding int
 	seq         uint64
 	accSeq      uint64 // next sequence to be accepted (acceptance is FIFO)
@@ -343,8 +338,8 @@ func (pr *Producer) accepted() {
 	pr.credit.Fire()
 	seq := pr.accSeq
 	pr.accSeq++
-	if pr.OnAccept != nil {
-		pr.OnAccept(pr.lib.k.Now(), seq)
+	if pr.probe != nil {
+		pr.probe.Accept(pr.q, pr.id, pr.lib.k.Now(), seq)
 	}
 }
 
@@ -411,10 +406,6 @@ type Consumer struct {
 	snd   *isa.Sender
 
 	stepFn func(uint64)
-
-	// OnFetch, if non-nil, observes every vl_fetch issued by this
-	// endpoint (tick, target line index). Used by the Figure 7 tracer.
-	OnFetch func(tick uint64, lineIdx int)
 
 	// Demand-request bookkeeping. Requests are posted strictly
 	// round-robin over the endpoint lines — request j names line
@@ -503,6 +494,12 @@ func (q *Queue) NewConsumerLegacy(nlines int) *Consumer {
 	}
 	c.stepFn = c.step
 	c.cell.Init(lib.k, c.stepFn)
+	if c.probe != nil {
+		filled := c.filled
+		for _, l := range c.page.Lines {
+			l.ObserveFills(filled)
+		}
+	}
 	q.consumers = append(q.consumers, c)
 	return c
 }
@@ -512,6 +509,16 @@ func (c *Consumer) SpecEnabled() bool { return c.spec }
 
 // Lines exposes the endpoint's buffer lines (stats/tracing).
 func (c *Consumer) Lines() []*mem.Line { return c.page.Lines }
+
+// lineIndex reports l's index within the endpoint's page.
+func (c *Consumer) lineIndex(l *mem.Line) int {
+	return int((l.Addr - c.page.Base) / config.LineBytes)
+}
+
+// filled is the fill observer of a probed endpoint's lines.
+func (c *Consumer) filled(l *mem.Line) {
+	c.probe.Fill(c.q, c.id, c.lineIndex(l), c.lib.k.Now(), l.Msg)
+}
 
 // Result reports the outcome of the endpoint's last completed PopThen
 // or WorkCounter TakeThen: the message and whether one was taken. A
@@ -656,8 +663,8 @@ func (c *Consumer) issueFetch() {
 	i := int(c.postedCount) % len(c.page.Lines)
 	c.lib.isa.EnqueueFetch(c.snd, c.q.sqi, c.page.Lines[i].Addr)
 	c.postedCount++
-	if c.OnFetch != nil {
-		c.OnFetch(c.lib.k.Now(), i)
+	if c.probe != nil {
+		c.probe.Fetch(c.q, c.id, i, c.lib.k.Now())
 	}
 }
 
@@ -688,12 +695,10 @@ func (c *Consumer) await() {
 // take takes the message from the line, counts it against a Take's
 // WorkCounter, and completes the operation.
 func (c *Consumer) take() {
-	line := c.line
-	line.NoteFirstUse(line.Msg)
-	c.msg, c.ok = line.Take(), true
+	c.msg, c.ok = c.line.Take(), true
 	c.popped++
 	if c.probe != nil {
-		c.probe.Pop(c.q, c.id, c.lib.k.Now(), c.msg)
+		c.probe.Pop(c.q, c.id, c.lineIndex(c.line), c.lib.k.Now(), c.msg)
 	}
 	if c.wc != nil {
 		c.wc.took()

@@ -118,7 +118,7 @@ func index(i int) uint64 { return uint64(i) }
 func TestPushPopRoundTrip(t *testing.T) {
 	for _, spec := range []bool{false, true} {
 		r := newRig(spec)
-		q := r.lib.NewQueue("q")
+		q := r.lib.NewQueue("q", nil)
 		const n = 50
 		pushes(r.k, q, n, func(i int) uint64 { return uint64(i * 3) })
 		var got []uint64
@@ -140,7 +140,7 @@ func TestPushPopRoundTrip(t *testing.T) {
 
 func TestProducerWindowBlocks(t *testing.T) {
 	r := newRig(false)
-	q := r.lib.NewQueue("q")
+	q := r.lib.NewQueue("q", nil)
 	var pushDone uint64
 	var pr *Producer
 	script(r.k, "producer",
@@ -158,7 +158,7 @@ func TestProducerWindowBlocks(t *testing.T) {
 
 func TestSpecConsumerNeverFetches(t *testing.T) {
 	r := newRig(true)
-	q := r.lib.NewQueue("q")
+	q := r.lib.NewQueue("q", nil)
 	pushes(r.k, q, 20, index)
 	var c *Consumer
 	script(r.k, "consumer", open(q, 2, &c),
@@ -175,14 +175,14 @@ func TestSpecConsumerNeverFetches(t *testing.T) {
 
 func TestDemandConsumerRequestStreamRoundRobin(t *testing.T) {
 	r := newRig(false)
-	q := r.lib.NewQueue("q")
-	var fetchLines []int
+	rec := &recorder{}
+	q := r.lib.NewQueue("q", rec)
 	pushes(r.k, q, 9, index)
 	var c *Consumer
 	script(r.k, "consumer", open(q, 3, &c),
-		do(func() { c.OnFetch = func(tick uint64, lineIdx int) { fetchLines = append(fetchLines, lineIdx) } }),
 		times(9, func(_ int, next sim.Cont) { c.PopThen(next) }))
 	r.k.Run()
+	fetchLines := rec.lines("fetch")
 	if len(fetchLines) != 9 {
 		t.Fatalf("fetches = %d", len(fetchLines))
 	}
@@ -195,19 +195,118 @@ func TestDemandConsumerRequestStreamRoundRobin(t *testing.T) {
 
 func TestPrefetchBoundedByLines(t *testing.T) {
 	r := newRig(false)
-	q := r.lib.NewQueue("q")
-	fetches := 0
+	rec := &recorder{}
+	q := r.lib.NewQueue("q", rec)
 	var c *Consumer
 	// Prefetch many times with no fills: at most one outstanding
 	// request per line is allowed.
-	ops := []op{open(q, 2, &c), do(func() { c.OnFetch = func(uint64, int) { fetches++ } })}
+	ops := []op{open(q, 2, &c)}
 	for i := 0; i < 10; i++ {
 		ops = append(ops, prefetch(&c))
 	}
 	script(r.k, "consumer", ops...)
 	r.k.Run()
-	if fetches != 2 {
+	if fetches := len(rec.lines("fetch")); fetches != 2 {
 		t.Fatalf("fetches = %d, want 2 (one per line)", fetches)
+	}
+}
+
+// probeEvent is one Probe call a recorder saw.
+type probeEvent struct {
+	kind     string // push, accept, fetch, fill or pop
+	endpoint int    // producer or consumer index on the queue
+	line     int    // consumer line index; -1 for producer events
+	tick     uint64
+	seq      uint64 // message sequence; 0 for fetch
+}
+
+// recorder is a Probe that logs every call in order.
+type recorder struct{ events []probeEvent }
+
+func (r *recorder) Push(_ *Queue, p int, tick uint64, m mem.Message) {
+	r.events = append(r.events, probeEvent{"push", p, -1, tick, m.Seq})
+}
+
+func (r *recorder) Accept(_ *Queue, p int, tick, seq uint64) {
+	r.events = append(r.events, probeEvent{"accept", p, -1, tick, seq})
+}
+
+func (r *recorder) Fetch(_ *Queue, c, line int, tick uint64) {
+	r.events = append(r.events, probeEvent{"fetch", c, line, tick, 0})
+}
+
+func (r *recorder) Fill(_ *Queue, c, line int, tick uint64, m mem.Message) {
+	r.events = append(r.events, probeEvent{"fill", c, line, tick, m.Seq})
+}
+
+func (r *recorder) Pop(_ *Queue, c, line int, tick uint64, m mem.Message) {
+	r.events = append(r.events, probeEvent{"pop", c, line, tick, m.Seq})
+}
+
+// of returns the recorded events of one kind, in order.
+func (r *recorder) of(kind string) []probeEvent {
+	var out []probeEvent
+	for _, e := range r.events {
+		if e.kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// lines returns the line indices of the recorded events of one kind.
+func (r *recorder) lines(kind string) []int {
+	var out []int
+	for _, e := range r.of(kind) {
+		out = append(out, e.line)
+	}
+	return out
+}
+
+// TestProbeSeesEveryEndpointEvent: on both device flavours, a probe
+// fixed at NewQueue sees each message pushed, accepted, filled into the
+// consumer line that pops it, and popped, in that order in time; a
+// demand endpoint's requests are seen too, and a spec endpoint makes
+// none. The probe changes nothing: the run ends at the same tick as an
+// unprobed one.
+func TestProbeSeesEveryEndpointEvent(t *testing.T) {
+	const n, lines = 12, 3
+	for _, spec := range []bool{false, true} {
+		run := func(p Probe) uint64 {
+			r := newRig(spec)
+			q := r.lib.NewQueue("q", p)
+			pushes(r.k, q, n, index)
+			pops(r.k, q, lines, n, func(mem.Message) {})
+			r.k.Run()
+			return r.k.Now()
+		}
+		rec := &recorder{}
+		if probed, plain := run(rec), run(nil); probed != plain {
+			t.Fatalf("spec=%v: probed run ended at tick %d, unprobed at %d", spec, probed, plain)
+		}
+		push, accept, fill, pop := rec.of("push"), rec.of("accept"), rec.of("fill"), rec.of("pop")
+		if len(push) != n || len(accept) != n || len(fill) != n || len(pop) != n {
+			t.Fatalf("spec=%v: %d pushes, %d accepts, %d fills, %d pops; want %d each",
+				spec, len(push), len(accept), len(fill), len(pop), n)
+		}
+		for i := 0; i < n; i++ {
+			seq := uint64(i)
+			if push[i].seq != seq || accept[i].seq != seq || fill[i].seq != seq || pop[i].seq != seq {
+				t.Fatalf("spec=%v: message %d seen as push %d, accept %d, fill %d, pop %d",
+					spec, i, push[i].seq, accept[i].seq, fill[i].seq, pop[i].seq)
+			}
+			if !(push[i].tick < accept[i].tick && accept[i].tick < fill[i].tick && fill[i].tick < pop[i].tick) {
+				t.Fatalf("spec=%v: message %d at push %d, accept %d, fill %d, pop %d; want increasing",
+					spec, i, push[i].tick, accept[i].tick, fill[i].tick, pop[i].tick)
+			}
+			if fill[i].line != i%lines || pop[i].line != i%lines {
+				t.Fatalf("spec=%v: message %d filled line %d, popped from line %d; want %d",
+					spec, i, fill[i].line, pop[i].line, i%lines)
+			}
+		}
+		if fetches := len(rec.of("fetch")); spec && fetches != 0 || !spec && fetches != n {
+			t.Fatalf("spec=%v: %d fetches", spec, fetches)
+		}
 	}
 }
 
@@ -233,7 +332,7 @@ func take(wc *WorkCounter, c **Consumer, got func(mem.Message, bool)) op {
 func TestPopOrDoneReleasesOnDone(t *testing.T) {
 	for _, spec := range []bool{false, true} {
 		r := newRig(spec)
-		q := r.lib.NewQueue("q")
+		q := r.lib.NewQueue("q", nil)
 		wc := NewWorkCounter("jobs", 1)
 		pushes(r.k, q, 1, func(int) uint64 { return 7 })
 		var got []uint64
@@ -264,7 +363,7 @@ func TestPopOrDoneReleasesOnDone(t *testing.T) {
 func TestPopOrDoneDeliversFirst(t *testing.T) {
 	for _, spec := range []bool{false, true} {
 		r := newRig(spec)
-		q := r.lib.NewQueue("q")
+		q := r.lib.NewQueue("q", nil)
 		wc := NewWorkCounter("jobs", 1)
 		var pr *Producer
 		script(r.k, "producer",
@@ -295,7 +394,7 @@ func TestInlineOverheadDifference(t *testing.T) {
 	run := func(inlined bool) uint64 {
 		r := newRig(false)
 		r.lib.Inlined = inlined
-		q := r.lib.NewQueue("q")
+		q := r.lib.NewQueue("q", nil)
 		var end uint64
 		pushes(r.k, q, 20, index)
 		pops(r.k, q, 2, 20, func(mem.Message) { end = r.k.Now() })
@@ -309,7 +408,7 @@ func TestInlineOverheadDifference(t *testing.T) {
 
 func TestEvictedLineRecovery(t *testing.T) {
 	r := newRig(true)
-	q := r.lib.NewQueue("q")
+	q := r.lib.NewQueue("q", nil)
 	var consumer *Consumer
 	var got []uint64
 	script(r.k, "consumer", open(q, 2, &consumer), times(10, func(_ int, next sim.Cont) {
@@ -345,8 +444,8 @@ func TestEvictedLineRecovery(t *testing.T) {
 
 func TestQueueNamesAndSQIs(t *testing.T) {
 	r := newRig(false)
-	a := r.lib.NewQueue("alpha")
-	b := r.lib.NewQueue("beta")
+	a := r.lib.NewQueue("alpha", nil)
+	b := r.lib.NewQueue("beta", nil)
 	if a.Name() != "alpha" || b.Name() != "beta" {
 		t.Fatal("names lost")
 	}
@@ -360,7 +459,7 @@ func TestQueueNamesAndSQIs(t *testing.T) {
 
 func TestQueueCloseLifecycle(t *testing.T) {
 	r := newRig(true)
-	q := r.lib.NewQueue("q")
+	q := r.lib.NewQueue("q", nil)
 	pushes(r.k, q, 10, index)
 	pops(r.k, q, 2, 10, func(mem.Message) {})
 	r.k.Run()
@@ -375,7 +474,7 @@ func TestQueueCloseLifecycle(t *testing.T) {
 	}
 	// The SQI and its specBuf entry are recycled: a fresh queue and
 	// spec-enabled consumer must work.
-	q2 := r.lib.NewQueue("q2")
+	q2 := r.lib.NewQueue("q2", nil)
 	if q2.SQI() != q.SQI() {
 		t.Fatalf("SQI not recycled: %d vs %d", q2.SQI(), q.SQI())
 	}
@@ -395,7 +494,7 @@ func TestQueueCloseLifecycle(t *testing.T) {
 
 func TestQueueCloseUndrained(t *testing.T) {
 	r := newRig(false)
-	q := r.lib.NewQueue("q")
+	q := r.lib.NewQueue("q", nil)
 	pushes(r.k, q, 1, index)
 	r.k.Run()
 	if err := q.Close(); err == nil {
@@ -405,7 +504,7 @@ func TestQueueCloseUndrained(t *testing.T) {
 
 func TestQueueCloseFlushesPrerequests(t *testing.T) {
 	r := newRig(false)
-	q := r.lib.NewQueue("q")
+	q := r.lib.NewQueue("q", nil)
 	var c *Consumer
 	script(r.k, "consumer", open(q, 2, &c), prefetch(&c)) // dangling request, never answered
 	r.k.Run()
@@ -419,7 +518,7 @@ func TestQueueCloseFlushesPrerequests(t *testing.T) {
 
 func TestPushOnClosedQueuePanics(t *testing.T) {
 	r := newRig(false)
-	q := r.lib.NewQueue("q")
+	q := r.lib.NewQueue("q", nil)
 	var pr *Producer
 	script(r.k, "setup", do(func() { pr = q.NewProducer(0) }))
 	r.k.Run()
@@ -446,14 +545,14 @@ func TestPushOnClosedQueuePanics(t *testing.T) {
 // queue's messages.
 func TestConsumerOpsOnClosedQueuePanic(t *testing.T) {
 	r := newRig(false)
-	q := r.lib.NewQueue("q")
+	q := r.lib.NewQueue("q", nil)
 	var c *Consumer
 	script(r.k, "setup", open(q, 2, &c))
 	r.k.Run()
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
-	q2 := r.lib.NewQueue("q2")
+	q2 := r.lib.NewQueue("q2", nil)
 	if q2.SQI() != q.SQI() {
 		t.Fatalf("SQI not recycled: %d vs %d", q2.SQI(), q.SQI())
 	}

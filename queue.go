@@ -27,10 +27,7 @@ func NewWorkCounter(name string, total int) *WorkCounter { return vlq.NewWorkCou
 func (s *System) NewQueue(name string) *Queue {
 	lib := s.libs[s.nextDev%len(s.libs)]
 	s.nextDev++
-	q := lib.NewQueue(name)
-	if s.queueProbe != nil {
-		q.SetProbe(s.queueProbe)
-	}
+	q := lib.NewQueue(name, s.queueProbe)
 	s.queues = append(s.queues, q)
 	return q
 }

@@ -167,8 +167,6 @@ type System struct {
 
 	queueProbe vlq.Probe
 
-	onDrain []func()
-
 	ran    bool
 	done   bool // Run returned: the run completed and was not drained
 	result Result
@@ -286,10 +284,12 @@ func (s *System) SpecBufs() []*core.SpecBuf { return s.specs }
 func (s *System) AddressSpace() *mem.AddressSpace { return s.as }
 
 // SetQueueProbe installs p on every queue subsequently created with
-// NewQueue. Must be called before the workload builds its queues; the
-// verification layer (internal/oracle) uses it to observe every message
-// entering and leaving the system. See vlq.Probe for the observer
-// contract (no event scheduling; trace-neutral).
+// NewQueue; a queue's probe is fixed when the queue is made. Call it
+// before the workload builds its queues. The verification layer
+// (internal/oracle) uses it to observe every message entering and
+// leaving the system, and the Figure 7 tracer (internal/trace) to
+// timestamp each transaction. See vlq.Probe for the events and the
+// observer contract (no event scheduling; trace-neutral).
 func (s *System) SetQueueProbe(p vlq.Probe) { s.queueProbe = p }
 
 // SpawnFunc adds an application thread (sim.Task): a state machine
@@ -313,17 +313,6 @@ func (s *System) SpawnFunc(name string, fn func(uint64), arg uint64) *Thread {
 // Threads reports how many threads have been spawned.
 func (s *System) Threads() int { return len(s.threads) }
 
-// OnDrain registers fn to run after Run's event loop drains, before the
-// Result is collected. Instrumentation uses it to finalize: a stats
-// sampler flushes its last partial window here so end-of-run counters
-// are fully accounted. OnDrain must be called before Run.
-func (s *System) OnDrain(fn func()) {
-	if s.ran {
-		panic("spamer: OnDrain after Run")
-	}
-	s.onDrain = append(s.onDrain, fn)
-}
-
 // Run drives the simulation until every thread exits, then gathers the
 // Result. Run may be called once. It panics on deadlock (threads still
 // waiting with no pending events), on the watchdog deadline, and with
@@ -341,9 +330,6 @@ func (s *System) Run() Result {
 	if live := s.kernel.LiveProcs(); live != 0 {
 		s.kernel.Drain() // exit the waiting threads before failing
 		panic(fmt.Sprintf("spamer: deadlock — %d threads still parked with no pending events", live))
-	}
-	for _, fn := range s.onDrain {
-		fn()
 	}
 	s.result = s.collect()
 	s.done = true
