@@ -112,6 +112,39 @@ func TestCancelledBatchStartsNoRun(t *testing.T) {
 	}
 }
 
+// cancelOnWrite is an output stream that cancels a context on its
+// first write, as a SIGINT arriving just then would.
+type cancelOnWrite struct {
+	bytes.Buffer
+	cancel context.CancelFunc
+}
+
+func (w *cancelOnWrite) Write(p []byte) (int, error) {
+	w.cancel()
+	return w.Buffer.Write(p)
+}
+
+// TestInterruptedSweepLeavesNoPartialArtifact: a sweep interrupted once
+// it has begun writing either finishes the whole artifact or fails
+// with nothing on stdout, never with the scatters of the benchmarks
+// done so far.
+func TestInterruptedSweepLeavesNoPartialArtifact(t *testing.T) {
+	args := []string{"sweep", "-bench", "ping-pong,halo", "-parallel", "1"}
+	code, want, stderr := call(t, "", args...)
+	if code != 0 {
+		t.Fatalf("uninterrupted sweep: exit %d, stderr:\n%s", code, stderr)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := &cancelOnWrite{cancel: cancel}
+	var errOut bytes.Buffer
+	code = dispatch(ctx, args, strings.NewReader(""), out, &errOut)
+	if got := out.String(); !(code == 0 && got == want || code == 1 && got == "") {
+		t.Fatalf("interrupted sweep: exit %d with %d of the artifact's %d bytes on stdout; want exit 0 with all of it, or exit 1 with none\nstderr:\n%s",
+			code, len(got), len(want), errOut.String())
+	}
+}
+
 // TestTraceRejectsUnknownAlgorithm: an unknown -alg is an invalid
 // invocation (one stderr line, exit 2), not a simulator panic.
 func TestTraceRejectsUnknownAlgorithm(t *testing.T) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"strings"
@@ -17,8 +18,9 @@ import (
 // normalized end-to-end execution time ("delay") against the
 // normalized dynamic energy of SRD pushes, per benchmark, with the
 // baseline at (1, 1). Every benchmark's grid points fan across the
-// -parallel pool; SIGINT or SIGTERM stops it from starting runs and
-// fails the command.
+// -parallel pool, and the scatters are printed once every benchmark's
+// points are in; SIGINT or SIGTERM stops it from starting runs and
+// fails the command with nothing on stdout.
 func sweepCmd(c *cli) error {
 	benchList := c.flags.String("bench", strings.Join(workloads.Names(), ","),
 		"comma-separated benchmarks to sweep")
@@ -39,6 +41,7 @@ func sweepCmd(c *cli) error {
 	return c.profiled(func() error {
 		start := time.Now()
 		runs := 0
+		var out bytes.Buffer
 		for _, name := range strings.Split(*benchList, ",") {
 			name = strings.TrimSpace(name)
 			if name == "" {
@@ -55,20 +58,21 @@ func sweepCmd(c *cli) error {
 			for i, p := range points {
 				labels[i], xs[i], ys[i] = p.Label, p.DelayNorm, p.EnergyNorm
 			}
-			report.Scatter(c.stdout, "Figure 11: "+name, labels, xs, ys, "delay norm", "energy norm")
+			report.Scatter(&out, "Figure 11: "+name, labels, xs, ys, "delay norm", "energy norm")
 			if *svgDir != "" {
 				if err := writeScatterSVG(fmt.Sprintf("%s/fig11-%s.svg", *svgDir, name), name, labels, xs, ys); err != nil {
 					return err
 				}
 			}
-			fmt.Fprintln(c.stdout)
+			fmt.Fprintln(&out)
 		}
 		elapsed := time.Since(start)
 		fmt.Fprintf(c.stderr, "sweep: %d simulations on %d workers in %v (%.1f runs/s)\n",
 			runs, harness.Workers(c.workers), elapsed.Round(time.Millisecond),
 			float64(runs)/elapsed.Seconds())
-		fmt.Fprintln(c.stdout, "closer to the origin is better; VL(baseline) anchors (1, 1)")
-		return nil
+		fmt.Fprintln(&out, "closer to the origin is better; VL(baseline) anchors (1, 1)")
+		_, err := c.stdout.Write(out.Bytes())
+		return err
 	})
 }
 
