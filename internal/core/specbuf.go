@@ -238,14 +238,16 @@ func (b *SpecBuf) Unregister(sqi vl.SQI) {
 // from specHead, skipping on-fly entries, pick the first available one,
 // derive specTgt = base + offset*lineBytes, consult the delay algorithm
 // for the send tick, set on-fly, and advance specHead along Next — the
-// Stage-3 write-back of §3.2.
+// Stage-3 write-back of §3.2. A loop holds at most every entry of the
+// buffer, so a walk that has not returned to specHead after that many
+// steps is a corrupted loop, and SelectTarget panics naming the SQI.
 func (b *SpecBuf) SelectTarget(sqi vl.SQI, now uint64) (addr mem.Addr, cookie int, sendTick uint64, ok bool) {
 	head, exists := b.headOf(sqi)
 	if !exists {
 		return 0, 0, 0, false
 	}
 	idx := head
-	for {
+	for n := len(b.flags); n > 0; n-- {
 		if b.flags[idx] == entValid { // valid and not on-fly
 			addr = b.base[idx] + mem.Addr(int(b.off[idx])*config.LineBytes)
 			sendTick = b.alg.SendTick(&b.pred[idx], now)
@@ -261,6 +263,7 @@ func (b *SpecBuf) SelectTarget(sqi vl.SQI, now uint64) (addr mem.Addr, cookie in
 			return 0, 0, 0, false
 		}
 	}
+	panic(fmt.Sprintf("core: specBuf entry loop of SQI %d does not return to its head entry %d", sqi, head))
 }
 
 // OnResult implements vl.SpecExtension: clear the on-fly throttle, rotate

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"spamer/internal/config"
 	"spamer/internal/mem"
@@ -169,6 +171,38 @@ func TestSelectUnknownSQI(t *testing.T) {
 	b := NewSpecBuf(4, ZeroDelay{})
 	if _, _, _, ok := b.SelectTarget(9, 0); ok {
 		t.Fatal("select on unregistered SQI succeeded")
+	}
+}
+
+// TestSelectTargetPanicsOnBrokenLoop: with every entry on-fly, the walk
+// visits the whole loop; once the loop no longer returns to specHead,
+// SelectTarget panics naming the SQI instead of spinning.
+func TestSelectTargetPanicsOnBrokenLoop(t *testing.T) {
+	b := NewSpecBuf(4, ZeroDelay{})
+	for i := 1; i <= 3; i++ {
+		if err := b.Register(1, mem.Addr(i*0x1000), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, _, ok := b.SelectTarget(1, 0); !ok {
+			t.Fatalf("select %d failed", i)
+		}
+	}
+	loop := b.EntriesOf(1)
+	b.next[loop[2]] = int32(loop[1]) // head -> 1 -> 2 -> 1 -> ...
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		b.SelectTarget(1, 0)
+	}()
+	select {
+	case r := <-done:
+		if msg, _ := r.(string); !strings.Contains(msg, "SQI 1 ") {
+			t.Fatalf("SelectTarget on a broken loop: panic %v, want one naming SQI 1", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("SelectTarget still walking a broken loop after 5 s")
 	}
 }
 
