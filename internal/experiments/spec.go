@@ -8,6 +8,7 @@ import (
 
 	"spamer"
 	"spamer/internal/config"
+	"spamer/internal/core"
 	"spamer/internal/vl"
 	"spamer/internal/workloads"
 )
@@ -120,7 +121,7 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("experiments: unknown benchmark %q", s.Benchmark)
 	}
 	for _, a := range s.Algorithms {
-		if !validAlg(a) {
+		if !specAlgorithms[a] {
 			return fmt.Errorf("experiments: unknown algorithm %q", a)
 		}
 	}
@@ -130,14 +131,17 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-func validAlg(a string) bool {
-	switch a {
-	case spamer.AlgBaseline, spamer.AlgZeroDelay, spamer.AlgAdaptive, spamer.AlgTuned,
-		"history", "perceptron", "profiled", "dyntuned":
-		return true
+// specAlgorithms holds the algorithm names a spec may use: the VL
+// baseline and each delay algorithm's Name. The aliases core.ByName also
+// resolves ("zero", "adaptive", ...) are left out, so each algorithm has
+// one spelling and a spec one canonical hash.
+var specAlgorithms = func() map[string]bool {
+	m := map[string]bool{spamer.AlgBaseline: true}
+	for _, a := range core.ExtendedAlgorithms() {
+		m[a.Name()] = true
 	}
-	return false
-}
+	return m
+}()
 
 func (s *Spec) workload() (*workloads.Workload, bool) {
 	if s.Shape != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spamer"
+	"spamer/internal/core"
 )
 
 func TestSpecValidate(t *testing.T) {
@@ -26,6 +27,30 @@ func TestSpecValidate(t *testing.T) {
 		err := c.spec.Validate()
 		if (err == nil) != c.ok {
 			t.Errorf("case %d: err=%v, want ok=%v", i, err, c.ok)
+		}
+	}
+}
+
+// TestSpecAlgorithmsAreCanonicalNames: a spec accepts exactly the VL
+// baseline and every delay algorithm under its Name(); the aliases
+// core.ByName also resolves stay refused, so each algorithm keeps one
+// spelling and a spec one canonical hash.
+func TestSpecAlgorithmsAreCanonicalNames(t *testing.T) {
+	want := map[string]bool{spamer.AlgBaseline: true}
+	for _, a := range core.ExtendedAlgorithms() {
+		want[a.Name()] = true
+	}
+	if len(want) != 8 {
+		t.Fatalf("%d canonical names, want vl and the seven delay algorithms", len(want))
+	}
+	candidates := []string{"", "bogus", "VL", "zero", "zerodelay", "adaptive", "custom", "tuned+obf"}
+	for name := range want {
+		candidates = append(candidates, name)
+	}
+	for _, a := range candidates {
+		spec := Spec{Benchmark: "FIR", Algorithms: []string{a}}
+		if err := spec.Validate(); (err == nil) != want[a] {
+			t.Errorf("algorithm %q: Validate() = %v, want accepted=%v", a, err, want[a])
 		}
 	}
 }

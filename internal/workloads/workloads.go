@@ -19,7 +19,6 @@ package workloads
 
 import (
 	"fmt"
-	"sort"
 
 	"spamer"
 )
@@ -56,14 +55,12 @@ func (w *Workload) Run(cfg spamer.Config, scale int) spamer.Result {
 }
 
 var registry = map[string]*Workload{}
-var order []string
 
 func register(w *Workload) {
 	if _, dup := registry[w.Name]; dup {
 		panic(fmt.Sprintf("workloads: duplicate %q", w.Name))
 	}
 	registry[w.Name] = w
-	order = append(order, w.Name)
 }
 
 // All returns the benchmarks in the paper's Figure 8 order.
@@ -74,25 +71,6 @@ func All() []*Workload {
 		if w, ok := registry[n]; ok {
 			out = append(out, w)
 		}
-	}
-	// Append any extras not in the canonical list, sorted, so custom
-	// registrations are not silently dropped.
-	var extra []string
-	for _, n := range order {
-		found := false
-		for _, p := range paper {
-			if n == p {
-				found = true
-				break
-			}
-		}
-		if !found {
-			extra = append(extra, n)
-		}
-	}
-	sort.Strings(extra)
-	for _, n := range extra {
-		out = append(out, registry[n])
 	}
 	return out
 }
