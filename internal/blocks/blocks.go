@@ -1,8 +1,8 @@
 // Package blocks provides the storage a recycled system (see
 // spamer.System.Release) reuses. Arena is the block storage behind the
 // records a simulated system hands out by pointer: the kernel's tasks,
-// the line arena's pages, the queue library's queues and endpoints, and
-// the ISA's senders. A system builds a few dozen of each at setup, so
+// the line arena's pages, and the queue library's queues and endpoints.
+// A system builds a few dozen of each at setup, so
 // block storage turns one heap object per record into one per block,
 // and a recycled system hands the same blocks out again instead of
 // allocating them. Resize does the same for the fixed-size tables of the

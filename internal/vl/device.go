@@ -275,8 +275,9 @@ func (d *Device) checkSQI(s SQI) error {
 // ---------------------------------------------------------------------
 
 // Push is called when a vl_push packet reaches the device. It returns
-// false (NACK) when prodBuf is exhausted; the sender retries. On true,
-// ownership of the message has transferred to the device.
+// false (NACK) when prodBuf is exhausted; the producer endpoint replays
+// the write. On true, ownership of the message has transferred to the
+// device.
 func (d *Device) Push(s SQI, msg mem.Message) bool {
 	if err := d.checkSQI(s); err != nil {
 		panic(err)

@@ -96,7 +96,7 @@ func TestInterleavedSQIFairness(t *testing.T) {
 	const per = 4
 	for i := 0; i < per; i++ {
 		i := i
-		// Pushes retry until accepted (mimicking the ISA replay).
+		// Pushes retry until accepted (mimicking an endpoint's replay).
 		var try1, try2 func(uint64)
 		try1 = func(uint64) {
 			if !r.dev.Push(s1, mem.Message{Seq: uint64(i)}) {

@@ -5,7 +5,6 @@ import (
 
 	"spamer/internal/config"
 	"spamer/internal/core"
-	"spamer/internal/isa"
 	"spamer/internal/mem"
 	"spamer/internal/noc"
 	"spamer/internal/sim"
@@ -20,16 +19,24 @@ type rig struct {
 }
 
 func newRig(spec bool) *rig {
+	if spec {
+		return newRigWith(vl.Config{}, core.NewSpecBuf(0, core.ZeroDelay{}))
+	}
+	return newRigWith(vl.Config{}, nil)
+}
+
+// newRigWith assembles the stack over a device with the given table
+// sizes and, unless ext is nil, spec extension.
+func newRigWith(cfg vl.Config, ext vl.SpecExtension) *rig {
 	k := sim.New()
 	k.SetDeadline(1 << 32)
 	bus := noc.New(k)
 	as := mem.NewAddressSpace(k)
-	dev := vl.New(k, bus, as, vl.Config{})
-	if spec {
-		dev.SetSpecExtension(core.NewSpecBuf(0, core.ZeroDelay{}))
+	dev := vl.New(k, bus, as, cfg)
+	if ext != nil {
+		dev.SetSpecExtension(ext)
 	}
-	i := isa.New(k, bus, dev)
-	lib := New(k, as, dev, i)
+	lib := New(k, bus, as, dev)
 	lib.Inlined = true
 	return &rig{k: k, lib: lib, dev: dev}
 }

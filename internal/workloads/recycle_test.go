@@ -12,8 +12,8 @@ import (
 )
 
 // otherRuns differ from every golden case in each sized structure a
-// system recycles: past the first block of tasks, pages, queues,
-// endpoints and senders, over several line chunks, with far-heap events,
+// system recycles: past the first block of tasks, pages, queues and
+// endpoints, over several line chunks, with far-heap events,
 // eviction, two routing devices, and device tables smaller and larger
 // than the default.
 var otherRuns = []struct {
@@ -114,7 +114,7 @@ func TestFailedRunRecyclesNothing(t *testing.T) {
 // garbage at the next collection, although that collection keeps the
 // pooled storage (a sync.Pool drops its contents only at the second),
 // so no stale wheel slot, line waiter, endpoint continuation or queued
-// sender write still reaches the stages. (The tags carry the
+// device write still reaches the stages. (The tags carry the
 // finalizers because the stages themselves sit in reference cycles,
 // whose finalizers never run.)
 func TestReleasedStorageKeepsNothingAlive(t *testing.T) {
@@ -147,7 +147,7 @@ func TestReleasedStorageKeepsNothingAlive(t *testing.T) {
 // TestRecycledRunAllocationBound may allocate per run. Recycled storage
 // leaves about 1.5 KB a run (the system record, thread records, bound
 // continuations and the shape's own state); building the kernel, line
-// arena, device, specBuf, ISA and queue library afresh costs over 60 KB.
+// arena, device, specBuf and queue library afresh costs over 60 KB.
 const runBytesBound = 8 << 10
 
 // TestRecycledRunAllocationBound pins the saving of recycled storage:
