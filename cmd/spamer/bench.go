@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -22,8 +23,9 @@ var benchArtifacts = []string{"config", "workloads", "fig8", "fig9", "fig10", "i
 // (speedup over Virtual-Link), Figure 9 (execution-time breakdown),
 // Figure 10 (push failure rates and bus utilization), and the §4.3
 // library-inlining study. The matrix cells and inlining pairs are
-// independent simulations fanned across the -parallel pool; SIGINT or
-// SIGTERM stops it from starting runs and fails the command.
+// independent simulations fanned across the -parallel pool. Every
+// section prints once the last study is in; SIGINT or SIGTERM stops the
+// pool from starting runs and fails the command with nothing on stdout.
 func benchCmd(c *cli) error {
 	what := c.flags.String("what", "all", "which artifact to regenerate: all|config|workloads|fig8|fig9|fig10|inline")
 	scale := c.flags.Int("scale", 1, "message-count multiplier for every workload")
@@ -58,30 +60,30 @@ func benchCmd(c *cli) error {
 		}
 	}
 
-	w := c.stdout
+	var out bytes.Buffer
 	for i, s := range show {
 		if i > 0 {
-			fmt.Fprintln(w)
+			fmt.Fprintln(&out)
 		}
 		switch s {
 		case "config":
-			fmt.Fprintln(w, "Table 1: simulated hardware configuration")
-			report.Table(w, experiments.Table1Rows(), true)
+			fmt.Fprintln(&out, "Table 1: simulated hardware configuration")
+			report.Table(&out, experiments.Table1Rows(), true)
 		case "workloads":
-			fmt.Fprintln(w, "Table 2: benchmarks")
-			report.Table(w, experiments.Table2Rows(), true)
+			fmt.Fprintln(&out, "Table 2: benchmarks")
+			report.Table(&out, experiments.Table2Rows(), true)
 		case "fig8":
-			printFig8(w, m)
+			printFig8(&out, m)
 		case "fig9":
 			cells := experiments.Figure9(m)
-			printCells(w, m, "Figure 9: execution breakdown — avg consumer-cacheline cycles (millions), empty + non-empty",
+			printCells(&out, m, "Figure 9: execution breakdown — avg consumer-cacheline cycles (millions), empty + non-empty",
 				[]string{"empty(M)", "non-empty(M)", "total(M)"}, func(b, alg string) []string {
 					cell := cells[b][alg]
 					return []string{fmt.Sprintf("%.3f", cell.EmptyM), fmt.Sprintf("%.3f", cell.NonEmptyM), fmt.Sprintf("%.3f", cell.EmptyM+cell.NonEmptyM)}
 				})
 		case "fig10":
 			cells := experiments.Figure10(m)
-			printCells(w, m, "Figure 10a: push failure rate / Figure 10b: bus utilization",
+			printCells(&out, m, "Figure 10a: push failure rate / Figure 10b: bus utilization",
 				[]string{"failure", "bus util"}, func(b, alg string) []string {
 					cell := cells[b][alg]
 					return []string{fmt.Sprintf("%5.1f%%", cell.FailureRate*100), fmt.Sprintf("%5.1f%%", cell.BusUtilization*100)}
@@ -91,10 +93,11 @@ func benchCmd(c *cli) error {
 			if err != nil {
 				return err
 			}
-			printInline(w, rows)
+			printInline(&out, rows)
 		}
 	}
-	return nil
+	_, err := c.stdout.Write(out.Bytes())
+	return err
 }
 
 // writeSVGs renders Figures 8 and 10 as SVG files.

@@ -124,24 +124,31 @@ func (w *cancelOnWrite) Write(p []byte) (int, error) {
 	return w.Buffer.Write(p)
 }
 
-// TestInterruptedSweepLeavesNoPartialArtifact: a sweep interrupted once
-// it has begun writing either finishes the whole artifact or fails
-// with nothing on stdout, never with the scatters of the benchmarks
-// done so far.
+// TestInterruptedSweepLeavesNoPartialArtifact: a study interrupted once
+// it has begun writing either finishes the whole artifact or fails with
+// nothing on stdout, never with the sections done so far (a sweep's
+// first scatters, bench's tables and figures before the inlining
+// study).
 func TestInterruptedSweepLeavesNoPartialArtifact(t *testing.T) {
-	args := []string{"sweep", "-bench", "ping-pong,halo", "-parallel", "1"}
-	code, want, stderr := call(t, "", args...)
-	if code != 0 {
-		t.Fatalf("uninterrupted sweep: exit %d, stderr:\n%s", code, stderr)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	out := &cancelOnWrite{cancel: cancel}
-	var errOut bytes.Buffer
-	code = dispatch(ctx, args, strings.NewReader(""), out, &errOut)
-	if got := out.String(); !(code == 0 && got == want || code == 1 && got == "") {
-		t.Fatalf("interrupted sweep: exit %d with %d of the artifact's %d bytes on stdout; want exit 0 with all of it, or exit 1 with none\nstderr:\n%s",
-			code, len(got), len(want), errOut.String())
+	for _, args := range [][]string{
+		{"sweep", "-bench", "ping-pong,halo", "-parallel", "1"},
+		{"bench", "-parallel", "1"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			code, want, stderr := call(t, "", args...)
+			if code != 0 {
+				t.Fatalf("uninterrupted %s: exit %d, stderr:\n%s", args[0], code, stderr)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			out := &cancelOnWrite{cancel: cancel}
+			var errOut bytes.Buffer
+			code = dispatch(ctx, args, strings.NewReader(""), out, &errOut)
+			if got := out.String(); !(code == 0 && got == want || code == 1 && got == "") {
+				t.Fatalf("interrupted %s: exit %d with %d of the artifact's %d bytes on stdout; want exit 0 with all of it, or exit 1 with none\nstderr:\n%s",
+					args[0], code, len(got), len(want), errOut.String())
+			}
+		})
 	}
 }
 
