@@ -271,16 +271,6 @@ func (s *Source) Next() uint64 {
 	return t
 }
 
-// Fill overwrites dst with the next len(dst) arrival ticks and returns
-// len(dst). Callers reuse one chunk buffer as a pooled arrival-record
-// block, so the open-loop hot path never allocates per message.
-func (s *Source) Fill(dst []uint64) int {
-	for i := range dst {
-		dst[i] = s.Next()
-	}
-	return len(dst)
-}
-
 // advanceBase draws the next base-process gap and advances the schedule,
 // clamping at the end of time instead of wrapping.
 func (s *Source) advanceBase() {

@@ -59,24 +59,6 @@ func TestSeededDeterminism(t *testing.T) {
 	}
 }
 
-// TestFillMatchesNext pins that the chunked pooled-record form is the
-// same stream as Next.
-func TestFillMatchesNext(t *testing.T) {
-	sp := Spec{Process: MMPP, Seed: 9, MeanGap: 80, StormEvery: 700, StormBurst: 3}
-	a, b := NewSource(sp, 0), NewSource(sp, 0)
-	buf := make([]uint64, 64)
-	for chunk := 0; chunk < 50; chunk++ {
-		if n := a.Fill(buf); n != len(buf) {
-			t.Fatalf("Fill returned %d, want %d", n, len(buf))
-		}
-		for i, at := range buf {
-			if want := b.Next(); at != want {
-				t.Fatalf("chunk %d index %d: Fill %d vs Next %d", chunk, i, at, want)
-			}
-		}
-	}
-}
-
 // TestEmpiricalRates checks each generator's sample mean against the
 // analytic mean within tolerance.
 func TestEmpiricalRates(t *testing.T) {

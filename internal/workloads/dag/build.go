@@ -325,11 +325,7 @@ type replica struct {
 	sigs    []*sim.Signal       // the merge's wait set
 	wc      *spamer.WorkCounter // a dynamic sink's shared count
 
-	// Open-loop source: the arrival source and one chunk of arrival
-	// ticks, refilled in place.
-	src *traffic.Source
-	buf []uint64
-	pos int
+	src *traffic.Source // open-loop source: the arrival source
 
 	j      int // the current item; items before it are emitted
 	o      int // cursor: endpoint being opened, port being pushed, stream being prefetched
@@ -419,12 +415,7 @@ func (m *replica) run(state uint64) {
 			case len(m.st.Replay) > 0:
 				at = m.replayEvent().At
 			case m.src != nil:
-				if m.pos == len(m.buf) {
-					m.src.Fill(m.buf)
-					m.pos = 0
-				}
-				at = m.buf[m.pos]
-				m.pos++
+				at = m.src.Next()
 			}
 			// Open loop: idle until the item is due. A replica that fell
 			// behind emits at once — the schedule never slips.
@@ -529,8 +520,6 @@ func (m *replica) startSource() {
 	// The stream is selected by a globally unique endpoint id so
 	// replicas of different stages never share arrival draws.
 	m.src = traffic.NewSource(*m.st.Arrival, m.arrivalID)
-	m.buf = make([]uint64, min(arrivalChunk, m.n))
-	m.pos = len(m.buf)
 }
 
 // replayEvent is the recorded event of a replaying source's item j:
@@ -596,10 +585,6 @@ func (m *replica) pop(k int) {
 	m.picked = k
 	m.streams[k].rx.PopThen(m.then(rpPopped))
 }
-
-// arrivalChunk sizes the pooled arrival-record block each open-loop
-// source refills in place (the synthetic shapes use the same size).
-const arrivalChunk = 256
 
 // globalReplica is the replica's index in spawn order across the whole
 // DAG — the stable endpoint id arrival streams key on.

@@ -203,11 +203,6 @@ func (sh *Shape) Workload() *Workload {
 	}
 }
 
-// arrivalChunk sizes the pooled arrival-record block each open-loop
-// producer refills in place — large enough to amortize the refill loop,
-// small enough to stay cache-resident.
-const arrivalChunk = 256
-
 // producer is a source thread, the chain's first stage or one fan
 // producer: it pushes n messages with the shape's work/burst pattern,
 // or, when sh.Arrival is set, on the open-loop schedule drawn from it.
@@ -219,12 +214,7 @@ type producer struct {
 	id   int
 	i, n int // messages pushed, messages to push
 
-	// Open loop: the arrival source and one chunk of arrival ticks,
-	// refilled in place, so the steady state allocates nothing per
-	// message.
-	src *traffic.Source
-	buf []uint64
-	pos int
+	src *traffic.Source // open loop: the arrival source
 }
 
 // producer steps.
@@ -244,8 +234,6 @@ func (m *producer) run(state uint64) {
 		m.tx = m.q.NewProducer(sh.Window)
 		if sh.Arrival != nil {
 			m.src = traffic.NewSource(*sh.Arrival, m.id)
-			m.buf = make([]uint64, min(arrivalChunk, m.n))
-			m.pos = len(m.buf)
 		}
 		fallthrough
 	case prodNext:
@@ -257,13 +245,7 @@ func (m *producer) run(state uint64) {
 			// Open loop: idle until the arrival is due. A producer the
 			// window stalled past the arrival pushes at once — the
 			// schedule never slips, which is the open-loop contract.
-			if m.pos == len(m.buf) {
-				m.src.Fill(m.buf)
-				m.pos = 0
-			}
-			at := m.buf[m.pos]
-			m.pos++
-			if now := m.k.Now(); now < at {
+			if at, now := m.src.Next(), m.k.Now(); now < at {
 				m.compute(at-now, prodWork)
 				return
 			}
