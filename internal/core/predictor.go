@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"spamer/internal/config"
 )
@@ -188,40 +189,34 @@ func (t Tuned) OnResponse(st *PredState, hit bool, now uint64) {
 	st.Failed = !hit
 }
 
+// algorithms lists every implemented delay algorithm once, at its
+// default parameters: the three §3.5 algorithms in paper order, then
+// the §3.5-classed extensions (history-based, perceptron-style,
+// profiling-guided) and the future-work dynamic reconfiguration
+// variant. Every algorithm is a value type, so one list serves every
+// device.
+var algorithms = []DelayAlgorithm{
+	ZeroDelay{}, Adaptive{}, NewTuned(),
+	NewHistory(), NewPerceptron(), NewProfiled(), NewDynamicTuned(),
+}
+
 // Algorithms returns the three §3.5 algorithms in paper order, with the
 // tuned algorithm at its published parameters.
-func Algorithms() []DelayAlgorithm {
-	return []DelayAlgorithm{ZeroDelay{}, Adaptive{}, NewTuned()}
-}
+func Algorithms() []DelayAlgorithm { return slices.Clone(algorithms[:3]) }
 
 // ExtendedAlgorithms returns every implemented delay algorithm: the
-// paper's three plus the §3.5-classed extensions (history-based,
-// perceptron-style, profiling-guided) and the future-work dynamic
-// reconfiguration variant.
-func ExtendedAlgorithms() []DelayAlgorithm {
-	return append(Algorithms(), NewHistory(), NewPerceptron(), NewProfiled(), NewDynamicTuned())
-}
+// paper's three plus the extensions.
+func ExtendedAlgorithms() []DelayAlgorithm { return slices.Clone(algorithms) }
 
-// ByName resolves an algorithm name used on harness command lines.
+// ByName returns the delay algorithm whose Name is name, if there is
+// one.
 func ByName(name string) (DelayAlgorithm, bool) {
-	switch name {
-	case "0delay", "zero", "zerodelay":
-		return ZeroDelay{}, true
-	case "adapt", "adaptive":
-		return Adaptive{}, true
-	case "tuned":
-		return NewTuned(), true
-	case "history":
-		return NewHistory(), true
-	case "perceptron":
-		return NewPerceptron(), true
-	case "profiled":
-		return NewProfiled(), true
-	case "dyntuned":
-		return NewDynamicTuned(), true
-	default:
-		return nil, false
+	for _, a := range algorithms {
+		if a.Name() == name {
+			return a, true
+		}
 	}
+	return nil, false
 }
 
 // Obfuscated wraps any delay algorithm and adds bounded deterministic

@@ -275,14 +275,25 @@ func TestTunedBoundedProperty(t *testing.T) {
 	}
 }
 
+// TestByName: ByName resolves each algorithm by its Name and nothing
+// else, allocating nothing.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"0delay", "adapt", "tuned", "zero", "adaptive"} {
-		if _, ok := ByName(name); !ok {
-			t.Fatalf("ByName(%q) failed", name)
+	for _, a := range ExtendedAlgorithms() {
+		if got, ok := ByName(a.Name()); !ok || got != a {
+			t.Fatalf("ByName(%q) = %v, %v; want %v", a.Name(), got, ok, a)
 		}
 	}
-	if _, ok := ByName("nope"); ok {
-		t.Fatal("ByName(nope) succeeded")
+	for _, name := range []string{"nope", "", "zero", "zerodelay", "adaptive", "tuned+obf"} {
+		if _, ok := ByName(name); ok {
+			t.Fatalf("ByName(%q) succeeded", name)
+		}
+	}
+	ExtendedAlgorithms()[0] = nil // a copy: the list behind ByName stays whole
+	if a, ok := ByName("0delay"); !ok || a != (ZeroDelay{}) {
+		t.Fatal("a caller's write to ExtendedAlgorithms reached ByName")
+	}
+	if n := testing.AllocsPerRun(100, func() { ByName("dyntuned") }); n != 0 {
+		t.Fatalf("ByName allocates %v times per call", n)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"spamer"
 	"spamer/internal/config"
-	"spamer/internal/core"
 	"spamer/internal/vl"
 	"spamer/internal/workloads"
 )
@@ -121,7 +120,9 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("experiments: unknown benchmark %q", s.Benchmark)
 	}
 	for _, a := range s.Algorithms {
-		if !specAlgorithms[a] {
+		// "" also selects VL in NewSystem, but each algorithm keeps one
+		// spelling, so a spec has one canonical hash.
+		if a == "" || !spamer.KnownAlgorithm(a) {
 			return fmt.Errorf("experiments: unknown algorithm %q", a)
 		}
 	}
@@ -130,18 +131,6 @@ func (s *Spec) Validate() error {
 	}
 	return nil
 }
-
-// specAlgorithms holds the algorithm names a spec may use: the VL
-// baseline and each delay algorithm's Name. The aliases core.ByName also
-// resolves ("zero", "adaptive", ...) are left out, so each algorithm has
-// one spelling and a spec one canonical hash.
-var specAlgorithms = func() map[string]bool {
-	m := map[string]bool{spamer.AlgBaseline: true}
-	for _, a := range core.ExtendedAlgorithms() {
-		m[a.Name()] = true
-	}
-	return m
-}()
 
 func (s *Spec) workload() (*workloads.Workload, bool) {
 	if s.Shape != nil {

@@ -32,9 +32,9 @@ func TestSpecValidate(t *testing.T) {
 }
 
 // TestSpecAlgorithmsAreCanonicalNames: a spec accepts exactly the VL
-// baseline and every delay algorithm under its Name(); the aliases
-// core.ByName also resolves stay refused, so each algorithm keeps one
-// spelling and a spec one canonical hash.
+// baseline and every delay algorithm under its Name(); "" and aliases
+// such as "zero" are refused, so each algorithm keeps one spelling and a
+// spec one canonical hash.
 func TestSpecAlgorithmsAreCanonicalNames(t *testing.T) {
 	want := map[string]bool{spamer.AlgBaseline: true}
 	for _, a := range core.ExtendedAlgorithms() {
