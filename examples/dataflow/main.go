@@ -24,7 +24,7 @@ import (
 const samples = 1500
 
 // graph is the sensor-analytics DAG. Stage and edge order are
-// significant: they fix spawn order, core placement and queue creation.
+// significant: they fix spawn order and queue creation.
 var graph = dag.Spec{
 	Name: "dataflow",
 	Stages: []dag.Stage{

@@ -19,10 +19,10 @@ func run(alg string) spamer.Result {
 
 	const messages = 1000
 
-	// Threads are pinned to cores. The producer generates items (15
-	// cycles each) faster than the consumer handles them (25 cycles),
-	// so data waits at the routing device — the situation speculation
-	// exploits.
+	// Every thread runs on a core of its own. The producer generates
+	// items (15 cycles each) faster than the consumer handles them (25
+	// cycles), so data waits at the routing device — the situation
+	// speculation exploits.
 	producer := &spamer.Source{Out: q, N: messages, Work: 15}
 	producer.Spawn(sys, "producer")
 	next := uint64(0)

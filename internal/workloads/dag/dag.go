@@ -30,16 +30,17 @@
 //	        drains through a WorkCounter.
 //
 // An empty policy resolves to pair on 1:1 edges and shared otherwise.
-// Replicas are pinned round-robin to cores in spawn (stage-major) order.
+// Replicas spawn in stage-major order. The model gives every thread a
+// core of its own, so the Table 1 core count bounds nothing.
 //
 // # Determinism
 //
 // Everything is a pure function of (Spec, scale): stage and edge order
-// are significant (they fix spawn order, and with it core placement
-// and queue creation order), compute draws come from a splitmix64
-// stream seeded by (Seed, stage, replica), and arrival schedules
-// follow internal/traffic's platform-stable contract. Two runs of the
-// same canonical spec dispatch bit-identical event traces.
+// are significant (they fix spawn order and queue creation order),
+// compute draws come from a splitmix64 stream seeded by (Seed, stage,
+// replica), and arrival schedules follow internal/traffic's
+// platform-stable contract. Two runs of the same canonical spec
+// dispatch bit-identical event traces.
 package dag
 
 import (
@@ -382,9 +383,9 @@ func (s *Spec) Validate() error {
 // auto edge policies resolved, default lines/windows zeroed, no-op work
 // distributions dropped, arrival specs canonicalized, resolved replay
 // files cleared, and a dead seed zeroed. Stage and edge order are
-// preserved — they are semantically significant (spawn order fixes
-// core placement). Two specs that build identical workloads hash
-// identically through it.
+// preserved — they are semantically significant (they fix spawn order
+// and queue creation order). Two specs that build identical workloads
+// hash identically through it.
 func (s Spec) Canonical() Spec {
 	c := s
 	c.Stages = make([]Stage, len(s.Stages))

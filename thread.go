@@ -86,8 +86,8 @@ func (t *thread) compute(d, next uint64) {
 // then is the continuation that resumes the thread at step next.
 func (t *thread) then(next uint64) sim.Cont { return sim.Cont{Fn: t.step, Arg: next} }
 
-// Spawn adds the source to sys, on the next core; its first step runs
-// at tick 0. It panics once Run has been called.
+// Spawn adds the source to sys as a thread on a core of its own; its
+// first step runs at tick 0. It panics once Run has been called.
 func (m *Source) Spawn(sys *System, name string) *Thread { return m.spawn(sys, name, m.run) }
 
 // Source steps.
@@ -124,8 +124,8 @@ func (m *Source) run(state uint64) {
 	}
 }
 
-// Spawn adds the stage to sys, on the next core; its first step runs at
-// tick 0. It panics once Run has been called.
+// Spawn adds the stage to sys as a thread on a core of its own; its
+// first step runs at tick 0. It panics once Run has been called.
 func (m *Stage) Spawn(sys *System, name string) *Thread { return m.spawn(sys, name, m.run) }
 
 // Stage steps.
