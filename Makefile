@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check lang-check build vet test test-race perfbench-test examples-check artifacts-check verify-oracle fuzz-smoke fabric-smoke bench bench-ci bench-race repro figures trace sweep latency area ablate tune serve worker clean
+.PHONY: all check fmt-check lang-check build vet test test-race perfbench-test examples-check artifacts-check verify-oracle fuzz-smoke fabric-smoke bench bench-ci bench-race repro figures trace sweep latency area ablate tune serve worker lines clean
 
 # BENCH_JSON tracks the perf trajectory across PRs: bump the suffix when
 # a PR materially changes the benchmark surface and commit the new file.
@@ -204,6 +204,16 @@ serve:
 COORDINATOR ?= http://127.0.0.1:8080
 worker:
 	$(GO) run ./cmd/spamer worker -coordinator $(COORDINATOR)
+
+# The size of the Go code: non-blank lines that are not // comments, in
+# the .go files outside perfbench/ (its own module) and .bench_build/,
+# split into non-test and _test.go files. It reports; it does not gate.
+lines:
+	@find . -name '*.go' -not -path './perfbench/*' -not -path './.bench_build/*' | xargs awk ' \
+		FNR == 1 { test = FILENAME ~ /_test\.go$$/ } \
+		/^[ \t]*$$/ || /^[ \t]*\/\// { next } \
+		{ if (test) t++; else n++ } \
+		END { printf "go lines: %d non-test, %d test\n", n, t }'
 
 clean:
 	$(GO) clean ./...
