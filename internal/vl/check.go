@@ -18,49 +18,41 @@ func (d *Device) FaultCorruptStash(n uint64) { d.faultCorruptNth = n }
 
 // CheckStructure walks the device tables and verifies their structural
 // invariants: the free lists and the allocated entries partition prodBuf
-// and consBuf; every entry's queue membership matches its state (input,
-// per-SQI buffered, and sending queues are disjoint, acyclic, and
-// correctly terminated); and the prodBuf admission accounting
-// (usedPerSQI, sharedUsed, activeSQIs) agrees with the tables. It
-// returns the first inconsistency found, or nil.
+// and consBuf; every entry's chain matches its state (the input,
+// per-SQI buffering and sending queues are disjoint, acyclic, and
+// correctly terminated, and a request list holds only in-use requests of
+// its SQI); and the prodBuf admission accounting (usedPerSQI, sharedUsed,
+// activeSQIs) agrees with the tables. It returns the first inconsistency
+// found, or nil.
 //
 // The walk is read-only and safe at any quiescent point of a sequential
 // run; the verification oracle calls it online from queue probes and
 // once more at drain.
 func (d *Device) CheckStructure() error {
-	// membership[i] names the queue that linked prodBuf entry i.
+	// membership[i] names the chain that linked prodBuf entry i.
 	membership := make([]entryState, len(d.prod))
 
-	walk := func(label string, head, tail int, want entryState) error {
-		n := 0
-		last := nilIdx
-		for idx := head; idx != nilIdx; idx = d.prod[idx].next {
-			if idx < 0 || idx >= len(d.prod) {
-				return fmt.Errorf("vl: %s chain holds out-of-range index %d", label, idx)
-			}
-			if membership[idx] != entryFree {
-				return fmt.Errorf("vl: prodBuf entry %d linked by both %s and %s chains", idx, membership[idx], want)
+	// prodChain checks a chain of prodBuf entries in state want and,
+	// on SQI s's buffering queue (s > 0), tagged s.
+	prodChain := func(c chain, want entryState, s SQI) error {
+		return c.check(d.prodNext, func(idx int) error {
+			switch e := &d.prod[idx]; {
+			case membership[idx] != entryFree:
+				return fmt.Errorf("prodBuf entry %d also linked by a %s chain", idx, membership[idx])
+			case e.state != want:
+				return fmt.Errorf("prodBuf entry %d has state %s", idx, e.state)
+			case s != 0 && e.sqi != s:
+				return fmt.Errorf("prodBuf entry %d tagged SQI %d", idx, e.sqi)
 			}
 			membership[idx] = want
-			if st := d.prod[idx].state; st != want {
-				return fmt.Errorf("vl: prodBuf entry %d in %s chain has state %s", idx, label, st)
-			}
-			last = idx
-			if n++; n > len(d.prod) {
-				return fmt.Errorf("vl: %s chain cycles", label)
-			}
-		}
-		if last != tail {
-			return fmt.Errorf("vl: %s chain tail is %d, register says %d", label, last, tail)
-		}
-		return nil
+			return nil
+		})
 	}
-
-	if err := walk("input", d.inputHead, d.inputTail, entryInput); err != nil {
-		return err
+	if err := prodChain(d.input, entryInput, 0); err != nil {
+		return fmt.Errorf("vl: input chain: %w", err)
 	}
-	if err := walk("send", d.sendHead, d.sendTail, entrySendQueued); err != nil {
-		return err
+	if err := prodChain(d.send, entrySendQueued, 0); err != nil {
+		return fmt.Errorf("vl: send chain: %w", err)
 	}
 
 	activeRows := 0
@@ -70,35 +62,20 @@ func (d *Device) CheckStructure() error {
 		if row.used {
 			activeRows++
 		}
-		if row.prodHead == nilIdx && row.consHead == nilIdx && !row.used {
-			continue
+		if err := prodChain(row.buf, entryBuffered, SQI(s)); err != nil {
+			return fmt.Errorf("vl: SQI %d buffered chain: %w", s, err)
 		}
-		if err := walk(fmt.Sprintf("SQI %d buffered", s), row.prodHead, row.prodTail, entryBuffered); err != nil {
-			return err
-		}
-		for idx := row.prodHead; idx != nilIdx; idx = d.prod[idx].next {
-			if d.prod[idx].sqi != SQI(s) {
-				return fmt.Errorf("vl: prodBuf entry %d buffered under SQI %d but tagged SQI %d", idx, s, d.prod[idx].sqi)
+		err := row.reqs.check(d.consNext, func(c int) error {
+			switch ce := &d.cons[c]; {
+			case !ce.used:
+				return fmt.Errorf("consBuf entry %d not in use", c)
+			case ce.sqi != SQI(s):
+				return fmt.Errorf("consBuf entry %d tagged SQI %d", c, ce.sqi)
 			}
-		}
-		// Consumer-request chain of the row.
-		n := 0
-		last := nilIdx
-		for c := row.consHead; c != nilIdx; c = d.cons[c].next {
-			if c < 0 || c >= len(d.cons) {
-				return fmt.Errorf("vl: SQI %d request chain holds out-of-range index %d", s, c)
-			}
-			ce := &d.cons[c]
-			if !ce.used || ce.sqi != SQI(s) {
-				return fmt.Errorf("vl: consBuf entry %d in SQI %d chain is used=%v sqi=%d", c, s, ce.used, ce.sqi)
-			}
-			last = c
-			if n++; n > len(d.cons) {
-				return fmt.Errorf("vl: SQI %d request chain cycles", s)
-			}
-		}
-		if last != row.consTail {
-			return fmt.Errorf("vl: SQI %d request chain tail is %d, register says %d", s, last, row.consTail)
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("vl: SQI %d request chain: %w", s, err)
 		}
 	}
 	if activeRows != d.activeSQIs {
@@ -182,6 +159,31 @@ func (d *Device) CheckStructure() error {
 		if c < 0 || c >= len(d.cons) || d.cons[c].used {
 			return fmt.Errorf("vl: consBuf free list holds used/out-of-range index %d", c)
 		}
+	}
+	return nil
+}
+
+// check walks the chain over next, handing each entry to visit, which
+// fails on an entry that does not belong. check itself fails on an
+// index out of range, a chain longer than the table (it cycles), and a
+// tail register that does not name the last entry.
+func (c chain) check(next []int, visit func(idx int) error) error {
+	last := nilIdx
+	n := 0
+	for idx := c.head; idx != nilIdx; idx = next[idx] {
+		if idx < 0 || idx >= len(next) {
+			return fmt.Errorf("holds out-of-range index %d", idx)
+		}
+		if n++; n > len(next) {
+			return fmt.Errorf("cycles")
+		}
+		if err := visit(idx); err != nil {
+			return err
+		}
+		last = idx
+	}
+	if last != c.tail {
+		return fmt.Errorf("tail is %d, register says %d", last, c.tail)
 	}
 	return nil
 }

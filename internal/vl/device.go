@@ -25,6 +25,11 @@ type Device struct {
 	cons []consEntry
 	link []linkRow // indexed by SQI; row 0 reserved
 
+	// The next columns of prodBuf and consBuf: the entry after each one
+	// in its chain.
+	prodNext []int
+	consNext []int
+
 	freeProd []int
 	freeCons []int
 
@@ -49,11 +54,8 @@ type Device struct {
 	sharedUsed int
 	activeSQIs int
 
-	// Producer input queue (PIHR/PITR of Figure 5).
-	inputHead, inputTail int
-
-	// Sending queue (shared stash output port).
-	sendHead, sendTail int
+	input chain // producer input queue (PIHR/PITR of Figure 5)
+	send  chain // sending queue (shared stash output port)
 
 	mapBusy  bool
 	sendBusy bool
@@ -126,26 +128,24 @@ func (d *Device) init(k *sim.Kernel, bus *noc.Bus, as *mem.AddressSpace, cfg Con
 		prod:       blocks.Resize(d.prod, cfg.ProdEntries),
 		cons:       blocks.Resize(d.cons, cfg.ConsEntries),
 		link:       blocks.Resize(d.link, cfg.LinkEntries+1),
+		prodNext:   blocks.Resize(d.prodNext, cfg.ProdEntries),
+		consNext:   blocks.Resize(d.consNext, cfg.ConsEntries),
 		freeProd:   blocks.Resize(d.freeProd, cfg.ProdEntries),
 		freeCons:   blocks.Resize(d.freeCons, cfg.ConsEntries),
 		usedPerSQI: blocks.Resize(d.usedPerSQI, cfg.LinkEntries+1),
-		inputHead:  nilIdx,
-		inputTail:  nilIdx,
-		sendHead:   nilIdx,
-		sendTail:   nilIdx,
+		input:      emptyChain,
+		send:       emptyChain,
 		nextSQI:    1,
 		callbacks:  d.callbacks,
 	}
-	for i := range d.prod {
-		d.prod[i].next = nilIdx
+	for i := range d.freeProd {
 		d.freeProd[i] = i
 	}
-	for i := range d.cons {
-		d.cons[i].next = nilIdx
+	for i := range d.freeCons {
 		d.freeCons[i] = i
 	}
 	for i := range d.link {
-		d.link[i] = linkRow{consHead: nilIdx, consTail: nilIdx, prodHead: nilIdx, prodTail: nilIdx}
+		d.link[i] = linkRow{reqs: emptyChain, buf: emptyChain}
 	}
 	if d.mapperTickFn == nil {
 		d.mapperTickFn = func(uint64) { d.mapperTick() }
@@ -242,16 +242,12 @@ func (d *Device) FreeSQI(s SQI) error {
 		return err
 	}
 	r := &d.link[s]
-	if r.prodHead != nilIdx {
+	if r.buf.head != nilIdx {
 		return fmt.Errorf("vl: FreeSQI(%d): undelivered producer data", s)
 	}
-	for c := r.consHead; c != nilIdx; {
-		next := d.cons[c].next
-		d.cons[c] = consEntry{next: nilIdx}
-		d.freeCons = append(d.freeCons, c)
-		c = next
+	for r.reqs.head != nilIdx {
+		d.takeRequest(r)
 	}
-	r.consHead, r.consTail = nilIdx, nilIdx
 	if d.spec != nil {
 		d.spec.Unregister(s)
 	}
@@ -291,36 +287,11 @@ func (d *Device) Push(s SQI, msg mem.Message) bool {
 	if used := len(d.prod) - len(d.freeProd); used > d.prodHighWater {
 		d.prodHighWater = used
 	}
-	e := &d.prod[idx]
-	*e = prodEntry{state: entryInput, sqi: s, msg: msg, next: nilIdx}
+	d.prod[idx] = prodEntry{state: entryInput, sqi: s, msg: msg}
 	d.stats.PushAccepts++
-	d.appendInput(idx)
+	d.input.push(d.prodNext, idx)
 	d.ensureMapping()
 	return true
-}
-
-func (d *Device) appendInput(idx int) {
-	d.prod[idx].next = nilIdx
-	d.prod[idx].state = entryInput
-	if d.inputTail == nilIdx {
-		d.inputHead, d.inputTail = idx, idx
-		return
-	}
-	d.prod[d.inputTail].next = idx
-	d.inputTail = idx
-}
-
-func (d *Device) popInput() int {
-	idx := d.inputHead
-	if idx == nilIdx {
-		return nilIdx
-	}
-	d.inputHead = d.prod[idx].next
-	if d.inputHead == nilIdx {
-		d.inputTail = nilIdx
-	}
-	d.prod[idx].next = nilIdx
-	return idx
 }
 
 // ---------------------------------------------------------------------
@@ -341,7 +312,7 @@ func (d *Device) ensureMapping() {
 // mapperTick issues the input-queue head into the pipeline and
 // reschedules itself every cycle until the input queue drains.
 func (d *Device) mapperTick() {
-	idx := d.popInput()
+	idx := d.input.pop(d.prodNext)
 	if idx == nilIdx {
 		d.mapBusy = false
 		return
@@ -352,89 +323,60 @@ func (d *Device) mapperTick() {
 }
 
 func (d *Device) completeMapping(idx int) {
-	e := &d.prod[idx]
-	s := e.sqi
+	s := d.prod[idx].sqi
 	row := &d.link[s]
-
 	switch {
-	case row.consHead != nilIdx:
+	case row.reqs.head != nilIdx:
 		// Stage 2 found a registered consumer request: Path C.
-		c := row.consHead
-		row.consHead = d.cons[c].next
-		if row.consHead == nilIdx {
-			row.consTail = nilIdx
-		}
-		e.target = d.cons[c].target
-		e.spec = false
-		d.cons[c] = consEntry{next: nilIdx}
-		d.freeCons = append(d.freeCons, c)
-		d.appendSend(idx)
-
+		d.sendTo(idx, d.takeRequest(row))
+	case d.trySpec(s, idx):
+		// Path A: the entry waits in the speculative push queue.
 	default:
-		if d.spec != nil {
-			if addr, cookie, sendTick, ok := d.spec.SelectTarget(s, d.k.Now()); ok {
-				// Path A: speculative push queue.
-				e.target = addr
-				e.spec = true
-				e.cookie = cookie
-				e.state = entrySpecWait
-				d.stats.SpecScheduled++
-				if sendTick < d.k.Now() {
-					sendTick = d.k.Now()
-				}
-				d.k.AtFunc(sendTick, d.releaseSpecFn, uint64(idx))
-				break
-			}
-		}
 		// Path B: buffering queue of the SQI.
-		d.appendBuffered(s, idx)
+		d.prod[idx].state = entryBuffered
+		row.buf.push(d.prodNext, idx)
 	}
 }
 
-func (d *Device) appendBuffered(s SQI, idx int) {
-	row := &d.link[s]
+// takeRequest pops the oldest consumer request of a row, frees its
+// consBuf entry and returns the line it names.
+func (d *Device) takeRequest(row *linkRow) mem.Addr {
+	c := row.reqs.pop(d.consNext)
+	target := d.cons[c].target
+	d.cons[c] = consEntry{}
+	d.freeCons = append(d.freeCons, c)
+	return target
+}
+
+// sendTo dispatches prodBuf entry idx on demand to the line a consumer
+// request named: the entry joins the sending queue.
+func (d *Device) sendTo(idx int, target mem.Addr) {
 	e := &d.prod[idx]
-	e.state = entryBuffered
-	e.next = nilIdx
-	if row.prodTail == nilIdx {
-		row.prodHead, row.prodTail = idx, idx
-		return
-	}
-	d.prod[row.prodTail].next = idx
-	row.prodTail = idx
+	e.target = target
+	e.spec = false
+	d.appendSend(idx)
 }
 
-// prependBuffered re-inserts an entry at the head of its SQI's buffering
-// queue. Used by the miss-retry path: the missed entry is older than every
-// entry currently buffered for the SQI (it passed through the mapping
-// pipeline first), so head insertion preserves per-SQI FIFO order. The
-// paper re-enters missed entries "after PITR" (§3.1), which can reorder
-// them behind younger buffered data; we keep the retry loop but preserve
-// order, which the message-conservation invariants of the test suite
-// depend on.
-func (d *Device) prependBuffered(s SQI, idx int) {
-	row := &d.link[s]
+// trySpec is Path A: it asks the SpecExtension for a target of SQI s
+// and, when there is one, parks prodBuf entry idx in the speculative
+// push queue until the predicted send tick. It reports whether the
+// entry was taken.
+func (d *Device) trySpec(s SQI, idx int) bool {
+	if d.spec == nil {
+		return false
+	}
+	addr, cookie, sendTick, ok := d.spec.SelectTarget(s, d.k.Now())
+	if !ok {
+		return false
+	}
 	e := &d.prod[idx]
-	e.state = entryBuffered
-	e.next = row.prodHead
-	row.prodHead = idx
-	if row.prodTail == nilIdx {
-		row.prodTail = idx
-	}
-}
-
-func (d *Device) popBuffered(s SQI) int {
-	row := &d.link[s]
-	idx := row.prodHead
-	if idx == nilIdx {
-		return nilIdx
-	}
-	row.prodHead = d.prod[idx].next
-	if row.prodHead == nilIdx {
-		row.prodTail = nilIdx
-	}
-	d.prod[idx].next = nilIdx
-	return idx
+	e.target = addr
+	e.spec = true
+	e.cookie = cookie
+	e.state = entrySpecWait
+	d.stats.SpecScheduled++
+	d.k.AtFunc(max(sendTick, d.k.Now()), d.releaseSpecFn, uint64(idx))
+	return true
 }
 
 // DemandRetryCycles spaces retries of an on-demand push whose target
@@ -456,30 +398,18 @@ func (d *Device) releaseSpec(idx int) {
 // ---------------------------------------------------------------------
 
 func (d *Device) appendSend(idx int) {
-	e := &d.prod[idx]
-	e.state = entrySendQueued
-	e.next = nilIdx
-	if d.sendTail == nilIdx {
-		d.sendHead, d.sendTail = idx, idx
-	} else {
-		d.prod[d.sendTail].next = idx
-		d.sendTail = idx
-	}
+	d.prod[idx].state = entrySendQueued
+	d.send.push(d.prodNext, idx)
 	d.ensureSending()
 }
 
 func (d *Device) ensureSending() {
-	if d.sendBusy || d.sendHead == nilIdx {
+	if d.sendBusy || d.send.head == nilIdx {
 		return
 	}
 	d.sendBusy = true
-	idx := d.sendHead
-	d.sendHead = d.prod[idx].next
-	if d.sendHead == nilIdx {
-		d.sendTail = nilIdx
-	}
+	idx := d.send.pop(d.prodNext)
 	e := &d.prod[idx]
-	e.next = nilIdx
 	e.state = entryInFlight
 	if e.spec {
 		d.stats.SpecPushes++
@@ -547,16 +477,24 @@ func (d *Device) handleResponse(idx int, hit bool) {
 	switch {
 	case hit:
 		d.releaseProd(s)
-		*e = prodEntry{state: entryFree, next: nilIdx}
+		*e = prodEntry{}
 		d.freeProd = append(d.freeProd, idx)
 	case wasSpec:
 		// Speculative retry: the entry goes back to the front of its
 		// SQI's buffering queue and is re-dispatched — to a pending
 		// consumer request if one arrived meanwhile, else to a
 		// (possibly new) speculative target with an updated delay.
+		// The missed entry is older than every entry buffered for the
+		// SQI (it passed through the mapping pipeline first), so the
+		// head keeps per-SQI FIFO order. The paper re-enters missed
+		// entries "after PITR" (§3.1), which can reorder them behind
+		// younger buffered data; we keep the retry loop but preserve
+		// order, which the message-conservation invariants of the test
+		// suite depend on.
 		e.target = 0
 		e.spec = false
-		d.prependBuffered(s, idx)
+		e.state = entryBuffered
+		d.link[s].buf.pushFront(d.prodNext, idx)
 		d.matchPending(s)
 	default:
 		// On-demand retry: the consumer request named this line and
@@ -582,19 +520,8 @@ func (d *Device) handleResponse(idx int, hit bool) {
 // re-entered it while requests were waiting.
 func (d *Device) matchPending(s SQI) {
 	row := &d.link[s]
-	for row.prodHead != nilIdx && row.consHead != nilIdx {
-		idx := d.popBuffered(s)
-		c := row.consHead
-		row.consHead = d.cons[c].next
-		if row.consHead == nilIdx {
-			row.consTail = nilIdx
-		}
-		e := &d.prod[idx]
-		e.target = d.cons[c].target
-		e.spec = false
-		d.cons[c] = consEntry{next: nilIdx}
-		d.freeCons = append(d.freeCons, c)
-		d.appendSend(idx)
+	for row.buf.head != nilIdx && row.reqs.head != nilIdx {
+		d.sendTo(row.buf.pop(d.prodNext), d.takeRequest(row))
 	}
 }
 
@@ -602,26 +529,9 @@ func (d *Device) matchPending(s SQI) {
 // opportunity. Taking only the head, directly (without re-entering the
 // input queue), preserves per-SQI FIFO order.
 func (d *Device) kickBuffered(s SQI) {
-	if d.spec == nil {
-		return
-	}
 	row := &d.link[s]
-	for row.prodHead != nilIdx && row.consHead == nilIdx {
-		addr, cookie, sendTick, ok := d.spec.SelectTarget(s, d.k.Now())
-		if !ok {
-			return
-		}
-		idx := d.popBuffered(s)
-		e := &d.prod[idx]
-		e.target = addr
-		e.spec = true
-		e.cookie = cookie
-		e.state = entrySpecWait
-		d.stats.SpecScheduled++
-		if sendTick < d.k.Now() {
-			sendTick = d.k.Now()
-		}
-		d.k.AtFunc(sendTick, d.releaseSpecFn, uint64(idx))
+	for row.buf.head != nilIdx && row.reqs.head == nilIdx && d.trySpec(s, row.buf.head) {
+		row.buf.pop(d.prodNext)
 	}
 }
 
@@ -638,11 +548,9 @@ func (d *Device) Fetch(s SQI, target mem.Addr) bool {
 		panic(err)
 	}
 	d.stats.Fetches++
-	if idx := d.popBuffered(s); idx != nilIdx {
-		e := &d.prod[idx]
-		e.target = target
-		e.spec = false
-		d.appendSend(idx)
+	row := &d.link[s]
+	if idx := row.buf.pop(d.prodNext); idx != nilIdx {
+		d.sendTo(idx, target)
 		return true
 	}
 	if len(d.freeCons) == 0 {
@@ -654,14 +562,8 @@ func (d *Device) Fetch(s SQI, target mem.Addr) bool {
 	if used := len(d.cons) - len(d.freeCons); used > d.consHighWater {
 		d.consHighWater = used
 	}
-	d.cons[c] = consEntry{used: true, sqi: s, target: target, next: nilIdx}
-	row := &d.link[s]
-	if row.consTail == nilIdx {
-		row.consHead, row.consTail = c, c
-	} else {
-		d.cons[row.consTail].next = c
-		row.consTail = c
-	}
+	d.cons[c] = consEntry{used: true, sqi: s, target: target}
+	row.reqs.push(d.consNext, c)
 	return true
 }
 
@@ -702,22 +604,10 @@ func (d *Device) ProdHighWater() int { return d.prodHighWater }
 func (d *Device) ConsHighWater() int { return d.consHighWater }
 
 // BufferedLen reports the length of the buffering queue of an SQI.
-func (d *Device) BufferedLen(s SQI) int {
-	n := 0
-	for idx := d.link[s].prodHead; idx != nilIdx; idx = d.prod[idx].next {
-		n++
-	}
-	return n
-}
+func (d *Device) BufferedLen(s SQI) int { return d.link[s].buf.len(d.prodNext) }
 
 // PendingRequests reports the number of consBuf requests queued for s.
-func (d *Device) PendingRequests(s SQI) int {
-	n := 0
-	for c := d.link[s].consHead; c != nilIdx; c = d.cons[c].next {
-		n++
-	}
-	return n
-}
+func (d *Device) PendingRequests(s SQI) int { return d.link[s].reqs.len(d.consNext) }
 
 // Quiescent reports whether the device holds no producer data and no
 // in-flight work (pending consumer requests are allowed: a demand-driven

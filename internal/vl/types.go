@@ -20,8 +20,8 @@
 //	(C) sending queue           — matched with a consumer request.
 //
 // A stash that reaches a consumer line which is still valid (or evicted)
-// draws a miss response, and the prodBuf entry re-enters the mapping
-// pipeline — exactly the retry loop of Figure 5.
+// draws a miss response, and the prodBuf entry is dispatched again — the
+// retry loop of Figure 5 (see Device.handleResponse).
 package vl
 
 import (
@@ -37,6 +37,58 @@ type SQI int
 
 // nilIdx marks an empty head/tail/next pointer inside the device tables.
 const nilIdx = -1
+
+// chain is one of the device's queues: a head/tail register pair over
+// the entries of one table, linked through that table's next column
+// (Device.prodNext or Device.consNext). The input queue, the sending
+// queue, and each linkTab row's buffering queue and request list are
+// chains.
+type chain struct{ head, tail int }
+
+// emptyChain holds no entry.
+var emptyChain = chain{nilIdx, nilIdx}
+
+// push links idx in at the tail.
+func (c *chain) push(next []int, idx int) {
+	next[idx] = nilIdx
+	if c.tail == nilIdx {
+		c.head = idx
+	} else {
+		next[c.tail] = idx
+	}
+	c.tail = idx
+}
+
+// pushFront links idx in at the head.
+func (c *chain) pushFront(next []int, idx int) {
+	next[idx] = c.head
+	c.head = idx
+	if c.tail == nilIdx {
+		c.tail = idx
+	}
+}
+
+// pop unlinks the head and returns it, or nilIdx when the chain is
+// empty.
+func (c *chain) pop(next []int) int {
+	idx := c.head
+	if idx != nilIdx {
+		c.head = next[idx]
+		if c.head == nilIdx {
+			c.tail = nilIdx
+		}
+	}
+	return idx
+}
+
+// len counts the entries.
+func (c chain) len(next []int) int {
+	n := 0
+	for idx := c.head; idx != nilIdx; idx = next[idx] {
+		n++
+	}
+	return n
+}
 
 // entryState tracks where a prodBuf entry currently lives.
 type entryState uint8
@@ -73,8 +125,8 @@ func (s entryState) String() string {
 }
 
 // prodEntry is one prodBuf slot. The producer packet "never leaves the
-// prodBuf entry initially allocated to it" (§3.1); queue membership is
-// expressed through the next links and per-queue head/tail registers.
+// prodBuf entry initially allocated to it" (§3.1); it joins and leaves
+// queues as a link in the input, buffering and sending chains.
 type prodEntry struct {
 	state entryState
 	sqi   SQI
@@ -83,8 +135,6 @@ type prodEntry struct {
 	target mem.Addr // resolved destination line (0 until mapped)
 	spec   bool     // true if the current target came from the spec path
 	cookie int      // spec-extension cookie for response attribution
-
-	next int // intrusive link within input/buffered/send queues
 }
 
 // consEntry is one consBuf slot: a registered consumer request.
@@ -92,18 +142,13 @@ type consEntry struct {
 	used   bool
 	sqi    SQI
 	target mem.Addr
-	next   int // next request of the same SQI
 }
 
 // linkRow is one linkTab row: the per-SQI metadata.
 type linkRow struct {
 	used bool
-
-	// Consumer-request list (indices into consBuf).
-	consHead, consTail int
-
-	// Producer buffering queue (indices into prodBuf).
-	prodHead, prodTail int
+	reqs chain // consumer-request list, over consNext
+	buf  chain // producer buffering queue, over prodNext
 }
 
 // SpecExtension is the hook the SPAMeR SRD implements (internal/core).
