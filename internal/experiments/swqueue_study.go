@@ -44,11 +44,9 @@ type swStage struct {
 	work  uint64
 	onPop func(mem.Message)
 
-	k    *sim.Kernel
-	task *sim.Task
-	step func(uint64)
-	msg  mem.Message
-	i    int
+	*sim.Task
+	msg mem.Message
+	i   int
 }
 
 // swStage steps.
@@ -60,32 +58,31 @@ const (
 )
 
 func (m *swStage) spawn(k *sim.Kernel, name string) {
-	m.k, m.step = k, m.run
-	m.task = k.GoFunc(name, m.step, swNext)
+	m.Task = k.GoFunc(name, m.run, swNext)
 }
 
 func (m *swStage) run(state uint64) {
 	switch state {
 	case swNext:
 		if m.i == m.n {
-			m.task.Exit()
+			m.Exit()
 			return
 		}
 		if len(m.in) > 0 {
-			m.in[m.i%len(m.in)].PopThen(sim.Cont{Fn: m.step, Arg: swWork})
+			m.in[m.i%len(m.in)].PopThen(m.Then(swWork))
 			return
 		}
 		m.msg = mem.Message{Src: m.core, Seq: uint64(m.i)}
-		m.charge()
+		m.Compute(m.work, swPush)
 	case swWork:
 		m.msg = m.in[m.i%len(m.in)].Result()
 		if m.onPop != nil {
 			m.onPop(m.msg)
 		}
-		m.charge()
+		m.Compute(m.work, swPush)
 	case swPush:
 		if m.out != nil {
-			m.out.PushThen(m.msg, sim.Cont{Fn: m.step, Arg: swPushed})
+			m.out.PushThen(m.msg, m.Then(swPushed))
 			return
 		}
 		fallthrough
@@ -93,15 +90,6 @@ func (m *swStage) run(state uint64) {
 		m.i++
 		m.run(swNext)
 	}
-}
-
-// charge charges the work, then pushes.
-func (m *swStage) charge() {
-	if m.work == 0 {
-		m.run(swPush)
-		return
-	}
-	m.k.AfterFunc(m.work, m.step, swPush)
 }
 
 // swChain: src -> stage -> sink over coherent software queues.

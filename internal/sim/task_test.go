@@ -42,6 +42,38 @@ func TestGoFuncTraceMatchesGo(t *testing.T) {
 	}
 }
 
+// TestTaskComputeAndThen: Compute with a zero d runs the step at once
+// and schedules nothing, with d > 0 it is one event d ticks on, Then
+// resumes the step function at the state it names, and Tasks counts
+// every thread spawned, exited ones included.
+func TestTaskComputeAndThen(t *testing.T) {
+	const want = "0@0/1 1@0/1 2@5/2 3@5/2"
+	k := New()
+	var task *Task
+	var got []string
+	step := func(state uint64) {
+		got = append(got, fmt.Sprintf("%d@%d/%d", state, k.Now(), k.Executed()))
+		switch state {
+		case 0:
+			task.Compute(0, 1)
+		case 1:
+			task.Compute(5, 2)
+		case 2:
+			task.Then(3).Call()
+		case 3:
+			task.Exit()
+		}
+	}
+	task = k.GoFunc("t", step, 0)
+	k.Run()
+	if s := strings.Join(got, " "); s != want {
+		t.Fatalf("steps (state@tick/events) = %s, want %s", s, want)
+	}
+	if k.Tasks() != 1 || k.LiveProcs() != 0 {
+		t.Fatalf("Tasks = %d, LiveProcs = %d; want 1 and 0", k.Tasks(), k.LiveProcs())
+	}
+}
+
 // TestDrainExitsTasks: Drain after RunUntil exits a thread that never
 // exits on its own, and no further step runs.
 func TestDrainExitsTasks(t *testing.T) {

@@ -18,7 +18,7 @@ func buildTwoPhase(sys *spamer.System) {
 	// A Source charges the same work per message, so the two-phase
 	// producer is a step machine of its own.
 	var tx *spamer.Producer
-	var th *spamer.Thread
+	var th *sim.Task
 	i := 0
 	var step func(uint64)
 	step = func(state uint64) {
@@ -28,7 +28,7 @@ func buildTwoPhase(sys *spamer.System) {
 			fallthrough
 		case 1:
 			if i == n {
-				th.Task.Exit()
+				th.Exit()
 				return
 			}
 			work := uint64(200) // slow phase: producer-bound

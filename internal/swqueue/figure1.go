@@ -55,7 +55,7 @@ func measureCoherent() float64 {
 		pop:    rx.PopThen,
 		popped: func() uint64 { return rx.Result().Payload },
 	}
-	f.spawn(func(name string, step func(uint64)) *sim.Task { return k.GoFunc(name, step, 0) })
+	f.spawn(k.GoFunc)
 	k.Run()
 	return float64(f.total) / fig1Messages
 }
@@ -78,7 +78,7 @@ func measureHW(alg string) float64 {
 			return m.Payload
 		},
 	}
-	f.spawn(func(name string, step func(uint64)) *sim.Task { return sys.SpawnFunc(name, step, 0).Task })
+	f.spawn(sys.SpawnFunc)
 	sys.Run()
 	return float64(f.total) / fig1Messages
 }
@@ -98,30 +98,22 @@ type fig1 struct {
 	pop    func(then sim.Cont)
 	popped func() uint64 // the stamp of the message popped last
 
-	tx, rx fig1Thread
+	// The producer and consumer threads, the cells they wait on the
+	// turn signals with, and the message each is at.
+	tx, rx         *sim.Task
+	txCell, rxCell sim.WaitCell
+	txI, rxI       int
 }
 
-// fig1Thread is one of the two threads: its Task, its step function
-// (bound once), the cell it waits on the turn signals with, and the
-// message it is at.
-type fig1Thread struct {
-	task *sim.Task
-	step func(uint64)
-	cell sim.WaitCell
-	i    int
-}
-
-// spawn starts the producer, then the consumer.
-func (f *fig1) spawn(spawn func(name string, step func(uint64)) *sim.Task) {
+// spawn starts the producer, then the consumer, with spawn
+// (Kernel.GoFunc or System.SpawnFunc).
+func (f *fig1) spawn(spawn func(name string, fn func(uint64), arg uint64) *sim.Task) {
 	f.sent, f.acked = sim.NewSignal("fig1.sent"), sim.NewSignal("fig1.acked")
-	f.tx.start(f.k, "producer", f.producer, spawn)
-	f.rx.start(f.k, "consumer", f.consumer, spawn)
-}
-
-func (t *fig1Thread) start(k *sim.Kernel, name string, step func(uint64), spawn func(string, func(uint64)) *sim.Task) {
-	t.step = step
-	t.cell.Init(k, step)
-	t.task = spawn(name, step)
+	tx, rx := f.producer, f.consumer
+	f.txCell.Init(f.k, tx)
+	f.rxCell.Init(f.k, rx)
+	f.tx = spawn("producer", tx, txNext)
+	f.rx = spawn("consumer", rx, rxStart)
 }
 
 // Producer steps.
@@ -134,21 +126,20 @@ const (
 // producer stamps and pushes each message, hands the turn to the
 // consumer and waits for its ack.
 func (f *fig1) producer(state uint64) {
-	t := &f.tx
 	switch state {
 	case txNext:
-		f.push(t.i, f.k.Now(), sim.Cont{Fn: t.step, Arg: txPushed})
+		f.push(f.txI, f.k.Now(), f.tx.Then(txPushed))
 	case txPushed:
 		f.turn = 1
 		f.sent.Fire()
 		fallthrough
 	case txAcked:
 		if f.turn != 0 {
-			f.acked.WaitCell(&t.cell, txAcked)
+			f.acked.WaitCell(&f.txCell, txAcked)
 			return
 		}
-		if t.i++; t.i == fig1Messages {
-			t.task.Exit()
+		if f.txI++; f.txI == fig1Messages {
+			f.tx.Exit()
 			return
 		}
 		f.producer(txNext)
@@ -166,27 +157,26 @@ const (
 // consumer waits for its turn, works for the busy period while the
 // message travels, then pops it and records its push-to-use latency.
 func (f *fig1) consumer(state uint64) {
-	t := &f.rx
 	switch state {
 	case rxStart:
-		if f.openRx(sim.Cont{Fn: t.step, Arg: rxTurn}) {
+		if f.openRx(f.rx.Then(rxTurn)) {
 			return
 		}
 		fallthrough
 	case rxTurn:
 		if f.turn != 1 {
-			f.sent.WaitCell(&t.cell, rxTurn)
+			f.sent.WaitCell(&f.rxCell, rxTurn)
 			return
 		}
-		f.k.AfterFunc(fig1BusyWork, t.step, rxPop)
+		f.rx.Compute(fig1BusyWork, rxPop)
 	case rxPop:
-		f.pop(sim.Cont{Fn: t.step, Arg: rxPopped})
+		f.pop(f.rx.Then(rxPopped))
 	case rxPopped:
 		f.total += f.k.Now() - f.popped() - fig1BusyWork
 		f.turn = 0
 		f.acked.Fire()
-		if t.i++; t.i == fig1Messages {
-			t.task.Exit()
+		if f.rxI++; f.rxI == fig1Messages {
+			f.rx.Exit()
 			return
 		}
 		f.consumer(rxTurn)

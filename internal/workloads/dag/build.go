@@ -309,9 +309,7 @@ func (in *inStream) fillSignal() *sim.Signal {
 // (TestGoldenDAGScenarios and the oracle's
 // TestGoldenGeneratedDAGTraces pin it).
 type replica struct {
-	k    *sim.Kernel
-	task *sim.Task
-	step func(uint64)
+	*sim.Task
 	cell sim.WaitCell // the merge's wait on its streams' fill signals
 
 	st        *Stage
@@ -352,16 +350,10 @@ const (
 
 // spawn adds the replica to sys; its first step runs at tick 0.
 func (m *replica) spawn(sys *spamer.System, name string) {
-	m.k, m.step = sys.Kernel(), m.run
-	m.cell.Init(m.k, m.step)
-	m.task = sys.SpawnFunc(name, m.step, rpStart).Task
+	step := m.run
+	m.cell.Init(sys.Kernel(), step)
+	m.Task = sys.SpawnFunc(name, step, rpStart)
 }
-
-// compute charges d cycles of local work, then runs step next.
-func (m *replica) compute(d, next uint64) { m.k.AfterFunc(d, m.step, next) }
-
-// then is the continuation that resumes the replica at step next.
-func (m *replica) then(next uint64) sim.Cont { return sim.Cont{Fn: m.step, Arg: next} }
 
 // run advances the replica from step state until it waits on an event
 // or a queue operation, or exits. Steps that complete at once loop
@@ -385,7 +377,7 @@ func (m *replica) run(state uint64) {
 			for ; m.o < len(m.streams); m.o++ {
 				in := &m.streams[m.o]
 				var pending bool
-				in.rx, pending = in.q.NewConsumerThen(in.lines, m.then(rpOpened))
+				in.rx, pending = in.q.NewConsumerThen(in.lines, m.Then(rpOpened))
 				if pending {
 					return
 				}
@@ -407,7 +399,7 @@ func (m *replica) run(state uint64) {
 
 		case rpSource:
 			if m.j == m.n {
-				m.task.Exit()
+				m.Exit()
 				return
 			}
 			var at uint64
@@ -419,8 +411,8 @@ func (m *replica) run(state uint64) {
 			}
 			// Open loop: idle until the item is due. A replica that fell
 			// behind emits at once — the schedule never slips.
-			if now := m.k.Now(); now < at {
-				m.compute(at-now, rpSourceWork)
+			if now := m.Now(); now < at {
+				m.Compute(at-now, rpSourceWork)
 				return
 			}
 			state = rpSourceWork
@@ -443,7 +435,7 @@ func (m *replica) run(state uint64) {
 		case rpEmit:
 			if m.o < len(m.ports) {
 				o := &m.ports[m.o]
-				o.txs[(m.j+o.rot)%len(o.txs)].PushThen(payloadFor(o.gid, m.j), m.then(rpEmitted))
+				o.txs[(m.j+o.rot)%len(o.txs)].PushThen(payloadFor(o.gid, m.j), m.Then(rpEmitted))
 				return
 			}
 			m.j++
@@ -453,24 +445,24 @@ func (m *replica) run(state uint64) {
 			}
 
 		case rpTake:
-			if !m.wc.TakeThen(m.streams[0].rx, m.then(rpTook)) {
-				m.task.Exit()
+			if !m.wc.TakeThen(m.streams[0].rx, m.Then(rpTook)) {
+				m.Exit()
 			}
 			return
 		case rpTook:
 			if _, ok := m.streams[0].rx.Result(); !ok {
-				m.task.Exit()
+				m.Exit()
 				return
 			}
 			if w := m.smp.draw(); w > 0 {
-				m.compute(w, rpTake)
+				m.Compute(w, rpTake)
 				return
 			}
 			state = rpTake
 
 		case rpMerge:
 			if m.active == 0 {
-				m.task.Exit()
+				m.Exit()
 				return
 			}
 			if !m.merge() {
@@ -506,7 +498,7 @@ func (m *replica) run(state uint64) {
 func (m *replica) work(w uint64) bool {
 	m.o = 0
 	if w > 0 {
-		m.compute(w, rpEmit)
+		m.Compute(w, rpEmit)
 		return true
 	}
 	return false
@@ -561,7 +553,7 @@ func (m *replica) prefetch() {
 		if m.streams[m.o].remaining == 0 {
 			continue
 		}
-		if m.streams[m.o].rx.PrefetchThen(m.then(rpPrefetched)) || m.prefetched() {
+		if m.streams[m.o].rx.PrefetchThen(m.Then(rpPrefetched)) || m.prefetched() {
 			return
 		}
 	}
@@ -583,7 +575,7 @@ func (m *replica) prefetched() bool {
 // pop pops stream k.
 func (m *replica) pop(k int) {
 	m.picked = k
-	m.streams[k].rx.PopThen(m.then(rpPopped))
+	m.streams[k].rx.PopThen(m.Then(rpPopped))
 }
 
 // globalReplica is the replica's index in spawn order across the whole

@@ -120,7 +120,7 @@ func buildAllreduce(sys *spamer.System, scale int) {
 		}
 		m := &ranks[i]
 		*m = phased{ends: ends, phases: phases, iters: allreduceIters * scale}
-		m.spawn(sys, fmt.Sprintf("allreduce/%d", i), m.run)
+		m.Task = sys.SpawnFunc(fmt.Sprintf("allreduce/%d", i), m.run, 0)
 	}
 }
 
@@ -155,7 +155,7 @@ func buildAlltoall(sys *spamer.System, scale int) {
 		}
 		m := &ranks[i]
 		*m = phased{ends: ends, phases: phases, iters: alltoallIters * scale}
-		m.spawn(sys, fmt.Sprintf("alltoall/%d", i), m.run)
+		m.Task = sys.SpawnFunc(fmt.Sprintf("alltoall/%d", i), m.run, 0)
 	}
 }
 
@@ -188,6 +188,6 @@ func buildReduce(sys *spamer.System, scale int) {
 		}
 		m := &ranks[i]
 		*m = phased{ends: ends, phases: phases, iters: reduceIters * scale}
-		m.spawn(sys, fmt.Sprintf("reduce/%d", i), m.run)
+		m.Task = sys.SpawnFunc(fmt.Sprintf("reduce/%d", i), m.run, 0)
 	}
 }

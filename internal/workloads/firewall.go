@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"spamer"
+	"spamer/internal/sim"
 )
 
 // firewall: filter and dispatch packages (after Wang et al. [46]).
@@ -43,7 +44,7 @@ func buildFirewall(sys *spamer.System, scale int) {
 	rx.Spawn(sys, "firewall/rx")
 
 	cls := &classifier{in: qRx, lanes: [2]*spamer.Queue{qF1, qF2}, n: n}
-	cls.spawn(sys, "firewall/classify", cls.run)
+	cls.Task = sys.SpawnFunc("firewall/classify", cls.run, 0)
 
 	cs := make([]spamer.Stage, 3)
 	for lane, q := range []*spamer.Queue{qF1, qF2} {
@@ -60,7 +61,7 @@ func buildFirewall(sys *spamer.System, scale int) {
 // classifier is the firewall's classify thread: it pops each packet,
 // classifies it, and dispatches it to a filter lane.
 type classifier struct {
-	thread
+	*sim.Task
 	in    *spamer.Queue
 	lanes [2]*spamer.Queue
 	n     int
@@ -84,7 +85,7 @@ func (m *classifier) run(state uint64) {
 	switch state {
 	case clsStart:
 		var pending bool
-		m.rx, pending = m.in.NewConsumerThen(fwLines, m.then(clsOpened))
+		m.rx, pending = m.in.NewConsumerThen(fwLines, m.Then(clsOpened))
 		if pending {
 			return
 		}
@@ -94,16 +95,16 @@ func (m *classifier) run(state uint64) {
 		fallthrough
 	case clsNext:
 		if m.i == m.n {
-			m.task.Exit()
+			m.Exit()
 			return
 		}
-		m.rx.PopThen(m.then(clsPopped))
+		m.rx.PopThen(m.Then(clsPopped))
 	case clsPopped:
-		m.compute(fwClsWork, clsClassified)
+		m.Compute(fwClsWork, clsClassified)
 	case clsClassified:
 		msg, _ := m.rx.Result()
 		// Deterministic 5-tuple hash stand-in: alternate lanes.
-		m.tx[int(msg.Payload)%2].PushThen(msg.Payload, m.then(clsDone))
+		m.tx[int(msg.Payload)%2].PushThen(msg.Payload, m.Then(clsDone))
 	case clsDone:
 		m.i++
 		m.run(clsNext)

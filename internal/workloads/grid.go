@@ -121,7 +121,7 @@ func buildHalo(sys *spamer.System, scale int) {
 				tx:    make([]*spamer.Producer, 0, n),
 				rx:    make([]*spamer.Consumer, 0, n),
 			}
-			m.spawn(sys, fmt.Sprintf("halo/%d", me), m.run)
+			m.Task = sys.SpawnFunc(fmt.Sprintf("halo/%d", me), m.run, 0)
 		}
 	}
 }
@@ -180,7 +180,7 @@ func buildSweep(sys *spamer.System, scale int) {
 				tx:    make([]*spamer.Producer, 0, n),
 				rx:    make([]*spamer.Consumer, 0, n),
 			}
-			m.spawn(sys, fmt.Sprintf("sweep/%d", me), m.run)
+			m.Task = sys.SpawnFunc(fmt.Sprintf("sweep/%d", me), m.run, 0)
 		}
 	}
 }

@@ -44,7 +44,7 @@ func buildPingPong(sys *spamer.System, scale int) {
 		tx:    make([]*spamer.Producer, 0, 1),
 		rx:    make([]*spamer.Consumer, 0, 1),
 	}
-	a.spawn(sys, "ping-pong/A", a.run)
+	a.Task = sys.SpawnFunc("ping-pong/A", a.run, 0)
 	b := &spamer.Stage{In: ab, Out: ba, Lines: pingPongLines, N: rounds, Work: pingPongCompute}
 	b.Spawn(sys, "ping-pong/B")
 }

@@ -128,18 +128,6 @@ type Config struct {
 	Deadline uint64
 }
 
-// Thread is an application thread. The model gives every thread a core
-// of its own ("each thread is assigned to a core", §4.1), so the Table 1
-// core count bounds nothing.
-type Thread struct {
-	// Task is the thread's state on the kernel; its last step calls
-	// Task.Exit.
-	Task *sim.Task
-}
-
-// Now reports the current simulated tick.
-func (t *Thread) Now() uint64 { return t.Task.Now() }
-
 // System is one simulated machine: kernel, bus, routing device(s),
 // queue library, and the application threads spawned onto it.
 type System struct {
@@ -159,8 +147,7 @@ type System struct {
 
 	traceRec *sim.TraceRecorder
 
-	threads []*Thread
-	queues  []*Queue
+	queues []*Queue
 
 	queueProbe vlq.Probe
 
@@ -287,26 +274,25 @@ func (s *System) AddressSpace() *mem.AddressSpace { return s.as }
 // observer contract (no event scheduling; trace-neutral).
 func (s *System) SetQueueProbe(p vlq.Probe) { s.queueProbe = p }
 
-// SpawnFunc adds an application thread (sim.Task): a state machine
-// whose first step, fn(arg), runs at tick 0, in spawn order. It
-// advances through the queue operations (PushThen, PopThen, ...), each
-// of which runs a continuation when it completes, and through steps it
-// schedules on the kernel (local work is Kernel().AfterFunc), and it is
-// live, for Run's deadlock check and the eviction injector, until a
-// step calls the returned thread's Task.Exit. Every thread runs on a
-// core of its own. SpawnFunc panics once Run has been called. Source
-// and Stage are ready-made machines on it.
-func (s *System) SpawnFunc(name string, fn func(uint64), arg uint64) *Thread {
+// SpawnFunc adds an application thread: a state machine with step
+// function fn whose first step, fn(arg), runs at tick 0, in spawn
+// order. It advances through the queue operations (PushThen, PopThen,
+// ...), each of which runs a continuation (the returned Task's Then)
+// when it completes, and through local work (the Task's Compute), and
+// it is live, for Run's deadlock check and the eviction injector, until
+// a step calls the Task's Exit. The model gives every thread a core of
+// its own ("each thread is assigned to a core", §4.1), so the Table 1
+// core count bounds nothing. SpawnFunc panics once Run has been called.
+// Source and Stage are ready-made machines on it.
+func (s *System) SpawnFunc(name string, fn func(uint64), arg uint64) *sim.Task {
 	if s.ran {
 		panic("spamer: SpawnFunc after Run")
 	}
-	t := &Thread{Task: s.kernel.GoFunc(name, fn, arg)}
-	s.threads = append(s.threads, t)
-	return t
+	return s.kernel.GoFunc(name, fn, arg)
 }
 
 // Threads reports how many threads have been spawned.
-func (s *System) Threads() int { return len(s.threads) }
+func (s *System) Threads() int { return s.kernel.Tasks() }
 
 // Run drives the simulation until every thread exits, then gathers the
 // Result. Run may be called once. It panics on deadlock (threads still

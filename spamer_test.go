@@ -159,7 +159,7 @@ func TestPerProducerFIFO(t *testing.T) {
 			// A Stage charges the same work per message, so the bursty
 			// consumer is a step machine of its own.
 			var c *Consumer
-			var th *Thread
+			var th *sim.Task
 			i, last := 0, int64(-1)
 			var step func(uint64)
 			step = func(state uint64) {
@@ -173,7 +173,7 @@ func TestPerProducerFIFO(t *testing.T) {
 					fallthrough
 				case 1:
 					if i == n {
-						th.Task.Exit()
+						th.Exit()
 						return
 					}
 					c.PopThen(sim.Cont{Fn: step, Arg: 2})
@@ -207,7 +207,7 @@ func TestLegacyEndpointOnSpamer(t *testing.T) {
 	// A Stage opens a spec-enabled endpoint on SPAMeR; this consumer
 	// opens a legacy one and pops n messages from it.
 	var c *Consumer
-	var th *Thread
+	var th *sim.Task
 	popped := 0
 	var step func(uint64)
 	step = func(state uint64) {
@@ -220,7 +220,7 @@ func TestLegacyEndpointOnSpamer(t *testing.T) {
 			popped++
 		}
 		if popped == n {
-			th.Task.Exit()
+			th.Exit()
 			return
 		}
 		c.PopThen(sim.Cont{Fn: step, Arg: 1})
@@ -319,10 +319,10 @@ func TestSpawnFuncThreadDeadlockReported(t *testing.T) {
 	sys := NewSystem(Config{})
 	q := sys.NewQueue("q")
 	var rx *Consumer
-	var th *Thread
+	var th *sim.Task
 	th = sys.SpawnFunc("sink", func(uint64) {
 		rx, _ = q.NewConsumerThen(1, sim.Cont{Fn: func(uint64) {}})
-		rx.PopThen(sim.Cont{Fn: func(uint64) { th.Task.Exit() }}) // nobody pushes
+		rx.PopThen(sim.Cont{Fn: func(uint64) { th.Exit() }}) // nobody pushes
 	}, 0)
 	if sys.Threads() != 1 {
 		t.Fatalf("threads = %d", sys.Threads())
@@ -332,7 +332,7 @@ func TestSpawnFuncThreadDeadlockReported(t *testing.T) {
 		if !strings.Contains(fmt.Sprint(r), "deadlock — 1 threads still parked") {
 			t.Fatalf("Run panicked with %v, want the deadlock report", r)
 		}
-		if !th.Task.Exited() || sys.Kernel().LiveProcs() != 0 {
+		if !th.Exited() || sys.Kernel().LiveProcs() != 0 {
 			t.Fatal("the deadlocked thread was not drained")
 		}
 	}()
@@ -340,10 +340,10 @@ func TestSpawnFuncThreadDeadlockReported(t *testing.T) {
 }
 
 // TestSpawnFuncThreadClock: a SpawnFunc thread reads the simulated
-// time through its Thread.
+// time through its Task.
 func TestSpawnFuncThreadClock(t *testing.T) {
 	sys := NewSystem(Config{})
-	var th *Thread
+	var th *sim.Task
 	var seen []uint64
 	var step func(uint64)
 	step = func(arg uint64) {
@@ -352,7 +352,7 @@ func TestSpawnFuncThreadClock(t *testing.T) {
 			sys.Kernel().AfterFunc(25, step, 1)
 			return
 		}
-		th.Task.Exit()
+		th.Exit()
 	}
 	th = sys.SpawnFunc("clock", step, 0)
 	sys.Run()

@@ -29,9 +29,9 @@ type Source struct {
 	Work   uint64 // local work before each push; 0 charges nothing
 	Burst  int    // burst length; 0 pushes without idling
 
-	thread
-	tx *Producer
-	i  int // messages pushed
+	task *sim.Task
+	tx   *Producer
+	i    int // messages pushed
 }
 
 // Stage is a consumer thread: a sink, a relay or a WorkCounter worker.
@@ -51,44 +51,19 @@ type Stage struct {
 	// OnPop sees each popped message and returns the payload to forward.
 	OnPop func(m Message) uint64
 
-	thread
-	rx  *Consumer
-	tx  *Producer
-	fwd uint64 // payload to forward
-	i   int    // messages taken
-}
-
-// thread is what both machines share: the kernel, the Task, and the
-// step function, a method value bound once.
-type thread struct {
-	k    *sim.Kernel
 	task *sim.Task
-	step func(uint64)
+	rx   *Consumer
+	tx   *Producer
+	fwd  uint64 // payload to forward
+	i    int    // messages taken
 }
-
-func (t *thread) spawn(sys *System, name string, step func(uint64)) *Thread {
-	t.k, t.step = sys.kernel, step
-	th := sys.SpawnFunc(name, step, 0)
-	t.task = th.Task
-	return th
-}
-
-// compute charges d cycles of local work, then runs step next: one
-// event. A zero d runs next at once.
-func (t *thread) compute(d, next uint64) {
-	if d == 0 {
-		t.step(next)
-		return
-	}
-	t.k.AfterFunc(d, t.step, next)
-}
-
-// then is the continuation that resumes the thread at step next.
-func (t *thread) then(next uint64) sim.Cont { return sim.Cont{Fn: t.step, Arg: next} }
 
 // Spawn adds the source to sys as a thread on a core of its own; its
 // first step runs at tick 0. It panics once Run has been called.
-func (m *Source) Spawn(sys *System, name string) *Thread { return m.spawn(sys, name, m.run) }
+func (m *Source) Spawn(sys *System, name string) *sim.Task {
+	m.task = sys.SpawnFunc(name, m.run, 0)
+	return m.task
+}
 
 // Source steps.
 const (
@@ -109,12 +84,12 @@ func (m *Source) run(state uint64) {
 			m.task.Exit()
 			return
 		}
-		m.compute(m.Work, srcPush)
+		m.task.Compute(m.Work, srcPush)
 	case srcPush:
-		m.tx.PushThen(uint64(m.i), m.then(srcPushed))
+		m.tx.PushThen(uint64(m.i), m.task.Then(srcPushed))
 	case srcPushed:
 		if m.Burst > 0 && (m.i+1)%m.Burst == 0 {
-			m.compute(uint64(m.Burst)*m.Work, srcDone)
+			m.task.Compute(uint64(m.Burst)*m.Work, srcDone)
 			return
 		}
 		fallthrough
@@ -126,7 +101,10 @@ func (m *Source) run(state uint64) {
 
 // Spawn adds the stage to sys as a thread on a core of its own; its
 // first step runs at tick 0. It panics once Run has been called.
-func (m *Stage) Spawn(sys *System, name string) *Thread { return m.spawn(sys, name, m.run) }
+func (m *Stage) Spawn(sys *System, name string) *sim.Task {
+	m.task = sys.SpawnFunc(name, m.run, 0)
+	return m.task
+}
 
 // Stage steps.
 const (
@@ -143,7 +121,7 @@ func (m *Stage) run(state uint64) {
 	switch state {
 	case stStart:
 		var pending bool
-		m.rx, pending = m.In.NewConsumerThen(m.Lines, m.then(stOpened))
+		m.rx, pending = m.In.NewConsumerThen(m.Lines, m.task.Then(stOpened))
 		if pending {
 			return
 		}
@@ -155,7 +133,7 @@ func (m *Stage) run(state uint64) {
 		fallthrough
 	case stNext:
 		if m.Shared != nil {
-			if !m.Shared.TakeThen(m.rx, m.then(stTook)) {
+			if !m.Shared.TakeThen(m.rx, m.task.Then(stTook)) {
 				m.task.Exit()
 			}
 			return
@@ -164,7 +142,7 @@ func (m *Stage) run(state uint64) {
 			m.task.Exit()
 			return
 		}
-		m.rx.PopThen(m.then(stPopped))
+		m.rx.PopThen(m.task.Then(stPopped))
 	case stTook:
 		if _, ok := m.rx.Result(); !ok {
 			m.task.Exit()
@@ -177,10 +155,10 @@ func (m *Stage) run(state uint64) {
 		if m.OnPop != nil {
 			m.fwd = m.OnPop(msg)
 		}
-		m.compute(m.Work, stForward)
+		m.task.Compute(m.Work, stForward)
 	case stForward:
 		if m.tx != nil {
-			m.tx.PushThen(m.fwd, m.then(stDone))
+			m.tx.PushThen(m.fwd, m.task.Then(stDone))
 			return
 		}
 		fallthrough
