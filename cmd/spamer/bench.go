@@ -24,8 +24,9 @@ var benchArtifacts = []string{"config", "workloads", "fig8", "fig9", "fig10", "i
 // Figure 10 (push failure rates and bus utilization), and the §4.3
 // library-inlining study. The matrix cells and inlining pairs are
 // independent simulations fanned across the -parallel pool. Every
-// section prints once the last study is in; SIGINT or SIGTERM stops the
-// pool from starting runs and fails the command with nothing on stdout.
+// section prints, and every -svg file is written, once the last study
+// is in; SIGINT or SIGTERM stops the pool from starting runs and fails
+// the command with nothing on stdout and no SVG written.
 func benchCmd(c *cli) error {
 	what := c.flags.String("what", "all", "which artifact to regenerate: all|config|workloads|fig8|fig9|fig10|inline")
 	scale := c.flags.Int("scale", 1, "message-count multiplier for every workload")
@@ -51,12 +52,6 @@ func benchCmd(c *cli) error {
 		var err error
 		if m, err = experiments.RunMatrixParallel(ctx, *scale, c.pool("matrix")); err != nil {
 			return err
-		}
-		if *svgDir != "" {
-			if err := writeSVGs(*svgDir, m); err != nil {
-				return err
-			}
-			fmt.Fprintln(c.stderr, "wrote SVGs to", *svgDir)
 		}
 	}
 
@@ -95,6 +90,12 @@ func benchCmd(c *cli) error {
 			}
 			printInline(&out, rows)
 		}
+	}
+	if m != nil && *svgDir != "" {
+		if err := writeSVGs(*svgDir, m); err != nil {
+			return err
+		}
+		fmt.Fprintln(c.stderr, "wrote SVGs to", *svgDir)
 	}
 	_, err := c.stdout.Write(out.Bytes())
 	return err

@@ -18,9 +18,10 @@ import (
 // normalized end-to-end execution time ("delay") against the
 // normalized dynamic energy of SRD pushes, per benchmark, with the
 // baseline at (1, 1). Every benchmark's grid points fan across the
-// -parallel pool, and the scatters are printed once every benchmark's
-// points are in; SIGINT or SIGTERM stops it from starting runs and
-// fails the command with nothing on stdout.
+// -parallel pool, and the scatters are printed, and their -svg files
+// written, once every benchmark's points are in; SIGINT or SIGTERM
+// stops it from starting runs and fails the command with nothing on
+// stdout and no SVG written.
 func sweepCmd(c *cli) error {
 	benchList := c.flags.String("bench", strings.Join(workloads.Names(), ","),
 		"comma-separated benchmarks to sweep")
@@ -42,6 +43,7 @@ func sweepCmd(c *cli) error {
 		start := time.Now()
 		runs := 0
 		var out bytes.Buffer
+		var svgs []func() error // each writes one benchmark's scatter SVG
 		for _, name := range strings.Split(*benchList, ",") {
 			name = strings.TrimSpace(name)
 			if name == "" {
@@ -59,12 +61,17 @@ func sweepCmd(c *cli) error {
 				labels[i], xs[i], ys[i] = p.Label, p.DelayNorm, p.EnergyNorm
 			}
 			report.Scatter(&out, "Figure 11: "+name, labels, xs, ys, "delay norm", "energy norm")
-			if *svgDir != "" {
-				if err := writeScatterSVG(fmt.Sprintf("%s/fig11-%s.svg", *svgDir, name), name, labels, xs, ys); err != nil {
+			svgs = append(svgs, func() error {
+				return writeScatterSVG(fmt.Sprintf("%s/fig11-%s.svg", *svgDir, name), name, labels, xs, ys)
+			})
+			fmt.Fprintln(&out)
+		}
+		if *svgDir != "" {
+			for _, write := range svgs {
+				if err := write(); err != nil {
 					return err
 				}
 			}
-			fmt.Fprintln(&out)
 		}
 		elapsed := time.Since(start)
 		fmt.Fprintf(c.stderr, "sweep: %d simulations on %d workers in %v (%.1f runs/s)\n",
