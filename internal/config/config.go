@@ -97,13 +97,14 @@ func TicksToNS(t uint64) float64 { return float64(t) / TicksPerNS }
 func TicksToMS(t uint64) float64 { return TicksToNS(t) / 1e6 }
 
 // TunedParams bundles the five tuned-algorithm parameters so the
-// sensitivity sweep (Figure 11) can vary them.
+// sensitivity sweep (Figure 11) can vary them. Its JSON form is a run
+// spec's "tuned" object.
 type TunedParams struct {
-	Zeta  uint64 // ζ: upper slack of the scanning range around the interval reference
-	Tau   uint64 // τ: lower slack of the scanning range
-	Delta uint64 // δ: additive step inside the range
-	Alpha uint64 // α: left-shift amount past the deadline
-	Beta  uint64 // β: number of fills in the initialization phase
+	Zeta  uint64 `json:"zeta"`  // ζ: upper slack of the scanning range around the interval reference
+	Tau   uint64 `json:"tau"`   // τ: lower slack of the scanning range
+	Delta uint64 `json:"delta"` // δ: additive step inside the range
+	Alpha uint64 `json:"alpha"` // α: left-shift amount past the deadline
+	Beta  uint64 `json:"beta"`  // β: number of fills in the initialization phase
 }
 
 // DefaultTuned returns the paper's chosen parameter set

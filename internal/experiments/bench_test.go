@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spamer"
+	"spamer/internal/config"
 	"spamer/internal/harness"
 	"spamer/internal/workloads"
 )
@@ -18,7 +19,7 @@ func BenchmarkSpecRun(b *testing.B) {
 	spec := Spec{
 		Benchmark:  "FIR",
 		Algorithms: []string{spamer.AlgBaseline, spamer.AlgTuned},
-		Tuned:      &TunedSpec{Zeta: 512, Tau: 96, Delta: 64, Alpha: 1, Beta: 2},
+		Tuned:      &config.TunedParams{Zeta: 512, Tau: 96, Delta: 64, Alpha: 1, Beta: 2},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

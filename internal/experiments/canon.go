@@ -80,7 +80,7 @@ func (s Spec) Canonical() Spec {
 		}
 	}
 	if c.Tuned != nil {
-		if !usesTuned(c.Algorithms) || *c.Tuned == defaultTunedSpec() {
+		if !usesTuned(c.Algorithms) || *c.Tuned == config.DefaultTuned() {
 			c.Tuned = nil
 		} else {
 			t := *c.Tuned
@@ -106,11 +106,6 @@ func usesTuned(algs []string) bool {
 		}
 	}
 	return false
-}
-
-func defaultTunedSpec() TunedSpec {
-	d := config.DefaultTuned()
-	return TunedSpec{Zeta: d.Zeta, Tau: d.Tau, Delta: d.Delta, Alpha: d.Alpha, Beta: d.Beta}
 }
 
 // Hash returns the hex SHA-256 of the canonical spec's JSON encoding —

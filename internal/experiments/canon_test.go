@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spamer"
+	"spamer/internal/config"
 )
 
 // TestHashFieldOrderIndependent: the same spec serialized with
@@ -22,6 +23,27 @@ func TestHashFieldOrderIndependent(t *testing.T) {
 	}
 	if ha, hb := HashSpecs(sa), HashSpecs(sb); ha != hb {
 		t.Fatalf("field order changed hash: %s vs %s", ha, hb)
+	}
+}
+
+// TestTunedSpecHashPinned: a spec's "tuned" object decodes into every
+// parameter, and the canonical hash of a spec that carries one is a
+// fixed content address, so service and fabric caches keyed by it stay
+// valid across releases.
+func TestTunedSpecHashPinned(t *testing.T) {
+	const (
+		spec = `{"benchmark":"FIR","algorithms":["vl","tuned"],"tuned":{"zeta":512,"tau":96,"delta":64,"alpha":1,"beta":2}}`
+		want = "e5f894720878d02c14cfbeeeb857c94cd7c9c8e5eba1952b56f736d4f8f63422"
+	)
+	specs, err := ReadSpecs(strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := specs[0].Tuned; p == nil || *p != (config.TunedParams{Zeta: 512, Tau: 96, Delta: 64, Alpha: 1, Beta: 2}) {
+		t.Fatalf("tuned = %+v, want ζ=512 τ=96 δ=64 α=1 β=2", p)
+	}
+	if got := HashSpecs(specs); got != want {
+		t.Fatalf("hash = %s, want %s", got, want)
 	}
 }
 
@@ -58,7 +80,7 @@ func TestHashDistinguishesRealChanges(t *testing.T) {
 		{Benchmark: "FIR", Repeat: 2},
 		{Benchmark: "FIR", NoInline: true},
 		{Benchmark: "FIR", SRDEntries: 16},
-		{Benchmark: "FIR", Tuned: &TunedSpec{Zeta: 512, Tau: 48, Delta: 128, Alpha: 1, Beta: 2}},
+		{Benchmark: "FIR", Tuned: &config.TunedParams{Zeta: 512, Tau: 48, Delta: 128, Alpha: 1, Beta: 2}},
 	}
 	seen := map[string]int{base.Hash(): -1}
 	for i, v := range variants {
@@ -74,9 +96,9 @@ func TestHashDistinguishesRealChanges(t *testing.T) {
 // tuned algorithm, default tuned parameters, and no-op extension blocks
 // all vanish.
 func TestCanonicalDropsIrrelevantOverrides(t *testing.T) {
-	def := defaultTunedSpec()
+	def := config.DefaultTuned()
 	cases := []Spec{
-		{Benchmark: "FIR", Algorithms: []string{"vl"}, Tuned: &TunedSpec{Zeta: 512}},
+		{Benchmark: "FIR", Algorithms: []string{"vl"}, Tuned: &config.TunedParams{Zeta: 512}},
 		{Benchmark: "FIR", Tuned: &def},
 		{Benchmark: "FIR", Extensions: &Extensions{}},
 		{Benchmark: "FIR", Extensions: &Extensions{AllowExtendedWorkloads: true}},
@@ -94,7 +116,7 @@ func TestCanonicalDropsIrrelevantOverrides(t *testing.T) {
 	}
 	// A meaningful tuned override survives alongside a tuned algorithm.
 	tuned := Spec{Benchmark: "FIR", Algorithms: []string{spamer.AlgTuned},
-		Tuned: &TunedSpec{Zeta: 512, Tau: 48, Delta: 128, Alpha: 1, Beta: 2}}
+		Tuned: &config.TunedParams{Zeta: 512, Tau: 48, Delta: 128, Alpha: 1, Beta: 2}}
 	if tuned.Canonical().Tuned == nil {
 		t.Fatal("meaningful tuned override dropped")
 	}
@@ -104,7 +126,7 @@ func TestCanonicalDropsIrrelevantOverrides(t *testing.T) {
 // pointers, so mutating the canonical form leaves the original intact.
 func TestCanonicalDoesNotAliasInput(t *testing.T) {
 	orig := Spec{Benchmark: "FIR", Algorithms: []string{"vl", spamer.AlgTuned},
-		Tuned: &TunedSpec{Zeta: 512, Tau: 48, Delta: 1, Alpha: 1, Beta: 2}}
+		Tuned: &config.TunedParams{Zeta: 512, Tau: 48, Delta: 1, Alpha: 1, Beta: 2}}
 	c := orig.Canonical()
 	c.Algorithms[0] = "mutated"
 	c.Tuned.Zeta = 999

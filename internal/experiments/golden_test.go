@@ -133,7 +133,7 @@ func TestGoldenParallelInvariance(t *testing.T) {
 	specs := []Spec{{
 		Benchmark:  "FIR",
 		Algorithms: []string{spamer.AlgBaseline, spamer.AlgTuned},
-		Tuned:      &TunedSpec{Zeta: 512, Tau: 96, Delta: 64, Alpha: 1, Beta: 2},
+		Tuned:      &config.TunedParams{Zeta: 512, Tau: 96, Delta: 64, Alpha: 1, Beta: 2},
 		Repeat:     2,
 	}}
 	run := func(workers int) []Outcome {

@@ -24,20 +24,20 @@ import (
 //	  "tuned": {"zeta": 512, "tau": 96, "delta": 64, "alpha": 1, "beta": 2}
 //	}
 type Spec struct {
-	Benchmark  string           `json:"benchmark"`
-	Shape      *workloads.Shape `json:"shape,omitempty"`      // anonymous synthetic workload; Benchmark "" or "synthetic"
-	Algorithms []string         `json:"algorithms,omitempty"` // default: all four
-	Scale      int              `json:"scale,omitempty"`
-	HopLatency uint64           `json:"hop_latency,omitempty"`
-	Channels   int              `json:"bus_channels,omitempty"`
-	Devices    int              `json:"devices,omitempty"`
-	NoInline   bool             `json:"no_inline,omitempty"`
-	SRDEntries int              `json:"srd_entries,omitempty"`
-	Tuned      *TunedSpec       `json:"tuned,omitempty"`
-	Repeat     int              `json:"repeat,omitempty"` // determinism check
-	Label      string           `json:"label,omitempty"`
-	Fault      *FaultSpec       `json:"fault,omitempty"` // verification-only fault injection
-	Extensions *Extensions      `json:"extensions,omitempty"`
+	Benchmark  string              `json:"benchmark"`
+	Shape      *workloads.Shape    `json:"shape,omitempty"`      // anonymous synthetic workload; Benchmark "" or "synthetic"
+	Algorithms []string            `json:"algorithms,omitempty"` // default: all four
+	Scale      int                 `json:"scale,omitempty"`
+	HopLatency uint64              `json:"hop_latency,omitempty"`
+	Channels   int                 `json:"bus_channels,omitempty"`
+	Devices    int                 `json:"devices,omitempty"`
+	NoInline   bool                `json:"no_inline,omitempty"`
+	SRDEntries int                 `json:"srd_entries,omitempty"`
+	Tuned      *config.TunedParams `json:"tuned,omitempty"`
+	Repeat     int                 `json:"repeat,omitempty"` // determinism check
+	Label      string              `json:"label,omitempty"`
+	Fault      *FaultSpec          `json:"fault,omitempty"` // verification-only fault injection
+	Extensions *Extensions         `json:"extensions,omitempty"`
 }
 
 // FaultSpec arms deterministic fault injection. It exists for the
@@ -57,15 +57,6 @@ type FaultSpec struct {
 // armed reports whether any fault is actually injected.
 func (f *FaultSpec) armed() bool {
 	return f != nil && (f.DropStash > 0 || f.CorruptStash > 0)
-}
-
-// TunedSpec is the JSON form of config.TunedParams.
-type TunedSpec struct {
-	Zeta  uint64 `json:"zeta"`
-	Tau   uint64 `json:"tau"`
-	Delta uint64 `json:"delta"`
-	Alpha uint64 `json:"alpha"`
-	Beta  uint64 `json:"beta"`
 }
 
 // Extensions toggles non-paper features.
@@ -150,10 +141,6 @@ func (s *Spec) workload() (*workloads.Workload, bool) {
 // builds its instrumented systems from this, so an oracle run and a
 // Spec.Run of the same spec simulate the identical machine.
 func (s *Spec) SystemConfig(alg string) spamer.Config {
-	return s.systemConfig(alg)
-}
-
-func (s *Spec) systemConfig(alg string) spamer.Config {
 	cfg := spamer.Config{
 		Algorithm:   alg,
 		HopLatency:  s.HopLatency,
@@ -169,10 +156,7 @@ func (s *Spec) systemConfig(alg string) spamer.Config {
 		cfg.SRD = vl.Config{ProdEntries: s.SRDEntries, ConsEntries: s.SRDEntries, LinkEntries: max(s.SRDEntries, 64)}
 	}
 	if s.Tuned != nil && alg == spamer.AlgTuned {
-		cfg.Tuned = config.TunedParams{
-			Zeta: s.Tuned.Zeta, Tau: s.Tuned.Tau, Delta: s.Tuned.Delta,
-			Alpha: s.Tuned.Alpha, Beta: s.Tuned.Beta,
-		}
+		cfg.Tuned = *s.Tuned
 	}
 	return cfg
 }
@@ -219,7 +203,7 @@ func (s *Spec) algorithms() []string {
 // determinism check — and returns its outcome alongside the raw result
 // (the caller normalizes SpeedupOverVL once its baseline is known).
 func (s *Spec) runAlg(w *workloads.Workload, alg string, scale int) (Outcome, spamer.Result) {
-	res := w.Run(s.systemConfig(alg), scale)
+	res := w.Run(s.SystemConfig(alg), scale)
 	bench := s.Benchmark
 	if s.Shape != nil {
 		bench = w.Name // shapes are anonymous; report their diagnostic name
@@ -239,7 +223,7 @@ func (s *Spec) runAlg(w *workloads.Workload, alg string, scale int) (Outcome, sp
 	if s.Repeat > 1 {
 		det := true
 		for i := 1; i < s.Repeat; i++ {
-			again := w.Run(s.systemConfig(alg), scale)
+			again := w.Run(s.SystemConfig(alg), scale)
 			if again.Ticks != res.Ticks || again.Device != res.Device {
 				det = false
 				break

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spamer"
+	"spamer/internal/config"
 	"spamer/internal/core"
 )
 
@@ -174,7 +175,7 @@ func TestSpecTunedOverride(t *testing.T) {
 	s := Spec{
 		Benchmark:  "FIR",
 		Algorithms: []string{"tuned"},
-		Tuned:      &TunedSpec{Zeta: 512, Tau: 48, Delta: 128, Alpha: 1, Beta: 2},
+		Tuned:      &config.TunedParams{Zeta: 512, Tau: 48, Delta: 128, Alpha: 1, Beta: 2},
 	}
 	outs, err := s.Run()
 	if err != nil || len(outs) != 1 {

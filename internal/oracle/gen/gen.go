@@ -372,7 +372,7 @@ func (g *Gen) knobs(c *Case) {
 		c.Spec.NoInline = true
 	}
 	if usesAlg(c.Spec.Algorithms, spamer.AlgTuned) && g.rng.Intn(3) == 0 {
-		c.Spec.Tuned = &experiments.TunedSpec{
+		c.Spec.Tuned = &config.TunedParams{
 			Zeta:  uint64(64 + g.rng.Intn(1024)),
 			Tau:   uint64(16 + g.rng.Intn(256)),
 			Delta: uint64(8 + g.rng.Intn(128)),
