@@ -3,9 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -161,17 +162,23 @@ func TestInterruptedSweepLeavesNoPartialArtifact(t *testing.T) {
 // with its artifact. Interrupted once its first study is done (bench at
 // the inlining study's first progress line, sweep at the second
 // benchmark's), it exits 1 with nothing on stdout and no SVG in the
-// directory; uninterrupted, it writes every figure.
+// directory; uninterrupted, it writes every figure, byte for byte the
+// pinned one.
 func TestInterruptedRunWritesNoSVG(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
-		at   string   // the stderr text that interrupts the run
-		svgs []string // the figures an uninterrupted run writes
+		at   string            // the stderr text that interrupts the run
+		svgs map[string]string // the figures an uninterrupted run writes, by SHA-256
 	}{
-		{[]string{"bench", "-parallel", "1"}, "inline:",
-			[]string{"fig10a-failure.svg", "fig10b-bus.svg", "fig8-speedup.svg"}},
-		{[]string{"sweep", "-bench", "ping-pong,halo", "-parallel", "1"}, "fig11 halo:",
-			[]string{"fig11-halo.svg", "fig11-ping-pong.svg"}},
+		{[]string{"bench", "-parallel", "1"}, "inline:", map[string]string{
+			"fig8-speedup.svg":   "abe56a3c5b37442700430ffa3f009338e2685dcd70a6f30090981905cb79591f",
+			"fig10a-failure.svg": "73de7135ede9e8343b8c35d527b0a8fc46c7ab8eb052da61b839bce8f92a2f5f",
+			"fig10b-bus.svg":     "08503646d5cb902eebf1e06bcb8dcd890020f6aaffb1769b2e994da1d5170bf9",
+		}},
+		{[]string{"sweep", "-bench", "ping-pong,halo", "-parallel", "1"}, "fig11 halo:", map[string]string{
+			"fig11-ping-pong.svg": "134d0689c3fd02e4346e2567cee3fea40d48bfa0d344e85567de9da18067dab6",
+			"fig11-halo.svg":      "521fbc57ba1241001faa17b014d6d067201de3daa1851742214bfda32b2036f3",
+		}},
 	} {
 		t.Run(tc.args[0], func(t *testing.T) {
 			figures := func(dir string) []string {
@@ -185,8 +192,17 @@ func TestInterruptedRunWritesNoSVG(t *testing.T) {
 				return paths
 			}
 			dir := t.TempDir()
-			if code, _, stderr := call(t, "", append(tc.args, "-svg", dir)...); code != 0 || !slices.Equal(figures(dir), tc.svgs) {
-				t.Fatalf("uninterrupted: exit %d, SVGs %v; want 0 and %v\nstderr:\n%s", code, figures(dir), tc.svgs, stderr)
+			if code, _, stderr := call(t, "", append(tc.args, "-svg", dir)...); code != 0 || len(figures(dir)) != len(tc.svgs) {
+				t.Fatalf("uninterrupted: exit %d, SVGs %v; want 0 and %d figures\nstderr:\n%s", code, figures(dir), len(tc.svgs), stderr)
+			}
+			for name, want := range tc.svgs {
+				data, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+					t.Errorf("%s: SHA-256 %s, want %s", name, got, want)
+				}
 			}
 			dir = t.TempDir()
 			ctx, cancel := context.WithCancel(context.Background())

@@ -171,6 +171,33 @@ func TestSpecOverridesApply(t *testing.T) {
 	}
 }
 
+// TestSpecSRDEntriesSizeEveryDevice: srd_entries sizes the prodBuf and
+// consBuf of every routing device at n and every specBuf at max(n, 64);
+// 0 keeps Table 1's 64 entries.
+func TestSpecSRDEntriesSizeEveryDevice(t *testing.T) {
+	for _, n := range []int{0, 16, 64, 128} {
+		s := Spec{Benchmark: "FIR", SRDEntries: n, Devices: 2}
+		sys := spamer.NewSystem(s.SystemConfig(spamer.AlgTuned))
+		entries := n
+		if n == 0 {
+			entries = config.SRDEntries
+		}
+		devs, specs := sys.Devices(), sys.SpecBufs()
+		if len(devs) != 2 || len(specs) != 2 {
+			t.Fatalf("srd_entries %d: %d devices and %d specBufs, want 2 of each", n, len(devs), len(specs))
+		}
+		for i, d := range devs {
+			if d.FreeProdEntries() != entries || d.FreeConsEntries() != entries {
+				t.Errorf("srd_entries %d, device %d: %d prodBuf and %d consBuf entries, want %d",
+					n, i, d.FreeProdEntries(), d.FreeConsEntries(), entries)
+			}
+			if got, want := specs[i].FreeEntries(), max(n, config.SRDEntries); got != want {
+				t.Errorf("srd_entries %d, device %d: %d specBuf entries, want %d", n, i, got, want)
+			}
+		}
+	}
+}
+
 func TestSpecTunedOverride(t *testing.T) {
 	s := Spec{
 		Benchmark:  "FIR",
