@@ -28,6 +28,7 @@ import (
 	"spamer/internal/energy"
 	"spamer/internal/experiments"
 	"spamer/internal/harness"
+	"spamer/internal/swqueue"
 	"spamer/internal/traffic"
 	"spamer/internal/workloads"
 )
@@ -56,9 +57,9 @@ func BenchmarkTable2Workloads(b *testing.B) {
 }
 
 func BenchmarkFigure1Latency(b *testing.B) {
-	var r = experiments.Figure1()
+	var r = swqueue.RunFigure1()
 	for i := 0; i < b.N; i++ {
-		r = experiments.Figure1()
+		r = swqueue.RunFigure1()
 	}
 	b.ReportMetric(r.Lc, "Lc-cycles")
 	b.ReportMetric(r.Lv, "Lv-cycles")
@@ -99,8 +100,7 @@ func BenchmarkFigure9Breakdown(b *testing.B) {
 	var empty float64
 	for i := 0; i < b.N; i++ {
 		m := matrix(b)
-		cells := experiments.Figure9(m)
-		empty = cells["FIR"][spamer.AlgBaseline].EmptyM
+		empty = m.Results["FIR"][spamer.AlgBaseline].AvgEmptyTicks / 1e6
 	}
 	b.ReportMetric(empty, "FIR-VL-emptyMcycles")
 }
@@ -109,8 +109,7 @@ func BenchmarkFigure10Failure(b *testing.B) {
 	var zd float64
 	for i := 0; i < b.N; i++ {
 		m := matrix(b)
-		cells := experiments.Figure10(m)
-		zd = cells["incast"][spamer.AlgZeroDelay].FailureRate
+		zd = m.Results["incast"][spamer.AlgZeroDelay].FailureRate()
 	}
 	b.ReportMetric(zd*100, "incast-0delay-fail%")
 }
@@ -119,8 +118,7 @@ func BenchmarkFigure10Bus(b *testing.B) {
 	var util float64
 	for i := 0; i < b.N; i++ {
 		m := matrix(b)
-		cells := experiments.Figure10(m)
-		util = cells["pipeline"][spamer.AlgAdaptive].BusUtilization
+		util = m.Results["pipeline"][spamer.AlgAdaptive].BusUtilization
 	}
 	b.ReportMetric(util*100, "pipeline-adapt-bus%")
 }
@@ -189,7 +187,8 @@ func BenchmarkAblationPredictors(b *testing.B) {
 func BenchmarkAblationTopology(b *testing.B) {
 	var peak float64
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.HopLatencySweepParallel(context.Background(), "FIR", []uint64{6, 12, 24, 48}, 1, harness.Options{})
+		pts, err := experiments.SweepParallel(context.Background(), "FIR", spamer.AlgZeroDelay, []int{6, 12, 24, 48},
+			func(c *spamer.Config, h int) { c.HopLatency = uint64(h) }, 1, harness.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +198,8 @@ func BenchmarkAblationTopology(b *testing.B) {
 				peak = p.Speedup
 			}
 		}
-		if _, err := experiments.BusChannelsSweepParallel(context.Background(), "halo", []int{1, 2, 4, 8}, 1, harness.Options{}); err != nil {
+		if _, err := experiments.SweepParallel(context.Background(), "halo", spamer.AlgZeroDelay, []int{1, 2, 4, 8},
+			func(c *spamer.Config, n int) { c.BusChannels = n }, 1, harness.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

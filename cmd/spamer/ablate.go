@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 
+	"spamer"
 	"spamer/internal/experiments"
 	"spamer/internal/harness"
 	"spamer/internal/report"
@@ -24,14 +25,21 @@ type ablation struct {
 // the performance cost of the §3.6 timing-obfuscation mitigation.
 var ablations = []ablation{
 	{"predictors", "Ablation: delay-prediction algorithm space (speedup over VL)", predictorTable},
+	// firewall exercises backpressure at small device tables.
 	{"srd", "Ablation: SRD structure sizing on firewall (tuned vs VL at each size)",
-		sweepStudy("entries", "firewall", []int{8, 16, 32, 64, 128}, experiments.SRDEntriesSweepParallel)},
+		sweepStudy("entries", "firewall", spamer.AlgTuned, []int{8, 16, 32, 64, 128},
+			func(c *spamer.Config, n int) { c.SRDEntries = n })},
 	{"hop", "Ablation: hop latency on FIR (0delay vs VL at each latency)",
-		sweepStudy("hop cycles", "FIR", []uint64{6, 12, 24, 48}, experiments.HopLatencySweepParallel)},
+		sweepStudy("hop cycles", "FIR", spamer.AlgZeroDelay, []int{6, 12, 24, 48},
+			func(c *spamer.Config, h int) { c.HopLatency = uint64(h) })},
 	{"channels", "Ablation: interconnect channels on halo (0delay vs VL at each width)",
-		sweepStudy("channels", "halo", []int{1, 2, 4, 8}, experiments.BusChannelsSweepParallel)},
+		sweepStudy("channels", "halo", spamer.AlgZeroDelay, []int{1, 2, 4, 8},
+			func(c *spamer.Config, n int) { c.BusChannels = n })},
+	// Queues spread round-robin over the devices (§3.1's multi-router
+	// arrangement, which the paper does not evaluate).
 	{"devices", "Ablation: routing devices on halo (0delay vs VL at each count)",
-		sweepStudy("devices", "halo", []int{1, 2, 4}, experiments.DevicesSweepParallel)},
+		sweepStudy("devices", "halo", spamer.AlgZeroDelay, []int{1, 2, 4},
+			func(c *spamer.Config, n int) { c.Devices = n })},
 	{"obfuscation", "Ablation: §3.6 timing obfuscation cost (tuned, 32-cycle jitter bound)", obfuscationTable},
 }
 
@@ -105,12 +113,12 @@ func obfuscationTable(ctx context.Context, scale int, opts harness.Options) ([][
 	return table, nil
 }
 
-// sweepStudy tabulates one sensitivity sweep of bench over xs.
-func sweepStudy[X any](xName, bench string, xs []X,
-	sweep func(context.Context, string, []X, int, harness.Options) ([]experiments.SweepPoint, error),
+// sweepStudy tabulates one sensitivity sweep of bench over xs: alg
+// against VL, each configured at x by set.
+func sweepStudy(xName, bench, alg string, xs []int, set func(*spamer.Config, int),
 ) func(context.Context, int, harness.Options) ([][]string, error) {
 	return func(ctx context.Context, scale int, opts harness.Options) ([][]string, error) {
-		points, err := sweep(ctx, bench, xs, scale, opts)
+		points, err := experiments.SweepParallel(ctx, bench, alg, xs, set, scale, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -45,10 +45,10 @@ func areaCmd(c *cli) error {
 	fmt.Fprintln(w, "paper reference: 0.156 mm² buffers, 0.170 mm² total, <1% of SoC")
 	fmt.Fprintln(w)
 
-	ap := experiments.Section45(m)
+	power := experiments.Section45(m)
 	rows := [][]string{{"algorithm", "push factor", "dynamic", "total", "SoC share", "within paper bound"}}
 	for _, alg := range m.Configs[1:] {
-		p := ap.PowerByAlg[alg]
+		p := power[alg]
 		rows = append(rows, []string{
 			alg,
 			fmt.Sprintf("%.2fx", p.PushFactor),

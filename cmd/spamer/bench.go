@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 
 	"spamer"
@@ -70,18 +71,15 @@ func benchCmd(c *cli) error {
 		case "fig8":
 			printFig8(&out, m)
 		case "fig9":
-			cells := experiments.Figure9(m)
 			printCells(&out, m, "Figure 9: execution breakdown — avg consumer-cacheline cycles (millions), empty + non-empty",
-				[]string{"empty(M)", "non-empty(M)", "total(M)"}, func(b, alg string) []string {
-					cell := cells[b][alg]
-					return []string{fmt.Sprintf("%.3f", cell.EmptyM), fmt.Sprintf("%.3f", cell.NonEmptyM), fmt.Sprintf("%.3f", cell.EmptyM+cell.NonEmptyM)}
+				[]string{"empty(M)", "non-empty(M)", "total(M)"}, func(r spamer.Result) []string {
+					empty, nonEmpty := r.AvgEmptyTicks/1e6, r.AvgNonEmptyTicks/1e6
+					return []string{fmt.Sprintf("%.3f", empty), fmt.Sprintf("%.3f", nonEmpty), fmt.Sprintf("%.3f", empty+nonEmpty)}
 				})
 		case "fig10":
-			cells := experiments.Figure10(m)
 			printCells(&out, m, "Figure 10a: push failure rate / Figure 10b: bus utilization",
-				[]string{"failure", "bus util"}, func(b, alg string) []string {
-					cell := cells[b][alg]
-					return []string{fmt.Sprintf("%5.1f%%", cell.FailureRate*100), fmt.Sprintf("%5.1f%%", cell.BusUtilization*100)}
+				[]string{"failure", "bus util"}, func(r spamer.Result) []string {
+					return []string{fmt.Sprintf("%5.1f%%", r.FailureRate()*100), fmt.Sprintf("%5.1f%%", r.BusUtilization*100)}
 				})
 		case "inline":
 			rows, err := experiments.InlineStudyParallel(ctx, *scale, c.pool("inline"))
@@ -106,36 +104,28 @@ func writeSVGs(dir string, m *experiments.Matrix) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	groups, speed := fig8Bars(m)
-	cells := experiments.Figure10(m)
 	fail := make([][]float64, len(m.Benchmarks))
 	bus := make([][]float64, len(m.Benchmarks))
 	for i, b := range m.Benchmarks {
 		for _, a := range m.Configs {
-			fail[i] = append(fail[i], cells[b][a].FailureRate*100)
-			bus[i] = append(bus[i], cells[b][a].BusUtilization*100)
+			r := m.Results[b][a]
+			fail[i] = append(fail[i], r.FailureRate()*100)
+			bus[i] = append(bus[i], r.BusUtilization*100)
 		}
 	}
-	for _, out := range []struct {
+	for _, fig := range []struct {
 		name, title string
-		groups      []string
 		series      []string
 		vals        [][]float64
 		ref         float64
 	}{
-		{"fig8-speedup.svg", "Figure 8: speedup over Virtual-Link", groups, m.Configs[1:], speed, 1.0},
-		{"fig10a-failure.svg", "Figure 10a: push failure rate (%)", m.Benchmarks, m.Configs, fail, 0},
-		{"fig10b-bus.svg", "Figure 10b: bus utilization (%)", m.Benchmarks, m.Configs, bus, 0},
+		{"fig8-speedup.svg", "Figure 8: speedup over Virtual-Link", m.Configs[1:], fig8Bars(m), 1.0},
+		{"fig10a-failure.svg", "Figure 10a: push failure rate (%)", m.Configs, fail, 0},
+		{"fig10b-bus.svg", "Figure 10b: bus utilization (%)", m.Configs, bus, 0},
 	} {
-		f, err := os.Create(dir + "/" + out.name)
-		if err != nil {
-			return err
-		}
-		err = report.SVGGroupedBars(f, out.title, out.groups, out.series, out.vals, out.ref)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := writeFile(filepath.Join(dir, fig.name), func(w io.Writer) error {
+			return report.SVGGroupedBars(w, fig.title, m.Benchmarks, fig.series, fig.vals, fig.ref)
+		}); err != nil {
 			return err
 		}
 	}
@@ -143,15 +133,13 @@ func writeSVGs(dir string, m *experiments.Matrix) error {
 }
 
 func printFig8(w io.Writer, m *experiments.Matrix) {
-	rows := experiments.Figure8(m)
 	algs := m.Configs[1:]
 	fmt.Fprintln(w, "Figure 8: speedup over Virtual-Link (higher is better)")
-	table := [][]string{{"benchmark", "VL(ms)"}}
-	table[0] = append(table[0], algs...)
-	for _, r := range rows {
-		row := []string{r.Benchmark, fmt.Sprintf("%.3f", r.BaselineMS)}
+	table := [][]string{append([]string{"benchmark", "VL(ms)"}, algs...)}
+	for _, b := range m.Benchmarks {
+		row := []string{b, fmt.Sprintf("%.3f", m.Results[b][spamer.AlgBaseline].MS)}
 		for _, a := range algs {
-			row = append(row, fmt.Sprintf("%.2fx", r.Speedups[a]))
+			row = append(row, fmt.Sprintf("%.2fx", m.Speedup(b, a)))
 		}
 		table = append(table, row)
 	}
@@ -163,32 +151,29 @@ func printFig8(w io.Writer, m *experiments.Matrix) {
 	report.Table(w, table, true)
 	fmt.Fprintln(w, "paper reference geomeans: 0delay 1.45x, adapt 1.25x, tuned 1.33x")
 
-	groups, values := fig8Bars(m)
 	fmt.Fprintln(w)
-	report.GroupedBarChart(w, "Figure 8 (bars):", groups, algs, values, "x")
+	report.GroupedBarChart(w, "Figure 8 (bars):", m.Benchmarks, algs, fig8Bars(m), "x")
 }
 
-// fig8Bars returns Figure 8 as bar groups: one per benchmark, one
-// speedup per SPAMeR algorithm.
-func fig8Bars(m *experiments.Matrix) (groups []string, speedups [][]float64) {
-	for _, r := range experiments.Figure8(m) {
-		groups = append(groups, r.Benchmark)
-		var row []float64
+// fig8Bars returns Figure 8's bars: one row per benchmark of
+// m.Benchmarks, one speedup per SPAMeR algorithm.
+func fig8Bars(m *experiments.Matrix) [][]float64 {
+	speedups := make([][]float64, len(m.Benchmarks))
+	for i, b := range m.Benchmarks {
 		for _, a := range m.Configs[1:] {
-			row = append(row, r.Speedups[a])
+			speedups[i] = append(speedups[i], m.Speedup(b, a))
 		}
-		speedups = append(speedups, row)
 	}
-	return groups, speedups
+	return speedups
 }
 
 // printCells prints one row per (benchmark, configuration) matrix cell.
-func printCells(w io.Writer, m *experiments.Matrix, title string, header []string, cell func(b, alg string) []string) {
+func printCells(w io.Writer, m *experiments.Matrix, title string, header []string, cell func(spamer.Result) []string) {
 	fmt.Fprintln(w, title)
 	table := [][]string{append([]string{"benchmark", "config"}, header...)}
 	for _, b := range m.Benchmarks {
 		for _, alg := range m.Configs {
-			table = append(table, append([]string{b, alg}, cell(b, alg)...))
+			table = append(table, append([]string{b, alg}, cell(m.Results[b][alg])...))
 		}
 	}
 	report.Table(w, table, true)

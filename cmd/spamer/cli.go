@@ -146,16 +146,24 @@ func (c *cli) profiled(body func() error) error {
 	if err != nil || c.memprofile == "" {
 		return err
 	}
-	f, err := os.Create(c.memprofile)
+	return writeFile(c.memprofile, func(w io.Writer) error {
+		runtime.GC() // settle the heap so the profile shows live objects
+		return pprof.WriteHeapProfile(w)
+	})
+}
+
+// writeFile creates path, fills it with write and closes it, returning
+// the first error of the three.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	runtime.GC() // settle the heap so the profile shows live objects
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	return err
 }
 
 // loadSpecs reads one spec or an array from path ("-" reads stdin) and

@@ -5,6 +5,7 @@ import (
 
 	"spamer/internal/experiments"
 	"spamer/internal/report"
+	"spamer/internal/swqueue"
 )
 
 // latencyCmd regenerates the Figure 1 comparison: the cross-core
@@ -20,7 +21,7 @@ func latencyCmd(c *cli) error {
 		return err
 	}
 	w := c.stdout
-	r := experiments.Figure1()
+	r := swqueue.RunFigure1()
 	chart := func() {
 		fmt.Fprintf(w, "Figure 1: cross-core message queue communication latency (%d messages, closed loop)\n\n", r.Messages)
 		report.BarChart(w, "mean latency, cycles (lower is better):",

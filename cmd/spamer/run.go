@@ -84,36 +84,41 @@ func runCmd(c *cli) error {
 
 // printSpeedups renders the per-scenario SPAMeR-vs-VL speedup table:
 // one row per benchmark/scenario (first-seen order), one column per
-// algorithm, cells from each outcome's baseline-normalized speedup.
-// Skipped when no outcome carries a speedup (no VL baseline ran).
+// algorithm (first-seen order), each cell the outcome's
+// baseline-normalized speedup or "-" without one. Skipped when no
+// outcome carries a speedup (no VL baseline ran).
 func printSpeedups(w io.Writer, outs []experiments.Outcome) {
-	var scenarios, algs []string
-	si := map[string]int{}
-	ai := map[string]int{}
+	head := []string{"scenario"}
+	col := map[string]int{} // algorithm -> column; 0 is the scenario
 	for _, o := range outs {
-		if _, ok := si[o.Benchmark]; !ok {
-			si[o.Benchmark] = len(scenarios)
-			scenarios = append(scenarios, o.Benchmark)
-		}
-		if _, ok := ai[o.Algorithm]; !ok {
-			ai[o.Algorithm] = len(algs)
-			algs = append(algs, o.Algorithm)
+		if col[o.Algorithm] == 0 {
+			col[o.Algorithm] = len(head)
+			head = append(head, o.Algorithm)
 		}
 	}
-	cells := make([][]float64, len(scenarios))
-	for i := range cells {
-		cells[i] = make([]float64, len(algs))
-	}
-	any := false
+	table := [][]string{head}
+	row := map[string]int{} // benchmark -> row; 0 is the header
+	found := false
 	for _, o := range outs {
+		i := row[o.Benchmark]
+		if i == 0 {
+			i = len(table)
+			row[o.Benchmark] = i
+			cells := []string{o.Benchmark}
+			for range head[1:] {
+				cells = append(cells, "-")
+			}
+			table = append(table, cells)
+		}
 		if o.SpeedupOverVL > 0 {
-			cells[si[o.Benchmark]][ai[o.Algorithm]] = o.SpeedupOverVL
-			any = true
+			table[i][col[o.Algorithm]] = fmt.Sprintf("%.2fx", o.SpeedupOverVL)
+			found = true
 		}
 	}
-	if !any {
+	if !found {
 		return
 	}
 	fmt.Fprintln(w)
-	report.SpeedupTable(w, "speedup over vl", scenarios, algs, cells)
+	fmt.Fprintln(w, "speedup over vl")
+	report.Table(w, table, true)
 }

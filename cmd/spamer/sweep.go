@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
@@ -62,7 +64,9 @@ func sweepCmd(c *cli) error {
 			}
 			report.Scatter(&out, "Figure 11: "+name, labels, xs, ys, "delay norm", "energy norm")
 			svgs = append(svgs, func() error {
-				return writeScatterSVG(fmt.Sprintf("%s/fig11-%s.svg", *svgDir, name), name, labels, xs, ys)
+				return writeFile(filepath.Join(*svgDir, "fig11-"+name+".svg"), func(w io.Writer) error {
+					return report.SVGScatter(w, "Figure 11: "+name, "delay (normalized)", "energy (normalized)", labels, xs, ys)
+				})
 			})
 			fmt.Fprintln(&out)
 		}
@@ -81,16 +85,4 @@ func sweepCmd(c *cli) error {
 		_, err := c.stdout.Write(out.Bytes())
 		return err
 	})
-}
-
-func writeScatterSVG(path, name string, labels []string, xs, ys []float64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = report.SVGScatter(f, "Figure 11: "+name, "delay (normalized)", "energy (normalized)", labels, xs, ys)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -17,8 +17,6 @@
 package energy
 
 import (
-	"fmt"
-
 	"spamer"
 	"spamer/internal/config"
 )
@@ -42,37 +40,6 @@ const (
 	// SoCPowerW approximates the simulated 16-core SoC power.
 	SoCPowerW = 21.0
 )
-
-// stillmakerArea maps technology nodes (nm) to relative logic area,
-// normalized to 45 nm = 1.0, following the shape of the Stillmaker-Baas
-// scaling tables the paper cites.
-var stillmakerArea = map[int]float64{
-	180: 13.1,
-	130: 7.55,
-	90:  3.61,
-	65:  1.96,
-	45:  1.0,
-	32:  0.50,
-	22:  0.23,
-	16:  0.115,
-	14:  0.103,
-	10:  0.066,
-	7:   0.031,
-}
-
-// ScaleArea converts an area synthesized at node `from` (nm) to node
-// `to` (nm). Unknown nodes return an error.
-func ScaleArea(areaMM2 float64, from, to int) (float64, error) {
-	f, ok := stillmakerArea[from]
-	if !ok {
-		return 0, fmt.Errorf("energy: unknown node %dnm", from)
-	}
-	t, ok := stillmakerArea[to]
-	if !ok {
-		return 0, fmt.Errorf("energy: unknown node %dnm", to)
-	}
-	return areaMM2 * t / f, nil
-}
 
 // AreaReport is the §4.5 area summary.
 type AreaReport struct {
@@ -111,14 +78,11 @@ func Area(entries int) AreaReport {
 
 // PowerReport is the §4.5 power summary for one measured run.
 type PowerReport struct {
-	PushFactor    float64 // SRD pushes per baseline push
-	DynamicMW     float64
-	LeakageMW     float64
-	TotalMW       float64
-	ShareOfSoC    float64
-	WithinPaper   bool // <= the paper's 47.75 mW bound
-	PaperBoundMW  float64
-	PaperShareRef float64 // the paper's ~0.23% reference
+	PushFactor  float64 // SRD pushes per baseline push
+	DynamicMW   float64
+	TotalMW     float64 // dynamic plus VLRDLeakageMW
+	ShareOfSoC  float64
+	WithinPaper bool // <= the paper's 47.75 mW bound
 }
 
 // Power scales the baseline dynamic power by the push-frequency factor
@@ -130,14 +94,11 @@ func Power(pushFactor float64) PowerReport {
 	dyn := VLRDDynamicMW * pushFactor
 	tot := dyn + VLRDLeakageMW
 	return PowerReport{
-		PushFactor:    pushFactor,
-		DynamicMW:     dyn,
-		LeakageMW:     VLRDLeakageMW,
-		TotalMW:       tot,
-		ShareOfSoC:    tot / (SoCPowerW * 1000),
-		WithinPaper:   tot <= 47.75+1e-9,
-		PaperBoundMW:  47.75,
-		PaperShareRef: 0.0023,
+		PushFactor:  pushFactor,
+		DynamicMW:   dyn,
+		TotalMW:     tot,
+		ShareOfSoC:  tot / (SoCPowerW * 1000),
+		WithinPaper: tot <= 47.75+1e-9,
 	}
 }
 

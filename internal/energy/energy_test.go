@@ -42,26 +42,6 @@ func TestAreaScalesWithEntries(t *testing.T) {
 	}
 }
 
-func TestScaleArea(t *testing.T) {
-	scaled, err := ScaleArea(1.0, 45, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scaled <= 0 || scaled >= 1 {
-		t.Fatalf("45->16 scale = %v, want in (0,1)", scaled)
-	}
-	back, err := ScaleArea(scaled, 16, 45)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(back, 1.0, 1e-9) {
-		t.Fatalf("round trip = %v", back)
-	}
-	if _, err := ScaleArea(1, 44, 16); err == nil {
-		t.Fatal("unknown node accepted")
-	}
-}
-
 func TestPowerPaperBounds(t *testing.T) {
 	// The paper's worst case: tuned at 5.03x push frequency gives
 	// "47.75 mW for SRD power in total at most".

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"spamer"
 	"spamer/internal/harness"
 )
 
@@ -34,12 +35,20 @@ func TestPredictorStudySanity(t *testing.T) {
 	}
 }
 
+// The sweeps of spamer ablate: each sets one Config field to x.
+var (
+	setSRDEntries  = func(c *spamer.Config, n int) { c.SRDEntries = n }
+	setHopLatency  = func(c *spamer.Config, h int) { c.HopLatency = uint64(h) }
+	setBusChannels = func(c *spamer.Config, n int) { c.BusChannels = n }
+	setDevices     = func(c *spamer.Config, n int) { c.Devices = n }
+)
+
 func TestSweepsRunAndValidate(t *testing.T) {
 	ctx, opts := context.Background(), harness.Options{}
-	if _, err := SRDEntriesSweepParallel(ctx, "nope", []int{8}, 1, opts); err == nil {
+	if _, err := SweepParallel(ctx, "nope", spamer.AlgTuned, []int{8}, setSRDEntries, 1, opts); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
-	pts, err := SRDEntriesSweepParallel(ctx, "firewall", []int{8, 64}, 1, opts)
+	pts, err := SweepParallel(ctx, "firewall", spamer.AlgTuned, []int{8, 64}, setSRDEntries, 1, opts)
 	if err != nil || len(pts) != 2 {
 		t.Fatalf("srd sweep: %v %v", pts, err)
 	}
@@ -48,7 +57,7 @@ func TestSweepsRunAndValidate(t *testing.T) {
 			t.Fatalf("bad point %+v", p)
 		}
 	}
-	hp, err := HopLatencySweepParallel(ctx, "ping-pong", []uint64{6, 24}, 1, opts)
+	hp, err := SweepParallel(ctx, "ping-pong", spamer.AlgZeroDelay, []int{6, 24}, setHopLatency, 1, opts)
 	if err != nil || len(hp) != 2 {
 		t.Fatalf("hop sweep: %v %v", hp, err)
 	}
@@ -56,14 +65,14 @@ func TestSweepsRunAndValidate(t *testing.T) {
 	if hp[1].Ticks <= hp[0].Ticks {
 		t.Errorf("hop 24 not slower than hop 6: %d vs %d", hp[1].Ticks, hp[0].Ticks)
 	}
-	ch, err := BusChannelsSweepParallel(ctx, "halo", []int{1, 4}, 1, opts)
+	ch, err := SweepParallel(ctx, "halo", spamer.AlgZeroDelay, []int{1, 4}, setBusChannels, 1, opts)
 	if err != nil || len(ch) != 2 {
 		t.Fatalf("channels sweep: %v %v", ch, err)
 	}
 	if ch[0].Ticks <= ch[1].Ticks {
 		t.Errorf("1-channel halo not slower than 4-channel: %d vs %d", ch[0].Ticks, ch[1].Ticks)
 	}
-	dv, err := DevicesSweepParallel(ctx, "firewall", []int{1, 2}, 1, opts)
+	dv, err := SweepParallel(ctx, "firewall", spamer.AlgZeroDelay, []int{1, 2}, setDevices, 1, opts)
 	if err != nil || len(dv) != 2 {
 		t.Fatalf("devices sweep: %v %v", dv, err)
 	}

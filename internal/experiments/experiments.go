@@ -15,13 +15,12 @@ import (
 	"spamer"
 	"spamer/internal/config"
 	"spamer/internal/energy"
-	"spamer/internal/swqueue"
 	"spamer/internal/trace"
 	"spamer/internal/workloads"
 )
 
 // Matrix holds one result per (benchmark, configuration) — the common
-// input of Figures 8, 9 and 10.
+// input of Figures 8, 9 and 10, which read its cells directly.
 type Matrix struct {
 	Benchmarks []string
 	Configs    []string
@@ -65,13 +64,6 @@ func Table2Rows() [][]string {
 }
 
 // ---------------------------------------------------------------------
-// Figure 1: latency comparison.
-// ---------------------------------------------------------------------
-
-// Figure1 runs the latency micro-experiment.
-func Figure1() swqueue.Figure1Result { return swqueue.RunFigure1() }
-
-// ---------------------------------------------------------------------
 // Figure 7: message-queue transaction trace.
 // ---------------------------------------------------------------------
 
@@ -79,88 +71,6 @@ func Figure1() swqueue.Figure1Result { return swqueue.RunFigure1() }
 func Figure7(alg string) (*trace.Tracer, trace.Summary, spamer.Result) {
 	tr, res := trace.RunFigure7(trace.DefaultFigure7(alg))
 	return tr, trace.Summarize(tr.Transactions()), res
-}
-
-// ---------------------------------------------------------------------
-// Figure 8: speedup over Virtual-Link.
-// ---------------------------------------------------------------------
-
-// Figure8Row is one benchmark's line of the speedup chart.
-type Figure8Row struct {
-	Benchmark  string
-	BaselineMS float64
-	Speedups   map[string]float64 // per SPAMeR algorithm
-}
-
-// Figure8 derives the speedup rows (and paper reference geomeans:
-// 1.45/1.25/1.33 for 0delay/adapt/tuned).
-func Figure8(m *Matrix) []Figure8Row {
-	var rows []Figure8Row
-	for _, b := range m.Benchmarks {
-		row := Figure8Row{
-			Benchmark:  b,
-			BaselineMS: m.Results[b][spamer.AlgBaseline].MS,
-			Speedups:   map[string]float64{},
-		}
-		for _, alg := range m.Configs[1:] {
-			row.Speedups[alg] = m.Speedup(b, alg)
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// ---------------------------------------------------------------------
-// Figure 9: execution-time breakdown (consumer-line empty vs non-empty).
-// ---------------------------------------------------------------------
-
-// Figure9Cell is the per-(benchmark, config) breakdown in millions of
-// cycles, averaged per consumer line as in the paper.
-type Figure9Cell struct {
-	EmptyM    float64
-	NonEmptyM float64
-}
-
-// Figure9 derives the breakdown cells.
-func Figure9(m *Matrix) map[string]map[string]Figure9Cell {
-	out := map[string]map[string]Figure9Cell{}
-	for _, b := range m.Benchmarks {
-		out[b] = map[string]Figure9Cell{}
-		for _, alg := range m.Configs {
-			r := m.Results[b][alg]
-			out[b][alg] = Figure9Cell{
-				EmptyM:    r.AvgEmptyTicks / 1e6,
-				NonEmptyM: r.AvgNonEmptyTicks / 1e6,
-			}
-		}
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------
-// Figure 10: push failure rates and bus utilization.
-// ---------------------------------------------------------------------
-
-// Figure10Cell carries both 10a and 10b metrics.
-type Figure10Cell struct {
-	FailureRate    float64
-	BusUtilization float64
-}
-
-// Figure10 derives the failure-rate and bus-utilization cells.
-func Figure10(m *Matrix) map[string]map[string]Figure10Cell {
-	out := map[string]map[string]Figure10Cell{}
-	for _, b := range m.Benchmarks {
-		out[b] = map[string]Figure10Cell{}
-		for _, alg := range m.Configs {
-			r := m.Results[b][alg]
-			out[b][alg] = Figure10Cell{
-				FailureRate:    r.FailureRate(),
-				BusUtilization: r.BusUtilization,
-			}
-		}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------
@@ -219,7 +129,7 @@ func Figure11Grid() []config.TunedParams {
 }
 
 // ---------------------------------------------------------------------
-// §4.3 inlining study and §4.5 area/power.
+// §4.3 inlining study and §4.5 power.
 // ---------------------------------------------------------------------
 
 // InlineStudyRow is one benchmark's library-inlining speedup on the VL
@@ -229,16 +139,11 @@ type InlineStudyRow struct {
 	Speedup   float64
 }
 
-// AreaPower bundles the §4.5 estimates for a measured matrix: the area
-// report plus per-algorithm worst-case power across benchmarks.
-type AreaPower struct {
-	Area       energy.AreaReport
-	PowerByAlg map[string]energy.PowerReport
-}
-
-// Section45 computes the area/power summary from a matrix.
-func Section45(m *Matrix) AreaPower {
-	ap := AreaPower{Area: energy.Area(0), PowerByAlg: map[string]energy.PowerReport{}}
+// Section45 returns the §4.5 worst-case power of each SPAMeR algorithm
+// across the matrix's benchmarks, from its highest push-frequency
+// factor over the VL baseline.
+func Section45(m *Matrix) map[string]energy.PowerReport {
+	power := map[string]energy.PowerReport{}
 	for _, alg := range m.Configs[1:] {
 		worst := 1.0
 		for _, b := range m.Benchmarks {
@@ -247,7 +152,7 @@ func Section45(m *Matrix) AreaPower {
 				worst = f
 			}
 		}
-		ap.PowerByAlg[alg] = energy.Power(worst)
+		power[alg] = energy.Power(worst)
 	}
-	return ap
+	return power
 }

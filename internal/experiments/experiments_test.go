@@ -6,6 +6,7 @@ import (
 
 	"spamer"
 	"spamer/internal/config"
+	"spamer/internal/energy"
 	"spamer/internal/harness"
 )
 
@@ -59,31 +60,22 @@ func TestMatrixDerivations(t *testing.T) {
 	if len(m.Benchmarks) != 8 {
 		t.Fatalf("benchmarks = %d", len(m.Benchmarks))
 	}
-	rows := Figure8(m)
-	if len(rows) != 8 {
-		t.Fatalf("fig8 rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		for alg, sp := range r.Speedups {
-			if sp <= 0 {
-				t.Fatalf("%s/%s speedup = %v", r.Benchmark, alg, sp)
+	for _, b := range m.Benchmarks {
+		for _, alg := range m.Configs[1:] {
+			if sp := m.Speedup(b, alg); sp <= 0 {
+				t.Fatalf("%s/%s speedup = %v", b, alg, sp)
 			}
 		}
-	}
-	f9 := Figure9(m)
-	f10 := Figure10(m)
-	for _, b := range m.Benchmarks {
 		for _, alg := range m.Configs {
-			c9 := f9[b][alg]
-			if c9.EmptyM < 0 || c9.NonEmptyM < 0 {
-				t.Fatalf("fig9 %s/%s: %+v", b, alg, c9)
+			r := m.Results[b][alg]
+			if r.AvgEmptyTicks < 0 || r.AvgNonEmptyTicks < 0 {
+				t.Fatalf("fig9 %s/%s: empty %v, non-empty %v", b, alg, r.AvgEmptyTicks, r.AvgNonEmptyTicks)
 			}
-			c10 := f10[b][alg]
-			if c10.FailureRate < 0 || c10.FailureRate > 1 {
-				t.Fatalf("fig10 %s/%s failure = %v", b, alg, c10.FailureRate)
+			if f := r.FailureRate(); f < 0 || f > 1 {
+				t.Fatalf("fig10 %s/%s failure = %v", b, alg, f)
 			}
-			if c10.BusUtilization < 0 || c10.BusUtilization > 1 {
-				t.Fatalf("fig10 %s/%s bus = %v", b, alg, c10.BusUtilization)
+			if r.BusUtilization < 0 || r.BusUtilization > 1 {
+				t.Fatalf("fig10 %s/%s bus = %v", b, alg, r.BusUtilization)
 			}
 		}
 	}
@@ -92,13 +84,16 @@ func TestMatrixDerivations(t *testing.T) {
 			t.Fatalf("geomean %s = %v", alg, g)
 		}
 	}
-	ap := Section45(m)
-	for alg, p := range ap.PowerByAlg {
+	power := Section45(m)
+	if len(power) != len(m.Configs)-1 {
+		t.Fatalf("power for %d algorithms, want %d", len(power), len(m.Configs)-1)
+	}
+	for alg, p := range power {
 		if p.TotalMW <= 0 {
 			t.Fatalf("power %s = %+v", alg, p)
 		}
 	}
-	if !ap.Area.UnderOnePctSoC {
+	if !energy.Area(0).UnderOnePctSoC {
 		t.Fatal("area share exceeds 1% of SoC")
 	}
 }

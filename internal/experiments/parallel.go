@@ -9,7 +9,6 @@ import (
 	"spamer/internal/core"
 	"spamer/internal/energy"
 	"spamer/internal/harness"
-	"spamer/internal/vl"
 	"spamer/internal/workloads"
 )
 
@@ -193,20 +192,21 @@ func PredictorStudyParallel(ctx context.Context, scale int, opts harness.Options
 	return rows, nil
 }
 
-// sweepParallel runs every sweep point as two runs, the baseline and
-// SPAMeR at the same x, so the speedup stays an apples-to-apples
-// comparison.
-func sweepParallel(ctx context.Context, bench string, xs []int,
-	cfgs func(x int) (base, spec spamer.Config), scale int, opts harness.Options) ([]SweepPoint, error) {
+// SweepParallel runs a sensitivity sweep of bench: at each x, the VL
+// baseline and alg, each configured by set, so the speedup at x is an
+// apples-to-apples comparison.
+func SweepParallel(ctx context.Context, bench, alg string, xs []int, set func(*spamer.Config, int), scale int, opts harness.Options) ([]SweepPoint, error) {
 	w, ok := workloads.ByName(bench)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown benchmark %q", bench)
 	}
 	var runs []run
 	for _, x := range xs {
-		base, spec := cfgs(x)
+		base, spec := spamer.Config{Algorithm: spamer.AlgBaseline}, spamer.Config{Algorithm: alg}
+		set(&base, x)
+		set(&spec, x)
 		label := fmt.Sprintf("%s/x=%d/", bench, x)
-		runs = append(runs, run{w, base, label + base.Algorithm}, run{w, spec, label + spec.Algorithm})
+		runs = append(runs, run{w, base, label + spamer.AlgBaseline}, run{w, spec, label + alg})
 	}
 	results, err := runAll(ctx, runs, scale, opts)
 	if err != nil {
@@ -218,50 +218,6 @@ func sweepParallel(ctx context.Context, bench string, xs []int,
 		points[i] = SweepPoint{X: x, Ticks: res.Ticks, Speedup: res.Speedup(base)}
 	}
 	return points, nil
-}
-
-// SRDEntriesSweepParallel varies the routing-device structure sizes on
-// a benchmark, with the tuned algorithm (firewall exercises
-// backpressure at small sizes; halo needs >= 48 linkTab rows).
-func SRDEntriesSweepParallel(ctx context.Context, bench string, sizes []int, scale int, opts harness.Options) ([]SweepPoint, error) {
-	return sweepParallel(ctx, bench, sizes, func(n int) (spamer.Config, spamer.Config) {
-		cfg := vl.Config{ProdEntries: n, ConsEntries: n, LinkEntries: max(n, 64)}
-		return spamer.Config{Algorithm: spamer.AlgBaseline, SRD: cfg},
-			spamer.Config{Algorithm: spamer.AlgTuned, SRD: cfg}
-	}, scale, opts)
-}
-
-// HopLatencySweepParallel varies the one-way core<->device hop latency
-// — the topology dimension the paper defers ("the impact of topology
-// ... are not the focus of this paper").
-func HopLatencySweepParallel(ctx context.Context, bench string, hops []uint64, scale int, opts harness.Options) ([]SweepPoint, error) {
-	xs := make([]int, len(hops))
-	for i, h := range hops {
-		xs[i] = int(h)
-	}
-	return sweepParallel(ctx, bench, xs, func(h int) (spamer.Config, spamer.Config) {
-		return spamer.Config{Algorithm: spamer.AlgBaseline, HopLatency: uint64(h)},
-			spamer.Config{Algorithm: spamer.AlgZeroDelay, HopLatency: uint64(h)}
-	}, scale, opts)
-}
-
-// BusChannelsSweepParallel varies the interconnect parallelism.
-func BusChannelsSweepParallel(ctx context.Context, bench string, channels []int, scale int, opts harness.Options) ([]SweepPoint, error) {
-	return sweepParallel(ctx, bench, channels, func(c int) (spamer.Config, spamer.Config) {
-		return spamer.Config{Algorithm: spamer.AlgBaseline, BusChannels: c},
-			spamer.Config{Algorithm: spamer.AlgZeroDelay, BusChannels: c}
-	}, scale, opts)
-}
-
-// DevicesSweepParallel varies the number of routing devices — the
-// multi-router arrangement §3.1 mentions but does not evaluate. Queues
-// distribute round-robin, relieving per-device mapping-pipeline and
-// send-port contention on many-queue workloads.
-func DevicesSweepParallel(ctx context.Context, bench string, devices []int, scale int, opts harness.Options) ([]SweepPoint, error) {
-	return sweepParallel(ctx, bench, devices, func(d int) (spamer.Config, spamer.Config) {
-		return spamer.Config{Algorithm: spamer.AlgBaseline, Devices: d},
-			spamer.Config{Algorithm: spamer.AlgZeroDelay, Devices: d}
-	}, scale, opts)
 }
 
 // ObfuscationStudyParallel measures the performance cost of the §3.6

@@ -80,10 +80,10 @@ func TestRunMatrixParallelCancelled(t *testing.T) {
 		{"figure11", errOf(Figure11Parallel(ctx, "FIR", 1, opts))},
 		{"inline", errOf(InlineStudyParallel(ctx, 1, opts))},
 		{"predictors", errOf(PredictorStudyParallel(ctx, 1, opts))},
-		{"srd", errOf(SRDEntriesSweepParallel(ctx, "firewall", []int{8, 64}, 1, opts))},
-		{"hop", errOf(HopLatencySweepParallel(ctx, "FIR", []uint64{6, 12}, 1, opts))},
-		{"channels", errOf(BusChannelsSweepParallel(ctx, "halo", []int{1, 2}, 1, opts))},
-		{"devices", errOf(DevicesSweepParallel(ctx, "halo", []int{1, 2}, 1, opts))},
+		{"srd", errOf(SweepParallel(ctx, "firewall", spamer.AlgTuned, []int{8, 64}, setSRDEntries, 1, opts))},
+		{"hop", errOf(SweepParallel(ctx, "FIR", spamer.AlgZeroDelay, []int{6, 12}, setHopLatency, 1, opts))},
+		{"channels", errOf(SweepParallel(ctx, "halo", spamer.AlgZeroDelay, []int{1, 2}, setBusChannels, 1, opts))},
+		{"devices", errOf(SweepParallel(ctx, "halo", spamer.AlgZeroDelay, []int{1, 2}, setDevices, 1, opts))},
 		{"obfuscation", errOf(ObfuscationStudyParallel(ctx, 32, 1, opts))},
 		{"software-queue", errOf(SoftwareQueueStudyParallel(ctx, opts))},
 		{"tune", errOf(Tune(ctx, "firewall", 1, 2, opts))},

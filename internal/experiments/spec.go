@@ -8,7 +8,6 @@ import (
 
 	"spamer"
 	"spamer/internal/config"
-	"spamer/internal/vl"
 	"spamer/internal/workloads"
 )
 
@@ -107,7 +106,7 @@ func (s *Spec) Validate() error {
 		}
 	} else if s.Benchmark == "" {
 		return fmt.Errorf("experiments: spec missing benchmark")
-	} else if _, ok := s.workload(); !ok {
+	} else if _, ok := s.Workload(); !ok {
 		return fmt.Errorf("experiments: unknown benchmark %q", s.Benchmark)
 	}
 	for _, a := range s.Algorithms {
@@ -123,7 +122,9 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-func (s *Spec) workload() (*workloads.Workload, bool) {
+// Workload resolves the spec's benchmark, honouring the extensions
+// gate.
+func (s *Spec) Workload() (*workloads.Workload, bool) {
 	if s.Shape != nil {
 		return s.Shape.Workload(), true
 	}
@@ -147,13 +148,11 @@ func (s *Spec) SystemConfig(alg string) spamer.Config {
 		BusChannels: s.Channels,
 		Devices:     s.Devices,
 		NoInline:    s.NoInline,
+		SRDEntries:  s.SRDEntries,
 	}
 	if s.Fault != nil {
 		cfg.FaultDropStash = s.Fault.DropStash
 		cfg.FaultCorruptStash = s.Fault.CorruptStash
-	}
-	if s.SRDEntries > 0 {
-		cfg.SRD = vl.Config{ProdEntries: s.SRDEntries, ConsEntries: s.SRDEntries, LinkEntries: max(s.SRDEntries, 64)}
 	}
 	if s.Tuned != nil && alg == spamer.AlgTuned {
 		cfg.Tuned = *s.Tuned
@@ -166,7 +165,7 @@ func (s *Spec) Run() ([]Outcome, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	w, _ := s.workload()
+	w, _ := s.Workload()
 	scale := s.Scale
 	if scale == 0 {
 		scale = 1

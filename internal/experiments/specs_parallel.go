@@ -6,7 +6,6 @@ import (
 
 	"spamer"
 	"spamer/internal/harness"
-	"spamer/internal/workloads"
 )
 
 // SpecResult is one spec's slot in a RunSpecsParallel result: the
@@ -63,7 +62,7 @@ func RunSpecsParallel(ctx context.Context, specs []Spec, opts harness.Options) [
 			// so cancellation acts when the pool claims an index.
 			i, j := at(k)
 			s := &specs[i]
-			w, _ := s.workload()
+			w, _ := s.Workload()
 			// Keep only the outcome: the speedup needs just its Ticks.
 			results[i].Outcomes[j], _ = s.runAlg(w, s.algorithms()[j], max(s.Scale, 1))
 			return nil
@@ -104,8 +103,3 @@ func RunSpecsParallel(ctx context.Context, specs []Spec, opts harness.Options) [
 	}
 	return results
 }
-
-// Workload resolves the spec's benchmark, honouring the extensions
-// gate. It is the exported face of the private workload() lookup for
-// callers outside the package.
-func (s *Spec) Workload() (*workloads.Workload, bool) { return s.workload() }

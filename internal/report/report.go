@@ -134,37 +134,3 @@ func Scatter(w io.Writer, title string, labels []string, xs, ys []float64, xName
 		fmt.Fprintf(w, "  %s  x=%-8.3f y=%-8.3f\n", pad(labels[i], maxLabel), xs[i], ys[i])
 	}
 }
-
-// SpeedupTable renders a per-scenario speedup matrix: one row per
-// scenario, one column per algorithm, each cell a baseline-relative
-// speedup rendered as "1.23x" ("-" when the value is missing, i.e.
-// zero). The first algorithm column is conventionally the baseline
-// itself (1.00x), so rows read as the paper's Figure 8 bars do.
-func SpeedupTable(w io.Writer, title string, scenarios, algorithms []string, speedups [][]float64) {
-	if len(scenarios) == 0 || len(algorithms) == 0 {
-		return
-	}
-	if title != "" {
-		fmt.Fprintln(w, title)
-	}
-	rows := make([][]string, 0, len(scenarios)+1)
-	head := append([]string{"scenario"}, algorithms...)
-	rows = append(rows, head)
-	for i, sc := range scenarios {
-		row := make([]string, 1, len(algorithms)+1)
-		row[0] = sc
-		for j := range algorithms {
-			v := 0.0
-			if i < len(speedups) && j < len(speedups[i]) {
-				v = speedups[i][j]
-			}
-			if v > 0 {
-				row = append(row, fmt.Sprintf("%.2fx", v))
-			} else {
-				row = append(row, "-")
-			}
-		}
-		rows = append(rows, row)
-	}
-	Table(w, rows, true)
-}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"spamer"
-	"spamer/internal/vl"
 )
 
 // otherRuns differ from every golden case in each sized structure a
@@ -21,9 +20,9 @@ var otherRuns = []struct {
 	cfg spamer.Config
 }{
 	{(&Shape{Producers: 3, Consumers: 18, Lines: 3, Messages: 12}).Workload(),
-		spamer.Config{Algorithm: spamer.AlgTuned, Devices: 2, SRD: vl.Config{ProdEntries: 16, ConsEntries: 16, LinkEntries: 64}}},
+		spamer.Config{Algorithm: spamer.AlgTuned, Devices: 2, SRDEntries: 16}},
 	{(&Shape{Stages: 20, Messages: 4, ProdWork: 200}).Workload(),
-		spamer.Config{Algorithm: spamer.AlgAdaptive, EvictEvery: 300, SRD: vl.Config{ProdEntries: 128, ConsEntries: 128, LinkEntries: 128}}},
+		spamer.Config{Algorithm: spamer.AlgAdaptive, EvictEvery: 300, SRDEntries: 128}},
 }
 
 // prepareStorage readies the storage pools for the next system the

@@ -81,9 +81,10 @@ type Config struct {
 	// NoInline to get the function-call overhead instead.
 	NoInline bool
 
-	// SRD overrides the routing-device structure capacities
+	// SRDEntries sizes every routing device: n prodBuf and consBuf
+	// entries, and max(n, 64) linkTab rows and specBuf entries
 	// (default: Table 1, 64 entries each).
-	SRD vl.Config
+	SRDEntries int
 
 	// HopLatency overrides the one-way core<->device hop latency in
 	// cycles (default config.HopCycles).
@@ -186,19 +187,21 @@ func NewSystem(cfg Config) *System {
 	bus := noc.NewWithOptions(k, hop, cfg.BusChannels)
 	as := mem.NewAddressSpace(k)
 
+	n := cfg.SRDEntries
+	if n <= 0 {
+		n = config.SRDEntries
+	}
+	srd := vl.Config{ProdEntries: n, ConsEntries: n, LinkEntries: max(n, config.SRDEntries)}
+
 	s := &System{cfg: cfg, kernel: k, bus: bus, as: as}
 	for i := 0; i < ndev; i++ {
-		dev := vl.New(k, bus, as, cfg.SRD)
+		dev := vl.New(k, bus, as, srd)
 		alg, ok := algorithm(cfg)
 		if !ok {
 			panic(fmt.Sprintf("spamer: unknown algorithm %q", cfg.Algorithm))
 		}
 		if alg != nil {
-			n := cfg.SRD.LinkEntries
-			if n == 0 {
-				n = config.SRDEntries
-			}
-			spec := core.NewSpecBuf(n, alg)
+			spec := core.NewSpecBuf(srd.LinkEntries, alg)
 			dev.SetSpecExtension(spec)
 			s.specs = append(s.specs, spec)
 		}
