@@ -27,7 +27,8 @@ var benchArtifacts = []string{"config", "workloads", "fig8", "fig9", "fig10", "i
 // independent simulations fanned across the -parallel pool. Every
 // section prints, and every -svg file is written, once the last study
 // is in; SIGINT or SIGTERM stops the pool from starting runs and fails
-// the command with nothing on stdout and no SVG written.
+// the command with nothing on stdout and no SVG written. The -svg
+// directory is made before the first run.
 func benchCmd(c *cli) error {
 	what := c.flags.String("what", "all", "which artifact to regenerate: all|config|workloads|fig8|fig9|fig10|inline")
 	scale := c.flags.Int("scale", 1, "message-count multiplier for every workload")
@@ -48,6 +49,11 @@ func benchCmd(c *cli) error {
 	defer stop()
 	var m *experiments.Matrix
 	if slices.ContainsFunc(show, func(s string) bool { return s == "fig8" || s == "fig9" || s == "fig10" }) {
+		if *svgDir != "" {
+			if err := os.MkdirAll(*svgDir, 0o755); err != nil {
+				return err
+			}
+		}
 		fmt.Fprintf(c.stderr, "running %d benchmarks x %d configurations (scale %d) on %d workers...\n",
 			len(workloads.Names()), len(spamer.Configs()), *scale, harness.Workers(c.workers))
 		var err error
@@ -99,11 +105,9 @@ func benchCmd(c *cli) error {
 	return err
 }
 
-// writeSVGs renders Figures 8 and 10 as SVG files.
+// writeSVGs renders Figures 8 and 10 as SVG files into dir, which
+// exists.
 func writeSVGs(dir string, m *experiments.Matrix) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	fail := make([][]float64, len(m.Benchmarks))
 	bus := make([][]float64, len(m.Benchmarks))
 	for i, b := range m.Benchmarks {

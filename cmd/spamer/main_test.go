@@ -218,6 +218,31 @@ func TestInterruptedRunWritesNoSVG(t *testing.T) {
 	}
 }
 
+// TestUnwritableSVGDirFailsBeforeRunning: an -svg directory that cannot
+// be made fails bench and sweep before their first run: exit 1, nothing
+// on stdout, the mkdir error on stderr and no pool progress there.
+func TestUnwritableSVGDirFailsBeforeRunning(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(file, "svg")
+	for _, args := range [][]string{
+		{"bench", "-parallel", "1"},
+		{"sweep", "-bench", "ping-pong", "-parallel", "1"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			code, stdout, stderr := call(t, "", append(args, "-svg", dir)...)
+			if code != 1 || stdout != "" || !strings.Contains(stderr, "not a directory") {
+				t.Fatalf("exit %d, %d bytes on stdout; want exit 1, no stdout and \"not a directory\"\nstderr:\n%s", code, len(stdout), stderr)
+			}
+			if strings.Contains(stderr, " runs") {
+				t.Fatalf("a run started before the mkdir failed:\n%s", stderr)
+			}
+		})
+	}
+}
+
 // TestTraceRejectsUnknownAlgorithm: an unknown -alg is an invalid
 // invocation (one stderr line, exit 2), not a simulator panic.
 func TestTraceRejectsUnknownAlgorithm(t *testing.T) {
