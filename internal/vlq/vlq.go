@@ -44,20 +44,6 @@ import (
 	"spamer/internal/vl"
 )
 
-// Limits bounds a process's routing-device resource usage — the §3.6
-// DoS mitigation: "SPAMeR allocates or frees resources via system calls
-// similar to memory management ... DoS can be mitigated by setting
-// limits (e.g., ulimit for soft limits ...)". Zero values mean
-// unlimited.
-type Limits struct {
-	// MaxQueues bounds SQIs created through this library instance.
-	MaxQueues int
-	// MaxSpecLines bounds the total consumer lines this instance may
-	// register in specBuf; past it, new endpoints silently degrade to
-	// demand-driven rather than monopolizing the shared specBuf.
-	MaxSpecLines int
-}
-
 // Lib is one process's view of the queue library, bound to a routing
 // device.
 type Lib struct {
@@ -71,12 +57,7 @@ type Lib struct {
 	// brought purely by speculation" (§4.3).
 	Inlined bool
 
-	// Limits is the §3.6 resource cap for this process; zero values
-	// are unlimited.
-	Limits Limits
-
-	specLines int
-	queues    []*Queue
+	queues []*Queue
 
 	// Block arenas behind the Queue/Producer/Consumer pointers this
 	// library hands out: endpoint setup is the dominant allocation phase
@@ -107,7 +88,7 @@ func New(k *sim.Kernel, bus *noc.Bus, as *mem.AddressSpace, dev *vl.Device) *Lib
 // library start from the same state.
 func (l *Lib) init(k *sim.Kernel, bus *noc.Bus, as *mem.AddressSpace, dev *vl.Device) {
 	l.k, l.bus, l.as, l.dev = k, bus, as, dev
-	l.Inlined, l.Limits, l.specLines = false, Limits{}, 0
+	l.Inlined = false
 	l.queues = l.queues[:0]
 }
 
@@ -185,12 +166,9 @@ type Queue struct {
 
 // NewQueue creates a queue (allocates an SQI) whose endpoint events p
 // observes; a nil p observes nothing. It panics when the device's
-// linkTab is exhausted or the process's queue limit (§3.6) is reached —
-// resource exhaustion at setup is a configuration error.
+// linkTab is exhausted — resource exhaustion at setup is a
+// configuration error.
 func (l *Lib) NewQueue(name string, p Probe) *Queue {
-	if l.Limits.MaxQueues > 0 && len(l.queues) >= l.Limits.MaxQueues {
-		panic(fmt.Sprintf("vlq: queue limit %d reached (§3.6 resource cap)", l.Limits.MaxQueues))
-	}
 	sqi, err := l.dev.AllocSQI()
 	if err != nil {
 		panic(fmt.Sprintf("vlq: %v", err))
@@ -553,8 +531,7 @@ const (
 // NewConsumerThen subscribes a consumer endpoint with nlines buffer
 // lines. On a SPAMeR device the endpoint is spec-push-enabled: the
 // library registers its lines in specBuf (spamer_register) at creation,
-// and a pop never issues vl_fetch. On a VL device it is demand-driven,
-// as is every endpoint past the §3.6 MaxSpecLines cap.
+// and a pop never issues vl_fetch. On a VL device it is demand-driven.
 //
 // Registration charges the calling thread, mirroring the library
 // function that creates consumer endpoints (§3.4): when the endpoint
@@ -567,13 +544,6 @@ func (q *Queue) NewConsumerThen(nlines int, then sim.Cont) (c *Consumer, pending
 	if !lib.dev.Speculative() {
 		return c, false
 	}
-	nlines = len(c.page.Lines)
-	if lib.Limits.MaxSpecLines > 0 && lib.specLines+nlines > lib.Limits.MaxSpecLines {
-		// §3.6 resource cap: the endpoint degrades to demand-driven
-		// rather than letting one process monopolize specBuf.
-		return c, false
-	}
-	lib.specLines += nlines
 	c.spec = true
 	c.then = then
 	lib.k.AfterFunc(config.SpamerRegCycles, c.stepFn, coRegister)
